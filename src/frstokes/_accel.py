@@ -1,81 +1,8 @@
-"""Backend selection for the sequential time-stepping hot loop.
+"""Name of the numerical backend, recorded in benchmark records.
 
-The scalar fractional ODE solver is an inherently sequential recurrence
-whose history term costs O(n) per step, O(n^2) per solve; at reference
-steps (dt = 1e-5 over a unit horizon) this is the only hot loop in the
-package.  A numba-compiled kernel is used when available; a pure-numpy
-path (BLAS dot against reversed weight slices) is always present and is
-selected by setting ``FRS_DISABLE_NUMBA=1`` in the environment.
-
-``benchmarks/bench_backends.py`` compares the two implementations.
+The package has a single pure-numpy implementation of every algorithm; this
+constant stays so that tools which record or compare the backend of a run
+keep working.
 """
 
-from __future__ import annotations
-
-import math
-import os
-
-import numpy as np
-
-__all__ = ["BACKEND", "l1_scalar_solve", "l1_scalar_solve_numpy"]
-
-_DISABLED = os.environ.get("FRS_DISABLE_NUMBA", "").strip().lower() in {
-    "1", "true", "yes", "on",
-}
-
-
-def l1_scalar_solve_numpy(lam, gamma, rho, y0, fvals, dt):
-    """Implicit Euler + L1 history recurrence, pure numpy.
-
-    fvals holds the source at the n+1 grid nodes; returns the n+1 solution
-    values.  The history sum is a dot of two contiguous slices: the L1
-    weights stored reversed, and the running first differences.
-    """
-    n = fvals.shape[0] - 1
-    c = dt ** (-rho) / math.gamma(2.0 - rho)
-    j = np.arange(n + 1, dtype=np.float64)
-    b = (j + 1.0) ** (1.0 - rho) - j ** (1.0 - rho)
-    brev = b[::-1].copy()
-    y = np.empty(n + 1)
-    y[0] = y0
-    d = np.zeros(n + 1)
-    denom = 1.0 / dt + lam + lam * gamma * c
-    lgc = lam * gamma * c
-    for i in range(1, n + 1):
-        hist = np.dot(brev[n - i + 1:n], d[1:i]) if i > 1 else 0.0
-        y[i] = (fvals[i] + y[i - 1] / dt + lgc * (y[i - 1] - hist)) / denom
-        d[i] = y[i] - y[i - 1]
-    return y
-
-
-if not _DISABLED:
-    try:
-        from numba import njit
-
-        @njit(cache=True)
-        def _l1_scalar_solve_numba(lam, gamma, rho, y0, fvals, dt):
-            n = fvals.shape[0] - 1
-            c = dt ** (-rho) / math.gamma(2.0 - rho)
-            b = np.empty(n + 1)
-            for j in range(n + 1):
-                b[j] = (j + 1.0) ** (1.0 - rho) - float(j) ** (1.0 - rho)
-            brev = b[::-1].copy()
-            y = np.empty(n + 1)
-            y[0] = y0
-            d = np.zeros(n + 1)
-            denom = 1.0 / dt + lam + lam * gamma * c
-            lgc = lam * gamma * c
-            for i in range(1, n + 1):
-                hist = np.dot(brev[n - i + 1:n], d[1:i]) if i > 1 else 0.0
-                y[i] = (fvals[i] + y[i - 1] / dt + lgc * (y[i - 1] - hist)) / denom
-                d[i] = y[i] - y[i - 1]
-            return y
-
-        l1_scalar_solve = _l1_scalar_solve_numba
-        BACKEND = "numba"
-    except ImportError:
-        l1_scalar_solve = l1_scalar_solve_numpy
-        BACKEND = "numpy"
-else:
-    l1_scalar_solve = l1_scalar_solve_numpy
-    BACKEND = "numpy"
+BACKEND = "numpy"

@@ -2,10 +2,12 @@
 
 Discretizes y' + lam * (1 + gamma * D_t^rho) y = f with implicit Euler for
 the classical derivative and the L1 rule for the Caputo derivative.  The L1
-weights are elementary, exactly checkable through a telescoping identity,
-and the dense history is kept deliberately (O(n^2) total work): this module
-is the ground truth the quadrature kernels are validated against, so its
-own trustworthiness outranks its order of accuracy.
+weights are elementary and exactly checkable through a telescoping identity.
+This module is the ground truth the quadrature kernels are validated
+against.  The march is linear and its history is a discrete convolution, so
+it is solved as one lower-triangular Toeplitz system with FFTs; trust in
+that solve comes from a test that matches it against the dense step-by-step
+forward substitution.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from ._accel import l1_scalar_solve
-
 __all__ = [
     "L1Grid",
     "l1_weights",
@@ -27,6 +27,8 @@ __all__ = [
     "richardson_extrapolate",
     "RichardsonResult",
 ]
+
+TRACE_BLOCK = 256  # rows of the caputo_l1_trace weight matrix built at once
 
 
 def l1_weights(rho: float, n: int) -> np.ndarray:
@@ -100,26 +102,53 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
         raise ValueError("rho must lie strictly inside (0, 1)")
     h = np.diff(t)
     slopes = (v[1:] - v[:-1]) / (h[:, None] if v.ndim == 2 else h)
-    # w[i, j] = ((t_i - t_j)^(1-rho) - (t_i - t_{j+1})^(1-rho)) for j < i
-    dt_lo = t[:, None] - t[None, :-1]
-    dt_hi = t[:, None] - t[None, 1:]
-    mask = dt_hi >= 0.0  # cell j contributes at node i only when j + 1 <= i
-    w = np.where(mask, np.abs(dt_lo) ** (1.0 - rho)
-                 - np.abs(dt_hi) ** (1.0 - rho), 0.0)
-    out = w @ slopes
+    out = np.empty(v.shape)
+    # w[i, j] = (t_i - t_j)^(1-rho) - (t_i - t_{j+1})^(1-rho) for j < i, built
+    # TRACE_BLOCK rows at a time so memory stays O(n) rather than O(n^2)
+    for i0 in range(0, t.size, TRACE_BLOCK):
+        ti = t[i0:i0 + TRACE_BLOCK, None]
+        dt_lo = ti - t[None, :-1]
+        dt_hi = ti - t[None, 1:]
+        mask = dt_hi >= 0.0  # cell j contributes at node i only when j + 1 <= i
+        w = np.where(mask, np.abs(dt_lo) ** (1.0 - rho)
+                     - np.abs(dt_hi) ** (1.0 - rho), 0.0)
+        out[i0:i0 + TRACE_BLOCK] = w @ slopes
     return out / math.gamma(2.0 - rho)
+
+
+def _convolve(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+    """First ``size`` terms of the linear convolution a * b, by real FFT."""
+    m = 1 << (a.size + b.size - 2).bit_length()
+    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:size]
+
+
+def _inverse_series(c: np.ndarray) -> np.ndarray:
+    """Coefficients g of 1/c(x) mod x^n, by Newton doubling g <- g(2 - c g)."""
+    g = np.array([1.0 / c[0]])
+    while g.size < c.size:
+        m = g.size
+        k = min(2 * m, c.size)
+        # c g = 1 + O(x^m); only its terms m .. k-1 enter the correction
+        err = _convolve(c[:k], g, k)[m:]
+        g = np.concatenate([g, -_convolve(g, err, k - m)])
+    return g
 
 
 def solve_scalar(lam: float, gamma: float, rho: float, y0: float,
                  f: Callable[[np.ndarray], np.ndarray] | Sequence[float] | None,
                  grid: L1Grid) -> np.ndarray:
-    """March the implicit one-step update over the grid; returns y_0 .. y_n.
+    """Implicit Euler with the L1 Caputo history; returns y_0 .. y_n.
 
-    Each step solves
+    Step i solves
         (1/dt + lam + lam*gamma*c) y_i = f(t_i) + y_{i-1}/dt
                                          + lam*gamma*c*(y_{i-1} - H_i)
-    with c = dt^(-rho)/Gamma(2-rho) and H_i the weighted older differences,
-    which is implicit Euler with the L1 Caputo history evaluated at t_i.
+    with c = dt^(-rho)/Gamma(2-rho) and H_i = sum_{k<i} b_{i-k} d_k the
+    weighted older differences d_k = y_k - y_{k-1}.  In the differences the
+    whole march is the lower-triangular Toeplitz system
+        sum_{k<=i} s_{i-k} d_k = f(t_i) - lam*y0,   i = 1 .. n,
+    with symbol s_0 = 1/dt + lam + lam*gamma*c and s_j = lam + lam*gamma*c*b_j
+    (b = grid.weights).  It is solved by inverting the symbol as a power
+    series and applying the inverse with one FFT convolution: O(n log n).
     """
     if lam <= 0.0 or gamma <= 0.0:
         raise ValueError("lam and gamma must be positive")
@@ -136,8 +165,11 @@ def solve_scalar(lam: float, gamma: float, rho: float, y0: float,
         fvals = np.asarray(f, dtype=float)
         if fvals.shape != (n + 1,):
             raise ValueError("sampled source must cover all grid nodes")
-    return l1_scalar_solve(float(lam), float(gamma), float(rho), float(y0),
-                           fvals, float(grid.step))
+    lgc = lam * gamma * grid.step ** (-rho) / math.gamma(2.0 - rho)
+    symbol = lam + lgc * grid.weights
+    symbol[0] += 1.0 / grid.step
+    d = _convolve(_inverse_series(symbol), fvals[1:] - lam * y0, n)
+    return np.concatenate(([y0], y0 + np.cumsum(d)))
 
 
 class RichardsonResult(NamedTuple):

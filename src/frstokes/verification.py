@@ -72,6 +72,11 @@ class CheckResult:
     tolerance: float
     detail: str
 
+    def __post_init__(self):
+        # suites compute with numpy; the report must hold plain JSON types
+        self.passed = bool(self.passed)
+        self.margin = float(self.margin)
+
     @staticmethod
     def from_worst(suite, name, tolerance, worst, detail=""):
         margin = tolerance - worst

@@ -12,7 +12,7 @@ from frstokes.verification import SUITES
 _TIME_BUDGETS = {
     "kernel-initial": 10.0,
     "a-properties": 30.0,
-    "oracle": 300.0,
+    "oracle": 60.0,
     "backward": 120.0,
 }
 

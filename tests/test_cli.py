@@ -177,10 +177,12 @@ class TestSolveCommand:
 
 class TestVerifyCommand:
     def test_fast_suite_passes(self, capsys):
-        code, out, _ = run_cli(capsys, "verify", "--suite", "kernel-initial")
-        assert code == 0
-        report = json.loads(out)
-        assert report["passed"]
+        # identities reports numpy booleans internally; the JSON must not care
+        for suite in ("kernel-initial", "identities"):
+            code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+            assert code == 0
+            report = json.loads(out)
+            assert report["passed"]
 
     def test_fault_injection_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "kernel-initial",

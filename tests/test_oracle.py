@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frstokes._accel import BACKEND, l1_scalar_solve, l1_scalar_solve_numpy
 from frstokes.kernel import KernelParams, eval_A
 from frstokes.oracle import (
     L1Grid,
@@ -15,6 +14,27 @@ from frstokes.oracle import (
     richardson_extrapolate,
     solve_scalar,
 )
+from frstokes.verification import GAMMA_GRID, RHO_GRID
+
+
+def dense_l1_march(lam, gamma, rho, y0, fvals, grid):
+    """Reference: the implicit Euler + L1 march by forward substitution.
+
+    Step i solves for y_i with the history sum_{k<i} b_{i-k} (y_k - y_{k-1})
+    taken as a dense dot product, O(n^2) in total.
+    """
+    n = grid.count
+    b = grid.weights
+    lgc = lam * gamma * grid.step ** (-rho) / math.gamma(2.0 - rho)
+    denom = 1.0 / grid.step + lam + lgc
+    y = np.empty(n + 1)
+    y[0] = y0
+    d = np.zeros(n + 1)
+    for i in range(1, n + 1):
+        hist = np.dot(b[i - 1:0:-1], d[1:i])
+        y[i] = (fvals[i] + y[i - 1] / grid.step + lgc * (y[i - 1] - hist)) / denom
+        d[i] = y[i] - y[i - 1]
+    return y
 
 
 class TestWeights:
@@ -71,12 +91,15 @@ class TestCaputo:
             caputo_l1([1.0], 0.5, grid)
 
     def test_trace_variant_matches_uniform_rule(self):
-        rho, n = 0.7, 50
-        grid = L1Grid(1.0 / n, n, rho)
-        y = np.sin(grid.times)
-        from_trace = caputo_l1_trace(grid.times, y, rho)
-        assert from_trace[-1] == pytest.approx(caputo_l1(y, rho, grid), rel=1e-12)
-        assert from_trace[0] == 0.0
+        rho = 0.7
+        for n in (50, 600):  # 600 nodes span several row blocks
+            grid = L1Grid(1.0 / n, n, rho)
+            y = np.sin(grid.times)
+            from_trace = caputo_l1_trace(grid.times, y, rho)
+            for k in (1, n // 2, n):
+                assert from_trace[k] == pytest.approx(
+                    caputo_l1(y[:k + 1], rho, grid), rel=1e-12)
+            assert from_trace[0] == 0.0
 
     def test_trace_variant_multicolumn(self):
         t = np.array([0.0, 0.1, 0.35, 0.6, 1.0])  # nonuniform
@@ -139,12 +162,19 @@ class TestSolveScalar:
             frac = caputo_l1(y[: n + 1], rho, grid)
             assert ydot + lam * (y[n] + gamma * frac) == pytest.approx(0.0, abs=1e-10)
 
-    def test_backend_paths_agree(self):
-        fvals = np.sin(np.linspace(0.0, 1.0, 201))
-        a = l1_scalar_solve(2.0, 0.7, 0.6, 1.0, fvals, 1.0 / 200)
-        b = l1_scalar_solve_numpy(2.0, 0.7, 0.6, 1.0, fvals, 1.0 / 200)
-        assert a == pytest.approx(b, rel=1e-14)
-        assert BACKEND in ("numba", "numpy")
+    def test_matches_dense_reference_on_oracle_grid(self):
+        # the Toeplitz solve against forward substitution at the oracle
+        # suite's (rho, gamma, lam) sets, unforced and forced
+        n = 10_000
+        for rho in RHO_GRID:
+            grid = L1Grid(1.0 / n, n, rho)
+            forced = 5.0 * np.sin(grid.times)
+            for gamma in GAMMA_GRID:
+                for lam in (1.0, 10.0):
+                    for y0, fvals in ((1.0, np.zeros(n + 1)), (0.0, forced)):
+                        y = solve_scalar(lam, gamma, rho, y0, fvals, grid)
+                        ref = dense_l1_march(lam, gamma, rho, y0, fvals, grid)
+                        assert np.max(np.abs(y - ref)) <= 1e-12
 
     def test_invalid_arguments(self):
         grid = L1Grid(0.1, 10, 0.5)
