@@ -35,12 +35,11 @@ from .oracle import L1Grid, richardson_extrapolate, solve_scalar
 from .quadrature import QuadratureNonconvergence
 from .solvers import (
     ConstantSource,
-    GridTooCoarseError,
     ProblemSpec,
     SampledSource,
     SolverError,
     ZeroSource,
-    coercivity_report,
+    _atomic_write,
     export_trace_csv,
     export_trace_grid_csv,
     export_trace_json,
@@ -55,7 +54,6 @@ from .spectral import (
     dirichlet_laplacian_1d,
     explicit_spectrum,
     load_field_csv,
-    tail_indicator,
 )
 from .verification import SUITES, run_suites
 
@@ -75,13 +73,24 @@ class IngestError(ValueError):
 
 
 def _num(value, what):
-    """Accept JSON numbers or decimal strings for numeric config fields."""
+    """Accept finite JSON numbers or decimal strings for numeric config fields."""
     if isinstance(value, bool) or value is None:
         raise ConfigError(f"{what}: expected a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{what}: cannot parse {value!r} as a number") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{what}: {value!r} is not a finite number")
+    return number
+
+
+def _table(cfg, name):
+    """The config section `name` (default {}), which must be a JSON object."""
+    section = cfg.get(name, {})
+    if not isinstance(section, dict):
+        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
+    return section
 
 
 def _emit_error(code, kind, message):
@@ -182,19 +191,22 @@ def _build_grid(cfg, horizon):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            cfg = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    return cfg
 
 
 def _check_referenced_files(cfg, base_dir):
     refs = []
-    data = cfg.get("data", {})
+    data = _table(cfg, "data")
     if "csv" in data:
         refs.append(os.path.join(base_dir, data["csv"]))
-    source = cfg.get("source", {})
+    source = _table(cfg, "source")
     if source.get("kind") == "sampled_csv":
         refs.append(os.path.join(base_dir, source.get("path", "")))
     missing = [p for p in refs if not os.path.isfile(p)]
@@ -202,9 +214,42 @@ def _check_referenced_files(cfg, base_dir):
         raise IngestError(f"referenced files missing: {missing}")
 
 
+def _plan_outputs(output, op, out_dir):
+    """Check the output requests before solving.
+
+    Returns the file name per artifact and the grid-export point count (or
+    None); every named file must land in an existing directory.
+    """
+    files = {"trace_csv": output.get("trace_csv", "trace.csv")}
+    if output.get("trace_json"):
+        files["trace_json"] = output["trace_json"]
+    n_points = None
+    grid_cfg = output.get("grid_csv")
+    if grid_cfg:
+        if not isinstance(grid_cfg, dict):
+            raise ConfigError("output.grid_csv must be a JSON object")
+        if not op.has_eigenfunctions:
+            raise ConfigError(f"output.grid_csv needs an operator with "
+                              f"eigenfunctions, got {op.kind!r}")
+        files["grid_csv"] = grid_cfg.get("path")
+        n_points = int(grid_cfg.get("n_points", 101))
+        if n_points < 1:
+            raise ConfigError("output.grid_csv.n_points must be >= 1")
+    files["diagnostics_json"] = output.get("diagnostics_json", "diagnostics.json")
+    for key, name in files.items():
+        if not isinstance(name, str) or not name:
+            raise ConfigError(f"output.{key} must be a non-empty file name")
+        subdir = os.path.dirname(name)
+        if subdir and not os.path.isdir(os.path.join(out_dir, subdir)):
+            raise ConfigError(f"output.{key}: directory {subdir!r} does not "
+                              f"exist in {out_dir!r}")
+    return files, n_points
+
+
 def cmd_solve(args):
     cfg = _load_config(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
+    out_dir = args.out_dir or base_dir
     problem = cfg.get("problem")
     if not isinstance(problem, dict):
         raise ConfigError("config needs a 'problem' table")
@@ -212,61 +257,46 @@ def cmd_solve(args):
     if kind not in ("forward", "nonlocal", "backward"):
         raise ConfigError(f"problem.kind must be forward|nonlocal|backward, "
                           f"got {kind!r}")
-    _check_referenced_files(cfg, base_dir)
     try:
-        op = _build_operator(cfg.get("operator", {}))
+        _check_referenced_files(cfg, base_dir)
+        op = _build_operator(_table(cfg, "operator"))
         rho = _num(problem.get("rho"), "problem.rho")
         gamma = _num(problem.get("gamma"), "problem.gamma")
         horizon = _num(problem.get("horizon"), "problem.horizon")
-        data = _build_data(cfg.get("data", {}), op, base_dir)
-        source = _build_source(cfg.get("source", {"kind": "zero"}), op, rho,
+        data = _build_data(_table(cfg, "data"), op, base_dir)
+        source = _build_source(_table(cfg, "source"), op, rho,
                                gamma, base_dir)
         grid = _build_grid(problem.get("time_grid"), horizon)
-        q = _build_quadrature(cfg.get("quadrature", {}))
+        q = _build_quadrature(_table(cfg, "quadrature"))
         spec = ProblemSpec(kind, op, rho, gamma, horizon, data, source, grid)
+        files, n_points = _plan_outputs(_table(cfg, "output"), op, out_dir)
     except (ConfigError, IngestError):
         raise
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     solver = {"forward": solve_forward, "nonlocal": solve_nonlocal,
               "backward": solve_backward}[kind]
-    trace = solver(spec, q)
-
-    out_dir = args.out_dir or base_dir
-    os.makedirs(out_dir, exist_ok=True)
-    output = cfg.get("output", {})
-    written = {}
-    trace_csv = output.get("trace_csv", "trace.csv")
-    export_trace_csv(trace, os.path.join(out_dir, trace_csv))
-    written["trace_csv"] = trace_csv
-    trace_json = output.get("trace_json")
-    if trace_json:
-        export_trace_json(trace, os.path.join(out_dir, trace_json))
-        written["trace_json"] = trace_json
-    grid_cfg = output.get("grid_csv")
-    if grid_cfg:
-        xs = np.linspace(0.0, op.length, int(grid_cfg.get("n_points", 101)))
-        export_trace_grid_csv(trace, xs, os.path.join(out_dir, grid_cfg["path"]))
-        written["grid_csv"] = grid_cfg["path"]
-
-    diagnostics = dict(trace.diagnostics)
-    diagnostics["data_tail_indicator"] = tail_indicator(data)
     try:
-        rep = coercivity_report(trace, spec)
-        diagnostics["coercivity"] = {
-            key: [float(v) for v in values] for key, values in rep.items()
-        }
-    except GridTooCoarseError:
-        diagnostics["coercivity"] = None
-    diag_name = output.get("diagnostics_json", "diagnostics.json")
-    diag_path = os.path.join(out_dir, diag_name)
-    from .solvers import _atomic_write
+        trace = solver(spec, q)
+    except ValueError as exc:  # e.g. a density argument underflowing to 0
+        raise SolverError(str(exc)) from exc
 
-    _atomic_write(diag_path, json.dumps(diagnostics, indent=2, sort_keys=True,
-                                        allow_nan=True) + "\n")
-    written["diagnostics_json"] = diag_name
-    print(json.dumps({"status": "ok", "out_dir": out_dir, "files": written},
+    paths = {key: os.path.join(out_dir, name) for key, name in files.items()}
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+        export_trace_csv(trace, paths["trace_csv"])
+        if "trace_json" in paths:
+            export_trace_json(trace, paths["trace_json"])
+        if "grid_csv" in paths:
+            xs = np.linspace(0.0, op.length, n_points)
+            export_trace_grid_csv(trace, xs, paths["grid_csv"])
+        _atomic_write(paths["diagnostics_json"],
+                      json.dumps(trace.diagnostics, indent=2, sort_keys=True,
+                                 allow_nan=True) + "\n")
+    except OSError as exc:
+        raise ConfigError(f"cannot write outputs: {exc}") from exc
+    print(json.dumps({"status": "ok", "out_dir": out_dir, "files": files},
                      sort_keys=True))
     return EXIT_OK
 

@@ -7,6 +7,13 @@ equals initial state plus a prescribed increment) splits into a forced
 zero-start part V and a homogeneous non-local part W, and the backward
 problem divides by A(lam_k, T), which stays uniformly away from zero.
 
+Every solve makes one assembly pass over the modes: A(lam_k, .) on the
+trace grid (with its error bound at T) and the B-convolution column of the
+source, each evaluated once per mode.  The three solvers, and the W part on
+its own, are array algebra on those columns: forward a phi + conv, non-local
+W(data - conv(T)) + conv, backward (psi - conv(T)) / a(T).  One finishing
+step then attaches the residual and the coercivity report, once per solve.
+
 Convolutions use product integration on a mesh graded toward the kernel's
 weak singularity, with kernel values taken from a monotone interpolant of
 batched quadrature evaluations; sums over modes are fixed-order so repeated
@@ -332,63 +339,89 @@ def convolve_B(p: KernelParams, f_mode: Callable[[np.ndarray], np.ndarray],
 # Shared mode assembly
 
 
-def _kernel_A_on_grid(spec: ProblemSpec, k: int, q):
-    """A(lam_k, .) on the trace grid, with the t = 0 identity pinned."""
-    p = spec.params_for_mode(k)
-    try:
-        values, errors = eval_A_grid(p, spec.time_grid, q)
-    except QuadratureNonconvergence as exc:
-        raise SolverError(f"mode {k}: kernel quadrature did not converge") from exc
-    values = values.copy()
-    if spec.time_grid[0] == 0.0:
-        values[0] = 1.0
-    return values, errors
+def _assemble_modes(spec: ProblemSpec, q):
+    """One kernel pass over the modes: the columns every solver combines.
 
-
-def _mode_convolutions(spec: ProblemSpec, q):
-    """Convolution column per mode; zeros and the shared curves when forced."""
+    Returns A(lam_k, t_i) with the t = 0 identity pinned, the quadrature
+    error bound of A(lam_k, T), and the convolution (B *_t f_k)(t_i), which
+    stays zero for a zero source.
+    """
+    ts = spec.time_grid
     n_modes = spec.operator.n_modes
-    conv = np.zeros((spec.time_grid.size, n_modes))
-    if spec.source.is_zero:
-        return conv
+    a = np.empty((ts.size, n_modes))
+    a_err_T = np.empty(n_modes)
+    conv = np.zeros((ts.size, n_modes))
     for k in range(1, n_modes + 1):
         p = spec.params_for_mode(k)
+        try:
+            values, errors = eval_A_grid(p, ts, q)
+        except QuadratureNonconvergence as exc:
+            raise SolverError(f"mode {k}: kernel quadrature did not converge") from exc
+        a[:, k - 1] = values
+        a_err_T[k - 1] = errors[-1]
+        if spec.source.is_zero:
+            continue
         f_mode = spec.source.mode_function(k, p.lam)
         try:
             curve = _KernelCurve(p, spec.horizon, q)
-            conv[:, k - 1] = _mode_convolution(curve, f_mode, spec.time_grid,
-                                               spec.rho)
+            conv[:, k - 1] = _mode_convolution(curve, f_mode, ts, spec.rho)
         except QuadratureNonconvergence as exc:
             raise SolverError(
                 f"mode {k}: convolution kernel quadrature did not converge"
             ) from exc
-    return conv
+    a[0] = 1.0  # ProblemSpec guarantees the grid starts at t = 0
+    return a, a_err_T, conv
 
 
-def _base_diagnostics(spec: ProblemSpec, nodes, coefficients) -> dict:
+def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray, psi: np.ndarray,
+                          q) -> np.ndarray:
+    """W_k(t) = psi_k A(lam_k, t) / (A(lam_k, T) - 1) from the A columns.
+
+    The denominators are uniformly negative since A < 1 for t > 0; one under
+    half the guaranteed deviation bound means the kernel quadrature is off.
+    """
+    denom = a[-1] - 1.0
+    c_b = lower_bound_B(spec.rho, spec.gamma, float(spec.operator.eigenvalues[0]),
+                        spec.horizon, q)
+    for k in np.flatnonzero(np.abs(denom) < 0.5 * c_b * spec.horizon) + 1:
+        warnings.warn(
+            f"mode {k}: |A(T) - 1| = {abs(denom[k - 1]):.3e} under half the "
+            "guaranteed deviation bound; kernel quadrature is suspect",
+            stacklevel=3,
+        )
+    return psi * a / denom
+
+
+def _finish(spec: ProblemSpec, coefficients: np.ndarray, q,
+            **extra) -> SolutionTrace:
+    """Wrap the coefficients in a trace and attach its diagnostics.
+
+    Norms, the solver's own entries, then one residual and one coercivity
+    report (None on grids too coarse for them).
+    """
     lam = spec.operator.eigenvalues
-    h_norm = np.sqrt(np.sum(coefficients ** 2, axis=1))
-    a_norm = np.sqrt(np.sum((coefficients * lam) ** 2, axis=1))
-    return {
-        "norm_H": h_norm.tolist(),
-        "norm_A": a_norm.tolist(),
+    diagnostics = {
+        "norm_H": np.sqrt(np.sum(coefficients ** 2, axis=1)).tolist(),
+        "norm_A": np.sqrt(np.sum((coefficients * lam) ** 2, axis=1)).tolist(),
         "data_tail_indicator": tail_indicator(spec.data),
+        **extra,
     }
-
-
-def _attach_residual(trace: SolutionTrace, spec: ProblemSpec, q) -> None:
-    interior = trace.nodes.size - 2
-    if interior < MIN_INTERIOR_NODES:
-        trace.diagnostics["residual_max_interior"] = None
-        return
+    trace = SolutionTrace(spec.time_grid.copy(), coefficients, spec.operator,
+                          diagnostics)
+    if trace.nodes.size - 2 < MIN_INTERIOR_NODES:
+        diagnostics.update(residual_max_interior=None, coercivity=None)
+        return trace
     t_int, res = residual(trace, spec, q)
-    gate = t_int >= spec.horizon / 32.0
-    trace.diagnostics["residual_max_interior"] = float(np.max(res[gate]))
-    trace.diagnostics["interior_t"] = t_int.tolist()
-    trace.diagnostics["residual_norm"] = res.tolist()
     rep = coercivity_report(trace, spec)
-    trace.diagnostics["norm_dt_u"] = rep["norm_dt_u"].tolist()
-    trace.diagnostics["norm_A_caputo_u"] = rep["norm_A_caputo_u"].tolist()
+    diagnostics.update(
+        residual_max_interior=float(np.max(res[t_int >= spec.horizon / 32.0])),
+        interior_t=t_int.tolist(),
+        residual_norm=res.tolist(),
+        norm_dt_u=rep["norm_dt_u"].tolist(),
+        norm_A_caputo_u=rep["norm_A_caputo_u"].tolist(),
+        coercivity={key: values.tolist() for key, values in rep.items()},
+    )
+    return trace
 
 
 # ---------------------------------------------------------------------------
@@ -399,18 +432,8 @@ def solve_forward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solut
     """Series solution u_k(t) = A(lam_k, t) phi_k + (B *_t f_k)(t)."""
     if spec.kind != "forward":
         raise ValueError("spec.kind must be 'forward'")
-    ts = spec.time_grid
-    phi = spec.data.coefficients
-    n_modes = spec.operator.n_modes
-    coeffs = np.empty((ts.size, n_modes))
-    conv = _mode_convolutions(spec, q)
-    for k in range(1, n_modes + 1):
-        a_vals, _ = _kernel_A_on_grid(spec, k, q)
-        coeffs[:, k - 1] = a_vals * phi[k - 1] + conv[:, k - 1]
-    diagnostics = _base_diagnostics(spec, ts, coeffs)
-    trace = SolutionTrace(ts.copy(), coeffs, spec.operator, diagnostics)
-    _attach_residual(trace, spec, q)
-    return trace
+    a, _, conv = _assemble_modes(spec, q)
+    return _finish(spec, a * spec.data.coefficients + conv, q)
 
 
 def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
@@ -423,55 +446,28 @@ def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
     """
     spec = ProblemSpec("nonlocal", psi.operator, rho, gamma, horizon, psi,
                        ZeroSource(), time_grid)
-    ts = spec.time_grid
-    n_modes = spec.operator.n_modes
-    coeffs = np.empty((ts.size, n_modes))
-    c_b = lower_bound_B(rho, gamma, float(spec.operator.eigenvalues[0]),
-                        horizon, q)
-    for k in range(1, n_modes + 1):
-        a_vals, _ = _kernel_A_on_grid(spec, k, q)
-        denom = a_vals[-1] - 1.0
-        if abs(denom) < 0.5 * c_b * horizon:
-            warnings.warn(
-                f"mode {k}: |A(T) - 1| = {abs(denom):.3e} under half the "
-                "guaranteed deviation bound; kernel quadrature is suspect",
-                stacklevel=2,
-            )
-        coeffs[:, k - 1] = psi.coefficients[k - 1] * a_vals / denom
-    diagnostics = _base_diagnostics(spec, ts, coeffs)
-    diagnostics["increment_gap"] = float(
-        np.max(np.abs(coeffs[-1] - coeffs[0] - psi.coefficients))
-    )
-    trace = SolutionTrace(ts.copy(), coeffs, spec.operator, diagnostics)
-    _attach_residual(trace, spec, q)
-    return trace
+    a, _, _ = _assemble_modes(spec, q)
+    coeffs = _homogeneous_nonlocal(spec, a, psi.coefficients, q)
+    gap = np.max(np.abs(coeffs[-1] - coeffs[0] - psi.coefficients))
+    return _finish(spec, coeffs, q, increment_gap=float(gap))
 
 
 def solve_nonlocal(spec: ProblemSpec, q: QuadratureConfig | None = None) -> SolutionTrace:
-    """Solve u(T) = u(0) + data by splitting into forced and non-local parts."""
+    """Solve u(T) = u(0) + data as V + W.
+
+    V = B * f is the forced part from zero data; W is the homogeneous part
+    with increment data - V(T).  Both come from the same kernel columns.
+    """
     if spec.kind != "nonlocal":
         raise ValueError("spec.kind must be 'nonlocal'")
-    forced_spec = ProblemSpec(
-        "forward", spec.operator, spec.rho, spec.gamma, spec.horizon,
-        CoefficientField(np.zeros(spec.operator.n_modes), spec.operator),
-        spec.source, spec.time_grid,
+    a, _, conv = _assemble_modes(spec, q)
+    psi = spec.data.coefficients - conv[-1]
+    coeffs = _homogeneous_nonlocal(spec, a, psi, q) + conv
+    gap = np.max(np.abs(coeffs[-1] - coeffs[0] - spec.data.coefficients))
+    return _finish(
+        spec, coeffs, q, nonlocal_gap=float(gap),
+        psi_tail_indicator=tail_indicator(CoefficientField(psi, spec.operator)),
     )
-    v_trace = solve_forward(forced_spec, q)
-    psi = CoefficientField(
-        spec.data.coefficients - v_trace.coefficients[-1], spec.operator
-    )
-    w_trace = solve_auxiliary_W(psi, spec.rho, spec.gamma, spec.horizon,
-                                spec.time_grid, q)
-    coeffs = w_trace.coefficients + v_trace.coefficients
-    diagnostics = _base_diagnostics(spec, spec.time_grid, coeffs)
-    diagnostics["nonlocal_gap"] = float(
-        np.max(np.abs(coeffs[-1] - coeffs[0] - spec.data.coefficients))
-    )
-    diagnostics["psi_tail_indicator"] = tail_indicator(psi)
-    trace = SolutionTrace(spec.time_grid.copy(), coeffs, spec.operator,
-                          diagnostics)
-    _attach_residual(trace, spec, q)
-    return trace
 
 
 def solve_backward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> SolutionTrace:
@@ -484,33 +480,26 @@ def solve_backward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solu
     """
     if spec.kind != "backward":
         raise ValueError("spec.kind must be 'backward'")
-    ts = spec.time_grid
+    c_a = lower_bound_A(spec.rho, spec.gamma, float(spec.operator.eigenvalues[0]),
+                        spec.horizon, q)
+    a, a_err_T, conv = _assemble_modes(spec, q)
+    suspect = np.flatnonzero(a_err_T > 0.5 * c_a)
+    if suspect.size:
+        k = int(suspect[0]) + 1
+        raise KernelAccuracyError(
+            f"mode {k}: kernel error bound {a_err_T[k - 1]:.3e} at the horizon "
+            f"exceeds half the guaranteed lower bound {c_a:.3e}"
+        )
     psi = spec.data.coefficients
-    n_modes = spec.operator.n_modes
-    lam1 = float(spec.operator.eigenvalues[0])
-    c_a = lower_bound_A(spec.rho, spec.gamma, lam1, spec.horizon, q)
-    conv = _mode_convolutions(spec, q)
-    coeffs = np.empty((ts.size, n_modes))
-    phi = np.empty(n_modes)
-    for k in range(1, n_modes + 1):
-        a_vals, a_errs = _kernel_A_on_grid(spec, k, q)
-        err_T = float(a_errs[-1])
-        if err_T > 0.5 * c_a:
-            raise KernelAccuracyError(
-                f"mode {k}: kernel error bound {err_T:.3e} at the horizon "
-                f"exceeds half the guaranteed lower bound {c_a:.3e}"
-            )
-        phi[k - 1] = (psi[k - 1] - conv[-1, k - 1]) / a_vals[-1]
-        coeffs[:, k - 1] = a_vals * phi[k - 1] + conv[:, k - 1]
-    diagnostics = _base_diagnostics(spec, ts, coeffs)
-    diagnostics["terminal_gap"] = float(np.max(np.abs(coeffs[-1] - psi)))
-    residual_data = psi - conv[-1]
-    diagnostics["lower_bound_A"] = c_a
-    diagnostics["recovered_initial_norm"] = float(np.linalg.norm(phi))
-    diagnostics["stability_bound"] = float(np.linalg.norm(residual_data) / c_a)
-    trace = SolutionTrace(ts.copy(), coeffs, spec.operator, diagnostics)
-    _attach_residual(trace, spec, q)
-    return trace
+    phi = (psi - conv[-1]) / a[-1]
+    coeffs = a * phi + conv
+    return _finish(
+        spec, coeffs, q,
+        terminal_gap=float(np.max(np.abs(coeffs[-1] - psi))),
+        lower_bound_A=c_a,
+        recovered_initial_norm=float(np.linalg.norm(phi)),
+        stability_bound=float(np.linalg.norm(psi - conv[-1]) / c_a),
+    )
 
 
 # ---------------------------------------------------------------------------

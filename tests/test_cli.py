@@ -88,6 +88,8 @@ class TestSolveCommand:
         assert float(c) == pytest.approx(eval_A(p, 1.0), abs=1e-9)
         diag = json.loads((tmp_path / "diag.json").read_text())
         assert "norm_H" in diag and "coercivity" in diag
+        trace = json.loads((tmp_path / "trace.json").read_text())
+        assert trace["diagnostics"] == diag
 
     def test_reruns_byte_identical(self, tmp_path, capsys):
         path = forward_config(tmp_path)
@@ -105,6 +107,52 @@ class TestSolveCommand:
         assert code == 2
         assert json.loads(out)["error"] == "config"
         assert not out_dir.exists() or not os.listdir(out_dir)
+
+    @pytest.mark.parametrize("overrides", [
+        # config sections that are not JSON objects
+        None,
+        {"operator": [1.0]},
+        {"output": "trace.csv"},
+        # output requests that cannot be honoured
+        {"output": {"grid_csv": {"path": "grid.csv"}}},
+        {"output": {"trace_csv": "missing/trace.csv"}},
+        # non-finite numbers
+        {"problem": {"kind": "forward", "rho": "0.5", "gamma": "inf",
+                     "horizon": "1.0"}},
+        {"data": {"coefficients": [math.nan]}},
+        {"source": {"kind": "constant", "value": "nan"}},
+    ], ids=["top-level-list", "operator-list", "output-string",
+            "grid-without-eigenfunctions", "missing-subdirectory",
+            "gamma-inf", "nan-coefficient", "nan-source"])
+    def test_rejected_config_exit_2_no_outputs(self, tmp_path, capsys,
+                                               overrides):
+        if overrides is None:
+            path = tmp_path / "config.json"
+            path.write_text("[1, 2]")
+        else:
+            path = forward_config(tmp_path, **overrides)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path),
+                               "--out-dir", str(out_dir))
+        assert code == 2
+        (line,) = out.strip().splitlines()
+        assert json.loads(line)["error"] == "config"
+        assert os.listdir(out_dir) == []
+
+    def test_kernel_failure_exit_4_no_outputs(self, tmp_path, capsys):
+        # at rho = 1e-6 the quadrature substitution r = x^(1/rho) underflows
+        path = forward_config(
+            tmp_path, problem={"kind": "forward", "rho": "1e-6",
+                               "gamma": "1.0", "horizon": "1.0",
+                               "time_grid": {"n_nodes": 8}})
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path),
+                               "--out-dir", str(out_dir))
+        assert code == 4
+        (line,) = out.strip().splitlines()
+        assert json.loads(line)["error"] == "solver"
+        assert not out_dir.exists()
 
     def test_missing_data_file_exit_3(self, tmp_path, capsys):
         path = forward_config(tmp_path, data={"csv": "absent.csv"})

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from frstokes import solvers
 from frstokes.kernel import KernelParams, QuadratureConfig, eval_A, eval_A_grid
 from frstokes.solvers import (
     ConstantSource,
@@ -246,6 +247,44 @@ class TestNonlocal:
         w = solve_auxiliary_W(psi, 0.5, 1.0, 1.0, spec.time_grid)
         assert np.max(np.abs(trace.coefficients
                              - (v.coefficients + w.coefficients))) < 1e-10
+
+    def test_one_kernel_pass_per_solve(self, small_op, monkeypatch):
+        calls = {"eval_A_grid": 0, "residual": 0, "caputo_l1_trace": 0}
+
+        def counted(name):
+            fn = getattr(solvers, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(solvers, name, counted(name))
+        spec = ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0,
+                           basis_field(small_op, 2), ConstantSource(1.0),
+                           uniform_grid(1.0, 96))
+        solve_nonlocal(spec)
+        assert calls == {"eval_A_grid": small_op.n_modes, "residual": 1,
+                         "caputo_l1_trace": 1}
+
+    @pytest.mark.parametrize("which", ["nonlocal", "auxiliary_W"])
+    def test_warns_when_A_at_horizon_is_near_one(self, small_op, monkeypatch,
+                                                 which):
+        def flat_A(p, ts, q=None):
+            ts = np.asarray(ts, dtype=float)
+            return np.where(ts < ts[-1], 1.0, 1.0 - 1e-14), np.zeros(ts.size)
+
+        monkeypatch.setattr(solvers, "eval_A_grid", flat_A)
+        psi = basis_field(small_op, 1)
+        grid = uniform_grid(1.0, 16)
+        with pytest.warns(UserWarning, match=r"\|A\(T\) - 1\| .* suspect") as rec:
+            if which == "nonlocal":
+                solve_nonlocal(ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0,
+                                           psi, ZeroSource(), grid))
+            else:
+                solve_auxiliary_W(psi, 0.5, 1.0, 1.0, grid)
+        assert rec[0].filename == __file__  # blamed on the solver's caller
 
 
 class TestBackward:
