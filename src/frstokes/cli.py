@@ -163,6 +163,9 @@ def _build_source(cfg, op, rho, gamma, base_dir):
                 f"sampled source has {len(cols)} mode columns for "
                 f"{op.n_modes} modes"
             )
+        if not all(np.all(np.isfinite(c)) for c in [times, *cols]):
+            raise IngestError("sampled source CSV holds a non-finite or "
+                              "unparseable value")
         return SampledSource(times, np.column_stack(cols))
     raise ConfigError(f"unknown source kind {kind!r}")
 

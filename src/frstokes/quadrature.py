@@ -35,8 +35,6 @@ __all__ = [
     "exp_weighted_semiinfinite",
     "adaptive_finite",
     "graded_mesh",
-    "GAUSS7_NODES",
-    "GAUSS7_WEIGHTS",
 ]
 
 # 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
@@ -63,9 +61,6 @@ _WG = np.array([
     0.381830050505119, 0.279705391489277, 0.129484966168870,
 ])
 _GIDX = np.arange(1, 15, 2)
-
-GAUSS7_NODES = _XK[_GIDX].copy()
-GAUSS7_WEIGHTS = _WG.copy()
 
 _GROW = 4.0           # geometric ratio of tail bands
 _R_CAP = 1e120        # hard truncation of the half line

@@ -14,10 +14,10 @@ its own, are array algebra on those columns: forward a phi + conv, non-local
 W(data - conv(T)) + conv, backward (psi - conv(T)) / a(T).  One finishing
 step then attaches the residual and the coercivity report, once per solve.
 
-Convolutions use product integration on a mesh graded toward the kernel's
-weak singularity, with kernel values taken from a monotone interpolant of
-batched quadrature evaluations; sums over modes are fixed-order so repeated
-runs are bit-identical.
+Convolutions take B's cell masses from A on a uniform lattice holding the
+nodes (dA/dt = -lam B), times the source at mirrored cell midpoints: one
+FFT convolution per mode, Richardson-paired with the every-other-point
+sublattice.  Sums over modes are fixed-order so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -31,18 +31,16 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .kernel import (
     KernelParams,
     QuadratureConfig,
     eval_A_grid,
-    eval_B_grid,
     lower_bound_A,
     lower_bound_B,
 )
-from .oracle import caputo_l1_trace
-from .quadrature import GAUSS7_NODES, GAUSS7_WEIGHTS, QuadratureNonconvergence
+from .oracle import _convolve, caputo_l1_trace
+from .quadrature import QuadratureNonconvergence
 from .spectral import CoefficientField, SpectralOperator, tail_indicator
 
 __all__ = [
@@ -72,7 +70,8 @@ __all__ = [
 ]
 
 PROBLEM_KINDS = ("forward", "nonlocal", "backward")
-CONVOLUTION_CELLS = 384
+LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
+ROW_BLOCK = 64  # nodes per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
 
 
@@ -262,66 +261,64 @@ class SolutionTrace:
 
 
 # ---------------------------------------------------------------------------
-# Kernel curves and convolution
+# Lattice convolution
 
 
-class _KernelCurve:
-    """B(lam, .) over (0, u_max] as a monotone interpolant in log time.
+def _midpoint_product(lattice, a_lat, lam, f_mode, ts, a_ts, stride):
+    """sum_m w_m f(t - mid_m) over the lattice cells m below each node t.
 
-    Built from one batched quadrature evaluation on a geometric grid; the
-    clamp below the grid floor is safe because the mass of any convolution
-    cell below the floor is bounded by the floor itself.
+    w_m = (A(t_m) - A(t_(m+1))) / lam is the exact mass of B on cell m.
+    Nodes at lattice[::stride] take one causal FFT convolution; otherwise
+    (stride None) the sum runs in row blocks, and the cell [t_k, t] holding
+    a node adds its own exact mass.
     """
-
-    def __init__(self, p: KernelParams, u_max: float,
-                 q: QuadratureConfig | None, n_samples: int = 2048):
-        self.u_floor = u_max * 1e-14
-        grid = np.geomspace(self.u_floor, u_max, n_samples)
-        values, errors = eval_B_grid(p, grid, q)
-        self.u_max = u_max
-        self.max_quadrature_error = float(np.max(errors))
-        self._interp = PchipInterpolator(np.log(grid), values, extrapolate=False)
-
-    def __call__(self, u: np.ndarray) -> np.ndarray:
-        uu = np.clip(np.asarray(u, dtype=float), self.u_floor, self.u_max)
-        return self._interp(np.log(uu))
-
-
-def _product_mesh(rho: float, cells: int):
-    """Unit-interval Gauss nodes/weights on a mesh graded toward zero.
-
-    Graded cell boundaries absorb the kernel's weakly singular derivative
-    at the convolution endpoint.  The exponent floor of 3 matters for rho
-    near 1, where the kernel's 1 - c*u^(1-rho) layer is steeper than the
-    u^(rho-1) envelope alone suggests.
-    """
-    bounds = (np.arange(cells + 1) / cells) ** max(1.0 / rho, 3.0)
-    lo, hi = bounds[:-1], bounds[1:]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * GAUSS7_NODES
-    weights = half[:, None] * GAUSS7_WEIGHTS
-    return nodes.ravel(), weights.ravel()
-
-
-def _mode_convolution(curve: _KernelCurve, f_mode, ts: np.ndarray,
-                      rho: float, cells: int = CONVOLUTION_CELLS) -> np.ndarray:
-    """int_0^t B(u) f(t - u) du for every trace node t, shared unit mesh."""
-    v_nodes, v_weights = _product_mesh(rho, cells)
-    out = np.zeros(ts.shape)
-    positive = ts > 0.0
-    tpos = ts[positive]
-    if tpos.size:
-        u = np.outer(tpos, v_nodes)
-        tau = np.outer(tpos, 1.0 - v_nodes)
-        b_vals = curve(u.ravel()).reshape(u.shape)
-        f_vals = np.asarray(f_mode(tau.ravel()), dtype=float).reshape(tau.shape)
-        out[positive] = tpos * ((b_vals * f_vals) @ v_weights)
+    w = -np.diff(a_lat) / lam
+    mid = 0.5 * (lattice[:-1] + lattice[1:])
+    if stride is not None:
+        return np.concatenate(([0.0], _convolve(w, f_mode(mid), w.size)))[::stride]
+    k = np.searchsorted(lattice, ts, side="right") - 1
+    out = (a_lat[k] - a_ts) / lam * f_mode(0.5 * (ts - lattice[k]))
+    for i0 in range(0, ts.size, ROW_BLOCK):
+        rows = slice(i0, i0 + ROW_BLOCK)
+        full = np.arange(w.size) < k[rows, None]
+        tau = np.where(full, ts[rows, None] - mid, 0.0)
+        vals = np.asarray(f_mode(tau.ravel()), dtype=float).reshape(tau.shape)
+        out[rows] += np.where(full, vals, 0.0) @ w
     return out
 
 
+def _kernel_and_convolution(p: KernelParams, f_mode, ts: np.ndarray, q):
+    """A(lam, .) with its error bounds and (B * f) on the nodes ts, ts[0] = 0.
+
+    One A evaluation covers the nodes and a uniform lattice over [0, T]
+    whose cell count is the smallest even multiple of n - 1 that is at
+    least LATTICE_MIN_CELLS, so a uniform grid's nodes lie on the lattice
+    and on its every-other-point sublattice.  The product rule on the two
+    is Richardson-combined; the largest correction is returned as the
+    convolution's error estimate.
+    """
+    step = 2 * (ts.size - 1)
+    cells = step * -(-LATTICE_MIN_CELLS // step)
+    stride = cells // (ts.size - 1)
+    lattice = np.linspace(0.0, ts[-1], cells + 1)
+    if np.allclose(lattice[::stride], ts, rtol=0.0, atol=1e-12 * ts[-1]):
+        lattice[::stride] = ts
+    else:
+        stride = None
+    points = np.union1d(lattice, ts)
+    values, errors = eval_A_grid(p, points, q)
+    values[0] = 1.0
+    at = np.searchsorted(points, ts)
+    a_ts, a_lat = values[at], values[np.searchsorted(points, lattice)]
+    fine = _midpoint_product(lattice, a_lat, p.lam, f_mode, ts, a_ts, stride)
+    coarse = _midpoint_product(lattice[::2], a_lat[::2], p.lam, f_mode, ts,
+                               a_ts, None if stride is None else stride // 2)
+    return (a_ts, errors[at], (4.0 * fine - coarse) / 3.0,
+            float(np.max(np.abs(fine - coarse))) / 3.0)
+
+
 def convolve_B(p: KernelParams, f_mode: Callable[[np.ndarray], np.ndarray],
-               t: float, q: QuadratureConfig | None = None,
-               cells: int = CONVOLUTION_CELLS) -> float:
+               t: float, q: QuadratureConfig | None = None) -> float:
     """Duhamel convolution int_0^t B(lam, t - tau) f(tau) dtau for one mode.
 
     f_mode must be vectorized on [0, t]; the result is bounded by
@@ -331,8 +328,8 @@ def convolve_B(p: KernelParams, f_mode: Callable[[np.ndarray], np.ndarray],
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0
-    curve = _KernelCurve(p, t, q)
-    return float(_mode_convolution(curve, f_mode, np.array([t]), p.rho, cells)[0])
+    _, _, conv, _ = _kernel_and_convolution(p, f_mode, np.array([0.0, t]), q)
+    return float(conv[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -343,34 +340,32 @@ def _assemble_modes(spec: ProblemSpec, q):
     """One kernel pass over the modes: the columns every solver combines.
 
     Returns A(lam_k, t_i) with the t = 0 identity pinned, the quadrature
-    error bound of A(lam_k, T), and the convolution (B *_t f_k)(t_i), which
-    stays zero for a zero source.
+    error bound of A(lam_k, T), the convolution (B *_t f_k)(t_i), which
+    stays zero for a zero source, and the diagnostics of a forced solve.
     """
     ts = spec.time_grid
     n_modes = spec.operator.n_modes
+    forced = not spec.source.is_zero
     a = np.empty((ts.size, n_modes))
     a_err_T = np.empty(n_modes)
     conv = np.zeros((ts.size, n_modes))
+    conv_err = np.zeros(n_modes)
     for k in range(1, n_modes + 1):
         p = spec.params_for_mode(k)
         try:
-            values, errors = eval_A_grid(p, ts, q)
+            if forced:
+                f_mode = spec.source.mode_function(k, p.lam)
+                values, errors, conv[:, k - 1], conv_err[k - 1] = (
+                    _kernel_and_convolution(p, f_mode, ts, q))
+            else:
+                values, errors = eval_A_grid(p, ts, q)
         except QuadratureNonconvergence as exc:
             raise SolverError(f"mode {k}: kernel quadrature did not converge") from exc
         a[:, k - 1] = values
         a_err_T[k - 1] = errors[-1]
-        if spec.source.is_zero:
-            continue
-        f_mode = spec.source.mode_function(k, p.lam)
-        try:
-            curve = _KernelCurve(p, spec.horizon, q)
-            conv[:, k - 1] = _mode_convolution(curve, f_mode, ts, spec.rho)
-        except QuadratureNonconvergence as exc:
-            raise SolverError(
-                f"mode {k}: convolution kernel quadrature did not converge"
-            ) from exc
     a[0] = 1.0  # ProblemSpec guarantees the grid starts at t = 0
-    return a, a_err_T, conv
+    notes = {"convolution_error_estimate": conv_err.tolist()} if forced else {}
+    return a, a_err_T, conv, notes
 
 
 def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray, psi: np.ndarray,
@@ -432,8 +427,8 @@ def solve_forward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solut
     """Series solution u_k(t) = A(lam_k, t) phi_k + (B *_t f_k)(t)."""
     if spec.kind != "forward":
         raise ValueError("spec.kind must be 'forward'")
-    a, _, conv = _assemble_modes(spec, q)
-    return _finish(spec, a * spec.data.coefficients + conv, q)
+    a, _, conv, notes = _assemble_modes(spec, q)
+    return _finish(spec, a * spec.data.coefficients + conv, q, **notes)
 
 
 def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
@@ -446,7 +441,7 @@ def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
     """
     spec = ProblemSpec("nonlocal", psi.operator, rho, gamma, horizon, psi,
                        ZeroSource(), time_grid)
-    a, _, _ = _assemble_modes(spec, q)
+    a, _, _, _ = _assemble_modes(spec, q)
     coeffs = _homogeneous_nonlocal(spec, a, psi.coefficients, q)
     gap = np.max(np.abs(coeffs[-1] - coeffs[0] - psi.coefficients))
     return _finish(spec, coeffs, q, increment_gap=float(gap))
@@ -460,12 +455,12 @@ def solve_nonlocal(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solu
     """
     if spec.kind != "nonlocal":
         raise ValueError("spec.kind must be 'nonlocal'")
-    a, _, conv = _assemble_modes(spec, q)
+    a, _, conv, notes = _assemble_modes(spec, q)
     psi = spec.data.coefficients - conv[-1]
     coeffs = _homogeneous_nonlocal(spec, a, psi, q) + conv
     gap = np.max(np.abs(coeffs[-1] - coeffs[0] - spec.data.coefficients))
     return _finish(
-        spec, coeffs, q, nonlocal_gap=float(gap),
+        spec, coeffs, q, **notes, nonlocal_gap=float(gap),
         psi_tail_indicator=tail_indicator(CoefficientField(psi, spec.operator)),
     )
 
@@ -482,7 +477,7 @@ def solve_backward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solu
         raise ValueError("spec.kind must be 'backward'")
     c_a = lower_bound_A(spec.rho, spec.gamma, float(spec.operator.eigenvalues[0]),
                         spec.horizon, q)
-    a, a_err_T, conv = _assemble_modes(spec, q)
+    a, a_err_T, conv, notes = _assemble_modes(spec, q)
     suspect = np.flatnonzero(a_err_T > 0.5 * c_a)
     if suspect.size:
         k = int(suspect[0]) + 1
@@ -494,7 +489,7 @@ def solve_backward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solu
     phi = (psi - conv[-1]) / a[-1]
     coeffs = a * phi + conv
     return _finish(
-        spec, coeffs, q,
+        spec, coeffs, q, **notes,
         terminal_gap=float(np.max(np.abs(coeffs[-1] - psi))),
         lower_bound_A=c_a,
         recovered_initial_norm=float(np.linalg.norm(phi)),

@@ -200,6 +200,8 @@ def load_field_csv(path, op: SpectralOperator) -> CoefficientField:
         rows = [row for row in reader if row]
     if header == ["x", "value"]:
         data = np.array([[float(a), float(b)] for a, b in rows])
+        if not np.all(np.isfinite(data)):
+            raise ValueError(f"{path}: non-finite x or value")
         return project(data[:, 0], data[:, 1], op)
     if header == ["k", "coefficient"]:
         coeffs = np.zeros(op.n_modes)
@@ -208,6 +210,8 @@ def load_field_csv(path, op: SpectralOperator) -> CoefficientField:
             if not 1 <= k <= op.n_modes:
                 raise ValueError(f"{path}: mode index {k} outside 1..{op.n_modes}")
             coeffs[k - 1] = float(c_str)
+        if not np.all(np.isfinite(coeffs)):
+            raise ValueError(f"{path}: non-finite coefficient")
         return CoefficientField(coeffs, op)
     raise ValueError(
         f"{path}: expected header 'x,value' or 'k,coefficient', got {header}"

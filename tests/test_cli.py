@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -160,6 +162,31 @@ class TestSolveCommand:
         assert code == 3
         assert json.loads(out)["error"] == "ingest"
 
+    @pytest.mark.parametrize("name, text, section", [
+        ("data.csv", "k,coefficient\n1,nan\n",
+         {"data": {"csv": "data.csv"}}),
+        ("data.csv", "x,value\n0,0\n1.5,inf\n3.141592653589793,0\n",
+         {"data": {"csv": "data.csv"},
+          "operator": {"kind": "dirichlet_laplacian_1d",
+                       "length": math.pi, "n_modes": 1}}),
+        ("source.csv", "t,f1\n0,nan\n1,nan\n",
+         {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
+        ("source.csv", "t,f1\n0,0.5\n1,abc\n",
+         {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
+    ], ids=["nan-coefficient", "inf-sample", "nan-source", "text-source"])
+    def test_non_finite_ingest_exit_3_no_outputs(self, tmp_path, capsys,
+                                                 name, text, section):
+        (tmp_path / name).write_text(text)
+        path = forward_config(tmp_path, **section)
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path),
+                               "--out-dir", str(out_dir))
+        assert code == 3
+        (line,) = out.strip().splitlines()
+        assert json.loads(line)["error"] == "ingest"
+        assert os.listdir(out_dir) == []
+
     def test_nonlocal_gap_surfaced(self, tmp_path, capsys):
         path = forward_config(
             tmp_path,
@@ -271,3 +298,16 @@ class TestConvergenceCommand:
         cfg.write_text(json.dumps({"target": "kernel", "dts": []}))
         code, out, _ = run_cli(capsys, "convergence", "--config", str(cfg))
         assert code == 2
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # numpy is the only runtime dependency; a fresh interpreter shows it
+    import frstokes
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(frstokes.__file__)))
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, frstokes.cli; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120)
+    assert out.stdout.strip() == "False"

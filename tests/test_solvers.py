@@ -83,6 +83,78 @@ class TestConvolution:
             convolve_B(p, lambda tau: tau, -1.0)
 
 
+GRADED_NODES = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 200)))
+
+
+def closed_form_constant(op, c, nodes):
+    """u_k = c (1 - A(lam_k, t)) / lam_k: zero data, rho = 0.5, gamma = 1."""
+    out = np.empty((nodes.size, op.n_modes))
+    for k, lam in enumerate(op.eigenvalues):
+        a, _ = eval_A_grid(KernelParams(0.5, 1.0, float(lam)), nodes)
+        a = a.copy()
+        a[nodes == 0.0] = 1.0
+        out[:, k] = c * (1.0 - a) / lam
+    return out
+
+
+class TestLatticeConvolution:
+    """Forced solves from A's own lattice: exact B cell masses, midpoint source."""
+
+    @pytest.mark.parametrize("n", [96, 512, 1024])
+    def test_constant_source_is_exact(self, small_op, n):
+        # the cell masses telescope to (1 - A(t)) / lam on every node
+        spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
+                           zeros_field(small_op), ConstantSource(0.7),
+                           uniform_grid(1.0, n))
+        trace = solve_forward(spec)
+        ref = closed_form_constant(small_op, 0.7, trace.nodes)
+        assert np.max(np.abs(trace.coefficients - ref)) < 1e-12
+
+    def test_graded_nodes_constant_source(self, small_op):
+        spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
+                           zeros_field(small_op), ConstantSource(0.7),
+                           GRADED_NODES)
+        trace = solve_forward(spec)
+        ref = closed_form_constant(small_op, 0.7, GRADED_NODES)
+        assert np.max(np.abs(trace.coefficients - ref)) < 1e-10
+
+    def test_graded_nodes_manufactured(self, small_op):
+        spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
+                           zeros_field(small_op),
+                           manufactured_quadratic_source(small_op, 0.5, 1.0),
+                           GRADED_NODES)
+        trace = solve_forward(spec)
+        assert np.max(np.abs(trace.coefficients
+                             - GRADED_NODES[:, None] ** 2)) < 1e-6
+
+    def test_manufactured_suite_configuration_under_1e_8(self):
+        # the manufactured suite's problem: 8 modes, 512 nodes
+        op = explicit_spectrum(np.arange(1.0, 9.0))
+        spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, zeros_field(op),
+                           manufactured_quadratic_source(op, 0.5, 1.0),
+                           uniform_grid(1.0, 512))
+        trace = solve_forward(spec)
+        assert np.max(np.abs(trace.coefficients
+                             - trace.nodes[:, None] ** 2)) <= 1e-8
+
+    def test_convolution_error_estimate_reported(self, small_op):
+        spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
+                           zeros_field(small_op),
+                           manufactured_quadratic_source(small_op, 0.5, 1.0),
+                           uniform_grid(1.0, 96))
+        trace = solve_forward(spec)
+        estimate = np.array(trace.diagnostics["convolution_error_estimate"])
+        assert estimate.shape == (small_op.n_modes,)
+        assert np.all(estimate > 0.0)
+        err = np.max(np.abs(trace.coefficients - trace.nodes[:, None] ** 2),
+                     axis=0)
+        assert np.all(err <= estimate)
+        unforced = solve_forward(ProblemSpec(
+            "forward", small_op, 0.5, 1.0, 1.0, basis_field(small_op, 1),
+            ZeroSource(), uniform_grid(1.0, 96)))
+        assert "convolution_error_estimate" not in unforced.diagnostics
+
+
 class TestProblemSpec:
     def test_grid_validation(self, small_op):
         data = zeros_field(small_op)
@@ -249,24 +321,31 @@ class TestNonlocal:
                              - (v.coefficients + w.coefficients))) < 1e-10
 
     def test_one_kernel_pass_per_solve(self, small_op, monkeypatch):
-        calls = {"eval_A_grid": 0, "residual": 0, "caputo_l1_trace": 0}
+        from frstokes import kernel
 
-        def counted(name):
-            fn = getattr(solvers, name)
+        calls = {"eval_A_grid": 0, "residual": 0, "caputo_l1_trace": 0,
+                 "exp_weighted_semiinfinite": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] += 1
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in calls:
-            monkeypatch.setattr(solvers, name, counted(name))
+        for name in ("eval_A_grid", "residual", "caputo_l1_trace"):
+            monkeypatch.setattr(solvers, name, counted(solvers, name))
+        # every kernel grid (A, B, dB/dt) is one of these quadratures
+        monkeypatch.setattr(kernel, "exp_weighted_semiinfinite",
+                            counted(kernel, "exp_weighted_semiinfinite"))
         spec = ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0,
                            basis_field(small_op, 2), ConstantSource(1.0),
                            uniform_grid(1.0, 96))
         solve_nonlocal(spec)
-        assert calls == {"eval_A_grid": small_op.n_modes, "residual": 1,
-                         "caputo_l1_trace": 1}
+        n = small_op.n_modes
+        assert calls == {"eval_A_grid": n, "residual": 1, "caputo_l1_trace": 1,
+                         "exp_weighted_semiinfinite": n}
 
     @pytest.mark.parametrize("which", ["nonlocal", "auxiliary_W"])
     def test_warns_when_A_at_horizon_is_near_one(self, small_op, monkeypatch,
