@@ -14,10 +14,17 @@ its own, are array algebra on those columns: forward a phi + conv, non-local
 W(data - conv(T)) + conv, backward (psi - conv(T)) / a(T).  One finishing
 step then attaches the residual and the coercivity report, once per solve.
 
-Convolutions take B's cell masses from A on a uniform lattice holding the
-nodes (dA/dt = -lam B), times the source at mirrored cell midpoints: one
-FFT convolution per mode, Richardson-paired with the every-other-point
-sublattice.  Sums over modes are fixed-order so reruns are bit-identical.
+Forced modes integrate by parts with dA/dt = -lam B:
+    (B * f)(t) = (f(t) - A(t) f(0) - int_0^t A(s) f'(t - s) ds) / lam,
+with f' the slope of f over each cell of a uniform lattice on [0, T], so
+only the A integrals of the cells enter: the trapezoid, but Gauss points on
+the first NEAR_CELLS cells, the first halved GRADING_LEVELS times toward
+t = 0, where A' is weakly singular.  One A evaluation per mode covers the
+lattice, these points and the nodes.  A uniform grid's nodes lie on the
+lattice and on its every-other-point sublattice, and the sum is one FFT
+convolution on each; other grids sum directly up to each node.  The two
+levels are Richardson-combined.  Sums over modes are fixed-order so reruns
+are bit-identical.
 """
 
 from __future__ import annotations
@@ -71,6 +78,9 @@ __all__ = [
 
 PROBLEM_KINDS = ("forward", "nonlocal", "backward")
 LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
+NEAR_CELLS = 16  # lattice cells from t = 0 whose A integrals take Gauss points
+GRADING_LEVELS = 16  # halvings of the first cell toward t = 0
+GAUSS3_NODES, GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 ROW_BLOCK = 64  # nodes per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
 
@@ -264,57 +274,85 @@ class SolutionTrace:
 # Lattice convolution
 
 
-def _midpoint_product(lattice, a_lat, lam, f_mode, ts, a_ts, stride):
-    """sum_m w_m f(t - mid_m) over the lattice cells m below each node t.
+def _node_sums(lattice, integrals, antiderivative, f_mode, ts, f0):
+    """sum_m I_m d_m of the lattice rule, direct, for nodes off the lattice.
 
-    w_m = (A(t_m) - A(t_(m+1))) / lam is the exact mass of B on cell m.
-    Nodes at lattice[::stride] take one causal FFT convolution; otherwise
-    (stride None) the sum runs in row blocks, and the cell [t_k, t] holding
-    a node adds its own exact mass.
+    f is evaluated once on the lattice points below each node, in blocks of
+    ROW_BLOCK nodes; each node's last cell ends at the node itself.
     """
-    w = -np.diff(a_lat) / lam
-    mid = 0.5 * (lattice[:-1] + lattice[1:])
-    if stride is not None:
-        return np.concatenate(([0.0], _convolve(w, f_mode(mid), w.size)))[::stride]
-    k = np.searchsorted(lattice, ts, side="right") - 1
-    out = (a_lat[k] - a_ts) / lam * f_mode(0.5 * (ts - lattice[k]))
-    for i0 in range(0, ts.size, ROW_BLOCK):
+    k = np.searchsorted(lattice, ts, side="left") - 1
+    sums = np.zeros((2, ts.size))
+    for i0 in range(1, ts.size, ROW_BLOCK):
         rows = slice(i0, i0 + ROW_BLOCK)
-        full = np.arange(w.size) < k[rows, None]
-        tau = np.where(full, ts[rows, None] - mid, 0.0)
-        vals = np.asarray(f_mode(tau.ravel()), dtype=float).reshape(tau.shape)
-        out[rows] += np.where(full, vals, 0.0) @ w
-    return out
+        t = ts[rows]
+        cols = np.arange(k[rows][-1] + 1)
+        below = cols <= k[rows, None]
+        F = np.zeros(below.shape)
+        F[below] = f_mode((t[:, None] - lattice[cols])[below])
+        for level, step in enumerate((1, 2)):
+            j = k[rows] // step * step
+            diff = F[:, :-step:step] - F[:, step::step]
+            diff[step * np.arange(diff.shape[1]) >= j[:, None]] = 0.0
+            last = (antiderivative(t) - antiderivative(lattice[j])) * (
+                F[np.arange(j.size), j] - f0) / (t - lattice[j])
+            sums[level, rows] = (diff @ integrals[level][:diff.shape[1]]
+                                 / (step * lattice[1]) + last)
+    return sums
 
 
 def _kernel_and_convolution(p: KernelParams, f_mode, ts: np.ndarray, q):
     """A(lam, .) with its error bounds and (B * f) on the nodes ts, ts[0] = 0.
 
-    One A evaluation covers the nodes and a uniform lattice over [0, T]
-    whose cell count is the smallest even multiple of n - 1 that is at
-    least LATTICE_MIN_CELLS, so a uniform grid's nodes lie on the lattice
-    and on its every-other-point sublattice.  The product rule on the two
-    is Richardson-combined; the largest correction is returned as the
-    convolution's error estimate.
+    Also returns the largest Richardson correction as the convolution's
+    error estimate.
     """
-    step = 2 * (ts.size - 1)
-    cells = step * -(-LATTICE_MIN_CELLS // step)
-    stride = cells // (ts.size - 1)
-    lattice = np.linspace(0.0, ts[-1], cells + 1)
-    if np.allclose(lattice[::stride], ts, rtol=0.0, atol=1e-12 * ts[-1]):
-        lattice[::stride] = ts
-    else:
-        stride = None
-    points = np.union1d(lattice, ts)
+    T, n = ts[-1], ts.size
+    uniform = np.allclose(ts, np.linspace(0.0, T, n), rtol=0.0, atol=1e-12 * T)
+    unit = 2 * (n - 1) if uniform else 2
+    cells = unit * -(-LATTICE_MIN_CELLS // unit)
+    lattice = np.linspace(0.0, T, cells + 1)
+    if uniform:
+        lattice[::cells // (n - 1)] = ts
+    h = lattice[1]
+    knots = np.concatenate(([0.0], h * 0.5 ** np.arange(GRADING_LEVELS, 0, -1),
+                            lattice[1:]))
+    lo = knots[:GRADING_LEVELS + NEAR_CELLS, None]
+    hi = knots[1:GRADING_LEVELS + NEAR_CELLS + 1, None]
+    gauss = 0.5 * (lo + hi) + 0.5 * (hi - lo) * GAUSS3_NODES
+    points = np.unique(np.concatenate((knots, ts, gauss.ravel())))
     values, errors = eval_A_grid(p, points, q)
     values[0] = 1.0
-    at = np.searchsorted(points, ts)
-    a_ts, a_lat = values[at], values[np.searchsorted(points, lattice)]
-    fine = _midpoint_product(lattice, a_lat, p.lam, f_mode, ts, a_ts, stride)
-    coarse = _midpoint_product(lattice[::2], a_lat[::2], p.lam, f_mode, ts,
-                               a_ts, None if stride is None else stride // 2)
-    return (a_ts, errors[at], (4.0 * fine - coarse) / 3.0,
-            float(np.max(np.abs(fine - coarse))) / 3.0)
+
+    def A(x):
+        return values[np.searchsorted(points, x)]
+
+    a_knots = A(knots)
+    pieces = 0.5 * np.diff(knots) * (a_knots[:-1] + a_knots[1:])
+    pieces[:lo.size] = 0.5 * (hi - lo)[:, 0] * (A(gauss) @ GAUSS3_WEIGHTS)
+    phi = np.concatenate(([0.0], np.cumsum(pieces)))
+
+    def antiderivative(x):  # int_0^x A: exact to the knot below, trapezoid on
+        i = np.searchsorted(knots, x, side="right") - 1
+        return phi[i] + 0.5 * (x - knots[i]) * (a_knots[i] + A(x))
+
+    a_lat = A(lattice)
+    fine_cells = np.diff(antiderivative(lattice))
+    coarse_cells = h * (a_lat[:-2:2] + a_lat[2::2])
+    coarse_cells[:NEAR_CELLS // 2] = fine_cells[:NEAR_CELLS].reshape(-1, 2).sum(1)
+    f_ts = np.asarray(f_mode(ts), dtype=float)
+    if uniform:
+        f_lat = np.asarray(f_mode(lattice), dtype=float)
+        sums = []
+        for w, step in ((fine_cells, 1), (coarse_cells, 2)):
+            slopes = np.diff(f_lat[::step]) / (step * h)
+            sums.append(np.concatenate(([0.0], _convolve(w, slopes, w.size)))
+                        [::cells // (n - 1) // step])
+    else:
+        sums = _node_sums(lattice, (fine_cells, coarse_cells), antiderivative,
+                          f_mode, ts, f_ts[0])
+    fine, coarse = ((f_ts - A(ts) * f_ts[0] - s) / p.lam for s in sums)
+    return (A(ts), errors[np.searchsorted(points, ts)],
+            (4.0 * fine - coarse) / 3.0, float(np.max(np.abs(fine - coarse))) / 3.0)
 
 
 def convolve_B(p: KernelParams, f_mode: Callable[[np.ndarray], np.ndarray],

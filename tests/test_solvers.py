@@ -97,8 +97,17 @@ def closed_form_constant(op, c, nodes):
     return out
 
 
+def manufactured_error(lam, rho, nodes):
+    """Worst |u - t^2| of a one-mode forced solve with the t^2 forcing."""
+    op = explicit_spectrum([lam])
+    spec = ProblemSpec("forward", op, rho, 1.0, 1.0, zeros_field(op),
+                       manufactured_quadratic_source(op, rho, 1.0), nodes)
+    trace = solve_forward(spec)
+    return np.max(np.abs(trace.coefficients[:, 0] - nodes ** 2))
+
+
 class TestLatticeConvolution:
-    """Forced solves from A's own lattice: exact B cell masses, midpoint source."""
+    """Forced solves from A's own lattice: exact A cell integrals, source slopes."""
 
     @pytest.mark.parametrize("n", [96, 512, 1024])
     def test_constant_source_is_exact(self, small_op, n):
@@ -126,6 +135,33 @@ class TestLatticeConvolution:
         trace = solve_forward(spec)
         assert np.max(np.abs(trace.coefficients
                              - GRADED_NODES[:, None] ** 2)) < 1e-6
+
+    @pytest.mark.parametrize("rho,lam,bound", [
+        (0.5, 100.0, 5e-10), (0.5, 1e4, 1e-9), (0.3, 1e4, 1e-9),
+        (0.8, 1e6, 1e-9)])
+    def test_large_eigenvalue_t2_response(self, rho, lam, bound):
+        # A' ~ t^(rho - 1) over many cells for large lam; the Gauss points
+        # of the cells next to t = 0 keep the error flat in lam
+        assert manufactured_error(lam, rho, uniform_grid(1.0, 201)) < bound
+
+    @pytest.mark.parametrize("lam", [100.0, 1e4])
+    def test_graded_nodes_large_eigenvalue(self, lam):
+        assert manufactured_error(lam, 0.5, GRADED_NODES) < 2e-8
+
+    def test_graded_nodes_source_work_is_bounded(self, monkeypatch):
+        # off-lattice nodes: f once per lattice point below each node, on a
+        # lattice of LATTICE_MIN_CELLS cells whatever the node count
+        nodes = np.linspace(0.0, 1.0, 1025) ** 1.5
+        op = explicit_spectrum([4.0])
+        seen = []
+        source = manufactured_quadratic_source(op, 0.5, 1.0)
+        fn = source.fn
+        monkeypatch.setattr(source, "fn", lambda k, lam, tau: (
+            seen.append(np.size(tau)), fn(k, lam, tau))[1])
+        solvers._kernel_and_convolution(KernelParams(0.5, 1.0, 4.0),
+                                        source.mode_function(1, 4.0), nodes,
+                                        None)
+        assert sum(seen) <= nodes.size * (solvers.LATTICE_MIN_CELLS + 2)
 
     def test_manufactured_suite_configuration_under_1e_8(self):
         # the manufactured suite's problem: 8 modes, 512 nodes
