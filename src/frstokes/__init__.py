@@ -29,20 +29,17 @@ from .oracle import (
 )
 from .quadrature import QuadratureNonconvergence, integrate_semiinfinite
 from .solvers import (
-    ConstantSource,
     GridTooCoarseError,
     KernelAccuracyError,
-    PerModeSource,
     ProblemSpec,
-    SampledSource,
-    SeparableSource,
     SolutionTrace,
     SolverError,
-    ZeroSource,
     coercivity_report,
+    constant_source,
     convolve_B,
     manufactured_quadratic_source,
     residual,
+    sampled_source,
     solve_auxiliary_W,
     solve_backward,
     solve_forward,

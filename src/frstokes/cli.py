@@ -34,16 +34,15 @@ from .kernel import (
 from .oracle import L1Grid, richardson_extrapolate, solve_scalar
 from .quadrature import QuadratureNonconvergence
 from .solvers import (
-    ConstantSource,
     ProblemSpec,
-    SampledSource,
     SolverError,
-    ZeroSource,
     _atomic_write,
+    constant_source,
     export_trace_csv,
     export_trace_grid_csv,
     export_trace_json,
     manufactured_quadratic_source,
+    sampled_source,
     solve_backward,
     solve_forward,
     solve_nonlocal,
@@ -137,14 +136,14 @@ def _build_data(cfg, op, base_dir):
 def _build_source(cfg, op, rho, gamma, base_dir):
     kind = cfg.get("kind", "zero")
     if kind == "zero":
-        return ZeroSource()
+        return None
     if kind == "constant":
         if "coefficients" in cfg:
             values = [_num(v, "source.coefficients") for v in cfg["coefficients"]]
             if len(values) != op.n_modes:
                 raise ConfigError("source.coefficients length mismatch")
-            return ConstantSource(np.array(values))
-        return ConstantSource(_num(cfg.get("value", 1.0), "source.value"))
+            return constant_source(values)
+        return constant_source(_num(cfg.get("value", 1.0), "source.value"))
     if kind == "manufactured_t2":
         return manufactured_quadratic_source(op, rho, gamma)
     if kind == "sampled_csv":
@@ -166,7 +165,7 @@ def _build_source(cfg, op, rho, gamma, base_dir):
         if not all(np.all(np.isfinite(c)) for c in [times, *cols]):
             raise IngestError("sampled source CSV holds a non-finite or "
                               "unparseable value")
-        return SampledSource(times, np.column_stack(cols))
+        return sampled_source(times, np.column_stack(cols))
     raise ConfigError(f"unknown source kind {kind!r}")
 
 
@@ -239,6 +238,7 @@ def _plan_outputs(output, op, out_dir):
         if n_points < 1:
             raise ConfigError("output.grid_csv.n_points must be >= 1")
     files["diagnostics_json"] = output.get("diagnostics_json", "diagnostics.json")
+    targets = {}
     for key, name in files.items():
         if not isinstance(name, str) or not name:
             raise ConfigError(f"output.{key} must be a non-empty file name")
@@ -246,6 +246,13 @@ def _plan_outputs(output, op, out_dir):
         if subdir and not os.path.isdir(os.path.join(out_dir, subdir)):
             raise ConfigError(f"output.{key}: directory {subdir!r} does not "
                               f"exist in {out_dir!r}")
+        path = os.path.normpath(os.path.join(out_dir, name))
+        if os.path.basename(name) in ("", ".", "..") or os.path.isdir(path):
+            raise ConfigError(f"output.{key}: {name!r} names a directory")
+        if path in targets:
+            raise ConfigError(f"output.{key} and output.{targets[path]} both "
+                              f"name {name!r}")
+        targets[path] = key
     return files, n_points
 
 
@@ -380,16 +387,13 @@ def cmd_convergence(args):
             values.append(float(solve_scalar(lam, gamma, rho, 1.0, None, grid)[-1]))
     elif target_kind == "manufactured":
         reference = horizon ** 2
-        coef = 2.0 * gamma / math.gamma(3.0 - rho)
-
-        def forcing(ts):
-            return 2.0 * ts + lam * ts ** 2 + lam * coef * ts ** (2.0 - rho)
-
+        source = manufactured_quadratic_source(explicit_spectrum([lam]), rho,
+                                               gamma)
         values = []
         for dt in dts:
             grid = L1Grid(dt, round(horizon / dt), rho)
-            values.append(float(solve_scalar(lam, gamma, rho, 0.0, forcing,
-                                             grid)[-1]))
+            values.append(float(solve_scalar(lam, gamma, rho, 0.0,
+                                             source(grid.times)[:, 0], grid)[-1]))
     else:
         raise ConfigError("target must be 'kernel' or 'manufactured'")
 

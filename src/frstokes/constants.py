@@ -113,7 +113,7 @@ def measure_constants(rho: float, gamma: float, lambda_1: float = 1.0,
 
 def _measure_forcing_response(rho, gamma, epsilon, T, q):
     """sup_t ||A u(t)|| / max_t ||f(t)||_eps on the reference forced problem."""
-    from .solvers import ConstantSource, ProblemSpec, solve_forward, uniform_grid
+    from .solvers import ProblemSpec, constant_source, solve_forward, uniform_grid
     from .spectral import CoefficientField, explicit_spectrum, norm_tau
 
     op = explicit_spectrum(np.arange(1.0, 9.0))
@@ -121,7 +121,7 @@ def _measure_forcing_response(rho, gamma, epsilon, T, q):
     spec = ProblemSpec(
         "forward", op, rho, gamma, T,
         CoefficientField(np.zeros(op.n_modes), op),
-        ConstantSource(f_coeffs), uniform_grid(T, 257),
+        constant_source(f_coeffs), uniform_grid(T, 257),
     )
     trace = solve_forward(spec, q)
     f_norm = norm_tau(CoefficientField(f_coeffs, op), epsilon)

@@ -117,9 +117,14 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
-    """First ``size`` terms of the linear convolution a * b, by real FFT."""
-    m = 1 << (a.size + b.size - 2).bit_length()
-    return np.fft.irfft(np.fft.rfft(a, m) * np.fft.rfft(b, m), m)[:size]
+    """First ``size`` terms of the linear convolution a * b along axis 0.
+
+    By real FFT; 2-D operands convolve column by column in one transform.
+    """
+    m = 1 << (len(a) + len(b) - 2).bit_length()
+    fa = np.fft.rfft(a, m, axis=0)
+    fa *= np.fft.rfft(b, m, axis=0)
+    return np.fft.irfft(fa, m, axis=0)[:size]
 
 
 def _inverse_series(c: np.ndarray) -> np.ndarray:

@@ -14,17 +14,24 @@ its own, are array algebra on those columns: forward a phi + conv, non-local
 W(data - conv(T)) + conv, backward (psi - conv(T)) / a(T).  One finishing
 step then attaches the residual and the coercivity report, once per solve.
 
+A source is None (zero forcing) or one callable f(t) giving every mode's
+value at the times t, shaped t.shape + (n_modes,): constant_source,
+sampled_source and manufactured_quadratic_source build them.  The point
+sets the solver reads it on (nodes, lattice, node-minus-lattice times) do
+not depend on the mode, so it is sampled once per point set for all modes.
+
 Forced modes integrate by parts with dA/dt = -lam B:
     (B * f)(t) = (f(t) - A(t) f(0) - int_0^t A(s) f'(t - s) ds) / lam,
 with f' the slope of f over each cell of a uniform lattice on [0, T], so
 only the A integrals of the cells enter: the trapezoid, but Gauss points on
 the first NEAR_CELLS cells, the first halved GRADING_LEVELS times toward
 t = 0, where A' is weakly singular.  One A evaluation per mode covers the
-lattice, these points and the nodes.  A uniform grid's nodes lie on the
-lattice and on its every-other-point sublattice, and the sum is one FFT
-convolution on each; other grids sum directly up to each node.  The two
-levels are Richardson-combined.  Sums over modes are fixed-order so reruns
-are bit-identical.
+lattice, these points and the nodes; the lattice is built once per solve.
+A uniform grid's nodes lie on the lattice and on its every-other-point
+sublattice, and the sum on each is one FFT convolution along the time axis
+for all modes; other grids sum directly up to each node.  The two levels
+are Richardson-combined.  Sums over modes are fixed-order so reruns are
+bit-identical.
 """
 
 from __future__ import annotations
@@ -34,7 +41,7 @@ import math
 import os
 import tempfile
 import warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -53,12 +60,8 @@ from .spectral import CoefficientField, SpectralOperator, tail_indicator
 __all__ = [
     "ProblemSpec",
     "SolutionTrace",
-    "Source",
-    "ZeroSource",
-    "ConstantSource",
-    "SeparableSource",
-    "PerModeSource",
-    "SampledSource",
+    "constant_source",
+    "sampled_source",
     "manufactured_quadratic_source",
     "SolverError",
     "KernelAccuracyError",
@@ -81,7 +84,7 @@ LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
 NEAR_CELLS = 16  # lattice cells from t = 0 whose A integrals take Gauss points
 GRADING_LEVELS = 16  # halvings of the first cell toward t = 0
 GAUSS3_NODES, GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
-ROW_BLOCK = 64  # nodes per block of the direct lattice sum
+BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
 
 
@@ -101,100 +104,59 @@ class GridTooCoarseError(ValueError):
 # Sources
 
 
-class Source:
-    """Per-mode time-dependent forcing; subclasses define mode_function."""
-
-    def mode_function(self, k: int, lam: float) -> Callable[[np.ndarray], np.ndarray]:
-        raise NotImplementedError
-
-    @property
-    def is_zero(self) -> bool:
-        return False
+def constant_source(values) -> Callable[[np.ndarray], np.ndarray]:
+    """Time-constant forcing: one value for every mode, or one per mode."""
+    c = np.atleast_1d(np.asarray(values, dtype=float))
+    return lambda t: np.broadcast_to(c, np.shape(t) + c.shape)
 
 
-class ZeroSource(Source):
-    def mode_function(self, k, lam):
-        return lambda tau: np.zeros_like(np.asarray(tau, dtype=float))
+def sampled_source(times, values) -> Callable[[np.ndarray], np.ndarray]:
+    """Per-mode time series values[i, k - 1] at times[i], linear in between."""
+    times = np.asarray(times, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
+        raise ValueError("sample times must be strictly increasing")
+    if values.ndim != 2 or values.shape[0] != times.size:
+        raise ValueError("values must be (n_times, n_modes)")
 
-    @property
-    def is_zero(self):
-        return True
+    def f(t):
+        t = np.asarray(t, dtype=float)
+        out = np.empty(t.shape + values.shape[1:])
+        for k, column in enumerate(values.T):
+            out[..., k] = np.interp(t, times, column)
+        return out
 
-
-class ConstantSource(Source):
-    """Time-constant forcing; scalar value broadcast to all modes, or per-mode."""
-
-    def __init__(self, values):
-        arr = np.atleast_1d(np.asarray(values, dtype=float))
-        self.values = arr
-
-    def coefficient(self, k: int) -> float:
-        if self.values.size == 1:
-            return float(self.values[0])
-        return float(self.values[k - 1])
-
-    def mode_function(self, k, lam):
-        c = self.coefficient(k)
-        return lambda tau: np.full_like(np.asarray(tau, dtype=float), c)
-
-
-class SeparableSource(Source):
-    """f_k(t) = g(t) * field_k for a scalar time profile g."""
-
-    def __init__(self, time_profile: Callable[[np.ndarray], np.ndarray],
-                 field: CoefficientField):
-        self.time_profile = time_profile
-        self.field = field
-
-    def mode_function(self, k, lam):
-        c = float(self.field.coefficients[k - 1])
-        g = self.time_profile
-        return lambda tau: c * np.asarray(g(np.asarray(tau, dtype=float)),
-                                          dtype=float)
-
-
-class PerModeSource(Source):
-    """General per-mode callable f(k, lam, tau_array) -> array."""
-
-    def __init__(self, fn: Callable[[int, float, np.ndarray], np.ndarray]):
-        self.fn = fn
-
-    def mode_function(self, k, lam):
-        fn = self.fn
-        return lambda tau: np.asarray(fn(k, lam, np.asarray(tau, dtype=float)),
-                                      dtype=float)
-
-
-class SampledSource(Source):
-    """Per-mode time series, linearly interpolated between samples."""
-
-    def __init__(self, times, values):
-        self.times = np.asarray(times, dtype=float)
-        self.values = np.asarray(values, dtype=float)
-        if self.times.ndim != 1 or np.any(np.diff(self.times) <= 0.0):
-            raise ValueError("sample times must be strictly increasing")
-        if self.values.ndim != 2 or self.values.shape[0] != self.times.size:
-            raise ValueError("values must be (n_times, n_modes)")
-
-    def mode_function(self, k, lam):
-        col = self.values[:, k - 1]
-        times = self.times
-        return lambda tau: np.interp(np.asarray(tau, dtype=float), times, col)
+    return f
 
 
 def manufactured_quadratic_source(op: SpectralOperator, rho: float,
-                                  gamma: float) -> PerModeSource:
+                                  gamma: float) -> Callable[[np.ndarray], np.ndarray]:
     """Forcing whose exact mode response from zero data is t^2.
 
     Substituting y = t^2 into the scalar equation gives
     f(t) = 2 t + lam t^2 + 2 lam gamma t^(2-rho) / Gamma(3-rho).
     """
     coef = 2.0 * gamma / math.gamma(3.0 - rho)
+    lam = op.eigenvalues
 
-    def fn(k, lam, tau):
-        return 2.0 * tau + lam * tau ** 2 + lam * coef * tau ** (2.0 - rho)
+    def f(t):
+        t = np.asarray(t, dtype=float)[..., None]
+        return 2.0 * t + lam * t ** 2 + lam * coef * t ** (2.0 - rho)
 
-    return PerModeSource(fn)
+    return f
+
+
+def _sample(source, n_modes: int, t: np.ndarray) -> np.ndarray:
+    """The source at times t as a (t.shape + (n_modes,)) array; zero for None."""
+    shape = np.shape(t) + (n_modes,)
+    if source is None:
+        return np.zeros(shape)
+    values = np.asarray(source(t), dtype=float)
+    try:
+        return np.broadcast_to(values, shape)
+    except ValueError:
+        raise ValueError(f"source values of shape {values.shape} do not "
+                         f"broadcast to {shape}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +176,9 @@ class ProblemSpec:
 
     data is the initial state for the forward problem, the prescribed
     increment u(T) - u(0) for the non-local problem, and the terminal state
-    for the backward problem.
+    for the backward problem.  source is None (zero forcing) or a callable
+    whose values on the time grid broadcast to (n_nodes, n_modes); one
+    sample on the grid checks that at construction.
     """
 
     kind: str
@@ -223,7 +187,7 @@ class ProblemSpec:
     gamma: float
     horizon: float
     data: CoefficientField
-    source: Source = dc_field(default_factory=ZeroSource)
+    source: Callable[[np.ndarray], np.ndarray] | None = None
     time_grid: np.ndarray | None = None
 
     def __post_init__(self):
@@ -247,6 +211,8 @@ class ProblemSpec:
                                               rel_tol=0.0, abs_tol=0.0):
             raise ValueError("time grid must start at 0 and end at the horizon")
         object.__setattr__(self, "time_grid", grid)
+        if self.source is not None:
+            _sample(self.source, self.operator.n_modes, grid)
 
     def params_for_mode(self, k: int) -> KernelParams:
         return KernelParams(self.rho, self.gamma,
@@ -274,85 +240,121 @@ class SolutionTrace:
 # Lattice convolution
 
 
-def _node_sums(lattice, integrals, antiderivative, f_mode, ts, f0):
-    """sum_m I_m d_m of the lattice rule, direct, for nodes off the lattice.
+class _Lattice:
+    """The convolution lattice of the nodes ts (ts[0] = 0), built once per
+    solve, and the A cell integrals of each mode on it.
 
-    f is evaluated once on the lattice points below each node, in blocks of
-    ROW_BLOCK nodes; each node's last cell ends at the node itself.
+    add_mode makes a mode's one A evaluation, on the union of the lattice,
+    the Gauss points of the near cells and the nodes.  convolution then
+    samples the source once per point set for every mode at once.
     """
-    k = np.searchsorted(lattice, ts, side="left") - 1
-    sums = np.zeros((2, ts.size))
-    for i0 in range(1, ts.size, ROW_BLOCK):
-        rows = slice(i0, i0 + ROW_BLOCK)
-        t = ts[rows]
-        cols = np.arange(k[rows][-1] + 1)
-        below = cols <= k[rows, None]
-        F = np.zeros(below.shape)
-        F[below] = f_mode((t[:, None] - lattice[cols])[below])
-        for level, step in enumerate((1, 2)):
-            j = k[rows] // step * step
-            diff = F[:, :-step:step] - F[:, step::step]
-            diff[step * np.arange(diff.shape[1]) >= j[:, None]] = 0.0
-            last = (antiderivative(t) - antiderivative(lattice[j])) * (
-                F[np.arange(j.size), j] - f0) / (t - lattice[j])
-            sums[level, rows] = (diff @ integrals[level][:diff.shape[1]]
-                                 / (step * lattice[1]) + last)
-    return sums
 
+    def __init__(self, ts: np.ndarray, n_modes: int):
+        T, n = ts[-1], ts.size
+        self.ts = ts
+        self.uniform = np.allclose(ts, np.linspace(0.0, T, n), rtol=0.0,
+                                   atol=1e-12 * T)
+        unit = 2 * (n - 1) if self.uniform else 2
+        cells = unit * -(-LATTICE_MIN_CELLS // unit)
+        self.lattice = np.linspace(0.0, T, cells + 1)
+        if self.uniform:
+            self.lattice[::cells // (n - 1)] = ts
+        h = self.lattice[1]
+        self.knots = np.concatenate(
+            ([0.0], h * 0.5 ** np.arange(GRADING_LEVELS, 0, -1), self.lattice[1:]))
+        lo = self.knots[:GRADING_LEVELS + NEAR_CELLS, None]
+        hi = self.knots[1:GRADING_LEVELS + NEAR_CELLS + 1, None]
+        self.gauss = 0.5 * (lo + hi) + 0.5 * (hi - lo) * GAUSS3_NODES
+        self.gauss_halves = 0.5 * (hi - lo)[:, 0]
+        self.points = np.unique(np.concatenate((self.knots, ts, self.gauss.ravel())))
+        self.cell_integrals = (np.empty((n_modes, cells)),
+                               np.empty((n_modes, cells // 2)))
+        if not self.uniform:
+            # each node's last lattice point below it, on both levels, and
+            # int A over the partial cell from there to the node
+            below = np.searchsorted(self.lattice, ts, side="left") - 1
+            self.last = (below, below // 2 * 2)
+            self.tails = np.empty((2, n, n_modes))
 
-def _kernel_and_convolution(p: KernelParams, f_mode, ts: np.ndarray, q):
-    """A(lam, .) with its error bounds and (B * f) on the nodes ts, ts[0] = 0.
+    def add_mode(self, m: int, p: KernelParams, q):
+        """A(lam, .) and its error bounds at the nodes; stores mode m's cells."""
+        points, knots = self.points, self.knots
+        values, errors = eval_A_grid(p, points, q)
+        values[0] = 1.0
 
-    Also returns the largest Richardson correction as the convolution's
-    error estimate.
-    """
-    T, n = ts[-1], ts.size
-    uniform = np.allclose(ts, np.linspace(0.0, T, n), rtol=0.0, atol=1e-12 * T)
-    unit = 2 * (n - 1) if uniform else 2
-    cells = unit * -(-LATTICE_MIN_CELLS // unit)
-    lattice = np.linspace(0.0, T, cells + 1)
-    if uniform:
-        lattice[::cells // (n - 1)] = ts
-    h = lattice[1]
-    knots = np.concatenate(([0.0], h * 0.5 ** np.arange(GRADING_LEVELS, 0, -1),
-                            lattice[1:]))
-    lo = knots[:GRADING_LEVELS + NEAR_CELLS, None]
-    hi = knots[1:GRADING_LEVELS + NEAR_CELLS + 1, None]
-    gauss = 0.5 * (lo + hi) + 0.5 * (hi - lo) * GAUSS3_NODES
-    points = np.unique(np.concatenate((knots, ts, gauss.ravel())))
-    values, errors = eval_A_grid(p, points, q)
-    values[0] = 1.0
+        def A(x):
+            return values[np.searchsorted(points, x)]
 
-    def A(x):
-        return values[np.searchsorted(points, x)]
+        a_knots = A(knots)
+        pieces = 0.5 * np.diff(knots) * (a_knots[:-1] + a_knots[1:])
+        halves = self.gauss_halves
+        pieces[:halves.size] = halves * (A(self.gauss) @ GAUSS3_WEIGHTS)
+        phi = np.concatenate(([0.0], np.cumsum(pieces)))
 
-    a_knots = A(knots)
-    pieces = 0.5 * np.diff(knots) * (a_knots[:-1] + a_knots[1:])
-    pieces[:lo.size] = 0.5 * (hi - lo)[:, 0] * (A(gauss) @ GAUSS3_WEIGHTS)
-    phi = np.concatenate(([0.0], np.cumsum(pieces)))
+        def antiderivative(x):  # int_0^x A: exact to the knot below, trapezoid on
+            i = np.searchsorted(knots, x, side="right") - 1
+            return phi[i] + 0.5 * (x - knots[i]) * (a_knots[i] + A(x))
 
-    def antiderivative(x):  # int_0^x A: exact to the knot below, trapezoid on
-        i = np.searchsorted(knots, x, side="right") - 1
-        return phi[i] + 0.5 * (x - knots[i]) * (a_knots[i] + A(x))
+        lattice = self.lattice
+        a_lat = A(lattice)
+        fine, coarse = self.cell_integrals
+        fine[m] = np.diff(antiderivative(lattice))
+        coarse[m] = lattice[1] * (a_lat[:-2:2] + a_lat[2::2])
+        coarse[m, :NEAR_CELLS // 2] = fine[m, :NEAR_CELLS].reshape(-1, 2).sum(1)
+        if not self.uniform:
+            for level, j in enumerate(self.last):
+                self.tails[level, :, m] = (antiderivative(self.ts)
+                                           - antiderivative(lattice[j]))
+        return A(self.ts), errors[np.searchsorted(points, self.ts)]
 
-    a_lat = A(lattice)
-    fine_cells = np.diff(antiderivative(lattice))
-    coarse_cells = h * (a_lat[:-2:2] + a_lat[2::2])
-    coarse_cells[:NEAR_CELLS // 2] = fine_cells[:NEAR_CELLS].reshape(-1, 2).sum(1)
-    f_ts = np.asarray(f_mode(ts), dtype=float)
-    if uniform:
-        f_lat = np.asarray(f_mode(lattice), dtype=float)
-        sums = []
-        for w, step in ((fine_cells, 1), (coarse_cells, 2)):
-            slopes = np.diff(f_lat[::step]) / (step * h)
-            sums.append(np.concatenate(([0.0], _convolve(w, slopes, w.size)))
-                        [::cells // (n - 1) // step])
-    else:
-        sums = _node_sums(lattice, (fine_cells, coarse_cells), antiderivative,
-                          f_mode, ts, f_ts[0])
-    fine, coarse = ((f_ts - A(ts) * f_ts[0] - s) / p.lam for s in sums)
-    return (A(ts), errors[np.searchsorted(points, ts)],
-            (4.0 * fine - coarse) / 3.0, float(np.max(np.abs(fine - coarse))) / 3.0)
+    def convolution(self, sample, a: np.ndarray, lam: np.ndarray):
+        """(B * f_k)(t_i) of every mode, from the source sampler sample(t).
+
+        a holds A(lam_k, t_i).  Also returns each mode's largest Richardson
+        correction as its error estimate.
+        """
+        ts, h = self.ts, self.lattice[1]
+        f_ts = sample(ts)
+        sums = np.zeros((2,) + a.shape)
+        if self.uniform:
+            f_lat = sample(self.lattice)
+            stride = (self.lattice.size - 1) // (ts.size - 1)
+            for level, step in enumerate((1, 2)):
+                w = self.cell_integrals[level].T
+                slopes = np.diff(f_lat[::step], axis=0) / (step * h)
+                sums[level, 1:] = _convolve(w, slopes, len(w))[
+                    stride // step - 1::stride // step]
+        else:
+            self._node_sums(sample, f_ts[0], sums)
+        fine, coarse = ((f_ts - a * f_ts[0] - s) / lam for s in sums)
+        return (4.0 * fine - coarse) / 3.0, np.max(np.abs(fine - coarse), axis=0) / 3.0
+
+    def _node_sums(self, sample, f0, sums):
+        """sum_m I_m d_m of the lattice rule, direct, for nodes off the lattice.
+
+        The source is sampled once per block of nodes, on the lattice points
+        below each node, for all modes; a block holds BLOCK_PAIRS node-mode
+        pairs.  Each node's last cell ends at the node itself.
+        """
+        ts, lattice = self.ts, self.lattice
+        n_modes = f0.size
+        size = max(1, BLOCK_PAIRS // n_modes)
+        for i0 in range(1, ts.size, size):
+            rows = slice(i0, i0 + size)
+            t = ts[rows]
+            cols = np.arange(self.last[0][rows][-1] + 1)
+            below = cols <= self.last[0][rows, None]
+            F = np.zeros((n_modes,) + below.shape)
+            F[:, below] = sample((t[:, None] - lattice[cols])[below]).T
+            for level, step in enumerate((1, 2)):
+                j = self.last[level][rows]
+                diff = F[:, :, :-step:step] - F[:, :, step::step]
+                diff[:, step * np.arange(diff.shape[2]) >= j[:, None]] = 0.0
+                last = self.tails[level, rows] * (
+                    F[:, np.arange(j.size), j].T - f0) / (t - lattice[j])[:, None]
+                w = self.cell_integrals[level][:, :diff.shape[2], None]
+                dot = np.matmul(diff, w)[..., 0]
+                sums[level, rows] = dot.T / (step * lattice[1]) + last
 
 
 def convolve_B(p: KernelParams, f_mode: Callable[[np.ndarray], np.ndarray],
@@ -366,8 +368,12 @@ def convolve_B(p: KernelParams, f_mode: Callable[[np.ndarray], np.ndarray],
         raise ValueError("t must be nonnegative")
     if t == 0.0:
         return 0.0
-    _, _, conv, _ = _kernel_and_convolution(p, f_mode, np.array([0.0, t]), q)
-    return float(conv[-1])
+    lattice = _Lattice(np.array([0.0, t]), 1)
+    a, _ = lattice.add_mode(0, p, q)
+    conv, _ = lattice.convolution(
+        lambda x: np.asarray(f_mode(x), dtype=float)[..., None], a[:, None],
+        np.array([p.lam]))
+    return float(conv[-1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -382,28 +388,26 @@ def _assemble_modes(spec: ProblemSpec, q):
     stays zero for a zero source, and the diagnostics of a forced solve.
     """
     ts = spec.time_grid
-    n_modes = spec.operator.n_modes
-    forced = not spec.source.is_zero
-    a = np.empty((ts.size, n_modes))
-    a_err_T = np.empty(n_modes)
-    conv = np.zeros((ts.size, n_modes))
-    conv_err = np.zeros(n_modes)
-    for k in range(1, n_modes + 1):
+    lam = spec.operator.eigenvalues
+    forced = spec.source is not None
+    lattice = _Lattice(ts, lam.size) if forced else None
+    a = np.empty((ts.size, lam.size))
+    a_err_T = np.empty(lam.size)
+    for k in range(1, lam.size + 1):
         p = spec.params_for_mode(k)
         try:
-            if forced:
-                f_mode = spec.source.mode_function(k, p.lam)
-                values, errors, conv[:, k - 1], conv_err[k - 1] = (
-                    _kernel_and_convolution(p, f_mode, ts, q))
-            else:
-                values, errors = eval_A_grid(p, ts, q)
+            values, errors = (lattice.add_mode(k - 1, p, q) if forced
+                              else eval_A_grid(p, ts, q))
         except QuadratureNonconvergence as exc:
             raise SolverError(f"mode {k}: kernel quadrature did not converge") from exc
         a[:, k - 1] = values
         a_err_T[k - 1] = errors[-1]
     a[0] = 1.0  # ProblemSpec guarantees the grid starts at t = 0
-    notes = {"convolution_error_estimate": conv_err.tolist()} if forced else {}
-    return a, a_err_T, conv, notes
+    if not forced:
+        return a, a_err_T, np.zeros_like(a), {}
+    conv, conv_err = lattice.convolution(
+        lambda t: _sample(spec.source, lam.size, t), a, lam)
+    return a, a_err_T, conv, {"convolution_error_estimate": conv_err.tolist()}
 
 
 def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray, psi: np.ndarray,
@@ -478,7 +482,7 @@ def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
     uniformly negative since A < 1 for t > 0.
     """
     spec = ProblemSpec("nonlocal", psi.operator, rho, gamma, horizon, psi,
-                       ZeroSource(), time_grid)
+                       None, time_grid)
     a, _, _, _ = _assemble_modes(spec, q)
     coeffs = _homogeneous_nonlocal(spec, a, psi.coefficients, q)
     gap = np.max(np.abs(coeffs[-1] - coeffs[0] - psi.coefficients))
@@ -549,17 +553,6 @@ def _central_derivative(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
             + h1 / (h2 * (h1 + h2)) * f2)
 
 
-def _source_matrix(spec: ProblemSpec, nodes: np.ndarray) -> np.ndarray:
-    out = np.zeros((nodes.size, spec.operator.n_modes))
-    if spec.source.is_zero:
-        return out
-    for k in range(1, spec.operator.n_modes + 1):
-        f_mode = spec.source.mode_function(
-            k, float(spec.operator.eigenvalues[k - 1]))
-        out[:, k - 1] = f_mode(nodes)
-    return out
-
-
 def residual(trace: SolutionTrace, spec: ProblemSpec,
              q: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Equation residual norm per interior node.
@@ -579,7 +572,7 @@ def residual(trace: SolutionTrace, spec: ProblemSpec,
     u = trace.coefficients
     du = _central_derivative(nodes, u)
     dru = caputo_l1_trace(nodes, u, spec.rho)[1:-1]
-    f = _source_matrix(spec, nodes)[1:-1]
+    f = _sample(spec.source, spec.operator.n_modes, nodes)[1:-1]
     res = du + lam * u[1:-1] + spec.gamma * lam * dru - f
     return nodes[1:-1], np.sqrt(np.sum(res ** 2, axis=1))
 
@@ -603,7 +596,7 @@ def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
     t = nodes[1:-1]
     du = _central_derivative(nodes, u)
     au = lam * u[1:-1]
-    f = _source_matrix(spec, nodes)[1:-1]
+    f = _sample(spec.source, spec.operator.n_modes, nodes)[1:-1]
     adru = (f - du - au) / spec.gamma
     norm_du = np.sqrt(np.sum(du ** 2, axis=1))
     return {

@@ -37,10 +37,9 @@ from .kernel import (
 from .oracle import L1Grid, solve_scalar
 from .quadrature import adaptive_finite, graded_mesh
 from .solvers import (
-    ConstantSource,
     ProblemSpec,
-    ZeroSource,
     coercivity_report,
+    constant_source,
     manufactured_quadratic_source,
     solve_auxiliary_W,
     solve_backward,
@@ -372,7 +371,7 @@ def suite_nonlocal(q=None, override=None):
     phihat = _nonlocal_data(op)
     worst_gap = 0.0
     worst_dec = 0.0
-    for source in (ZeroSource(), ConstantSource(0.5)):
+    for source in (None, constant_source(0.5)):
         spec = ProblemSpec("nonlocal", op, 0.5, 1.0, 1.0, phihat, source,
                            uniform_grid(1.0, 512))
         trace = solve_nonlocal(spec, q)
@@ -400,13 +399,13 @@ def suite_backward(q=None, override=None):
     op = dirichlet_laplacian_1d(math.pi, 10)  # eigenvalues k^2 <= 100
     phi = CoefficientField(op.eigenvalues ** -2.0, op)
     grid = uniform_grid(1.0, 512)
-    fwd = ProblemSpec("forward", op, 0.5, 1.0, 1.0, phi, ZeroSource(), grid)
+    fwd = ProblemSpec("forward", op, 0.5, 1.0, 1.0, phi, None, grid)
     fwd_trace = solve_forward(fwd, q)
     psi = CoefficientField(fwd_trace.coefficients[-1].copy(), op)
     # A different split point forces an independent panel layout, so the
     # recovery is not a mere algebraic cancellation of shared kernel values.
     back_q = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, split_point=0.7)
-    back = ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, ZeroSource(), grid)
+    back = ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid)
     back_trace = solve_backward(back, back_q)
     worst = float(np.max(np.abs(back_trace.coefficients[0] - phi.coefficients)))
     norm_ok = (back_trace.diagnostics["recovered_initial_norm"]
@@ -429,7 +428,7 @@ def suite_coercivity(q=None, override=None):
     for n_nodes in (512, 1024):
         op = dirichlet_laplacian_1d(math.pi, 6)
         spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, basis_field(op, 1),
-                           ZeroSource(), uniform_grid(1.0, n_nodes))
+                           None, uniform_grid(1.0, n_nodes))
         trace = solve_forward(spec, q)
         rep = coercivity_report(trace, spec)
         sups.append(float(np.max(rep["weighted_norm_dt_u"])))
@@ -462,23 +461,23 @@ def suite_residual(q=None, override=None):
     track("manufactured", tr)
     op = explicit_spectrum(np.arange(1.0, 9.0))
     phihat = _nonlocal_data(op)
-    for label, source in (("zero", ZeroSource()), ("constant", ConstantSource(0.5))):
+    for label, source in (("zero", None), ("constant", constant_source(0.5))):
         spec = ProblemSpec("nonlocal", op, 0.5, 1.0, 1.0, phihat, source,
                            uniform_grid(1.0, 512))
         track(f"nonlocal-{label}", solve_nonlocal(spec, q))
     op2 = dirichlet_laplacian_1d(math.pi, 10)
     phi = CoefficientField(op2.eigenvalues ** -2.0, op2)
-    fwd = ProblemSpec("forward", op2, 0.5, 1.0, 1.0, phi, ZeroSource(),
+    fwd = ProblemSpec("forward", op2, 0.5, 1.0, 1.0, phi, None,
                       uniform_grid(1.0, 512))
     fwd_trace = solve_forward(fwd, q)
     track("forward-smooth", fwd_trace)
     psi = CoefficientField(fwd_trace.coefficients[-1].copy(), op2)
-    back = ProblemSpec("backward", op2, 0.5, 1.0, 1.0, psi, ZeroSource(),
+    back = ProblemSpec("backward", op2, 0.5, 1.0, 1.0, psi, None,
                        uniform_grid(1.0, 512))
     track("backward", solve_backward(back, q))
     op3 = dirichlet_laplacian_1d(math.pi, 6)
     basis_spec = ProblemSpec("forward", op3, 0.5, 1.0, 1.0, basis_field(op3, 1),
-                             ZeroSource(), uniform_grid(1.0, 512))
+                             None, uniform_grid(1.0, 512))
     track("forward-basis", solve_forward(basis_spec, q))
     return [CheckResult.from_worst("residual", "interior-gate", tol, worst,
                                    f"worst trace: {detail}")]

@@ -1,11 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from frstokes.cli import main
 from frstokes.kernel import KernelParams, eval_A
@@ -118,6 +123,8 @@ class TestSolveCommand:
         # output requests that cannot be honoured
         {"output": {"grid_csv": {"path": "grid.csv"}}},
         {"output": {"trace_csv": "missing/trace.csv"}},
+        {"output": {"trace_csv": "a.csv", "diagnostics_json": "a.csv"}},
+        {"output": {"diagnostics_json": "."}},
         # non-finite numbers
         {"problem": {"kind": "forward", "rho": "0.5", "gamma": "inf",
                      "horizon": "1.0"}},
@@ -125,6 +132,7 @@ class TestSolveCommand:
         {"source": {"kind": "constant", "value": "nan"}},
     ], ids=["top-level-list", "operator-list", "output-string",
             "grid-without-eigenfunctions", "missing-subdirectory",
+            "colliding-outputs", "directory-output",
             "gamma-inf", "nan-coefficient", "nan-source"])
     def test_rejected_config_exit_2_no_outputs(self, tmp_path, capsys,
                                                overrides):
@@ -248,6 +256,58 @@ class TestSolveCommand:
         assert code == 0
         rows = (tmp_path / "grid.csv").read_text().strip().splitlines()
         assert rows[0] == "t,x,u"
+
+
+FUZZ_CONFIG = {
+    "problem": {"kind": "forward", "rho": "0.5", "gamma": "1.0",
+                "horizon": "1.0", "time_grid": {"n_nodes": 16}},
+    "operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                 "n_modes": 2},
+    "data": {"coefficients": [1.0, 0.5]},
+    "source": {"kind": "constant", "value": "0.5"},
+    "output": {"trace_csv": "trace.csv", "trace_json": "trace.json",
+               "diagnostics_json": "diagnostics.json",
+               "grid_csv": {"path": "grid.csv", "n_points": 5}},
+    "quadrature": {"rel_tol": "1e-8", "max_refinements": 30},
+}
+# no large counts: a huge n_nodes or n_modes exhausts memory before any
+# admission check could reject it
+FUZZ_VALUES = [None, True, -1, 0, 3, 1e-6, "abc", "nan", "1e400", ".", [], {}]
+
+
+def _key_paths(table, prefix=()):
+    for key, value in table.items():
+        yield prefix + (key,)
+        if isinstance(value, dict):
+            yield from _key_paths(value, prefix + (key,))
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(st.sampled_from(list(_key_paths(FUZZ_CONFIG))),
+       st.sampled_from(FUZZ_VALUES))
+def test_mutated_config_keeps_exit_contract(path, value):
+    # one key of a valid config replaced: a known exit code, one JSON line
+    # on stdout, and no file left behind by a failure
+    cfg = copy.deepcopy(FUZZ_CONFIG)
+    table = cfg
+    for key in path[:-1]:
+        table = table[key]
+    table[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        out_dir = os.path.join(tmp, "out")
+        os.mkdir(out_dir)
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            code = main(["solve", "--config", config, "--out-dir", out_dir])
+        assert code in (0, 2, 3, 4)
+        (line,) = stdout.getvalue().splitlines()
+        assert isinstance(json.loads(line), dict)
+        if code != 0:
+            assert os.listdir(out_dir) == []
+            assert sorted(os.listdir(tmp)) == ["config.json", "out"]
 
 
 class TestVerifyCommand:

@@ -7,21 +7,19 @@ import pytest
 from frstokes import solvers
 from frstokes.kernel import KernelParams, QuadratureConfig, eval_A, eval_A_grid
 from frstokes.solvers import (
-    ConstantSource,
     GridTooCoarseError,
     KernelAccuracyError,
     ProblemSpec,
-    SampledSource,
-    SeparableSource,
     SolutionTrace,
-    ZeroSource,
     coercivity_report,
+    constant_source,
     convolve_B,
     export_trace_csv,
     export_trace_grid_csv,
     export_trace_json,
     manufactured_quadratic_source,
     residual,
+    sampled_source,
     solve_auxiliary_W,
     solve_backward,
     solve_forward,
@@ -113,7 +111,7 @@ class TestLatticeConvolution:
     def test_constant_source_is_exact(self, small_op, n):
         # the cell masses telescope to (1 - A(t)) / lam on every node
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                           zeros_field(small_op), ConstantSource(0.7),
+                           zeros_field(small_op), constant_source(0.7),
                            uniform_grid(1.0, n))
         trace = solve_forward(spec)
         ref = closed_form_constant(small_op, 0.7, trace.nodes)
@@ -121,7 +119,7 @@ class TestLatticeConvolution:
 
     def test_graded_nodes_constant_source(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                           zeros_field(small_op), ConstantSource(0.7),
+                           zeros_field(small_op), constant_source(0.7),
                            GRADED_NODES)
         trace = solve_forward(spec)
         ref = closed_form_constant(small_op, 0.7, GRADED_NODES)
@@ -148,20 +146,42 @@ class TestLatticeConvolution:
     def test_graded_nodes_large_eigenvalue(self, lam):
         assert manufactured_error(lam, 0.5, GRADED_NODES) < 2e-8
 
-    def test_graded_nodes_source_work_is_bounded(self, monkeypatch):
-        # off-lattice nodes: f once per lattice point below each node, on a
-        # lattice of LATTICE_MIN_CELLS cells whatever the node count
+    def test_graded_nodes_source_work_is_bounded(self):
+        # off-lattice nodes: the source once per lattice point below each
+        # node for all modes at once, on a lattice of LATTICE_MIN_CELLS
+        # cells whatever the node count, plus whole-grid samples
         nodes = np.linspace(0.0, 1.0, 1025) ** 1.5
-        op = explicit_spectrum([4.0])
+        op = explicit_spectrum([4.0, 9.0])
+        base = manufactured_quadratic_source(op, 0.5, 1.0)
         seen = []
-        source = manufactured_quadratic_source(op, 0.5, 1.0)
-        fn = source.fn
-        monkeypatch.setattr(source, "fn", lambda k, lam, tau: (
-            seen.append(np.size(tau)), fn(k, lam, tau))[1])
-        solvers._kernel_and_convolution(KernelParams(0.5, 1.0, 4.0),
-                                        source.mode_function(1, 4.0), nodes,
-                                        None)
-        assert sum(seen) <= nodes.size * (solvers.LATTICE_MIN_CELLS + 2)
+
+        def source(t):
+            seen.append((np.size(t), np.array_equal(t, nodes)))
+            return base(t)
+
+        solve_forward(ProblemSpec("forward", op, 0.5, 1.0, 1.0, zeros_field(op),
+                                  source, nodes))
+        lattice_times = sum(size for size, on_nodes in seen if not on_nodes)
+        assert lattice_times <= nodes.size * (solvers.LATTICE_MIN_CELLS + 2)
+        # construction, the convolution, residual and coercivity report
+        assert sum(on_nodes for _, on_nodes in seen) == 4
+
+    def test_uniform_source_calls_independent_of_mode_count(self):
+        calls = []
+        for n_modes in (1, 8):
+            op = explicit_spectrum(np.arange(1.0, n_modes + 1.0))
+            base = manufactured_quadratic_source(op, 0.5, 1.0)
+            seen = []
+
+            def source(t):
+                seen.append(np.shape(t))
+                return base(t)
+
+            solve_forward(ProblemSpec("forward", op, 0.5, 1.0, 1.0,
+                                      zeros_field(op), source,
+                                      uniform_grid(1.0, 96)))
+            calls.append(len(seen))
+        assert calls[0] == calls[1]
 
     def test_manufactured_suite_configuration_under_1e_8(self):
         # the manufactured suite's problem: 8 modes, 512 nodes
@@ -187,7 +207,7 @@ class TestLatticeConvolution:
         assert np.all(err <= estimate)
         unforced = solve_forward(ProblemSpec(
             "forward", small_op, 0.5, 1.0, 1.0, basis_field(small_op, 1),
-            ZeroSource(), uniform_grid(1.0, 96)))
+            None, uniform_grid(1.0, 96)))
         assert "convolution_error_estimate" not in unforced.diagnostics
 
 
@@ -202,6 +222,16 @@ class TestProblemSpec:
                         time_grid=np.array([0.0, 0.5]))
         with pytest.raises(ValueError):
             ProblemSpec("sideways", small_op, 0.5, 1.0, 1.0, data)
+
+    @pytest.mark.parametrize("source", [
+        constant_source([1.0, 2.0]),
+        sampled_source([0.0, 1.0], np.ones((2, 2))),
+    ], ids=["constant", "sampled"])
+    def test_wrong_width_source_rejected(self, small_op, source):
+        # two mode columns on a three-mode operator
+        with pytest.raises(ValueError, match="broadcast"):
+            ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
+                        zeros_field(small_op), source, uniform_grid(1.0, 16))
 
     def test_default_grid(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 2.0, zeros_field(small_op))
@@ -220,14 +250,14 @@ class TestProblemSpec:
 class TestForward:
     def test_zero_problem_is_identically_zero(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                           zeros_field(small_op), ZeroSource(),
+                           zeros_field(small_op), None,
                            uniform_grid(1.0, 96))
         trace = solve_forward(spec)
         assert np.all(trace.coefficients == 0.0)
 
     def test_single_mode_matches_kernel(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                           basis_field(small_op, 1), ZeroSource(),
+                           basis_field(small_op, 1), None,
                            uniform_grid(1.0, 128))
         trace = solve_forward(spec)
         expected, _ = eval_A_grid(KernelParams(0.5, 1.0, 1.0), trace.nodes)
@@ -243,7 +273,7 @@ class TestForward:
         grid = uniform_grid(1.0, 96)
         joint = solve_forward(
             ProblemSpec("forward", small_op, 0.5, 1.0, 1.0, phi,
-                        ConstantSource(0.3), grid)
+                        constant_source(0.3), grid)
         )
         for k in range(1, 4):
             single_op = explicit_spectrum([small_op.eigenvalues[k - 1]])
@@ -251,7 +281,7 @@ class TestForward:
                 ProblemSpec("forward", single_op, 0.5, 1.0, 1.0,
                             field_from_coefficients(
                                 single_op, [phi.coefficients[k - 1]]),
-                            ConstantSource(0.3), grid)
+                            constant_source(0.3), grid)
             )
             assert np.max(np.abs(single.coefficients[:, 0]
                                  - joint.coefficients[:, k - 1])) < 1e-12
@@ -267,7 +297,7 @@ class TestForward:
             return solve_forward(
                 ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
                             field_from_coefficients(small_op, coeffs),
-                            ConstantSource(c), grid)
+                            constant_source(c), grid)
             ).coefficients
 
         combined = run(a * phi1 + b * phi2, a * 0.2 + b * 0.5)
@@ -282,16 +312,16 @@ class TestForward:
         trace = solve_forward(spec)
         assert np.max(np.abs(trace.coefficients - trace.nodes[:, None] ** 2)) < 1e-4
 
-    def test_separable_and_sampled_sources_agree(self, small_op):
+    def test_callable_and_sampled_sources_agree(self, small_op):
         grid = uniform_grid(1.0, 96)
-        field = field_from_coefficients(small_op, [1.0, 0.5, -0.2])
-        separable = SeparableSource(lambda t: np.exp(-t), field)
+        coefficients = np.array([1.0, 0.5, -0.2])
         dense_t = np.linspace(0.0, 1.0, 4001)
-        sampled = SampledSource(
-            dense_t, np.exp(-dense_t)[:, None] * field.coefficients[None, :]
+        sampled = sampled_source(
+            dense_t, np.exp(-dense_t)[:, None] * coefficients[None, :]
         )
-        tr1 = solve_forward(ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                                        zeros_field(small_op), separable, grid))
+        tr1 = solve_forward(ProblemSpec(
+            "forward", small_op, 0.5, 1.0, 1.0, zeros_field(small_op),
+            lambda t: np.exp(-t)[..., None] * coefficients, grid))
         tr2 = solve_forward(ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
                                         zeros_field(small_op), sampled, grid))
         assert np.max(np.abs(tr1.coefficients - tr2.coefficients)) < 1e-7
@@ -321,14 +351,14 @@ class TestAuxiliaryW:
 class TestNonlocal:
     def test_zero_data_zero_source(self, small_op):
         spec = ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0,
-                           zeros_field(small_op), ZeroSource(),
+                           zeros_field(small_op), None,
                            uniform_grid(1.0, 96))
         trace = solve_nonlocal(spec)
         assert np.all(trace.coefficients == 0.0)
 
     def test_single_mode_closed_form(self, small_op):
         spec = ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0,
-                           basis_field(small_op, 1), ZeroSource(),
+                           basis_field(small_op, 1), None,
                            uniform_grid(1.0, 128))
         trace = solve_nonlocal(spec)
         p = KernelParams(0.5, 1.0, 1.0)
@@ -343,11 +373,11 @@ class TestNonlocal:
         data = field_from_coefficients(
             small_op, small_op.eigenvalues ** -2.0 * rng.uniform(-1, 1, 3))
         spec = ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0, data,
-                           ConstantSource(1.0), uniform_grid(1.0, 96))
+                           constant_source(1.0), uniform_grid(1.0, 96))
         trace = solve_nonlocal(spec)
         assert trace.diagnostics["nonlocal_gap"] <= 1e-6
         forced = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                             zeros_field(small_op), ConstantSource(1.0),
+                             zeros_field(small_op), constant_source(1.0),
                              spec.time_grid)
         v = solve_forward(forced)
         psi = field_from_coefficients(
@@ -376,7 +406,7 @@ class TestNonlocal:
         monkeypatch.setattr(kernel, "exp_weighted_semiinfinite",
                             counted(kernel, "exp_weighted_semiinfinite"))
         spec = ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0,
-                           basis_field(small_op, 2), ConstantSource(1.0),
+                           basis_field(small_op, 2), constant_source(1.0),
                            uniform_grid(1.0, 96))
         solve_nonlocal(spec)
         n = small_op.n_modes
@@ -396,7 +426,7 @@ class TestNonlocal:
         with pytest.warns(UserWarning, match=r"\|A\(T\) - 1\| .* suspect") as rec:
             if which == "nonlocal":
                 solve_nonlocal(ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0,
-                                           psi, ZeroSource(), grid))
+                                           psi, None, grid))
             else:
                 solve_auxiliary_W(psi, 0.5, 1.0, 1.0, grid)
         assert rec[0].filename == __file__  # blamed on the solver's caller
@@ -406,7 +436,7 @@ class TestBackward:
     def test_terminal_state_reproduced_exactly(self, small_op):
         psi = basis_field(small_op, 1)
         spec = ProblemSpec("backward", small_op, 0.5, 1.0, 1.0, psi,
-                           ZeroSource(), uniform_grid(1.0, 96))
+                           None, uniform_grid(1.0, 96))
         trace = solve_backward(spec)
         assert trace.diagnostics["terminal_gap"] < 1e-12
         p = KernelParams(0.5, 1.0, 1.0)
@@ -419,11 +449,11 @@ class TestBackward:
         phi = field_from_coefficients(op, op.eigenvalues ** -2.0)
         grid = uniform_grid(1.0, 96)
         fwd = solve_forward(ProblemSpec("forward", op, 0.5, 1.0, 1.0, phi,
-                                        ZeroSource(), grid))
+                                        None, grid))
         psi = field_from_coefficients(op, fwd.coefficients[-1])
         other_q = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, split_point=0.7)
         back = solve_backward(
-            ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, ZeroSource(), grid),
+            ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid),
             other_q,
         )
         assert np.max(np.abs(back.coefficients[0] - phi.coefficients)) < 1e-4
@@ -436,7 +466,7 @@ class TestBackward:
         sloppy = QuadratureConfig(rel_tol=0.5, abs_tol=0.5, max_refinements=1)
         op = explicit_spectrum([100.0])
         spec = ProblemSpec("backward", op, 0.999, 0.5, 1.0,
-                           basis_field(op, 1), ZeroSource(),
+                           basis_field(op, 1), None,
                            uniform_grid(1.0, 96))
         with pytest.raises(KernelAccuracyError):
             solve_backward(spec, sloppy)
@@ -446,14 +476,14 @@ class TestBackward:
 def forward_run():
     op = explicit_spectrum([1.0, 4.0])
     spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, basis_field(op, 1),
-                       ZeroSource(), uniform_grid(1.0, 512))
+                       None, uniform_grid(1.0, 512))
     return spec, solve_forward(spec)
 
 
 class TestResidual:
     def test_zero_solution_zero_residual(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                           zeros_field(small_op), ZeroSource(),
+                           zeros_field(small_op), None,
                            uniform_grid(1.0, 128))
         trace = solve_forward(spec)
         _, res = residual(trace, spec)
@@ -477,7 +507,7 @@ class TestResidual:
 
     def test_grid_too_coarse(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                           zeros_field(small_op), ZeroSource(),
+                           zeros_field(small_op), None,
                            uniform_grid(1.0, 32))
         trace = solve_forward(spec)
         with pytest.raises(GridTooCoarseError):
@@ -487,7 +517,7 @@ class TestResidual:
 class TestCoercivity:
     def test_zero_problem_reports_zero(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                           zeros_field(small_op), ZeroSource(),
+                           zeros_field(small_op), None,
                            uniform_grid(1.0, 128))
         rep = coercivity_report(solve_forward(spec), spec)
         for key in ("norm_dt_u", "norm_A_u", "norm_A_caputo_u"):
@@ -498,7 +528,7 @@ class TestCoercivity:
         sups = []
         for n in (512, 1024):
             spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, basis_field(op, 1),
-                               ZeroSource(), uniform_grid(1.0, n))
+                               None, uniform_grid(1.0, n))
             rep = coercivity_report(solve_forward(spec), spec)
             assert np.all(np.isfinite(rep["weighted_norm_dt_u"]))
             sups.append(np.max(rep["weighted_norm_dt_u"]))
@@ -511,7 +541,7 @@ class TestCoercivity:
         op = explicit_spectrum(np.arange(1.0, 9.0))
         f_coeffs = op.eigenvalues ** -2.0
         spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, zeros_field(op),
-                           ConstantSource(f_coeffs), uniform_grid(1.0, 129))
+                           constant_source(f_coeffs), uniform_grid(1.0, 129))
         trace = solve_forward(spec)
         au = trace.coefficients * op.eigenvalues[None, :]
         sup_au = np.max(np.sqrt(np.sum(au ** 2, axis=1)))
@@ -524,7 +554,7 @@ class TestCoercivity:
 def trace():
     op = dirichlet_laplacian_1d(math.pi, 2)
     spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, basis_field(op, 1),
-                       ZeroSource(), uniform_grid(1.0, 72))
+                       None, uniform_grid(1.0, 72))
     return solve_forward(spec)
 
 
