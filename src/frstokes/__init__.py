@@ -1,10 +1,8 @@
 """Spectral solvers for the Rayleigh-Stokes equation with Caputo time memory."""
 
 from .kernel import (
-    BoundConstants,
     KernelParams,
     QuadratureConfig,
-    bound_constants,
     density_A,
     density_B,
     eval_A,
@@ -27,7 +25,7 @@ from .oracle import (
     richardson_extrapolate,
     solve_scalar,
 )
-from .quadrature import QuadratureNonconvergence, integrate_semiinfinite
+from .quadrature import QuadratureNonconvergence
 from .solvers import (
     GridTooCoarseError,
     KernelAccuracyError,
@@ -36,7 +34,6 @@ from .solvers import (
     SolverError,
     coercivity_report,
     constant_source,
-    convolve_B,
     manufactured_quadratic_source,
     residual,
     sampled_source,

@@ -26,9 +26,9 @@ from .kernel import (
     KernelParams,
     QuadratureConfig,
     eval_A,
-    eval_B,
-    eval_dA_dt,
-    eval_dB_dt,
+    eval_A_grid,
+    eval_B_grid,
+    eval_dB_dt_grid,
     MIN_DERIVATIVE_TIME,
 )
 from .oracle import L1Grid, richardson_extrapolate, solve_scalar
@@ -315,11 +315,14 @@ def cmd_solve(args):
 # kernel table
 
 
+DERIVATIVE_BATCH = 600  # times per dB/dt call: the engine refines a batch whole
+
+
 def cmd_kernel(args):
     if args.t_steps < 1:
         raise ConfigError("--t-steps must be >= 1")
-    if args.t_end < args.t_start:
-        raise ConfigError("--t-end must be >= --t-start")
+    if not 0.0 <= args.t_start <= args.t_end < math.inf:
+        raise ConfigError("need 0 <= --t-start <= --t-end, both finite")
     try:
         p = KernelParams(args.rho, args.gamma, args.lam)
     except ValueError as exc:
@@ -328,13 +331,16 @@ def cmd_kernel(args):
         ts = np.array([args.t_start])
     else:
         ts = np.linspace(args.t_start, args.t_end, args.t_steps)
+    a, _ = eval_A_grid(p, ts)
+    b, _ = eval_B_grid(p, ts)
+    db = np.full(ts.size, math.nan)
+    late = np.flatnonzero(ts >= MIN_DERIVATIVE_TIME)
+    for i in range(0, late.size, DERIVATIVE_BATCH):
+        rows = late[i:i + DERIVATIVE_BATCH]
+        db[rows], _ = eval_dB_dt_grid(p, ts[rows])
     print("t,A,B,dA_dt,dB_dt")
-    for t in ts:
-        a = eval_A(p, float(t))
-        b = eval_B(p, float(t))
-        da = eval_dA_dt(p, float(t)) if t > 0.0 else -p.lam * b
-        db = eval_dB_dt(p, float(t)) if t >= MIN_DERIVATIVE_TIME else math.nan
-        print(f"{t:.17g},{a:.17g},{b:.17g},{da:.17g},{db:.17g}")
+    for row in zip(ts, a, b, -p.lam * b, db):
+        print(",".join(f"{v:.17g}" for v in row))
     return EXIT_OK
 
 

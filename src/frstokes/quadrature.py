@@ -16,13 +16,14 @@ splits the half line at ``split_point``:
 
 Every panel is stored as plain nodes-plus-weights in the original ``r``
 variable, so one adapted panel set evaluates the whole family
-``{I(t) : t in ts}`` at once; that batch path is what the kernel and solver
-modules use on time grids.
+``{I(t) : t in ts}`` at once.  The solve path takes its kernels from the
+Bromwich contour in ``kernel``; this engine serves dB/dt, the lower bounds
+and the reference values the verification suites compare against, on at
+most a few hundred times per call.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -69,11 +70,11 @@ _EXP_FOLDS = 45.0     # exp(-45) ~ 3e-20: bands beyond this are noise
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget for the improper-integral engine.
+    """Tolerances and budget; ``rel_tol`` also sizes the kernel contour.
 
-    ``max_refinements`` is a budget multiplier: the engine performs at most
-    ``64 * max_refinements`` panel bisections per integral family before
-    reporting nonconvergence.
+    The Bromwich contour in ``kernel`` reads only ``rel_tol``.  This engine
+    reads all four; it performs at most ``64 * max_refinements`` panel
+    bisections per integral family before reporting nonconvergence.
     """
 
     rel_tol: float = 1e-8
@@ -141,6 +142,9 @@ def _make_panel(dens, lo, hi, beta, band):
     f = np.asarray(dens(r), dtype=float)
     if f.shape != r.shape:
         raise ValueError("integrand must be vectorized (shape-preserving)")
+    if not np.all(np.isfinite(f)):
+        # e.g. r = x**(1/beta) underflowing to 0 for a tiny beta
+        raise ValueError(f"integrand is not finite on [{lo:g}, {hi:g}]")
     base = half * jac * f
     return _Panel(lo, hi, beta, band, r, _WK * base, _WG * base[_GIDX])
 
@@ -154,11 +158,11 @@ def _panel_rows(panel, ts):
 
 
 class _Workspace:
-    """Panels plus their cached value/error rows on the adaptation grid."""
+    """Panels plus their cached value/error rows on the requested times."""
 
-    def __init__(self, dens, sub):
+    def __init__(self, dens, ts):
         self.dens = dens
-        self.sub = sub
+        self.ts = ts
         self.panels: list[_Panel] = []
         self.rows_v: list[np.ndarray] = []
         self.rows_e: list[np.ndarray] = []
@@ -166,7 +170,7 @@ class _Workspace:
 
     def add(self, lo, hi, beta, band):
         p = _make_panel(self.dens, lo, hi, beta, band)
-        v, e = _panel_rows(p, self.sub)
+        v, e = _panel_rows(p, self.ts)
         self.panels.append(p)
         self.rows_v.append(v)
         self.rows_e.append(e)
@@ -185,13 +189,9 @@ class _Workspace:
         if mid <= p.lo or mid >= p.hi:
             return False
         left = _make_panel(self.dens, p.lo, mid, p.beta, p.band)
-        right = _make_panel(self.dens, mid, p.hi, p.beta, p.band)
         self.panels[i] = left
-        self.rows_v[i], self.rows_e[i] = _panel_rows(left, self.sub)
-        self.panels.append(right)
-        v, e = _panel_rows(right, self.sub)
-        self.rows_v.append(v)
-        self.rows_e.append(e)
+        self.rows_v[i], self.rows_e[i] = _panel_rows(left, self.ts)
+        self.add(mid, p.hi, p.beta, p.band)
         return True
 
     def totals(self):
@@ -210,7 +210,7 @@ class _Workspace:
         """
         frontier = split * _GROW ** self.n_bands
         if self.n_bands < 2:
-            return np.full(self.sub.shape, np.inf)
+            return np.full(self.ts.shape, np.inf)
         last = np.abs(self.band_row(self.n_bands - 1))
         if decay > 0.0 and frontier * decay > _EXP_FOLDS:
             return last * 1e-12
@@ -252,17 +252,7 @@ def exp_weighted_semiinfinite(
         raise ValueError("decay scales must be nonnegative")
 
     decay = float(ts.min()) + extra_decay
-
-    # Adapt against a subsample when the batch is large; the final pass
-    # evaluates the full grid and reports honest per-point error bounds
-    # (the convergence guarantee is enforced on the subsample).
-    if ts.size > 600:
-        stride = int(math.ceil(ts.size / 384))
-        sub_idx = np.unique(np.r_[np.arange(0, ts.size, stride), ts.size - 1])
-    else:
-        sub_idx = np.arange(ts.size)
-
-    ws = _Workspace(dens, ts[sub_idx])
+    ws = _Workspace(dens, ts)
     beta = 1.0 + singular_exponent
     split = q.split_point
     xs = np.linspace(0.0, split ** beta, 5)
@@ -271,8 +261,8 @@ def exp_weighted_semiinfinite(
     ws.add_band(split)
     ws.add_band(split)
 
-    budget = 64 * q.max_refinements
-    for _ in range(budget):
+    reason = "refinement budget exhausted before reaching tolerance"
+    for _ in range(64 * q.max_refinements):
         total_v, total_e = ws.totals()
         rem = ws.tail_remainder(decay, split)
         tol = np.maximum(q.abs_tol, q.rel_tol * np.abs(total_v))
@@ -288,45 +278,24 @@ def exp_weighted_semiinfinite(
         bad = total_e + np.where(np.isfinite(rem), rem, 0.0) > tol
         bad |= (rem > 0.25 * tol) & ~np.isfinite(rem)
         if not np.any(bad):
-            break
+            return _final_eval(ws, decay, split)
         if not ws.split_worst(bad):
-            values, errors = _final_eval(ws, ts, sub_idx, decay, split)
-            raise QuadratureNonconvergence(
-                "worst panel at floating-point resolution before tolerance",
-                value=values if values.size > 1 else float(values[0]),
-                error_bound=errors if errors.size > 1 else float(errors[0]),
-            )
-    else:
-        values, errors = _final_eval(ws, ts, sub_idx, decay, split)
-        raise QuadratureNonconvergence(
-            "refinement budget exhausted before reaching tolerance",
-            value=values if values.size > 1 else float(values[0]),
-            error_bound=errors if errors.size > 1 else float(errors[0]),
-        )
-
-    values, errors = _final_eval(ws, ts, sub_idx, decay, split)
-    return values, errors
+            reason = "worst panel at floating-point resolution before tolerance"
+            break
+    values, errors = _final_eval(ws, decay, split)
+    raise QuadratureNonconvergence(
+        reason,
+        value=values if values.size > 1 else float(values[0]),
+        error_bound=errors if errors.size > 1 else float(errors[0]),
+    )
 
 
-def _final_eval(ws, ts, sub_idx, decay, split):
-    """Evaluate the adapted panel set on the full t grid."""
-    if ws.sub.shape == ts.shape and np.array_equal(ws.sub, ts):
-        values, errors = ws.totals()
-        values = values.copy()
-        errors = errors.copy()
-        rem = ws.tail_remainder(decay, split)
-        errors += np.where(np.isfinite(rem), rem, np.abs(ws.band_row(ws.n_bands - 1)))
-        return values, errors
-    values = np.zeros(ts.shape)
-    errors = np.zeros(ts.shape)
-    for p in ws.panels:
-        v, e = _panel_rows(p, ts)
-        values += v
-        errors += e
+def _final_eval(ws, decay, split):
+    """Values and error bounds (panel errors plus the tail) of the panel set."""
+    values, errors = ws.totals()
     rem = ws.tail_remainder(decay, split)
-    rem = np.where(np.isfinite(rem), rem, np.abs(ws.band_row(ws.n_bands - 1)))
-    errors += np.interp(np.arange(ts.size), sub_idx, rem)
-    return values, errors
+    return values, errors + np.where(np.isfinite(rem), rem,
+                                     np.abs(ws.band_row(ws.n_bands - 1)))
 
 
 def integrate_semiinfinite(

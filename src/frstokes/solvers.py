@@ -7,15 +7,17 @@ equals initial state plus a prescribed increment) splits into a forced
 zero-start part V and a homogeneous non-local part W, and the backward
 problem divides by A(lam_k, T), which stays uniformly away from zero.
 
-Every solve makes one assembly pass over the modes: A(lam_k, .) on the
-trace grid (with its error bound at T) and the B-convolution column of the
-source, each evaluated once per mode.  The three solvers, and the W part on
-its own, are array algebra on those columns: forward a phi + conv, non-local
-W(data - conv(T)) + conv, backward (psi - conv(T)) / a(T).  One finishing
-step then attaches the residual and the coercivity report, once per solve.
+Every solve makes one assembly pass for all modes at once: A(lam_k, .) on
+the trace grid (with its error estimate at T) from one Bromwich contour
+call, and, for a forced solve, the B-convolution columns of the source.
+The three solvers, and the W part on its own, are array algebra on those
+columns: forward a phi + conv, non-local W(data - conv(T)) + conv,
+backward (psi - conv(T)) / a(T).  One finishing step then attaches the
+residual and the coercivity report, once per solve.
 
 A source is None (zero forcing) or one callable f(t) giving every mode's
-value at the times t, shaped t.shape + (n_modes,): constant_source,
+value at the times t, with the mode axis last (t.shape + (n_modes,), or
+t.shape + (1,) for one value on every mode): constant_source,
 sampled_source and manufactured_quadratic_source build them.  The point
 sets the solver reads it on (nodes, lattice, node-minus-lattice times) do
 not depend on the mode, so it is sampled once per point set for all modes.
@@ -23,10 +25,10 @@ not depend on the mode, so it is sampled once per point set for all modes.
 Forced modes integrate by parts with dA/dt = -lam B:
     (B * f)(t) = (f(t) - A(t) f(0) - int_0^t A(s) f'(t - s) ds) / lam,
 with f' the slope of f over each cell of a uniform lattice on [0, T], so
-only the A integrals of the cells enter: the trapezoid, but Gauss points on
-the first NEAR_CELLS cells, the first halved GRADING_LEVELS times toward
-t = 0, where A' is weakly singular.  One A evaluation per mode covers the
-lattice, these points and the nodes; the lattice is built once per solve.
+only the A integrals of the cells enter.  They are differences of the
+antiderivative Phi(t) = int_0^t A, which one more contour call gives for all
+modes on the lattice and the nodes; the weak singularity of A' at t = 0
+needs no special cells.  The lattice is built once per solve.
 A uniform grid's nodes lie on the lattice and on its every-other-point
 sublattice, and the sum on each is one FFT convolution along the time axis
 for all modes; other grids sum directly up to each node.  The two levels
@@ -46,15 +48,8 @@ from typing import Callable
 
 import numpy as np
 
-from .kernel import (
-    KernelParams,
-    QuadratureConfig,
-    eval_A_grid,
-    lower_bound_A,
-    lower_bound_B,
-)
+from .kernel import QuadratureConfig, _bromwich, lower_bound_A, lower_bound_B
 from .oracle import _convolve, caputo_l1_trace
-from .quadrature import QuadratureNonconvergence
 from .spectral import CoefficientField, SpectralOperator, tail_indicator
 
 __all__ = [
@@ -66,7 +61,6 @@ __all__ = [
     "SolverError",
     "KernelAccuracyError",
     "GridTooCoarseError",
-    "convolve_B",
     "solve_forward",
     "solve_auxiliary_W",
     "solve_nonlocal",
@@ -81,9 +75,6 @@ __all__ = [
 
 PROBLEM_KINDS = ("forward", "nonlocal", "backward")
 LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
-NEAR_CELLS = 16  # lattice cells from t = 0 whose A integrals take Gauss points
-GRADING_LEVELS = 16  # halvings of the first cell toward t = 0
-GAUSS3_NODES, GAUSS3_WEIGHTS = np.polynomial.legendre.leggauss(3)
 BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
 
@@ -147,16 +138,22 @@ def manufactured_quadratic_source(op: SpectralOperator, rho: float,
 
 
 def _sample(source, n_modes: int, t: np.ndarray) -> np.ndarray:
-    """The source at times t as a (t.shape + (n_modes,)) array; zero for None."""
+    """The source at times t as a (t.shape + (n_modes,)) array; zero for None.
+
+    The values must carry the mode axis last (ndim == t.ndim + 1), so a
+    per-time array can never pass for per-mode values.
+    """
     shape = np.shape(t) + (n_modes,)
     if source is None:
         return np.zeros(shape)
     values = np.asarray(source(t), dtype=float)
-    try:
-        return np.broadcast_to(values, shape)
-    except ValueError:
-        raise ValueError(f"source values of shape {values.shape} do not "
-                         f"broadcast to {shape}") from None
+    if values.ndim == len(shape):
+        try:
+            return np.broadcast_to(values, shape)
+        except ValueError:
+            pass
+    raise ValueError(f"source values of shape {values.shape} do not "
+                     f"broadcast to {shape} along a last, mode axis")
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +174,8 @@ class ProblemSpec:
     data is the initial state for the forward problem, the prescribed
     increment u(T) - u(0) for the non-local problem, and the terminal state
     for the backward problem.  source is None (zero forcing) or a callable
-    whose values on the time grid broadcast to (n_nodes, n_modes); one
-    sample on the grid checks that at construction.
+    whose values on the time grid have a last, mode axis and broadcast to
+    (n_nodes, n_modes); one sample on the grid checks that at construction.
     """
 
     kind: str
@@ -214,10 +211,6 @@ class ProblemSpec:
         if self.source is not None:
             _sample(self.source, self.operator.n_modes, grid)
 
-    def params_for_mode(self, k: int) -> KernelParams:
-        return KernelParams(self.rho, self.gamma,
-                            float(self.operator.eigenvalues[k - 1]))
-
 
 @dataclass
 class SolutionTrace:
@@ -242,14 +235,13 @@ class SolutionTrace:
 
 class _Lattice:
     """The convolution lattice of the nodes ts (ts[0] = 0), built once per
-    solve, and the A cell integrals of each mode on it.
+    solve, and the times at which the solve needs Phi = int_0^t A.
 
-    add_mode makes a mode's one A evaluation, on the union of the lattice,
-    the Gauss points of the near cells and the nodes.  convolution then
-    samples the source once per point set for every mode at once.
+    points holds the lattice and the nodes.  convolution takes Phi of every
+    mode on points and samples the source once per point set for all modes.
     """
 
-    def __init__(self, ts: np.ndarray, n_modes: int):
+    def __init__(self, ts: np.ndarray):
         T, n = ts[-1], ts.size
         self.ts = ts
         self.uniform = np.allclose(ts, np.linspace(0.0, T, n), rtol=0.0,
@@ -259,77 +251,44 @@ class _Lattice:
         self.lattice = np.linspace(0.0, T, cells + 1)
         if self.uniform:
             self.lattice[::cells // (n - 1)] = ts
-        h = self.lattice[1]
-        self.knots = np.concatenate(
-            ([0.0], h * 0.5 ** np.arange(GRADING_LEVELS, 0, -1), self.lattice[1:]))
-        lo = self.knots[:GRADING_LEVELS + NEAR_CELLS, None]
-        hi = self.knots[1:GRADING_LEVELS + NEAR_CELLS + 1, None]
-        self.gauss = 0.5 * (lo + hi) + 0.5 * (hi - lo) * GAUSS3_NODES
-        self.gauss_halves = 0.5 * (hi - lo)[:, 0]
-        self.points = np.unique(np.concatenate((self.knots, ts, self.gauss.ravel())))
-        self.cell_integrals = (np.empty((n_modes, cells)),
-                               np.empty((n_modes, cells // 2)))
+        self.points = np.unique(np.concatenate((self.lattice, ts)))
         if not self.uniform:
-            # each node's last lattice point below it, on both levels, and
-            # int A over the partial cell from there to the node
+            # each node's last lattice point below it, on both levels
             below = np.searchsorted(self.lattice, ts, side="left") - 1
             self.last = (below, below // 2 * 2)
-            self.tails = np.empty((2, n, n_modes))
 
-    def add_mode(self, m: int, p: KernelParams, q):
-        """A(lam, .) and its error bounds at the nodes; stores mode m's cells."""
-        points, knots = self.points, self.knots
-        values, errors = eval_A_grid(p, points, q)
-        values[0] = 1.0
-
-        def A(x):
-            return values[np.searchsorted(points, x)]
-
-        a_knots = A(knots)
-        pieces = 0.5 * np.diff(knots) * (a_knots[:-1] + a_knots[1:])
-        halves = self.gauss_halves
-        pieces[:halves.size] = halves * (A(self.gauss) @ GAUSS3_WEIGHTS)
-        phi = np.concatenate(([0.0], np.cumsum(pieces)))
-
-        def antiderivative(x):  # int_0^x A: exact to the knot below, trapezoid on
-            i = np.searchsorted(knots, x, side="right") - 1
-            return phi[i] + 0.5 * (x - knots[i]) * (a_knots[i] + A(x))
-
-        lattice = self.lattice
-        a_lat = A(lattice)
-        fine, coarse = self.cell_integrals
-        fine[m] = np.diff(antiderivative(lattice))
-        coarse[m] = lattice[1] * (a_lat[:-2:2] + a_lat[2::2])
-        coarse[m, :NEAR_CELLS // 2] = fine[m, :NEAR_CELLS].reshape(-1, 2).sum(1)
-        if not self.uniform:
-            for level, j in enumerate(self.last):
-                self.tails[level, :, m] = (antiderivative(self.ts)
-                                           - antiderivative(lattice[j]))
-        return A(self.ts), errors[np.searchsorted(points, self.ts)]
-
-    def convolution(self, sample, a: np.ndarray, lam: np.ndarray):
+    def convolution(self, sample, a: np.ndarray, lam: np.ndarray,
+                    phi: np.ndarray):
         """(B * f_k)(t_i) of every mode, from the source sampler sample(t).
 
-        a holds A(lam_k, t_i).  Also returns each mode's largest Richardson
-        correction as its error estimate.
+        a holds A(lam_k, t_i) and phi holds Phi(lam_k, .) on points.  Also
+        returns each mode's largest Richardson correction as its error
+        estimate.
         """
-        ts, h = self.ts, self.lattice[1]
+        ts, lattice, h = self.ts, self.lattice, self.lattice[1]
+
+        def at(x):
+            return phi[np.searchsorted(self.points, x)]
+
+        phi_lat = at(lattice)
+        cells = (np.diff(phi_lat, axis=0), phi_lat[2::2] - phi_lat[:-2:2])
         f_ts = sample(ts)
         sums = np.zeros((2,) + a.shape)
         if self.uniform:
-            f_lat = sample(self.lattice)
-            stride = (self.lattice.size - 1) // (ts.size - 1)
+            f_lat = sample(lattice)
+            stride = (lattice.size - 1) // (ts.size - 1)
             for level, step in enumerate((1, 2)):
-                w = self.cell_integrals[level].T
                 slopes = np.diff(f_lat[::step], axis=0) / (step * h)
-                sums[level, 1:] = _convolve(w, slopes, len(w))[
+                sums[level, 1:] = _convolve(cells[level], slopes, len(slopes))[
                     stride // step - 1::stride // step]
         else:
-            self._node_sums(sample, f_ts[0], sums)
+            # int A over each node's partial last cell, on both levels
+            tails = [at(ts) - at(lattice[j]) for j in self.last]
+            self._node_sums(sample, f_ts[0], cells, tails, sums)
         fine, coarse = ((f_ts - a * f_ts[0] - s) / lam for s in sums)
         return (4.0 * fine - coarse) / 3.0, np.max(np.abs(fine - coarse), axis=0) / 3.0
 
-    def _node_sums(self, sample, f0, sums):
+    def _node_sums(self, sample, f0, cells, tails, sums):
         """sum_m I_m d_m of the lattice rule, direct, for nodes off the lattice.
 
         The source is sampled once per block of nodes, on the lattice points
@@ -350,30 +309,11 @@ class _Lattice:
                 j = self.last[level][rows]
                 diff = F[:, :, :-step:step] - F[:, :, step::step]
                 diff[:, step * np.arange(diff.shape[2]) >= j[:, None]] = 0.0
-                last = self.tails[level, rows] * (
+                last = tails[level][rows] * (
                     F[:, np.arange(j.size), j].T - f0) / (t - lattice[j])[:, None]
-                w = self.cell_integrals[level][:, :diff.shape[2], None]
+                w = cells[level][:diff.shape[2]].T[:, :, None]
                 dot = np.matmul(diff, w)[..., 0]
                 sums[level, rows] = dot.T / (step * lattice[1]) + last
-
-
-def convolve_B(p: KernelParams, f_mode: Callable[[np.ndarray], np.ndarray],
-               t: float, q: QuadratureConfig | None = None) -> float:
-    """Duhamel convolution int_0^t B(lam, t - tau) f(tau) dtau for one mode.
-
-    f_mode must be vectorized on [0, t]; the result is bounded by
-    max|f| / lam because the kernel integrates to less than 1 / lam.
-    """
-    if t < 0.0:
-        raise ValueError("t must be nonnegative")
-    if t == 0.0:
-        return 0.0
-    lattice = _Lattice(np.array([0.0, t]), 1)
-    a, _ = lattice.add_mode(0, p, q)
-    conv, _ = lattice.convolution(
-        lambda x: np.asarray(f_mode(x), dtype=float)[..., None], a[:, None],
-        np.array([p.lam]))
-    return float(conv[-1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -381,33 +321,23 @@ def convolve_B(p: KernelParams, f_mode: Callable[[np.ndarray], np.ndarray],
 
 
 def _assemble_modes(spec: ProblemSpec, q):
-    """One kernel pass over the modes: the columns every solver combines.
+    """One kernel pass for all modes: the columns every solver combines.
 
-    Returns A(lam_k, t_i) with the t = 0 identity pinned, the quadrature
-    error bound of A(lam_k, T), the convolution (B *_t f_k)(t_i), which
-    stays zero for a zero source, and the diagnostics of a forced solve.
+    Returns A(lam_k, t_i) with the t = 0 identity pinned, the contour error
+    estimate of A(lam_k, T), the convolution (B *_t f_k)(t_i), which stays
+    zero for a zero source, and the diagnostics of a forced solve.
     """
     ts = spec.time_grid
     lam = spec.operator.eigenvalues
-    forced = spec.source is not None
-    lattice = _Lattice(ts, lam.size) if forced else None
-    a = np.empty((ts.size, lam.size))
-    a_err_T = np.empty(lam.size)
-    for k in range(1, lam.size + 1):
-        p = spec.params_for_mode(k)
-        try:
-            values, errors = (lattice.add_mode(k - 1, p, q) if forced
-                              else eval_A_grid(p, ts, q))
-        except QuadratureNonconvergence as exc:
-            raise SolverError(f"mode {k}: kernel quadrature did not converge") from exc
-        a[:, k - 1] = values
-        a_err_T[k - 1] = errors[-1]
-    a[0] = 1.0  # ProblemSpec guarantees the grid starts at t = 0
-    if not forced:
-        return a, a_err_T, np.zeros_like(a), {}
+    a, a_err = _bromwich("A", spec.rho, spec.gamma, lam, ts, q, slice(-1, None))
+    if spec.source is None:
+        return a, a_err[-1], np.zeros_like(a), {}
+    lattice = _Lattice(ts)
+    phi, _ = _bromwich("Phi", spec.rho, spec.gamma, lam, lattice.points, q,
+                       slice(0))
     conv, conv_err = lattice.convolution(
-        lambda t: _sample(spec.source, lam.size, t), a, lam)
-    return a, a_err_T, conv, {"convolution_error_estimate": conv_err.tolist()}
+        lambda t: _sample(spec.source, lam.size, t), a, lam, phi)
+    return a, a_err[-1], conv, {"convolution_error_estimate": conv_err.tolist()}
 
 
 def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray, psi: np.ndarray,

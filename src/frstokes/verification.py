@@ -8,7 +8,10 @@ line and the test suite cannot drift apart.
 
 Kernel-level suites sweep the standard parameter grid
 rho in {0.3, 0.5, 0.7, 0.9} x gamma in {0.5, 1, 2}; solver-level suites run
-the pinned reference configurations described in each docstring.
+the pinned reference configurations described in each docstring.  Kernel
+values come from the Bromwich contour, as on the solve path; the checks
+that need an independent route (the values at t = 0, the contour itself,
+the backward round trip) integrate the spectral densities on the real line.
 """
 
 from __future__ import annotations
@@ -22,6 +25,8 @@ from . import constants as constants_mod
 from .kernel import (
     KernelParams,
     QuadratureConfig,
+    density_A,
+    density_B,
     eval_A,
     eval_A_grid,
     eval_B,
@@ -35,7 +40,7 @@ from .kernel import (
     lower_bound_B,
 )
 from .oracle import L1Grid, solve_scalar
-from .quadrature import adaptive_finite, graded_mesh
+from .quadrature import adaptive_finite, exp_weighted_semiinfinite, graded_mesh
 from .solvers import (
     ProblemSpec,
     coercivity_report,
@@ -109,20 +114,36 @@ def integral_B_time(p: KernelParams, t: float,
     return value
 
 
+def _density_kernel(kernel: str, p: KernelParams, ts,
+                   q: QuadratureConfig | None = None) -> np.ndarray:
+    """A or B (kernel) at the times ts from the real-line density engine.
+
+    The route independent of the Bromwich contour that eval_A_grid and
+    eval_B_grid take.
+    """
+    dens, sigma = (density_A, p.rho - 1.0) if kernel == "A" else (density_B, 0.0)
+    values, _ = exp_weighted_semiinfinite(lambda r: dens(r, p), ts,
+                                          singular_exponent=sigma, q=q)
+    return values
+
+
 # ---------------------------------------------------------------------------
 # Kernel suites
 
 
 def suite_kernel_initial(q=None, override=None):
-    """Both kernels equal 1 at t = 0 across the grid and lam in {1, 10, 100}."""
+    """Both kernels equal 1 at t = 0 across the grid and lam in {1, 10, 100}.
+
+    The contour pins t = 0, so the densities are integrated instead.
+    """
     tol = _tol(1e-6, override)
     worst_a = worst_b = 0.0
     where = ""
     for rho, gamma in _grid():
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
-            da = abs(eval_A(p, 0.0, q) - 1.0)
-            db = abs(eval_B(p, 0.0, q) - 1.0)
+            da = abs(_density_kernel("A", p, [0.0], q)[0] - 1.0)
+            db = abs(_density_kernel("B", p, [0.0], q)[0] - 1.0)
             if max(da, db) > max(worst_a, worst_b):
                 where = f"rho={rho} gamma={gamma} lam={lam}"
             worst_a = max(worst_a, da)
@@ -272,7 +293,8 @@ def suite_bounds(q=None, override=None):
 
 
 def suite_laplace(q=None, override=None):
-    """Numerically transformed kernels match the closed forms at z in {.5,1,2,5}."""
+    """Numerically transformed kernels match the closed forms at z in {.5,1,2,5};
+    the contour inverting those closed forms matches the density engine."""
     tol = _tol(1e-4, override)
     worst = 0.0
     detail = ""
@@ -287,8 +309,27 @@ def suite_laplace(q=None, override=None):
                 if max(da, db) > worst:
                     detail = f"rho={rho} gamma={gamma} lam={lam} z={z}"
                 worst = max(worst, da, db)
+    # t = 0 is pinned on the contour and checked by kernel-initial; there the
+    # density engine cannot integrate B's r^(rho - 2) tail for rho near 1
+    tol_contour = _tol(1e-9, override)
+    ts = np.linspace(0.0, 1.0, 257)[1:]
+    reference_q = QuadratureConfig(rel_tol=1e-12)
+    worst_contour = 0.0
+    detail_contour = ""
+    for rho in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
+        for gamma in GAMMA_GRID:
+            for lam in (1.0, 1e2, 1e4, 1e6):
+                p = KernelParams(rho, gamma, lam)
+                d = max(np.max(np.abs(grid(p, ts, q)[0]
+                                      - _density_kernel(kernel, p, ts, reference_q)))
+                        for kernel, grid in (("A", eval_A_grid), ("B", eval_B_grid)))
+                if d > worst_contour:
+                    detail_contour = f"rho={rho} gamma={gamma} lam={lam:g}"
+                worst_contour = max(worst_contour, float(d))
     return [CheckResult.from_worst("laplace", "transform-consistency", tol,
-                                   worst, detail)]
+                                   worst, detail),
+            CheckResult.from_worst("laplace", "contour-vs-density", tol_contour,
+                                   worst_contour, detail_contour)]
 
 
 def suite_oracle(q=None, override=None):
@@ -394,16 +435,17 @@ def suite_nonlocal(q=None, override=None):
 
 
 def suite_backward(q=None, override=None):
-    """Round-trip recovery through independent quadrature settings."""
+    """Round-trip recovery of terminal data built by an independent route."""
     tol = _tol(1e-4, override)
     op = dirichlet_laplacian_1d(math.pi, 10)  # eigenvalues k^2 <= 100
     phi = CoefficientField(op.eigenvalues ** -2.0, op)
     grid = uniform_grid(1.0, 512)
-    fwd = ProblemSpec("forward", op, 0.5, 1.0, 1.0, phi, None, grid)
-    fwd_trace = solve_forward(fwd, q)
-    psi = CoefficientField(fwd_trace.coefficients[-1].copy(), op)
-    # A different split point forces an independent panel layout, so the
-    # recovery is not a mere algebraic cancellation of shared kernel values.
+    # Terminal data phi_k A(lam_k, T) from the density engine, so the
+    # recovery through the contour is not a cancellation of shared kernel
+    # values; the solve runs on tighter settings than the suite's own.
+    a_T = [_density_kernel("A", KernelParams(0.5, 1.0, lam), [1.0], q)[0]
+           for lam in op.eigenvalues]
+    psi = CoefficientField(phi.coefficients * np.array(a_T), op)
     back_q = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, split_point=0.7)
     back = ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid)
     back_trace = solve_backward(back, back_q)

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frstokes.cli import main
-from frstokes.kernel import KernelParams, eval_A
+from frstokes.kernel import KernelParams, eval_A, eval_dB_dt, eval_dB_dt_grid
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +56,38 @@ class TestKernelCommand:
         )
         assert code == 0
         assert len(out.strip().splitlines()) == 2
+
+    def test_long_table_bounds_derivative_batches(self, capsys, monkeypatch):
+        from frstokes import cli
+
+        sizes = []
+
+        def counted(p, ts, *args, **kwargs):
+            sizes.append(np.size(ts))
+            return eval_dB_dt_grid(p, ts, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "eval_dB_dt_grid", counted)
+        code, out, _ = run_cli(
+            capsys, "kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "1",
+            "--t-start", "0", "--t-end", "1", "--t-steps", "1201",
+        )
+        assert code == 0
+        db = np.array([float(line.split(",")[4])
+                       for line in out.strip().splitlines()[1:]])
+        assert sizes == [600, 600]  # every row but t = 0, in two batches
+        assert math.isnan(db[0]) and np.all(db[1:] < 0.0)
+        p = KernelParams(0.5, 1.0, 1.0)
+        assert db[-1] == pytest.approx(eval_dB_dt(p, 1.0), rel=1e-7)
+
+    @pytest.mark.parametrize("start,end", [("-1", "1"), ("0", "nan"),
+                                           ("0", "inf")])
+    def test_invalid_times_exit_2(self, capsys, start, end):
+        code, out, _ = run_cli(
+            capsys, "kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "1",
+            "--t-start", start, "--t-end", end, "--t-steps", "3",
+        )
+        assert code == 2
+        assert json.loads(out.strip().splitlines()[-1])["error"] == "config"
 
     def test_invalid_params_exit_2(self, capsys):
         code, out, _ = run_cli(
@@ -151,9 +183,10 @@ class TestSolveCommand:
         assert os.listdir(out_dir) == []
 
     def test_kernel_failure_exit_4_no_outputs(self, tmp_path, capsys):
-        # at rho = 1e-6 the quadrature substitution r = x^(1/rho) underflows
+        # at rho = 1e-6 the substitution r = x^(1/rho) of the density engine
+        # underflows in the lower bound of A that a backward solve needs
         path = forward_config(
-            tmp_path, problem={"kind": "forward", "rho": "1e-6",
+            tmp_path, problem={"kind": "backward", "rho": "1e-6",
                                "gamma": "1.0", "horizon": "1.0",
                                "time_grid": {"n_nodes": 8}})
         out_dir = tmp_path / "out"
@@ -163,6 +196,22 @@ class TestSolveCommand:
         (line,) = out.strip().splitlines()
         assert json.loads(line)["error"] == "solver"
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("lam", [1.0, 100.0, 1e4])
+    def test_forward_at_tiny_rho_matches_limit(self, tmp_path, capsys, lam):
+        # rho -> 0: A = gamma / (1 + gamma) + exp(-lam (1 + gamma) t) / (1 + gamma)
+        path = forward_config(
+            tmp_path, problem={"kind": "forward", "rho": "1e-6",
+                               "gamma": "1.0", "horizon": "1.0",
+                               "time_grid": {"n_nodes": 8}},
+            operator={"kind": "explicit_spectrum", "eigenvalues": [lam]})
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path),
+                               "--out-dir", str(tmp_path))
+        assert code == 0
+        rows = np.loadtxt(tmp_path / "trace.csv", delimiter=",", skiprows=1)
+        t, u = rows[:, 0], rows[:, 2]
+        limit = 0.5 + 0.5 * np.exp(-2.0 * lam * t)
+        assert np.max(np.abs(u - limit)) < 1e-5
 
     def test_missing_data_file_exit_3(self, tmp_path, capsys):
         path = forward_config(tmp_path, data={"csv": "absent.csv"})

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from frstokes.kernel import (
     KernelParams,
     QuadratureConfig,
-    bound_constants,
     density_A,
     density_B,
     eval_A,
@@ -21,6 +20,7 @@ from frstokes.kernel import (
     laplace_transform_numeric,
     lower_bound_A,
     lower_bound_B,
+    _bromwich,
 )
 
 TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
@@ -122,6 +122,17 @@ class TestKernelValues:
         value, err = eval_A(p, 1.0, with_error=True)
         assert abs(value - 0.59323879913782398) <= max(err, 1e-12)
 
+    def test_error_at_selected_times_matches_whole_grid(self):
+        # the solve path estimates A's error at T alone: a value and its
+        # estimate do not depend on the other times of the call
+        lam = np.array([1.0, 1e2, 1e4])
+        ts = np.linspace(0.0, 1.0, 97)
+        values, errors = _bromwich("A", 0.5, 1.0, lam, ts)
+        at_T, err_T = _bromwich("A", 0.5, 1.0, lam, ts, error_at=slice(-1, None))
+        assert np.array_equal(at_T, values)
+        assert np.array_equal(err_T, errors[-1:])
+        assert _bromwich("Phi", 0.5, 1.0, lam, ts, error_at=slice(0))[1].shape == (0, 3)
+
     def test_classical_limit(self):
         p = KernelParams(0.999, 1.0, 2.0)
         assert eval_A(p, 1.0) == pytest.approx(math.exp(-2.0 / 3.0), abs=1e-2)
@@ -200,9 +211,9 @@ class TestLowerBounds:
         assert all(a > b for a, b in zip(values, values[1:]))
         assert values[-1] < 0.25 * values[0]
 
-    def test_bound_constants_container(self):
-        bc = bound_constants(0.5, 1.0, 1.0, 1.0)
-        assert bc.c_lower_A > 0.0 and bc.c_lower_B > 0.0 and bc.horizon == 1.0
+    def test_bounds_are_positive(self):
+        assert lower_bound_A(0.5, 1.0, 1.0, 1.0) > 0.0
+        assert lower_bound_B(0.5, 1.0, 1.0, 1.0) > 0.0
 
     def test_invalid_arguments(self):
         with pytest.raises(ValueError):

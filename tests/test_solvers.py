@@ -13,7 +13,6 @@ from frstokes.solvers import (
     SolutionTrace,
     coercivity_report,
     constant_source,
-    convolve_B,
     export_trace_csv,
     export_trace_grid_csv,
     export_trace_json,
@@ -43,24 +42,34 @@ def small_op():
     return explicit_spectrum([1.0, 4.0, 9.0])
 
 
+def convolve_one_mode(p, forcing, t, n_nodes=2):
+    """(B * f)(t_i) on uniform_grid(t, n_nodes): a one-mode forward solve
+    from zero data with the scalar forcing f."""
+    op = explicit_spectrum([p.lam])
+    spec = ProblemSpec("forward", op, p.rho, p.gamma, t, zeros_field(op),
+                       lambda tau: np.asarray(forcing(tau))[..., None],
+                       uniform_grid(t, n_nodes))
+    return solve_forward(spec).coefficients[:, 0]
+
+
 class TestConvolution:
     def test_zero_source(self):
         p = KernelParams(0.5, 1.0, 1.0)
-        assert convolve_B(p, lambda tau: np.zeros_like(tau), 1.0) == 0.0
-        assert convolve_B(p, lambda tau: np.ones_like(tau), 0.0) == 0.0
+        assert np.all(convolve_one_mode(p, np.zeros_like, 1.0, 96) == 0.0)
+        assert convolve_one_mode(p, np.ones_like, 1.0, 96)[0] == 0.0
 
     def test_constant_source_matches_kernel_mass(self):
         # int_0^T B dtau = (1 - A(T)) / lam, and stays under 1/lam
         p = KernelParams(0.5, 1.0, 4.0)
-        value = convolve_B(p, lambda tau: np.ones_like(tau), 1.0)
+        value = convolve_one_mode(p, np.ones_like, 1.0)[-1]
         expected = (1.0 - eval_A(p, 1.0)) / p.lam
         assert value == pytest.approx(expected, abs=1e-8)
         assert value < 1.0 / p.lam
 
     def test_bounded_by_source_supremum(self):
         p = KernelParams(0.7, 2.0, 3.0)
-        value = convolve_B(p, lambda tau: np.cos(3 * tau), 1.0)
-        assert abs(value) <= 1.0 / p.lam
+        values = convolve_one_mode(p, lambda tau: np.cos(3 * tau), 1.0, 96)
+        assert np.max(np.abs(values)) <= 1.0 / p.lam
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
     def test_manufactured_mode(self, rho):
@@ -73,12 +82,13 @@ class TestConvolution:
             return 2.0 * tau + lam * tau ** 2 + lam * coef * tau ** (2.0 - rho)
 
         for t in (0.25, 1.0):
-            assert convolve_B(p, forcing, t) == pytest.approx(t ** 2, abs=1e-6)
+            assert convolve_one_mode(p, forcing, t)[-1] == pytest.approx(
+                t ** 2, abs=1e-6)
 
     def test_negative_time_rejected(self):
         p = KernelParams(0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            convolve_B(p, lambda tau: tau, -1.0)
+            convolve_one_mode(p, lambda tau: tau, -1.0)
 
 
 GRADED_NODES = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 200)))
@@ -138,8 +148,8 @@ class TestLatticeConvolution:
         (0.5, 100.0, 5e-10), (0.5, 1e4, 1e-9), (0.3, 1e4, 1e-9),
         (0.8, 1e6, 1e-9)])
     def test_large_eigenvalue_t2_response(self, rho, lam, bound):
-        # A' ~ t^(rho - 1) over many cells for large lam; the Gauss points
-        # of the cells next to t = 0 keep the error flat in lam
+        # A' ~ t^(rho - 1) over many cells for large lam; cell integrals
+        # from the contour antiderivative keep the error flat in lam
         assert manufactured_error(lam, rho, uniform_grid(1.0, 201)) < bound
 
     @pytest.mark.parametrize("lam", [100.0, 1e4])
@@ -232,6 +242,13 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="broadcast"):
             ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
                         zeros_field(small_op), source, uniform_grid(1.0, 16))
+
+    def test_source_without_mode_axis_rejected(self, small_op):
+        # on three nodes and three modes, shape (3,) broadcasts to (3, 3)
+        with pytest.raises(ValueError, match="mode axis"):
+            ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
+                        zeros_field(small_op), lambda t: np.exp(-t),
+                        uniform_grid(1.0, 3))
 
     def test_default_grid(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 2.0, zeros_field(small_op))
@@ -387,40 +404,52 @@ class TestNonlocal:
                              - (v.coefficients + w.coefficients))) < 1e-10
 
     def test_one_kernel_pass_per_solve(self, small_op, monkeypatch):
-        from frstokes import kernel
+        from frstokes import kernel, quadrature
 
-        calls = {"eval_A_grid": 0, "residual": 0, "caputo_l1_trace": 0,
-                 "exp_weighted_semiinfinite": 0}
+        def forced(kind, op):
+            return ProblemSpec(kind, op, 0.5, 1.0, 1.0, basis_field(op, 1),
+                               constant_source(1.0), uniform_grid(1.0, 96))
 
-        def counted(module, name):
-            fn = getattr(module, name)
+        # one contour call for A on the nodes, one for its antiderivative on
+        # the lattice, whatever the mode count; the density engine runs only
+        # for the nonlocal solve's lower_bound_B
+        for solve, spec, engine_calls in (
+                (solve_forward, forced("forward", explicit_spectrum([4.0])), 0),
+                (solve_forward, forced("forward", small_op), 0),
+                (solve_nonlocal, forced("nonlocal", small_op), 1)):
+            calls = {"_bromwich": 0, "residual": 0, "caputo_l1_trace": 0,
+                     "exp_weighted_semiinfinite": 0}
 
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
+            def counted(module, name):
+                fn = getattr(module, name)
 
-        for name in ("eval_A_grid", "residual", "caputo_l1_trace"):
-            monkeypatch.setattr(solvers, name, counted(solvers, name))
-        # every kernel grid (A, B, dB/dt) is one of these quadratures
-        monkeypatch.setattr(kernel, "exp_weighted_semiinfinite",
-                            counted(kernel, "exp_weighted_semiinfinite"))
-        spec = ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0,
-                           basis_field(small_op, 2), constant_source(1.0),
-                           uniform_grid(1.0, 96))
-        solve_nonlocal(spec)
-        n = small_op.n_modes
-        assert calls == {"eval_A_grid": n, "residual": 1, "caputo_l1_trace": 1,
-                         "exp_weighted_semiinfinite": n}
+                def wrapper(*args, **kwargs):
+                    calls[name] += 1
+                    return fn(*args, **kwargs)
+                return wrapper
+
+            with monkeypatch.context() as patch:
+                for name in ("_bromwich", "residual", "caputo_l1_trace"):
+                    patch.setattr(solvers, name, counted(solvers, name))
+                # the density engine behind dB/dt, the bounds and the
+                # reference checks
+                for module in (kernel, quadrature):
+                    patch.setattr(module, "exp_weighted_semiinfinite",
+                                  counted(module, "exp_weighted_semiinfinite"))
+                solve(spec)
+            assert calls == {"_bromwich": 2, "residual": 1,
+                             "caputo_l1_trace": 1,
+                             "exp_weighted_semiinfinite": engine_calls}
 
     @pytest.mark.parametrize("which", ["nonlocal", "auxiliary_W"])
     def test_warns_when_A_at_horizon_is_near_one(self, small_op, monkeypatch,
                                                  which):
-        def flat_A(p, ts, q=None):
-            ts = np.asarray(ts, dtype=float)
-            return np.where(ts < ts[-1], 1.0, 1.0 - 1e-14), np.zeros(ts.size)
+        def flat_A(kind, rho, gamma, lam, ts, q=None, error_at=slice(None)):
+            values = np.where(ts < ts[-1], 1.0, 1.0 - 1e-14)[:, None]
+            values = values * np.ones(np.size(lam))
+            return values, np.zeros_like(values)
 
-        monkeypatch.setattr(solvers, "eval_A_grid", flat_A)
+        monkeypatch.setattr(solvers, "_bromwich", flat_A)
         psi = basis_field(small_op, 1)
         grid = uniform_grid(1.0, 16)
         with pytest.warns(UserWarning, match=r"\|A\(T\) - 1\| .* suspect") as rec:
