@@ -7,9 +7,9 @@ and ``convergence`` (oracle-vs-quadrature error table over step sizes).
 
 The CLI performs no arithmetic of its own beyond formatting: every number
 printed is produced by a library call.  Numeric config fields accept
-decimal strings so configs can round-trip exactly.  Output files are
-written atomically and repeated runs with the same config are
-byte-identical.
+decimal strings so configs can round-trip exactly.  A solve writes all of
+its output files or none of them, and repeated runs with the same config
+are byte-identical.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
@@ -256,6 +257,37 @@ def _plan_outputs(output, op, out_dir):
     return files, n_points
 
 
+def _write_artifacts(trace, paths, n_points):
+    """All of the solve's artifacts or none of them.
+
+    Each artifact is written to a temporary file beside its target; they
+    are renamed into place only after every write has succeeded, and on any
+    failure the temporary files are removed.
+    """
+    staged = {}
+    try:
+        for key, path in paths.items():
+            fd, staged[key] = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            os.close(fd)
+        export_trace_csv(trace, staged["trace_csv"])
+        if "trace_json" in staged:
+            export_trace_json(trace, staged["trace_json"])
+        if "grid_csv" in staged:
+            xs = np.linspace(0.0, trace.operator.length, n_points)
+            export_trace_grid_csv(trace, xs, staged["grid_csv"])
+        _atomic_write(staged["diagnostics_json"],
+                      json.dumps(trace.diagnostics, indent=2, sort_keys=True,
+                                 allow_nan=True) + "\n")
+        for key, tmp in staged.items():
+            os.replace(tmp, paths[key])
+    except BaseException:
+        for tmp in staged.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+
+
 def cmd_solve(args):
     cfg = _load_config(args.config)
     base_dir = os.path.dirname(os.path.abspath(args.config))
@@ -295,15 +327,7 @@ def cmd_solve(args):
     paths = {key: os.path.join(out_dir, name) for key, name in files.items()}
     try:
         os.makedirs(out_dir, exist_ok=True)
-        export_trace_csv(trace, paths["trace_csv"])
-        if "trace_json" in paths:
-            export_trace_json(trace, paths["trace_json"])
-        if "grid_csv" in paths:
-            xs = np.linspace(0.0, op.length, n_points)
-            export_trace_grid_csv(trace, xs, paths["grid_csv"])
-        _atomic_write(paths["diagnostics_json"],
-                      json.dumps(trace.diagnostics, indent=2, sort_keys=True,
-                                 allow_nan=True) + "\n")
+        _write_artifacts(trace, paths, n_points)
     except OSError as exc:
         raise ConfigError(f"cannot write outputs: {exc}") from exc
     print(json.dumps({"status": "ok", "out_dir": out_dir, "files": files},

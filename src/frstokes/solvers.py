@@ -49,7 +49,7 @@ from typing import Callable
 import numpy as np
 
 from .kernel import QuadratureConfig, _bromwich, lower_bound_A, lower_bound_B
-from .oracle import _convolve, caputo_l1_trace
+from .oracle import _convolve, _is_uniform, caputo_l1_trace
 from .spectral import CoefficientField, SpectralOperator, tail_indicator
 
 __all__ = [
@@ -221,9 +221,6 @@ class SolutionTrace:
     operator: SpectralOperator
     diagnostics: dict
 
-    def field_at(self, i: int) -> CoefficientField:
-        return CoefficientField(self.coefficients[i].copy(), self.operator)
-
     @property
     def n_modes(self) -> int:
         return self.coefficients.shape[1]
@@ -244,8 +241,7 @@ class _Lattice:
     def __init__(self, ts: np.ndarray):
         T, n = ts[-1], ts.size
         self.ts = ts
-        self.uniform = np.allclose(ts, np.linspace(0.0, T, n), rtol=0.0,
-                                   atol=1e-12 * T)
+        self.uniform = _is_uniform(ts)
         unit = 2 * (n - 1) if self.uniform else 2
         cells = unit * -(-LATTICE_MIN_CELLS // unit)
         self.lattice = np.linspace(0.0, T, cells + 1)
@@ -555,33 +551,49 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _long_csv(header: str, nodes: np.ndarray, columns: list[str],
+              values: np.ndarray) -> str:
+    """CSV rows `t<column><value>`, node-major, one per node and column.
+
+    Each number is formatted once, by "%.17g", which round-trips.
+    """
+    m = len(columns)
+    cells = ["%.17g" % v for v in values.ravel().tolist()]
+    lines = [header]
+    for i, t in enumerate(nodes.tolist()):
+        stamp = "%.17g" % t
+        lines += [stamp + c + v
+                  for c, v in zip(columns, cells[i * m:(i + 1) * m])]
+    return "\n".join(lines) + "\n"
+
+
 def export_trace_csv(trace: SolutionTrace, path: str) -> None:
     """Long-format CSV `t,k,coefficient` with round-trip-safe formatting."""
-    lines = ["t,k,coefficient"]
-    for i, t in enumerate(trace.nodes):
-        for k in range(1, trace.n_modes + 1):
-            lines.append(f"{t:.17g},{k},{trace.coefficients[i, k - 1]:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    keys = [f",{k}," for k in range(1, trace.n_modes + 1)]
+    _atomic_write(path, _long_csv("t,k,coefficient", trace.nodes, keys,
+                                  trace.coefficients))
 
 
 def export_trace_json(trace: SolutionTrace, path: str) -> None:
     payload = {
-        "nodes": [float(t) for t in trace.nodes],
-        "eigenvalues": [float(v) for v in trace.operator.eigenvalues],
-        "fields": [[float(c) for c in row] for row in trace.coefficients],
+        "nodes": trace.nodes.tolist(),
+        "eigenvalues": trace.operator.eigenvalues.tolist(),
+        "fields": trace.coefficients.tolist(),
         "diagnostics": trace.diagnostics,
     }
     _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def export_trace_grid_csv(trace: SolutionTrace, x, path: str) -> None:
-    """Grid-sampled CSV `t,x,u`; requires an operator with eigenfunctions."""
-    from .spectral import synthesize
+    """Grid-sampled CSV `t,x,u`; requires an operator with eigenfunctions.
 
+    u = sum_k c_k v_k(x) at every node at once, the modes added in order
+    as spectral.synthesize adds them for one node.
+    """
+    op = trace.operator
     xs = np.asarray(x, dtype=float)
-    lines = ["t,x,u"]
-    for i, t in enumerate(trace.nodes):
-        u = synthesize(trace.field_at(i), xs)
-        for xv, uv in zip(xs, u):
-            lines.append(f"{t:.17g},{xv:.17g},{uv:.17g}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    u = np.zeros((trace.nodes.size, xs.size))
+    for k in range(1, op.n_modes + 1):
+        u += trace.coefficients[:, k - 1, None] * op.eigenfunction(k, xs)
+    columns = [",%.17g," % xv for xv in xs.tolist()]
+    _atomic_write(path, _long_csv("t,x,u", trace.nodes, columns, u))

@@ -182,6 +182,44 @@ class TestSolveCommand:
         assert json.loads(line)["error"] == "config"
         assert os.listdir(out_dir) == []
 
+    def test_failed_last_write_leaves_no_artifacts(self, tmp_path, capsys,
+                                                   monkeypatch):
+        from frstokes import cli
+
+        def disk_full(path, text):
+            raise OSError(28, "No space left on device", path)
+
+        # diagnostics.json is written last, after the trace CSV and JSON
+        monkeypatch.setattr(cli, "_atomic_write", disk_full)
+        path = forward_config(tmp_path)
+        out_dir = tmp_path / "out"
+        code, out, _ = run_cli(capsys, "solve", "--config", str(path),
+                               "--out-dir", str(out_dir))
+        assert code == 2
+        assert json.loads(out)["error"] == "config"
+        assert os.listdir(out_dir) == []
+
+    def test_failed_write_keeps_earlier_artifacts(self, tmp_path, capsys,
+                                                  monkeypatch):
+        from frstokes import cli
+
+        out_dir = tmp_path / "out"
+        path = forward_config(tmp_path)
+        args = ("solve", "--config", str(path), "--out-dir", str(out_dir))
+        assert run_cli(capsys, *args)[0] == 0
+        before = {name: (out_dir / name).read_bytes()
+                  for name in os.listdir(out_dir)}
+
+        def failing_json(trace, path):
+            raise OSError(5, "Input/output error", path)
+
+        # new data, so a trace.csv written before the failure would differ
+        forward_config(tmp_path, data={"coefficients": [2.0]})
+        monkeypatch.setattr(cli, "export_trace_json", failing_json)
+        assert run_cli(capsys, *args)[0] == 2
+        assert {name: (out_dir / name).read_bytes()
+                for name in os.listdir(out_dir)} == before
+
     def test_kernel_failure_exit_4_no_outputs(self, tmp_path, capsys):
         # at rho = 1e-6 the substitution r = x^(1/rho) of the density engine
         # underflows in the lower bound of A that a backward solve needs

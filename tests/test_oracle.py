@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from frstokes.kernel import KernelParams, eval_A
 from frstokes.oracle import (
     L1Grid,
+    _is_uniform,
     caputo_l1,
     caputo_l1_trace,
     l1_weights,
@@ -15,6 +16,27 @@ from frstokes.oracle import (
     solve_scalar,
 )
 from frstokes.verification import GAMMA_GRID, RHO_GRID
+
+
+def dense_l1_trace(times, values, rho, block=256):
+    """Reference: the nonuniform L1 trace as a blocked dense weight sum.
+
+    w[i, j] = (t_i - t_j)^(1-rho) - (t_i - t_{j+1})^(1-rho) for j < i, built
+    ``block`` rows at a time, O(n^2).
+    """
+    t = np.asarray(times, dtype=float)
+    v = np.asarray(values, dtype=float)
+    h = np.diff(t)
+    slopes = (v[1:] - v[:-1]) / (h[:, None] if v.ndim == 2 else h)
+    out = np.empty(v.shape)
+    for i0 in range(0, t.size, block):
+        ti = t[i0:i0 + block, None]
+        dt_lo = ti - t[None, :-1]
+        dt_hi = ti - t[None, 1:]
+        w = np.where(dt_hi >= 0.0, np.abs(dt_lo) ** (1.0 - rho)
+                     - np.abs(dt_hi) ** (1.0 - rho), 0.0)
+        out[i0:i0 + block] = w @ slopes
+    return out / math.gamma(2.0 - rho)
 
 
 def dense_l1_march(lam, gamma, rho, y0, fvals, grid):
@@ -100,6 +122,36 @@ class TestCaputo:
                 assert from_trace[k] == pytest.approx(
                     caputo_l1(y[:k + 1], rho, grid), rel=1e-12)
             assert from_trace[0] == 0.0
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.99])
+    @pytest.mark.parametrize("n", [50, 600, 4096])
+    def test_trace_fft_matches_dense_sum(self, rho, n):
+        t = np.linspace(0.0, 2.0, n)
+        cols = np.column_stack([
+            np.sin(3.0 * t),
+            1.0 + t ** 2,
+            np.exp(-1e4 * t),  # stiff: decays within the first cell
+            np.exp(-t) * np.cos(40.0 * t),
+        ])
+        assert _is_uniform(t)  # the FFT path
+        ref = dense_l1_trace(t, cols, rho)
+        scale = np.max(np.abs(ref), axis=0)
+        out = caputo_l1_trace(t, cols, rho)
+        assert np.all(out[0] == 0.0)
+        assert np.all(np.max(np.abs(out - ref), axis=0) <= 1e-12 * scale)
+        single = caputo_l1_trace(t, cols[:, 2], rho)
+        assert single.shape == (n,) and single[0] == 0.0
+        assert np.max(np.abs(single - ref[:, 2])) <= 1e-12 * scale[2]
+
+    def test_uniformity_tolerance(self):
+        t = np.linspace(1.0, 3.0, 101)
+        assert _is_uniform(t)
+        nudged = t.copy()
+        nudged[40] += 1e-13
+        assert _is_uniform(nudged)
+        nudged[40] += 1e-10
+        assert not _is_uniform(nudged)
+        assert not _is_uniform(np.linspace(0.0, 1.0, 101) ** 1.5)
 
     def test_trace_variant_multicolumn(self):
         t = np.array([0.0, 0.1, 0.35, 0.6, 1.0])  # nonuniform

@@ -612,6 +612,59 @@ class TestExports:
         assert payload["fields"][0][0] == trace.coefficients[0, 0]
         assert "residual_max_interior" in payload["diagnostics"]
 
+    @pytest.fixture
+    def edge_trace(self):
+        # values whose shortest round-trip form needs all 17 digits, signed
+        # zero, the subnormal and normal extremes
+        op = dirichlet_laplacian_1d(math.pi, 5)
+        nodes = np.linspace(0.0, 0.7, 6)
+        coefficients = np.array([
+            [-0.0, 5e-324, 1.7976931348623157e308, 1e-300, 1.0],
+            [0.1 + 0.2, 1.0 / 3.0, -2.0 / 7.0, math.pi, -math.e],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [-5e-324, -1e-300, 1e300, -0.0, 0.0],
+            [1.0, -1.0, 0.5, 1e-17, 123456789.12345678],
+            [math.sqrt(2.0), -0.0, 2.0 ** -1074, 9007199254740993.0, 1e22],
+        ])
+        return SolutionTrace(nodes, coefficients, op, {})
+
+    def test_csv_matches_per_row_formatting(self, edge_trace, tmp_path):
+        path = tmp_path / "trace.csv"
+        export_trace_csv(edge_trace, str(path))
+        lines = ["t,k,coefficient"]
+        for i, t in enumerate(edge_trace.nodes):
+            for k in range(1, edge_trace.n_modes + 1):
+                c = edge_trace.coefficients[i, k - 1]
+                lines.append(f"{t:.17g},{k},{c:.17g}")
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_grid_csv_matches_per_node_synthesis(self, edge_trace, tmp_path):
+        from frstokes.spectral import CoefficientField, synthesize
+
+        xs = np.linspace(0.0, math.pi, 9)
+        path = tmp_path / "grid.csv"
+        export_trace_grid_csv(edge_trace, xs, str(path))
+        lines = ["t,x,u"]
+        for i, t in enumerate(edge_trace.nodes):
+            field = CoefficientField(edge_trace.coefficients[i].copy(),
+                                     edge_trace.operator)
+            for xv, uv in zip(xs, synthesize(field, xs)):
+                lines.append(f"{t:.17g},{xv:.17g},{uv:.17g}")
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    def test_json_matches_per_element_floats(self, edge_trace, tmp_path):
+        path = tmp_path / "trace.json"
+        export_trace_json(edge_trace, str(path))
+        payload = {
+            "nodes": [float(t) for t in edge_trace.nodes],
+            "eigenvalues": [float(v) for v in edge_trace.operator.eigenvalues],
+            "fields": [[float(c) for c in row]
+                       for row in edge_trace.coefficients],
+            "diagnostics": {},
+        }
+        assert path.read_text() == json.dumps(payload, indent=2,
+                                              sort_keys=True) + "\n"
+
     def test_grid_sampled_export(self, trace, tmp_path):
         path = tmp_path / "grid.csv"
         export_trace_grid_csv(trace, np.linspace(0.0, math.pi, 5), str(path))
