@@ -15,9 +15,10 @@ and A, B and the antiderivative Phi(t) = int_0^t A (transform A^(z) / z)
 come from one hyperbolic Bromwich contour that serves every eigenvalue at
 once (Weideman & Trefethen 2007, Math. Comp. 76:1341-1356).  Both kernels
 are also Laplace integrals of explicit spectral densities on the positive
-half line; the real-line engine integrates those for dB/dt, for the
-uniform-in-mode lower bounds and as the independent reference the
-verification suites compare against.
+half line.  The real-line engine (``quadrature``: the half line mapped onto
+finite intervals and refined by one adaptive Gauss-Kronrod loop)
+integrates those for dB/dt, for the uniform-in-mode lower bounds and as
+the independent reference the verification suites compare against.
 """
 
 from __future__ import annotations
@@ -79,13 +80,17 @@ def _check_positive_r(r):
 
 
 def _density_parts(r, p: KernelParams):
-    """r, r**rho, sin(pi rho) and the squared modulus both densities share."""
+    """r, r**rho, sin(pi rho) and the modulus of both densities' denominator.
+
+    The densities divide by it twice: its square overflows past r ~ 1e154,
+    which would collapse them to 0 there.
+    """
     arr = _check_positive_r(r)
     s = math.sin(math.pi * p.rho)
     rp = arr ** p.rho
     re_part = p.lam - arr + p.lam * p.gamma * rp * math.cos(math.pi * p.rho)
     im_part = p.lam * p.gamma * rp * s
-    return arr, rp, s, re_part ** 2 + im_part ** 2
+    return arr, rp, s, np.hypot(re_part, im_part)
 
 
 def density_A(r, p: KernelParams):
@@ -94,15 +99,16 @@ def density_A(r, p: KernelParams):
     Nonnegative for all r > 0; behaves like r**(rho-1) at the origin and
     like r**(rho-3) at infinity.
     """
-    arr, _, s, denom = _density_parts(r, p)
-    out = (p.gamma / math.pi) * p.lam ** 2 * arr ** (p.rho - 1.0) * s / denom
+    arr, _, s, mod = _density_parts(r, p)
+    out = (p.gamma / math.pi) * p.lam ** 2 * arr ** (p.rho - 1.0) * s
+    out = out / mod / mod
     return out if isinstance(r, np.ndarray) else float(out)
 
 
 def density_B(r, p: KernelParams):
     """Spectral density of B; equals (r / lam) * density_A(r) identically."""
-    _, rp, s, denom = _density_parts(r, p)
-    out = (p.gamma / math.pi) * p.lam * rp * s / denom
+    _, rp, s, mod = _density_parts(r, p)
+    out = (p.gamma / math.pi) * p.lam * rp * s / mod / mod
     return out if isinstance(r, np.ndarray) else float(out)
 
 
@@ -239,8 +245,9 @@ def eval_dB_dt_grid(p: KernelParams, ts, q: QuadratureConfig | None = None,
                     min_time: float = MIN_DERIVATIVE_TIME):
     """d/dt B(lam, t) on a grid of t >= min_time; returns (values, errors).
 
-    Refuses very small times: the integrand -r exp(-r t) density_B(r) loses
-    integrability as t -> 0, so any fixed truncation becomes unreliable.
+    Refuses very small times: r density_B(r) decays only like r^(rho - 1),
+    so the integrand -r exp(-r t) density_B(r) is integrable only through
+    exp(-r t), and dB/dt grows without bound as t -> 0.
     """
     arr = _check_times(ts, minimum=min_time, what="derivative time")
     values, errors = exp_weighted_semiinfinite(
@@ -268,8 +275,7 @@ def _lower_bound(rho, gamma, lambda_1, T, power, q):
         denom = r ** 2 / lambda_1 ** 2 + gamma ** 2 * r ** (2.0 * rho) + 1.0
         return r ** power * np.exp(-r * T) / denom
 
-    value, _ = integrate_semiinfinite(dens, singular_exponent=min(power, 0.0),
-                                      decay_scale=T, q=q)
+    value, _ = integrate_semiinfinite(dens, min(power, 0.0), q)
     return gamma * math.sin(math.pi * rho) / (3.0 * math.pi) * value
 
 

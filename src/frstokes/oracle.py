@@ -35,14 +35,17 @@ def l1_weights(rho: float, n: int) -> np.ndarray:
     """L1 coefficients b_j = (j+1)^(1-rho) - j^(1-rho), j = 0..n-1.
 
     Positive, strictly decreasing, b_0 = 1, and telescoping:
-    sum_{j<n} b_j = n^(1-rho).
+    sum_{j<n} b_j = n^(1-rho).  For j >= 1 they are formed as
+    j^(1-rho) expm1((1-rho) log1p(1/j)), which keeps full precision where
+    the difference of powers would cancel.
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie strictly inside (0, 1)")
     if n < 1:
         raise ValueError("need at least one weight")
-    j = np.arange(n, dtype=np.float64)
-    return (j + 1.0) ** (1.0 - rho) - j ** (1.0 - rho)
+    a = 1.0 - rho
+    j = np.arange(1, n, dtype=np.float64)
+    return np.concatenate(([1.0], j ** a * np.expm1(a * np.log1p(1.0 / j))))
 
 
 @dataclass(frozen=True)

@@ -104,7 +104,7 @@ def integral_B_time(p: KernelParams, t: float,
     The grading exponent compensates the s^(-rho) growth of B', which is
     the kernel's only nonsmoothness on [0, t].
     """
-    breaks = graded_mesh(t, 64, max(2.0, 2.0 / (1.0 - p.rho)), toward="start")
+    breaks = graded_mesh(t, 64, max(2.0, 2.0 / (1.0 - p.rho)))
 
     def fvec(ts):
         vals, _ = eval_B_grid(p, ts, q)

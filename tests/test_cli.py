@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -228,11 +229,14 @@ class TestSolveCommand:
                                "gamma": "1.0", "horizon": "1.0",
                                "time_grid": {"n_nodes": 8}})
         out_dir = tmp_path / "out"
-        code, out, _ = run_cli(capsys, "solve", "--config", str(path),
-                               "--out-dir", str(out_dir))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "solve", "--config", str(path),
+                                     "--out-dir", str(out_dir))
         assert code == 4
         (line,) = out.strip().splitlines()
         assert json.loads(line)["error"] == "solver"
+        assert err == "" and not caught  # no numpy warning before the JSON
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("lam", [1.0, 100.0, 1e4])

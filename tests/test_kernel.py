@@ -22,6 +22,7 @@ from frstokes.kernel import (
     lower_bound_B,
     _bromwich,
 )
+from frstokes.quadrature import exp_weighted_semiinfinite
 
 TIGHT = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
 
@@ -94,6 +95,24 @@ class TestDensities:
         p = KernelParams(0.3, 1.0, 1.0)
         assert density_B(0.01, p) < density_B(0.5, p)
         assert np.isfinite(density_B(1e-12, p))
+
+    def test_B_density_representable_far_out(self):
+        # the density's modulus squared overflows past r ~ 1e154; the
+        # density itself, ~r^(rho - 2), must not collapse to 0 there
+        p = KernelParams(0.97, 1.0, 1.0)
+        rs = np.geomspace(1e160, 1e280, 7)
+        z = -rs + 0j                 # exactly on the negative real axis
+        via_complex = -np.imag(
+            1.0 / (z + p.lam + p.lam * p.gamma * z ** p.rho)) / math.pi
+        assert density_B(rs, p) == pytest.approx(via_complex, rel=1e-10, abs=0.0)
+
+    def test_B_at_zero_within_its_error_bound_near_classical_order(self):
+        # at rho = 0.97 the B density decays like r^-1.03, so B(0) = 1 takes
+        # the tail out to r ~ 1e300
+        p = KernelParams(0.97, 1.0, 1.0)
+        values, errors = exp_weighted_semiinfinite(
+            lambda r: density_B(r, p), [0.0])
+        assert abs(values[0] - 1.0) <= errors[0] < 1e-7
 
     def test_rejects_nonpositive_r(self):
         p = KernelParams(0.5, 1.0, 1.0)

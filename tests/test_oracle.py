@@ -1,3 +1,4 @@
+import decimal
 import math
 
 import numpy as np
@@ -69,6 +70,19 @@ class TestWeights:
         assert np.all(np.diff(b) < 0.0)
         # telescoping sum collapses exactly
         assert np.sum(b) == pytest.approx(n ** (1.0 - rho), rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.99])
+    def test_full_precision_against_decimal(self, rho):
+        # (j+1)^a - j^a in 40 digits, with a the same double 1 - rho
+        a = decimal.Decimal(1.0 - rho)
+        b = l1_weights(rho, 100_000)
+        assert b[0] == 1.0
+        with decimal.localcontext() as ctx:
+            ctx.prec = 40
+            for j in (1, 2, 3, 10, 99, 1000, 31623, 65536, 99999):
+                exact = float(decimal.Decimal(j + 1) ** a
+                              - decimal.Decimal(j) ** a)
+                assert abs(b[j] - exact) <= 2e-15 * exact
 
     def test_grid_carries_weights(self):
         grid = L1Grid(0.1, 10, 0.5)
