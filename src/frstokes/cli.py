@@ -39,6 +39,7 @@ from .solvers import (
     SolverError,
     _atomic_write,
     constant_source,
+    dumps_json,
     export_trace_csv,
     export_trace_grid_csv,
     export_trace_json,
@@ -277,8 +278,7 @@ def _write_artifacts(trace, paths, n_points):
             xs = np.linspace(0.0, trace.operator.length, n_points)
             export_trace_grid_csv(trace, xs, staged["grid_csv"])
         _atomic_write(staged["diagnostics_json"],
-                      json.dumps(trace.diagnostics, indent=2, sort_keys=True,
-                                 allow_nan=True) + "\n")
+                      dumps_json(trace.diagnostics) + "\n")
         for key, tmp in staged.items():
             os.replace(tmp, paths[key])
     except BaseException:
@@ -378,7 +378,7 @@ def cmd_verify(args):
         report = run_suites(names, tolerance_override=args.tolerance_override)
     except KeyError as exc:
         raise ConfigError(str(exc)) from exc
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(dumps_json(report))
     if not report["passed"]:
         print(f"FAILED: {', '.join(report['failed'])}", file=sys.stderr)
         return EXIT_VERIFY_FAILED
@@ -455,7 +455,7 @@ def cmd_convergence(args):
         "observed_orders": orders,
         "richardson": extrapolated,
     }
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(dumps_json(report))
     return EXIT_OK
 
 

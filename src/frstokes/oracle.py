@@ -107,7 +107,9 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
     may be (n,) or (n, m) for m simultaneous modes; node 0 gets zero.  On a
     uniform grid the sum is one FFT convolution of the L1 weights with the
     slopes, for all modes at once: O(n log n).  Other grids take the dense
-    O(n^2) sum.
+    O(n^2) sum.  The trace is causal: from a column's first non-finite
+    slope onward its derivative is NaN, and the nodes before keep their
+    values.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -118,7 +120,12 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie strictly inside (0, 1)")
     h = np.diff(t)
-    slopes = (v[1:] - v[:-1]) / (h[:, None] if v.ndim == 2 else h)
+    with np.errstate(invalid="ignore", over="ignore"):
+        slopes = (v[1:] - v[:-1]) / (h[:, None] if v.ndim == 2 else h)
+    # the sums mix every slope (the FFT) or multiply 0 * inf (the dense
+    # block), so non-finite slopes enter as zero and their nodes are reset
+    bad = ~np.isfinite(slopes)
+    slopes[bad] = 0.0
     out = np.empty(v.shape)
     if _is_uniform(t):
         # w[i, j] = step^(1-rho) b_(i-1-j): a Toeplitz product
@@ -126,7 +133,7 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
         b = l1_weights(rho, t.size - 1).reshape((-1,) + (1,) * (v.ndim - 1))
         out[0] = 0.0
         out[1:] = step ** (1.0 - rho) * _convolve(slopes, b, t.size - 1)
-        return out / math.gamma(2.0 - rho)
+        return _causal(out / math.gamma(2.0 - rho), bad)
     # w[i, j] = (t_i - t_j)^(1-rho) - (t_i - t_{j+1})^(1-rho) for j < i, built
     # TRACE_BLOCK rows at a time so memory stays O(n) rather than O(n^2)
     for i0 in range(0, t.size, TRACE_BLOCK):
@@ -137,7 +144,13 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
         w = np.where(mask, np.abs(dt_lo) ** (1.0 - rho)
                      - np.abs(dt_hi) ** (1.0 - rho), 0.0)
         out[i0:i0 + TRACE_BLOCK] = w @ slopes
-    return out / math.gamma(2.0 - rho)
+    return _causal(out / math.gamma(2.0 - rho), bad)
+
+
+def _causal(out: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """out with NaN at every node past a non-finite slope of its column."""
+    out[1:][np.logical_or.accumulate(bad, axis=0)] = np.nan
+    return out
 
 
 def _convolve(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:

@@ -107,7 +107,12 @@ class QuadratureNonconvergence(RuntimeError):
         self.error_bound = error_bound
 
 
-def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits):
+class _BeyondRange(ValueError):
+    """A non-finite integrand value at a node its substitution cannot map."""
+
+
+def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
+            in_range=None):
     """Adaptive Gauss-Kronrod on the panels between consecutive ``breaks``.
 
     ``integrand`` maps nodes of shape (n,) to values of shape (n, m), one
@@ -116,9 +121,12 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits):
     ValueError instead).  Each round bisects the worst eighth of the panels,
     ranked by |Kronrod - Gauss| over the tolerance of each output still
     open, until every output meets ``max(abs_tol, rel_tol * |value|)``.
-    Returns the per-output (values, errors); raises
+    Returns the per-output (values, errors).  Raises
     :class:`QuadratureNonconvergence` with them once ``max_rounds`` rounds
-    or ``max_splits`` bisections are spent.
+    or ``max_splits`` bisections are spent, when the worst panels reach
+    floating-point resolution, or when the integrand is not finite on a
+    new panel at a node that ``in_range`` (a mask of the nodes the
+    integrand's substitution can represent) rejects.
     """
 
     def panel_sums(lo, hi):
@@ -130,7 +138,9 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits):
         finite = np.all(np.isfinite(f), axis=(1, 2))
         if not np.all(finite):
             i = int(np.argmin(finite))
-            raise ValueError(f"integrand is not finite on [{lo[i]:g}, {hi[i]:g}]")
+            beyond = in_range is not None and not np.all(in_range(x[i]))
+            raise (_BeyondRange if beyond else ValueError)(
+                f"integrand is not finite on [{lo[i]:g}, {hi[i]:g}]")
         k = half[:, None] * (_WK @ f)
         return k, np.abs(k - half[:, None] * (_WG @ f))
 
@@ -159,7 +169,11 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits):
         keep[worst] = False
         new_lo = np.concatenate((lo[worst], mid))
         new_hi = np.concatenate((mid, hi[worst]))
-        new_vals, new_errs = panel_sums(new_lo, new_hi)
+        try:
+            new_vals, new_errs = panel_sums(new_lo, new_hi)
+        except _BeyondRange:
+            reason = "worst panel at the float range of the substitution"
+            break
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
         vals = np.concatenate((vals[keep], new_vals))
@@ -204,20 +218,32 @@ def exp_weighted_semiinfinite(
     inv = 1.0 / beta
     split = q.split_point
 
+    def tail(y):
+        # r = split * y**-TAIL_POWER and its Jacobian
+        r = split * y ** -TAIL_POWER
+        return r, TAIL_POWER * r / y
+
     def integrand(x):
         # head nodes x in (0, split**beta]: r = x**(1/beta); tail nodes
-        # x = -y, y in (0, 1): r = split * y**-TAIL_POWER
-        y = -x
-        r = np.where(x < 0.0, split * y ** -TAIL_POWER, x ** inv)
-        jac = np.where(x < 0.0, TAIL_POWER * r / y, inv * x ** (inv - 1.0))
+        # x = -y, y in (0, 1): the tail map
+        tail_r, tail_jac = tail(-x)
+        r = np.where(x < 0.0, tail_r, x ** inv)
+        jac = np.where(x < 0.0, tail_jac, inv * x ** (inv - 1.0))
         f = np.asarray(dens(r), dtype=float)
         if f.shape != r.shape:
             raise ValueError("integrand must be vectorized (shape-preserving)")
         return (jac * f)[:, None] * np.exp(-np.outer(r, ts))
 
+    def in_range(x):
+        # the tail map overflows below y ~ 1e-18, which a slow tail at t = 0
+        # reaches by bisecting its end panel
+        with np.errstate(all="ignore"):
+            return (x > 0.0) | np.isfinite(tail(-x)[1])
+
     breaks = np.concatenate(([-1.0], np.linspace(0.0, split ** beta, 5)))
     budget = 64 * q.max_refinements
-    return _refine(integrand, breaks, q.abs_tol, q.rel_tol, budget, budget)
+    return _refine(integrand, breaks, q.abs_tol, q.rel_tol, budget, budget,
+                   in_range)
 
 
 def integrate_semiinfinite(

@@ -44,7 +44,8 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from typing import Callable
+from itertools import repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -77,6 +78,7 @@ PROBLEM_KINDS = ("forward", "nonlocal", "backward")
 LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
 BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
+CSV_BLOCK = 1 << 14  # cells per formatted block of a CSV export
 
 
 class SolverError(RuntimeError):
@@ -538,12 +540,13 @@ def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
 # Exports
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, text) -> None:
+    """Write a string, or strings from an iterable in order, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -552,19 +555,66 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 def _long_csv(header: str, nodes: np.ndarray, columns: list[str],
-              values: np.ndarray) -> str:
+              values: np.ndarray) -> Iterator[str]:
     """CSV rows `t<column><value>`, node-major, one per node and column.
 
-    Each number is formatted once, by "%.17g", which round-trips.
+    Yields the file in blocks of about CSV_BLOCK cells.  A block is one
+    %-format of one row template repeated per node, its arguments each
+    node's stamp, formatted once, interleaved with the node's values: every
+    number is formatted once, by "%.17g", which round-trips, and memory is
+    bounded by the block rather than the file.
     """
     m = len(columns)
-    cells = ["%.17g" % v for v in values.ravel().tolist()]
-    lines = [header]
-    for i, t in enumerate(nodes.tolist()):
-        stamp = "%.17g" % t
-        lines += [stamp + c + v
-                  for c, v in zip(columns, cells[i * m:(i + 1) * m])]
-    return "\n".join(lines) + "\n"
+    template = "".join("%s" + c.replace("%", "%%") + "%.17g\n"
+                       for c in columns)
+    per = max(1, CSV_BLOCK // max(m, 1))
+    yield header + "\n"
+    for i0 in range(0, nodes.size, per):
+        stamps = ["%.17g" % t for t in nodes[i0:i0 + per].tolist()]
+        args = [None] * (2 * m * len(stamps))
+        args[0::2] = [s for s in stamps for _ in range(m)]
+        args[1::2] = values[i0:i0 + per].ravel().tolist()
+        yield template * len(stamps) % tuple(args)
+
+
+def dumps_json(obj) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+
+    json runs its C encoder only without indent, so the dicts and the lists
+    that hold containers are laid out here, and each flat list of scalars
+    is one C-encoder call whose item separator carries the line break and
+    the indent.
+    """
+    return _json(obj, "\n")
+
+
+def _json(obj, newline: str) -> str:
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        if any(map(isinstance, obj, repeat((dict, list, tuple)))):
+            body = ("," + inner).join(_json(v, inner) for v in obj)
+        else:
+            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [json.dumps(_json_key(k)) + ": " + _json(v, inner)
+                 for k, v in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(obj)
+
+
+def _json_key(key) -> str:
+    """A dict key as json writes it: str as is, numbers, bools, None encoded."""
+    if isinstance(key, str):
+        return key
+    if isinstance(key, (int, float)) or key is None:
+        return json.dumps(key)
+    raise TypeError(f"keys must be str, int, float, bool or None, "
+                    f"not {type(key).__name__}")
 
 
 def export_trace_csv(trace: SolutionTrace, path: str) -> None:
@@ -581,7 +631,7 @@ def export_trace_json(trace: SolutionTrace, path: str) -> None:
         "fields": trace.coefficients.tolist(),
         "diagnostics": trace.diagnostics,
     }
-    _atomic_write(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, dumps_json(payload) + "\n")
 
 
 def export_trace_grid_csv(trace: SolutionTrace, x, path: str) -> None:

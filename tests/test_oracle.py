@@ -1,5 +1,6 @@
 import decimal
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,26 @@ class TestCaputo:
         nudged[40] += 1e-10
         assert not _is_uniform(nudged)
         assert not _is_uniform(np.linspace(0.0, 1.0, 101) ** 1.5)
+
+    @pytest.mark.parametrize("t", [np.linspace(0.0, 1.0, 64),
+                                   np.linspace(0.0, 1.0, 64) ** 1.5],
+                             ids=["uniform", "dense"])
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_trace_is_causal_past_non_finite_values(self, t, bad):
+        # node 40 of column 0 is non-finite: nodes before it keep the clean
+        # trace, it and every later node are NaN, column 1 is untouched
+        clean = np.column_stack([np.sin(3.0 * t), 1.0 + t ** 2])
+        cols = clean.copy()
+        cols[40, 0] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = caputo_l1_trace(t, cols, 0.4)
+            single = caputo_l1_trace(t, cols[:, 0], 0.4)
+        ref = caputo_l1_trace(t, clean, 0.4)
+        for col in (out[:, 0], single):
+            assert np.all(np.isnan(col[40:]))
+            assert np.allclose(col[:40], ref[:40, 0], rtol=0.0, atol=1e-12)
+        assert np.allclose(out[:, 1], ref[:, 1], rtol=0.0, atol=1e-12)
 
     def test_trace_variant_multicolumn(self):
         t = np.array([0.0, 0.1, 0.35, 0.6, 1.0])  # nonuniform

@@ -151,3 +151,16 @@ def test_non_finite_integrand_raises_without_numpy_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
             integrate_semiinfinite(lambda r: r ** sigma * np.exp(-r), sigma)
+
+
+def test_slow_tail_at_zero_decay_reports_best_estimate():
+    # int_0^inf dr/(1+r)^1.01 = 100: bisecting the tail's end panel reaches
+    # y where r = y**-16 overflows; refinement stops there, and the engine
+    # reports its best estimate instead of a non-finite integrand
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureNonconvergence) as excinfo:
+            exp_weighted_semiinfinite(lambda r: (1.0 + r) ** -1.01, [0.0])
+    value, bound = excinfo.value.value, excinfo.value.error_bound
+    assert math.isfinite(value) and math.isfinite(bound) and bound > 0.0
+    assert value == pytest.approx(100.0, rel=1e-2)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from frstokes.solvers import (
     SolutionTrace,
     coercivity_report,
     constant_source,
+    dumps_json,
     export_trace_csv,
     export_trace_grid_csv,
     export_trace_json,
@@ -664,6 +666,62 @@ class TestExports:
         }
         assert path.read_text() == json.dumps(payload, indent=2,
                                               sort_keys=True) + "\n"
+
+    @pytest.mark.parametrize("n_nodes, columns", [
+        (1, [",1,", ",5%,", ",%s%%,"]),
+        (2 * (solvers.CSV_BLOCK // 7) + 17, [f",{k}," for k in range(1, 8)]),
+        (3, [",%d," % k for k in range(solvers.CSV_BLOCK + 1)]),
+        (3, []),
+    ], ids=["one-node", "partial-last-block", "more-columns-than-block",
+            "no-columns"])
+    def test_csv_blocks_match_per_row_formatting(self, n_nodes, columns,
+                                                 tmp_path):
+        rng = np.random.default_rng(n_nodes)
+        nodes = np.sort(rng.uniform(0.0, 1.0, n_nodes))
+        values = rng.standard_normal((n_nodes, len(columns)))
+        values.flat[:4] = [-0.0, 5e-324, math.inf, math.nan][:values.size]
+        path = tmp_path / "long.csv"
+        solvers._atomic_write(str(path), solvers._long_csv(
+            "t,c,v", nodes, columns, values))
+        lines = ["t,c,v"] + [f"{t:.17g}{c}{v:.17g}"
+                             for t, row in zip(nodes, values)
+                             for c, v in zip(columns, row)]
+        assert path.read_text() == "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("obj", [
+        {"nan": math.nan, "inf": [math.inf, -math.inf, 5e-324, -0.0],
+         "f64": [np.float64(0.1), 1e300], "one": np.float64(-2.5)},
+        {"empty": {}, "list": [], "nested": [[], [[1, 2.5], {}], [{"a": None}]]},
+        ("tuple", (1, (2.0, "x")), [True, False, None, 0, -3, 2 ** 70]),
+        {"\u00fcn\u00ef": "c\u00f6d\u00e9", "z": {"b": 1, "a": [1.0, "\u2603"]},
+         "": ["\n\"\\", "\x00"]},
+        {2: "a", 1.5: [1], -1: {}},
+        {None: 1}, {False: [0.5]}, {math.nan: 0},
+        [], {}, 1.5, "s", None, True, [[[]]], [1, [2, [3, [4.5]]]],
+    ])
+    def test_dumps_json_matches_indented_dumps(self, obj):
+        assert dumps_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+
+    def test_dumps_json_matches_on_solve_diagnostics(self, trace):
+        assert dumps_json(trace.diagnostics) == json.dumps(
+            trace.diagnostics, indent=2, sort_keys=True)
+
+    def test_csv_export_memory_is_bounded_by_the_block(self, tmp_path):
+        op = explicit_spectrum(np.arange(1.0, 33.0))
+        peaks = []
+        for n in (2048, 16384):
+            trace = SolutionTrace(np.linspace(0.0, 1.0, n),
+                                  np.random.default_rng(n).standard_normal((n, 32)),
+                                  op, {})
+            path = tmp_path / f"{n}.csv"
+            tracemalloc.start()
+            try:
+                export_trace_csv(trace, str(path))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.5 * peaks[0]
+        assert peaks[1] < path.stat().st_size / 4
 
     def test_grid_sampled_export(self, trace, tmp_path):
         path = tmp_path / "grid.csv"
