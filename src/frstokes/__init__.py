@@ -9,8 +9,6 @@ from .kernel import (
     eval_A_grid,
     eval_B,
     eval_B_grid,
-    eval_dA_dt,
-    eval_dB_dt,
     laplace_A_closed_form,
     laplace_B_closed_form,
     laplace_transform_numeric,
@@ -19,7 +17,6 @@ from .kernel import (
 )
 from .oracle import (
     L1Grid,
-    caputo_l1,
     caputo_l1_trace,
     l1_weights,
     richardson_extrapolate,
@@ -47,11 +44,9 @@ from .spectral import (
     AliasingWarning,
     CoefficientField,
     SpectralOperator,
-    apply_A,
     basis_field,
     dirichlet_laplacian_1d,
     explicit_spectrum,
-    field_from_coefficients,
     load_field_csv,
     norm_tau,
     project,

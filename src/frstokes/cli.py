@@ -86,6 +86,14 @@ def _num(value, what):
     return number
 
 
+def _count(value, what):
+    """Accept integral JSON numbers or decimal strings for count fields."""
+    number = _num(value, what)
+    if not number.is_integer():
+        raise ConfigError(f"{what}: {value!r} is not a whole number")
+    return int(number)
+
+
 def _table(cfg, name):
     """The config section `name` (default {}), which must be a JSON object."""
     section = cfg.get(name, {})
@@ -107,7 +115,8 @@ def _build_operator(cfg):
     kind = cfg.get("kind")
     if kind == "dirichlet_laplacian_1d":
         return dirichlet_laplacian_1d(_num(cfg.get("length"), "operator.length"),
-                                      int(cfg.get("n_modes", 0)))
+                                      _count(cfg.get("n_modes", 0),
+                                             "operator.n_modes"))
     if kind == "explicit_spectrum":
         ev = cfg.get("eigenvalues")
         if not isinstance(ev, list) or not ev:
@@ -177,7 +186,8 @@ def _build_quadrature(cfg):
     return QuadratureConfig(
         rel_tol=_num(cfg.get("rel_tol", 1e-8), "quadrature.rel_tol"),
         abs_tol=_num(cfg.get("abs_tol", 1e-12), "quadrature.abs_tol"),
-        max_refinements=int(cfg.get("max_refinements", 30)),
+        max_refinements=_count(cfg.get("max_refinements", 30),
+                               "quadrature.max_refinements"),
         split_point=_num(cfg.get("split_point", 1.0), "quadrature.split_point"),
     )
 
@@ -188,7 +198,8 @@ def _build_grid(cfg, horizon):
     if "nodes" in cfg:
         return np.array([_num(v, "time_grid.nodes") for v in cfg["nodes"]])
     if "n_nodes" in cfg:
-        return uniform_grid(horizon, int(cfg["n_nodes"]))
+        return uniform_grid(horizon,
+                            _count(cfg["n_nodes"], "time_grid.n_nodes"))
     raise ConfigError("time_grid needs 'nodes' or 'n_nodes'")
 
 
@@ -236,7 +247,8 @@ def _plan_outputs(output, op, out_dir):
             raise ConfigError(f"output.grid_csv needs an operator with "
                               f"eigenfunctions, got {op.kind!r}")
         files["grid_csv"] = grid_cfg.get("path")
-        n_points = int(grid_cfg.get("n_points", 101))
+        n_points = _count(grid_cfg.get("n_points", 101),
+                          "output.grid_csv.n_points")
         if n_points < 1:
             raise ConfigError("output.grid_csv.n_points must be >= 1")
     files["diagnostics_json"] = output.get("diagnostics_json", "diagnostics.json")

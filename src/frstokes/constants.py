@@ -93,14 +93,10 @@ def measure_constants(rho: float, gamma: float, lambda_1: float = 1.0,
     envelope = 0.0
     derivative = 0.0
     for factor in _LAMBDA_FACTORS:
-        lam = lambda_1 * factor
-        p = KernelParams(rho, gamma, lam)
-        b_vals, _ = eval_B_grid(p, ts, q)
-        env = lam * b_vals / np.minimum(1.0 / ts, ts ** (rho - 1.0))
+        p = KernelParams(rho, gamma, lambda_1 * factor)
+        _, _, env, der = _envelope_terms(p, ts, epsilon, q)
         envelope = max(envelope, float(np.max(env)))
-        db_vals, _ = eval_dB_dt_grid(p, ts, q)
-        weight = ts ** (1.0 - epsilon * (1.0 - rho)) * lam ** (-epsilon)
-        derivative = max(derivative, float(np.max(weight * np.abs(db_vals))))
+        derivative = max(derivative, float(np.max(der)))
     forcing = _measure_forcing_response(rho, gamma, epsilon, T, q)
     return {
         "c_envelope_B": envelope,
@@ -109,6 +105,21 @@ def measure_constants(rho: float, gamma: float, lambda_1: float = 1.0,
         "n_nodes": int(n_nodes),
         "lambda_factors": list(_LAMBDA_FACTORS),
     }
+
+
+def _envelope_terms(p: KernelParams, ts: np.ndarray, epsilon: float,
+                    q: QuadratureConfig | None = None):
+    """B, dB/dt and the two normalized envelope quantities at the times ts.
+
+    The quantities are lam B / min(1/t, t^(rho-1)) and
+    t^(1-eps(1-rho)) lam^-eps |dB/dt|: the manifest stores their suprema
+    and the b-properties suite checks against them.
+    """
+    b, _ = eval_B_grid(p, ts, q)
+    db, _ = eval_dB_dt_grid(p, ts, q)
+    env = p.lam * b / np.minimum(1.0 / ts, ts ** (p.rho - 1.0))
+    weight = ts ** (1.0 - epsilon * (1.0 - p.rho)) * p.lam ** (-epsilon)
+    return b, db, env, weight * np.abs(db)
 
 
 def _measure_forcing_response(rho, gamma, epsilon, T, q):

@@ -44,8 +44,6 @@ __all__ = [
     "eval_B",
     "eval_A_grid",
     "eval_B_grid",
-    "eval_dA_dt",
-    "eval_dB_dt",
     "eval_dB_dt_grid",
     "lower_bound_A",
     "lower_bound_B",
@@ -217,51 +215,36 @@ def eval_B_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
     return values[:, 0], errors[:, 0]
 
 
-def eval_A(p: KernelParams, t: float, q: QuadratureConfig | None = None,
-           with_error: bool = False):
-    """Relaxation kernel A(lam, t): equals 1 at t = 0, strictly decreasing."""
-    values, errors = eval_A_grid(p, [t], q)
-    return (float(values[0]), float(errors[0])) if with_error else float(values[0])
+def eval_A(p: KernelParams, t: float, q: QuadratureConfig | None = None) -> float:
+    """Relaxation kernel A(lam, t): equals 1 at t = 0, strictly decreasing.
+
+    Its derivative is dA/dt = -lam * B(lam, t) for t > 0.
+    """
+    return float(eval_A_grid(p, [t], q)[0][0])
 
 
-def eval_B(p: KernelParams, t: float, q: QuadratureConfig | None = None,
-           with_error: bool = False):
+def eval_B(p: KernelParams, t: float, q: QuadratureConfig | None = None) -> float:
     """Impulse-response kernel B(lam, t): equals 1 at t = 0, in (0, 1) after."""
-    values, errors = eval_B_grid(p, [t], q)
-    return (float(values[0]), float(errors[0])) if with_error else float(values[0])
-
-
-def eval_dA_dt(p: KernelParams, t: float, q: QuadratureConfig | None = None):
-    """d/dt A(lam, t) = -lam * B(lam, t), valid for t > 0."""
-    if not t > 0.0:
-        raise ValueError("derivative of A requires t > 0")
-    return -p.lam * eval_B(p, t, q)
+    return float(eval_B_grid(p, [t], q)[0][0])
 
 
 MIN_DERIVATIVE_TIME = 1e-6
 
 
-def eval_dB_dt_grid(p: KernelParams, ts, q: QuadratureConfig | None = None,
-                    min_time: float = MIN_DERIVATIVE_TIME):
-    """d/dt B(lam, t) on a grid of t >= min_time; returns (values, errors).
+def eval_dB_dt_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
+    """d/dt B(lam, t), strictly negative, on a grid of t >= MIN_DERIVATIVE_TIME.
 
-    Refuses very small times: r density_B(r) decays only like r^(rho - 1),
-    so the integrand -r exp(-r t) density_B(r) is integrable only through
-    exp(-r t), and dB/dt grows without bound as t -> 0.
+    Returns (values, errors).  Refuses smaller times: r density_B(r) decays
+    only like r^(rho - 1), so the integrand -r exp(-r t) density_B(r) is
+    integrable only through exp(-r t), and dB/dt grows without bound as
+    t -> 0.
     """
-    arr = _check_times(ts, minimum=min_time, what="derivative time")
+    arr = _check_times(ts, minimum=MIN_DERIVATIVE_TIME, what="derivative time")
     values, errors = exp_weighted_semiinfinite(
         lambda r: r * density_B(r, p), arr,
         singular_exponent=0.0, q=q,
     )
     return -values, errors
-
-
-def eval_dB_dt(p: KernelParams, t: float, q: QuadratureConfig | None = None,
-               min_time: float = MIN_DERIVATIVE_TIME):
-    """d/dt B(lam, t), strictly negative for t >= min_time."""
-    values, _ = eval_dB_dt_grid(p, [t], q, min_time=min_time)
-    return float(values[0])
 
 
 def _lower_bound(rho, gamma, lambda_1, T, power, q):
@@ -315,12 +298,11 @@ def laplace_B_closed_form(p: KernelParams, z: float) -> float:
 
 def laplace_transform_numeric(p: KernelParams, z: float,
                               q: QuadratureConfig | None = None,
-                              kernel: str = "A",
-                              folds: float = 50.0) -> tuple[float, float]:
-    """Numerically transform an evaluated kernel: int_0^{folds/z} e^{-zt} K(t) dt.
+                              kernel: str = "A") -> tuple[float, float]:
+    """Numerically transform an evaluated kernel: int_0^{50/z} e^{-zt} K(t) dt.
 
     Cross-check target for the closed forms; the truncated tail beyond
-    folds/z is exponentially negligible.  Returns (value, error_estimate).
+    50/z is exponentially negligible (e^-50).  Returns (value, error_estimate).
     """
     if not z > 0.0:
         raise ValueError("transform variable z must be positive")
@@ -329,7 +311,7 @@ def laplace_transform_numeric(p: KernelParams, z: float,
     if q is None:
         q = QuadratureConfig()
     grid_eval = eval_A_grid if kernel == "A" else eval_B_grid
-    t_max = folds / z
+    t_max = 50.0 / z
 
     def fvec(ts):
         return np.exp(-z * ts) * grid_eval(p, ts, q)[0]

@@ -21,7 +21,6 @@ import numpy as np
 __all__ = [
     "L1Grid",
     "l1_weights",
-    "caputo_l1",
     "caputo_l1_trace",
     "solve_scalar",
     "richardson_extrapolate",
@@ -67,24 +66,6 @@ class L1Grid:
     @property
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.count + 1)
-
-
-def caputo_l1(history: Sequence[float] | np.ndarray, rho: float,
-              grid: L1Grid) -> float:
-    """L1 approximation of the Caputo derivative at the last history node.
-
-    history holds y_0 .. y_n on the grid; the rule is exact for affine y.
-    """
-    values = np.asarray(history, dtype=float)
-    if values.ndim != 1 or values.size < 2:
-        raise ValueError("history must hold at least two values")
-    n = values.size - 1
-    if n > grid.count:
-        raise ValueError("history longer than the grid")
-    diffs = values[1:] - values[:-1]
-    # sum_j b_j (y_{n-j} - y_{n-j-1}) pairs weight j with the diff ending at n-j
-    acc = float(np.dot(grid.weights[:n], diffs[::-1]))
-    return grid.step ** (-rho) / math.gamma(2.0 - rho) * acc
 
 
 def _is_uniform(t: np.ndarray) -> bool:

@@ -261,15 +261,13 @@ def integrate_semiinfinite(
     return float(values[0]), float(errors[0])
 
 
-def graded_mesh(t_end: float, cells: int, exponent: float,
-                t_start: float = 0.0) -> np.ndarray:
-    """Breakpoints of a mesh on [t_start, t_end] clustered toward t_start."""
+def graded_mesh(t_end: float, cells: int, exponent: float) -> np.ndarray:
+    """Breakpoints of a mesh on [0, t_end] clustered toward 0."""
     if cells < 1:
         raise ValueError("cells must be >= 1")
-    if not t_end > t_start:
+    if not t_end > 0.0:
         raise ValueError("empty mesh interval")
-    u = (np.arange(cells + 1) / cells) ** exponent
-    return t_start + (t_end - t_start) * u
+    return t_end * (np.arange(cells + 1) / cells) ** exponent
 
 
 def adaptive_finite(

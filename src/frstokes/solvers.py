@@ -481,6 +481,25 @@ def _central_derivative(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
             + h1 / (h2 * (h1 + h2)) * f2)
 
 
+def _interior_terms(trace: SolutionTrace, spec: ProblemSpec, what: str):
+    """D_t u by central differences, A u and f at the interior nodes.
+
+    The terms the residual and the coercivity report share; ``what`` names
+    the diagnostic in the error raised on a grid too coarse for them.
+    """
+    nodes = trace.nodes
+    if nodes.size - 2 < MIN_INTERIOR_NODES:
+        raise GridTooCoarseError(
+            f"{what} needs >= {MIN_INTERIOR_NODES} interior nodes, "
+            f"got {nodes.size - 2}"
+        )
+    u = trace.coefficients
+    du = _central_derivative(nodes, u)
+    au = trace.operator.eigenvalues[None, :] * u[1:-1]
+    f = _sample(spec.source, spec.operator.n_modes, nodes)[1:-1]
+    return du, au, f
+
+
 def residual(trace: SolutionTrace, spec: ProblemSpec,
              q: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Equation residual norm per interior node.
@@ -490,19 +509,13 @@ def residual(trace: SolutionTrace, spec: ProblemSpec,
     L1 rule applied to the trace itself, so the check is independent of the
     kernel quadrature that produced the trace.
     """
-    nodes = trace.nodes
-    if nodes.size - 2 < MIN_INTERIOR_NODES:
-        raise GridTooCoarseError(
-            f"residual needs >= {MIN_INTERIOR_NODES} interior nodes, "
-            f"got {nodes.size - 2}"
-        )
+    # the fractional term first: its FFT temporaries are the largest, and
+    # the shared terms are not yet held beside them
+    dru = caputo_l1_trace(trace.nodes, trace.coefficients, spec.rho)[1:-1]
+    du, au, f = _interior_terms(trace, spec, "residual")
     lam = trace.operator.eigenvalues[None, :]
-    u = trace.coefficients
-    du = _central_derivative(nodes, u)
-    dru = caputo_l1_trace(nodes, u, spec.rho)[1:-1]
-    f = _sample(spec.source, spec.operator.n_modes, nodes)[1:-1]
-    res = du + lam * u[1:-1] + spec.gamma * lam * dru - f
-    return nodes[1:-1], np.sqrt(np.sum(res ** 2, axis=1))
+    res = du + au + spec.gamma * lam * dru - f
+    return trace.nodes[1:-1], np.sqrt(np.sum(res ** 2, axis=1))
 
 
 def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
@@ -513,18 +526,8 @@ def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
     from the equation itself (residual identity), keeping it independent of
     the kernel quadrature.
     """
-    nodes = trace.nodes
-    if nodes.size - 2 < MIN_INTERIOR_NODES:
-        raise GridTooCoarseError(
-            f"coercivity report needs >= {MIN_INTERIOR_NODES} interior nodes, "
-            f"got {nodes.size - 2}"
-        )
-    lam = trace.operator.eigenvalues[None, :]
-    u = trace.coefficients
-    t = nodes[1:-1]
-    du = _central_derivative(nodes, u)
-    au = lam * u[1:-1]
-    f = _sample(spec.source, spec.operator.n_modes, nodes)[1:-1]
+    du, au, f = _interior_terms(trace, spec, "coercivity report")
+    t = trace.nodes[1:-1]
     adru = (f - du - au) / spec.gamma
     norm_du = np.sqrt(np.sum(du ** 2, axis=1))
     return {

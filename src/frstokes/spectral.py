@@ -23,11 +23,9 @@ __all__ = [
     "dirichlet_laplacian_1d",
     "explicit_spectrum",
     "basis_field",
-    "field_from_coefficients",
     "project",
     "synthesize",
     "norm_tau",
-    "apply_A",
     "tail_indicator",
     "load_field_csv",
 ]
@@ -115,10 +113,6 @@ class CoefficientField:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def field_from_coefficients(op: SpectralOperator, coefficients) -> CoefficientField:
-    return CoefficientField(np.asarray(coefficients, dtype=float), op)
-
-
 def basis_field(op: SpectralOperator, k: int, amplitude: float = 1.0) -> CoefficientField:
     """The k-th basis element e_k (k is 1-based)."""
     if not 1 <= k <= op.n_modes:
@@ -175,12 +169,6 @@ def norm_tau(field: CoefficientField, tau: float) -> float:
     """Fractional-power norm (sum_k lam_k^(2 tau) h_k^2)^(1/2)."""
     lam = field.operator.eigenvalues
     return float(np.sqrt(np.sum(lam ** (2.0 * tau) * field.coefficients ** 2)))
-
-
-def apply_A(field: CoefficientField, tau: float) -> CoefficientField:
-    """Fractional operator power: multiply mode k by lam_k^tau."""
-    lam = field.operator.eigenvalues
-    return CoefficientField(lam ** tau * field.coefficients, field.operator)
 
 
 def tail_indicator(field: CoefficientField) -> float:

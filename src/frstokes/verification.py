@@ -11,7 +11,8 @@ rho in {0.3, 0.5, 0.7, 0.9} x gamma in {0.5, 1, 2}; solver-level suites run
 the pinned reference configurations described in each docstring.  Kernel
 values come from the Bromwich contour, as on the solve path; the checks
 that need an independent route (the values at t = 0, the contour itself,
-the backward round trip) integrate the spectral densities on the real line.
+dA/dt against -lam B, the backward round trip) integrate the spectral
+densities on the real line.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from .kernel import (
     eval_A_grid,
     eval_B,
     eval_B_grid,
-    eval_dA_dt,
-    eval_dB_dt_grid,
     laplace_A_closed_form,
     laplace_B_closed_form,
     laplace_transform_numeric,
@@ -59,7 +58,7 @@ from .spectral import (
     explicit_spectrum,
 )
 
-__all__ = ["CheckResult", "SUITES", "run_suites", "integral_B_time"]
+__all__ = ["CheckResult", "SUITES", "run_suites"]
 
 RHO_GRID = (0.3, 0.5, 0.7, 0.9)
 GAMMA_GRID = (0.5, 1.0, 2.0)
@@ -97,8 +96,7 @@ def _tol(default, override):
     return default if override is None else override
 
 
-def integral_B_time(p: KernelParams, t: float,
-                    q: QuadratureConfig | None = None) -> float:
+def _integral_B_time(p: KernelParams, t: float) -> float:
     """int_0^t B(lam, s) ds by composite Gauss on a mesh graded toward 0.
 
     The grading exponent compensates the s^(-rho) growth of B', which is
@@ -107,7 +105,7 @@ def integral_B_time(p: KernelParams, t: float,
     breaks = graded_mesh(t, 64, max(2.0, 2.0 / (1.0 - p.rho)))
 
     def fvec(ts):
-        vals, _ = eval_B_grid(p, ts, q)
+        vals, _ = eval_B_grid(p, ts)
         return vals
 
     value, _ = adaptive_finite(fvec, breaks, tol_abs=1e-11, tol_rel=1e-9)
@@ -131,7 +129,7 @@ def _density_kernel(kernel: str, p: KernelParams, ts,
 # Kernel suites
 
 
-def suite_kernel_initial(q=None, override=None):
+def suite_kernel_initial(override=None):
     """Both kernels equal 1 at t = 0 across the grid and lam in {1, 10, 100}.
 
     The contour pins t = 0, so the densities are integrated instead.
@@ -142,8 +140,8 @@ def suite_kernel_initial(q=None, override=None):
     for rho, gamma in _grid():
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
-            da = abs(_density_kernel("A", p, [0.0], q)[0] - 1.0)
-            db = abs(_density_kernel("B", p, [0.0], q)[0] - 1.0)
+            da = abs(_density_kernel("A", p, [0.0])[0] - 1.0)
+            db = abs(_density_kernel("B", p, [0.0])[0] - 1.0)
             if max(da, db) > max(worst_a, worst_b):
                 where = f"rho={rho} gamma={gamma} lam={lam}"
             worst_a = max(worst_a, da)
@@ -156,7 +154,7 @@ def suite_kernel_initial(q=None, override=None):
     ]
 
 
-def suite_a_properties(q=None, override=None):
+def suite_a_properties(override=None):
     """Monotone decay, range (0, 1), and the uniform lower bound for A."""
     tol = _tol(0.0, override)
     ts = np.geomspace(1e-3, 1.0, 50)
@@ -165,10 +163,10 @@ def suite_a_properties(q=None, override=None):
     worst_bound = -np.inf  # bound violation amount
     detail = ""
     for rho, gamma in _grid():
-        c_a = lower_bound_A(rho, gamma, 1.0, 1.0, q)
+        c_a = lower_bound_A(rho, gamma, 1.0, 1.0)
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
-            vals, _ = eval_A_grid(p, ts, q)
+            vals, _ = eval_A_grid(p, ts)
             worst_mono = max(worst_mono, float(np.max(np.diff(vals))))
             worst_range = max(worst_range, float(np.max(vals - 1.0)),
                               float(np.max(-vals)))
@@ -185,29 +183,36 @@ def suite_a_properties(q=None, override=None):
     ]
 
 
-def suite_identities(q=None, override=None):
-    """A = 1 - lam * int B, dA/dt = -lam B (with FD cross-check), int B < 1/lam."""
+def suite_identities(override=None):
+    """A = 1 - lam * int B, dA/dt = -lam B (with FD cross-check), int B < 1/lam.
+
+    The derivative identity holds B from the contour against dA/dt from the
+    density engine, -int_0^inf r e^(-rt) density_A(r) dr.
+    """
     tol_int = _tol(1e-6, override)
     tol_deriv = _tol(1e-6, override)
     tol_fd = _tol(1e-5, override)
     tight = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
+    ts = np.array([0.25, 1.0])
     worst_int = worst_deriv = worst_fd = 0.0
     min_b_margin = np.inf
     for rho, gamma in _grid():
         for lam in (1.0, 10.0):
             p = KernelParams(rho, gamma, lam)
-            for t in (0.25, 1.0):
-                a_t = eval_A(p, t, q)
-                ib = integral_B_time(p, t, q)
+            for t in ts:
+                a_t = eval_A(p, t)
+                ib = _integral_B_time(p, t)
                 worst_int = max(worst_int, abs(a_t - (1.0 - lam * ib)))
-            worst_deriv = max(
-                worst_deriv, abs(eval_dA_dt(p, 1.0, q) + lam * eval_B(p, 1.0, q))
-            )
+            b_vals, _ = eval_B_grid(p, ts)
+            minus_da, _ = exp_weighted_semiinfinite(
+                lambda r: r * density_A(r, p), ts, singular_exponent=0.0)
+            worst_deriv = max(worst_deriv,
+                              float(np.max(np.abs(lam * b_vals - minus_da))))
             h = 1e-4
             fd = (eval_A(p, 1.0 + h, tight) - eval_A(p, 1.0 - h, tight)) / (2 * h)
-            worst_fd = max(worst_fd, abs(fd - eval_dA_dt(p, 1.0, tight)))
+            worst_fd = max(worst_fd, abs(fd + lam * eval_B(p, 1.0, tight)))
             min_b_margin = min(min_b_margin,
-                               1.0 / lam - integral_B_time(p, 1.0, q))
+                               1.0 / lam - _integral_B_time(p, 1.0))
     return [
         CheckResult.from_worst("identities", "integral-identity", tol_int,
                                worst_int),
@@ -221,7 +226,7 @@ def suite_identities(q=None, override=None):
     ]
 
 
-def suite_b_properties(q=None, override=None):
+def suite_b_properties(override=None):
     """Range, sign of dB/dt, and the measured envelope constants for B.
 
     The constant checks run on a strict subset of the manifest's reference
@@ -235,23 +240,18 @@ def suite_b_properties(q=None, override=None):
     worst_sign = -np.inf
     worst_env = -np.inf
     worst_der = -np.inf
-    eps = constants_mod.DEFAULT_EPSILON
     for rho, gamma in _grid():
         cell = constants_mod.get_constants(rho, gamma)
         for lam in (1.0, 10.0, 100.0):
-            p = KernelParams(rho, gamma, lam)
-            b_vals, _ = eval_B_grid(p, ts, q)
+            b_vals, db_vals, env, der = constants_mod._envelope_terms(
+                KernelParams(rho, gamma, lam), ts, constants_mod.DEFAULT_EPSILON)
             worst_range = max(worst_range, float(np.max(b_vals - 1.0)),
                               float(np.max(-b_vals)))
-            db_vals, _ = eval_dB_dt_grid(p, ts, q)
             worst_sign = max(worst_sign, float(np.max(db_vals)))
-            env = lam * b_vals / np.minimum(1.0 / ts, ts ** (rho - 1.0))
             worst_env = max(worst_env,
                             float(np.max(env)) / cell["c_envelope_B"] - 1.0)
-            wgt = ts ** (1.0 - eps * (1.0 - rho)) * lam ** (-eps)
             worst_der = max(worst_der,
-                            float(np.max(wgt * np.abs(db_vals)))
-                            / cell["c_derivative_B"] - 1.0)
+                            float(np.max(der)) / cell["c_derivative_B"] - 1.0)
     return [
         CheckResult.from_worst("b-properties", "range-(0,1)", tol, worst_range),
         CheckResult.from_worst("b-properties", "derivative-negative", tol,
@@ -264,7 +264,7 @@ def suite_b_properties(q=None, override=None):
     ]
 
 
-def suite_bounds(q=None, override=None):
+def suite_bounds(override=None):
     """Scaled lower bound for B, the deviation corollary, and the Gamma cap."""
     tol = _tol(0.0, override)
     ts = np.geomspace(1e-3, 1.0, 25)
@@ -272,16 +272,16 @@ def suite_bounds(q=None, override=None):
     worst_cor = -np.inf
     worst_cap = -np.inf
     for rho, gamma in _grid():
-        c_b = lower_bound_B(rho, gamma, 1.0, 1.0, q)
+        c_b = lower_bound_B(rho, gamma, 1.0, 1.0)
         cap = (math.gamma(rho) * gamma * math.sin(math.pi * rho)
                / (3.0 * math.pi))
-        c_a = lower_bound_A(rho, gamma, 1.0, 1.0, q)
+        c_a = lower_bound_A(rho, gamma, 1.0, 1.0)
         worst_cap = max(worst_cap, c_a - cap)
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
-            b_vals, _ = eval_B_grid(p, ts, q)
+            b_vals, _ = eval_B_grid(p, ts)
             worst_b = max(worst_b, float(np.max(c_b - lam * b_vals)))
-            a_vals, _ = eval_A_grid(p, ts, q)
+            a_vals, _ = eval_A_grid(p, ts)
             worst_cor = max(worst_cor, float(np.max(c_b * ts - np.abs(a_vals - 1.0))))
     return [
         CheckResult.from_worst("bounds", "scaled-lower-bound-B", tol, worst_b),
@@ -292,7 +292,7 @@ def suite_bounds(q=None, override=None):
     ]
 
 
-def suite_laplace(q=None, override=None):
+def suite_laplace(override=None):
     """Numerically transformed kernels match the closed forms at z in {.5,1,2,5};
     the contour inverting those closed forms matches the density engine."""
     tol = _tol(1e-4, override)
@@ -302,8 +302,8 @@ def suite_laplace(q=None, override=None):
         for lam in (1.0, 10.0):
             p = KernelParams(rho, gamma, lam)
             for z in (0.5, 1.0, 2.0, 5.0):
-                num_a, _ = laplace_transform_numeric(p, z, q, kernel="A")
-                num_b, _ = laplace_transform_numeric(p, z, q, kernel="B")
+                num_a, _ = laplace_transform_numeric(p, z, kernel="A")
+                num_b, _ = laplace_transform_numeric(p, z, kernel="B")
                 da = abs(num_a - laplace_A_closed_form(p, z))
                 db = abs(num_b - laplace_B_closed_form(p, z))
                 if max(da, db) > worst:
@@ -320,7 +320,7 @@ def suite_laplace(q=None, override=None):
         for gamma in GAMMA_GRID:
             for lam in (1.0, 1e2, 1e4, 1e6):
                 p = KernelParams(rho, gamma, lam)
-                d = max(np.max(np.abs(grid(p, ts, q)[0]
+                d = max(np.max(np.abs(grid(p, ts)[0]
                                       - _density_kernel(kernel, p, ts, reference_q)))
                         for kernel, grid in (("A", eval_A_grid), ("B", eval_B_grid)))
                 if d > worst_contour:
@@ -332,7 +332,7 @@ def suite_laplace(q=None, override=None):
                                    worst_contour, detail_contour)]
 
 
-def suite_oracle(q=None, override=None):
+def suite_oracle(override=None):
     """Quadrature kernel vs L1 stepping at t = 1, monotone under halving."""
     tol = _tol(1e-4, override)
     worst = 0.0
@@ -342,7 +342,7 @@ def suite_oracle(q=None, override=None):
         for gamma in GAMMA_GRID:
             for lam in (1.0, 10.0):
                 p = KernelParams(rho, gamma, lam)
-                ref = eval_A(p, 1.0, q)
+                ref = eval_A(p, 1.0)
                 errs = []
                 for dt in (4e-5, 2e-5, 1e-5):
                     grid = L1Grid(dt, round(1.0 / dt), rho)
@@ -361,14 +361,14 @@ def suite_oracle(q=None, override=None):
     return results
 
 
-def suite_limit(q=None, override=None):
+def suite_limit(override=None):
     """Near rho = 1 the kernel approaches exp(-lam t / (1 + lam gamma))."""
     tol = _tol(1e-2, override)
     p = KernelParams(0.999, 1.0, 2.0)
     worst = 0.0
     for t in (0.5, 1.0):
         target = math.exp(-p.lam * t / (1.0 + p.lam * p.gamma))
-        worst = max(worst, abs(eval_A(p, t, q) - target))
+        worst = max(worst, abs(eval_A(p, t) - target))
     return [CheckResult.from_worst("limit", "classical-relaxation", tol, worst,
                                    "rho=0.999 lam=2 gamma=1")]
 
@@ -377,7 +377,7 @@ def suite_limit(q=None, override=None):
 # Solver suites (pinned reference configurations)
 
 
-def _manufactured_trace(q=None, rho=0.5, gamma=1.0, n_nodes=512):
+def _manufactured_trace(rho=0.5, gamma=1.0, n_nodes=512):
     op = explicit_spectrum(np.arange(1.0, 9.0))
     spec = ProblemSpec(
         "forward", op, rho, gamma, 1.0,
@@ -385,13 +385,13 @@ def _manufactured_trace(q=None, rho=0.5, gamma=1.0, n_nodes=512):
         manufactured_quadratic_source(op, rho, gamma),
         uniform_grid(1.0, n_nodes),
     )
-    return spec, solve_forward(spec, q)
+    return spec, solve_forward(spec)
 
 
-def suite_manufactured(q=None, override=None):
+def suite_manufactured(override=None):
     """Quadratic manufactured solution: every mode reproduces t^2 to 1e-4."""
     tol = _tol(1e-4, override)
-    spec, trace = _manufactured_trace(q)
+    spec, trace = _manufactured_trace()
     target = trace.nodes[:, None] ** 2
     worst = float(np.max(np.abs(trace.coefficients - target)))
     return [CheckResult.from_worst("manufactured", "quadratic-response", tol,
@@ -404,7 +404,7 @@ def _nonlocal_data(op):
     return CoefficientField(op.eigenvalues ** -2.0 * xi, op)
 
 
-def suite_nonlocal(q=None, override=None):
+def suite_nonlocal(override=None):
     """Increment condition and the forced/homogeneous decomposition."""
     tol_gap = _tol(1e-6, override)
     tol_dec = _tol(1e-10, override)
@@ -415,14 +415,14 @@ def suite_nonlocal(q=None, override=None):
     for source in (None, constant_source(0.5)):
         spec = ProblemSpec("nonlocal", op, 0.5, 1.0, 1.0, phihat, source,
                            uniform_grid(1.0, 512))
-        trace = solve_nonlocal(spec, q)
+        trace = solve_nonlocal(spec)
         worst_gap = max(worst_gap, trace.diagnostics["nonlocal_gap"])
         forced = ProblemSpec("forward", op, 0.5, 1.0, 1.0,
                              CoefficientField(np.zeros(op.n_modes), op),
                              source, spec.time_grid)
-        v_trace = solve_forward(forced, q)
+        v_trace = solve_forward(forced)
         psi = CoefficientField(phihat.coefficients - v_trace.coefficients[-1], op)
-        w_trace = solve_auxiliary_W(psi, 0.5, 1.0, 1.0, spec.time_grid, q)
+        w_trace = solve_auxiliary_W(psi, 0.5, 1.0, 1.0, spec.time_grid)
         recomposed = w_trace.coefficients + v_trace.coefficients
         worst_dec = max(worst_dec,
                         float(np.max(np.abs(recomposed - trace.coefficients))))
@@ -434,7 +434,7 @@ def suite_nonlocal(q=None, override=None):
     ]
 
 
-def suite_backward(q=None, override=None):
+def suite_backward(override=None):
     """Round-trip recovery of terminal data built by an independent route."""
     tol = _tol(1e-4, override)
     op = dirichlet_laplacian_1d(math.pi, 10)  # eigenvalues k^2 <= 100
@@ -443,7 +443,7 @@ def suite_backward(q=None, override=None):
     # Terminal data phi_k A(lam_k, T) from the density engine, so the
     # recovery through the contour is not a cancellation of shared kernel
     # values; the solve runs on tighter settings than the suite's own.
-    a_T = [_density_kernel("A", KernelParams(0.5, 1.0, lam), [1.0], q)[0]
+    a_T = [_density_kernel("A", KernelParams(0.5, 1.0, lam), [1.0])[0]
            for lam in op.eigenvalues]
     psi = CoefficientField(phi.coefficients * np.array(a_T), op)
     back_q = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, split_point=0.7)
@@ -462,7 +462,7 @@ def suite_backward(q=None, override=None):
     ]
 
 
-def suite_coercivity(q=None, override=None):
+def suite_coercivity(override=None):
     """Damped derivative norm stable under grid doubling; all norms finite."""
     tol_change = _tol(0.10, override)
     sups = []
@@ -471,7 +471,7 @@ def suite_coercivity(q=None, override=None):
         op = dirichlet_laplacian_1d(math.pi, 6)
         spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, basis_field(op, 1),
                            None, uniform_grid(1.0, n_nodes))
-        trace = solve_forward(spec, q)
+        trace = solve_forward(spec)
         rep = coercivity_report(trace, spec)
         sups.append(float(np.max(rep["weighted_norm_dt_u"])))
         for key in ("norm_dt_u", "norm_A_u", "norm_A_caputo_u"):
@@ -487,7 +487,7 @@ def suite_coercivity(q=None, override=None):
     ]
 
 
-def suite_residual(q=None, override=None):
+def suite_residual(override=None):
     """Interior residual of every reference trace under 1e-3 for t >= T/32."""
     tol = _tol(1e-3, override)
     worst = 0.0
@@ -499,28 +499,28 @@ def suite_residual(q=None, override=None):
         if value is not None and value > worst:
             worst = value
             detail = name
-    _, tr = _manufactured_trace(q)
+    _, tr = _manufactured_trace()
     track("manufactured", tr)
     op = explicit_spectrum(np.arange(1.0, 9.0))
     phihat = _nonlocal_data(op)
     for label, source in (("zero", None), ("constant", constant_source(0.5))):
         spec = ProblemSpec("nonlocal", op, 0.5, 1.0, 1.0, phihat, source,
                            uniform_grid(1.0, 512))
-        track(f"nonlocal-{label}", solve_nonlocal(spec, q))
+        track(f"nonlocal-{label}", solve_nonlocal(spec))
     op2 = dirichlet_laplacian_1d(math.pi, 10)
     phi = CoefficientField(op2.eigenvalues ** -2.0, op2)
     fwd = ProblemSpec("forward", op2, 0.5, 1.0, 1.0, phi, None,
                       uniform_grid(1.0, 512))
-    fwd_trace = solve_forward(fwd, q)
+    fwd_trace = solve_forward(fwd)
     track("forward-smooth", fwd_trace)
     psi = CoefficientField(fwd_trace.coefficients[-1].copy(), op2)
     back = ProblemSpec("backward", op2, 0.5, 1.0, 1.0, psi, None,
                        uniform_grid(1.0, 512))
-    track("backward", solve_backward(back, q))
+    track("backward", solve_backward(back))
     op3 = dirichlet_laplacian_1d(math.pi, 6)
     basis_spec = ProblemSpec("forward", op3, 0.5, 1.0, 1.0, basis_field(op3, 1),
                              None, uniform_grid(1.0, 512))
-    track("forward-basis", solve_forward(basis_spec, q))
+    track("forward-basis", solve_forward(basis_spec))
     return [CheckResult.from_worst("residual", "interior-gate", tol, worst,
                                    f"worst trace: {detail}")]
 
@@ -542,8 +542,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, q: QuadratureConfig | None = None,
-               tolerance_override: float | None = None) -> dict:
+def run_suites(names=None, tolerance_override: float | None = None) -> dict:
     """Run the selected suites and assemble the machine-readable report."""
     if names is None:
         selected = list(SUITES)
@@ -554,7 +553,7 @@ def run_suites(names=None, q: QuadratureConfig | None = None,
         selected = list(names)
     checks: list[CheckResult] = []
     for name in selected:
-        checks.extend(SUITES[name](q=q, override=tolerance_override))
+        checks.extend(SUITES[name](override=tolerance_override))
     failed = [f"{c.suite}:{c.name}" for c in checks if not c.passed]
     return {
         "suites": selected,

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frstokes.cli import main
-from frstokes.kernel import KernelParams, eval_A, eval_dB_dt, eval_dB_dt_grid
+from frstokes.kernel import KernelParams, eval_A, eval_dB_dt_grid
 
 
 def run_cli(capsys, *argv):
@@ -78,7 +78,7 @@ class TestKernelCommand:
         assert sizes == [600, 600]  # every row but t = 0, in two batches
         assert math.isnan(db[0]) and np.all(db[1:] < 0.0)
         p = KernelParams(0.5, 1.0, 1.0)
-        assert db[-1] == pytest.approx(eval_dB_dt(p, 1.0), rel=1e-7)
+        assert db[-1] == pytest.approx(eval_dB_dt_grid(p, [1.0])[0][0], rel=1e-7)
 
     @pytest.mark.parametrize("start,end", [("-1", "1"), ("0", "nan"),
                                            ("0", "inf")])
@@ -163,10 +163,22 @@ class TestSolveCommand:
                      "horizon": "1.0"}},
         {"data": {"coefficients": [math.nan]}},
         {"source": {"kind": "constant", "value": "nan"}},
+        # counts that are not whole numbers, which int() would truncate
+        {"operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                      "n_modes": 2.7},
+         "data": {"coefficients": [1.0, 0.5]}},
+        {"problem": {"kind": "forward", "rho": "0.5", "gamma": "1.0",
+                     "horizon": "1.0", "time_grid": {"n_nodes": 16.9}}},
+        {"operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                      "n_modes": 1},
+         "output": {"grid_csv": {"path": "grid.csv", "n_points": True}}},
+        {"quadrature": {"max_refinements": 30.5}},
     ], ids=["top-level-list", "operator-list", "output-string",
             "grid-without-eigenfunctions", "missing-subdirectory",
             "colliding-outputs", "directory-output",
-            "gamma-inf", "nan-coefficient", "nan-source"])
+            "gamma-inf", "nan-coefficient", "nan-source",
+            "fractional-n-modes", "fractional-n-nodes", "bool-n-points",
+            "fractional-max-refinements"])
     def test_rejected_config_exit_2_no_outputs(self, tmp_path, capsys,
                                                overrides):
         if overrides is None:
@@ -182,6 +194,22 @@ class TestSolveCommand:
         (line,) = out.strip().splitlines()
         assert json.loads(line)["error"] == "config"
         assert os.listdir(out_dir) == []
+
+    def test_counts_accept_whole_numbers_and_decimal_strings(self, tmp_path,
+                                                             capsys):
+        path = forward_config(
+            tmp_path,
+            problem={"kind": "forward", "rho": "0.5", "gamma": "1.0",
+                     "horizon": "1.0", "time_grid": {"n_nodes": 96.0}},
+            operator={"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                      "n_modes": "1"},
+            output={"grid_csv": {"path": "grid.csv", "n_points": "3"}},
+            quadrature={"max_refinements": "30"})
+        code, _, _ = run_cli(capsys, "solve", "--config", str(path),
+                             "--out-dir", str(tmp_path))
+        assert code == 0
+        rows = (tmp_path / "grid.csv").read_text().strip().splitlines()
+        assert len(rows) == 1 + 96 * 3
 
     def test_failed_last_write_leaves_no_artifacts(self, tmp_path, capsys,
                                                    monkeypatch):

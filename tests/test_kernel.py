@@ -13,8 +13,7 @@ from frstokes.kernel import (
     eval_A,
     eval_A_grid,
     eval_B,
-    eval_dA_dt,
-    eval_dB_dt,
+    eval_dB_dt_grid,
     laplace_A_closed_form,
     laplace_B_closed_form,
     laplace_transform_numeric,
@@ -138,8 +137,8 @@ class TestKernelValues:
 
     def test_error_estimate_is_honest(self):
         p = KernelParams(0.5, 1.0, 1.0)
-        value, err = eval_A(p, 1.0, with_error=True)
-        assert abs(value - 0.59323879913782398) <= max(err, 1e-12)
+        values, errors = eval_A_grid(p, [1.0])
+        assert abs(values[0] - 0.59323879913782398) <= max(errors[0], 1e-12)
 
     def test_error_at_selected_times_matches_whole_grid(self):
         # the solve path estimates A's error at T alone: a value and its
@@ -170,34 +169,29 @@ class TestKernelValues:
 
 
 class TestDerivatives:
-    def test_delegation_identity(self):
-        p = KernelParams(0.5, 1.0, 1.0)
-        assert eval_dA_dt(p, 1.0) == -p.lam * eval_B(p, 1.0)
-
     def test_finite_difference_cross_checks(self):
         p = KernelParams(0.5, 1.0, 1.0)
         h = 1e-4
         fd_a = (eval_A(p, 1 + h, TIGHT) - eval_A(p, 1 - h, TIGHT)) / (2 * h)
-        assert fd_a == pytest.approx(eval_dA_dt(p, 1.0, TIGHT), abs=1e-5)
+        assert fd_a == pytest.approx(-p.lam * eval_B(p, 1.0, TIGHT), abs=1e-5)
         fd_b = (eval_B(p, 1 + h, TIGHT) - eval_B(p, 1 - h, TIGHT)) / (2 * h)
-        assert fd_b == pytest.approx(eval_dB_dt(p, 1.0, TIGHT), abs=1e-5)
+        assert fd_b == pytest.approx(eval_dB_dt_grid(p, [1.0], TIGHT)[0][0],
+                                     abs=1e-5)
 
     def test_classical_limit_of_derivative(self):
         p = KernelParams(0.999, 1.0, 2.0)
-        assert eval_dA_dt(p, 1.0) == pytest.approx(-2.0 * math.exp(-2 / 3) / 3,
-                                                   abs=2e-2)
+        assert -p.lam * eval_B(p, 1.0) == pytest.approx(
+            -2.0 * math.exp(-2 / 3) / 3, abs=2e-2)
 
     def test_db_dt_strictly_negative(self):
         for p in (KernelParams(0.3, 0.5, 1.0), KernelParams(0.9, 2.0, 100.0)):
-            assert eval_dB_dt(p, 0.01) < 0.0
-            assert eval_dB_dt(p, 1.0) < 0.0
+            values, _ = eval_dB_dt_grid(p, [0.01, 1.0])
+            assert np.all(values < 0.0)
 
     def test_small_time_refused(self):
         p = KernelParams(0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
-            eval_dB_dt(p, 1e-9)
-        with pytest.raises(ValueError):
-            eval_dA_dt(p, 0.0)
+            eval_dB_dt_grid(p, [1e-9])
 
 
 class TestLowerBounds:
@@ -274,16 +268,16 @@ class TestIntegralIdentity:
     def test_kernel_mass_identity_via_time_quadrature(self):
         # 1 - lam * int_0^t B equals A(t); the time integral is independent
         # graded-mesh quadrature of kernel values
-        from frstokes.verification import integral_B_time
+        from frstokes.verification import _integral_B_time
 
         p = KernelParams(0.5, 1.0, 1.0)
         for t in (0.5, 1.0):
-            mass = integral_B_time(p, t)
+            mass = _integral_B_time(p, t)
             assert eval_A(p, t) == pytest.approx(1.0 - p.lam * mass, abs=1e-7)
 
     def test_b_mass_below_reciprocal_eigenvalue(self):
-        from frstokes.verification import integral_B_time
+        from frstokes.verification import _integral_B_time
 
         for lam in (1.0, 10.0):
             p = KernelParams(0.7, 0.5, lam)
-            assert integral_B_time(p, 1.0) < 1.0 / lam
+            assert _integral_B_time(p, 1.0) < 1.0 / lam

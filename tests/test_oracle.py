@@ -11,7 +11,6 @@ from frstokes.kernel import KernelParams, eval_A
 from frstokes.oracle import (
     L1Grid,
     _is_uniform,
-    caputo_l1,
     caputo_l1_trace,
     l1_weights,
     richardson_extrapolate,
@@ -102,7 +101,7 @@ class TestWeights:
 class TestCaputo:
     def test_constant_history_gives_zero(self):
         grid = L1Grid(0.01, 100, 0.5)
-        assert caputo_l1(np.ones(101), 0.5, grid) == 0.0
+        assert caputo_l1_trace(grid.times, np.ones(101), 0.5)[-1] == 0.0
 
     @pytest.mark.parametrize("rho", [0.3, 0.5, 0.9])
     def test_exact_on_affine(self, rho):
@@ -111,7 +110,7 @@ class TestCaputo:
         for n in (4, 57):
             grid = L1Grid(1.0 / n, n, rho)
             t = grid.times
-            approx = caputo_l1(t, rho, grid)
+            approx = caputo_l1_trace(t, t, rho)[-1]
             exact = t[-1] ** (1.0 - rho) / math.gamma(2.0 - rho)
             assert approx == pytest.approx(exact, rel=1e-12)
 
@@ -119,24 +118,12 @@ class TestCaputo:
         # Caputo derivative of t^2 at t=1, rho=1/2: 2 / Gamma(2.5)
         rho, n = 0.5, 4000
         grid = L1Grid(1.0 / n, n, rho)
-        approx = caputo_l1(grid.times ** 2, rho, grid)
+        approx = caputo_l1_trace(grid.times, grid.times ** 2, rho)[-1]
         assert approx == pytest.approx(1.5045055561273501, abs=5e-6)
 
     def test_empty_history_rejected(self):
-        grid = L1Grid(0.1, 10, 0.5)
         with pytest.raises(ValueError):
-            caputo_l1([1.0], 0.5, grid)
-
-    def test_trace_variant_matches_uniform_rule(self):
-        rho = 0.7
-        for n in (50, 600):  # 600 nodes span several row blocks
-            grid = L1Grid(1.0 / n, n, rho)
-            y = np.sin(grid.times)
-            from_trace = caputo_l1_trace(grid.times, y, rho)
-            for k in (1, n // 2, n):
-                assert from_trace[k] == pytest.approx(
-                    caputo_l1(y[:k + 1], rho, grid), rel=1e-12)
-            assert from_trace[0] == 0.0
+            caputo_l1_trace([0.0], [1.0], 0.5)
 
     @pytest.mark.parametrize("rho", [0.05, 0.5, 0.99])
     @pytest.mark.parametrize("n", [50, 600, 4096])
@@ -246,7 +233,7 @@ class TestSolveScalar:
         y = solve_scalar(lam, gamma, rho, 1.0, None, grid)
         for n in (1, 7, 20):
             ydot = (y[n] - y[n - 1]) / grid.step
-            frac = caputo_l1(y[: n + 1], rho, grid)
+            frac = caputo_l1_trace(grid.times[: n + 1], y[: n + 1], rho)[-1]
             assert ydot + lam * (y[n] + gamma * frac) == pytest.approx(0.0, abs=1e-10)
 
     def test_matches_dense_reference_on_oracle_grid(self):

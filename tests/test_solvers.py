@@ -28,15 +28,15 @@ from frstokes.solvers import (
     uniform_grid,
 )
 from frstokes.spectral import (
+    CoefficientField,
     basis_field,
     dirichlet_laplacian_1d,
     explicit_spectrum,
-    field_from_coefficients,
 )
 
 
 def zeros_field(op):
-    return field_from_coefficients(op, np.zeros(op.n_modes))
+    return CoefficientField(np.zeros(op.n_modes), op)
 
 
 @pytest.fixture(scope="module")
@@ -288,7 +288,7 @@ class TestForward:
 
     def test_mode_decoupling(self, small_op):
         rng = np.random.default_rng(1)
-        phi = field_from_coefficients(small_op, rng.normal(size=3))
+        phi = CoefficientField(rng.normal(size=3), small_op)
         grid = uniform_grid(1.0, 96)
         joint = solve_forward(
             ProblemSpec("forward", small_op, 0.5, 1.0, 1.0, phi,
@@ -298,8 +298,8 @@ class TestForward:
             single_op = explicit_spectrum([small_op.eigenvalues[k - 1]])
             single = solve_forward(
                 ProblemSpec("forward", single_op, 0.5, 1.0, 1.0,
-                            field_from_coefficients(
-                                single_op, [phi.coefficients[k - 1]]),
+                            CoefficientField([phi.coefficients[k - 1]],
+                                             single_op),
                             constant_source(0.3), grid)
             )
             assert np.max(np.abs(single.coefficients[:, 0]
@@ -315,7 +315,7 @@ class TestForward:
         def run(coeffs, c):
             return solve_forward(
                 ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
-                            field_from_coefficients(small_op, coeffs),
+                            CoefficientField(coeffs, small_op),
                             constant_source(c), grid)
             ).coefficients
 
@@ -389,8 +389,8 @@ class TestNonlocal:
 
     def test_increment_condition_and_decomposition(self, small_op):
         rng = np.random.default_rng(9)
-        data = field_from_coefficients(
-            small_op, small_op.eigenvalues ** -2.0 * rng.uniform(-1, 1, 3))
+        data = CoefficientField(
+            small_op.eigenvalues ** -2.0 * rng.uniform(-1, 1, 3), small_op)
         spec = ProblemSpec("nonlocal", small_op, 0.5, 1.0, 1.0, data,
                            constant_source(1.0), uniform_grid(1.0, 96))
         trace = solve_nonlocal(spec)
@@ -399,8 +399,7 @@ class TestNonlocal:
                              zeros_field(small_op), constant_source(1.0),
                              spec.time_grid)
         v = solve_forward(forced)
-        psi = field_from_coefficients(
-            small_op, data.coefficients - v.coefficients[-1])
+        psi = CoefficientField(data.coefficients - v.coefficients[-1], small_op)
         w = solve_auxiliary_W(psi, 0.5, 1.0, 1.0, spec.time_grid)
         assert np.max(np.abs(trace.coefficients
                              - (v.coefficients + w.coefficients))) < 1e-10
@@ -477,11 +476,11 @@ class TestBackward:
 
     def test_roundtrip_through_independent_quadrature(self):
         op = dirichlet_laplacian_1d(math.pi, 6)
-        phi = field_from_coefficients(op, op.eigenvalues ** -2.0)
+        phi = CoefficientField(op.eigenvalues ** -2.0, op)
         grid = uniform_grid(1.0, 96)
         fwd = solve_forward(ProblemSpec("forward", op, 0.5, 1.0, 1.0, phi,
                                         None, grid))
-        psi = field_from_coefficients(op, fwd.coefficients[-1])
+        psi = CoefficientField(fwd.coefficients[-1], op)
         other_q = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, split_point=0.7)
         back = solve_backward(
             ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid),
@@ -576,7 +575,7 @@ class TestCoercivity:
         trace = solve_forward(spec)
         au = trace.coefficients * op.eigenvalues[None, :]
         sup_au = np.max(np.sqrt(np.sum(au ** 2, axis=1)))
-        f_norm = norm_tau(field_from_coefficients(op, f_coeffs), DEFAULT_EPSILON)
+        f_norm = norm_tau(CoefficientField(f_coeffs, op), DEFAULT_EPSILON)
         c_emp = get_constants(0.5, 1.0)["c_forcing_response"]
         assert sup_au <= c_emp * f_norm * (1.0 + 1e-6)
 
@@ -641,7 +640,7 @@ class TestExports:
         assert path.read_text() == "\n".join(lines) + "\n"
 
     def test_grid_csv_matches_per_node_synthesis(self, edge_trace, tmp_path):
-        from frstokes.spectral import CoefficientField, synthesize
+        from frstokes.spectral import synthesize
 
         xs = np.linspace(0.0, math.pi, 9)
         path = tmp_path / "grid.csv"

@@ -2,16 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from frstokes.spectral import (
     AliasingWarning,
-    apply_A,
+    CoefficientField,
     basis_field,
     dirichlet_laplacian_1d,
     explicit_spectrum,
-    field_from_coefficients,
     load_field_csv,
     norm_tau,
     project,
@@ -94,7 +91,7 @@ class TestProjection:
 
     def test_round_trip(self, op_pi):
         rng = np.random.default_rng(7)
-        field = field_from_coefficients(op_pi, rng.normal(size=5))
+        field = CoefficientField(rng.normal(size=5), op_pi)
         x = np.linspace(0.0, math.pi, 4096)
         back = project(x, synthesize(field, x), op_pi)
         assert back.coefficients == pytest.approx(field.coefficients, abs=1e-8)
@@ -103,12 +100,12 @@ class TestProjection:
         x = np.linspace(0.0, math.pi, 100)
         e1 = basis_field(op_pi, 1)
         assert synthesize(e1, x) == pytest.approx(op_pi.eigenfunction(1, x))
-        zero = field_from_coefficients(op_pi, np.zeros(5))
+        zero = CoefficientField(np.zeros(5), op_pi)
         assert np.all(synthesize(zero, x) == 0.0)
 
     def test_parseval_for_band_limited_samples(self, op_pi):
         rng = np.random.default_rng(11)
-        field = field_from_coefficients(op_pi, rng.normal(size=5))
+        field = CoefficientField(rng.normal(size=5), op_pi)
         x = np.linspace(0.0, math.pi, 8192)
         u = synthesize(field, x)
         grid_norm = math.sqrt(np.trapezoid(u * u, x))
@@ -120,48 +117,24 @@ class TestHilbertScale:
         op = explicit_spectrum([4.0, 9.0])
         e1 = basis_field(op, 1)
         assert norm_tau(e1, 1.0) == pytest.approx(4.0)
-        assert norm_tau(field_from_coefficients(op, [3.0, 4.0]), 0.0) == pytest.approx(5.0)
+        assert norm_tau(CoefficientField([3.0, 4.0], op), 0.0) == pytest.approx(5.0)
 
     def test_embedding_inequality(self):
         op = explicit_spectrum([2.0, 5.0, 11.0])
         rng = np.random.default_rng(3)
         for _ in range(20):
-            h = field_from_coefficients(op, rng.normal(size=3))
+            h = CoefficientField(rng.normal(size=3), op)
             assert norm_tau(h, 0.0) <= norm_tau(h, 1.0) / op.eigenvalues[0] + 1e-12
-
-    def test_apply_identity_and_single_mode(self):
-        op = explicit_spectrum([1.0, 4.0])
-        h = field_from_coefficients(op, [2.0, -3.0])
-        assert apply_A(h, 0.0).coefficients == pytest.approx(h.coefficients)
-        e2 = basis_field(op, 2)
-        assert apply_A(e2, 0.5).coefficients == pytest.approx([0.0, 2.0])
-
-    @given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-    @settings(max_examples=40, deadline=None)
-    def test_semigroup_property(self, a, b):
-        op = explicit_spectrum([1.0, 3.0, 7.5])
-        rng = np.random.default_rng(5)
-        h = field_from_coefficients(op, rng.normal(size=3))
-        once = apply_A(apply_A(h, a), b)
-        direct = apply_A(h, a + b)
-        assert once.coefficients == pytest.approx(direct.coefficients, rel=1e-12)
-
-    def test_norm_shift_identity(self):
-        op = explicit_spectrum([1.5, 2.0, 4.0])
-        h = field_from_coefficients(op, [1.0, -2.0, 0.5])
-        assert norm_tau(apply_A(h, 0.3), 0.7) == pytest.approx(
-            norm_tau(h, 1.0), rel=1e-12
-        )
 
     def test_tail_indicator(self):
         op = explicit_spectrum([1.0, 10.0])
-        h = field_from_coefficients(op, [5.0, 0.25])
+        h = CoefficientField([5.0, 0.25], op)
         assert tail_indicator(h) == pytest.approx((10.0 * 0.25) ** 2)
 
     def test_length_mismatch_rejected(self):
         op = explicit_spectrum([1.0, 2.0])
         with pytest.raises(ValueError):
-            field_from_coefficients(op, [1.0])
+            CoefficientField([1.0], op)
 
 
 class TestCsvIngestion:

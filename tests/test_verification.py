@@ -37,3 +37,21 @@ def test_fault_injection_zero_tolerance_fails():
 def test_unknown_suite_rejected():
     with pytest.raises(KeyError):
         run_suites(["no-such-suite"])
+
+
+def test_derivative_identity_sees_a_shifted_contour_B(monkeypatch):
+    # dA/dt comes from the density engine, so moving every contour value
+    # of B by 1e-5 must break -lam B = dA/dt
+    from frstokes import kernel
+
+    contour = kernel._bromwich
+
+    def shifted(kind, *args, **kwargs):
+        values, errors = contour(kind, *args, **kwargs)
+        return (values + 1e-5 if kind == "B" else values), errors
+
+    monkeypatch.setattr(kernel, "_bromwich", shifted)
+    (check,) = [c for c in SUITES["identities"]()
+                if c.name == "derivative-identity"]
+    assert not check.passed
+    assert check.margin < 0.0
