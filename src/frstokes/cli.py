@@ -26,9 +26,8 @@ import numpy as np
 from .kernel import (
     KernelParams,
     QuadratureConfig,
+    _contour_values,
     eval_A,
-    eval_A_grid,
-    eval_B_grid,
     eval_dB_dt_grid,
     MIN_DERIVATIVE_TIME,
 )
@@ -367,8 +366,8 @@ def cmd_kernel(args):
         ts = np.array([args.t_start])
     else:
         ts = np.linspace(args.t_start, args.t_end, args.t_steps)
-    a, _ = eval_A_grid(p, ts)
-    b, _ = eval_B_grid(p, ts)
+    a = _contour_values("A", p, ts)
+    b = _contour_values("B", p, ts)
     db = np.full(ts.size, math.nan)
     late = np.flatnonzero(ts >= MIN_DERIVATIVE_TIME)
     for i in range(0, late.size, DERIVATIVE_BATCH):

@@ -21,7 +21,12 @@ from importlib import resources
 
 import numpy as np
 
-from .kernel import KernelParams, QuadratureConfig, eval_B_grid, eval_dB_dt_grid
+from .kernel import (
+    KernelParams,
+    QuadratureConfig,
+    _contour_values,
+    eval_dB_dt_grid,
+)
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -115,7 +120,7 @@ def _envelope_terms(p: KernelParams, ts: np.ndarray, epsilon: float,
     t^(1-eps(1-rho)) lam^-eps |dB/dt|: the manifest stores their suprema
     and the b-properties suite checks against them.
     """
-    b, _ = eval_B_grid(p, ts, q)
+    b = _contour_values("B", p, ts, q)
     db, _ = eval_dB_dt_grid(p, ts, q)
     env = p.lam * b / np.minimum(1.0 / ts, ts ** (p.rho - 1.0))
     weight = ts ** (1.0 - epsilon * (1.0 - p.rho)) * p.lam ** (-epsilon)

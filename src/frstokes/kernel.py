@@ -183,8 +183,9 @@ def _bromwich(kind: str, rho: float, gamma: float, lam, ts: np.ndarray,
 
     Returns (values, errors): values, shaped (ts.size, lam.size), are the
     contour sum on the N that q.rel_tol picks; errors, at ts[error_at]
-    alone (slice(0) for none), are its distance from the sum on N - 4.
-    t = 0 is pinned (A = B = 1, Phi = 0) with a zero error bound.
+    alone (slice(0) for none), are its distance from the sum on N - 4, which
+    runs only where error_at selects a time t > 0.  t = 0 is pinned
+    (A = B = 1, Phi = 0) with a zero error bound.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
@@ -199,8 +200,21 @@ def _bromwich(kind: str, rho: float, gamma: float, lam, ts: np.ndarray,
     t_err, v_err = ts[error_at], values[error_at]
     errors = np.zeros_like(v_err)
     pos = t_err > 0.0
-    errors[pos] = np.abs(v_err[pos] - _contour_sum(transform, t_err[pos], n - 4))
+    if np.any(pos):
+        errors[pos] = np.abs(v_err[pos] - _contour_sum(transform, t_err[pos], n - 4))
     return values, errors
+
+
+def _contour_values(kind: str, p: KernelParams, ts,
+                    q: QuadratureConfig | None = None) -> np.ndarray:
+    """A, B or Phi (kind) of one mode at every t in ts, without error estimate.
+
+    The contour sum alone: callers that discard the errors of eval_A_grid
+    and eval_B_grid take this path and skip the N - 4 sum.
+    """
+    values, _ = _bromwich(kind, p.rho, p.gamma, p.lam, _check_times(ts), q,
+                          error_at=slice(0))
+    return values[:, 0]
 
 
 def eval_A_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
@@ -220,12 +234,12 @@ def eval_A(p: KernelParams, t: float, q: QuadratureConfig | None = None) -> floa
 
     Its derivative is dA/dt = -lam * B(lam, t) for t > 0.
     """
-    return float(eval_A_grid(p, [t], q)[0][0])
+    return float(_contour_values("A", p, [t], q)[0])
 
 
 def eval_B(p: KernelParams, t: float, q: QuadratureConfig | None = None) -> float:
     """Impulse-response kernel B(lam, t): equals 1 at t = 0, in (0, 1) after."""
-    return float(eval_B_grid(p, [t], q)[0][0])
+    return float(_contour_values("B", p, [t], q)[0])
 
 
 MIN_DERIVATIVE_TIME = 1e-6
@@ -310,11 +324,10 @@ def laplace_transform_numeric(p: KernelParams, z: float,
         raise ValueError("kernel must be 'A' or 'B'")
     if q is None:
         q = QuadratureConfig()
-    grid_eval = eval_A_grid if kernel == "A" else eval_B_grid
     t_max = 50.0 / z
 
     def fvec(ts):
-        return np.exp(-z * ts) * grid_eval(p, ts, q)[0]
+        return np.exp(-z * ts) * _contour_values(kernel, p, ts, q)
 
     # Geometric breakpoints resolve both the weak t -> 0 singularity in the
     # kernel's higher derivatives and the exponential damping scale 1/z.

@@ -18,10 +18,14 @@ intervals:
 
 Both parts then run through one adaptive Gauss-Kronrod refinement loop,
 ``_refine``, which also serves ``adaptive_finite``.  One adapted panel set
-evaluates the whole family ``{I(t) : t in ts}`` at once.  The solve path
-takes its kernels from the Bromwich contour in ``kernel``; this engine
-serves dB/dt, the lower bounds and the reference values the verification
-suites compare against, on at most a few hundred times per call.
+evaluates the whole family ``{I(t) : t in ts}`` at once, and for a density
+with k columns (several densities sharing one substitution, say the two
+kernels' densities) the k families together: every node is evaluated
+once, and the panels refine until each output meets the tolerance.  The
+solve path takes its kernels from the Bromwich contour in ``kernel``; this
+engine serves dB/dt, the lower bounds and the reference values the
+verification suites compare against, on at most a few hundred times per
+call.
 """
 
 from __future__ import annotations
@@ -198,11 +202,14 @@ def exp_weighted_semiinfinite(
 
     ``dens`` must be vectorized and t-independent; ``singular_exponent`` is
     its power behaviour at r -> 0.  At t = 0 it must decay faster than
-    ``1/r`` at infinity.
+    ``1/r`` at infinity.  ``dens`` maps nodes of shape (n,) to (n,), or to
+    (n, k) for k densities integrated on one adapted panel set, each held
+    to the tolerance on its own.
 
-    Returns ``(values, errors)`` aligned with ``ts``.  Raises
-    :class:`QuadratureNonconvergence` (best estimates attached) if the
-    refinement budget is exhausted first.
+    Returns ``(values, errors)`` aligned with ``ts``: shaped (ts.size,), or
+    (ts.size, k) for k densities.  Raises :class:`QuadratureNonconvergence`
+    (best estimates attached, flattened) if the refinement budget is
+    exhausted first.
     """
     if q is None:
         q = DEFAULT_CONFIG
@@ -217,6 +224,7 @@ def exp_weighted_semiinfinite(
     beta = 1.0 + singular_exponent
     inv = 1.0 / beta
     split = q.split_point
+    shape = [ts.size]   # (ts.size, k) once dens returns k columns
 
     def tail(y):
         # r = split * y**-TAIL_POWER and its Jacobian
@@ -230,9 +238,12 @@ def exp_weighted_semiinfinite(
         r = np.where(x < 0.0, tail_r, x ** inv)
         jac = np.where(x < 0.0, tail_jac, inv * x ** (inv - 1.0))
         f = np.asarray(dens(r), dtype=float)
-        if f.shape != r.shape:
+        if f.shape[:1] != r.shape or f.ndim > 2:
             raise ValueError("integrand must be vectorized (shape-preserving)")
-        return (jac * f)[:, None] * np.exp(-np.outer(r, ts))
+        shape[1:] = f.shape[1:]
+        # columns t-major: output i * k + j is density j at ts[i]
+        f = (jac[:, None] * f.reshape(r.size, -1))[:, None, :]
+        return (f * np.exp(-np.outer(r, ts))[:, :, None]).reshape(r.size, -1)
 
     def in_range(x):
         # the tail map overflows below y ~ 1e-18, which a slow tail at t = 0
@@ -242,8 +253,9 @@ def exp_weighted_semiinfinite(
 
     breaks = np.concatenate(([-1.0], np.linspace(0.0, split ** beta, 5)))
     budget = 64 * q.max_refinements
-    return _refine(integrand, breaks, q.abs_tol, q.rel_tol, budget, budget,
-                   in_range)
+    values, errors = _refine(integrand, breaks, q.abs_tol, q.rel_tol, budget,
+                             budget, in_range)
+    return values.reshape(shape), errors.reshape(shape)
 
 
 def integrate_semiinfinite(

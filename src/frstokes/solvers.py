@@ -44,7 +44,7 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Callable, Iterator
 
 import numpy as np
@@ -78,7 +78,7 @@ PROBLEM_KINDS = ("forward", "nonlocal", "backward")
 LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
 BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
-CSV_BLOCK = 1 << 14  # cells per formatted block of a CSV export
+EXPORT_BLOCK = 1 << 14  # cells per formatted block of an export
 
 
 class SolverError(RuntimeError):
@@ -357,7 +357,7 @@ def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray, psi: np.ndarray,
     return psi * a / denom
 
 
-def _finish(spec: ProblemSpec, coefficients: np.ndarray, q,
+def _finish(spec: ProblemSpec, coefficients: np.ndarray,
             **extra) -> SolutionTrace:
     """Wrap the coefficients in a trace and attach its diagnostics.
 
@@ -376,7 +376,7 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray, q,
     if trace.nodes.size - 2 < MIN_INTERIOR_NODES:
         diagnostics.update(residual_max_interior=None, coercivity=None)
         return trace
-    t_int, res = residual(trace, spec, q)
+    t_int, res = residual(trace, spec)
     rep = coercivity_report(trace, spec)
     diagnostics.update(
         residual_max_interior=float(np.max(res[t_int >= spec.horizon / 32.0])),
@@ -398,7 +398,7 @@ def solve_forward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solut
     if spec.kind != "forward":
         raise ValueError("spec.kind must be 'forward'")
     a, _, conv, notes = _assemble_modes(spec, q)
-    return _finish(spec, a * spec.data.coefficients + conv, q, **notes)
+    return _finish(spec, a * spec.data.coefficients + conv, **notes)
 
 
 def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
@@ -414,7 +414,7 @@ def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
     a, _, _, _ = _assemble_modes(spec, q)
     coeffs = _homogeneous_nonlocal(spec, a, psi.coefficients, q)
     gap = np.max(np.abs(coeffs[-1] - coeffs[0] - psi.coefficients))
-    return _finish(spec, coeffs, q, increment_gap=float(gap))
+    return _finish(spec, coeffs, increment_gap=float(gap))
 
 
 def solve_nonlocal(spec: ProblemSpec, q: QuadratureConfig | None = None) -> SolutionTrace:
@@ -430,7 +430,7 @@ def solve_nonlocal(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solu
     coeffs = _homogeneous_nonlocal(spec, a, psi, q) + conv
     gap = np.max(np.abs(coeffs[-1] - coeffs[0] - spec.data.coefficients))
     return _finish(
-        spec, coeffs, q, **notes, nonlocal_gap=float(gap),
+        spec, coeffs, **notes, nonlocal_gap=float(gap),
         psi_tail_indicator=tail_indicator(CoefficientField(psi, spec.operator)),
     )
 
@@ -459,7 +459,7 @@ def solve_backward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solu
     phi = (psi - conv[-1]) / a[-1]
     coeffs = a * phi + conv
     return _finish(
-        spec, coeffs, q, **notes,
+        spec, coeffs, **notes,
         terminal_gap=float(np.max(np.abs(coeffs[-1] - psi))),
         lower_bound_A=c_a,
         recovered_initial_norm=float(np.linalg.norm(phi)),
@@ -500,8 +500,8 @@ def _interior_terms(trace: SolutionTrace, spec: ProblemSpec, what: str):
     return du, au, f
 
 
-def residual(trace: SolutionTrace, spec: ProblemSpec,
-             q: QuadratureConfig | None = None) -> tuple[np.ndarray, np.ndarray]:
+def residual(trace: SolutionTrace,
+             spec: ProblemSpec) -> tuple[np.ndarray, np.ndarray]:
     """Equation residual norm per interior node.
 
     Computes || D_t u + A u + gamma A D_t^rho u - f || with the classical
@@ -561,7 +561,7 @@ def _long_csv(header: str, nodes: np.ndarray, columns: list[str],
               values: np.ndarray) -> Iterator[str]:
     """CSV rows `t<column><value>`, node-major, one per node and column.
 
-    Yields the file in blocks of about CSV_BLOCK cells.  A block is one
+    Yields the file in blocks of about EXPORT_BLOCK cells.  A block is one
     %-format of one row template repeated per node, its arguments each
     node's stamp, formatted once, interleaved with the node's values: every
     number is formatted once, by "%.17g", which round-trips, and memory is
@@ -570,7 +570,7 @@ def _long_csv(header: str, nodes: np.ndarray, columns: list[str],
     m = len(columns)
     template = "".join("%s" + c.replace("%", "%%") + "%.17g\n"
                        for c in columns)
-    per = max(1, CSV_BLOCK // max(m, 1))
+    per = max(1, EXPORT_BLOCK // max(m, 1))
     yield header + "\n"
     for i0 in range(0, nodes.size, per):
         stamps = ["%.17g" % t for t in nodes[i0:i0 + per].tolist()]
@@ -586,28 +586,52 @@ def dumps_json(obj) -> str:
     json runs its C encoder only without indent, so the dicts and the lists
     that hold containers are laid out here, and each flat list of scalars
     is one C-encoder call whose item separator carries the line break and
-    the indent.
+    the indent.  numpy arrays are written as their tolist().
     """
-    return _json(obj, "\n")
+    return "".join(_json(obj, "\n"))
 
 
-def _json(obj, newline: str) -> str:
+def _json(obj, newline: str) -> Iterator[str]:
+    """The text of dumps_json in pieces; a 2-D array in blocks of rows.
+
+    A block of rows holds about EXPORT_BLOCK cells, so a 2-D array is never
+    held whole as Python floats or as text.
+    """
     inner = newline + "  "
+    if isinstance(obj, np.ndarray):
+        if obj.ndim < 2 or obj.size == 0:
+            yield from _json(obj.tolist(), newline)
+            return
+        per = max(1, EXPORT_BLOCK // obj[0].size)
+        for i0 in range(0, len(obj), per):
+            rows = ("".join(_json(row, inner)) for row in obj[i0:i0 + per].tolist())
+            yield ("[" if i0 == 0 else ",") + inner + ("," + inner).join(rows)
+        yield newline + "]"
+        return
     if isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        if any(map(isinstance, obj, repeat((dict, list, tuple)))):
-            body = ("," + inner).join(_json(v, inner) for v in obj)
+            yield "[]"
+        elif any(map(isinstance, obj, repeat((dict, list, tuple)))):
+            yield "["
+            for i, v in enumerate(obj):
+                yield ("," + inner) if i else inner
+                yield from _json(v, inner)
+            yield newline + "]"
         else:
-            body = json.dumps(obj, separators=("," + inner, ": "))[1:-1]
-        return "[" + inner + body + newline + "]"
-    if isinstance(obj, dict):
+            yield ("[" + inner
+                   + json.dumps(obj, separators=("," + inner, ": "))[1:-1]
+                   + newline + "]")
+    elif isinstance(obj, dict):
         if not obj:
-            return "{}"
-        items = [json.dumps(_json_key(k)) + ": " + _json(v, inner)
-                 for k, v in sorted(obj.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    return json.dumps(obj)
+            yield "{}"
+            return
+        yield "{"
+        for i, (k, v) in enumerate(sorted(obj.items())):
+            yield ("," if i else "") + inner + json.dumps(_json_key(k)) + ": "
+            yield from _json(v, inner)
+        yield newline + "}"
+    else:
+        yield json.dumps(obj)
 
 
 def _json_key(key) -> str:
@@ -628,13 +652,18 @@ def export_trace_csv(trace: SolutionTrace, path: str) -> None:
 
 
 def export_trace_json(trace: SolutionTrace, path: str) -> None:
+    """JSON of the nodes, eigenvalues, coefficients and diagnostics.
+
+    The text of dumps_json, written as it is made: memory is bounded by a
+    block of coefficient rows rather than the file.
+    """
     payload = {
-        "nodes": trace.nodes.tolist(),
-        "eigenvalues": trace.operator.eigenvalues.tolist(),
-        "fields": trace.coefficients.tolist(),
+        "nodes": trace.nodes,
+        "eigenvalues": trace.operator.eigenvalues,
+        "fields": trace.coefficients,
         "diagnostics": trace.diagnostics,
     }
-    _atomic_write(path, dumps_json(payload) + "\n")
+    _atomic_write(path, chain(_json(payload, "\n"), ("\n",)))
 
 
 def export_trace_grid_csv(trace: SolutionTrace, x, path: str) -> None:

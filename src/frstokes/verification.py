@@ -9,10 +9,14 @@ line and the test suite cannot drift apart.
 Kernel-level suites sweep the standard parameter grid
 rho in {0.3, 0.5, 0.7, 0.9} x gamma in {0.5, 1, 2}; solver-level suites run
 the pinned reference configurations described in each docstring.  Kernel
-values come from the Bromwich contour, as on the solve path; the checks
-that need an independent route (the values at t = 0, the contour itself,
-dA/dt against -lam B, the backward round trip) integrate the spectral
-densities on the real line.
+values come from the Bromwich contour, as on the solve path, through its
+values-only route: no suite reads the contour's error estimate, so none
+pays for it.  int_0^t B is a fixed 15-point Kronrod rule on a graded mesh,
+all its nodes in one contour call.  The checks that need an independent
+route (the values at t = 0, the contour itself, dA/dt against -lam B, the
+backward round trip) integrate the spectral densities on the real line;
+where both kernels are needed, one adaptive pass integrates density_A and
+density_B together.
 """
 
 from __future__ import annotations
@@ -26,12 +30,10 @@ from . import constants as constants_mod
 from .kernel import (
     KernelParams,
     QuadratureConfig,
+    _contour_values,
     density_A,
-    density_B,
     eval_A,
-    eval_A_grid,
     eval_B,
-    eval_B_grid,
     laplace_A_closed_form,
     laplace_B_closed_form,
     laplace_transform_numeric,
@@ -39,7 +41,7 @@ from .kernel import (
     lower_bound_B,
 )
 from .oracle import L1Grid, solve_scalar
-from .quadrature import adaptive_finite, exp_weighted_semiinfinite, graded_mesh
+from .quadrature import _WK, _XK, exp_weighted_semiinfinite, graded_mesh
 from .solvers import (
     ProblemSpec,
     coercivity_report,
@@ -97,31 +99,35 @@ def _tol(default, override):
 
 
 def _integral_B_time(p: KernelParams, t: float) -> float:
-    """int_0^t B(lam, s) ds by composite Gauss on a mesh graded toward 0.
+    """int_0^t B(lam, s) ds by the 15-point Kronrod rule on 64 graded cells.
 
     The grading exponent compensates the s^(-rho) growth of B', which is
-    the kernel's only nonsmoothness on [0, t].
+    the kernel's only nonsmoothness on [0, t]; all 960 nodes take one
+    contour call.
     """
     breaks = graded_mesh(t, 64, max(2.0, 2.0 / (1.0 - p.rho)))
-
-    def fvec(ts):
-        vals, _ = eval_B_grid(p, ts)
-        return vals
-
-    value, _ = adaptive_finite(fvec, breaks, tol_abs=1e-11, tol_rel=1e-9)
-    return value
+    lo, hi = breaks[:-1], breaks[1:]
+    half = 0.5 * (hi - lo)
+    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _XK
+    values = _contour_values("B", p, nodes.ravel()).reshape(nodes.shape)
+    return float(np.sum(half * (values @ _WK)))
 
 
-def _density_kernel(kernel: str, p: KernelParams, ts,
-                   q: QuadratureConfig | None = None) -> np.ndarray:
-    """A or B (kernel) at the times ts from the real-line density engine.
+def _density_kernels(p: KernelParams, ts, q: QuadratureConfig | None = None,
+                     kinds: str = "AB") -> np.ndarray:
+    """The kernels named in kinds at the times ts from the density engine.
 
-    The route independent of the Bromwich contour that eval_A_grid and
-    eval_B_grid take.
+    The route independent of the Bromwich contour.  One adaptive pass
+    integrates density_A and density_B = (r / lam) density_A side by side
+    under A's r^(rho - 1) substitution; returns (ts.size, len(kinds)).
     """
-    dens, sigma = (density_A, p.rho - 1.0) if kernel == "A" else (density_B, 0.0)
-    values, _ = exp_weighted_semiinfinite(lambda r: dens(r, p), ts,
-                                          singular_exponent=sigma, q=q)
+    def dens(r):
+        a = density_A(r, p)
+        return np.stack([a if kind == "A" else (r / p.lam) * a
+                         for kind in kinds], axis=1)
+
+    values, _ = exp_weighted_semiinfinite(dens, ts,
+                                          singular_exponent=p.rho - 1.0, q=q)
     return values
 
 
@@ -140,8 +146,7 @@ def suite_kernel_initial(override=None):
     for rho, gamma in _grid():
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
-            da = abs(_density_kernel("A", p, [0.0])[0] - 1.0)
-            db = abs(_density_kernel("B", p, [0.0])[0] - 1.0)
+            da, db = np.abs(_density_kernels(p, [0.0])[0] - 1.0)
             if max(da, db) > max(worst_a, worst_b):
                 where = f"rho={rho} gamma={gamma} lam={lam}"
             worst_a = max(worst_a, da)
@@ -166,7 +171,7 @@ def suite_a_properties(override=None):
         c_a = lower_bound_A(rho, gamma, 1.0, 1.0)
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
-            vals, _ = eval_A_grid(p, ts)
+            vals = _contour_values("A", p, ts)
             worst_mono = max(worst_mono, float(np.max(np.diff(vals))))
             worst_range = max(worst_range, float(np.max(vals - 1.0)),
                               float(np.max(-vals)))
@@ -199,11 +204,10 @@ def suite_identities(override=None):
     for rho, gamma in _grid():
         for lam in (1.0, 10.0):
             p = KernelParams(rho, gamma, lam)
-            for t in ts:
-                a_t = eval_A(p, t)
-                ib = _integral_B_time(p, t)
-                worst_int = max(worst_int, abs(a_t - (1.0 - lam * ib)))
-            b_vals, _ = eval_B_grid(p, ts)
+            ib = np.array([_integral_B_time(p, t) for t in ts])
+            worst_int = max(worst_int, float(np.max(np.abs(
+                _contour_values("A", p, ts) - (1.0 - lam * ib)))))
+            b_vals = _contour_values("B", p, ts)
             minus_da, _ = exp_weighted_semiinfinite(
                 lambda r: r * density_A(r, p), ts, singular_exponent=0.0)
             worst_deriv = max(worst_deriv,
@@ -211,8 +215,7 @@ def suite_identities(override=None):
             h = 1e-4
             fd = (eval_A(p, 1.0 + h, tight) - eval_A(p, 1.0 - h, tight)) / (2 * h)
             worst_fd = max(worst_fd, abs(fd + lam * eval_B(p, 1.0, tight)))
-            min_b_margin = min(min_b_margin,
-                               1.0 / lam - _integral_B_time(p, 1.0))
+            min_b_margin = min(min_b_margin, 1.0 / lam - ib[-1])   # t = 1
     return [
         CheckResult.from_worst("identities", "integral-identity", tol_int,
                                worst_int),
@@ -279,9 +282,9 @@ def suite_bounds(override=None):
         worst_cap = max(worst_cap, c_a - cap)
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
-            b_vals, _ = eval_B_grid(p, ts)
+            b_vals = _contour_values("B", p, ts)
             worst_b = max(worst_b, float(np.max(c_b - lam * b_vals)))
-            a_vals, _ = eval_A_grid(p, ts)
+            a_vals = _contour_values("A", p, ts)
             worst_cor = max(worst_cor, float(np.max(c_b * ts - np.abs(a_vals - 1.0))))
     return [
         CheckResult.from_worst("bounds", "scaled-lower-bound-B", tol, worst_b),
@@ -320,9 +323,9 @@ def suite_laplace(override=None):
         for gamma in GAMMA_GRID:
             for lam in (1.0, 1e2, 1e4, 1e6):
                 p = KernelParams(rho, gamma, lam)
-                d = max(np.max(np.abs(grid(p, ts)[0]
-                                      - _density_kernel(kernel, p, ts, reference_q)))
-                        for kernel, grid in (("A", eval_A_grid), ("B", eval_B_grid)))
+                contour = np.stack([_contour_values(kind, p, ts)
+                                    for kind in "AB"], axis=1)
+                d = np.max(np.abs(contour - _density_kernels(p, ts, reference_q)))
                 if d > worst_contour:
                     detail_contour = f"rho={rho} gamma={gamma} lam={lam:g}"
                 worst_contour = max(worst_contour, float(d))
@@ -443,7 +446,7 @@ def suite_backward(override=None):
     # Terminal data phi_k A(lam_k, T) from the density engine, so the
     # recovery through the contour is not a cancellation of shared kernel
     # values; the solve runs on tighter settings than the suite's own.
-    a_T = [_density_kernel("A", KernelParams(0.5, 1.0, lam), [1.0])[0]
+    a_T = [_density_kernels(KernelParams(0.5, 1.0, lam), [1.0], kinds="A")[0, 0]
            for lam in op.eigenvalues]
     psi = CoefficientField(phi.coefficients * np.array(a_T), op)
     back_q = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, split_point=0.7)

@@ -62,6 +62,30 @@ def test_batch_matches_scalar_calls():
     assert np.all(errors < 1e-7)
 
 
+def test_density_columns_match_separate_calls():
+    # k densities on one adapted panel set: each column holds the tolerance
+    # on its own, so it agrees with its own call within rel_tol
+    from frstokes.kernel import KernelParams, density_A, density_B
+
+    q = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-20)
+    p = KernelParams(0.7, 2.0, 1e4)
+    ts = np.array([0.0, 1e-3, 0.25, 1.0])
+    singles = [lambda r: r ** -0.3 * np.exp(-r),
+               lambda r: density_A(r, p), lambda r: density_B(r, p)]
+    values, errors = exp_weighted_semiinfinite(
+        lambda r: np.stack([f(r) for f in singles], axis=1), ts,
+        singular_exponent=-0.3, q=q)
+    assert values.shape == errors.shape == (ts.size, len(singles))
+    for j, f in enumerate(singles):
+        single, _ = exp_weighted_semiinfinite(f, ts, singular_exponent=-0.3, q=q)
+        np.testing.assert_allclose(values[:, j], single, rtol=q.rel_tol, atol=0.0)
+        # one column takes the single density's route, bit for bit
+        column, _ = exp_weighted_semiinfinite(
+            lambda r: f(r)[:, None], ts, singular_exponent=-0.3, q=q)
+        assert column.shape == (ts.size, 1)
+        assert np.array_equal(column[:, 0], single)
+
+
 def test_tolerances_are_honored():
     q = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
     value, err = integrate_semiinfinite(

@@ -668,8 +668,8 @@ class TestExports:
 
     @pytest.mark.parametrize("n_nodes, columns", [
         (1, [",1,", ",5%,", ",%s%%,"]),
-        (2 * (solvers.CSV_BLOCK // 7) + 17, [f",{k}," for k in range(1, 8)]),
-        (3, [",%d," % k for k in range(solvers.CSV_BLOCK + 1)]),
+        (2 * (solvers.EXPORT_BLOCK // 7) + 17, [f",{k}," for k in range(1, 8)]),
+        (3, [",%d," % k for k in range(solvers.EXPORT_BLOCK + 1)]),
         (3, []),
     ], ids=["one-node", "partial-last-block", "more-columns-than-block",
             "no-columns"])
@@ -721,6 +721,44 @@ class TestExports:
                 tracemalloc.stop()
         assert peaks[1] <= 1.5 * peaks[0]
         assert peaks[1] < path.stat().st_size / 4
+
+    @pytest.mark.parametrize("shape", [
+        (2 * (solvers.EXPORT_BLOCK // 7) + 17, 7),
+        (3, solvers.EXPORT_BLOCK + 1),
+        (1, 1), (0, 3), (3, 0), (5,), (), (4, 3, 2),
+    ], ids=["partial-last-block", "more-columns-than-block", "one-cell",
+            "no-rows", "no-columns", "vector", "scalar", "three-axes"])
+    def test_dumps_json_writes_arrays_as_their_lists(self, shape):
+        values = np.array(np.random.default_rng(7).standard_normal(shape))
+        values.flat[:4] = [-0.0, 5e-324, math.inf, math.nan][:values.size]
+        assert dumps_json({"a": values, "b": 1}) == json.dumps(
+            {"a": values.tolist(), "b": 1}, indent=2, sort_keys=True)
+
+    def test_json_export_memory_is_bounded_by_the_block(self, tmp_path):
+        # a 4096 x 32 trace: written whole, the payload as Python floats and
+        # text peaked at 15.5 MB for a 3.6 MB file
+        n = 4096
+        op = explicit_spectrum(np.arange(1.0, 33.0))
+        trace = SolutionTrace(np.linspace(0.0, 1.0, n),
+                              np.random.default_rng(n).standard_normal((n, 32)),
+                              op, {"residual_norm": np.linspace(0.0, 1.0, n).tolist()})
+        path = tmp_path / "trace.json"
+        tracemalloc.start()
+        try:
+            export_trace_json(trace, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2e6
+        assert peak < path.stat().st_size / 2
+        payload = {
+            "nodes": trace.nodes.tolist(),
+            "eigenvalues": op.eigenvalues.tolist(),
+            "fields": trace.coefficients.tolist(),
+            "diagnostics": trace.diagnostics,
+        }
+        assert path.read_text() == json.dumps(payload, indent=2,
+                                              sort_keys=True) + "\n"
 
     def test_grid_sampled_export(self, trace, tmp_path):
         path = tmp_path / "grid.csv"

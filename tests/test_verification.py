@@ -55,3 +55,75 @@ def test_derivative_identity_sees_a_shifted_contour_B(monkeypatch):
                 if c.name == "derivative-identity"]
     assert not check.passed
     assert check.margin < 0.0
+
+
+def test_contour_vs_density_sees_a_shifted_contour_A(monkeypatch):
+    # the joint density pass is the reference: moving every contour value
+    # of A by 1e-8 must break the 1e-9 agreement
+    from frstokes import kernel
+
+    contour = kernel._bromwich
+
+    def shifted(kind, *args, **kwargs):
+        values, errors = contour(kind, *args, **kwargs)
+        return (values + 1e-8 if kind == "A" else values), errors
+
+    monkeypatch.setattr(kernel, "_bromwich", shifted)
+    (check,) = [c for c in SUITES["laplace"]()
+                if c.name == "contour-vs-density"]
+    assert not check.passed
+    assert check.margin < 0.0
+
+
+def test_fixed_rule_integral_B_matches_adaptive():
+    # the fixed 64-cell Kronrod rule against adaptive Gauss-Kronrod on the
+    # same graded mesh, over the identities suite's grid
+    from frstokes.kernel import KernelParams, eval_B_grid
+    from frstokes.quadrature import adaptive_finite, graded_mesh
+    from frstokes.verification import GAMMA_GRID, RHO_GRID, _integral_B_time
+
+    worst = 0.0
+    for rho in RHO_GRID:
+        for gamma in GAMMA_GRID:
+            for lam in (1.0, 10.0):
+                p = KernelParams(rho, gamma, lam)
+                for t in (0.25, 1.0):
+                    breaks = graded_mesh(t, 64, max(2.0, 2.0 / (1.0 - rho)))
+                    adaptive, _ = adaptive_finite(
+                        lambda ts: eval_B_grid(p, ts)[0], breaks,
+                        tol_abs=1e-11, tol_rel=1e-9)
+                    worst = max(worst, abs(_integral_B_time(p, t) - adaptive))
+    assert worst <= 1e-12
+
+
+KERNEL_SUITES = ("kernel-initial", "a-properties", "identities",
+                 "b-properties", "bounds", "laplace", "limit")
+
+
+def test_kernel_suites_skip_the_contour_error_sum(monkeypatch):
+    # the suites read kernel values only: each contour call makes one sum,
+    # on the N its rel_tol picks, and never the N - 4 sum of the error
+    # estimate
+    import inspect
+
+    from frstokes import kernel
+
+    contour, contour_sum = kernel._bromwich, kernel._contour_sum
+    signature = inspect.signature(contour)
+    calls = []   # per contour call: its N, then the node counts of its sums
+
+    def bromwich(*args, **kwargs):
+        q = signature.bind(*args, **kwargs).arguments.get("q")
+        calls.append([kernel._contour_size(q)])
+        return contour(*args, **kwargs)
+
+    def counted_sum(transform, t, n):
+        calls[-1].append(n)
+        return contour_sum(transform, t, n)
+
+    monkeypatch.setattr(kernel, "_bromwich", bromwich)
+    monkeypatch.setattr(kernel, "_contour_sum", counted_sum)
+    report = run_suites(KERNEL_SUITES)
+    assert report["passed"]
+    assert len(calls) > 100
+    assert [c for c in calls if c[1:] != c[:1]] == []
