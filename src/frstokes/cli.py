@@ -20,6 +20,8 @@ import math
 import os
 import sys
 import tempfile
+from collections import namedtuple
+from dataclasses import fields
 
 import numpy as np
 
@@ -64,11 +66,11 @@ EXIT_INGEST = 3
 EXIT_SOLVER = 4
 
 
-class ConfigError(ValueError):
+class ConfigError(Exception):
     pass
 
 
-class IngestError(ValueError):
+class IngestError(Exception):
     pass
 
 
@@ -93,12 +95,117 @@ def _count(value, what):
     return int(number)
 
 
-def _table(cfg, name):
-    """The config section `name` (default {}), which must be a JSON object."""
-    section = cfg.get(name, {})
-    if not isinstance(section, dict):
-        raise ConfigError(f"{name} must be a JSON object, got {section!r}")
-    return section
+def _nums(value, what):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{what} must be a non-empty list, got {value!r}")
+    return [_num(v, f"{what}[{i}]") for i, v in enumerate(value)]
+
+
+def _name(value, what):
+    if not isinstance(value, str) or not value:
+        raise ConfigError(f"{what} must be a non-empty file name")
+    return value
+
+
+_PARSERS = {"number": _num, "count": _count, "numbers": _nums,
+            "name": _name, "path": _name}  # path: an input file
+REQUIRED = object()
+# A config key: dotted path; type (a _PARSERS name, the allowed strings, or
+# "table" for a section skipped when absent; any other section reads as {});
+# default (REQUIRED, Instead(sibling), or what an absent or null key takes,
+# None leaving it out); and the value of its section's kind it needs, if any.
+Key = namedtuple("Key", "path type default kind", defaults=(None, ""))
+Instead = namedtuple("Instead", "key")  # in place of `key`, never beside it
+
+SCHEMA = {
+    "solve": (
+        Key("problem.kind", ("forward", "nonlocal", "backward"), REQUIRED),
+        Key("problem.rho", "number", REQUIRED),
+        Key("problem.gamma", "number", REQUIRED),
+        Key("problem.horizon", "number", REQUIRED),
+        Key("problem.time_grid.n_nodes", "count", 512),
+        Key("problem.time_grid.nodes", "numbers", Instead("n_nodes")),
+        Key("operator.kind", ("dirichlet_laplacian_1d", "explicit_spectrum"),
+            REQUIRED),
+        Key("operator.length", "number", REQUIRED, "dirichlet_laplacian_1d"),
+        Key("operator.n_modes", "count", REQUIRED, "dirichlet_laplacian_1d"),
+        Key("operator.eigenvalues", "numbers", REQUIRED, "explicit_spectrum"),
+        Key("data.coefficients", "numbers", REQUIRED),
+        Key("data.csv", "path", Instead("coefficients")),
+        Key("source.kind",
+            ("zero", "constant", "manufactured_t2", "sampled_csv"), "zero"),
+        Key("source.value", "number", 1.0, "constant"),
+        Key("source.coefficients", "numbers", Instead("value"), "constant"),
+        Key("source.path", "path", REQUIRED, "sampled_csv"),
+        Key("output.trace_csv", "name", "trace.csv"),
+        Key("output.trace_json", "name"),
+        Key("output.grid_csv", "table"),
+        Key("output.grid_csv.path", "name", REQUIRED),
+        Key("output.grid_csv.n_points", "count", 101),
+        Key("output.diagnostics_json", "name", "diagnostics.json"),
+        *(Key(f"quadrature.{f.name}",
+              "count" if isinstance(f.default, int) else "number", f.default)
+          for f in fields(QuadratureConfig)),
+    ),
+    "convergence": (
+        Key("target", ("kernel", "manufactured"), "kernel"),
+        Key("rho", "number", 0.5),
+        Key("gamma", "number", 1.0),
+        Key("lambda", "number", 1.0),
+        Key("horizon", "number", 1.0),
+        Key("dts", "numbers", REQUIRED),
+    ),
+}
+
+
+def _read(cfg, keys, section=""):
+    """Parse the config section `cfg` against `keys` into {key path: value}."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{section or 'config'} must be a JSON object, "
+                          f"got {cfg!r}")
+    prefix = section and section + "."
+    here = {}
+    for k in keys:
+        if k.path.startswith(prefix):
+            name, dot, _ = k.path[len(prefix):].partition(".")
+            here.setdefault(name, Key(prefix + name, "table", {}) if dot else k)
+    given = {name: raw for name, raw in cfg.items() if raw is not None}
+    alt = {k.default.key: name for name, k in here.items()
+           if isinstance(k.default, Instead)}
+    values = {}
+
+    def take(name):
+        key, other = here[name], alt.get(name)
+        if name in given and other in given:
+            raise ConfigError(f"give {key.path} or {prefix}{other}, not both")
+        raw = given.get(name, key.default)
+        if raw is REQUIRED and other not in given:
+            raise ConfigError(f"{key.path} is required")
+        if raw is None or raw is REQUIRED or isinstance(raw, Instead):
+            return None
+        if key.type == "table":
+            values.update(_read(raw, keys, key.path))
+        elif isinstance(key.type, str):
+            values[key.path] = _PARSERS[key.type](raw, key.path)
+        elif raw in key.type:
+            values[key.path] = raw
+        else:
+            raise ConfigError(f"{key.path} must be one of "
+                              f"{', '.join(key.type)}, got {raw!r}")
+        return raw
+
+    kind = take("kind") if "kind" in here else None
+    known = [name for name, k in here.items() if k.kind in ("", kind)]
+    for name in cfg:
+        if name not in known:
+            import difflib  # on the error path only: not in the import time
+            close = difflib.get_close_matches(name, known, n=1)
+            hint = f"; did you mean {prefix + close[0]!r}?" if close else ""
+            where = f" for {prefix}kind {kind!r}" if name in here else ""
+            raise ConfigError(f"unknown key {prefix + name!r}{where}{hint}")
+    for name in known:
+        take(name)
+    return values
 
 
 def _emit_error(code, kind, message):
@@ -110,56 +217,30 @@ def _emit_error(code, kind, message):
 # solve
 
 
-def _build_operator(cfg):
-    kind = cfg.get("kind")
-    if kind == "dirichlet_laplacian_1d":
-        return dirichlet_laplacian_1d(_num(cfg.get("length"), "operator.length"),
-                                      _count(cfg.get("n_modes", 0),
-                                             "operator.n_modes"))
-    if kind == "explicit_spectrum":
-        ev = cfg.get("eigenvalues")
-        if not isinstance(ev, list) or not ev:
-            raise ConfigError("operator.eigenvalues must be a non-empty list")
-        return explicit_spectrum([_num(v, "operator.eigenvalues") for v in ev])
-    raise ConfigError(f"operator.kind must be 'dirichlet_laplacian_1d' or "
-                      f"'explicit_spectrum', got {kind!r}")
-
-
-def _build_data(cfg, op, base_dir):
-    if "coefficients" in cfg:
-        coeffs = [_num(v, "data.coefficients") for v in cfg["coefficients"]]
-        if len(coeffs) != op.n_modes:
-            raise ConfigError(
-                f"data.coefficients has {len(coeffs)} entries for "
-                f"{op.n_modes} modes"
-            )
-        return CoefficientField(np.array(coeffs), op)
-    if "csv" in cfg:
-        path = os.path.join(base_dir, cfg["csv"])
+def _build_data(v, op):
+    if "data.csv" in v:
         try:
-            return load_field_csv(path, op)
+            return load_field_csv(v["data.csv"], op)
         except (OSError, ValueError) as exc:
             raise IngestError(f"data.csv: {exc}") from exc
-    raise ConfigError("data needs either 'coefficients' or 'csv'")
+    return CoefficientField(np.array(v["data.coefficients"]), op)
 
 
-def _build_source(cfg, op, rho, gamma, base_dir):
-    kind = cfg.get("kind", "zero")
+def _build_source(v, op):
+    kind = v["source.kind"]
     if kind == "zero":
         return None
     if kind == "constant":
-        if "coefficients" in cfg:
-            values = [_num(v, "source.coefficients") for v in cfg["coefficients"]]
-            if len(values) != op.n_modes:
-                raise ConfigError("source.coefficients length mismatch")
-            return constant_source(values)
-        return constant_source(_num(cfg.get("value", 1.0), "source.value"))
+        values = v.get("source.coefficients", v["source.value"])
+        if isinstance(values, list) and len(values) != op.n_modes:
+            raise ConfigError("source.coefficients length mismatch")
+        return constant_source(values)
     if kind == "manufactured_t2":
-        return manufactured_quadratic_source(op, rho, gamma)
+        return manufactured_quadratic_source(op, v["problem.rho"],
+                                             v["problem.gamma"])
     if kind == "sampled_csv":
-        path = os.path.join(base_dir, cfg.get("path", ""))
         try:
-            raw = np.genfromtxt(path, delimiter=",", names=True)
+            raw = np.genfromtxt(v["source.path"], delimiter=",", names=True)
         except (OSError, ValueError) as exc:
             raise IngestError(f"source.path: {exc}") from exc
         names = raw.dtype.names
@@ -176,85 +257,32 @@ def _build_source(cfg, op, rho, gamma, base_dir):
             raise IngestError("sampled source CSV holds a non-finite or "
                               "unparseable value")
         return sampled_source(times, np.column_stack(cols))
-    raise ConfigError(f"unknown source kind {kind!r}")
-
-
-def _build_quadrature(cfg):
-    if not cfg:
-        return None
-    return QuadratureConfig(
-        rel_tol=_num(cfg.get("rel_tol", 1e-8), "quadrature.rel_tol"),
-        abs_tol=_num(cfg.get("abs_tol", 1e-12), "quadrature.abs_tol"),
-        max_refinements=_count(cfg.get("max_refinements", 30),
-                               "quadrature.max_refinements"),
-        split_point=_num(cfg.get("split_point", 1.0), "quadrature.split_point"),
-    )
-
-
-def _build_grid(cfg, horizon):
-    if cfg is None:
-        return uniform_grid(horizon)
-    if "nodes" in cfg:
-        return np.array([_num(v, "time_grid.nodes") for v in cfg["nodes"]])
-    if "n_nodes" in cfg:
-        return uniform_grid(horizon,
-                            _count(cfg["n_nodes"], "time_grid.n_nodes"))
-    raise ConfigError("time_grid needs 'nodes' or 'n_nodes'")
 
 
 def _load_config(path):
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    return cfg
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError: not valid JSON
+        raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
 
 
-def _check_referenced_files(cfg, base_dir):
-    refs = []
-    data = _table(cfg, "data")
-    if "csv" in data:
-        refs.append(os.path.join(base_dir, data["csv"]))
-    source = _table(cfg, "source")
-    if source.get("kind") == "sampled_csv":
-        refs.append(os.path.join(base_dir, source.get("path", "")))
-    missing = [p for p in refs if not os.path.isfile(p)]
-    if missing:
-        raise IngestError(f"referenced files missing: {missing}")
-
-
-def _plan_outputs(output, op, out_dir):
+def _plan_outputs(v, op, out_dir):
     """Check the output requests before solving.
 
     Returns the file name per artifact and the grid-export point count (or
     None); every named file must land in an existing directory.
     """
-    files = {"trace_csv": output.get("trace_csv", "trace.csv")}
-    if output.get("trace_json"):
-        files["trace_json"] = output["trace_json"]
-    n_points = None
-    grid_cfg = output.get("grid_csv")
-    if grid_cfg:
-        if not isinstance(grid_cfg, dict):
-            raise ConfigError("output.grid_csv must be a JSON object")
-        if not op.has_eigenfunctions:
-            raise ConfigError(f"output.grid_csv needs an operator with "
-                              f"eigenfunctions, got {op.kind!r}")
-        files["grid_csv"] = grid_cfg.get("path")
-        n_points = _count(grid_cfg.get("n_points", 101),
-                          "output.grid_csv.n_points")
-        if n_points < 1:
-            raise ConfigError("output.grid_csv.n_points must be >= 1")
-    files["diagnostics_json"] = output.get("diagnostics_json", "diagnostics.json")
+    files = {k.path.split(".")[1]: v[k.path] for k in SCHEMA["solve"]
+             if k.type == "name" and k.path in v}
+    n_points = v.get("output.grid_csv.n_points")
+    if n_points is not None and not op.has_eigenfunctions:
+        raise ConfigError(f"output.grid_csv needs an operator with "
+                          f"eigenfunctions, got {op.kind!r}")
+    if n_points is not None and n_points < 1:
+        raise ConfigError("output.grid_csv.n_points must be >= 1")
     targets = {}
     for key, name in files.items():
-        if not isinstance(name, str) or not name:
-            raise ConfigError(f"output.{key} must be a non-empty file name")
         subdir = os.path.dirname(name)
         if subdir and not os.path.isdir(os.path.join(out_dir, subdir)):
             raise ConfigError(f"output.{key}: directory {subdir!r} does not "
@@ -300,36 +328,34 @@ def _write_artifacts(trace, paths, n_points):
 
 
 def cmd_solve(args):
-    cfg = _load_config(args.config)
+    v = _read(_load_config(args.config), SCHEMA["solve"])
     base_dir = os.path.dirname(os.path.abspath(args.config))
     out_dir = args.out_dir or base_dir
-    problem = cfg.get("problem")
-    if not isinstance(problem, dict):
-        raise ConfigError("config needs a 'problem' table")
-    kind = problem.get("kind")
-    if kind not in ("forward", "nonlocal", "backward"):
-        raise ConfigError(f"problem.kind must be forward|nonlocal|backward, "
-                          f"got {kind!r}")
+    for key in SCHEMA["solve"]:
+        if key.type == "path" and key.path in v:
+            v[key.path] = os.path.join(base_dir, v[key.path])
+            if not os.path.isfile(v[key.path]):
+                raise IngestError(f"{key.path}: file {v[key.path]!r} missing")
     try:
-        _check_referenced_files(cfg, base_dir)
-        op = _build_operator(_table(cfg, "operator"))
-        rho = _num(problem.get("rho"), "problem.rho")
-        gamma = _num(problem.get("gamma"), "problem.gamma")
-        horizon = _num(problem.get("horizon"), "problem.horizon")
-        data = _build_data(_table(cfg, "data"), op, base_dir)
-        source = _build_source(_table(cfg, "source"), op, rho,
-                               gamma, base_dir)
-        grid = _build_grid(problem.get("time_grid"), horizon)
-        q = _build_quadrature(_table(cfg, "quadrature"))
-        spec = ProblemSpec(kind, op, rho, gamma, horizon, data, source, grid)
-        files, n_points = _plan_outputs(_table(cfg, "output"), op, out_dir)
-    except (ConfigError, IngestError):
-        raise
+        if v["operator.kind"] == "explicit_spectrum":
+            op = explicit_spectrum(v["operator.eigenvalues"])
+        else:
+            op = dirichlet_laplacian_1d(v["operator.length"],
+                                        v["operator.n_modes"])
+        grid = (np.array(v["problem.time_grid.nodes"])
+                if "problem.time_grid.nodes" in v else uniform_grid(
+                    v["problem.horizon"], v["problem.time_grid.n_nodes"]))
+        q = QuadratureConfig(**{f.name: v[f"quadrature.{f.name}"]
+                                for f in fields(QuadratureConfig)})
+        spec = ProblemSpec(v["problem.kind"], op, v["problem.rho"],
+                           v["problem.gamma"], v["problem.horizon"],
+                           _build_data(v, op), _build_source(v, op), grid)
+        files, n_points = _plan_outputs(v, op, out_dir)
     except (ValueError, TypeError, OverflowError) as exc:
         raise ConfigError(str(exc)) from exc
 
     solver = {"forward": solve_forward, "nonlocal": solve_nonlocal,
-              "backward": solve_backward}[kind]
+              "backward": solve_backward}[spec.kind]
     try:
         trace = solver(spec, q)
     except ValueError as exc:  # e.g. a density argument underflowing to 0
@@ -362,10 +388,7 @@ def cmd_kernel(args):
         p = KernelParams(args.rho, args.gamma, args.lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    if args.t_steps == 1:
-        ts = np.array([args.t_start])
-    else:
-        ts = np.linspace(args.t_start, args.t_end, args.t_steps)
+    ts = np.linspace(args.t_start, args.t_end, args.t_steps)
     a = _contour_values("A", p, ts)
     b = _contour_values("B", p, ts)
     db = np.full(ts.size, math.nan)
@@ -385,10 +408,7 @@ def cmd_kernel(args):
 
 def cmd_verify(args):
     names = [args.suite] if args.suite else None
-    try:
-        report = run_suites(names, tolerance_override=args.tolerance_override)
-    except KeyError as exc:
-        raise ConfigError(str(exc)) from exc
+    report = run_suites(names, tolerance_override=args.tolerance_override)
     print(dumps_json(report))
     if not report["passed"]:
         print(f"FAILED: {', '.join(report['failed'])}", file=sys.stderr)
@@ -401,64 +421,42 @@ def cmd_verify(args):
 
 
 def cmd_convergence(args):
-    cfg = _load_config(args.config)
-    dts = cfg.get("dts")
-    if not isinstance(dts, list) or not dts:
-        raise ConfigError("config needs a non-empty 'dts' list")
-    dts = [_num(v, "dts") for v in dts]
-    if any(dt <= 0.0 for dt in dts):
-        raise ConfigError("dts must be positive")
-    rho = _num(cfg.get("rho", 0.5), "rho")
-    gamma = _num(cfg.get("gamma", 1.0), "gamma")
-    lam = _num(cfg.get("lambda", 1.0), "lambda")
-    horizon = _num(cfg.get("horizon", 1.0), "horizon")
-    if horizon <= 0.0:
-        raise ConfigError("horizon must be positive")
-    target_kind = cfg.get("target", "kernel")
+    cfg = _read(_load_config(args.config), SCHEMA["convergence"])
+    rho, gamma, lam, horizon, dts = (cfg[k] for k in ("rho", "gamma", "lambda",
+                                                      "horizon", "dts"))
+    steps = [round(horizon / dt) if 0.0 < dt and horizon / dt < math.inf
+             else 0 for dt in dts]
+    for dt, n in zip(dts, steps):
+        if n < 1 or not math.isclose(n * dt, horizon, rel_tol=1e-9):
+            raise ConfigError(f"dts: {dt!r} does not divide the horizon "
+                              f"{horizon!r} into whole steps")
     try:
         p = KernelParams(rho, gamma, lam)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    if target_kind == "kernel":
-        reference = eval_A(p, horizon)
-        values = []
-        for dt in dts:
-            grid = L1Grid(dt, round(horizon / dt), rho)
-            values.append(float(solve_scalar(lam, gamma, rho, 1.0, None, grid)[-1]))
-    elif target_kind == "manufactured":
-        reference = horizon ** 2
+    if cfg["target"] == "kernel":
+        reference, u0, source = eval_A(p, horizon), 1.0, None
+    else:
+        reference, u0 = horizon ** 2, 0.0
         source = manufactured_quadratic_source(explicit_spectrum([lam]), rho,
                                                gamma)
-        values = []
-        for dt in dts:
-            grid = L1Grid(dt, round(horizon / dt), rho)
-            values.append(float(solve_scalar(lam, gamma, rho, 0.0,
-                                             source(grid.times)[:, 0], grid)[-1]))
-    else:
-        raise ConfigError("target must be 'kernel' or 'manufactured'")
+    values = []
+    for dt, n in zip(dts, steps):
+        grid = L1Grid(dt, n, rho)
+        f = None if source is None else source(grid.times)[:, 0]
+        values.append(float(solve_scalar(lam, gamma, rho, u0, f, grid)[-1]))
 
     errors = [abs(v - reference) for v in values]
-    orders = []
-    for i in range(1, len(errors)):
-        if errors[i] > 0.0 and errors[i - 1] > 0.0 and dts[i] != dts[i - 1]:
-            orders.append(math.log(errors[i - 1] / errors[i])
-                          / math.log(dts[i - 1] / dts[i]))
-        else:
-            orders.append(math.nan)
+    orders = [math.log(e0 / e1) / math.log(d0 / d1)
+              if e0 > 0.0 and e1 > 0.0 and d0 != d1 else math.nan
+              for d0, d1, e0, e1 in zip(dts, dts[1:], errors, errors[1:])]
     extrapolated = None
-    if len(values) >= 2 and all(
-        math.isclose(dts[i] / dts[i + 1], 2.0, rel_tol=1e-9)
-        for i in range(len(dts) - 1)
-    ):
-        result = richardson_extrapolate(values)
-        extrapolated = {
-            "value": result.value,
-            "observed_order": result.observed_order,
-            "order_reliable": result.order_reliable,
-        }
+    if len(values) >= 2 and all(math.isclose(d0 / d1, 2.0, rel_tol=1e-9)
+                                for d0, d1 in zip(dts, dts[1:])):
+        extrapolated = richardson_extrapolate(values)._asdict()
     report = {
-        "target": target_kind,
+        "target": cfg["target"],
         "reference": reference,
         "dts": dts,
         "values": values,

@@ -193,10 +193,14 @@ def load_field_csv(path, op: SpectralOperator) -> CoefficientField:
         return project(data[:, 0], data[:, 1], op)
     if header == ["k", "coefficient"]:
         coeffs = np.zeros(op.n_modes)
+        seen = set()
         for k_str, c_str in rows:
             k = int(k_str)
             if not 1 <= k <= op.n_modes:
                 raise ValueError(f"{path}: mode index {k} outside 1..{op.n_modes}")
+            if k in seen:
+                raise ValueError(f"{path}: mode index {k} given twice")
+            seen.add(k)
             coeffs[k - 1] = float(c_str)
         if not np.all(np.isfinite(coeffs)):
             raise ValueError(f"{path}: non-finite coefficient")

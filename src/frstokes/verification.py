@@ -142,20 +142,20 @@ def suite_kernel_initial(override=None):
     """
     tol = _tol(1e-6, override)
     worst_a = worst_b = 0.0
-    where = ""
+    where_a = where_b = ""
     for rho, gamma in _grid():
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
             da, db = np.abs(_density_kernels(p, [0.0])[0] - 1.0)
-            if max(da, db) > max(worst_a, worst_b):
-                where = f"rho={rho} gamma={gamma} lam={lam}"
-            worst_a = max(worst_a, da)
-            worst_b = max(worst_b, db)
+            if da > worst_a:
+                worst_a, where_a = da, f"rho={rho} gamma={gamma} lam={lam}"
+            if db > worst_b:
+                worst_b, where_b = db, f"rho={rho} gamma={gamma} lam={lam}"
     return [
         CheckResult.from_worst("kernel-initial", "relaxation-at-zero", tol,
-                               worst_a, where),
+                               worst_a, where_a),
         CheckResult.from_worst("kernel-initial", "impulse-at-zero", tol,
-                               worst_b, where),
+                               worst_b, where_b),
     ]
 
 

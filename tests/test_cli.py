@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from frstokes.cli import main
+from frstokes.cli import REQUIRED, SCHEMA, Instead, main
 from frstokes.kernel import KernelParams, eval_A, eval_dB_dt_grid
 
 
@@ -148,39 +148,71 @@ class TestSolveCommand:
         assert json.loads(out)["error"] == "config"
         assert not out_dir.exists() or not os.listdir(out_dir)
 
-    @pytest.mark.parametrize("overrides", [
+    @pytest.mark.parametrize("overrides, message", [
         # config sections that are not JSON objects
-        None,
-        {"operator": [1.0]},
-        {"output": "trace.csv"},
+        (None, ""),
+        ({"operator": [1.0]}, ""),
+        ({"output": "trace.csv"}, ""),
         # output requests that cannot be honoured
-        {"output": {"grid_csv": {"path": "grid.csv"}}},
-        {"output": {"trace_csv": "missing/trace.csv"}},
-        {"output": {"trace_csv": "a.csv", "diagnostics_json": "a.csv"}},
-        {"output": {"diagnostics_json": "."}},
+        ({"output": {"grid_csv": {"path": "grid.csv"}}}, ""),
+        ({"output": {"trace_csv": "missing/trace.csv"}}, ""),
+        ({"output": {"trace_csv": "a.csv", "diagnostics_json": "a.csv"}}, ""),
+        ({"output": {"diagnostics_json": "."}}, ""),
         # non-finite numbers
-        {"problem": {"kind": "forward", "rho": "0.5", "gamma": "inf",
-                     "horizon": "1.0"}},
-        {"data": {"coefficients": [math.nan]}},
-        {"source": {"kind": "constant", "value": "nan"}},
+        ({"problem": {"kind": "forward", "rho": "0.5", "gamma": "inf",
+                      "horizon": "1.0"}}, ""),
+        ({"data": {"coefficients": [math.nan]}}, ""),
+        ({"source": {"kind": "constant", "value": "nan"}}, ""),
         # counts that are not whole numbers, which int() would truncate
-        {"operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
-                      "n_modes": 2.7},
-         "data": {"coefficients": [1.0, 0.5]}},
-        {"problem": {"kind": "forward", "rho": "0.5", "gamma": "1.0",
-                     "horizon": "1.0", "time_grid": {"n_nodes": 16.9}}},
-        {"operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
-                      "n_modes": 1},
-         "output": {"grid_csv": {"path": "grid.csv", "n_points": True}}},
-        {"quadrature": {"max_refinements": 30.5}},
+        ({"operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                       "n_modes": 2.7},
+          "data": {"coefficients": [1.0, 0.5]}}, ""),
+        ({"problem": {"kind": "forward", "rho": "0.5", "gamma": "1.0",
+                      "horizon": "1.0", "time_grid": {"n_nodes": 16.9}}}, ""),
+        ({"operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                       "n_modes": 1},
+          "output": {"grid_csv": {"path": "grid.csv", "n_points": True}}}, ""),
+        ({"quadrature": {"max_refinements": 30.5}}, ""),
+        # misspelled and unknown keys, named by their dotted path
+        ({"source": {"kind": "constant", "valeu": 5}},
+         "'source.valeu'; did you mean 'source.value'?"),
+        ({"quadrature": {"rel_tl": "1e-3"}},
+         "'quadrature.rel_tl'; did you mean 'quadrature.rel_tol'?"),
+        ({"outptu": {"trace_csv": "trace.csv"}},
+         "'outptu'; did you mean 'output'?"),
+        ({"data": {"coefficient": [1.0]}},
+         "'data.coefficient'; did you mean 'data.coefficients'?"),
+        ({"problem": {"kind": "forward", "rho": "0.5", "gamma": "1.0",
+                      "horizon": "1.0", "time_grid": {"n_node": 16}}},
+         "'problem.time_grid.n_node'; did you mean "
+         "'problem.time_grid.n_nodes'?"),
+        ({"output": {"grid_csv": {"path": "grid.csv", "points": 3}}},
+         "unknown key 'output.grid_csv.points'"),
+        ({"comment": "a note"}, "unknown key 'comment'"),
+        # keys of another kind, and both keys of a one-of pair
+        ({"source": {"kind": "zero", "value": 5}},
+         "unknown key 'source.value' for source.kind 'zero'"),
+        ({"operator": {"kind": "explicit_spectrum", "eigenvalues": [1.0],
+                       "length": math.pi}},
+         "unknown key 'operator.length' for operator.kind "
+         "'explicit_spectrum'"),
+        ({"data": {"coefficients": [1.0], "csv": "data.csv"}},
+         "data.coefficients or data.csv"),
+        ({"source": {"kind": "sampled_csv"}}, "source.path is required"),
     ], ids=["top-level-list", "operator-list", "output-string",
             "grid-without-eigenfunctions", "missing-subdirectory",
             "colliding-outputs", "directory-output",
             "gamma-inf", "nan-coefficient", "nan-source",
             "fractional-n-modes", "fractional-n-nodes", "bool-n-points",
-            "fractional-max-refinements"])
+            "fractional-max-refinements",
+            "misspelled-source-value", "misspelled-quadrature-key",
+            "misspelled-section", "misspelled-data-key",
+            "misspelled-time-grid-key", "unknown-grid-csv-key",
+            "unknown-top-level-key", "value-under-zero-source",
+            "length-under-explicit-spectrum", "coefficients-and-csv",
+            "sampled-source-without-path"])
     def test_rejected_config_exit_2_no_outputs(self, tmp_path, capsys,
-                                               overrides):
+                                               overrides, message):
         if overrides is None:
             path = tmp_path / "config.json"
             path.write_text("[1, 2]")
@@ -193,6 +225,7 @@ class TestSolveCommand:
         assert code == 2
         (line,) = out.strip().splitlines()
         assert json.loads(line)["error"] == "config"
+        assert message in json.loads(line)["message"]
         assert os.listdir(out_dir) == []
 
     def test_counts_accept_whole_numbers_and_decimal_strings(self, tmp_path,
@@ -300,7 +333,10 @@ class TestSolveCommand:
          {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
         ("source.csv", "t,f1\n0,0.5\n1,abc\n",
          {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
-    ], ids=["nan-coefficient", "inf-sample", "nan-source", "text-source"])
+        ("data.csv", "k,coefficient\n1,0.5\n1,0.7\n",
+         {"data": {"csv": "data.csv"}}),
+    ], ids=["nan-coefficient", "inf-sample", "nan-source", "text-source",
+            "duplicate-mode"])
     def test_non_finite_ingest_exit_3_no_outputs(self, tmp_path, capsys,
                                                  name, text, section):
         (tmp_path / name).write_text(text)
@@ -389,29 +425,33 @@ FUZZ_CONFIG = {
                "grid_csv": {"path": "grid.csv", "n_points": 5}},
     "quadrature": {"rel_tol": "1e-8", "max_refinements": 30},
 }
+# the other kinds: an explicit spectrum (no length) and a zero source
+FUZZ_CONFIG_SPECTRUM = {
+    "problem": {"kind": "nonlocal", "rho": "0.5", "gamma": "1.0",
+                "horizon": "1.0", "time_grid": {"nodes": [0, 0.5, 1]}},
+    "operator": {"kind": "explicit_spectrum", "eigenvalues": [1.0, 4.0]},
+    "data": {"coefficients": [1.0, 0.5]},
+    "source": {"kind": "zero"},
+}
+FUZZ_CONVERGENCE = {"target": "manufactured", "rho": "0.5", "gamma": "1.0",
+                    "lambda": "2.0", "horizon": "1.0", "dts": ["0.1", "0.05"]}
 # no large counts: a huge n_nodes or n_modes exhausts memory before any
 # admission check could reject it
 FUZZ_VALUES = [None, True, -1, 0, 3, 1e-6, "abc", "nan", "1e400", ".", [], {}]
 
 
-def _key_paths(table, prefix=()):
-    for key, value in table.items():
-        yield prefix + (key,)
-        if isinstance(value, dict):
-            yield from _key_paths(value, prefix + (key,))
+def _schema_paths(command):
+    """Every key path of the schema, sections included, and an unknown key
+    at the top level and in every section."""
+    paths = {tuple(key.path.split("."))[:i] for key in SCHEMA[command]
+             for i in range(1, key.path.count(".") + 2)}
+    sections = {path[:-1] for path in paths}
+    return sorted(paths) + sorted(s + ("no_such_key",) for s in sections)
 
 
-@settings(derandomize=True, deadline=None, max_examples=100)
-@given(st.sampled_from(list(_key_paths(FUZZ_CONFIG))),
-       st.sampled_from(FUZZ_VALUES))
-def test_mutated_config_keeps_exit_contract(path, value):
-    # one key of a valid config replaced: a known exit code, one JSON line
-    # on stdout, and no file left behind by a failure
-    cfg = copy.deepcopy(FUZZ_CONFIG)
-    table = cfg
-    for key in path[:-1]:
-        table = table[key]
-    table[path[-1]] = value
+def _assert_exit_contract(command, cfg):
+    # a known exit code, one JSON document on stdout (one line, except a
+    # convergence report) and no file left behind by a failure
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w") as fh:
@@ -420,13 +460,44 @@ def test_mutated_config_keeps_exit_contract(path, value):
         os.mkdir(out_dir)
         stdout = io.StringIO()
         with contextlib.redirect_stdout(stdout):
-            code = main(["solve", "--config", config, "--out-dir", out_dir])
+            code = main([command, "--config", config, "--out-dir", out_dir]
+                        if command == "solve" else
+                        [command, "--config", config])
         assert code in (0, 2, 3, 4)
-        (line,) = stdout.getvalue().splitlines()
-        assert isinstance(json.loads(line), dict)
+        assert isinstance(json.loads(stdout.getvalue()), dict)
+        if code != 0 or command == "solve":
+            (line,) = stdout.getvalue().splitlines()
         if code != 0:
             assert os.listdir(out_dir) == []
             assert sorted(os.listdir(tmp)) == ["config.json", "out"]
+        return code
+
+
+def _mutated(base, path, value):
+    cfg = copy.deepcopy(base)
+    table = cfg
+    for key in path[:-1]:
+        table = table.setdefault(key, {})
+    table[path[-1]] = value
+    return cfg
+
+
+@settings(derandomize=True, deadline=None, max_examples=250)
+@given(st.sampled_from([FUZZ_CONFIG, FUZZ_CONFIG_SPECTRUM]),
+       st.sampled_from(_schema_paths("solve")), st.sampled_from(FUZZ_VALUES))
+def test_mutated_config_keeps_exit_contract(base, path, value):
+    # one key of a valid config set, known or not, to an arbitrary value
+    code = _assert_exit_contract("solve", _mutated(base, path, value))
+    assert code == 2 or path[-1] != "no_such_key"
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(st.sampled_from(_schema_paths("convergence")),
+       st.sampled_from(FUZZ_VALUES))
+def test_mutated_convergence_config_keeps_exit_contract(path, value):
+    code = _assert_exit_contract("convergence",
+                                 _mutated(FUZZ_CONVERGENCE, path, value))
+    assert code == 2 or path[-1] != "no_such_key"
 
 
 class TestVerifyCommand:
@@ -477,6 +548,57 @@ class TestConvergenceCommand:
         cfg.write_text(json.dumps({"target": "kernel", "dts": []}))
         code, out, _ = run_cli(capsys, "convergence", "--config", str(cfg))
         assert code == 2
+
+    @pytest.mark.parametrize("cfg, dt", [
+        ({"dts": [5.0]}, "5.0"),   # no whole step fits the horizon
+        ({"target": "manufactured", "dts": [0.3, 0.15]}, "0.3"),  # ends at 0.9
+        ({"horizon": "2", "dts": ["0.5", "0.3"]}, "0.3"),
+        ({"dts": [0.1, -0.05]}, "-0.05"),
+    ], ids=["longer-than-horizon", "overshooting", "second-step", "negative"])
+    def test_step_that_misses_the_horizon_exit_2(self, tmp_path, capsys, cfg,
+                                                 dt):
+        path = tmp_path / "conv.json"
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "convergence", "--config", str(path))
+        assert code == 2 and err == ""
+        (line,) = out.strip().splitlines()
+        message = json.loads(line)["message"]
+        assert message.startswith(f"dts: {dt} ") and "horizon" in message
+
+
+def _schema_row(command, key):
+    """The README config-table row of one schema key."""
+    types = {"number": "number", "count": "count",
+             "numbers": "list of numbers",
+             "name": "file name", "path": "input file", "table": "table"}
+    kind = (f"`{key.path.rpartition('.')[0]}.kind` = `{key.kind}`"
+            if key.kind else "")
+    if key.default is REQUIRED:
+        default = "required"
+    elif isinstance(key.default, Instead):
+        default = f"instead of `{key.default.key}`"
+    elif key.default is None:
+        default = "none"
+    else:
+        default = f"`{json.dumps(key.default)}`"
+    return [command, f"`{key.path}`",
+            types.get(key.type) or ", ".join(f"`{c}`" for c in key.type),
+            default, kind]
+
+
+def test_readme_config_table_matches_schema():
+    # the documented keys, types, defaults and kinds are the parsed ones
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme) as fh:
+        lines = fh.read().splitlines()
+    start = lines.index("| command | key | type | default | applies to |")
+    rows = []
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        rows.append([cell.strip() for cell in line.strip("|").split("|")])
+    assert rows == [_schema_row(command, key) for command in SCHEMA
+                    for key in SCHEMA[command]]
 
 
 def test_cli_import_leaves_scipy_unloaded():

@@ -168,3 +168,11 @@ class TestCsvIngestion:
         path.write_text("k,coefficient\n2,1.0\n")
         with pytest.raises(ValueError):
             load_field_csv(path, op)
+
+    def test_duplicate_mode_rejected(self, tmp_path):
+        # a later row must not silently overwrite an earlier one
+        op = explicit_spectrum([1.0, 4.0])
+        path = tmp_path / "dup.csv"
+        path.write_text("k,coefficient\n1,0.5\n2,0.1\n1,0.7\n")
+        with pytest.raises(ValueError, match=r"dup\.csv.*mode index 1"):
+            load_field_csv(path, op)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from frstokes.verification import SUITES, run_suites
@@ -94,6 +95,25 @@ def test_fixed_rule_integral_B_matches_adaptive():
                         tol_abs=1e-11, tol_rel=1e-9)
                     worst = max(worst, abs(_integral_B_time(p, t) - adaptive))
     assert worst <= 1e-12
+
+
+def test_kernel_initial_details_name_each_checks_own_worst_case():
+    # each check reports where its own kernel deviates most from 1 at t = 0
+    from frstokes.kernel import KernelParams
+    from frstokes.verification import (
+        GAMMA_GRID, LAMBDA_TRIPLE, RHO_GRID, _density_kernels)
+
+    grid = [(rho, gamma, lam) for rho in RHO_GRID for gamma in GAMMA_GRID
+            for lam in LAMBDA_TRIPLE]
+    deviations = np.array([
+        np.abs(_density_kernels(KernelParams(*point), [0.0])[0] - 1.0)
+        for point in grid])
+    details = {c.name: c.detail for c in SUITES["kernel-initial"]()}
+    for column, name in enumerate(("relaxation-at-zero", "impulse-at-zero")):
+        rho, gamma, lam = grid[int(np.argmax(deviations[:, column]))]
+        assert details[name] == f"rho={rho} gamma={gamma} lam={lam}"
+    # the two worst cases differ on this grid, so one shared detail fails
+    assert details["relaxation-at-zero"] != details["impulse-at-zero"]
 
 
 KERNEL_SUITES = ("kernel-initial", "a-properties", "identities",
