@@ -21,12 +21,7 @@ from importlib import resources
 
 import numpy as np
 
-from .kernel import (
-    KernelParams,
-    QuadratureConfig,
-    _contour_values,
-    eval_dB_dt_grid,
-)
+from .kernel import KernelParams, _contour_values, eval_dB_dt_grid
 
 __all__ = [
     "DEFAULT_EPSILON",
@@ -42,7 +37,7 @@ __all__ = [
 DEFAULT_EPSILON = 0.5
 REFERENCE_TIME_NODES = 241          # check grids use 241 -> 121 -> 61 ...
 _REFERENCE_T_FLOOR = 1e-4
-_LAMBDA_FACTORS = (1.0, 10.0, 100.0)
+_LAMBDA_FACTORS = (1.0, 10.0, 100.0)   # eigenvalues lambda_1 * factor
 
 ENV_VAR = "FRS_CONSTANTS_MANIFEST"
 
@@ -56,8 +51,8 @@ def manifest_path() -> str | None:
     return str(ref) if ref.is_file() else None
 
 
-def load_manifest(path: str | None = None) -> dict:
-    target = path if path is not None else manifest_path()
+def load_manifest() -> dict:
+    target = manifest_path()
     if target is None or not os.path.exists(target):
         raise FileNotFoundError(
             "no constants manifest found; generate one with "
@@ -67,19 +62,15 @@ def load_manifest(path: str | None = None) -> dict:
         return json.load(fh)
 
 
-def constants_key(rho: float, gamma: float, lambda_1: float = 1.0,
-                  T: float = 1.0, epsilon: float = DEFAULT_EPSILON) -> str:
-    return (f"rho={rho:g}|gamma={gamma:g}|lambda1={lambda_1:g}"
-            f"|T={T:g}|eps={epsilon:g}")
+def constants_key(rho: float, gamma: float) -> str:
+    """The manifest key of a (rho, gamma) cell at lambda_1 = T = 1."""
+    return f"rho={rho:g}|gamma={gamma:g}|lambda1=1|T=1|eps={DEFAULT_EPSILON:g}"
 
 
-def get_constants(rho: float, gamma: float, lambda_1: float = 1.0,
-                  T: float = 1.0, epsilon: float = DEFAULT_EPSILON,
-                  path: str | None = None) -> dict:
-    manifest = load_manifest(path)
-    key = constants_key(rho, gamma, lambda_1, T, epsilon)
+def get_constants(rho: float, gamma: float) -> dict:
+    key = constants_key(rho, gamma)
     try:
-        return manifest["cells"][key]
+        return load_manifest()["cells"][key]
     except KeyError:
         raise KeyError(f"constants manifest has no cell {key!r}") from None
 
@@ -89,20 +80,21 @@ def reference_time_grid(T: float, n_nodes: int = REFERENCE_TIME_NODES) -> np.nda
     return np.geomspace(_REFERENCE_T_FLOOR * T, T, n_nodes)
 
 
-def measure_constants(rho: float, gamma: float, lambda_1: float = 1.0,
-                      T: float = 1.0, epsilon: float = DEFAULT_EPSILON,
-                      q: QuadratureConfig | None = None,
+def measure_constants(rho: float, gamma: float,
                       n_nodes: int = REFERENCE_TIME_NODES) -> dict:
-    """Suprema of the normalized bound quantities on the reference grid."""
-    ts = reference_time_grid(T, n_nodes)
+    """Suprema of the normalized bound quantities on the reference grid.
+
+    The cell of the manifest key: lambda_1 = T = 1, eps = DEFAULT_EPSILON.
+    """
+    ts = reference_time_grid(1.0, n_nodes)
     envelope = 0.0
     derivative = 0.0
-    for factor in _LAMBDA_FACTORS:
-        p = KernelParams(rho, gamma, lambda_1 * factor)
-        _, _, env, der = _envelope_terms(p, ts, epsilon, q)
+    for lam in _LAMBDA_FACTORS:
+        p = KernelParams(rho, gamma, lam)
+        _, _, env, der = _envelope_terms(p, ts, DEFAULT_EPSILON)
         envelope = max(envelope, float(np.max(env)))
         derivative = max(derivative, float(np.max(der)))
-    forcing = _measure_forcing_response(rho, gamma, epsilon, T, q)
+    forcing = _measure_forcing_response(rho, gamma)
     return {
         "c_envelope_B": envelope,
         "c_derivative_B": derivative,
@@ -112,22 +104,21 @@ def measure_constants(rho: float, gamma: float, lambda_1: float = 1.0,
     }
 
 
-def _envelope_terms(p: KernelParams, ts: np.ndarray, epsilon: float,
-                    q: QuadratureConfig | None = None):
+def _envelope_terms(p: KernelParams, ts: np.ndarray, epsilon: float):
     """B, dB/dt and the two normalized envelope quantities at the times ts.
 
     The quantities are lam B / min(1/t, t^(rho-1)) and
     t^(1-eps(1-rho)) lam^-eps |dB/dt|: the manifest stores their suprema
     and the b-properties suite checks against them.
     """
-    b = _contour_values("B", p, ts, q)
-    db, _ = eval_dB_dt_grid(p, ts, q)
+    b = _contour_values("B", p, ts)
+    db, _ = eval_dB_dt_grid(p, ts)
     env = p.lam * b / np.minimum(1.0 / ts, ts ** (p.rho - 1.0))
     weight = ts ** (1.0 - epsilon * (1.0 - p.rho)) * p.lam ** (-epsilon)
     return b, db, env, weight * np.abs(db)
 
 
-def _measure_forcing_response(rho, gamma, epsilon, T, q):
+def _measure_forcing_response(rho, gamma):
     """sup_t ||A u(t)|| / max_t ||f(t)||_eps on the reference forced problem."""
     from .solvers import ProblemSpec, constant_source, solve_forward, uniform_grid
     from .spectral import CoefficientField, explicit_spectrum, norm_tau
@@ -135,12 +126,12 @@ def _measure_forcing_response(rho, gamma, epsilon, T, q):
     op = explicit_spectrum(np.arange(1.0, 9.0))
     f_coeffs = op.eigenvalues ** -2.0
     spec = ProblemSpec(
-        "forward", op, rho, gamma, T,
+        "forward", op, rho, gamma, 1.0,
         CoefficientField(np.zeros(op.n_modes), op),
-        constant_source(f_coeffs), uniform_grid(T, 257),
+        constant_source(f_coeffs), uniform_grid(1.0, 257),
     )
-    trace = solve_forward(spec, q)
-    f_norm = norm_tau(CoefficientField(f_coeffs, op), epsilon)
+    trace = solve_forward(spec)
+    f_norm = norm_tau(CoefficientField(f_coeffs, op), DEFAULT_EPSILON)
     au = trace.coefficients * op.eigenvalues[None, :]
     sup_au = float(np.max(np.sqrt(np.sum(au ** 2, axis=1))))
     return sup_au / f_norm

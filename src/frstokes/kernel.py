@@ -17,8 +17,9 @@ once (Weideman & Trefethen 2007, Math. Comp. 76:1341-1356).  Both kernels
 are also Laplace integrals of explicit spectral densities on the positive
 half line.  The real-line engine (``quadrature``: the half line mapped onto
 finite intervals and refined by one adaptive Gauss-Kronrod loop)
-integrates those for dB/dt, for the uniform-in-mode lower bounds and as
-the independent reference the verification suites compare against.
+integrates those for dB/dt and as the independent reference the
+verification suites compare against.  The uniform-in-mode lower bounds
+are one fixed rule in log r each, with no tolerance to set.
 """
 
 from __future__ import annotations
@@ -29,10 +30,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .quadrature import (
+    _WK,
+    _XK,
     QuadratureConfig,
     adaptive_finite,
     exp_weighted_semiinfinite,
-    integrate_semiinfinite,
 )
 
 __all__ = [
@@ -64,10 +66,10 @@ class KernelParams:
     def __post_init__(self):
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie strictly inside (0, 1), got {self.rho}")
-        if not self.gamma > 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError(f"gamma must be positive and finite, got {self.gamma}")
+        if not 0.0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
 
 
 def _check_positive_r(r):
@@ -190,7 +192,8 @@ def _bromwich(kind: str, rho: float, gamma: float, lam, ts: np.ndarray,
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
     def transform(z):
-        a, b = _transforms(z, rho, gamma, lam)
+        with np.errstate(all="ignore"):  # overflow gives NaN; callers check
+            a, b = _transforms(z, rho, gamma, lam)
         return {"A": a, "B": b, "Phi": a / z}[kind]
 
     values = np.full((ts.size, lam.size), 0.0 if kind == "Phi" else 1.0)
@@ -261,29 +264,46 @@ def eval_dB_dt_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
     return -values, errors
 
 
-def _lower_bound(rho, gamma, lambda_1, T, power, q):
-    """gamma sin(pi rho) / (3 pi) int_0^inf r^power e^(-rT) / denominator dr."""
+# The lower bounds' rule in v = log r: unit cells from BOUND_DEPTH below the
+# first feature up to r = 50 / T, past which e^(-rT) < e^-50, and below
+# them cells over which r^rho halves, down to r^rho = e^-64 min(1, 1 / gamma).
+BOUND_DEPTH = 40.0
+
+
+def _lower_bound(rho, gamma, lambda_1, T, power):
+    """gamma sin(pi rho) / (3 pi) int_0^inf r^power e^(-rT) / denominator dr.
+
+    A fixed 15-point Kronrod rule in v = log r, the integrand formed in log
+    space, so it is finite for every rho however far r = e^v under- or
+    overflows.  The cells resolve the e^(-rT) cliff at r = 1/T, the turn of
+    r^2 / lambda_1^2 at r = lambda_1, and the gamma^2 r^(2 rho) turn and slow
+    r^(rho - 1) decay below them.  The rule reads no tolerance.
+    """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie strictly inside (0, 1)")
-    if gamma <= 0.0 or lambda_1 <= 0.0 or T <= 0.0:
+    if not (gamma > 0.0 and lambda_1 > 0.0 and T > 0.0):
         raise ValueError("gamma, lambda_1 and T must be positive")
+    first = min(-math.log(T), math.log(lambda_1)) - BOUND_DEPTH
+    top = math.log(50.0) - math.log(T)
+    halvings = math.ceil((64.0 + max(0.0, math.log(gamma))) / math.log(2.0))
+    breaks = np.concatenate((
+        first - math.log(2.0) / rho * np.arange(halvings, 0, -1),
+        np.linspace(first, top, math.ceil(top - first) + 1)))
+    half = 0.5 * np.diff(breaks)
+    v = (breaks[:-1] + half)[:, None] + half[:, None] * _XK
+    log_denom = np.logaddexp(np.logaddexp(2.0 * (v - math.log(lambda_1)),
+                                          2.0 * (math.log(gamma) + rho * v)), 0.0)
+    f = np.exp(math.log(gamma * math.sin(math.pi * rho) / (3.0 * math.pi))
+               + (power + 1.0) * v - np.exp(v + math.log(T)) - log_denom)
+    return float(half @ (f @ _WK))
 
-    def dens(r):
-        denom = r ** 2 / lambda_1 ** 2 + gamma ** 2 * r ** (2.0 * rho) + 1.0
-        return r ** power * np.exp(-r * T) / denom
 
-    value, _ = integrate_semiinfinite(dens, min(power, 0.0), q)
-    return gamma * math.sin(math.pi * rho) / (3.0 * math.pi) * value
-
-
-def lower_bound_A(rho: float, gamma: float, lambda_1: float, T: float,
-                  q: QuadratureConfig | None = None) -> float:
+def lower_bound_A(rho: float, gamma: float, lambda_1: float, T: float) -> float:
     """Uniform lower bound on A(lam_k, t) over lam_k >= lambda_1, t in [0, T]."""
-    return _lower_bound(rho, gamma, lambda_1, T, rho - 1.0, q)
+    return _lower_bound(rho, gamma, lambda_1, T, rho - 1.0)
 
 
-def lower_bound_B(rho: float, gamma: float, lambda_1: float, T: float,
-                  q: QuadratureConfig | None = None) -> float:
+def lower_bound_B(rho: float, gamma: float, lambda_1: float, T: float) -> float:
     """Uniform lower bound on lam_k * B(lam_k, t) over lam_k >= lambda_1, [0, T].
 
     The prefactor gamma*sin(pi rho)/(3 pi) follows from bounding the
@@ -293,7 +313,7 @@ def lower_bound_B(rho: float, gamma: float, lambda_1: float, T: float,
     (e.g. rho=0.3, gamma=2, lam=100, t=T=1 gives lam*B ~ 0.07224 against a
     claimed bound of 0.07284), so the provable constant is used.
     """
-    return _lower_bound(rho, gamma, lambda_1, T, rho, q)
+    return _lower_bound(rho, gamma, lambda_1, T, rho)
 
 
 def laplace_A_closed_form(p: KernelParams, z: float) -> float:

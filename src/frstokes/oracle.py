@@ -201,15 +201,14 @@ class RichardsonResult(NamedTuple):
     order_reliable: bool
 
 
-def richardson_extrapolate(values: Sequence[float],
-                           assumed_order: float = 1.0) -> RichardsonResult:
+def richardson_extrapolate(values: Sequence[float]) -> RichardsonResult:
     """Extrapolate a quantity computed at successively halved steps.
 
     ``values[k]`` is the result at step dt / 2^k.  With three or more
     entries the convergence order is observed from the last difference
-    ratio; with two it falls back to ``assumed_order``.  The order estimate
-    is flagged unreliable when consecutive differences disagree in sign
-    (non-monotone approach) or vanish.
+    ratio; with two it falls back to first order, the L1 rule's.  The
+    order estimate is flagged unreliable when consecutive differences
+    disagree in sign (non-monotone approach) or vanish.
     """
     vals = [float(v) for v in values]
     if len(vals) < 2:
@@ -226,7 +225,7 @@ def richardson_extrapolate(values: Sequence[float],
             if ratio > 1.0:
                 observed = math.log2(ratio)
                 reliable = True
-    order = observed if reliable else assumed_order
+    order = observed if reliable else 1.0
     factor = 2.0 ** order
     improved = (factor * vals[-1] - vals[-2]) / (factor - 1.0)
     return RichardsonResult(improved, observed, reliable)

@@ -23,9 +23,8 @@ with k columns (several densities sharing one substitution, say the two
 kernels' densities) the k families together: every node is evaluated
 once, and the panels refine until each output meets the tolerance.  The
 solve path takes its kernels from the Bromwich contour in ``kernel``; this
-engine serves dB/dt, the lower bounds and the reference values the
-verification suites compare against, on at most a few hundred times per
-call.
+engine serves dB/dt and the reference values the verification suites
+compare against, on at most a few hundred times per call.
 """
 
 from __future__ import annotations
@@ -70,27 +69,25 @@ _WG[1::2] = [
 ]
 
 TAIL_POWER = 16.0   # r = split * y**-16: a tail r**-p becomes y**(16 p - 17)
+MAX_SPLITS = 64 * 30  # bisections per integral family before nonconvergence
 
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budget; ``rel_tol`` also sizes the kernel contour.
+    """Tolerances; ``rel_tol`` also sizes the kernel contour.
 
     The Bromwich contour in ``kernel`` reads only ``rel_tol``.  This engine
-    reads all four; it bisects at most ``64 * max_refinements`` panels per
-    integral family before reporting nonconvergence.
+    reads all three and bisects at most ``MAX_SPLITS`` panels per integral
+    family before reporting nonconvergence.
     """
 
     rel_tol: float = 1e-8
     abs_tol: float = 1e-12
-    max_refinements: int = 30
     split_point: float = 1.0
 
     def __post_init__(self):
         if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
             raise ValueError("tolerances must be strictly positive")
-        if self.max_refinements < 1:
-            raise ValueError("max_refinements must be >= 1")
         if not self.split_point > 0.0:
             raise ValueError("split_point must be positive")
 
@@ -130,7 +127,8 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
     or ``max_splits`` bisections are spent, when the worst panels reach
     floating-point resolution, or when the integrand is not finite on a
     new panel at a node that ``in_range`` (a mask of the nodes the
-    integrand's substitution can represent) rejects.
+    integrand's substitution can represent) rejects.  In that last case
+    the panels miss part of the integral, so the error bound is infinite.
     """
 
     def panel_sums(lo, hi):
@@ -177,6 +175,7 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
             new_vals, new_errs = panel_sums(new_lo, new_hi)
         except _BeyondRange:
             reason = "worst panel at the float range of the substitution"
+            error = np.full_like(error, np.inf)
             break
         lo = np.concatenate((lo[keep], new_lo))
         hi = np.concatenate((hi[keep], new_hi))
@@ -252,9 +251,8 @@ def exp_weighted_semiinfinite(
             return (x > 0.0) | np.isfinite(tail(-x)[1])
 
     breaks = np.concatenate(([-1.0], np.linspace(0.0, split ** beta, 5)))
-    budget = 64 * q.max_refinements
-    values, errors = _refine(integrand, breaks, q.abs_tol, q.rel_tol, budget,
-                             budget, in_range)
+    values, errors = _refine(integrand, breaks, q.abs_tol, q.rel_tol,
+                             MAX_SPLITS, MAX_SPLITS, in_range)
     return values.reshape(shape), errors.reshape(shape)
 
 

@@ -338,8 +338,8 @@ def _assemble_modes(spec: ProblemSpec, q):
     return a, a_err[-1], conv, {"convolution_error_estimate": conv_err.tolist()}
 
 
-def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray, psi: np.ndarray,
-                          q) -> np.ndarray:
+def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray,
+                          psi: np.ndarray) -> np.ndarray:
     """W_k(t) = psi_k A(lam_k, t) / (A(lam_k, T) - 1) from the A columns.
 
     The denominators are uniformly negative since A < 1 for t > 0; one under
@@ -347,7 +347,7 @@ def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray, psi: np.ndarray,
     """
     denom = a[-1] - 1.0
     c_b = lower_bound_B(spec.rho, spec.gamma, float(spec.operator.eigenvalues[0]),
-                        spec.horizon, q)
+                        spec.horizon)
     for k in np.flatnonzero(np.abs(denom) < 0.5 * c_b * spec.horizon) + 1:
         warnings.warn(
             f"mode {k}: |A(T) - 1| = {abs(denom[k - 1]):.3e} under half the "
@@ -362,9 +362,13 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray,
     """Wrap the coefficients in a trace and attach its diagnostics.
 
     Norms, the solver's own entries, then one residual and one coercivity
-    report (None on grids too coarse for them).
+    report (None on grids too coarse for them).  A non-finite coefficient
+    raises SolverError: no trace is returned to be written.
     """
     lam = spec.operator.eigenvalues
+    bad = np.flatnonzero(~np.all(np.isfinite(coefficients), axis=0))
+    if bad.size:
+        raise SolverError(f"mode {bad[0] + 1}: the solution is not finite")
     diagnostics = {
         "norm_H": np.sqrt(np.sum(coefficients ** 2, axis=1)).tolist(),
         "norm_A": np.sqrt(np.sum((coefficients * lam) ** 2, axis=1)).tolist(),
@@ -402,8 +406,7 @@ def solve_forward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solut
 
 
 def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
-                      horizon: float, time_grid=None,
-                      q: QuadratureConfig | None = None) -> SolutionTrace:
+                      horizon: float, time_grid=None) -> SolutionTrace:
     """Homogeneous solution with the non-local increment W(T) - W(0) = psi.
 
     W_k(t) = psi_k A(lam_k, t) / (A(lam_k, T) - 1); the denominators are
@@ -411,8 +414,8 @@ def solve_auxiliary_W(psi: CoefficientField, rho: float, gamma: float,
     """
     spec = ProblemSpec("nonlocal", psi.operator, rho, gamma, horizon, psi,
                        None, time_grid)
-    a, _, _, _ = _assemble_modes(spec, q)
-    coeffs = _homogeneous_nonlocal(spec, a, psi.coefficients, q)
+    a, _, _, _ = _assemble_modes(spec, None)
+    coeffs = _homogeneous_nonlocal(spec, a, psi.coefficients)
     gap = np.max(np.abs(coeffs[-1] - coeffs[0] - psi.coefficients))
     return _finish(spec, coeffs, increment_gap=float(gap))
 
@@ -427,7 +430,7 @@ def solve_nonlocal(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solu
         raise ValueError("spec.kind must be 'nonlocal'")
     a, _, conv, notes = _assemble_modes(spec, q)
     psi = spec.data.coefficients - conv[-1]
-    coeffs = _homogeneous_nonlocal(spec, a, psi, q) + conv
+    coeffs = _homogeneous_nonlocal(spec, a, psi) + conv
     gap = np.max(np.abs(coeffs[-1] - coeffs[0] - spec.data.coefficients))
     return _finish(
         spec, coeffs, **notes, nonlocal_gap=float(gap),
@@ -446,7 +449,7 @@ def solve_backward(spec: ProblemSpec, q: QuadratureConfig | None = None) -> Solu
     if spec.kind != "backward":
         raise ValueError("spec.kind must be 'backward'")
     c_a = lower_bound_A(spec.rho, spec.gamma, float(spec.operator.eigenvalues[0]),
-                        spec.horizon, q)
+                        spec.horizon)
     a, a_err_T, conv, notes = _assemble_modes(spec, q)
     suspect = np.flatnonzero(a_err_T > 0.5 * c_a)
     if suspect.size:

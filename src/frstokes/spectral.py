@@ -113,12 +113,12 @@ class CoefficientField:
         object.__setattr__(self, "coefficients", coeffs)
 
 
-def basis_field(op: SpectralOperator, k: int, amplitude: float = 1.0) -> CoefficientField:
+def basis_field(op: SpectralOperator, k: int) -> CoefficientField:
     """The k-th basis element e_k (k is 1-based)."""
     if not 1 <= k <= op.n_modes:
         raise ValueError(f"mode index {k} outside 1..{op.n_modes}")
     coeffs = np.zeros(op.n_modes)
-    coeffs[k - 1] = amplitude
+    coeffs[k - 1] = 1.0
     return CoefficientField(coeffs, op)
 
 

@@ -94,10 +94,6 @@ def _grid():
             yield rho, gamma
 
 
-def _tol(default, override):
-    return default if override is None else override
-
-
 def _integral_B_time(p: KernelParams, t: float) -> float:
     """int_0^t B(lam, s) ds by the 15-point Kronrod rule on 64 graded cells.
 
@@ -135,12 +131,12 @@ def _density_kernels(p: KernelParams, ts, q: QuadratureConfig | None = None,
 # Kernel suites
 
 
-def suite_kernel_initial(override=None):
+def suite_kernel_initial():
     """Both kernels equal 1 at t = 0 across the grid and lam in {1, 10, 100}.
 
     The contour pins t = 0, so the densities are integrated instead.
     """
-    tol = _tol(1e-6, override)
+    tol = 1e-6
     worst_a = worst_b = 0.0
     where_a = where_b = ""
     for rho, gamma in _grid():
@@ -159,9 +155,9 @@ def suite_kernel_initial(override=None):
     ]
 
 
-def suite_a_properties(override=None):
+def suite_a_properties():
     """Monotone decay, range (0, 1), and the uniform lower bound for A."""
-    tol = _tol(0.0, override)
+    tol = 0.0
     ts = np.geomspace(1e-3, 1.0, 50)
     worst_mono = -np.inf   # most positive consecutive increment
     worst_range = -np.inf  # range violation amount
@@ -188,16 +184,13 @@ def suite_a_properties(override=None):
     ]
 
 
-def suite_identities(override=None):
+def suite_identities():
     """A = 1 - lam * int B, dA/dt = -lam B (with FD cross-check), int B < 1/lam.
 
     The derivative identity holds B from the contour against dA/dt from the
     density engine, -int_0^inf r e^(-rt) density_A(r) dr.
     """
-    tol_int = _tol(1e-6, override)
-    tol_deriv = _tol(1e-6, override)
-    tol_fd = _tol(1e-5, override)
-    tight = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
+    tight = QuadratureConfig(rel_tol=1e-11)
     ts = np.array([0.25, 1.0])
     worst_int = worst_deriv = worst_fd = 0.0
     min_b_margin = np.inf
@@ -217,27 +210,27 @@ def suite_identities(override=None):
             worst_fd = max(worst_fd, abs(fd + lam * eval_B(p, 1.0, tight)))
             min_b_margin = min(min_b_margin, 1.0 / lam - ib[-1])   # t = 1
     return [
-        CheckResult.from_worst("identities", "integral-identity", tol_int,
+        CheckResult.from_worst("identities", "integral-identity", 1e-6,
                                worst_int),
-        CheckResult.from_worst("identities", "derivative-identity", tol_deriv,
+        CheckResult.from_worst("identities", "derivative-identity", 1e-6,
                                worst_deriv),
         CheckResult.from_worst("identities", "derivative-fd-cross-check",
-                               tol_fd, worst_fd),
-        CheckResult("identities", "b-mass-under-1/lam", min_b_margin > _tol(0.0, override),
-                    min_b_margin, _tol(0.0, override),
+                               1e-5, worst_fd),
+        CheckResult("identities", "b-mass-under-1/lam", min_b_margin > 0.0,
+                    min_b_margin, 0.0,
                     "smallest margin of 1/lam - int_0^T B"),
     ]
 
 
-def suite_b_properties(override=None):
+def suite_b_properties():
     """Range, sign of dB/dt, and the measured envelope constants for B.
 
     The constant checks run on a strict subset of the manifest's reference
     grid (every second node), so the measured suprema cannot grow except
     for quadrature noise, absorbed by a 1e-6 relative slack.
     """
-    tol = _tol(0.0, override)
-    tol_const = _tol(1e-6, override)
+    tol = 0.0
+    tol_const = 1e-6
     ts = constants_mod.reference_time_grid(1.0)[::2]
     worst_range = -np.inf
     worst_sign = -np.inf
@@ -267,9 +260,9 @@ def suite_b_properties(override=None):
     ]
 
 
-def suite_bounds(override=None):
+def suite_bounds():
     """Scaled lower bound for B, the deviation corollary, and the Gamma cap."""
-    tol = _tol(0.0, override)
+    tol = 0.0
     ts = np.geomspace(1e-3, 1.0, 25)
     worst_b = -np.inf
     worst_cor = -np.inf
@@ -295,10 +288,9 @@ def suite_bounds(override=None):
     ]
 
 
-def suite_laplace(override=None):
+def suite_laplace():
     """Numerically transformed kernels match the closed forms at z in {.5,1,2,5};
     the contour inverting those closed forms matches the density engine."""
-    tol = _tol(1e-4, override)
     worst = 0.0
     detail = ""
     for rho, gamma in _grid():
@@ -314,7 +306,6 @@ def suite_laplace(override=None):
                 worst = max(worst, da, db)
     # t = 0 is pinned on the contour and checked by kernel-initial; there the
     # density engine cannot integrate B's r^(rho - 2) tail for rho near 1
-    tol_contour = _tol(1e-9, override)
     ts = np.linspace(0.0, 1.0, 257)[1:]
     reference_q = QuadratureConfig(rel_tol=1e-12)
     worst_contour = 0.0
@@ -329,15 +320,14 @@ def suite_laplace(override=None):
                 if d > worst_contour:
                     detail_contour = f"rho={rho} gamma={gamma} lam={lam:g}"
                 worst_contour = max(worst_contour, float(d))
-    return [CheckResult.from_worst("laplace", "transform-consistency", tol,
+    return [CheckResult.from_worst("laplace", "transform-consistency", 1e-4,
                                    worst, detail),
-            CheckResult.from_worst("laplace", "contour-vs-density", tol_contour,
+            CheckResult.from_worst("laplace", "contour-vs-density", 1e-9,
                                    worst_contour, detail_contour)]
 
 
-def suite_oracle(override=None):
+def suite_oracle():
     """Quadrature kernel vs L1 stepping at t = 1, monotone under halving."""
-    tol = _tol(1e-4, override)
     worst = 0.0
     mono_ok = True
     detail = ""
@@ -357,22 +347,21 @@ def suite_oracle(override=None):
                     detail = f"rho={rho} gamma={gamma} lam={lam}"
                 worst = max(worst, errs[-1])
     results = [
-        CheckResult.from_worst("oracle", "kernel-vs-l1", tol, worst, detail),
+        CheckResult.from_worst("oracle", "kernel-vs-l1", 1e-4, worst, detail),
         CheckResult("oracle", "error-monotone-under-halving", mono_ok,
                     0.0 if mono_ok else -1.0, 0.0, "dt in {4e-5, 2e-5, 1e-5}"),
     ]
     return results
 
 
-def suite_limit(override=None):
+def suite_limit():
     """Near rho = 1 the kernel approaches exp(-lam t / (1 + lam gamma))."""
-    tol = _tol(1e-2, override)
     p = KernelParams(0.999, 1.0, 2.0)
     worst = 0.0
     for t in (0.5, 1.0):
         target = math.exp(-p.lam * t / (1.0 + p.lam * p.gamma))
         worst = max(worst, abs(eval_A(p, t) - target))
-    return [CheckResult.from_worst("limit", "classical-relaxation", tol, worst,
+    return [CheckResult.from_worst("limit", "classical-relaxation", 1e-2, worst,
                                    "rho=0.999 lam=2 gamma=1")]
 
 
@@ -391,13 +380,12 @@ def _manufactured_trace(rho=0.5, gamma=1.0, n_nodes=512):
     return spec, solve_forward(spec)
 
 
-def suite_manufactured(override=None):
+def suite_manufactured():
     """Quadratic manufactured solution: every mode reproduces t^2 to 1e-4."""
-    tol = _tol(1e-4, override)
     spec, trace = _manufactured_trace()
     target = trace.nodes[:, None] ** 2
     worst = float(np.max(np.abs(trace.coefficients - target)))
-    return [CheckResult.from_worst("manufactured", "quadratic-response", tol,
+    return [CheckResult.from_worst("manufactured", "quadratic-response", 1e-4,
                                    worst, "8 modes, rho=0.5, gamma=1, T=1")]
 
 
@@ -407,10 +395,8 @@ def _nonlocal_data(op):
     return CoefficientField(op.eigenvalues ** -2.0 * xi, op)
 
 
-def suite_nonlocal(override=None):
+def suite_nonlocal():
     """Increment condition and the forced/homogeneous decomposition."""
-    tol_gap = _tol(1e-6, override)
-    tol_dec = _tol(1e-10, override)
     op = explicit_spectrum(np.arange(1.0, 9.0))
     phihat = _nonlocal_data(op)
     worst_gap = 0.0
@@ -430,33 +416,32 @@ def suite_nonlocal(override=None):
         worst_dec = max(worst_dec,
                         float(np.max(np.abs(recomposed - trace.coefficients))))
     return [
-        CheckResult.from_worst("nonlocal", "increment-condition", tol_gap,
+        CheckResult.from_worst("nonlocal", "increment-condition", 1e-6,
                                worst_gap, "u(T) - u(0) = data"),
-        CheckResult.from_worst("nonlocal", "decomposition", tol_dec, worst_dec,
+        CheckResult.from_worst("nonlocal", "decomposition", 1e-10, worst_dec,
                                "solution equals W + V node-wise"),
     ]
 
 
-def suite_backward(override=None):
+def suite_backward():
     """Round-trip recovery of terminal data built by an independent route."""
-    tol = _tol(1e-4, override)
     op = dirichlet_laplacian_1d(math.pi, 10)  # eigenvalues k^2 <= 100
     phi = CoefficientField(op.eigenvalues ** -2.0, op)
     grid = uniform_grid(1.0, 512)
     # Terminal data phi_k A(lam_k, T) from the density engine, so the
     # recovery through the contour is not a cancellation of shared kernel
-    # values; the solve runs on tighter settings than the suite's own.
+    # values; the solve runs on a tighter contour than the default.
     a_T = [_density_kernels(KernelParams(0.5, 1.0, lam), [1.0], kinds="A")[0, 0]
            for lam in op.eigenvalues]
     psi = CoefficientField(phi.coefficients * np.array(a_T), op)
-    back_q = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, split_point=0.7)
+    back_q = QuadratureConfig(rel_tol=1e-9)
     back = ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid)
     back_trace = solve_backward(back, back_q)
     worst = float(np.max(np.abs(back_trace.coefficients[0] - phi.coefficients)))
     norm_ok = (back_trace.diagnostics["recovered_initial_norm"]
                <= back_trace.diagnostics["stability_bound"] + 1e-12)
     return [
-        CheckResult.from_worst("backward", "roundtrip-recovery", tol, worst,
+        CheckResult.from_worst("backward", "roundtrip-recovery", 1e-4, worst,
                                "modes with lam <= 100"),
         CheckResult("backward", "stability-bound", norm_ok,
                     back_trace.diagnostics["stability_bound"]
@@ -465,9 +450,8 @@ def suite_backward(override=None):
     ]
 
 
-def suite_coercivity(override=None):
+def suite_coercivity():
     """Damped derivative norm stable under grid doubling; all norms finite."""
-    tol_change = _tol(0.10, override)
     sups = []
     all_finite = True
     for n_nodes in (512, 1024):
@@ -483,16 +467,15 @@ def suite_coercivity(override=None):
     change = abs(sups[1] - sups[0]) / sups[0]
     return [
         CheckResult.from_worst("coercivity", "weighted-derivative-stability",
-                               tol_change, change,
+                               0.10, change,
                                f"sup t^(1-rho)||du||: {sups[0]:.6f} -> {sups[1]:.6f}"),
         CheckResult("coercivity", "norms-finite", all_finite,
                     0.0 if all_finite else -1.0, 0.0, ""),
     ]
 
 
-def suite_residual(override=None):
+def suite_residual():
     """Interior residual of every reference trace under 1e-3 for t >= T/32."""
-    tol = _tol(1e-3, override)
     worst = 0.0
     detail = ""
 
@@ -524,7 +507,7 @@ def suite_residual(override=None):
     basis_spec = ProblemSpec("forward", op3, 0.5, 1.0, 1.0, basis_field(op3, 1),
                              None, uniform_grid(1.0, 512))
     track("forward-basis", solve_forward(basis_spec))
-    return [CheckResult.from_worst("residual", "interior-gate", tol, worst,
+    return [CheckResult.from_worst("residual", "interior-gate", 1e-3, worst,
                                    f"worst trace: {detail}")]
 
 
@@ -545,7 +528,7 @@ SUITES = {
 }
 
 
-def run_suites(names=None, tolerance_override: float | None = None) -> dict:
+def run_suites(names=None) -> dict:
     """Run the selected suites and assemble the machine-readable report."""
     if names is None:
         selected = list(SUITES)
@@ -556,7 +539,7 @@ def run_suites(names=None, tolerance_override: float | None = None) -> dict:
         selected = list(names)
     checks: list[CheckResult] = []
     for name in selected:
-        checks.extend(SUITES[name](override=tolerance_override))
+        checks.extend(SUITES[name]())
     failed = [f"{c.suite}:{c.name}" for c in checks if not c.passed]
     return {
         "suites": selected,

@@ -98,6 +98,25 @@ class TestKernelCommand:
         assert code == 2
         assert json.loads(out.strip().splitlines()[-1])["error"] == "config"
 
+    @pytest.mark.parametrize("flag, value, code, error", [
+        ("--gamma", "inf", 2, "config"),
+        ("--gamma", "nan", 2, "config"),
+        ("--lambda", "inf", 2, "config"),
+        ("--gamma", "1e308", 4, "solver"),
+        ("--lambda", "1e308", 4, "solver"),
+    ], ids=["gamma-inf", "gamma-nan", "lambda-inf", "gamma-1e308",
+            "lambda-1e308"])
+    def test_non_finite_or_overflowing_params(self, capsys, flag, value, code,
+                                              error):
+        args = {"--rho": "0.5", "--gamma": "1", "--lambda": "1", flag: value}
+        exit_code, out, _ = run_cli(
+            capsys, "kernel", *[x for kv in args.items() for x in kv],
+            "--t-start", "0", "--t-end", "1", "--t-steps", "3",
+        )
+        assert exit_code == code
+        (line,) = out.strip().splitlines()
+        assert json.loads(line)["error"] == error
+
 
 def forward_config(tmp_path, **overrides):
     cfg = {
@@ -172,7 +191,13 @@ class TestSolveCommand:
         ({"operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
                        "n_modes": 1},
           "output": {"grid_csv": {"path": "grid.csv", "n_points": True}}}, ""),
-        ({"quadrature": {"max_refinements": 30.5}}, ""),
+        # quadrature keys that tuned only the lower bounds, now a fixed rule
+        ({"quadrature": {"abs_tol": "1e-12"}},
+         "unknown key 'quadrature.abs_tol'"),
+        ({"quadrature": {"max_refinements": 30.5}},
+         "unknown key 'quadrature.max_refinements'"),
+        ({"quadrature": {"split_point": "0.7"}},
+         "unknown key 'quadrature.split_point'"),
         # misspelled and unknown keys, named by their dotted path
         ({"source": {"kind": "constant", "valeu": 5}},
          "'source.valeu'; did you mean 'source.value'?"),
@@ -204,7 +229,7 @@ class TestSolveCommand:
             "colliding-outputs", "directory-output",
             "gamma-inf", "nan-coefficient", "nan-source",
             "fractional-n-modes", "fractional-n-nodes", "bool-n-points",
-            "fractional-max-refinements",
+            "dropped-abs-tol", "dropped-max-refinements", "dropped-split-point",
             "misspelled-source-value", "misspelled-quadrature-key",
             "misspelled-section", "misspelled-data-key",
             "misspelled-time-grid-key", "unknown-grid-csv-key",
@@ -236,8 +261,7 @@ class TestSolveCommand:
                      "horizon": "1.0", "time_grid": {"n_nodes": 96.0}},
             operator={"kind": "dirichlet_laplacian_1d", "length": math.pi,
                       "n_modes": "1"},
-            output={"grid_csv": {"path": "grid.csv", "n_points": "3"}},
-            quadrature={"max_refinements": "30"})
+            output={"grid_csv": {"path": "grid.csv", "n_points": "3"}})
         code, _, _ = run_cli(capsys, "solve", "--config", str(path),
                              "--out-dir", str(tmp_path))
         assert code == 0
@@ -283,22 +307,37 @@ class TestSolveCommand:
                 for name in os.listdir(out_dir)} == before
 
     def test_kernel_failure_exit_4_no_outputs(self, tmp_path, capsys):
-        # at rho = 1e-6 the substitution r = x^(1/rho) of the density engine
-        # underflows in the lower bound of A that a backward solve needs
+        # gamma = 1e308 is finite, but the contour's transforms overflow, so
+        # the solution is not finite: no artifact holds it
+        for kind in ("forward", "nonlocal", "backward"):
+            path = forward_config(
+                tmp_path, problem={"kind": kind, "rho": "0.5",
+                                   "gamma": "1e308", "horizon": "1.0",
+                                   "time_grid": {"n_nodes": 96}})
+            out_dir = tmp_path / f"out-{kind}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code, out, err = run_cli(capsys, "solve", "--config",
+                                         str(path), "--out-dir", str(out_dir))
+            assert code == 4
+            (line,) = out.strip().splitlines()
+            assert json.loads(line)["error"] == "solver"
+            assert "not finite" in json.loads(line)["message"]
+            assert err == "" and not caught  # no numpy warning before the JSON
+            assert not out_dir.exists()
+
+    @pytest.mark.parametrize("rho", ["3e-3", "1e-3", "1e-4", "1e-6"])
+    def test_backward_at_tiny_rho(self, tmp_path, capsys, rho):
+        # the lower bound of A is finite for every rho
         path = forward_config(
-            tmp_path, problem={"kind": "backward", "rho": "1e-6",
+            tmp_path, problem={"kind": "backward", "rho": rho,
                                "gamma": "1.0", "horizon": "1.0",
                                "time_grid": {"n_nodes": 8}})
-        out_dir = tmp_path / "out"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            code, out, err = run_cli(capsys, "solve", "--config", str(path),
-                                     "--out-dir", str(out_dir))
-        assert code == 4
-        (line,) = out.strip().splitlines()
-        assert json.loads(line)["error"] == "solver"
-        assert err == "" and not caught  # no numpy warning before the JSON
-        assert not out_dir.exists()
+        code, _, _ = run_cli(capsys, "solve", "--config", str(path),
+                             "--out-dir", str(tmp_path))
+        assert code == 0
+        diag = json.loads((tmp_path / "diag.json").read_text())
+        assert 0.0 < diag["lower_bound_A"] < 1.0
 
     @pytest.mark.parametrize("lam", [1.0, 100.0, 1e4])
     def test_forward_at_tiny_rho_matches_limit(self, tmp_path, capsys, lam):
@@ -335,8 +374,10 @@ class TestSolveCommand:
          {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
         ("data.csv", "k,coefficient\n1,0.5\n1,0.7\n",
          {"data": {"csv": "data.csv"}}),
+        ("source.csv", "t,f1\n0,1\n0.5,1\n0.5,2\n1,1\n",
+         {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
     ], ids=["nan-coefficient", "inf-sample", "nan-source", "text-source",
-            "duplicate-mode"])
+            "duplicate-mode", "unordered-times"])
     def test_non_finite_ingest_exit_3_no_outputs(self, tmp_path, capsys,
                                                  name, text, section):
         (tmp_path / name).write_text(text)
@@ -423,7 +464,7 @@ FUZZ_CONFIG = {
     "output": {"trace_csv": "trace.csv", "trace_json": "trace.json",
                "diagnostics_json": "diagnostics.json",
                "grid_csv": {"path": "grid.csv", "n_points": 5}},
-    "quadrature": {"rel_tol": "1e-8", "max_refinements": 30},
+    "quadrature": {"rel_tol": "1e-8"},
 }
 # the other kinds: an explicit spectrum (no length) and a zero source
 FUZZ_CONFIG_SPECTRUM = {
@@ -509,13 +550,23 @@ class TestVerifyCommand:
             report = json.loads(out)
             assert report["passed"]
 
-    def test_fault_injection_exits_1(self, capsys):
-        code, out, err = run_cli(capsys, "verify", "--suite", "kernel-initial",
-                                 "--tolerance-override", "0")
+    def test_fault_injection_exits_1(self, capsys, monkeypatch):
+        from frstokes.verification import SUITES, CheckResult
+
+        # a suite whose one check fails by 1.0
+        monkeypatch.setitem(SUITES, "kernel-initial", lambda: [
+            CheckResult.from_worst("kernel-initial", "injected", 0.0, 1.0)])
+        code, out, err = run_cli(capsys, "verify", "--suite", "kernel-initial")
         assert code == 1
         report = json.loads(out)
         assert not report["passed"]
         assert "kernel-initial" in err
+
+    def test_help_lists_only_the_suite_flag(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        out = capsys.readouterr().out
+        assert "--suite" in out and "--tolerance-override" not in out
 
 
 class TestConvergenceCommand:
@@ -542,6 +593,17 @@ class TestConvergenceCommand:
         assert code == 0
         report = json.loads(out)
         assert report["errors"][1] < report["errors"][0]
+
+    @pytest.mark.parametrize("key", ["gamma", "lambda"])
+    def test_non_finite_run_exit_4(self, tmp_path, capsys, key):
+        # finite inputs whose kernel and steps overflow
+        cfg = tmp_path / "conv.json"
+        cfg.write_text(json.dumps({"target": "kernel", key: "1e308",
+                                   "dts": ["0.1", "0.05"]}))
+        code, out, _ = run_cli(capsys, "convergence", "--config", str(cfg))
+        assert code == 4
+        (line,) = out.strip().splitlines()
+        assert json.loads(line)["error"] == "solver"
 
     def test_empty_dts_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "conv.json"

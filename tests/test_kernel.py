@@ -234,6 +234,45 @@ class TestLowerBounds:
         with pytest.raises(ValueError):
             lower_bound_B(1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("rho", [1e-6, 1e-4, 1e-3, 3e-3, 0.01, 0.05, 0.3,
+                                     0.5, 0.9, 0.999])
+    def test_matches_gauss_legendre_reference(self, rho):
+        for gamma in (0.5, 2.0):
+            for lambda_1, T in ((1.0, 1.0), (1e4, 0.01), (1.0, 64.0),
+                                (100.0, 1e-3)):
+                for bound, power in ((lower_bound_A, rho - 1.0),
+                                     (lower_bound_B, rho)):
+                    ref = reference_bound(rho, gamma, lambda_1, T, power)
+                    assert bound(rho, gamma, lambda_1, T) == pytest.approx(
+                        ref, rel=1e-8), (bound.__name__, gamma, lambda_1, T)
+
+
+def reference_bound(rho, gamma, lambda_1, T, power):
+    """The bound by composite 20-point Gauss-Legendre in x = r^rho.
+
+    Another variable, rule and partition than the kernel's: cells halving
+    toward x = 0, and cells of rho / 4 in log x clustered at both features,
+    x = T^(-rho) (the e^(-rT) cliff) and x = lambda_1^rho, up to r = 60 / T.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(20)
+    offsets = np.concatenate((-2.0 ** np.arange(7, 2, -1),
+                              np.arange(-6.0, 6.01, 0.25)))
+    top = math.exp(rho * (math.log(60.0) - math.log(T)))
+    features = np.exp(rho * np.add.outer(
+        [-math.log(T), math.log(lambda_1)], offsets)).ravel()
+    breaks = np.unique(np.concatenate((
+        [0.0, top], top * 2.0 ** -np.arange(1, 200), features[features < top])))
+    half = 0.5 * np.diff(breaks)
+    x = (breaks[:-1] + half)[:, None] + half[:, None] * nodes
+    log_r = np.log(x) / rho
+    log_denom = np.logaddexp(np.logaddexp(2.0 * (log_r - math.log(lambda_1)),
+                                          2.0 * (math.log(gamma) + np.log(x))),
+                             0.0)
+    f = np.exp((power + 1.0 - rho) * log_r - np.exp(log_r + math.log(T))
+               - log_denom)
+    return (gamma * math.sin(math.pi * rho) / (3.0 * math.pi)
+            * float(half @ (f @ weights)) / rho)
+
 
 class TestLaplace:
     def test_hand_values(self):

@@ -1,11 +1,13 @@
 """The package's public names: declared, resolvable, and no more than used."""
 
 import importlib
+import inspect
 import types
 
 import pytest
 
 import frstokes
+from frstokes.verification import SUITES
 
 MODULES = ("constants", "kernel", "oracle", "quadrature", "solvers",
            "spectral", "verification")
@@ -15,6 +17,22 @@ REMOVED = {
     "oracle": ("caputo_l1",),                   # caputo_l1_trace(...)[-1]
     "spectral": ("field_from_coefficients",     # CoefficientField(c, op)
                  "apply_A"),
+}
+# parameters that no caller outside the tests set to anything but one value
+REMOVED_PARAMETERS = {
+    "verification.run_suites": ("tolerance_override",),
+    **{f"verification.{suite.__name__}": ("override",)
+       for suite in SUITES.values()},
+    "quadrature.QuadratureConfig": ("max_refinements",),  # MAX_SPLITS
+    "kernel.lower_bound_A": ("q",),             # a fixed rule, no tolerance
+    "kernel.lower_bound_B": ("q",),
+    "constants.load_manifest": ("path",),       # FRS_CONSTANTS_MANIFEST
+    "constants.get_constants": ("lambda_1", "T", "epsilon", "path"),
+    "constants.measure_constants": ("lambda_1", "T", "epsilon", "q"),
+    "constants.constants_key": ("lambda_1", "T", "epsilon"),
+    "oracle.richardson_extrapolate": ("assumed_order",),  # first order
+    "spectral.basis_field": ("amplitude",),     # scale the field's coefficients
+    "solvers.solve_auxiliary_W": ("q",),
 }
 
 
@@ -40,3 +58,11 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(mod, name), f"frstokes.{module}.{name}"
             assert not hasattr(frstokes, name), f"frstokes.{name}"
+
+
+def test_removed_parameters_are_gone():
+    for path, names in REMOVED_PARAMETERS.items():
+        module, name = path.split(".")
+        fn = getattr(importlib.import_module(f"frstokes.{module}"), name)
+        kept = set(inspect.signature(fn).parameters)
+        assert kept.isdisjoint(names), f"frstokes.{path}: {kept & set(names)}"

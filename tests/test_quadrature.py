@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from frstokes import quadrature
 from frstokes.quadrature import (
     QuadratureConfig,
     QuadratureNonconvergence,
@@ -95,8 +96,9 @@ def test_tolerances_are_honored():
     assert err < 1e-10
 
 
-def test_nonconvergence_reports_best_estimate():
-    q = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16, max_refinements=1)
+def test_nonconvergence_reports_best_estimate(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SPLITS", 64)
+    q = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16)
     with pytest.raises(QuadratureNonconvergence) as excinfo:
         # interior cusp: bisection gains < one digit per split, so the
         # 64-split budget cannot reach thirteen digits
@@ -112,7 +114,7 @@ def test_nonconvergence_reports_best_estimate():
     [
         {"rel_tol": 0.0},
         {"abs_tol": -1.0},
-        {"max_refinements": 0},
+        {"rel_tol": math.nan},
         {"split_point": 0.0},
     ],
 )
@@ -180,11 +182,12 @@ def test_non_finite_integrand_raises_without_numpy_warnings():
 def test_slow_tail_at_zero_decay_reports_best_estimate():
     # int_0^inf dr/(1+r)^1.01 = 100: bisecting the tail's end panel reaches
     # y where r = y**-16 overflows; refinement stops there, and the engine
-    # reports its best estimate instead of a non-finite integrand
+    # reports its best estimate instead of a non-finite integrand, with a
+    # bound that covers the part of the tail no panel reaches
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureNonconvergence) as excinfo:
             exp_weighted_semiinfinite(lambda r: (1.0 + r) ** -1.01, [0.0])
     value, bound = excinfo.value.value, excinfo.value.error_bound
-    assert math.isfinite(value) and math.isfinite(bound) and bound > 0.0
+    assert math.isfinite(value) and bound >= abs(value - 100.0)
     assert value == pytest.approx(100.0, rel=1e-2)

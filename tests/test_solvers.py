@@ -412,12 +412,12 @@ class TestNonlocal:
                                constant_source(1.0), uniform_grid(1.0, 96))
 
         # one contour call for A on the nodes, one for its antiderivative on
-        # the lattice, whatever the mode count; the density engine runs only
-        # for the nonlocal solve's lower_bound_B
+        # the lattice, whatever the mode count; the density engine never
+        # runs (the nonlocal solve's lower_bound_B is a fixed rule)
         for solve, spec, engine_calls in (
                 (solve_forward, forced("forward", explicit_spectrum([4.0])), 0),
                 (solve_forward, forced("forward", small_op), 0),
-                (solve_nonlocal, forced("nonlocal", small_op), 1)):
+                (solve_nonlocal, forced("nonlocal", small_op), 0)):
             calls = {"_bromwich": 0, "residual": 0, "caputo_l1_trace": 0,
                      "exp_weighted_semiinfinite": 0}
 
@@ -490,10 +490,20 @@ class TestBackward:
         assert (back.diagnostics["recovered_initial_norm"]
                 <= back.diagnostics["stability_bound"] + 1e-12)
 
+    def test_bounds_read_no_tolerance(self, small_op):
+        # rel_tol sizes the contour alone: the lower bound and the stability
+        # bound of a zero-source solve do not move with it
+        spec = ProblemSpec("backward", small_op, 0.5, 1.0, 1.0,
+                           basis_field(small_op, 1), None, uniform_grid(1.0, 96))
+        loose, tight = (solve_backward(spec, QuadratureConfig(rel_tol=tol))
+                        for tol in (1e-3, 1e-8))
+        for key in ("lower_bound_A", "stability_bound"):
+            assert loose.diagnostics[key] == tight.diagnostics[key]
+
     def test_fails_loudly_on_sloppy_quadrature(self):
-        # near-classical order gives a needle-sharp density whose budget-
-        # starved error bound dwarfs the (tiny) uniform lower bound
-        sloppy = QuadratureConfig(rel_tol=0.5, abs_tol=0.5, max_refinements=1)
+        # near-classical order and the smallest contour (N = 8): its error
+        # bound at T dwarfs the (tiny) uniform lower bound
+        sloppy = QuadratureConfig(rel_tol=0.5, abs_tol=0.5)
         op = explicit_spectrum([100.0])
         spec = ProblemSpec("backward", op, 0.999, 0.5, 1.0,
                            basis_field(op, 1), None,

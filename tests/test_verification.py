@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from frstokes.verification import SUITES, run_suites
+from frstokes.verification import SUITES, CheckResult, run_suites
 
 
 def test_registry_covers_all_guarantee_families():
@@ -29,10 +29,18 @@ def test_margins_are_reported():
         assert check["tolerance"] > 0.0
 
 
-def test_fault_injection_zero_tolerance_fails():
-    report = run_suites(["kernel-initial"], tolerance_override=0.0)
+def test_fault_injection_zero_tolerance_fails(monkeypatch):
+    # a check held to a zero tolerance fails, and the report says which
+    limit = SUITES["limit"]
+
+    def strict():
+        worst = max(c.tolerance - c.margin for c in limit())
+        return [CheckResult.from_worst("limit", "zero-tolerance", 0.0, worst)]
+
+    monkeypatch.setitem(SUITES, "limit", strict)
+    report = run_suites(["kernel-initial", "limit"])
     assert not report["passed"]
-    assert report["failed"]
+    assert report["failed"] == ["limit:zero-tolerance"]
 
 
 def test_unknown_suite_rejected():
