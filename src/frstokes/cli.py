@@ -396,8 +396,11 @@ def cmd_kernel(args):
         for i in range(0, late.size, DERIVATIVE_BATCH):
             rows = late[i:i + DERIVATIVE_BATCH]
             db[rows], _ = eval_dB_dt_grid(p, ts[rows])
-    except ValueError as exc:  # a density value that overflows
-        raise SolverError(str(exc)) from exc
+    except ValueError as exc:  # the only non-finite density: an overflow
+        raise SolverError(
+            f"dB/dt at --gamma {args.gamma:g} --lambda {args.lam:g}: "
+            f"lam * gamma * r^rho overflows the float range in its density "
+            f"({exc})") from exc
     if not np.all(np.isfinite(np.concatenate((a, b, db[late])))):
         raise SolverError("the kernel table is not finite")
     print("t,A,B,dA_dt,dB_dt")

@@ -22,6 +22,9 @@ evaluates the whole family ``{I(t) : t in ts}`` at once, and for a density
 with k columns (several densities sharing one substitution, say the two
 kernels' densities) the k families together: every node is evaluated
 once, and the panels refine until each output meets the tolerance.  The
+integrand reaches ``_refine`` as two factors, the Jacobian-weighted
+densities (n, k) and exp(-r t) (n, T), and a round's Kronrod and Gauss
+sums are one stacked (panels, 2k, 15) @ (panels, 15, T) product.  The
 solve path takes its kernels from the Bromwich contour in ``kernel``; this
 engine serves dB/dt and the reference values the verification suites
 compare against, on at most a few hundred times per call.
@@ -37,7 +40,6 @@ import numpy as np
 __all__ = [
     "QuadratureConfig",
     "QuadratureNonconvergence",
-    "integrate_semiinfinite",
     "exp_weighted_semiinfinite",
     "adaptive_finite",
     "graded_mesh",
@@ -116,12 +118,15 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
             in_range=None):
     """Adaptive Gauss-Kronrod on the panels between consecutive ``breaks``.
 
-    ``integrand`` maps nodes of shape (n,) to values of shape (n, m), one
-    column per output; it runs once per round, on every new node at once,
-    with numpy's floating-point warnings silenced (a non-finite value raises
-    ValueError instead).  Each round bisects the worst eighth of the panels,
-    ranked by |Kronrod - Gauss| over the tolerance of each output still
-    open, until every output meets ``max(abs_tol, rel_tol * |value|)``.
+    ``integrand`` maps nodes of shape (n,) to two factors: values of shape
+    (n, k) and decay factors of shape (n, T), finite wherever the values
+    are.  The outputs are the k * T integrals of their products,
+    density-major (output j * T + i pairs column j with decay i).  It runs
+    once per round, on every new node at once, with numpy's floating-point
+    warnings silenced (a non-finite value raises ValueError instead).  Each
+    round bisects the worst eighth of the panels, ranked by
+    |Kronrod - Gauss| over the tolerance of each output still open, until
+    every output meets ``max(abs_tol, rel_tol * |value|)``.
     Returns the per-output (values, errors).  Raises
     :class:`QuadratureNonconvergence` with them once ``max_rounds`` rounds
     or ``max_splits`` bisections are spent, when the worst panels reach
@@ -135,16 +140,20 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
         half = 0.5 * (hi - lo)
         x = (0.5 * (hi + lo))[:, None] + half[:, None] * _XK
         with np.errstate(all="ignore"):
-            f = np.asarray(integrand(x.ravel()), dtype=float)
-        f = f.reshape(x.shape + (-1,))
+            f, decay = integrand(x.ravel())
+        f = np.asarray(f, dtype=float).reshape(x.shape + (-1,))
         finite = np.all(np.isfinite(f), axis=(1, 2))
         if not np.all(finite):
             i = int(np.argmin(finite))
             beyond = in_range is not None and not np.all(in_range(x[i]))
             raise (_BeyondRange if beyond else ValueError)(
                 f"integrand is not finite on [{lo[i]:g}, {hi[i]:g}]")
-        k = half[:, None] * (_WK @ f)
-        return k, np.abs(k - half[:, None] * (_WG @ f))
+        # Kronrod and Gauss weights times the k columns, against the T decay
+        # factors: one (P, 2k, 15) @ (P, 15, T) product, density-major out
+        rule = np.concatenate((_WK[:, None] * f, _WG[:, None] * f), axis=2)
+        sums = np.swapaxes(rule, 1, 2) @ decay.reshape(x.shape + (-1,))
+        sums = half[:, None, None] * sums.reshape(lo.size, 2, -1)
+        return sums[:, 0], np.abs(sums[:, 0] - sums[:, 1])
 
     lo, hi = breaks[:-1], breaks[1:]
     vals, errs = panel_sums(lo, hi)
@@ -158,7 +167,7 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
             return value, error
         if rounds >= max_rounds or splits >= max_splits:
             break
-        score = np.max(errs[:, unmet] / tol[unmet], axis=1)
+        score = np.max(errs * np.where(unmet, 1.0 / tol, 0.0), axis=1)
         n_split = min(max(1, lo.size // 8), max_splits - splits)
         worst = np.argsort(-score)[:n_split]
         mid = 0.5 * (lo[worst] + hi[worst])
@@ -207,8 +216,8 @@ def exp_weighted_semiinfinite(
 
     Returns ``(values, errors)`` aligned with ``ts``: shaped (ts.size,), or
     (ts.size, k) for k densities.  Raises :class:`QuadratureNonconvergence`
-    (best estimates attached, flattened) if the refinement budget is
-    exhausted first.
+    (best estimates attached, flattened density-major) if the refinement
+    budget is exhausted first.
     """
     if q is None:
         q = DEFAULT_CONFIG
@@ -240,9 +249,7 @@ def exp_weighted_semiinfinite(
         if f.shape[:1] != r.shape or f.ndim > 2:
             raise ValueError("integrand must be vectorized (shape-preserving)")
         shape[1:] = f.shape[1:]
-        # columns t-major: output i * k + j is density j at ts[i]
-        f = (jac[:, None] * f.reshape(r.size, -1))[:, None, :]
-        return (f * np.exp(-np.outer(r, ts))[:, :, None]).reshape(r.size, -1)
+        return jac[:, None] * f.reshape(r.size, -1), np.exp(-np.outer(r, ts))
 
     def in_range(x):
         # the tail map overflows below y ~ 1e-18, which a slow tail at t = 0
@@ -253,22 +260,9 @@ def exp_weighted_semiinfinite(
     breaks = np.concatenate(([-1.0], np.linspace(0.0, split ** beta, 5)))
     values, errors = _refine(integrand, breaks, q.abs_tol, q.rel_tol,
                              MAX_SPLITS, MAX_SPLITS, in_range)
-    return values.reshape(shape), errors.reshape(shape)
-
-
-def integrate_semiinfinite(
-    f: Callable[[np.ndarray], np.ndarray],
-    singular_exponent: float = 0.0,
-    q: QuadratureConfig | None = None,
-) -> tuple[float, float]:
-    """Integrate ``f`` over [0, inf).
-
-    ``f`` must behave like ``r**singular_exponent`` near zero and decay
-    faster than ``1/r`` at infinity.  Returns ``(value, error)``.
-    """
-    values, errors = exp_weighted_semiinfinite(
-        f, [0.0], singular_exponent=singular_exponent, q=q)
-    return float(values[0]), float(errors[0])
+    # density-major inside: one transpose to (ts.size, k)
+    return (values.reshape(-1, ts.size).T.reshape(shape),
+            errors.reshape(-1, ts.size).T.reshape(shape))
 
 
 def graded_mesh(t_end: float, cells: int, exponent: float) -> np.ndarray:
@@ -297,6 +291,7 @@ def adaptive_finite(
     breaks = np.asarray(breaks, dtype=float)
     if breaks.size < 2 or np.any(np.diff(breaks) <= 0.0):
         raise ValueError("breaks must be strictly increasing with >= 2 entries")
-    value, error = _refine(lambda x: np.reshape(fvec(x), (-1, 1)), breaks,
-                           tol_abs, tol_rel, max_rounds, np.inf)
+    value, error = _refine(lambda x: (np.reshape(fvec(x), (-1, 1)),
+                                      np.ones((x.size, 1))),
+                           breaks, tol_abs, tol_rel, max_rounds, np.inf)
     return float(value[0]), float(error[0])

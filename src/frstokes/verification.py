@@ -14,9 +14,8 @@ values-only route: no suite reads the contour's error estimate, so none
 pays for it.  int_0^t B is a fixed 15-point Kronrod rule on a graded mesh,
 all its nodes in one contour call.  The checks that need an independent
 route (the values at t = 0, the contour itself, dA/dt against -lam B, the
-backward round trip) integrate the spectral densities on the real line;
-where both kernels are needed, one adaptive pass integrates density_A and
-density_B together.
+backward round trip) integrate the spectral densities on the real line,
+one adaptive pass for all the densities that share a substitution.
 """
 
 from __future__ import annotations
@@ -27,6 +26,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import constants as constants_mod
+from . import kernel
 from .kernel import (
     KernelParams,
     QuadratureConfig,
@@ -36,7 +36,6 @@ from .kernel import (
     eval_B,
     laplace_A_closed_form,
     laplace_B_closed_form,
-    laplace_transform_numeric,
     lower_bound_A,
     lower_bound_B,
 )
@@ -65,6 +64,8 @@ __all__ = ["CheckResult", "SUITES", "run_suites"]
 RHO_GRID = (0.3, 0.5, 0.7, 0.9)
 GAMMA_GRID = (0.5, 1.0, 2.0)
 LAMBDA_TRIPLE = (1.0, 10.0, 100.0)
+LAPLACE_Z = (0.5, 1.0, 2.0, 5.0)      # transform-consistency's z and lam
+LAPLACE_LAMBDAS = (1.0, 10.0)
 REFERENCE_SEED = 42
 
 
@@ -109,22 +110,53 @@ def _integral_B_time(p: KernelParams, t: float) -> float:
     return float(np.sum(half * (values @ _WK)))
 
 
-def _density_kernels(p: KernelParams, ts, q: QuadratureConfig | None = None,
+def _density_kernels(params, ts, q: QuadratureConfig | None = None,
                      kinds: str = "AB") -> np.ndarray:
     """The kernels named in kinds at the times ts from the density engine.
 
-    The route independent of the Bromwich contour.  One adaptive pass
-    integrates density_A and density_B = (r / lam) density_A side by side
-    under A's r^(rho - 1) substitution; returns (ts.size, len(kinds)).
+    The route independent of the Bromwich contour, for parameter sets that
+    share one rho.  One adaptive pass integrates density_A and
+    density_B = (r / lam) density_A of every set side by side under their
+    shared r^(rho - 1) substitution, each column held to the tolerance on
+    its own; returns (ts.size, len(params), len(kinds)).
     """
+    rho = params[0].rho
+    if any(p.rho != rho for p in params):
+        raise ValueError("the parameter sets of one engine pass share rho")
+
     def dens(r):
-        a = density_A(r, p)
-        return np.stack([a if kind == "A" else (r / p.lam) * a
-                         for kind in kinds], axis=1)
+        columns = []
+        for p in params:
+            a = density_A(r, p)
+            columns += [a if kind == "A" else (r / p.lam) * a
+                        for kind in kinds]
+        return np.stack(columns, axis=1)
 
     values, _ = exp_weighted_semiinfinite(dens, ts,
-                                          singular_exponent=p.rho - 1.0, q=q)
-    return values
+                                          singular_exponent=rho - 1.0, q=q)
+    return values.reshape(-1, len(params), len(kinds))
+
+
+def _fixed_rule_transforms(rho: float, gamma: float) -> np.ndarray:
+    """int_0^(50 / min z) e^(-zt) K(t) dt for K = A, B at every z in LAPLACE_Z.
+
+    One fixed 15-point Kronrod rule on cells shared by the four z:
+    [0, 1e-6 * 50 / max z], then doubling cells up to 50 / min z, past
+    which e^(-zt) < e^-50.  The doubling cells resolve the weak t -> 0
+    singularity of the kernels' derivatives and every damping scale 1/z.
+    One contour call per kind serves all nodes and every lam in
+    LAPLACE_LAMBDAS; returns (2, len(LAPLACE_Z), len(LAPLACE_LAMBDAS)).
+    """
+    z = np.array(LAPLACE_Z)
+    inner, t_max = 1e-6 * 50.0 / z.max(), 50.0 / z.min()
+    cells = math.ceil(math.log2(t_max / inner))
+    breaks = np.concatenate(([0.0], inner * 2.0 ** np.arange(cells), [t_max]))
+    half = 0.5 * np.diff(breaks)
+    nodes = ((breaks[:-1] + half)[:, None] + half[:, None] * _XK).ravel()
+    weights = np.exp(-np.outer(z, nodes)) * (half[:, None] * _WK).ravel()
+    return np.stack([weights @ kernel._bromwich(
+        kind, rho, gamma, LAPLACE_LAMBDAS, nodes, error_at=slice(0))[0]
+        for kind in "AB"])
 
 
 # ---------------------------------------------------------------------------
@@ -139,10 +171,11 @@ def suite_kernel_initial():
     tol = 1e-6
     worst_a = worst_b = 0.0
     where_a = where_b = ""
-    for rho, gamma in _grid():
-        for lam in LAMBDA_TRIPLE:
-            p = KernelParams(rho, gamma, lam)
-            da, db = np.abs(_density_kernels(p, [0.0])[0] - 1.0)
+    cases = [(gamma, lam) for gamma in GAMMA_GRID for lam in LAMBDA_TRIPLE]
+    for rho in RHO_GRID:
+        initial = _density_kernels(
+            [KernelParams(rho, *case) for case in cases], [0.0])[0]
+        for (gamma, lam), (da, db) in zip(cases, np.abs(initial - 1.0)):
             if da > worst_a:
                 worst_a, where_a = da, f"rho={rho} gamma={gamma} lam={lam}"
             if db > worst_b:
@@ -188,27 +221,30 @@ def suite_identities():
     """A = 1 - lam * int B, dA/dt = -lam B (with FD cross-check), int B < 1/lam.
 
     The derivative identity holds B from the contour against dA/dt from the
-    density engine, -int_0^inf r e^(-rt) density_A(r) dr.
+    density engine, -int_0^inf r e^(-rt) density_A(r) dr: every case shares
+    the plain substitution, so one engine pass serves the whole grid.
     """
     tight = QuadratureConfig(rel_tol=1e-11)
     ts = np.array([0.25, 1.0])
     worst_int = worst_deriv = worst_fd = 0.0
     min_b_margin = np.inf
-    for rho, gamma in _grid():
-        for lam in (1.0, 10.0):
-            p = KernelParams(rho, gamma, lam)
-            ib = np.array([_integral_B_time(p, t) for t in ts])
-            worst_int = max(worst_int, float(np.max(np.abs(
-                _contour_values("A", p, ts) - (1.0 - lam * ib)))))
-            b_vals = _contour_values("B", p, ts)
-            minus_da, _ = exp_weighted_semiinfinite(
-                lambda r: r * density_A(r, p), ts, singular_exponent=0.0)
-            worst_deriv = max(worst_deriv,
-                              float(np.max(np.abs(lam * b_vals - minus_da))))
-            h = 1e-4
-            fd = (eval_A(p, 1.0 + h, tight) - eval_A(p, 1.0 - h, tight)) / (2 * h)
-            worst_fd = max(worst_fd, abs(fd + lam * eval_B(p, 1.0, tight)))
-            min_b_margin = min(min_b_margin, 1.0 / lam - ib[-1])   # t = 1
+    cases = [KernelParams(rho, gamma, lam) for rho, gamma in _grid()
+             for lam in (1.0, 10.0)]
+    minus_da, _ = exp_weighted_semiinfinite(
+        lambda r: np.stack([r * density_A(r, p) for p in cases], axis=1), ts,
+        singular_exponent=0.0)
+    for p, case_minus_da in zip(cases, minus_da.T):
+        lam = p.lam
+        ib = np.array([_integral_B_time(p, t) for t in ts])
+        worst_int = max(worst_int, float(np.max(np.abs(
+            _contour_values("A", p, ts) - (1.0 - lam * ib)))))
+        b_vals = _contour_values("B", p, ts)
+        worst_deriv = max(worst_deriv,
+                          float(np.max(np.abs(lam * b_vals - case_minus_da))))
+        h = 1e-4
+        fd = (eval_A(p, 1.0 + h, tight) - eval_A(p, 1.0 - h, tight)) / (2 * h)
+        worst_fd = max(worst_fd, abs(fd + lam * eval_B(p, 1.0, tight)))
+        min_b_margin = min(min_b_margin, 1.0 / lam - ib[-1])   # t = 1
     return [
         CheckResult.from_worst("identities", "integral-identity", 1e-6,
                                worst_int),
@@ -290,17 +326,21 @@ def suite_bounds():
 
 def suite_laplace():
     """Numerically transformed kernels match the closed forms at z in {.5,1,2,5};
-    the contour inverting those closed forms matches the density engine."""
+    the contour inverting those closed forms matches the density engine.
+
+    The transforms are one fixed Kronrod rule per (rho, gamma) on contour
+    values (``_fixed_rule_transforms``); the contour's reference is the
+    density engine at rel_tol 1e-12.
+    """
     worst = 0.0
     detail = ""
     for rho, gamma in _grid():
-        for lam in (1.0, 10.0):
+        transforms = _fixed_rule_transforms(rho, gamma)
+        for j, lam in enumerate(LAPLACE_LAMBDAS):
             p = KernelParams(rho, gamma, lam)
-            for z in (0.5, 1.0, 2.0, 5.0):
-                num_a, _ = laplace_transform_numeric(p, z, kernel="A")
-                num_b, _ = laplace_transform_numeric(p, z, kernel="B")
-                da = abs(num_a - laplace_A_closed_form(p, z))
-                db = abs(num_b - laplace_B_closed_form(p, z))
+            for i, z in enumerate(LAPLACE_Z):
+                da = abs(transforms[0, i, j] - laplace_A_closed_form(p, z))
+                db = abs(transforms[1, i, j] - laplace_B_closed_form(p, z))
                 if max(da, db) > worst:
                     detail = f"rho={rho} gamma={gamma} lam={lam} z={z}"
                 worst = max(worst, da, db)
@@ -316,7 +356,8 @@ def suite_laplace():
                 p = KernelParams(rho, gamma, lam)
                 contour = np.stack([_contour_values(kind, p, ts)
                                     for kind in "AB"], axis=1)
-                d = np.max(np.abs(contour - _density_kernels(p, ts, reference_q)))
+                density = _density_kernels([p], ts, reference_q)[:, 0]
+                d = np.max(np.abs(contour - density))
                 if d > worst_contour:
                     detail_contour = f"rho={rho} gamma={gamma} lam={lam:g}"
                 worst_contour = max(worst_contour, float(d))
@@ -431,9 +472,10 @@ def suite_backward():
     # Terminal data phi_k A(lam_k, T) from the density engine, so the
     # recovery through the contour is not a cancellation of shared kernel
     # values; the solve runs on a tighter contour than the default.
-    a_T = [_density_kernels(KernelParams(0.5, 1.0, lam), [1.0], kinds="A")[0, 0]
-           for lam in op.eigenvalues]
-    psi = CoefficientField(phi.coefficients * np.array(a_T), op)
+    a_T = _density_kernels(
+        [KernelParams(0.5, 1.0, lam) for lam in op.eigenvalues], [1.0],
+        kinds="A")[0, :, 0]
+    psi = CoefficientField(phi.coefficients * a_T, op)
     back_q = QuadratureConfig(rel_tol=1e-9)
     back = ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid)
     back_trace = solve_backward(back, back_q)

@@ -117,6 +117,20 @@ class TestKernelCommand:
         (line,) = out.strip().splitlines()
         assert json.loads(line)["error"] == error
 
+    @pytest.mark.parametrize("flag", ["--gamma", "--lambda"])
+    def test_overflow_message_names_the_flags(self, capsys, flag):
+        args = {"--rho": "0.5", "--gamma": "1", "--lambda": "1",
+                flag: "1e308"}
+        exit_code, out, err = run_cli(
+            capsys, "kernel", *[x for kv in args.items() for x in kv],
+            "--t-start", "0", "--t-end", "1", "--t-steps", "3",
+        )
+        assert exit_code == 4 and err == ""
+        (line,) = out.strip().splitlines()
+        message = json.loads(line)["message"]
+        assert f"{flag} 1e+308" in message
+        assert "lam * gamma * r^rho overflows" in message
+
 
 def forward_config(tmp_path, **overrides):
     cfg = {

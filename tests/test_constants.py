@@ -73,3 +73,18 @@ def test_measurement_is_reproducible_on_small_grid():
 def test_default_epsilon_matches_manifest_reference():
     manifest = load_manifest()
     assert manifest["reference"]["epsilon"] == DEFAULT_EPSILON
+
+
+def test_manifest_matches_fresh_measurement():
+    # the stored constants are what the reference measurement gives with
+    # the current kernels: after a kernel change, regenerate them with
+    # scripts/build_constants_manifest.py
+    cells = load_manifest()["cells"]
+    for rho in (0.3, 0.5, 0.7, 0.9):
+        for gamma in (0.5, 1.0, 2.0):
+            stored = cells[constants_key(rho, gamma)]
+            fresh = measure_constants(rho, gamma)
+            for key in ("c_envelope_B", "c_derivative_B",
+                        "c_forcing_response"):
+                assert fresh[key] == pytest.approx(stored[key], rel=1e-9), (
+                    f"rho={rho} gamma={gamma} {key}")

@@ -15,6 +15,8 @@ MODULES = ("constants", "kernel", "oracle", "quadrature", "solvers",
 REMOVED = {
     "kernel": ("eval_dA_dt", "eval_dB_dt"),     # -lam * eval_B, eval_dB_dt_grid
     "oracle": ("caputo_l1",),                   # caputo_l1_trace(...)[-1]
+    "quadrature": ("integrate_semiinfinite",),  # exp_weighted_semiinfinite
+                                                # at ts = [0.0]
     "spectral": ("field_from_coefficients",     # CoefficientField(c, op)
                  "apply_A"),
 }

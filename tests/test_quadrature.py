@@ -11,41 +11,43 @@ from frstokes.quadrature import (
     adaptive_finite,
     exp_weighted_semiinfinite,
     graded_mesh,
-    integrate_semiinfinite,
 )
 
 
 def test_gamma_half_oracle():
     # int_0^inf r^(-1/2) e^(-r) dr = Gamma(1/2) = sqrt(pi)
-    value, err = integrate_semiinfinite(
-        lambda r: r ** -0.5 * np.exp(-r), singular_exponent=-0.5
+    (value,), (err,) = exp_weighted_semiinfinite(
+        lambda r: r ** -0.5 * np.exp(-r), [0.0], singular_exponent=-0.5
     )
     assert value == pytest.approx(math.sqrt(math.pi), abs=1e-10)
     assert err < 1e-7
 
 
 def test_plain_exponential():
-    value, _ = integrate_semiinfinite(lambda r: np.exp(-r), 0.0)
+    (value,), _ = exp_weighted_semiinfinite(lambda r: np.exp(-r), [0.0],
+                                           singular_exponent=0.0)
     assert value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_gamma_scaling_identity():
     # int_0^inf r^(rho-1) e^(-r T) dr = Gamma(rho) / T^rho at rho=1/2, T=2
-    value, _ = integrate_semiinfinite(
-        lambda r: r ** -0.5 * np.exp(-2.0 * r), -0.5
+    (value,), _ = exp_weighted_semiinfinite(
+        lambda r: r ** -0.5 * np.exp(-2.0 * r), [0.0], singular_exponent=-0.5
     )
     assert value == pytest.approx(1.2533141373155003, abs=1e-10)
 
 
 def test_slow_algebraic_tail():
     # int_0^inf dr/(1+r)^1.05 = 20: the mapped tail is y**-0.2 near y = 0
-    value, _ = integrate_semiinfinite(lambda r: (1.0 + r) ** -1.05)
+    (value,), _ = exp_weighted_semiinfinite(lambda r: (1.0 + r) ** -1.05,
+                                           [0.0])
     assert value == pytest.approx(20.0, rel=1e-8)
 
 
 def test_algebraic_tail_without_decay():
     # int_0^inf dr/(1+r)^3 = 1/2: algebraic order -3, no exponential factor
-    value, _ = integrate_semiinfinite(lambda r: (1.0 + r) ** -3.0, 0.0)
+    (value,), _ = exp_weighted_semiinfinite(lambda r: (1.0 + r) ** -3.0,
+                                           [0.0], singular_exponent=0.0)
     assert value == pytest.approx(0.5, abs=1e-9)
 
 
@@ -56,8 +58,8 @@ def test_batch_matches_scalar_calls():
     ts = np.array([0.0, 0.3, 1.7])
     values, errors = exp_weighted_semiinfinite(dens, ts, singular_exponent=-0.25)
     for t, batch_value in zip(ts, values):
-        single, _ = integrate_semiinfinite(
-            lambda r: dens(r) * np.exp(-t * r), -0.25
+        (single,), _ = exp_weighted_semiinfinite(
+            lambda r: dens(r) * np.exp(-t * r), [0.0], singular_exponent=-0.25
         )
         assert batch_value == pytest.approx(single, rel=1e-8, abs=1e-10)
     assert np.all(errors < 1e-7)
@@ -87,10 +89,25 @@ def test_density_columns_match_separate_calls():
         assert np.array_equal(column[:, 0], single)
 
 
+def test_density_major_columns_land_in_place():
+    # three densities r^-0.3 e^(-c r), each with its own closed form
+    # Gamma(0.7) / (t + c)^0.7, over 64 times: a value put in the wrong
+    # column or row of the density-major layout misses its closed form
+    q = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-20)
+    cs = np.array([0.5, 1.0, 2.0])
+    ts = np.concatenate(([0.0], np.geomspace(1e-3, 10.0, 63)))
+    values, errors = exp_weighted_semiinfinite(
+        lambda r: r[:, None] ** -0.3 * np.exp(-np.outer(r, cs)), ts,
+        singular_exponent=-0.3, q=q)
+    assert values.shape == errors.shape == (ts.size, cs.size)
+    exact = math.gamma(0.7) / (ts[:, None] + cs) ** 0.7
+    np.testing.assert_allclose(values, exact, rtol=1e-10, atol=0.0)
+
+
 def test_tolerances_are_honored():
     q = QuadratureConfig(rel_tol=1e-11, abs_tol=1e-14)
-    value, err = integrate_semiinfinite(
-        lambda r: r ** -0.5 * np.exp(-r), -0.5, q
+    (value,), (err,) = exp_weighted_semiinfinite(
+        lambda r: r ** -0.5 * np.exp(-r), [0.0], singular_exponent=-0.5, q=q
     )
     assert abs(value - math.sqrt(math.pi)) < 1e-11
     assert err < 1e-10
@@ -102,8 +119,9 @@ def test_nonconvergence_reports_best_estimate(monkeypatch):
     with pytest.raises(QuadratureNonconvergence) as excinfo:
         # interior cusp: bisection gains < one digit per split, so the
         # 64-split budget cannot reach thirteen digits
-        integrate_semiinfinite(
-            lambda r: np.abs(r - 1.0 / math.pi) ** -0.4 * np.exp(-r), 0.0, q
+        exp_weighted_semiinfinite(
+            lambda r: np.abs(r - 1.0 / math.pi) ** -0.4 * np.exp(-r), [0.0],
+            singular_exponent=0.0, q=q
         )
     assert excinfo.value.value is not None
     assert excinfo.value.error_bound > 0.0
@@ -125,9 +143,11 @@ def test_config_validation(kwargs):
 
 def test_invalid_singular_exponent():
     with pytest.raises(ValueError):
-        integrate_semiinfinite(lambda r: np.exp(-r), singular_exponent=-1.0)
+        exp_weighted_semiinfinite(lambda r: np.exp(-r), [0.0],
+                                  singular_exponent=-1.0)
     with pytest.raises(ValueError):
-        integrate_semiinfinite(lambda r: np.exp(-r), singular_exponent=0.5)
+        exp_weighted_semiinfinite(lambda r: np.exp(-r), [0.0],
+                                  singular_exponent=0.5)
 
 
 def test_graded_mesh_shapes():
@@ -176,7 +196,8 @@ def test_non_finite_integrand_raises_without_numpy_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match="not finite"):
-            integrate_semiinfinite(lambda r: r ** sigma * np.exp(-r), sigma)
+            exp_weighted_semiinfinite(lambda r: r ** sigma * np.exp(-r),
+                                      [0.0], singular_exponent=sigma)
 
 
 def test_slow_tail_at_zero_decay_reports_best_estimate():

@@ -475,16 +475,20 @@ class TestBackward:
         )
 
     def test_roundtrip_through_independent_quadrature(self):
+        # terminal data psi_k = A(lam_k, T) phi_k from the density engine, so
+        # the contour's recovery does not cancel its own kernel values
+        from frstokes.verification import _density_kernels
+
         op = dirichlet_laplacian_1d(math.pi, 6)
         phi = CoefficientField(op.eigenvalues ** -2.0, op)
         grid = uniform_grid(1.0, 96)
-        fwd = solve_forward(ProblemSpec("forward", op, 0.5, 1.0, 1.0, phi,
-                                        None, grid))
-        psi = CoefficientField(fwd.coefficients[-1], op)
-        other_q = QuadratureConfig(rel_tol=1e-9, abs_tol=1e-13, split_point=0.7)
+        a_T = _density_kernels([KernelParams(0.5, 1.0, lam)
+                                for lam in op.eigenvalues], [1.0],
+                               kinds="A")[0, :, 0]
+        psi = CoefficientField(phi.coefficients * a_T, op)
         back = solve_backward(
             ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid),
-            other_q,
+            QuadratureConfig(rel_tol=1e-9),
         )
         assert np.max(np.abs(back.coefficients[0] - phi.coefficients)) < 1e-4
         assert (back.diagnostics["recovered_initial_norm"]

@@ -113,15 +113,76 @@ def test_kernel_initial_details_name_each_checks_own_worst_case():
 
     grid = [(rho, gamma, lam) for rho in RHO_GRID for gamma in GAMMA_GRID
             for lam in LAMBDA_TRIPLE]
-    deviations = np.array([
-        np.abs(_density_kernels(KernelParams(*point), [0.0])[0] - 1.0)
-        for point in grid])
+    # the suite's reference: one engine pass per rho
+    deviations = np.concatenate([np.abs(_density_kernels(
+        [KernelParams(*point) for point in grid if point[0] == rho],
+        [0.0])[0] - 1.0) for rho in RHO_GRID])
     details = {c.name: c.detail for c in SUITES["kernel-initial"]()}
     for column, name in enumerate(("relaxation-at-zero", "impulse-at-zero")):
         rho, gamma, lam = grid[int(np.argmax(deviations[:, column]))]
         assert details[name] == f"rho={rho} gamma={gamma} lam={lam}"
     # the two worst cases differ on this grid, so one shared detail fails
     assert details["relaxation-at-zero"] != details["impulse-at-zero"]
+
+
+def test_fixed_rule_transforms_match_the_adaptive_route():
+    # transform-consistency's fixed rule against the adaptive transform of
+    # the same contour kernels, over the suite's grid
+    from frstokes.kernel import KernelParams, laplace_transform_numeric
+    from frstokes.verification import (
+        LAPLACE_LAMBDAS, LAPLACE_Z, _fixed_rule_transforms, _grid)
+
+    worst = 0.0
+    for rho, gamma in _grid():
+        transforms = _fixed_rule_transforms(rho, gamma)
+        for j, lam in enumerate(LAPLACE_LAMBDAS):
+            p = KernelParams(rho, gamma, lam)
+            for i, z in enumerate(LAPLACE_Z):
+                for k, kind in enumerate("AB"):
+                    value, _ = laplace_transform_numeric(p, z, kernel=kind)
+                    worst = max(worst, abs(transforms[k, i, j] - value))
+    assert worst <= 1e-8
+
+
+def test_grouped_references_match_per_case_calls():
+    # one engine pass per shared substitution holds every column to the
+    # tolerance on its own, so each agrees with its own call within rel_tol
+    from frstokes.kernel import KernelParams, QuadratureConfig, density_A
+    from frstokes.quadrature import exp_weighted_semiinfinite
+    from frstokes.verification import (
+        GAMMA_GRID, LAMBDA_TRIPLE, RHO_GRID, _density_kernels, _grid)
+
+    rel_tol = QuadratureConfig().rel_tol
+    ts = np.array([0.0, 0.25, 1.0])
+    for rho in RHO_GRID:
+        params = [KernelParams(rho, gamma, lam) for gamma in GAMMA_GRID
+                  for lam in LAMBDA_TRIPLE]
+        grouped = _density_kernels(params, ts)
+        assert grouped.shape == (ts.size, len(params), 2)
+        for j, p in enumerate(params):
+            np.testing.assert_allclose(grouped[:, j],
+                                       _density_kernels([p], ts)[:, 0],
+                                       rtol=rel_tol, atol=0.0)
+    # identities' -dA/dt: every case on the plain substitution
+    cases = [KernelParams(rho, gamma, lam) for rho, gamma in _grid()
+             for lam in (1.0, 10.0)]
+    grouped, _ = exp_weighted_semiinfinite(
+        lambda r: np.stack([r * density_A(r, p) for p in cases], axis=1),
+        ts[1:])
+    for j, p in enumerate(cases):
+        single, _ = exp_weighted_semiinfinite(lambda r: r * density_A(r, p),
+                                              ts[1:])
+        np.testing.assert_allclose(grouped[:, j], single, rtol=rel_tol,
+                                   atol=0.0)
+
+
+def test_density_kernels_refuse_mixed_rho():
+    from frstokes.kernel import KernelParams
+    from frstokes.verification import _density_kernels
+
+    with pytest.raises(ValueError, match="share rho"):
+        _density_kernels([KernelParams(0.3, 1.0, 1.0),
+                          KernelParams(0.5, 1.0, 1.0)], [1.0])
 
 
 KERNEL_SUITES = ("kernel-initial", "a-properties", "identities",
