@@ -15,9 +15,8 @@ import time
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from frstokes.constants import constants_key, measure_constants  # noqa: E402
-
-RHO_GRID = (0.3, 0.5, 0.7, 0.9)
-GAMMA_GRID = (0.5, 1.0, 2.0)
+# the cells the b-properties suite reads
+from frstokes.verification import GAMMA_GRID, RHO_GRID  # noqa: E402
 
 OUT = os.path.join(os.path.dirname(__file__), "..", "src", "frstokes", "data",
                    "constants.json")

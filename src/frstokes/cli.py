@@ -453,7 +453,7 @@ def cmd_convergence(args):
         for dt, n in zip(dts, steps):
             grid = L1Grid(dt, n, rho)
             f = None if source is None else source(grid.times)[:, 0]
-            values.append(float(solve_scalar(lam, gamma, rho, u0, f, grid)[-1]))
+            values.append(float(solve_scalar(lam, gamma, u0, f, grid)[-1]))
     if not all(map(math.isfinite, [reference, *values])):
         raise SolverError("the reference or a stepped value is not finite")
 

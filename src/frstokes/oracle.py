@@ -157,12 +157,13 @@ def _inverse_series(c: np.ndarray) -> np.ndarray:
     return g
 
 
-def solve_scalar(lam: float, gamma: float, rho: float, y0: float,
+def solve_scalar(lam: float, gamma: float, y0: float,
                  f: Callable[[np.ndarray], np.ndarray] | Sequence[float] | None,
                  grid: L1Grid) -> np.ndarray:
     """Implicit Euler with the L1 Caputo history; returns y_0 .. y_n.
 
-    Step i solves
+    The order rho is the grid's, ``grid.rho``, the one its L1 weights were
+    built for.  Step i solves
         (1/dt + lam + lam*gamma*c) y_i = f(t_i) + y_{i-1}/dt
                                          + lam*gamma*c*(y_{i-1} - H_i)
     with c = dt^(-rho)/Gamma(2-rho) and H_i = sum_{k<i} b_{i-k} d_k the
@@ -175,9 +176,7 @@ def solve_scalar(lam: float, gamma: float, rho: float, y0: float,
     """
     if lam <= 0.0 or gamma <= 0.0:
         raise ValueError("lam and gamma must be positive")
-    if not (0.0 < rho < 1.0):
-        raise ValueError("rho must lie strictly inside (0, 1)")
-    n = grid.count
+    rho, n = grid.rho, grid.count
     if f is None:
         fvals = np.zeros(n + 1)
     elif callable(f):

@@ -114,8 +114,7 @@ class _BeyondRange(ValueError):
     """A non-finite integrand value at a node its substitution cannot map."""
 
 
-def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
-            in_range=None):
+def _refine(integrand, breaks, abs_tol, rel_tol, in_range=None):
     """Adaptive Gauss-Kronrod on the panels between consecutive ``breaks``.
 
     ``integrand`` maps nodes of shape (n,) to two factors: values of shape
@@ -128,8 +127,8 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
     |Kronrod - Gauss| over the tolerance of each output still open, until
     every output meets ``max(abs_tol, rel_tol * |value|)``.
     Returns the per-output (values, errors).  Raises
-    :class:`QuadratureNonconvergence` with them once ``max_rounds`` rounds
-    or ``max_splits`` bisections are spent, when the worst panels reach
+    :class:`QuadratureNonconvergence` with them once ``MAX_SPLITS``
+    bisections are spent, when the worst panels reach
     floating-point resolution, or when the integrand is not finite on a
     new panel at a node that ``in_range`` (a mask of the nodes the
     integrand's substitution can represent) rejects.  In that last case
@@ -157,7 +156,7 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
 
     lo, hi = breaks[:-1], breaks[1:]
     vals, errs = panel_sums(lo, hi)
-    rounds = splits = 0
+    splits = 0
     reason = "refinement budget exhausted before reaching tolerance"
     while True:
         value, error = vals.sum(axis=0), errs.sum(axis=0)
@@ -165,10 +164,10 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
         unmet = error > tol
         if not np.any(unmet):
             return value, error
-        if rounds >= max_rounds or splits >= max_splits:
+        if splits >= MAX_SPLITS:
             break
         score = np.max(errs * np.where(unmet, 1.0 / tol, 0.0), axis=1)
-        n_split = min(max(1, lo.size // 8), max_splits - splits)
+        n_split = min(max(1, lo.size // 8), MAX_SPLITS - splits)
         worst = np.argsort(-score)[:n_split]
         mid = 0.5 * (lo[worst] + hi[worst])
         ok = (lo[worst] < mid) & (mid < hi[worst])
@@ -190,7 +189,6 @@ def _refine(integrand, breaks, abs_tol, rel_tol, max_rounds, max_splits,
         hi = np.concatenate((hi[keep], new_hi))
         vals = np.concatenate((vals[keep], new_vals))
         errs = np.concatenate((errs[keep], new_errs))
-        rounds += 1
         splits += worst.size
     raise QuadratureNonconvergence(
         reason,
@@ -259,7 +257,7 @@ def exp_weighted_semiinfinite(
 
     breaks = np.concatenate(([-1.0], np.linspace(0.0, split ** beta, 5)))
     values, errors = _refine(integrand, breaks, q.abs_tol, q.rel_tol,
-                             MAX_SPLITS, MAX_SPLITS, in_range)
+                             in_range)
     # density-major inside: one transpose to (ts.size, k)
     return (values.reshape(-1, ts.size).T.reshape(shape),
             errors.reshape(-1, ts.size).T.reshape(shape))
@@ -280,18 +278,18 @@ def adaptive_finite(
     *,
     tol_abs: float,
     tol_rel: float,
-    max_rounds: int = 24,
 ) -> tuple[float, float]:
     """Adaptive Gauss-Kronrod integration over a pre-broken finite interval.
 
     ``fvec`` is called once per refinement round with all new nodes gathered
     into a single array, which keeps batch-expensive integrands (kernel
-    evaluations over time grids) efficient.
+    evaluations over time grids) efficient.  The refinement budget is the
+    semi-infinite engine's, ``MAX_SPLITS`` bisections.
     """
     breaks = np.asarray(breaks, dtype=float)
     if breaks.size < 2 or np.any(np.diff(breaks) <= 0.0):
         raise ValueError("breaks must be strictly increasing with >= 2 entries")
     value, error = _refine(lambda x: (np.reshape(fvec(x), (-1, 1)),
                                       np.ones((x.size, 1))),
-                           breaks, tol_abs, tol_rel, max_rounds, np.inf)
+                           breaks, tol_abs, tol_rel)
     return float(value[0]), float(error[0])

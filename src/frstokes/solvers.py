@@ -384,10 +384,7 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray,
     rep = coercivity_report(trace, spec)
     diagnostics.update(
         residual_max_interior=float(np.max(res[t_int >= spec.horizon / 32.0])),
-        interior_t=t_int.tolist(),
-        residual_norm=res.tolist(),
-        norm_dt_u=rep["norm_dt_u"].tolist(),
-        norm_A_caputo_u=rep["norm_A_caputo_u"].tolist(),
+        residual_norm=res.tolist(),   # on the nodes of coercivity["t"]
         coercivity={key: values.tolist() for key, values in rep.items()},
     )
     return trace

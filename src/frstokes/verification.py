@@ -6,22 +6,34 @@ worst observed deviation; positive means pass).  The CLI ``verify`` command
 and the acceptance test module both run these functions, so the command
 line and the test suite cannot drift apart.
 
-Kernel-level suites sweep the standard parameter grid
-rho in {0.3, 0.5, 0.7, 0.9} x gamma in {0.5, 1, 2}; solver-level suites run
-the pinned reference configurations described in each docstring.  Kernel
-values come from the Bromwich contour, as on the solve path, through its
-values-only route: no suite reads the contour's error estimate, so none
-pays for it.  int_0^t B is a fixed 15-point Kronrod rule on a graded mesh,
-all its nodes in one contour call.  The checks that need an independent
-route (the values at t = 0, the contour itself, dA/dt against -lam B, the
-backward round trip) integrate the spectral densities on the real line,
-one adaptive pass for all the densities that share a substitution.
+Each suite keeps its worst cases in ``_Worst`` trackers.  Kernel-level
+suites sweep the standard parameter grid rho in {0.3, 0.5, 0.7, 0.9} x
+gamma in {0.5, 1, 2}.  Kernel values come from the Bromwich contour, as on
+the solve path, through its values-only route: no suite reads the
+contour's error estimate, so none pays for it.  int_0^t B is a fixed
+15-point Kronrod rule on a graded mesh, all its nodes in one contour call.
+The checks that need an independent route (the values at t = 0, the
+contour itself, dA/dt against -lam B, the backward round trip) integrate
+the spectral densities on the real line, one adaptive pass for all the
+densities that share a substitution.
+
+Solver-level suites solve the pinned problems of ``_reference_problems``,
+all at rho 0.5, gamma 1, T = 1 on 512 uniform nodes, or problems derived
+from them by ``dataclasses.replace``:
+
+    manufactured       lam = 1..8, zero data, the t^2 manufactured source
+    nonlocal-zero      lam = 1..8, increment lam^-2 xi, xi uniform on
+                       [-1, 1] from REFERENCE_SEED, zero source
+    nonlocal-constant  the same with the constant source 0.5
+    forward-smooth     Dirichlet modes lam = k^2 <= 100, data lam^-2
+    forward-basis      6 Dirichlet modes, data the first eigenfunction
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -43,7 +55,6 @@ from .oracle import L1Grid, solve_scalar
 from .quadrature import _WK, _XK, exp_weighted_semiinfinite, graded_mesh
 from .solvers import (
     ProblemSpec,
-    coercivity_report,
     constant_source,
     manufactured_quadratic_source,
     solve_auxiliary_W,
@@ -87,6 +98,25 @@ class CheckResult:
     def from_worst(suite, name, tolerance, worst, detail=""):
         margin = tolerance - worst
         return CheckResult(suite, name, margin >= 0.0, margin, tolerance, detail)
+
+
+class _Worst:
+    """The largest deviation seen, from ``start``, and the case it came from.
+
+    Signed deviations start at -inf; ``None`` (no value) is skipped, and a
+    tie keeps the first case.
+    """
+
+    def __init__(self, start=0.0):
+        self.value, self.where = start, ""
+
+    def see(self, value, where=""):
+        if value is not None and value > self.value:
+            self.value, self.where = value, where
+
+    def check(self, suite, name, tol, detail=None):
+        return CheckResult.from_worst(suite, name, tol, self.value,
+                                      self.where if detail is None else detail)
 
 
 def _grid():
@@ -168,52 +198,38 @@ def suite_kernel_initial():
 
     The contour pins t = 0, so the densities are integrated instead.
     """
-    tol = 1e-6
-    worst_a = worst_b = 0.0
-    where_a = where_b = ""
+    worst_a, worst_b = _Worst(), _Worst()
     cases = [(gamma, lam) for gamma in GAMMA_GRID for lam in LAMBDA_TRIPLE]
     for rho in RHO_GRID:
         initial = _density_kernels(
             [KernelParams(rho, *case) for case in cases], [0.0])[0]
         for (gamma, lam), (da, db) in zip(cases, np.abs(initial - 1.0)):
-            if da > worst_a:
-                worst_a, where_a = da, f"rho={rho} gamma={gamma} lam={lam}"
-            if db > worst_b:
-                worst_b, where_b = db, f"rho={rho} gamma={gamma} lam={lam}"
-    return [
-        CheckResult.from_worst("kernel-initial", "relaxation-at-zero", tol,
-                               worst_a, where_a),
-        CheckResult.from_worst("kernel-initial", "impulse-at-zero", tol,
-                               worst_b, where_b),
-    ]
+            where = f"rho={rho} gamma={gamma} lam={lam}"
+            worst_a.see(da, where)
+            worst_b.see(db, where)
+    return [worst_a.check("kernel-initial", "relaxation-at-zero", 1e-6),
+            worst_b.check("kernel-initial", "impulse-at-zero", 1e-6)]
 
 
 def suite_a_properties():
     """Monotone decay, range (0, 1), and the uniform lower bound for A."""
-    tol = 0.0
     ts = np.geomspace(1e-3, 1.0, 50)
-    worst_mono = -np.inf   # most positive consecutive increment
-    worst_range = -np.inf  # range violation amount
-    worst_bound = -np.inf  # bound violation amount
-    detail = ""
+    # most positive consecutive increment, range and bound violations
+    mono, in_range, bound = _Worst(-np.inf), _Worst(-np.inf), _Worst(-np.inf)
     for rho, gamma in _grid():
         c_a = lower_bound_A(rho, gamma, 1.0, 1.0)
         for lam in LAMBDA_TRIPLE:
-            p = KernelParams(rho, gamma, lam)
-            vals = _contour_values("A", p, ts)
-            worst_mono = max(worst_mono, float(np.max(np.diff(vals))))
-            worst_range = max(worst_range, float(np.max(vals - 1.0)),
-                              float(np.max(-vals)))
-            bound_gap = float(np.max(c_a - vals))
-            if bound_gap > worst_bound:
-                detail = f"rho={rho} gamma={gamma} lam={lam} C={c_a:.3e}"
-            worst_bound = max(worst_bound, bound_gap)
+            vals = _contour_values("A", KernelParams(rho, gamma, lam), ts)
+            mono.see(float(np.max(np.diff(vals))))
+            in_range.see(float(np.max(vals - 1.0)))
+            in_range.see(float(np.max(-vals)))
+            bound.see(float(np.max(c_a - vals)),
+                      f"rho={rho} gamma={gamma} lam={lam} C={c_a:.3e}")
     return [
-        CheckResult.from_worst("a-properties", "strict-decrease", tol,
-                               worst_mono, "max consecutive increment"),
-        CheckResult.from_worst("a-properties", "range-(0,1)", tol, worst_range),
-        CheckResult.from_worst("a-properties", "uniform-lower-bound", tol,
-                               worst_bound, detail),
+        mono.check("a-properties", "strict-decrease", 0.0,
+                   "max consecutive increment"),
+        in_range.check("a-properties", "range-(0,1)", 0.0),
+        bound.check("a-properties", "uniform-lower-bound", 0.0),
     ]
 
 
@@ -226,7 +242,7 @@ def suite_identities():
     """
     tight = QuadratureConfig(rel_tol=1e-11)
     ts = np.array([0.25, 1.0])
-    worst_int = worst_deriv = worst_fd = 0.0
+    integral, derivative, fd = _Worst(), _Worst(), _Worst()
     min_b_margin = np.inf
     cases = [KernelParams(rho, gamma, lam) for rho, gamma in _grid()
              for lam in (1.0, 10.0)]
@@ -234,24 +250,19 @@ def suite_identities():
         lambda r: np.stack([r * density_A(r, p) for p in cases], axis=1), ts,
         singular_exponent=0.0)
     for p, case_minus_da in zip(cases, minus_da.T):
-        lam = p.lam
         ib = np.array([_integral_B_time(p, t) for t in ts])
-        worst_int = max(worst_int, float(np.max(np.abs(
-            _contour_values("A", p, ts) - (1.0 - lam * ib)))))
-        b_vals = _contour_values("B", p, ts)
-        worst_deriv = max(worst_deriv,
-                          float(np.max(np.abs(lam * b_vals - case_minus_da))))
+        integral.see(float(np.max(np.abs(
+            _contour_values("A", p, ts) - (1.0 - p.lam * ib)))))
+        derivative.see(float(np.max(np.abs(
+            p.lam * _contour_values("B", p, ts) - case_minus_da))))
         h = 1e-4
-        fd = (eval_A(p, 1.0 + h, tight) - eval_A(p, 1.0 - h, tight)) / (2 * h)
-        worst_fd = max(worst_fd, abs(fd + lam * eval_B(p, 1.0, tight)))
-        min_b_margin = min(min_b_margin, 1.0 / lam - ib[-1])   # t = 1
+        da = (eval_A(p, 1.0 + h, tight) - eval_A(p, 1.0 - h, tight)) / (2 * h)
+        fd.see(abs(da + p.lam * eval_B(p, 1.0, tight)))
+        min_b_margin = min(min_b_margin, 1.0 / p.lam - ib[-1])   # t = 1
     return [
-        CheckResult.from_worst("identities", "integral-identity", 1e-6,
-                               worst_int),
-        CheckResult.from_worst("identities", "derivative-identity", 1e-6,
-                               worst_deriv),
-        CheckResult.from_worst("identities", "derivative-fd-cross-check",
-                               1e-5, worst_fd),
+        integral.check("identities", "integral-identity", 1e-6),
+        derivative.check("identities", "derivative-identity", 1e-6),
+        fd.check("identities", "derivative-fd-cross-check", 1e-5),
         CheckResult("identities", "b-mass-under-1/lam", min_b_margin > 0.0,
                     min_b_margin, 0.0,
                     "smallest margin of 1/lam - int_0^T B"),
@@ -265,62 +276,47 @@ def suite_b_properties():
     grid (every second node), so the measured suprema cannot grow except
     for quadrature noise, absorbed by a 1e-6 relative slack.
     """
-    tol = 0.0
-    tol_const = 1e-6
+    excess = "relative excess over manifest"
     ts = constants_mod.reference_time_grid(1.0)[::2]
-    worst_range = -np.inf
-    worst_sign = -np.inf
-    worst_env = -np.inf
-    worst_der = -np.inf
+    in_range, sign, env, der = (_Worst(-np.inf) for _ in range(4))
     for rho, gamma in _grid():
         cell = constants_mod.get_constants(rho, gamma)
-        for lam in (1.0, 10.0, 100.0):
-            b_vals, db_vals, env, der = constants_mod._envelope_terms(
+        for lam in LAMBDA_TRIPLE:
+            b_vals, db_vals, env_vals, der_vals = constants_mod._envelope_terms(
                 KernelParams(rho, gamma, lam), ts, constants_mod.DEFAULT_EPSILON)
-            worst_range = max(worst_range, float(np.max(b_vals - 1.0)),
-                              float(np.max(-b_vals)))
-            worst_sign = max(worst_sign, float(np.max(db_vals)))
-            worst_env = max(worst_env,
-                            float(np.max(env)) / cell["c_envelope_B"] - 1.0)
-            worst_der = max(worst_der,
-                            float(np.max(der)) / cell["c_derivative_B"] - 1.0)
+            in_range.see(float(np.max(b_vals - 1.0)))
+            in_range.see(float(np.max(-b_vals)))
+            sign.see(float(np.max(db_vals)))
+            env.see(float(np.max(env_vals)) / cell["c_envelope_B"] - 1.0)
+            der.see(float(np.max(der_vals)) / cell["c_derivative_B"] - 1.0)
     return [
-        CheckResult.from_worst("b-properties", "range-(0,1)", tol, worst_range),
-        CheckResult.from_worst("b-properties", "derivative-negative", tol,
-                               worst_sign),
-        CheckResult.from_worst("b-properties", "envelope-constant", tol_const,
-                               worst_env, "relative excess over manifest"),
-        CheckResult.from_worst("b-properties", "derivative-envelope-constant",
-                               tol_const, worst_der,
-                               "relative excess over manifest"),
+        in_range.check("b-properties", "range-(0,1)", 0.0),
+        sign.check("b-properties", "derivative-negative", 0.0),
+        env.check("b-properties", "envelope-constant", 1e-6, excess),
+        der.check("b-properties", "derivative-envelope-constant", 1e-6,
+                  excess),
     ]
 
 
 def suite_bounds():
     """Scaled lower bound for B, the deviation corollary, and the Gamma cap."""
-    tol = 0.0
     ts = np.geomspace(1e-3, 1.0, 25)
-    worst_b = -np.inf
-    worst_cor = -np.inf
-    worst_cap = -np.inf
+    scaled, corollary, cap = _Worst(-np.inf), _Worst(-np.inf), _Worst(-np.inf)
     for rho, gamma in _grid():
         c_b = lower_bound_B(rho, gamma, 1.0, 1.0)
-        cap = (math.gamma(rho) * gamma * math.sin(math.pi * rho)
-               / (3.0 * math.pi))
-        c_a = lower_bound_A(rho, gamma, 1.0, 1.0)
-        worst_cap = max(worst_cap, c_a - cap)
+        cap.see(lower_bound_A(rho, gamma, 1.0, 1.0)
+                - math.gamma(rho) * gamma * math.sin(math.pi * rho)
+                / (3.0 * math.pi))
         for lam in LAMBDA_TRIPLE:
             p = KernelParams(rho, gamma, lam)
-            b_vals = _contour_values("B", p, ts)
-            worst_b = max(worst_b, float(np.max(c_b - lam * b_vals)))
-            a_vals = _contour_values("A", p, ts)
-            worst_cor = max(worst_cor, float(np.max(c_b * ts - np.abs(a_vals - 1.0))))
+            scaled.see(float(np.max(c_b - lam * _contour_values("B", p, ts))))
+            corollary.see(float(np.max(
+                c_b * ts - np.abs(_contour_values("A", p, ts) - 1.0))))
     return [
-        CheckResult.from_worst("bounds", "scaled-lower-bound-B", tol, worst_b),
-        CheckResult.from_worst("bounds", "deviation-corollary", tol, worst_cor,
-                               "|A - 1| >= C t"),
-        CheckResult.from_worst("bounds", "gamma-function-cap", tol, worst_cap,
-                               "C_A <= Gamma(rho)/T^rho * gamma sin(pi rho)/(3 pi)"),
+        scaled.check("bounds", "scaled-lower-bound-B", 0.0),
+        corollary.check("bounds", "deviation-corollary", 0.0, "|A - 1| >= C t"),
+        cap.check("bounds", "gamma-function-cap", 0.0,
+                  "C_A <= Gamma(rho)/T^rho * gamma sin(pi rho)/(3 pi)"),
     ]
 
 
@@ -332,8 +328,7 @@ def suite_laplace():
     values (``_fixed_rule_transforms``); the contour's reference is the
     density engine at rel_tol 1e-12.
     """
-    worst = 0.0
-    detail = ""
+    transform = _Worst()
     for rho, gamma in _grid():
         transforms = _fixed_rule_transforms(rho, gamma)
         for j, lam in enumerate(LAPLACE_LAMBDAS):
@@ -341,171 +336,152 @@ def suite_laplace():
             for i, z in enumerate(LAPLACE_Z):
                 da = abs(transforms[0, i, j] - laplace_A_closed_form(p, z))
                 db = abs(transforms[1, i, j] - laplace_B_closed_form(p, z))
-                if max(da, db) > worst:
-                    detail = f"rho={rho} gamma={gamma} lam={lam} z={z}"
-                worst = max(worst, da, db)
+                transform.see(max(da, db),
+                              f"rho={rho} gamma={gamma} lam={lam} z={z}")
     # t = 0 is pinned on the contour and checked by kernel-initial; there the
     # density engine cannot integrate B's r^(rho - 2) tail for rho near 1
     ts = np.linspace(0.0, 1.0, 257)[1:]
     reference_q = QuadratureConfig(rel_tol=1e-12)
-    worst_contour = 0.0
-    detail_contour = ""
-    for rho in (0.05, 0.3, 0.5, 0.7, 0.9, 0.99):
-        for gamma in GAMMA_GRID:
-            for lam in (1.0, 1e2, 1e4, 1e6):
-                p = KernelParams(rho, gamma, lam)
-                contour = np.stack([_contour_values(kind, p, ts)
-                                    for kind in "AB"], axis=1)
-                density = _density_kernels([p], ts, reference_q)[:, 0]
-                d = np.max(np.abs(contour - density))
-                if d > worst_contour:
-                    detail_contour = f"rho={rho} gamma={gamma} lam={lam:g}"
-                worst_contour = max(worst_contour, float(d))
-    return [CheckResult.from_worst("laplace", "transform-consistency", 1e-4,
-                                   worst, detail),
-            CheckResult.from_worst("laplace", "contour-vs-density", 1e-9,
-                                   worst_contour, detail_contour)]
+    contour = _Worst()
+    for rho, gamma, lam in itertools.product(
+            (0.05, 0.3, 0.5, 0.7, 0.9, 0.99), GAMMA_GRID, (1.0, 1e2, 1e4, 1e6)):
+        p = KernelParams(rho, gamma, lam)
+        values = np.stack([_contour_values(k, p, ts) for k in "AB"], axis=1)
+        density = _density_kernels([p], ts, reference_q)[:, 0]
+        contour.see(float(np.max(np.abs(values - density))),
+                    f"rho={rho} gamma={gamma} lam={lam:g}")
+    return [transform.check("laplace", "transform-consistency", 1e-4),
+            contour.check("laplace", "contour-vs-density", 1e-9)]
 
 
 def suite_oracle():
     """Quadrature kernel vs L1 stepping at t = 1, monotone under halving."""
-    worst = 0.0
-    mono_ok = True
-    detail = ""
-    for rho in RHO_GRID:
-        for gamma in GAMMA_GRID:
-            for lam in (1.0, 10.0):
-                p = KernelParams(rho, gamma, lam)
-                ref = eval_A(p, 1.0)
-                errs = []
-                for dt in (4e-5, 2e-5, 1e-5):
-                    grid = L1Grid(dt, round(1.0 / dt), rho)
-                    y = solve_scalar(lam, gamma, rho, 1.0, None, grid)
-                    errs.append(abs(float(y[-1]) - ref))
-                if not (errs[0] > errs[1] > errs[2]):
-                    mono_ok = False
-                if errs[-1] > worst:
-                    detail = f"rho={rho} gamma={gamma} lam={lam}"
-                worst = max(worst, errs[-1])
-    results = [
-        CheckResult.from_worst("oracle", "kernel-vs-l1", 1e-4, worst, detail),
+    worst, mono_ok = _Worst(), True
+    for rho, gamma in _grid():
+        for lam in (1.0, 10.0):
+            ref = eval_A(KernelParams(rho, gamma, lam), 1.0)
+            errs = [abs(float(solve_scalar(
+                lam, gamma, 1.0, None, L1Grid(dt, round(1.0 / dt), rho))[-1])
+                - ref) for dt in (4e-5, 2e-5, 1e-5)]
+            mono_ok = mono_ok and errs[0] > errs[1] > errs[2]
+            worst.see(errs[-1], f"rho={rho} gamma={gamma} lam={lam}")
+    return [
+        worst.check("oracle", "kernel-vs-l1", 1e-4),
         CheckResult("oracle", "error-monotone-under-halving", mono_ok,
                     0.0 if mono_ok else -1.0, 0.0, "dt in {4e-5, 2e-5, 1e-5}"),
     ]
-    return results
 
 
 def suite_limit():
     """Near rho = 1 the kernel approaches exp(-lam t / (1 + lam gamma))."""
     p = KernelParams(0.999, 1.0, 2.0)
-    worst = 0.0
+    worst = _Worst()
     for t in (0.5, 1.0):
         target = math.exp(-p.lam * t / (1.0 + p.lam * p.gamma))
-        worst = max(worst, abs(eval_A(p, t) - target))
-    return [CheckResult.from_worst("limit", "classical-relaxation", 1e-2, worst,
-                                   "rho=0.999 lam=2 gamma=1")]
+        worst.see(abs(eval_A(p, t) - target))
+    return [worst.check("limit", "classical-relaxation", 1e-2,
+                        "rho=0.999 lam=2 gamma=1")]
 
 
 # ---------------------------------------------------------------------------
 # Solver suites (pinned reference configurations)
 
 
-def _manufactured_trace(rho=0.5, gamma=1.0, n_nodes=512):
-    op = explicit_spectrum(np.arange(1.0, 9.0))
-    spec = ProblemSpec(
-        "forward", op, rho, gamma, 1.0,
-        CoefficientField(np.zeros(op.n_modes), op),
-        manufactured_quadratic_source(op, rho, gamma),
-        uniform_grid(1.0, n_nodes),
-    )
-    return spec, solve_forward(spec)
+def _reference_problems() -> dict:
+    """The pinned solver problems by name; the module docstring lists them."""
+    eight = explicit_spectrum(np.arange(1.0, 9.0))
+    ten = dirichlet_laplacian_1d(math.pi, 10)
+    six = dirichlet_laplacian_1d(math.pi, 6)
+    xi = np.random.default_rng(REFERENCE_SEED).uniform(-1.0, 1.0, 8)
+    increment = CoefficientField(eight.eigenvalues ** -2.0 * xi, eight)
+
+    def problem(kind, op, data, source=None):
+        return ProblemSpec(kind, op, 0.5, 1.0, 1.0, data, source,
+                           uniform_grid(1.0, 512))
+    return {
+        "manufactured": problem("forward", eight,
+                                CoefficientField(np.zeros(8), eight),
+                                manufactured_quadratic_source(eight, 0.5, 1.0)),
+        "nonlocal-zero": problem("nonlocal", eight, increment),
+        "nonlocal-constant": problem("nonlocal", eight, increment,
+                                     constant_source(0.5)),
+        "forward-smooth": problem(
+            "forward", ten, CoefficientField(ten.eigenvalues ** -2.0, ten)),
+        "forward-basis": problem("forward", six, basis_field(six, 1)),
+    }
 
 
 def suite_manufactured():
     """Quadratic manufactured solution: every mode reproduces t^2 to 1e-4."""
-    spec, trace = _manufactured_trace()
+    trace = solve_forward(_reference_problems()["manufactured"])
     target = trace.nodes[:, None] ** 2
     worst = float(np.max(np.abs(trace.coefficients - target)))
     return [CheckResult.from_worst("manufactured", "quadratic-response", 1e-4,
                                    worst, "8 modes, rho=0.5, gamma=1, T=1")]
 
 
-def _nonlocal_data(op):
-    rng = np.random.default_rng(REFERENCE_SEED)
-    xi = rng.uniform(-1.0, 1.0, op.n_modes)
-    return CoefficientField(op.eigenvalues ** -2.0 * xi, op)
-
-
 def suite_nonlocal():
     """Increment condition and the forced/homogeneous decomposition."""
-    op = explicit_spectrum(np.arange(1.0, 9.0))
-    phihat = _nonlocal_data(op)
-    worst_gap = 0.0
-    worst_dec = 0.0
-    for source in (None, constant_source(0.5)):
-        spec = ProblemSpec("nonlocal", op, 0.5, 1.0, 1.0, phihat, source,
-                           uniform_grid(1.0, 512))
+    problems = _reference_problems()
+    gap, decomposition = _Worst(), _Worst()
+    for spec in (problems["nonlocal-zero"], problems["nonlocal-constant"]):
         trace = solve_nonlocal(spec)
-        worst_gap = max(worst_gap, trace.diagnostics["nonlocal_gap"])
-        forced = ProblemSpec("forward", op, 0.5, 1.0, 1.0,
-                             CoefficientField(np.zeros(op.n_modes), op),
-                             source, spec.time_grid)
-        v_trace = solve_forward(forced)
-        psi = CoefficientField(phihat.coefficients - v_trace.coefficients[-1], op)
-        w_trace = solve_auxiliary_W(psi, 0.5, 1.0, 1.0, spec.time_grid)
+        gap.see(trace.diagnostics["nonlocal_gap"])
+        op = spec.operator
+        zero = CoefficientField(np.zeros(op.n_modes), op)   # V's data
+        v_trace = solve_forward(replace(spec, kind="forward", data=zero))
+        psi = CoefficientField(
+            spec.data.coefficients - v_trace.coefficients[-1], op)
+        w_trace = solve_auxiliary_W(psi, spec.rho, spec.gamma, spec.horizon,
+                                    spec.time_grid)
         recomposed = w_trace.coefficients + v_trace.coefficients
-        worst_dec = max(worst_dec,
-                        float(np.max(np.abs(recomposed - trace.coefficients))))
+        decomposition.see(
+            float(np.max(np.abs(recomposed - trace.coefficients))))
     return [
-        CheckResult.from_worst("nonlocal", "increment-condition", 1e-6,
-                               worst_gap, "u(T) - u(0) = data"),
-        CheckResult.from_worst("nonlocal", "decomposition", 1e-10, worst_dec,
-                               "solution equals W + V node-wise"),
+        gap.check("nonlocal", "increment-condition", 1e-6,
+                  "u(T) - u(0) = data"),
+        decomposition.check("nonlocal", "decomposition", 1e-10,
+                            "solution equals W + V node-wise"),
     ]
 
 
 def suite_backward():
-    """Round-trip recovery of terminal data built by an independent route."""
-    op = dirichlet_laplacian_1d(math.pi, 10)  # eigenvalues k^2 <= 100
-    phi = CoefficientField(op.eigenvalues ** -2.0, op)
-    grid = uniform_grid(1.0, 512)
-    # Terminal data phi_k A(lam_k, T) from the density engine, so the
-    # recovery through the contour is not a cancellation of shared kernel
-    # values; the solve runs on a tighter contour than the default.
+    """Round-trip recovery of terminal data built by an independent route.
+
+    forward-smooth run backward: its terminal data phi_k A(lam_k, T) comes
+    from the density engine, so the recovery through the contour is not a
+    cancellation of shared kernel values; the solve runs on a tighter
+    contour than the default.
+    """
+    smooth = _reference_problems()["forward-smooth"]
+    op, phi = smooth.operator, smooth.data.coefficients
     a_T = _density_kernels(
         [KernelParams(0.5, 1.0, lam) for lam in op.eigenvalues], [1.0],
         kinds="A")[0, :, 0]
-    psi = CoefficientField(phi.coefficients * a_T, op)
-    back_q = QuadratureConfig(rel_tol=1e-9)
-    back = ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid)
-    back_trace = solve_backward(back, back_q)
-    worst = float(np.max(np.abs(back_trace.coefficients[0] - phi.coefficients)))
-    norm_ok = (back_trace.diagnostics["recovered_initial_norm"]
-               <= back_trace.diagnostics["stability_bound"] + 1e-12)
+    back = replace(smooth, kind="backward",
+                   data=CoefficientField(phi * a_T, op))
+    back_trace = solve_backward(back, QuadratureConfig(rel_tol=1e-9))
+    worst = float(np.max(np.abs(back_trace.coefficients[0] - phi)))
+    bound = back_trace.diagnostics["stability_bound"]
+    norm = back_trace.diagnostics["recovered_initial_norm"]
     return [
         CheckResult.from_worst("backward", "roundtrip-recovery", 1e-4, worst,
                                "modes with lam <= 100"),
-        CheckResult("backward", "stability-bound", norm_ok,
-                    back_trace.diagnostics["stability_bound"]
-                    - back_trace.diagnostics["recovered_initial_norm"],
-                    0.0, "||phi|| <= ||psi - V(T)|| / C_A"),
+        CheckResult("backward", "stability-bound", norm <= bound + 1e-12,
+                    bound - norm, 0.0, "||phi|| <= ||psi - V(T)|| / C_A"),
     ]
 
 
 def suite_coercivity():
     """Damped derivative norm stable under grid doubling; all norms finite."""
-    sups = []
-    all_finite = True
-    for n_nodes in (512, 1024):
-        op = dirichlet_laplacian_1d(math.pi, 6)
-        spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, basis_field(op, 1),
-                           None, uniform_grid(1.0, n_nodes))
-        trace = solve_forward(spec)
-        rep = coercivity_report(trace, spec)
+    basis = _reference_problems()["forward-basis"]
+    sups, all_finite = [], True
+    for spec in (basis, replace(basis, time_grid=uniform_grid(1.0, 1024))):
+        rep = solve_forward(spec).diagnostics["coercivity"]
         sups.append(float(np.max(rep["weighted_norm_dt_u"])))
-        for key in ("norm_dt_u", "norm_A_u", "norm_A_caputo_u"):
-            if not np.all(np.isfinite(rep[key])):
-                all_finite = False
+        all_finite = all_finite and all(
+            np.all(np.isfinite(rep[key]))
+            for key in ("norm_dt_u", "norm_A_u", "norm_A_caputo_u"))
     change = abs(sups[1] - sups[0]) / sups[0]
     return [
         CheckResult.from_worst("coercivity", "weighted-derivative-stability",
@@ -517,40 +493,23 @@ def suite_coercivity():
 
 
 def suite_residual():
-    """Interior residual of every reference trace under 1e-3 for t >= T/32."""
-    worst = 0.0
-    detail = ""
+    """Interior residual of every reference trace under 1e-3 for t >= T/32.
 
-    def track(name, trace):
-        nonlocal worst, detail
-        value = trace.diagnostics["residual_max_interior"]
-        if value is not None and value > worst:
-            worst = value
-            detail = name
-    _, tr = _manufactured_trace()
-    track("manufactured", tr)
-    op = explicit_spectrum(np.arange(1.0, 9.0))
-    phihat = _nonlocal_data(op)
-    for label, source in (("zero", None), ("constant", constant_source(0.5))):
-        spec = ProblemSpec("nonlocal", op, 0.5, 1.0, 1.0, phihat, source,
-                           uniform_grid(1.0, 512))
-        track(f"nonlocal-{label}", solve_nonlocal(spec))
-    op2 = dirichlet_laplacian_1d(math.pi, 10)
-    phi = CoefficientField(op2.eigenvalues ** -2.0, op2)
-    fwd = ProblemSpec("forward", op2, 0.5, 1.0, 1.0, phi, None,
-                      uniform_grid(1.0, 512))
-    fwd_trace = solve_forward(fwd)
-    track("forward-smooth", fwd_trace)
-    psi = CoefficientField(fwd_trace.coefficients[-1].copy(), op2)
-    back = ProblemSpec("backward", op2, 0.5, 1.0, 1.0, psi, None,
-                       uniform_grid(1.0, 512))
-    track("backward", solve_backward(back))
-    op3 = dirichlet_laplacian_1d(math.pi, 6)
-    basis_spec = ProblemSpec("forward", op3, 0.5, 1.0, 1.0, basis_field(op3, 1),
-                             None, uniform_grid(1.0, 512))
-    track("forward-basis", solve_forward(basis_spec))
-    return [CheckResult.from_worst("residual", "interior-gate", 1e-3, worst,
-                                   f"worst trace: {detail}")]
+    The traces: every reference problem, and forward-smooth recovered
+    backward from its own terminal state.
+    """
+    worst = _Worst()
+    for name, spec in _reference_problems().items():
+        solve = solve_nonlocal if spec.kind == "nonlocal" else solve_forward
+        trace = solve(spec)
+        worst.see(trace.diagnostics["residual_max_interior"], name)
+        if name == "forward-smooth":
+            terminal = CoefficientField(trace.coefficients[-1].copy(),
+                                        spec.operator)
+            back = solve_backward(replace(spec, kind="backward", data=terminal))
+            worst.see(back.diagnostics["residual_max_interior"], "backward")
+    return [worst.check("residual", "interior-gate", 1e-3,
+                        f"worst trace: {worst.where}")]
 
 
 SUITES = {
@@ -572,16 +531,11 @@ SUITES = {
 
 def run_suites(names=None) -> dict:
     """Run the selected suites and assemble the machine-readable report."""
-    if names is None:
-        selected = list(SUITES)
-    else:
-        unknown = [n for n in names if n not in SUITES]
-        if unknown:
-            raise KeyError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
-        selected = list(names)
-    checks: list[CheckResult] = []
-    for name in selected:
-        checks.extend(SUITES[name]())
+    selected = list(SUITES if names is None else names)
+    unknown = [n for n in selected if n not in SUITES]
+    if unknown:
+        raise KeyError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
+    checks = [check for name in selected for check in SUITES[name]()]
     failed = [f"{c.suite}:{c.name}" for c in checks if not c.passed]
     return {
         "suites": selected,

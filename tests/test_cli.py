@@ -576,6 +576,13 @@ class TestVerifyCommand:
         assert not report["passed"]
         assert "kernel-initial" in err
 
+    @pytest.mark.parametrize("suite", ("manufactured", "nonlocal", "backward",
+                                       "coercivity", "residual"))
+    def test_solver_suite_rerun_prints_the_same_bytes(self, capsys, suite):
+        code, out, _ = run_cli(capsys, "verify", "--suite", suite)
+        assert code == 0
+        assert run_cli(capsys, "verify", "--suite", suite)[:2] == (code, out)
+
     def test_help_lists_only_the_suite_flag(self, capsys):
         with pytest.raises(SystemExit):
             main(["verify", "--help"])

@@ -40,14 +40,13 @@ def dense_l1_trace(times, values, rho, block=256):
     return out / math.gamma(2.0 - rho)
 
 
-def dense_l1_march(lam, gamma, rho, y0, fvals, grid):
+def dense_l1_march(lam, gamma, y0, fvals, grid):
     """Reference: the implicit Euler + L1 march by forward substitution.
 
     Step i solves for y_i with the history sum_{k<i} b_{i-k} (y_k - y_{k-1})
     taken as a dense dot product, O(n^2) in total.
     """
-    n = grid.count
-    b = grid.weights
+    rho, n, b = grid.rho, grid.count, grid.weights
     lgc = lam * gamma * grid.step ** (-rho) / math.gamma(2.0 - rho)
     denom = 1.0 / grid.step + lam + lgc
     y = np.empty(n + 1)
@@ -189,13 +188,13 @@ class TestCaputo:
 class TestSolveScalar:
     def test_zero_data_zero_source(self):
         grid = L1Grid(1e-2, 100, 0.5)
-        y = solve_scalar(1.0, 1.0, 0.5, 0.0, None, grid)
+        y = solve_scalar(1.0, 1.0, 0.0, None, grid)
         assert np.all(y == 0.0)
 
     def test_positive_nonincreasing_relaxation(self):
         for rho, gamma, lam in ((0.3, 0.5, 1.0), (0.9, 2.0, 10.0)):
             grid = L1Grid(1e-3, 1000, rho)
-            y = solve_scalar(lam, gamma, rho, 1.0, None, grid)
+            y = solve_scalar(lam, gamma, 1.0, None, grid)
             assert np.all(y > 0.0)
             assert np.all(np.diff(y) <= 0.0)
 
@@ -208,21 +207,21 @@ class TestSolveScalar:
             return 2.0 * t + lam * t ** 2 + lam * coef * t ** (2.0 - rho)
 
         grid = L1Grid(1e-3, 1000, rho)
-        y = solve_scalar(lam, gamma, rho, 0.0, forcing, grid)
+        y = solve_scalar(lam, gamma, 0.0, forcing, grid)
         assert y[-1] == pytest.approx(1.0, abs=2e-3)
         finer = L1Grid(1e-4, 10000, rho)
-        y2 = solve_scalar(lam, gamma, rho, 0.0, forcing, finer)
+        y2 = solve_scalar(lam, gamma, 0.0, forcing, finer)
         assert abs(y2[-1] - 1.0) < 0.3 * abs(y[-1] - 1.0)
 
     def test_cross_validates_quadrature_kernel(self):
         p = KernelParams(0.5, 1.0, 1.0)
         grid = L1Grid(1e-4, 10000, p.rho)
-        y = solve_scalar(p.lam, p.gamma, p.rho, 1.0, None, grid)
+        y = solve_scalar(p.lam, p.gamma, 1.0, None, grid)
         assert y[-1] == pytest.approx(eval_A(p, 1.0), abs=2e-5)
 
     def test_classical_limit(self):
         grid = L1Grid(1e-3, 1000, 0.999)
-        y = solve_scalar(2.0, 1.0, 0.999, 1.0, None, grid)
+        y = solve_scalar(2.0, 1.0, 1.0, None, grid)
         assert y[-1] == pytest.approx(math.exp(-2.0 / 3.0), abs=1e-2)
 
     def test_history_term_matches_caputo_rule(self):
@@ -230,7 +229,7 @@ class TestSolveScalar:
         # standalone rule does: residual of the update equation is zero
         rho, gamma, lam = 0.4, 1.5, 3.0
         grid = L1Grid(0.05, 20, rho)
-        y = solve_scalar(lam, gamma, rho, 1.0, None, grid)
+        y = solve_scalar(lam, gamma, 1.0, None, grid)
         for n in (1, 7, 20):
             ydot = (y[n] - y[n - 1]) / grid.step
             frac = caputo_l1_trace(grid.times[: n + 1], y[: n + 1], rho)[-1]
@@ -246,16 +245,16 @@ class TestSolveScalar:
             for gamma in GAMMA_GRID:
                 for lam in (1.0, 10.0):
                     for y0, fvals in ((1.0, np.zeros(n + 1)), (0.0, forced)):
-                        y = solve_scalar(lam, gamma, rho, y0, fvals, grid)
-                        ref = dense_l1_march(lam, gamma, rho, y0, fvals, grid)
+                        y = solve_scalar(lam, gamma, y0, fvals, grid)
+                        ref = dense_l1_march(lam, gamma, y0, fvals, grid)
                         assert np.max(np.abs(y - ref)) <= 1e-12
 
     def test_invalid_arguments(self):
         grid = L1Grid(0.1, 10, 0.5)
         with pytest.raises(ValueError):
-            solve_scalar(-1.0, 1.0, 0.5, 1.0, None, grid)
+            solve_scalar(-1.0, 1.0, 1.0, None, grid)
         with pytest.raises(ValueError):
-            solve_scalar(1.0, 1.0, 0.5, 1.0, np.zeros(5), grid)
+            solve_scalar(1.0, 1.0, 1.0, np.zeros(5), grid)
 
 
 class TestRichardson:
@@ -281,7 +280,7 @@ class TestRichardson:
         values = []
         for dt in (4e-4, 2e-4, 1e-4):
             grid = L1Grid(dt, round(1.0 / dt), p.rho)
-            values.append(float(solve_scalar(p.lam, p.gamma, p.rho, 1.0, None,
+            values.append(float(solve_scalar(p.lam, p.gamma, 1.0, None,
                                              grid)[-1]))
         result = richardson_extrapolate(values)
         target = eval_A(p, 1.0)

@@ -26,6 +26,7 @@ REMOVED_PARAMETERS = {
     **{f"verification.{suite.__name__}": ("override",)
        for suite in SUITES.values()},
     "quadrature.QuadratureConfig": ("max_refinements",),  # MAX_SPLITS
+    "quadrature.adaptive_finite": ("max_rounds",),          # MAX_SPLITS
     "kernel.lower_bound_A": ("q",),             # a fixed rule, no tolerance
     "kernel.lower_bound_B": ("q",),
     "constants.load_manifest": ("path",),       # FRS_CONSTANTS_MANIFEST
@@ -33,6 +34,7 @@ REMOVED_PARAMETERS = {
     "constants.measure_constants": ("lambda_1", "T", "epsilon", "q"),
     "constants.constants_key": ("lambda_1", "T", "epsilon"),
     "oracle.richardson_extrapolate": ("assumed_order",),  # first order
+    "oracle.solve_scalar": ("rho",),            # grid.rho
     "spectral.basis_field": ("amplitude",),     # scale the field's coefficients
     "solvers.solve_auxiliary_W": ("q",),
 }

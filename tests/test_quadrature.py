@@ -165,24 +165,27 @@ def test_adaptive_finite_polynomial():
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
-def test_adaptive_finite_refines_kink():
+def test_adaptive_finite_refines_kink(monkeypatch):
+    monkeypatch.setattr(quadrature, "MAX_SPLITS", 60)
     value, _ = adaptive_finite(
         lambda x: np.abs(x - 0.3137) ** 0.5, [0.0, 1.0],
-        tol_abs=1e-10, tol_rel=1e-9, max_rounds=60,
+        tol_abs=1e-10, tol_rel=1e-9,
     )
     a = 0.3137
     exact = (a ** 1.5 + (1 - a) ** 1.5) / 1.5
     assert value == pytest.approx(exact, abs=1e-8)
 
 
-def test_adaptive_finite_reports_best_estimate():
-    # an inverse square-root singularity at an interior point: three rounds
-    # cannot reach 1e-14, and the best estimate comes back with its bound
+def test_adaptive_finite_reports_best_estimate(monkeypatch):
+    # an inverse square-root singularity at an interior point: three
+    # bisections cannot reach 1e-14, and the best estimate comes back with
+    # its bound
+    monkeypatch.setattr(quadrature, "MAX_SPLITS", 3)
     a = 0.3137
     exact = 2.0 * (math.sqrt(a) + math.sqrt(1.0 - a))
     with pytest.raises(QuadratureNonconvergence) as excinfo:
         adaptive_finite(lambda x: np.abs(x - a) ** -0.5, [0.0, 1.0],
-                        tol_abs=1e-14, tol_rel=1e-14, max_rounds=3)
+                        tol_abs=1e-14, tol_rel=1e-14)
     value, bound = excinfo.value.value, excinfo.value.error_bound
     assert isinstance(value, float) and isinstance(bound, float)
     assert 1e-14 < abs(value - exact) <= bound

@@ -216,3 +216,41 @@ def test_kernel_suites_skip_the_contour_error_sum(monkeypatch):
     assert report["passed"]
     assert len(calls) > 100
     assert [c for c in calls if c[1:] != c[:1]] == []
+
+
+def _problem_key(spec):
+    """Everything a solve reads from its problem, as comparable bytes."""
+    source = (None if spec.source is None
+              else np.asarray(spec.source(spec.time_grid)).tobytes())
+    return (spec.kind, spec.rho, spec.gamma, spec.horizon,
+            spec.operator.eigenvalues.tobytes(),
+            spec.data.coefficients.tobytes(), source,
+            spec.time_grid.tobytes())
+
+
+def test_residual_solves_each_reference_problem_once(monkeypatch):
+    # every reference problem once, plus forward-smooth recovered backward
+    # from its own terminal state: "every reference trace" by construction
+    from frstokes import verification
+
+    solved = []   # (spec, trace) per solver call
+    for name in ("solve_forward", "solve_nonlocal", "solve_backward"):
+        def counted(spec, *args, solver=getattr(verification, name)):
+            solved.append((spec, solver(spec, *args)))
+            return solved[-1][1]
+        monkeypatch.setattr(verification, name, counted)
+    (check,) = verification.suite_residual()
+    assert check.passed
+
+    problems = verification._reference_problems()
+    assert len(solved) == len(problems) + 1
+    keys = [_problem_key(spec) for spec, _ in solved]
+    for spec in problems.values():
+        assert keys.count(_problem_key(spec)) == 1
+    smooth = problems["forward-smooth"]
+    (smooth_trace,) = [trace for spec, trace in solved
+                       if _problem_key(spec) == _problem_key(smooth)]
+    (back,) = [spec for spec, _ in solved if spec.kind == "backward"]
+    assert _problem_key(back)[1:5] == _problem_key(smooth)[1:5]
+    np.testing.assert_array_equal(back.data.coefficients,
+                                  smooth_trace.coefficients[-1])
