@@ -119,11 +119,14 @@ def _check_times(ts, minimum=0.0, what="t"):
     return arr
 
 
-def _transforms(z, rho, gamma, lam):
-    """Laplace transforms (A^(z), B^(z)), with z broadcast against lam."""
+def _transform(kind, z, rho, gamma, lam):
+    """Laplace transform of A, B or Phi (kind), z broadcast against lam."""
     lgz = lam * gamma * z ** rho
     d = z + lam + lgz
-    return (1.0 + lgz / z) / d, 1.0 / d
+    if kind == "B":
+        return 1.0 / d
+    a = (1.0 + lgz / z) / d
+    return a if kind == "A" else a / z
 
 
 # Hyperbolic contour z(u) = mu (1 + sin(iu - alpha)), u = k h for k = -N..N,
@@ -153,8 +156,9 @@ def _contour_size(q: QuadratureConfig | None) -> int:
 def _contour_sum(transform, t: np.ndarray, n: int) -> np.ndarray:
     """Trapezoid sum of the Bromwich integral at every t > 0, on 2n + 1 nodes.
 
-    transform(z) maps z of shape (windows, n + 1, 1) to (windows, n + 1, M);
-    conjugate symmetry halves the nodes.  The window of t depends on t
+    transform(z) maps z of shape (windows, n + 1, 1) to (windows, n + 1, M)
+    and runs with numpy's floating-point warnings silenced, as do its
+    weights; conjugate symmetry halves the nodes.  The window of t depends on t
     alone and each value sums the nodes in a fixed order, so a value does
     not depend on the other times or modes of the call.  Returns (t.size, M).
     """
@@ -167,7 +171,9 @@ def _contour_sum(transform, t: np.ndarray, n: int) -> np.ndarray:
     dz = (CONTOUR_SCALE * CONTOUR_STEP / math.pi) * 1j * np.cos(iu - CONTOUR_ALPHA)
     dz[0] *= 0.5                      # weights (h / pi) z'(u); u = 0 once
     scale = 1.0 / windows[:, None, None]
-    g = np.swapaxes(transform(z[:, None] * scale) * (dz[:, None] * scale), 1, 2)
+    with np.errstate(all="ignore"):   # overflow gives NaN; callers check
+        g = transform(z[:, None] * scale) * (dz[:, None] * scale)
+    g = np.swapaxes(g, 1, 2)
     g_re, g_im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
     out = np.empty((t.size, g.shape[1]))
     rows = max(1, BLOCK_ELEMENTS // (g.shape[1] * g.shape[2]))
@@ -192,9 +198,7 @@ def _bromwich(kind: str, rho: float, gamma: float, lam, ts: np.ndarray,
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
     def transform(z):
-        with np.errstate(all="ignore"):  # overflow gives NaN; callers check
-            a, b = _transforms(z, rho, gamma, lam)
-        return {"A": a, "B": b, "Phi": a / z}[kind]
+        return _transform(kind, z, rho, gamma, lam)
 
     values = np.full((ts.size, lam.size), 0.0 if kind == "Phi" else 1.0)
     pos = ts > 0.0
@@ -256,10 +260,24 @@ def eval_dB_dt_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
     integrable only through exp(-r t), and dB/dt grows without bound as
     t -> 0.
     """
+    values, errors = _dB_dt(p.rho, p.gamma, p.lam, ts, q)
+    return values[:, 0], errors[:, 0]
+
+
+def _dB_dt(rho: float, gamma: float, lam, ts,
+           q: QuadratureConfig | None = None):
+    """dB/dt for every eigenvalue in lam at every t in ts: one engine pass.
+
+    One r density_B column per eigenvalue under the plain substitution,
+    each held to the tolerance on its own; returns (values, errors), shaped
+    (ts.size, lam.size).
+    """
     arr = _check_times(ts, minimum=MIN_DERIVATIVE_TIME, what="derivative time")
+    params = [KernelParams(rho, gamma, float(mode))
+              for mode in np.atleast_1d(lam)]
     values, errors = exp_weighted_semiinfinite(
-        lambda r: r * density_B(r, p), arr,
-        singular_exponent=0.0, q=q,
+        lambda r: np.stack([r * density_B(r, p) for p in params], axis=1),
+        arr, singular_exponent=0.0, q=q,
     )
     return -values, errors
 
@@ -320,14 +338,14 @@ def laplace_A_closed_form(p: KernelParams, z: float) -> float:
     """Laplace transform of A: (1 + lam*gamma*z^(rho-1)) / (z + lam + lam*gamma*z^rho)."""
     if not z > 0.0:
         raise ValueError("transform variable z must be positive")
-    return float(_transforms(z, p.rho, p.gamma, p.lam)[0])
+    return float(_transform("A", z, p.rho, p.gamma, p.lam))
 
 
 def laplace_B_closed_form(p: KernelParams, z: float) -> float:
     """Laplace transform of B: 1 / (z + lam + lam*gamma*z^rho)."""
     if not z > 0.0:
         raise ValueError("transform variable z must be positive")
-    return float(_transforms(z, p.rho, p.gamma, p.lam)[1])
+    return float(_transform("B", z, p.rho, p.gamma, p.lam))
 
 
 def laplace_transform_numeric(p: KernelParams, z: float,

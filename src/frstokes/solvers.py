@@ -107,7 +107,9 @@ def sampled_source(times, values) -> Callable[[np.ndarray], np.ndarray]:
     """Per-mode time series values[i, k - 1] at times[i], linear in between."""
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or np.any(np.diff(times) <= 0.0):
+    if times.ndim != 1 or not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be a finite 1-D sequence")
+    if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     if values.ndim != 2 or values.shape[0] != times.size:
         raise ValueError("values must be (n_times, n_modes)")
@@ -196,14 +198,16 @@ class ProblemSpec:
             raise ValueError("rho must lie strictly inside (0, 1)")
         if self.gamma <= 0.0:
             raise ValueError("gamma must be positive")
-        if self.horizon <= 0.0:
-            raise ValueError("horizon must be positive")
+        if not 0.0 < self.horizon < math.inf:
+            raise ValueError("horizon must be positive and finite")
         if self.data.operator is not self.operator:
             raise ValueError("data field must live on the problem operator")
         grid = self.time_grid
         if grid is None:
             grid = uniform_grid(self.horizon)
         grid = np.asarray(grid, dtype=float)
+        if not np.all(np.isfinite(grid)):
+            raise ValueError("time grid must be finite")
         if grid.ndim != 1 or grid.size < 2 or np.any(np.diff(grid) <= 0.0):
             raise ValueError("time grid must be strictly increasing")
         if grid[0] != 0.0 or not math.isclose(grid[-1], self.horizon,

@@ -10,16 +10,21 @@ Each suite keeps its worst cases in ``_Worst`` trackers.  Kernel-level
 suites sweep the standard parameter grid rho in {0.3, 0.5, 0.7, 0.9} x
 gamma in {0.5, 1, 2}.  Kernel values come from the Bromwich contour, as on
 the solve path, through its values-only route: no suite reads the
-contour's error estimate, so none pays for it.  int_0^t B is a fixed
-15-point Kronrod rule on a graded mesh, all its nodes in one contour call.
-The checks that need an independent route (the values at t = 0, the
-contour itself, dA/dt against -lam B, the backward round trip) integrate
-the spectral densities on the real line, one adaptive pass for all the
-densities that share a substitution.
+contour's error estimate, so none pays for it.  The work is batched by
+(rho, gamma) cell: one contour call per kind and quantity serves every
+eigenvalue of the cell (the contour sums each mode on its own, so a
+column equals that mode's single-mode value bit for bit), and one density
+pass holds one column per eigenvalue.  int_0^t B is a fixed 15-point
+Kronrod rule on a graded mesh, the nodes of all its times in one contour
+call.  The checks that need an independent route (the values at t = 0,
+the contour itself, dA/dt against -lam B, the backward round trip)
+integrate the spectral densities on the real line, one adaptive pass for
+all the densities that share a substitution.
 
 Solver-level suites solve the pinned problems of ``_reference_problems``,
 all at rho 0.5, gamma 1, T = 1 on 512 uniform nodes, or problems derived
-from them by ``dataclasses.replace``:
+from them by ``dataclasses.replace``.  Within one ``run_suites`` call
+each pinned problem is solved once and its trace shared by the suites:
 
     manufactured       lam = 1..8, zero data, the t^2 manufactured source
     nonlocal-zero      lam = 1..8, increment lam^-2 xi, xi uniform on
@@ -42,10 +47,8 @@ from . import kernel
 from .kernel import (
     KernelParams,
     QuadratureConfig,
-    _contour_values,
     density_A,
     eval_A,
-    eval_B,
     laplace_A_closed_form,
     laplace_B_closed_form,
     lower_bound_A,
@@ -125,19 +128,35 @@ def _grid():
             yield rho, gamma
 
 
-def _integral_B_time(p: KernelParams, t: float) -> float:
+def _contour(kind: str, rho: float, gamma: float, lams, ts,
+             q: QuadratureConfig | None = None) -> np.ndarray:
+    """Contour values of kind for every lam in lams at every t in ts.
+
+    One call through the ``kernel`` module attribute, without the error
+    sum; returns (ts.size, len(lams)).
+    """
+    values, _ = kernel._bromwich(kind, rho, gamma, lams,
+                                 np.asarray(ts, dtype=float), q,
+                                 error_at=slice(0))
+    return values
+
+
+def _integral_B_time(rho: float, gamma: float, lams, ts) -> np.ndarray:
     """int_0^t B(lam, s) ds by the 15-point Kronrod rule on 64 graded cells.
 
     The grading exponent compensates the s^(-rho) growth of B', which is
-    the kernel's only nonsmoothness on [0, t]; all 960 nodes take one
-    contour call.
+    the kernel's only nonsmoothness on [0, t]; the 960 nodes of every t in
+    ts take one contour call for all lams.  Returns (ts.size, len(lams)).
     """
-    breaks = graded_mesh(t, 64, max(2.0, 2.0 / (1.0 - p.rho)))
-    lo, hi = breaks[:-1], breaks[1:]
+    exponent = max(2.0, 2.0 / (1.0 - rho))
+    breaks = np.stack([graded_mesh(t, 64, exponent) for t in ts])
+    lo, hi = breaks[:, :-1], breaks[:, 1:]
     half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[:, None] + half[:, None] * _XK
-    values = _contour_values("B", p, nodes.ravel()).reshape(nodes.shape)
-    return float(np.sum(half * (values @ _WK)))
+    nodes = (0.5 * (hi + lo))[..., None] + half[..., None] * _XK
+    values = _contour("B", rho, gamma, lams, nodes.ravel())
+    # one contiguous (cells, 15) block per (lam, t), as a single-t call had
+    cells = np.ascontiguousarray(values.T).reshape((-1,) + nodes.shape) @ _WK
+    return np.sum(half * cells, axis=-1).T
 
 
 def _density_kernels(params, ts, q: QuadratureConfig | None = None,
@@ -218,8 +237,8 @@ def suite_a_properties():
     mono, in_range, bound = _Worst(-np.inf), _Worst(-np.inf), _Worst(-np.inf)
     for rho, gamma in _grid():
         c_a = lower_bound_A(rho, gamma, 1.0, 1.0)
-        for lam in LAMBDA_TRIPLE:
-            vals = _contour_values("A", KernelParams(rho, gamma, lam), ts)
+        values = _contour("A", rho, gamma, LAMBDA_TRIPLE, ts)
+        for lam, vals in zip(LAMBDA_TRIPLE, values.T):
             mono.see(float(np.max(np.diff(vals))))
             in_range.see(float(np.max(vals - 1.0)))
             in_range.see(float(np.max(-vals)))
@@ -238,27 +257,34 @@ def suite_identities():
 
     The derivative identity holds B from the contour against dA/dt from the
     density engine, -int_0^inf r e^(-rt) density_A(r) dr: every case shares
-    the plain substitution, so one engine pass serves the whole grid.
+    the plain substitution, so one engine pass serves the whole grid.  Each
+    (rho, gamma) makes one contour call per kind and quantity for both lam.
     """
     tight = QuadratureConfig(rel_tol=1e-11)
     ts = np.array([0.25, 1.0])
+    lams = (1.0, 10.0)
+    h = 1e-4
     integral, derivative, fd = _Worst(), _Worst(), _Worst()
     min_b_margin = np.inf
     cases = [KernelParams(rho, gamma, lam) for rho, gamma in _grid()
-             for lam in (1.0, 10.0)]
+             for lam in lams]
     minus_da, _ = exp_weighted_semiinfinite(
         lambda r: np.stack([r * density_A(r, p) for p in cases], axis=1), ts,
         singular_exponent=0.0)
-    for p, case_minus_da in zip(cases, minus_da.T):
-        ib = np.array([_integral_B_time(p, t) for t in ts])
-        integral.see(float(np.max(np.abs(
-            _contour_values("A", p, ts) - (1.0 - p.lam * ib)))))
-        derivative.see(float(np.max(np.abs(
-            p.lam * _contour_values("B", p, ts) - case_minus_da))))
-        h = 1e-4
-        da = (eval_A(p, 1.0 + h, tight) - eval_A(p, 1.0 - h, tight)) / (2 * h)
-        fd.see(abs(da + p.lam * eval_B(p, 1.0, tight)))
-        min_b_margin = min(min_b_margin, 1.0 / p.lam - ib[-1])   # t = 1
+    minus_da = minus_da.reshape(ts.size, -1, len(lams)).transpose(1, 0, 2)
+    for (rho, gamma), cell_minus_da in zip(_grid(), minus_da):
+        ib = _integral_B_time(rho, gamma, lams, ts)
+        a, b = (_contour(kind, rho, gamma, lams, ts) for kind in "AB")
+        a_fd = _contour("A", rho, gamma, lams, [1.0 + h, 1.0 - h], tight)
+        (b_fd,) = _contour("B", rho, gamma, lams, [1.0], tight)
+        for j, lam in enumerate(lams):
+            integral.see(float(np.max(np.abs(
+                a[:, j] - (1.0 - lam * ib[:, j])))))
+            derivative.see(float(np.max(np.abs(
+                lam * b[:, j] - cell_minus_da[:, j]))))
+            da = (a_fd[0, j] - a_fd[1, j]) / (2 * h)
+            fd.see(abs(da + lam * b_fd[j]))
+            min_b_margin = min(min_b_margin, 1.0 / lam - ib[-1, j])   # t = 1
     return [
         integral.check("identities", "integral-identity", 1e-6),
         derivative.check("identities", "derivative-identity", 1e-6),
@@ -281,9 +307,9 @@ def suite_b_properties():
     in_range, sign, env, der = (_Worst(-np.inf) for _ in range(4))
     for rho, gamma in _grid():
         cell = constants_mod.get_constants(rho, gamma)
-        for lam in LAMBDA_TRIPLE:
-            b_vals, db_vals, env_vals, der_vals = constants_mod._envelope_terms(
-                KernelParams(rho, gamma, lam), ts, constants_mod.DEFAULT_EPSILON)
+        terms = constants_mod._envelope_terms(
+            rho, gamma, LAMBDA_TRIPLE, ts, constants_mod.DEFAULT_EPSILON)
+        for b_vals, db_vals, env_vals, der_vals in zip(*(x.T for x in terms)):
             in_range.see(float(np.max(b_vals - 1.0)))
             in_range.see(float(np.max(-b_vals)))
             sign.see(float(np.max(db_vals)))
@@ -307,11 +333,10 @@ def suite_bounds():
         cap.see(lower_bound_A(rho, gamma, 1.0, 1.0)
                 - math.gamma(rho) * gamma * math.sin(math.pi * rho)
                 / (3.0 * math.pi))
-        for lam in LAMBDA_TRIPLE:
-            p = KernelParams(rho, gamma, lam)
-            scaled.see(float(np.max(c_b - lam * _contour_values("B", p, ts))))
-            corollary.see(float(np.max(
-                c_b * ts - np.abs(_contour_values("A", p, ts) - 1.0))))
+        a, b = (_contour(kind, rho, gamma, LAMBDA_TRIPLE, ts) for kind in "AB")
+        for lam, a_vals, b_vals in zip(LAMBDA_TRIPLE, a.T, b.T):
+            scaled.see(float(np.max(c_b - lam * b_vals)))
+            corollary.see(float(np.max(c_b * ts - np.abs(a_vals - 1.0))))
     return [
         scaled.check("bounds", "scaled-lower-bound-B", 0.0),
         corollary.check("bounds", "deviation-corollary", 0.0, "|A - 1| >= C t"),
@@ -326,7 +351,8 @@ def suite_laplace():
 
     The transforms are one fixed Kronrod rule per (rho, gamma) on contour
     values (``_fixed_rule_transforms``); the contour's reference is the
-    density engine at rel_tol 1e-12.
+    density engine at rel_tol 1e-12, one pass per (rho, gamma) for its four
+    lam against one contour call per kind.
     """
     transform = _Worst()
     for rho, gamma in _grid():
@@ -342,14 +368,17 @@ def suite_laplace():
     # density engine cannot integrate B's r^(rho - 2) tail for rho near 1
     ts = np.linspace(0.0, 1.0, 257)[1:]
     reference_q = QuadratureConfig(rel_tol=1e-12)
+    lams = (1.0, 1e2, 1e4, 1e6)
     contour = _Worst()
-    for rho, gamma, lam in itertools.product(
-            (0.05, 0.3, 0.5, 0.7, 0.9, 0.99), GAMMA_GRID, (1.0, 1e2, 1e4, 1e6)):
-        p = KernelParams(rho, gamma, lam)
-        values = np.stack([_contour_values(k, p, ts) for k in "AB"], axis=1)
-        density = _density_kernels([p], ts, reference_q)[:, 0]
-        contour.see(float(np.max(np.abs(values - density))),
-                    f"rho={rho} gamma={gamma} lam={lam:g}")
+    for rho, gamma in itertools.product((0.05, 0.3, 0.5, 0.7, 0.9, 0.99),
+                                        GAMMA_GRID):
+        values = np.stack([_contour(k, rho, gamma, lams, ts) for k in "AB"],
+                          axis=2)
+        density = _density_kernels(
+            [KernelParams(rho, gamma, lam) for lam in lams], ts, reference_q)
+        for j, lam in enumerate(lams):
+            contour.see(float(np.max(np.abs(values[:, j] - density[:, j]))),
+                        f"rho={rho} gamma={gamma} lam={lam:g}")
     return [transform.check("laplace", "transform-consistency", 1e-4),
             contour.check("laplace", "contour-vs-density", 1e-9)]
 
@@ -411,9 +440,27 @@ def _reference_problems() -> dict:
     }
 
 
+# The solved reference problems by name while run_suites runs, so suites
+# that share a problem solve it once; None outside, where each suite solves
+# its own.
+_traces: dict | None = None
+
+
+def _reference_trace(name: str):
+    """The trace of the reference problem name, solved once per run_suites."""
+    if _traces is not None and name in _traces:
+        return _traces[name]
+    spec = _reference_problems()[name]
+    solve = solve_nonlocal if spec.kind == "nonlocal" else solve_forward
+    trace = solve(spec)
+    if _traces is not None:
+        _traces[name] = trace
+    return trace
+
+
 def suite_manufactured():
     """Quadratic manufactured solution: every mode reproduces t^2 to 1e-4."""
-    trace = solve_forward(_reference_problems()["manufactured"])
+    trace = _reference_trace("manufactured")
     target = trace.nodes[:, None] ** 2
     worst = float(np.max(np.abs(trace.coefficients - target)))
     return [CheckResult.from_worst("manufactured", "quadratic-response", 1e-4,
@@ -424,8 +471,8 @@ def suite_nonlocal():
     """Increment condition and the forced/homogeneous decomposition."""
     problems = _reference_problems()
     gap, decomposition = _Worst(), _Worst()
-    for spec in (problems["nonlocal-zero"], problems["nonlocal-constant"]):
-        trace = solve_nonlocal(spec)
+    for name in ("nonlocal-zero", "nonlocal-constant"):
+        spec, trace = problems[name], _reference_trace(name)
         gap.see(trace.diagnostics["nonlocal_gap"])
         op = spec.operator
         zero = CoefficientField(np.zeros(op.n_modes), op)   # V's data
@@ -475,9 +522,10 @@ def suite_backward():
 def suite_coercivity():
     """Damped derivative norm stable under grid doubling; all norms finite."""
     basis = _reference_problems()["forward-basis"]
+    fine = replace(basis, time_grid=uniform_grid(1.0, 1024))
     sups, all_finite = [], True
-    for spec in (basis, replace(basis, time_grid=uniform_grid(1.0, 1024))):
-        rep = solve_forward(spec).diagnostics["coercivity"]
+    for trace in (_reference_trace("forward-basis"), solve_forward(fine)):
+        rep = trace.diagnostics["coercivity"]
         sups.append(float(np.max(rep["weighted_norm_dt_u"])))
         all_finite = all_finite and all(
             np.all(np.isfinite(rep[key]))
@@ -500,8 +548,7 @@ def suite_residual():
     """
     worst = _Worst()
     for name, spec in _reference_problems().items():
-        solve = solve_nonlocal if spec.kind == "nonlocal" else solve_forward
-        trace = solve(spec)
+        trace = _reference_trace(name)
         worst.see(trace.diagnostics["residual_max_interior"], name)
         if name == "forward-smooth":
             terminal = CoefficientField(trace.coefficients[-1].copy(),
@@ -530,12 +577,21 @@ SUITES = {
 
 
 def run_suites(names=None) -> dict:
-    """Run the selected suites and assemble the machine-readable report."""
+    """Run the selected suites and assemble the machine-readable report.
+
+    The suites share the traces of the reference problems for this call
+    only: a second call solves them afresh.
+    """
+    global _traces
     selected = list(SUITES if names is None else names)
     unknown = [n for n in selected if n not in SUITES]
     if unknown:
         raise KeyError(f"unknown suites: {unknown}; known: {sorted(SUITES)}")
-    checks = [check for name in selected for check in SUITES[name]()]
+    _traces = {}
+    try:
+        checks = [check for name in selected for check in SUITES[name]()]
+    finally:
+        _traces = None
     failed = [f"{c.suite}:{c.name}" for c in checks if not c.passed]
     return {
         "suites": selected,

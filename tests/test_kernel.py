@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from frstokes.kernel import (
     lower_bound_A,
     lower_bound_B,
     _bromwich,
+    _dB_dt,
 )
 from frstokes.quadrature import exp_weighted_semiinfinite
 
@@ -151,6 +153,18 @@ class TestKernelValues:
         assert np.array_equal(err_T, errors[-1:])
         assert _bromwich("Phi", 0.5, 1.0, lam, ts, error_at=slice(0))[1].shape == (0, 3)
 
+    @pytest.mark.parametrize("kind", ["A", "B", "Phi"])
+    def test_no_kind_warns_at_huge_times(self, kind):
+        # the transform overflows on the far window's contour: it must do so
+        # silently, and only the requested kind is formed
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, errors = _bromwich(kind, 0.5, 1.0, [1.0, 4.0],
+                                       np.array([1e300]))
+        assert values.shape == errors.shape == (1, 2)
+        if kind != "Phi":
+            assert np.all(np.isfinite(values))
+
     def test_classical_limit(self):
         p = KernelParams(0.999, 1.0, 2.0)
         assert eval_A(p, 1.0) == pytest.approx(math.exp(-2.0 / 3.0), abs=1e-2)
@@ -192,6 +206,20 @@ class TestDerivatives:
         p = KernelParams(0.5, 1.0, 1.0)
         with pytest.raises(ValueError):
             eval_dB_dt_grid(p, [1e-9])
+
+    def test_grouped_columns_match_single_mode_calls(self):
+        # one engine pass for several eigenvalues holds every column to the
+        # tolerance on its own, so each agrees with its own call
+        rel_tol = QuadratureConfig().rel_tol
+        lams = (1.0, 10.0, 100.0)
+        ts = np.geomspace(1e-4, 1.0, 31)
+        for rho, gamma in ((0.3, 0.5), (0.9, 2.0)):
+            grouped, errors = _dB_dt(rho, gamma, lams, ts)
+            assert grouped.shape == errors.shape == (ts.size, len(lams))
+            for j, lam in enumerate(lams):
+                single, _ = eval_dB_dt_grid(KernelParams(rho, gamma, lam), ts)
+                np.testing.assert_allclose(grouped[:, j], single,
+                                           rtol=rel_tol, atol=0.0)
 
 
 class TestLowerBounds:
@@ -311,12 +339,12 @@ class TestIntegralIdentity:
 
         p = KernelParams(0.5, 1.0, 1.0)
         for t in (0.5, 1.0):
-            mass = _integral_B_time(p, t)
+            (mass,), = _integral_B_time(p.rho, p.gamma, [p.lam], [t])
             assert eval_A(p, t) == pytest.approx(1.0 - p.lam * mass, abs=1e-7)
 
     def test_b_mass_below_reciprocal_eigenvalue(self):
         from frstokes.verification import _integral_B_time
 
         for lam in (1.0, 10.0):
-            p = KernelParams(0.7, 0.5, lam)
-            assert _integral_B_time(p, 1.0) < 1.0 / lam
+            (mass,), = _integral_B_time(0.7, 0.5, [lam], [1.0])
+            assert mass < 1.0 / lam

@@ -235,6 +235,25 @@ class TestProblemSpec:
         with pytest.raises(ValueError):
             ProblemSpec("sideways", small_op, 0.5, 1.0, 1.0, data)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_times_rejected(self, small_op, bad):
+        # comparisons with NaN are false, so a NaN node passes a plain
+        # strictly-increasing check; an infinite node or horizon must not
+        # reach a solve either
+        data = zeros_field(small_op)
+        with pytest.raises(ValueError, match="finite"):
+            ProblemSpec("forward", small_op, 0.5, 1.0, 1.0, data,
+                        time_grid=np.array([0.0, bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            ProblemSpec("forward", small_op, 0.5, 1.0, 1.0, data,
+                        time_grid=np.array([0.0, 0.5, 1.0, bad]))
+        with pytest.raises(ValueError, match="finite"):
+            ProblemSpec("forward", small_op, 0.5, 1.0, bad, data)
+        with pytest.raises(ValueError, match="finite"):
+            sampled_source([0.0, bad, 1.0], np.ones((3, 3)))
+        with pytest.raises(ValueError, match="finite"):
+            sampled_source([bad, 0.0, 1.0], np.ones((3, 3)))
+
     @pytest.mark.parametrize("source", [
         constant_source([1.0, 2.0]),
         sampled_source([0.0, 1.0], np.ones((2, 2))),

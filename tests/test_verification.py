@@ -92,16 +92,18 @@ def test_fixed_rule_integral_B_matches_adaptive():
     from frstokes.verification import GAMMA_GRID, RHO_GRID, _integral_B_time
 
     worst = 0.0
+    lams, times = (1.0, 10.0), (0.25, 1.0)
     for rho in RHO_GRID:
         for gamma in GAMMA_GRID:
-            for lam in (1.0, 10.0):
+            fixed = _integral_B_time(rho, gamma, lams, times)
+            for j, lam in enumerate(lams):
                 p = KernelParams(rho, gamma, lam)
-                for t in (0.25, 1.0):
+                for i, t in enumerate(times):
                     breaks = graded_mesh(t, 64, max(2.0, 2.0 / (1.0 - rho)))
                     adaptive, _ = adaptive_finite(
                         lambda ts: eval_B_grid(p, ts)[0], breaks,
                         tol_abs=1e-11, tol_rel=1e-9)
-                    worst = max(worst, abs(_integral_B_time(p, t) - adaptive))
+                    worst = max(worst, abs(fixed[i, j] - adaptive))
     assert worst <= 1e-12
 
 
@@ -254,3 +256,142 @@ def test_residual_solves_each_reference_problem_once(monkeypatch):
     assert _problem_key(back)[1:5] == _problem_key(smooth)[1:5]
     np.testing.assert_array_equal(back.data.coefficients,
                                   smooth_trace.coefficients[-1])
+
+
+def _record_contour_calls(monkeypatch):
+    """Wrap kernel._bromwich; returns the list of its calls' arguments."""
+    import inspect
+
+    from frstokes import kernel
+
+    contour = kernel._bromwich
+    signature = inspect.signature(contour)
+    calls = []
+
+    def recorded(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        calls.append(dict(bound.arguments))
+        return contour(*args, **kwargs)
+
+    monkeypatch.setattr(kernel, "_bromwich", recorded)
+    return calls
+
+
+def test_kernel_suites_batch_the_contour_by_cell(monkeypatch):
+    # one contour call per (rho, gamma) cell, kind and quantity serves all
+    # of the cell's eigenvalues, and each column is bit for bit the
+    # single-mode value: a mode's sum does not depend on the others
+    from frstokes import kernel
+    from frstokes.kernel import KernelParams
+
+    calls = _record_contour_calls(monkeypatch)
+    report = run_suites(KERNEL_SUITES)
+    monkeypatch.undo()
+    assert report["passed"]
+    assert len(calls) <= 180
+    assert sum(np.size(c["lam"]) > 1 for c in calls) >= 150
+    for c in calls:
+        values, _ = kernel._bromwich(**c)
+        for j, lam in enumerate(np.atleast_1d(c["lam"])):
+            single = kernel._contour_values(
+                c["kind"], KernelParams(c["rho"], c["gamma"], float(lam)),
+                c["ts"], c["q"])
+            assert np.array_equal(values[:, j], single), (
+                c["kind"], c["rho"], c["gamma"], lam)
+
+
+def _count_engine_passes(monkeypatch):
+    """Count density-engine calls from kernel and verification."""
+    from frstokes import kernel, verification
+
+    passes = []
+    for module in (kernel, verification):
+        def counted(*args, engine=module.exp_weighted_semiinfinite, **kwargs):
+            passes.append(args[1])
+            return engine(*args, **kwargs)
+        monkeypatch.setattr(module, "exp_weighted_semiinfinite", counted)
+    return passes
+
+
+def test_b_properties_makes_one_engine_pass_per_cell(monkeypatch):
+    from frstokes import verification
+
+    passes = _count_engine_passes(monkeypatch)
+    assert all(c.passed for c in verification.suite_b_properties())
+    assert len(passes) == len(verification.RHO_GRID) * len(
+        verification.GAMMA_GRID) == 12
+
+
+def test_contour_vs_density_makes_one_engine_pass_per_cell(monkeypatch):
+    # 6 rho x 3 gamma cells, four eigenvalues each; transform-consistency
+    # is a fixed rule and runs no engine pass
+    from frstokes import verification
+
+    passes = _count_engine_passes(monkeypatch)
+    assert all(c.passed for c in verification.suite_laplace())
+    assert len(passes) == 18
+    assert all(np.size(ts) == 256 for ts in passes)
+
+
+def test_laplace_reference_memory_stays_small():
+    import tracemalloc
+
+    from frstokes import verification
+
+    tracemalloc.start()
+    try:
+        verification.suite_laplace()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 6e6
+
+
+def _count_solves(monkeypatch):
+    """Count the solver calls the suites make; returns their specs."""
+    from frstokes import verification
+
+    solved = []
+    for name in ("solve_forward", "solve_nonlocal", "solve_backward"):
+        def counted(spec, *args, solver=getattr(verification, name)):
+            solved.append(spec)
+            return solver(spec, *args)
+        monkeypatch.setattr(verification, name, counted)
+    return solved
+
+
+def test_run_suites_solves_each_reference_problem_once(monkeypatch):
+    # manufactured, nonlocal and coercivity share their problems with the
+    # residual suite: one run solves each of them once
+    from frstokes import verification
+
+    solved = _count_solves(monkeypatch)
+    report = run_suites(["manufactured", "nonlocal", "coercivity",
+                         "residual"])
+    assert report["passed"]
+    keys = [_problem_key(spec) for spec in solved]
+    for spec in verification._reference_problems().values():
+        assert keys.count(_problem_key(spec)) == 1
+
+
+def test_reference_traces_live_for_one_run_suites_call(monkeypatch):
+    # a second call solves afresh, and a failing suite still clears them
+    from frstokes import verification
+
+    solved = _count_solves(monkeypatch)
+    first = run_suites(["residual"])
+    per_call = len(solved)
+    assert per_call == len(verification._reference_problems()) + 1
+    assert run_suites(["residual"]) == first
+    assert len(solved) == 2 * per_call
+    assert verification._traces is None
+
+    def broken():
+        verification._reference_trace("manufactured")
+        raise RuntimeError("suite failed")
+
+    monkeypatch.setitem(SUITES, "limit", broken)
+    with pytest.raises(RuntimeError, match="suite failed"):
+        run_suites(["limit"])
+    assert verification._traces is None
