@@ -1,0 +1,143 @@
+#!/usr/bin/env python3
+"""Compare the artifacts two source trees write for the benchmark's solves.
+
+    python3 scripts/compare_artifacts.py PARENT_TREE CHANGE_TREE [--seeds 7 11]
+
+For each tree, a fresh interpreter with that tree's ``src`` and
+``perfbench`` on its path runs every solve-unforced and solve-forced
+operation: ``workloads.generate`` writes its inputs (pass 0) and
+``workloads.run`` solves it, into a temporary directory, once per seed.
+A second fresh interpreter runs ``frstokes verify`` once.  For every file
+(inputs, artifacts and each operation's exit code) and for the verify
+stdout, the script prints ``identical`` or the largest absolute difference
+between the two trees' numbers.  It exits 1 on any difference, 0 when all
+is identical and 2 when a tree cannot be run.  Nothing is written inside
+either tree: the interpreters write no bytecode and the outputs go to the
+temporary directory.
+"""
+
+from __future__ import annotations
+
+import argparse
+import math
+import os
+import re
+import subprocess
+import sys
+import tempfile
+
+WORKLOADS = ("solve-unforced", "solve-forced")
+# a number as "%.17g", repr or json write it, the non-finite ones included
+NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+                    r"|nan|inf(?:inity)?))", re.IGNORECASE)
+
+
+def _env(tree: str) -> dict:
+    env = {key: value for key, value in os.environ.items()
+           if not key.startswith("PYTHON")}
+    env.update(PYTHONPATH=os.pathsep.join((os.path.join(tree, "src"),
+                                           os.path.join(tree, "perfbench"))),
+               PYTHONDONTWRITEBYTECODE="1", OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    return env
+
+
+def produce(out: str, seeds: list[int]) -> None:
+    """Run the solve operations into out/seed<seed>/<workload>/<op>."""
+    import workloads
+
+    for seed in seeds:
+        for workload in WORKLOADS:
+            for index, op in enumerate(workloads.WORKLOADS[workload]):
+                op_dir = os.path.join(out, f"seed{seed}", workload, op.name)
+                workloads.generate(op, seed, 0, index, op_dir)
+                code, _ = workloads.run(op, op_dir)
+                with open(os.path.join(op_dir, "exit_code"), "w") as fh:
+                    fh.write(f"{code}\n")
+
+
+def run_tree(tree: str, out: str, seeds: list[int]) -> None:
+    """Both fresh interpreters for one tree; raises on a failed run."""
+    env = _env(tree)
+    subprocess.run([sys.executable, "-B", os.path.abspath(__file__),
+                    "--produce", out, "--seeds", *map(str, seeds)],
+                   env=env, cwd=out, check=True)
+    verify = subprocess.run([sys.executable, "-B", "-m", "frstokes.cli",
+                             "verify"], env=env, cwd=out, capture_output=True,
+                            text=True)
+    with open(os.path.join(out, "verify.stdout"), "w") as fh:
+        fh.write(verify.stdout)
+    with open(os.path.join(out, "verify.exit_code"), "w") as fh:
+        fh.write(f"{verify.returncode}\n")
+
+
+def difference(a: str, b: str) -> str:
+    """'identical', the largest absolute numeric difference, or what else
+    differs between two texts."""
+    if a == b:
+        return "identical"
+    parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
+    if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
+        return "text differs"
+    worst = 0.0
+    for x, y in zip(parts_a[1::2], parts_b[1::2]):
+        if x != y:
+            x, y = float(x), float(y)
+            worst = max(worst, abs(x - y) if math.isfinite(x - y) else math.inf)
+    return f"largest absolute difference {worst:.3e}"
+
+
+def files(root: str) -> set[str]:
+    return {os.path.relpath(os.path.join(d, name), root)
+            for d, _, names in os.walk(root) for name in names}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("trees", nargs="*", metavar="TREE",
+                        help="PARENT_TREE CHANGE_TREE")
+    parser.add_argument("--seeds", type=int, nargs="+", default=[7, 11])
+    parser.add_argument("--produce", metavar="OUT", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.produce:
+        produce(args.produce, args.seeds)
+        return 0
+    if len(args.trees) != 2:
+        parser.error("give PARENT_TREE and CHANGE_TREE")
+    trees = [os.path.abspath(tree) for tree in args.trees]
+    for tree in trees:
+        if not os.path.isfile(os.path.join(tree, "perfbench", "workloads.py")):
+            print(f"{tree}: no perfbench/workloads.py", file=sys.stderr)
+            return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [os.path.join(tmp, side) for side in ("parent", "change")]
+        for tree, out in zip(trees, outs):
+            os.makedirs(out)
+            try:
+                run_tree(tree, out, args.seeds)
+            except subprocess.CalledProcessError as exc:
+                print(f"{tree}: the solve operations failed ({exc})",
+                      file=sys.stderr)
+                return 2
+        differ = 0
+        names = sorted(files(outs[0]) | files(outs[1]))
+        for name in names:
+            texts = []
+            for out in outs:
+                path = os.path.join(out, name)
+                if os.path.isfile(path):
+                    with open(path) as fh:
+                        texts.append(fh.read())
+            if len(texts) == 2:
+                result = difference(*texts)
+            else:
+                result = "only in " + ("parent" if os.path.isfile(
+                    os.path.join(outs[0], name)) else "change")
+            differ += result != "identical"
+            print(f"{name}: {result}")
+    print(f"{len(names)} files compared, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

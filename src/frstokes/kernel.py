@@ -156,32 +156,35 @@ def _contour_size(q: QuadratureConfig | None) -> int:
 def _contour_sum(transform, t: np.ndarray, n: int) -> np.ndarray:
     """Trapezoid sum of the Bromwich integral at every t > 0, on 2n + 1 nodes.
 
-    transform(z) maps z of shape (windows, n + 1, 1) to (windows, n + 1, M)
-    and runs with numpy's floating-point warnings silenced, as do its
-    weights; conjugate symmetry halves the nodes.  The window of t depends on t
-    alone and each value sums the nodes in a fixed order, so a value does
-    not depend on the other times or modes of the call.  Returns (t.size, M).
+    transform(z) maps z of shape (windows, n + 1, 1) to (windows, n + 1, M);
+    it, its weights and the sums run with numpy's floating-point warnings
+    silenced, and conjugate symmetry halves the nodes.  The window of t
+    depends on t alone and each value sums the nodes in a fixed order, so a
+    value does not depend on the other times or modes of the call.  A window
+    is kept as the exponent k of t_hi = 2^k and scaled by ldexp, so
+    t_hi = 4^512, past the float range, is never formed.  Returns (t.size, M).
     """
     m, e = np.frexp(t)
     e = e - (m == 0.5)                            # ceil(log2 t)
-    t_hi = np.ldexp(1.0, 2 * -(-e // 2))
-    windows, which = np.unique(t_hi, return_inverse=True)
+    k = 2 * -(-e // 2)                            # t_hi = 2^k
+    windows, which = np.unique(k, return_inverse=True)
     iu = 1j * (CONTOUR_STEP / n) * np.arange(n + 1)
     z = CONTOUR_SCALE * n * (1.0 + np.sin(iu - CONTOUR_ALPHA))
     dz = (CONTOUR_SCALE * CONTOUR_STEP / math.pi) * 1j * np.cos(iu - CONTOUR_ALPHA)
     dz[0] *= 0.5                      # weights (h / pi) z'(u); u = 0 once
-    scale = 1.0 / windows[:, None, None]
+    scale = np.ldexp(1.0, -windows)[:, None, None]
     with np.errstate(all="ignore"):   # overflow gives NaN; callers check
         g = transform(z[:, None] * scale) * (dz[:, None] * scale)
-    g = np.swapaxes(g, 1, 2)
-    g_re, g_im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
-    out = np.empty((t.size, g.shape[1]))
-    rows = max(1, BLOCK_ELEMENTS // (g.shape[1] * g.shape[2]))
-    for i in range(0, t.size, rows):
-        block = slice(i, i + rows)
-        w = which[block]
-        ez = np.exp(np.multiply.outer(t[block] / t_hi[block], z))[:, None, :]
-        out[block] = (ez.real * g_im[w] + ez.imag * g_re[w]).sum(axis=2)
+        g = np.swapaxes(g, 1, 2)
+        g_re, g_im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
+        out = np.empty((t.size, g.shape[1]))
+        rows = max(1, BLOCK_ELEMENTS // (g.shape[1] * g.shape[2]))
+        for i in range(0, t.size, rows):
+            block = slice(i, i + rows)
+            w = which[block]
+            ez = np.exp(np.multiply.outer(np.ldexp(t[block], -k[block]), z))
+            ez = ez[:, None, :]
+            out[block] = (ez.real * g_im[w] + ez.imag * g_re[w]).sum(axis=2)
     return out
 
 

@@ -26,14 +26,21 @@ Forced modes integrate by parts with dA/dt = -lam B:
     (B * f)(t) = (f(t) - A(t) f(0) - int_0^t A(s) f'(t - s) ds) / lam,
 with f' the slope of f over each cell of a uniform lattice on [0, T], so
 only the A integrals of the cells enter.  They are differences of the
-antiderivative Phi(t) = int_0^t A, which one more contour call gives for all
-modes on the lattice and the nodes; the weak singularity of A' at t = 0
-needs no special cells.  The lattice is built once per solve.
-A uniform grid's nodes lie on the lattice and on its every-other-point
-sublattice, and the sum on each is one FFT convolution along the time axis
-for all modes; other grids sum directly up to each node.  The two levels
-are Richardson-combined.  Sums over modes are fixed-order so reruns are
-bit-identical.
+antiderivative Phi(t) = int_0^t A, which one more contour call gives on the
+lattice and the nodes; the weak singularity of A' at t = 0 needs no special
+cells.  The lattice is built once per solve.  A uniform grid's nodes lie on
+the lattice and on its every-other-point sublattice, and the sum on each is
+one FFT convolution along the time axis; other grids sum directly up to
+each node.  The two levels are Richardson-combined.  Sums over modes are
+fixed-order so reruns are bit-identical.
+
+On a uniform grid, Phi and the FFT run only for the modes whose source
+moves, that is whose lattice samples are not all equal.  A mode with no
+slope gets (f(t) - A(t) f(0)) / lam from A alone: its lattice sums stay at
+exactly the zero that the FFT of its zero slopes gave.  The result is bit
+for bit unchanged, since a contour column does not depend on the other
+modes of the call and the FFT transforms column by column.  On other grids
+the node sums read f between lattice points, so every mode takes Phi.
 """
 
 from __future__ import annotations
@@ -196,8 +203,8 @@ class ProblemSpec:
             raise ValueError(f"kind must be one of {PROBLEM_KINDS}")
         if not (0.0 < self.rho < 1.0):
             raise ValueError("rho must lie strictly inside (0, 1)")
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be positive and finite")
         if not 0.0 < self.horizon < math.inf:
             raise ValueError("horizon must be positive and finite")
         if self.data.operator is not self.operator:
@@ -238,15 +245,23 @@ class SolutionTrace:
 
 class _Lattice:
     """The convolution lattice of the nodes ts (ts[0] = 0), built once per
-    solve, and the times at which the solve needs Phi = int_0^t A.
+    solve, the times at which the solve needs Phi = int_0^t A, and the modes
+    that need it.
 
-    points holds the lattice and the nodes.  convolution takes Phi of every
-    mode on points and samples the source once per point set for all modes.
+    points holds the lattice and the nodes.  The source is sampled here,
+    once per point set for all modes: on the nodes and, on a uniform grid,
+    on the lattice.  moving marks the modes whose lattice samples are not
+    all equal (a NaN counts as moving).  Only they have slopes, so only
+    they need Phi and the FFT; the lattice sums of the others are exactly
+    zero, which is what the FFT of their zero slopes gave.  Off a uniform
+    grid the node sums read the source between lattice points, so every
+    mode moves.
     """
 
-    def __init__(self, ts: np.ndarray):
+    def __init__(self, ts: np.ndarray, sample):
         T, n = ts[-1], ts.size
         self.ts = ts
+        self.sample = sample
         self.uniform = _is_uniform(ts)
         unit = 2 * (n - 1) if self.uniform else 2
         cells = unit * -(-LATTICE_MIN_CELLS // unit)
@@ -254,43 +269,48 @@ class _Lattice:
         if self.uniform:
             self.lattice[::cells // (n - 1)] = ts
         self.points = np.unique(np.concatenate((self.lattice, ts)))
-        if not self.uniform:
+        self.f_ts = sample(ts)
+        if self.uniform:
+            self.f_lat = sample(self.lattice)
+            self.moving = np.any(np.diff(self.f_lat, axis=0) != 0.0, axis=0)
+        else:
             # each node's last lattice point below it, on both levels
             below = np.searchsorted(self.lattice, ts, side="left") - 1
             self.last = (below, below // 2 * 2)
+            self.moving = np.ones(self.f_ts.shape[-1], dtype=bool)
 
-    def convolution(self, sample, a: np.ndarray, lam: np.ndarray,
-                    phi: np.ndarray):
-        """(B * f_k)(t_i) of every mode, from the source sampler sample(t).
+    def convolution(self, a: np.ndarray, lam: np.ndarray, phi):
+        """(B * f_k)(t_i) of every mode.
 
-        a holds A(lam_k, t_i) and phi holds Phi(lam_k, .) on points.  Also
-        returns each mode's largest Richardson correction as its error
-        estimate.
+        a holds A(lam_k, t_i) of every mode and phi holds Phi(lam_k, .) of
+        the moving modes on points (None when no mode moves).  Also returns
+        each mode's largest Richardson correction as its error estimate.
         """
         ts, lattice, h = self.ts, self.lattice, self.lattice[1]
-
-        def at(x):
-            return phi[np.searchsorted(self.points, x)]
-
-        phi_lat = at(lattice)
-        cells = (np.diff(phi_lat, axis=0), phi_lat[2::2] - phi_lat[:-2:2])
-        f_ts = sample(ts)
+        f_ts = self.f_ts
         sums = np.zeros((2,) + a.shape)
-        if self.uniform:
-            f_lat = sample(lattice)
-            stride = (lattice.size - 1) // (ts.size - 1)
-            for level, step in enumerate((1, 2)):
-                slopes = np.diff(f_lat[::step], axis=0) / (step * h)
-                sums[level, 1:] = _convolve(cells[level], slopes, len(slopes))[
-                    stride // step - 1::stride // step]
-        else:
-            # int A over each node's partial last cell, on both levels
-            tails = [at(ts) - at(lattice[j]) for j in self.last]
-            self._node_sums(sample, f_ts[0], cells, tails, sums)
+        if phi is not None:
+            def at(x):
+                return phi[np.searchsorted(self.points, x)]
+
+            phi_lat = at(lattice)
+            cells = (np.diff(phi_lat, axis=0), phi_lat[2::2] - phi_lat[:-2:2])
+            if self.uniform:
+                f_lat = self.f_lat[:, self.moving]
+                stride = (lattice.size - 1) // (ts.size - 1)
+                for level, step in enumerate((1, 2)):
+                    slopes = np.diff(f_lat[::step], axis=0) / (step * h)
+                    sums[level, 1:][:, self.moving] = _convolve(
+                        cells[level], slopes, len(slopes))[
+                        stride // step - 1::stride // step]
+            else:
+                # int A over each node's partial last cell, on both levels
+                tails = [at(ts) - at(lattice[j]) for j in self.last]
+                self._node_sums(f_ts[0], cells, tails, sums)
         fine, coarse = ((f_ts - a * f_ts[0] - s) / lam for s in sums)
         return (4.0 * fine - coarse) / 3.0, np.max(np.abs(fine - coarse), axis=0) / 3.0
 
-    def _node_sums(self, sample, f0, cells, tails, sums):
+    def _node_sums(self, f0, cells, tails, sums):
         """sum_m I_m d_m of the lattice rule, direct, for nodes off the lattice.
 
         The source is sampled once per block of nodes, on the lattice points
@@ -306,7 +326,7 @@ class _Lattice:
             cols = np.arange(self.last[0][rows][-1] + 1)
             below = cols <= self.last[0][rows, None]
             F = np.zeros((n_modes,) + below.shape)
-            F[:, below] = sample((t[:, None] - lattice[cols])[below]).T
+            F[:, below] = self.sample((t[:, None] - lattice[cols])[below]).T
             for level, step in enumerate((1, 2)):
                 j = self.last[level][rows]
                 diff = F[:, :, :-step:step] - F[:, :, step::step]
@@ -334,11 +354,12 @@ def _assemble_modes(spec: ProblemSpec, q):
     a, a_err = _bromwich("A", spec.rho, spec.gamma, lam, ts, q, slice(-1, None))
     if spec.source is None:
         return a, a_err[-1], np.zeros_like(a), {}
-    lattice = _Lattice(ts)
-    phi, _ = _bromwich("Phi", spec.rho, spec.gamma, lam, lattice.points, q,
-                       slice(0))
-    conv, conv_err = lattice.convolution(
-        lambda t: _sample(spec.source, lam.size, t), a, lam, phi)
+    lattice = _Lattice(ts, lambda t: _sample(spec.source, lam.size, t))
+    phi = None
+    if np.any(lattice.moving):
+        phi, _ = _bromwich("Phi", spec.rho, spec.gamma, lam[lattice.moving],
+                           lattice.points, q, slice(0))
+    conv, conv_err = lattice.convolution(a, lam, phi)
     return a, a_err[-1], conv, {"convolution_error_estimate": conv_err.tolist()}
 
 
@@ -367,31 +388,51 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray,
 
     Norms, the solver's own entries, then one residual and one coercivity
     report (None on grids too coarse for them).  A non-finite coefficient
-    raises SolverError: no trace is returned to be written.
+    or diagnostic raises SolverError: no trace is returned to be written.
+    The diagnostics are formed with numpy's floating-point warnings
+    silenced, since the check names what overflowed or was undefined.
     """
     lam = spec.operator.eigenvalues
     bad = np.flatnonzero(~np.all(np.isfinite(coefficients), axis=0))
     if bad.size:
         raise SolverError(f"mode {bad[0] + 1}: the solution is not finite")
-    diagnostics = {
-        "norm_H": np.sqrt(np.sum(coefficients ** 2, axis=1)).tolist(),
-        "norm_A": np.sqrt(np.sum((coefficients * lam) ** 2, axis=1)).tolist(),
-        "data_tail_indicator": tail_indicator(spec.data),
-        **extra,
-    }
-    trace = SolutionTrace(spec.time_grid.copy(), coefficients, spec.operator,
-                          diagnostics)
-    if trace.nodes.size - 2 < MIN_INTERIOR_NODES:
-        diagnostics.update(residual_max_interior=None, coercivity=None)
-        return trace
-    t_int, res = residual(trace, spec)
-    rep = coercivity_report(trace, spec)
-    diagnostics.update(
-        residual_max_interior=float(np.max(res[t_int >= spec.horizon / 32.0])),
-        residual_norm=res.tolist(),   # on the nodes of coercivity["t"]
-        coercivity={key: values.tolist() for key, values in rep.items()},
-    )
+    with np.errstate(all="ignore"):
+        diagnostics = {
+            "norm_H": np.sqrt(np.sum(coefficients ** 2, axis=1)).tolist(),
+            "norm_A": np.sqrt(np.sum((coefficients * lam) ** 2, axis=1)).tolist(),
+            "data_tail_indicator": tail_indicator(spec.data),
+            **extra,
+        }
+        trace = SolutionTrace(spec.time_grid.copy(), coefficients,
+                              spec.operator, diagnostics)
+        if trace.nodes.size - 2 < MIN_INTERIOR_NODES:
+            diagnostics.update(residual_max_interior=None, coercivity=None)
+        else:
+            t_int, res = residual(trace, spec)
+            rep = coercivity_report(trace, spec)
+            late = t_int >= spec.horizon / 32.0
+            diagnostics.update(
+                residual_max_interior=float(np.max(res[late])),
+                residual_norm=res.tolist(),   # on the nodes of coercivity["t"]
+                coercivity={key: values.tolist() for key, values in rep.items()},
+            )
+    key = _non_finite_key(diagnostics)
+    if key is not None:
+        raise SolverError(f"diagnostic {key} is not finite")
     return trace
+
+
+def _non_finite_key(diagnostics: dict) -> str | None:
+    """The first key, in sorted order, of a diagnostic with a non-finite
+    number; a nested dict's key is named as outer.inner."""
+    for key, value in sorted(diagnostics.items()):
+        if isinstance(value, dict):
+            inner = _non_finite_key(value)
+            if inner is not None:
+                return f"{key}.{inner}"
+        elif value is not None and not np.all(np.isfinite(value)):
+            return key
+    return None
 
 
 # ---------------------------------------------------------------------------

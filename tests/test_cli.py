@@ -340,6 +340,38 @@ class TestSolveCommand:
             assert err == "" and not caught  # no numpy warning before the JSON
             assert not out_dir.exists()
 
+    @pytest.mark.parametrize("horizon,code", [
+        ("1e-300", 4), ("1e-200", 4), ("1e300", 0)])
+    def test_extreme_horizons_finite_or_exit_4(self, tmp_path, capsys,
+                                               horizon, code):
+        # at T = 1e-300 and 1e-200 the finite differences of the diagnostics
+        # divide by spacings whose squares underflow: the diagnostics are
+        # not finite, so nothing is written.  At 1e300 every artifact is
+        # strict JSON.  No run warns
+        path = forward_config(
+            tmp_path, problem={"kind": "forward", "rho": "0.5", "gamma": "1.0",
+                               "horizon": horizon,
+                               "time_grid": {"n_nodes": 512}},
+            operator={"kind": "explicit_spectrum", "eigenvalues": [1.0, 4.0]},
+            data={"coefficients": [1.0, 0.5]})
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            exit_code, out, err = run_cli(capsys, "solve", "--config",
+                                          str(path), "--out-dir", str(out_dir))
+        assert exit_code == code
+        assert "Warning" not in err and not caught
+        if code == 4:
+            assert json.loads(out)["error"] == "solver"
+            assert not out_dir.exists() or not any(out_dir.iterdir())
+            return
+
+        def refuse(name):
+            raise ValueError(f"{name} is not strict JSON")
+
+        for name in ("trace.json", "diag.json"):
+            json.loads((out_dir / name).read_text(), parse_constant=refuse)
+
     @pytest.mark.parametrize("rho", ["3e-3", "1e-3", "1e-4", "1e-6"])
     def test_backward_at_tiny_rho(self, tmp_path, capsys, rho):
         # the lower bound of A is finite for every rho

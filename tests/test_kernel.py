@@ -160,10 +160,24 @@ class TestKernelValues:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             values, errors = _bromwich(kind, 0.5, 1.0, [1.0, 4.0],
-                                       np.array([1e300]))
-        assert values.shape == errors.shape == (1, 2)
+                                       np.array([1e160, 1e300, 1.7e308]))
+        assert values.shape == errors.shape == (3, 2)
         if kind != "Phi":
             assert np.all(np.isfinite(values))
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.95])
+    def test_A_near_the_float_maximum(self, rho):
+        # past t = 4^511 the window t_hi = 4^512 lies beyond the float range;
+        # kept as its exponent, it leaves A on its large-time asymptote
+        # gamma t^(-rho) / Gamma(1 - rho)
+        ts = np.array([1e307, 1e308, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, _ = _bromwich("A", rho, 1.0, [1.0], ts)
+        assert np.all(np.isfinite(values))
+        np.testing.assert_allclose(values[:, 0],
+                                   ts ** -rho / math.gamma(1.0 - rho),
+                                   rtol=1e-6, atol=0.0)
 
     def test_classical_limit(self):
         p = KernelParams(0.999, 1.0, 2.0)

@@ -193,7 +193,50 @@ class TestLatticeConvolution:
                                       zeros_field(op), source,
                                       uniform_grid(1.0, 96)))
             calls.append(len(seen))
-        assert calls[0] == calls[1]
+        # construction, the nodes, the lattice, residual and coercivity
+        # report
+        assert calls == [5, 5]
+
+    def test_only_moving_modes_take_the_antiderivative(self, monkeypatch):
+        # modes 1 and 3 are constant, 2 and 4 move: Phi and the FFT run for
+        # 2 and 4 alone, which leaves their columns as in a solve where
+        # every mode moves, and 1 and 3 exact with no Richardson correction
+        op = explicit_spectrum([1.0, 4.0, 9.0, 16.0])
+        c = np.array([0.7, -0.3])
+
+        def mixed(t):
+            t = np.asarray(t, dtype=float)
+            return np.stack(np.broadcast_arrays(
+                c[0], np.cos(3.0 * t), c[1], t ** 2), axis=-1)
+
+        def all_moving(t):
+            out = mixed(t)
+            out[..., [0, 2]] = np.sin(np.asarray(t))[..., None]
+            return out
+
+        phi_lams = []
+        contour = solvers._bromwich
+
+        def recorded(kind, rho, gamma, lam, ts, *args):
+            if kind == "Phi":
+                phi_lams.append(np.array(lam))
+            return contour(kind, rho, gamma, lam, ts, *args)
+
+        monkeypatch.setattr(solvers, "_bromwich", recorded)
+        traces = [solve_forward(ProblemSpec("forward", op, 0.5, 1.0, 1.0,
+                                            zeros_field(op), source,
+                                            uniform_grid(1.0, 96)))
+                  for source in (mixed, all_moving)]
+        assert [lams.tolist() for lams in phi_lams] == [[4.0, 16.0],
+                                                         [1.0, 4.0, 9.0, 16.0]]
+        (u, mixed_diag), (u_all, all_diag) = (
+            (t.coefficients, t.diagnostics["convolution_error_estimate"])
+            for t in traces)
+        assert np.array_equal(u[:, [1, 3]], u_all[:, [1, 3]])
+        assert [mixed_diag[k] for k in (1, 3)] == [all_diag[k] for k in (1, 3)]
+        ref = closed_form_constant(op, 1.0, traces[0].nodes)[:, [0, 2]] * c
+        assert np.max(np.abs(u[:, [0, 2]] - ref)) < 1e-12
+        assert [mixed_diag[k] for k in (0, 2)] == [0.0, 0.0]
 
     def test_manufactured_suite_configuration_under_1e_8(self):
         # the manufactured suite's problem: 8 modes, 512 nodes
@@ -253,6 +296,14 @@ class TestProblemSpec:
             sampled_source([0.0, bad, 1.0], np.ones((3, 3)))
         with pytest.raises(ValueError, match="finite"):
             sampled_source([bad, 0.0, 1.0], np.ones((3, 3)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_gamma_rejected(self, small_op, bad):
+        # a NaN gamma passes a plain "gamma <= 0" check, and either value
+        # would only surface as a non-finite solution
+        with pytest.raises(ValueError, match="gamma"):
+            ProblemSpec("forward", small_op, 0.5, bad, 1.0,
+                        zeros_field(small_op))
 
     @pytest.mark.parametrize("source", [
         constant_source([1.0, 2.0]),
@@ -426,17 +477,21 @@ class TestNonlocal:
     def test_one_kernel_pass_per_solve(self, small_op, monkeypatch):
         from frstokes import kernel, quadrature
 
-        def forced(kind, op):
+        def forced(kind, op, source=constant_source(1.0)):
             return ProblemSpec(kind, op, 0.5, 1.0, 1.0, basis_field(op, 1),
-                               constant_source(1.0), uniform_grid(1.0, 96))
+                               source, uniform_grid(1.0, 96))
 
-        # one contour call for A on the nodes, one for its antiderivative on
-        # the lattice, whatever the mode count; the density engine never
-        # runs (the nonlocal solve's lower_bound_B is a fixed rule)
-        for solve, spec, engine_calls in (
-                (solve_forward, forced("forward", explicit_spectrum([4.0])), 0),
-                (solve_forward, forced("forward", small_op), 0),
-                (solve_nonlocal, forced("nonlocal", small_op), 0)):
+        # one contour call for A on the nodes, whatever the mode count, and
+        # one for its antiderivative on the lattice only when a mode's
+        # source moves: a constant source has no slopes to convolve.  The
+        # density engine never runs (the nonlocal solve's lower_bound_B is a
+        # fixed rule)
+        moving = manufactured_quadratic_source(small_op, 0.5, 1.0)
+        for solve, spec, contour_calls in (
+                (solve_forward, forced("forward", explicit_spectrum([4.0])), 1),
+                (solve_forward, forced("forward", small_op), 1),
+                (solve_nonlocal, forced("nonlocal", small_op), 1),
+                (solve_forward, forced("forward", small_op, moving), 2)):
             calls = {"_bromwich": 0, "residual": 0, "caputo_l1_trace": 0,
                      "exp_weighted_semiinfinite": 0}
 
@@ -457,9 +512,9 @@ class TestNonlocal:
                     patch.setattr(module, "exp_weighted_semiinfinite",
                                   counted(module, "exp_weighted_semiinfinite"))
                 solve(spec)
-            assert calls == {"_bromwich": 2, "residual": 1,
+            assert calls == {"_bromwich": contour_calls, "residual": 1,
                              "caputo_l1_trace": 1,
-                             "exp_weighted_semiinfinite": engine_calls}
+                             "exp_weighted_semiinfinite": 0}
 
     @pytest.mark.parametrize("which", ["nonlocal", "auxiliary_W"])
     def test_warns_when_A_at_horizon_is_near_one(self, small_op, monkeypatch,
