@@ -7,10 +7,11 @@ For each tree, a fresh interpreter with that tree's ``src`` and
 ``perfbench`` on its path runs every solve-unforced and solve-forced
 operation: ``workloads.generate`` writes its inputs (pass 0) and
 ``workloads.run`` solves it, into a temporary directory, once per seed.
-A second fresh interpreter runs ``frstokes verify`` once.  For every file
-(inputs, artifacts and each operation's exit code) and for the verify
-stdout, the script prints ``identical`` or the largest absolute difference
-between the two trees' numbers.  It exits 1 on any difference, 0 when all
+Two more fresh interpreters run ``frstokes verify`` and one pinned
+``frstokes kernel`` table (KERNEL_TABLE) once each.  For every file
+(inputs, artifacts and each operation's exit code) and for the verify and
+kernel stdout, the script prints ``identical`` or the largest absolute
+difference between the two trees' numbers.  It exits 1 on any difference, 0 when all
 is identical and 2 when a tree cannot be run.  Nothing is written inside
 either tree: the interpreters write no bytecode and the outputs go to the
 temporary directory.
@@ -27,6 +28,8 @@ import sys
 import tempfile
 
 WORKLOADS = ("solve-unforced", "solve-forced")
+KERNEL_TABLE = ("kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "100",
+                "--t-start", "0", "--t-end", "1", "--t-steps", "257")
 # a number as "%.17g", repr or json write it, the non-finite ones included
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|nan|inf(?:inity)?))", re.IGNORECASE)
@@ -57,18 +60,19 @@ def produce(out: str, seeds: list[int]) -> None:
 
 
 def run_tree(tree: str, out: str, seeds: list[int]) -> None:
-    """Both fresh interpreters for one tree; raises on a failed run."""
+    """The fresh interpreters for one tree; raises on a failed run."""
     env = _env(tree)
     subprocess.run([sys.executable, "-B", os.path.abspath(__file__),
                     "--produce", out, "--seeds", *map(str, seeds)],
                    env=env, cwd=out, check=True)
-    verify = subprocess.run([sys.executable, "-B", "-m", "frstokes.cli",
-                             "verify"], env=env, cwd=out, capture_output=True,
-                            text=True)
-    with open(os.path.join(out, "verify.stdout"), "w") as fh:
-        fh.write(verify.stdout)
-    with open(os.path.join(out, "verify.exit_code"), "w") as fh:
-        fh.write(f"{verify.returncode}\n")
+    for name, argv in (("verify", ("verify",)), ("kernel", KERNEL_TABLE)):
+        run = subprocess.run([sys.executable, "-B", "-m", "frstokes.cli",
+                              *argv], env=env, cwd=out, capture_output=True,
+                             text=True)
+        with open(os.path.join(out, f"{name}.stdout"), "w") as fh:
+            fh.write(run.stdout)
+        with open(os.path.join(out, f"{name}.exit_code"), "w") as fh:
+            fh.write(f"{run.returncode}\n")
 
 
 def difference(a: str, b: str) -> str:

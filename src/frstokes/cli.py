@@ -38,6 +38,7 @@ from .solvers import (
     ProblemSpec,
     SolverError,
     _atomic_write,
+    _csv_table,
     constant_source,
     dumps_json,
     export_trace_csv,
@@ -300,24 +301,27 @@ def _plan_outputs(v, op, out_dir):
 def _write_artifacts(trace, paths, n_points):
     """All of the solve's artifacts or none of them.
 
-    Each artifact is written to a temporary file beside its target; they
-    are renamed into place only after every write has succeeded, and on any
-    failure the temporary files are removed.
+    Each artifact is written into one temporary file beside its target;
+    they are renamed into place only after every write has succeeded, and
+    on any failure the temporary files are removed.
     """
+    writers = {
+        "trace_csv": lambda fd: export_trace_csv(trace, fd),
+        "trace_json": lambda fd: export_trace_json(trace, fd),
+        "grid_csv": lambda fd: export_trace_grid_csv(
+            trace, np.linspace(0.0, trace.operator.length, n_points), fd),
+        "diagnostics_json": lambda fd: _atomic_write(
+            fd, dumps_json(trace.diagnostics) + "\n"),
+    }
     staged = {}
     try:
         for key, path in paths.items():
             fd, staged[key] = tempfile.mkstemp(
                 dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-            os.close(fd)
-        export_trace_csv(trace, staged["trace_csv"])
-        if "trace_json" in staged:
-            export_trace_json(trace, staged["trace_json"])
-        if "grid_csv" in staged:
-            xs = np.linspace(0.0, trace.operator.length, n_points)
-            export_trace_grid_csv(trace, xs, staged["grid_csv"])
-        _atomic_write(staged["diagnostics_json"],
-                      dumps_json(trace.diagnostics) + "\n")
+            try:
+                writers[key](fd)
+            finally:
+                os.close(fd)
         for key, tmp in staged.items():
             os.replace(tmp, paths[key])
     except BaseException:
@@ -403,9 +407,8 @@ def cmd_kernel(args):
             f"({exc})") from exc
     if not np.all(np.isfinite(np.concatenate((a, b, db[late])))):
         raise SolverError("the kernel table is not finite")
-    print("t,A,B,dA_dt,dB_dt")
-    for row in zip(ts, a, b, -p.lam * b, db):
-        print(",".join(f"{v:.17g}" for v in row))
+    sys.stdout.writelines(_csv_table("t,A,B,dA_dt,dB_dt",
+                                     (ts, a, b, -p.lam * b, db)))
     return EXIT_OK
 
 

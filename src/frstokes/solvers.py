@@ -41,6 +41,14 @@ exactly the zero that the FFT of its zero slopes gave.  The result is bit
 for bit unchanged, since a contour column does not depend on the other
 modes of the call and the FFT transforms column by column.  On other grids
 the node sums read f between lattice points, so every mode takes Phi.
+
+The CSV exports, and the CLI's kernel table, write every number as
+"%.17g" does, which round-trips, but a block of numbers per numpy call
+(_format.g17): the 17 digits come from an exact double-double scaling by a power
+of ten, and the few values it cannot settle exactly (zeros, non-finite
+and subnormal values, near-ties) go through "%.17g" itself.  Each export
+is written into one temporary file and renamed over its target; the CLI
+stages all of a solve's files before renaming any.
 """
 
 from __future__ import annotations
@@ -56,6 +64,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
+from ._format import g17, lines
 from .kernel import QuadratureConfig, _bromwich, lower_bound_A, lower_bound_B
 from .oracle import _convolve, _is_uniform, caputo_l1_trace
 from .spectral import CoefficientField, SpectralOperator, tail_indicator
@@ -85,7 +94,7 @@ PROBLEM_KINDS = ("forward", "nonlocal", "backward")
 LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
 BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
-EXPORT_BLOCK = 1 << 14  # cells per formatted block of an export
+EXPORT_BLOCK = 1 << 13  # cells per formatted block of an export
 
 
 class SolverError(RuntimeError):
@@ -152,12 +161,15 @@ def _sample(source, n_modes: int, t: np.ndarray) -> np.ndarray:
     """The source at times t as a (t.shape + (n_modes,)) array; zero for None.
 
     The values must carry the mode axis last (ndim == t.ndim + 1), so a
-    per-time array can never pass for per-mode values.
+    per-time array can never pass for per-mode values.  They are taken
+    with numpy's floating-point warnings silenced: a source that overflows
+    is not finite, and the solve's finiteness check names it.
     """
     shape = np.shape(t) + (n_modes,)
     if source is None:
         return np.zeros(shape)
-    values = np.asarray(source(t), dtype=float)
+    with np.errstate(all="ignore"):
+        values = np.asarray(source(t), dtype=float)
     if values.ndim == len(shape):
         try:
             return np.broadcast_to(values, shape)
@@ -354,12 +366,15 @@ def _assemble_modes(spec: ProblemSpec, q):
     a, a_err = _bromwich("A", spec.rho, spec.gamma, lam, ts, q, slice(-1, None))
     if spec.source is None:
         return a, a_err[-1], np.zeros_like(a), {}
-    lattice = _Lattice(ts, lambda t: _sample(spec.source, lam.size, t))
-    phi = None
-    if np.any(lattice.moving):
-        phi, _ = _bromwich("Phi", spec.rho, spec.gamma, lam[lattice.moving],
-                           lattice.points, q, slice(0))
-    conv, conv_err = lattice.convolution(a, lam, phi)
+    # a source that overflows gives a convolution that is not finite, which
+    # _finish names: numpy's floating-point warnings are silenced here
+    with np.errstate(all="ignore"):
+        lattice = _Lattice(ts, lambda t: _sample(spec.source, lam.size, t))
+        phi = None
+        if np.any(lattice.moving):
+            phi, _ = _bromwich("Phi", spec.rho, spec.gamma, lam[lattice.moving],
+                               lattice.points, q, slice(0))
+        conv, conv_err = lattice.convolution(a, lam, phi)
     return a, a_err[-1], conv, {"convolution_error_estimate": conv_err.tolist()}
 
 
@@ -588,13 +603,24 @@ def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
 # Exports
 
 
-def _atomic_write(path: str, text) -> None:
-    """Write a string, or strings from an iterable in order, atomically."""
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as fh:
+def _atomic_write(path, text) -> None:
+    """Write a string, or strings from an iterable in order, to path.
+
+    A file name is written atomically: into one temporary file beside it,
+    then renamed over it.  An int is the descriptor of a file the caller
+    has staged, written in place and left open, as open() takes one.
+    """
+    if isinstance(path, int):
+        with open(path, "w", closefd=False) as fh:
             fh.writelines((text,) if isinstance(text, str) else text)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                               suffix=".tmp")
+    try:
+        try:
+            _atomic_write(fd, text)
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -606,23 +632,38 @@ def _long_csv(header: str, nodes: np.ndarray, columns: list[str],
               values: np.ndarray) -> Iterator[str]:
     """CSV rows `t<column><value>`, node-major, one per node and column.
 
-    Yields the file in blocks of about EXPORT_BLOCK cells.  A block is one
-    %-format of one row template repeated per node, its arguments each
-    node's stamp, formatted once, interleaved with the node's values: every
-    number is formatted once, by "%.17g", which round-trips, and memory is
-    bounded by the block rather than the file.
+    Yields the file in blocks of about EXPORT_BLOCK cells, each one g17
+    call for its values and one for its nodes' stamps, so every number is
+    formatted once, by "%.17g", which round-trips, and memory is bounded
+    by the block rather than the file.
     """
     m = len(columns)
-    template = "".join("%s" + c.replace("%", "%%") + "%.17g\n"
-                       for c in columns)
+    labels = np.array([c.encode("ascii") for c in columns], "S")
+    labels = labels.view(np.uint8).reshape(m, labels.itemsize).T
     per = max(1, EXPORT_BLOCK // max(m, 1))
     yield header + "\n"
     for i0 in range(0, nodes.size, per):
-        stamps = ["%.17g" % t for t in nodes[i0:i0 + per].tolist()]
-        args = [None] * (2 * m * len(stamps))
-        args[0::2] = [s for s in stamps for _ in range(m)]
-        args[1::2] = values[i0:i0 + per].ravel().tolist()
-        yield template * len(stamps) % tuple(args)
+        stamps = g17(nodes[i0:i0 + per])
+        stamps = stamps[stamps.any(axis=1)]  # the slots these nodes use
+        yield lines(np.repeat(stamps, m, axis=1),
+                    np.tile(labels, stamps.shape[1]),
+                    g17(values[i0:i0 + per]), "\n")
+
+
+def _csv_table(header: str, columns) -> Iterator[str]:
+    """CSV rows holding the equal-length columns' values, one row per index.
+
+    Yields the header line, then the rows in blocks of about EXPORT_BLOCK
+    cells, each column of a block one g17 call.
+    """
+    per = max(1, EXPORT_BLOCK // len(columns))
+    yield header + "\n"
+    for i0 in range(0, len(columns[0]), per):
+        fields = []
+        for column in columns:
+            fields += [g17(column[i0:i0 + per]), ","]
+        fields[-1] = "\n"
+        yield lines(*fields)
 
 
 def dumps_json(obj) -> str:
@@ -689,14 +730,18 @@ def _json_key(key) -> str:
                     f"not {type(key).__name__}")
 
 
-def export_trace_csv(trace: SolutionTrace, path: str) -> None:
-    """Long-format CSV `t,k,coefficient` with round-trip-safe formatting."""
+def export_trace_csv(trace: SolutionTrace, path: str | int) -> None:
+    """Long-format CSV `t,k,coefficient` with round-trip-safe formatting.
+
+    Every export writes path as _atomic_write does: a file name atomically,
+    a descriptor in place.
+    """
     keys = [f",{k}," for k in range(1, trace.n_modes + 1)]
     _atomic_write(path, _long_csv("t,k,coefficient", trace.nodes, keys,
                                   trace.coefficients))
 
 
-def export_trace_json(trace: SolutionTrace, path: str) -> None:
+def export_trace_json(trace: SolutionTrace, path: str | int) -> None:
     """JSON of the nodes, eigenvalues, coefficients and diagnostics.
 
     The text of dumps_json, written as it is made: memory is bounded by a
@@ -711,7 +756,7 @@ def export_trace_json(trace: SolutionTrace, path: str) -> None:
     _atomic_write(path, chain(_json(payload, "\n"), ("\n",)))
 
 
-def export_trace_grid_csv(trace: SolutionTrace, x, path: str) -> None:
+def export_trace_grid_csv(trace: SolutionTrace, x, path: str | int) -> None:
     """Grid-sampled CSV `t,x,u`; requires an operator with eigenfunctions.
 
     u = sum_k c_k v_k(x) at every node at once, the modes added in order
@@ -722,5 +767,5 @@ def export_trace_grid_csv(trace: SolutionTrace, x, path: str) -> None:
     u = np.zeros((trace.nodes.size, xs.size))
     for k in range(1, op.n_modes + 1):
         u += trace.coefficients[:, k - 1, None] * op.eigenfunction(k, xs)
-    columns = [",%.17g," % xv for xv in xs.tolist()]
+    columns = lines(",", g17(xs), ",\n").splitlines()
     _atomic_write(path, _long_csv("t,x,u", trace.nodes, columns, u))

@@ -80,6 +80,21 @@ class TestKernelCommand:
         p = KernelParams(0.5, 1.0, 1.0)
         assert db[-1] == pytest.approx(eval_dB_dt_grid(p, [1.0])[0][0], rel=1e-7)
 
+    def test_table_is_per_row_17g_text(self, capsys):
+        # t from 0 to 1e-5 puts the first rows under MIN_DERIVATIVE_TIME,
+        # whose dB/dt is nan
+        code, out, _ = run_cli(
+            capsys, "kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "100",
+            "--t-start", "0", "--t-end", "1e-5", "--t-steps", "257",
+        )
+        assert code == 0
+        lines = out.splitlines()
+        rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
+        assert sum(math.isnan(row[4]) for row in rows) == 26
+        assert out == "\n".join(
+            [lines[0]] + [",".join(f"{v:.17g}" for v in row) for row in rows]
+        ) + "\n"
+
     @pytest.mark.parametrize("start,end", [("-1", "1"), ("0", "nan"),
                                            ("0", "inf")])
     def test_invalid_times_exit_2(self, capsys, start, end):
@@ -339,6 +354,55 @@ class TestSolveCommand:
             assert "not finite" in json.loads(line)["message"]
             assert err == "" and not caught  # no numpy warning before the JSON
             assert not out_dir.exists()
+
+    def test_overflowing_source_exit_4_without_warning(self, tmp_path, capsys):
+        # manufactured_t2 squares t: at T = 1e300 its samples overflow
+        path = forward_config(
+            tmp_path, problem={"kind": "forward", "rho": "0.5", "gamma": "1.0",
+                               "horizon": "1e300",
+                               "time_grid": {"n_nodes": 512}},
+            operator={"kind": "explicit_spectrum", "eigenvalues": [1.0, 4.0]},
+            data={"coefficients": [1.0, 0.5]},
+            source={"kind": "manufactured_t2"})
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "solve", "--config", str(path),
+                                     "--out-dir", str(out_dir))
+        assert code == 4
+        assert json.loads(out)["error"] == "solver"
+        assert "Warning" not in err
+        assert not out_dir.exists() or not any(out_dir.iterdir())
+
+    def test_one_temporary_file_and_one_rename_per_artifact(self, tmp_path,
+                                                            capsys, monkeypatch):
+        replaced, made = [], []
+        replace, mkstemp = os.replace, tempfile.mkstemp
+
+        def counted_replace(src, dst):
+            replaced.append(os.path.basename(dst))
+            replace(src, dst)
+
+        def counted_mkstemp(*args, **kwargs):
+            made.append(1)
+            return mkstemp(*args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", counted_replace)
+        monkeypatch.setattr(tempfile, "mkstemp", counted_mkstemp)
+        path = forward_config(
+            tmp_path, operator={"kind": "dirichlet_laplacian_1d",
+                                "length": "3.141592653589793", "n_modes": 3},
+            data={"coefficients": [1.0, 0.5, 0.25]},
+            output={"trace_csv": "trace.csv", "trace_json": "trace.json",
+                    "diagnostics_json": "diag.json",
+                    "grid_csv": {"path": "grid.csv", "n_points": 5}})
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(capsys, "solve", "--config", str(path),
+                             "--out-dir", str(out_dir))
+        assert code == 0
+        names = ["trace.csv", "trace.json", "grid.csv", "diag.json"]
+        assert replaced == names and len(made) == 4
+        assert sorted(os.listdir(out_dir)) == sorted(names)
 
     @pytest.mark.parametrize("horizon,code", [
         ("1e-300", 4), ("1e-200", 4), ("1e300", 0)])

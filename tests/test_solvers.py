@@ -4,8 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from frstokes import solvers
+from frstokes import _format, solvers
 from frstokes.kernel import KernelParams, QuadratureConfig, eval_A, eval_A_grid
 from frstokes.solvers import (
     GridTooCoarseError,
@@ -854,3 +855,54 @@ class TestExports:
         rows = path.read_text().strip().splitlines()
         assert rows[0] == "t,x,u"
         assert len(rows) == 1 + trace.nodes.size * 5
+
+
+def g17_texts(values):
+    """The writer's text of each value: a one-column table, in blocks."""
+    return "".join(solvers._csv_table("v", (values.ravel(),))).splitlines()[1:]
+
+
+class TestG17Writer:
+    """The vectorised writer against "%.17g" itself."""
+
+    def test_matches_printf_on_bit_patterns_and_edge_cases(self):
+        rng = np.random.default_rng(18)
+        bits = rng.integers(0, 2 ** 64, 2 ** 19, dtype=np.uint64)
+        # odd M near 2^53: M/4 ends in .25 or .75 with 16 integer digits,
+        # an exact tie at 17 digits; M/2 needs all 17 digits
+        odd = np.concatenate((2 ** 53 - 1 - 2 * np.arange(2000),
+                              2 ** 52 + 1 + 2 * np.arange(2000),
+                              rng.integers(2 ** 51, 2 ** 52, 20000) * 2 + 1))
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        values = np.concatenate((
+            bits.view(np.float64), odd / 4.0, odd / 2.0,
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            [0.0, -0.0, math.inf, -math.inf, math.nan],
+        ))
+        expected = ["%.17g" % v for v in values.tolist()]
+        assert g17_texts(values) == expected
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_printf_on_any_floats(self, values):
+        assert g17_texts(np.array(values)) == ["%.17g" % v for v in values]
+
+    def test_normal_values_take_no_per_value_route(self, monkeypatch):
+        printf, sizes = _format.printf, []
+
+        def counted(values):
+            sizes.append(values.size)
+            return printf(values)
+
+        monkeypatch.setattr(_format, "printf", counted)
+        rng = np.random.default_rng(4096)
+        magnitudes = np.exp(rng.uniform(math.log(1e-20), math.log(1e3),
+                                        (4096, 32)))
+        values = magnitudes * rng.choice([-1.0, 1.0], magnitudes.shape)
+        texts = g17_texts(values)
+        assert sizes == []
+        assert texts == ["%.17g" % v for v in values.ravel().tolist()]
+        assert g17_texts(np.array([0.5, 0.0, 5e-324])) == [
+            "0.5", "0", "4.9406564584124654e-324"]
+        assert sizes == [2]
