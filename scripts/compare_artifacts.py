@@ -7,11 +7,12 @@ For each tree, a fresh interpreter with that tree's ``src`` and
 ``perfbench`` on its path runs every solve-unforced and solve-forced
 operation: ``workloads.generate`` writes its inputs (pass 0) and
 ``workloads.run`` solves it, into a temporary directory, once per seed.
-Two more fresh interpreters run ``frstokes verify`` and one pinned
-``frstokes kernel`` table (KERNEL_TABLE) once each.  For every file
-(inputs, artifacts and each operation's exit code) and for the verify and
-kernel stdout, the script prints ``identical`` or the largest absolute
-difference between the two trees' numbers.  It exits 1 on any difference, 0 when all
+Three more fresh interpreters run ``frstokes verify``, one pinned
+``frstokes kernel`` table (KERNEL_TABLE) and one pinned ``frstokes
+convergence`` report (CONVERGENCE_CONFIG) once each.  For every file
+(inputs, artifacts and each operation's exit code) and for the verify,
+kernel and convergence stdout, the script prints ``identical`` or the
+largest absolute difference between the two trees' numbers.  It exits 1 on any difference, 0 when all
 is identical and 2 when a tree cannot be run.  Nothing is written inside
 either tree: the interpreters write no bytecode and the outputs go to the
 temporary directory.
@@ -20,6 +21,7 @@ temporary directory.
 from __future__ import annotations
 
 import argparse
+import json
 import math
 import os
 import re
@@ -30,6 +32,9 @@ import tempfile
 WORKLOADS = ("solve-unforced", "solve-forced")
 KERNEL_TABLE = ("kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "100",
                 "--t-start", "0", "--t-end", "1", "--t-steps", "257")
+CONVERGENCE_CONFIG = {"target": "manufactured", "rho": "0.35", "gamma": "2.0",
+                      "lambda": "10.0", "horizon": "1.0",
+                      "dts": ["1e-2", "5e-3", "2.5e-3", "1.25e-3"]}
 # a number as "%.17g", repr or json write it, the non-finite ones included
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|nan|inf(?:inity)?))", re.IGNORECASE)
@@ -65,7 +70,11 @@ def run_tree(tree: str, out: str, seeds: list[int]) -> None:
     subprocess.run([sys.executable, "-B", os.path.abspath(__file__),
                     "--produce", out, "--seeds", *map(str, seeds)],
                    env=env, cwd=out, check=True)
-    for name, argv in (("verify", ("verify",)), ("kernel", KERNEL_TABLE)):
+    config = os.path.join(out, "convergence.json")
+    with open(config, "w") as fh:
+        json.dump(CONVERGENCE_CONFIG, fh)
+    for name, argv in (("verify", ("verify",)), ("kernel", KERNEL_TABLE),
+                       ("convergence", ("convergence", "--config", config))):
         run = subprocess.run([sys.executable, "-B", "-m", "frstokes.cli",
                               *argv], env=env, cwd=out, capture_output=True,
                              text=True)

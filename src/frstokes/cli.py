@@ -32,9 +32,10 @@ from .kernel import (
     eval_dB_dt_grid,
     MIN_DERIVATIVE_TIME,
 )
-from .oracle import L1Grid, richardson_extrapolate, solve_scalar
+from .oracle import TRACE_BLOCK, L1Grid, richardson_extrapolate, solve_scalar
 from .quadrature import QuadratureNonconvergence
 from .solvers import (
+    LATTICE_MIN_CELLS,
     ProblemSpec,
     SolverError,
     _atomic_write,
@@ -212,6 +213,46 @@ def _emit_error(code, kind, message):
 
 
 # ---------------------------------------------------------------------------
+# Memory admission
+#
+# Each command estimates its peak memory from its counts before it allocates
+# anything that grows with them, and exits 2 when the estimate passes
+# MEMORY_CEILING.  Measured peaks (tracemalloc) were about 80 bytes per
+# node-mode pair of a solve, 10.8 kB per node of the dense Caputo trace,
+# 16 bytes per node and point of the grid export, 160 per kernel-table row
+# and 82 per L1 step, above about 2 MB that any run holds; the estimates
+# take 1.5 to 2 times these, and 8 MB.
+
+MEMORY_CEILING = 2 ** 31  # bytes
+FIXED_BYTES = 2 ** 23
+
+
+def solve_bytes(n_nodes, n_modes, n_points, dense) -> float:
+    """Estimated peak of a solve: its node-mode arrays and the convolution
+    lattice, the grid export's (n_nodes, n_points) field and, on an
+    explicit node list, the dense Caputo trace's TRACE_BLOCK rows."""
+    return (FIXED_BYTES + 128.0 * (n_nodes + LATTICE_MIN_CELLS) * n_modes
+            + 24.0 * n_nodes * n_points
+            + (64.0 * TRACE_BLOCK * n_nodes if dense else 0.0))
+
+
+def kernel_table_bytes(t_steps) -> float:
+    """Estimated peak of a kernel table of t_steps rows."""
+    return FIXED_BYTES + 256.0 * t_steps
+
+
+def convergence_bytes(steps) -> float:
+    """Estimated peak of the L1 runs of a convergence table."""
+    return FIXED_BYTES + 160.0 * max(steps)
+
+
+def _admit(what, estimate) -> None:
+    if estimate > MEMORY_CEILING:
+        raise ConfigError(f"{what} needs an estimated {estimate:.3g} bytes, "
+                          f"above the ceiling of {MEMORY_CEILING:.3g}")
+
+
+# ---------------------------------------------------------------------------
 # solve
 
 
@@ -340,6 +381,12 @@ def cmd_solve(args):
             v[key.path] = os.path.join(base_dir, v[key.path])
             if not os.path.isfile(v[key.path]):
                 raise IngestError(f"{key.path}: file {v[key.path]!r} missing")
+    nodes = v.get("problem.time_grid.nodes")
+    _admit("the solve", solve_bytes(
+        v["problem.time_grid.n_nodes"] if nodes is None else len(nodes),
+        len(v["operator.eigenvalues"])
+        if v["operator.kind"] == "explicit_spectrum" else v["operator.n_modes"],
+        v.get("output.grid_csv.n_points") or 0, nodes is not None))
     try:
         if v["operator.kind"] == "explicit_spectrum":
             op = explicit_spectrum(v["operator.eigenvalues"])
@@ -387,6 +434,7 @@ def cmd_kernel(args):
         raise ConfigError("--t-steps must be >= 1")
     if not 0.0 <= args.t_start <= args.t_end < math.inf:
         raise ConfigError("need 0 <= --t-start <= --t-end, both finite")
+    _admit("the kernel table", kernel_table_bytes(args.t_steps))
     try:
         p = KernelParams(args.rho, args.gamma, args.lam)
     except ValueError as exc:
@@ -440,6 +488,7 @@ def cmd_convergence(args):
         if n < 1 or not math.isclose(n * dt, horizon, rel_tol=1e-9):
             raise ConfigError(f"dts: {dt!r} does not divide the horizon "
                               f"{horizon!r} into whole steps")
+    _admit("the convergence table", convergence_bytes(steps))
     try:
         p = KernelParams(rho, gamma, lam)
     except ValueError as exc:

@@ -46,7 +46,9 @@ The CSV exports, and the CLI's kernel table, write every number as
 "%.17g" does, which round-trips, but a block of numbers per numpy call
 (_format.g17): the 17 digits come from an exact double-double scaling by a power
 of ten, and the few values it cannot settle exactly (zeros, non-finite
-and subnormal values, near-ties) go through "%.17g" itself.  Each export
+and subnormal values, near-ties) go through "%.17g" itself.  The JSON
+exports write every float as json.dumps does, float.__repr__, from the
+same scaling a block per call (_format.shortest).  Each export
 is written into one temporary file and renamed over its target; the CLI
 stages all of a solve's files before renaming any.
 """
@@ -59,12 +61,12 @@ import os
 import tempfile
 import warnings
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain
 from typing import Callable, Iterator
 
 import numpy as np
 
-from ._format import g17, lines
+from ._format import g17, lines, shortest
 from .kernel import QuadratureConfig, _bromwich, lower_bound_A, lower_bound_B
 from .oracle import _convolve, _is_uniform, caputo_l1_trace
 from .spectral import CoefficientField, SpectralOperator, tail_indicator
@@ -638,8 +640,7 @@ def _long_csv(header: str, nodes: np.ndarray, columns: list[str],
     by the block rather than the file.
     """
     m = len(columns)
-    labels = np.array([c.encode("ascii") for c in columns], "S")
-    labels = labels.view(np.uint8).reshape(m, labels.itemsize).T
+    labels = _cells(columns)
     per = max(1, EXPORT_BLOCK // max(m, 1))
     yield header + "\n"
     for i0 in range(0, nodes.size, per):
@@ -670,34 +671,36 @@ def dumps_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
 
     json runs its C encoder only without indent, so the dicts and the lists
-    that hold containers are laid out here, and each flat list of scalars
-    is one C-encoder call whose item separator carries the line break and
-    the indent.  numpy arrays are written as their tolist().
+    that hold containers are laid out here.  A float64 vector or matrix, or
+    a flat list of floats, is written by _format.shortest, float.__repr__
+    for a block of numbers per numpy call; any other flat list is one
+    C-encoder call whose item separator carries the line break and the
+    indent.  A float64 array of more axes is the list of its rows, and
+    other numpy arrays are written as their tolist().
     """
     return "".join(_json(obj, "\n"))
 
 
 def _json(obj, newline: str) -> Iterator[str]:
-    """The text of dumps_json in pieces; a 2-D array in blocks of rows.
-
-    A block of rows holds about EXPORT_BLOCK cells, so a 2-D array is never
-    held whole as Python floats or as text.
-    """
+    """The text of dumps_json in pieces, the floats in blocks of about
+    EXPORT_BLOCK cells, so an array is never held whole as Python floats
+    or as text."""
     inner = newline + "  "
     if isinstance(obj, np.ndarray):
-        if obj.ndim < 2 or obj.size == 0:
+        if obj.dtype != float or obj.size == 0 or obj.ndim == 0:
             yield from _json(obj.tolist(), newline)
-            return
-        per = max(1, EXPORT_BLOCK // obj[0].size)
-        for i0 in range(0, len(obj), per):
-            rows = ("".join(_json(row, inner)) for row in obj[i0:i0 + per].tolist())
-            yield ("[" if i0 == 0 else ",") + inner + ("," + inner).join(rows)
-        yield newline + "]"
-        return
-    if isinstance(obj, (list, tuple)):
+        elif obj.ndim > 2:
+            yield from _json(list(obj), newline)
+        else:
+            yield from _floats(obj, newline)
+    elif isinstance(obj, (list, tuple)):
+        kinds = set(map(type, obj))
         if not obj:
             yield "[]"
-        elif any(map(isinstance, obj, repeat((dict, list, tuple)))):
+        elif all(issubclass(kind, float) for kind in kinds):
+            yield from _floats(np.array(obj, dtype=float), newline)
+        elif any(issubclass(kind, (dict, list, tuple, np.ndarray))
+                 for kind in kinds):
             yield "["
             for i, v in enumerate(obj):
                 yield ("," + inner) if i else inner
@@ -718,6 +721,42 @@ def _json(obj, newline: str) -> Iterator[str]:
         yield newline + "}"
     else:
         yield json.dumps(obj)
+
+
+def _floats(values: np.ndarray, newline: str) -> Iterator[str]:
+    """dumps_json's text of a float64 vector or matrix, one shortest call
+    per block of about EXPORT_BLOCK cells.
+
+    Each cell's line is laid out as head, indent, number, tail: a matrix
+    cell opens its row's list in its head and closes it in its tail.  Every
+    head starts with a comma, which the first block's bracket replaces.
+    """
+    inner = newline + "  "
+    if values.ndim == 1:
+        values, head, tail = values[:, None], [","], [""]
+    else:
+        m = values.shape[1]
+        head = ["," + inner + "["] + [","] * (m - 1)
+        tail = [""] * (m - 1) + [inner + "]"]
+        inner += "  "
+    head, tail = _cells(head), _cells(tail)
+    per = max(1, EXPORT_BLOCK // values.shape[1])
+
+    def block(i0: int) -> str:
+        rows = values[i0:i0 + per]
+        return lines(np.tile(head, len(rows)), inner, shortest(rows),
+                     np.tile(tail, len(rows)))
+
+    yield "[" + block(0)[1:]
+    for i0 in range(per, len(values), per):
+        yield block(i0)
+    yield newline + "]"
+
+
+def _cells(texts: list[str]) -> np.ndarray:
+    """The texts as a NUL-padded (width, len(texts)) uint8 field of lines."""
+    cells = np.array([t.encode("ascii") for t in texts], "S")
+    return cells.view(np.uint8).reshape(len(texts), cells.itemsize).T
 
 
 def _json_key(key) -> str:

@@ -85,6 +85,10 @@ def dirichlet_laplacian_1d(L: float, N: int) -> SpectralOperator:
         raise ValueError("domain length must be positive")
     if N < 1:
         raise ValueError("mode count must be >= 1")
+    top = N * math.pi / L
+    if not top * top < math.inf:
+        raise ValueError("the largest eigenvalue (N pi / L)^2 overflows the "
+                         "float range")
     k = np.arange(1, N + 1, dtype=float)
     return SpectralOperator((k * math.pi / L) ** 2, "dirichlet_laplacian_1d", L)
 

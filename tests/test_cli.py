@@ -7,12 +7,14 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from frstokes import cli
 from frstokes.cli import REQUIRED, SCHEMA, Instead, main
 from frstokes.kernel import KernelParams, eval_A, eval_dB_dt_grid
 
@@ -564,6 +566,90 @@ class TestSolveCommand:
         assert rows[0] == "t,x,u"
 
 
+class TestMemoryAdmission:
+    """Commands whose estimated peak passes cli.MEMORY_CEILING exit 2 before
+    they allocate; only the estimates see the large counts here."""
+
+    def test_estimates_refuse_counts_that_exhaust_memory(self):
+        ceiling = cli.MEMORY_CEILING
+        # a 1e8-row kernel table passed 5.4 GB before printing anything
+        assert cli.kernel_table_bytes(10 ** 8) > ceiling
+        assert cli.solve_bytes(10 ** 9, 2, 0, False) > ceiling
+        assert cli.solve_bytes(16, 10 ** 9, 0, False) > ceiling
+        assert cli.solve_bytes(16, 2, 10 ** 9, False) > ceiling
+        assert cli.solve_bytes(10 ** 6, 1, 0, True) > ceiling
+        assert cli.solve_bytes(int(1e300), int(1e300), 0, True) == math.inf
+        assert cli.convergence_bytes([10, 10 ** 10]) > ceiling
+        # the benchmark's largest solves and tables stay well inside
+        assert cli.solve_bytes(4096, 32, 0, False) < ceiling / 50
+        assert cli.solve_bytes(2048, 16, 101, False) < ceiling / 50
+        assert cli.solve_bytes(2048, 16, 101, True) < ceiling / 20
+        assert cli.kernel_table_bytes(10 ** 5) < ceiling / 50
+
+    def test_estimates_cover_measured_peaks(self, tmp_path):
+        nodes = [0.0] + np.geomspace(1e-3, 1.0, 767).tolist()
+        runs = [
+            (["kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "100",
+              "--t-start", "0", "--t-end", "1", "--t-steps", "20000"],
+             cli.kernel_table_bytes(20000)),
+            (["convergence", "--config", _written(tmp_path / "conv.json", {
+                "target": "manufactured", "dts": ["5e-5"]})],
+             cli.convergence_bytes([20000])),
+        ]
+        for name, grid, points, dense in (
+                ("uniform", {"n_nodes": 1024}, 50, False),
+                ("dense", {"nodes": nodes}, 0, True)):
+            cfg = copy.deepcopy(FUZZ_CONFIG)
+            cfg["problem"]["time_grid"] = grid
+            cfg["operator"]["n_modes"] = 16
+            cfg["data"]["coefficients"] = [1.0] * 16
+            cfg["output"]["grid_csv"]["n_points"] = points or 5
+            out = tmp_path / name
+            out.mkdir()
+            runs.append((["solve", "--config", _written(out / "c.json", cfg),
+                          "--out-dir", str(out)],
+                         cli.solve_bytes(len(nodes) if dense else 1024, 16,
+                                         points or 5, dense)))
+        for argv, estimate in runs:
+            tracemalloc.start()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()):
+                    assert main(argv) == 0
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < estimate, argv[0]
+
+    @pytest.mark.parametrize("command", ["kernel", "solve", "convergence"])
+    def test_over_the_ceiling_exit_2_before_allocating(self, command, tmp_path,
+                                                       capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allocated past the admission check")
+
+        monkeypatch.setattr(cli, "MEMORY_CEILING", 100)
+        for name in ("_contour_values", "uniform_grid", "explicit_spectrum",
+                     "dirichlet_laplacian_1d", "L1Grid"):
+            monkeypatch.setattr(cli, name, refuse)
+        argv = {
+            "kernel": ["kernel", "--rho", "0.5", "--gamma", "1", "--lambda",
+                       "1", "--t-start", "0", "--t-end", "1", "--t-steps", "8"],
+            "solve": ["solve", "--config", str(forward_config(tmp_path)),
+                      "--out-dir", str(tmp_path / "out")],
+            "convergence": ["convergence", "--config", _written(
+                tmp_path / "conv.json", {"dts": ["0.5"]})],
+        }[command]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 2
+        message = json.loads(out)["message"]
+        assert "needs an estimated" in message and "ceiling of 100" in message
+        assert not (tmp_path / "out").exists()
+
+
+def _written(path, cfg):
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
 FUZZ_CONFIG = {
     "problem": {"kind": "forward", "rho": "0.5", "gamma": "1.0",
                 "horizon": "1.0", "time_grid": {"n_nodes": 16}},
@@ -586,9 +672,10 @@ FUZZ_CONFIG_SPECTRUM = {
 }
 FUZZ_CONVERGENCE = {"target": "manufactured", "rho": "0.5", "gamma": "1.0",
                     "lambda": "2.0", "horizon": "1.0", "dts": ["0.1", "0.05"]}
-# no large counts: a huge n_nodes or n_modes exhausts memory before any
-# admission check could reject it
-FUZZ_VALUES = [None, True, -1, 0, 3, 1e-6, "abc", "nan", "1e400", ".", [], {}]
+# extreme magnitudes, and a count whose grid the memory admission check
+# refuses before anything is allocated
+FUZZ_VALUES = [None, True, -1, 0, 3, 1e-6, "abc", "nan", "1e400", ".", [], {},
+               1e-300, 1e300, 10 ** 9]
 
 
 def _schema_paths(command):
@@ -621,7 +708,17 @@ def _assert_exit_contract(command, cfg):
         if code != 0:
             assert os.listdir(out_dir) == []
             assert sorted(os.listdir(tmp)) == ["config.json", "out"]
+        elif command == "solve":  # strict JSON: no NaN or Infinity
+            files = json.loads(stdout.getvalue())["files"]
+            for key in ("trace_json", "diagnostics_json"):
+                if key in files:
+                    with open(os.path.join(out_dir, files[key])) as fh:
+                        json.load(fh, parse_constant=_refuse_constant)
         return code
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"{name} in a JSON artifact")
 
 
 def _mutated(base, path, value):

@@ -906,3 +906,68 @@ class TestG17Writer:
         assert g17_texts(np.array([0.5, 0.0, 5e-324])) == [
             "0.5", "0", "4.9406564584124654e-324"]
         assert sizes == [2]
+
+
+def json_texts(values):
+    """The JSON writer's text of each value: a flat array, in blocks."""
+    text = dumps_json(np.asarray(values, dtype=float).ravel())
+    return [line.strip().rstrip(",") for line in text.splitlines()[1:-1]]
+
+
+def reprs(values):
+    """float.__repr__ of each value, with json's names for the non-finite."""
+    names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    return [names.get(text, text) for text in map(repr, values)]
+
+
+class TestShortestWriter:
+    """The vectorised JSON writer against float.__repr__, as json spells it."""
+
+    def test_matches_repr_on_bit_patterns_and_edge_cases(self):
+        rng = np.random.default_rng(19)
+        bits = rng.integers(0, 2 ** 64, 2 ** 19, dtype=np.uint64)
+        # odd M: M/4 ends in .25 or .75, so with 15 integer digits its two
+        # nearest 16-digit decimals tie, and with 16 its 17-digit ones
+        odd = np.concatenate((rng.integers(2 ** 50, 2 * 10 ** 15, 20000) * 2 + 1,
+                              2 ** 53 - 1 - 2 * np.arange(2000),
+                              rng.integers(2 ** 51, 2 ** 52, 20000) * 2 + 1))
+        powers = np.array([float(f"1e{k}") for k in range(-300, 301)])
+        values = np.concatenate((
+            bits.view(np.float64), odd / 4.0, odd / 2.0,
+            powers, np.nextafter(powers, 0.0), np.nextafter(powers, np.inf),
+            np.ldexp(1.0, np.arange(-1074, 1024)),
+            np.ldexp(rng.integers(1, 2 ** 52, 2000).astype(float), -1074),
+            [0.0, -0.0, math.inf, -math.inf, math.nan],
+        ))
+        assert json_texts(values) == reprs(values.tolist())
+
+    def test_ties_round_half_to_even(self):
+        assert json_texts([612857683458612.75, 612857683458612.25,
+                           -700000000000000.25, 1125899906842624.25]) == [
+            "612857683458612.8", "612857683458612.2", "-700000000000000.2",
+            "1125899906842624.2"]
+
+    @given(st.lists(st.floats(), min_size=1, max_size=64))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_repr_on_any_floats(self, values):
+        assert json_texts(values) == reprs(values)
+
+    def test_normal_values_take_no_per_value_route(self, monkeypatch):
+        jsonrepr, sizes = _format.jsonrepr, []
+
+        def counted(values):
+            sizes.append(values.size)
+            return jsonrepr(values)
+
+        monkeypatch.setattr(_format, "jsonrepr", counted)
+        rng = np.random.default_rng(4096)
+        magnitudes = np.exp(rng.uniform(math.log(1e-20), math.log(1e3),
+                                        (4096, 32)))
+        values = magnitudes * rng.choice([-1.0, 1.0], magnitudes.shape)
+        text = dumps_json(values)
+        assert sizes == []
+        assert text == json.dumps(values.tolist(), indent=2)
+        # a zero, a subnormal and a power of two
+        assert json_texts([0.1, 0.0, 5e-324, 0.5]) == [
+            "0.1", "0.0", "5e-324", "0.5"]
+        assert sizes == [3]

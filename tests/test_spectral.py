@@ -42,6 +42,8 @@ class TestOperators:
             dirichlet_laplacian_1d(0.0, 3)
         with pytest.raises(ValueError):
             dirichlet_laplacian_1d(1.0, 0)
+        with pytest.raises(ValueError, match="overflows"):  # (2 pi / 1e-300)^2
+            dirichlet_laplacian_1d(1e-300, 2)
         with pytest.raises(ValueError):
             explicit_spectrum([2.0, 1.0])
         with pytest.raises(ValueError):
