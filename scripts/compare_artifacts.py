@@ -12,10 +12,11 @@ Three more fresh interpreters run ``frstokes verify``, one pinned
 convergence`` report (CONVERGENCE_CONFIG) once each.  For every file
 (inputs, artifacts and each operation's exit code) and for the verify,
 kernel and convergence stdout, the script prints ``identical`` or the
-largest absolute difference between the two trees' numbers.  It exits 1 on any difference, 0 when all
-is identical and 2 when a tree cannot be run.  Nothing is written inside
-either tree: the interpreters write no bytecode and the outputs go to the
-temporary directory.
+largest absolute difference between the two trees' numbers, the line it
+is on and the largest relative difference.  It exits 1 on any difference,
+0 when all is identical and 2 when a tree cannot be run.  Nothing is
+written inside either tree: the interpreters write no bytecode and the
+outputs go to the temporary directory.
 """
 
 from __future__ import annotations
@@ -85,19 +86,28 @@ def run_tree(tree: str, out: str, seeds: list[int]) -> None:
 
 
 def difference(a: str, b: str) -> str:
-    """'identical', the largest absolute numeric difference, or what else
+    """'identical', the largest absolute numeric difference with its line
+    (in the first text) and the largest relative difference, or what else
     differs between two texts."""
     if a == b:
         return "identical"
     parts_a, parts_b = NUMBER.split(a), NUMBER.split(b)
     if len(parts_a) != len(parts_b) or parts_a[::2] != parts_b[::2]:
         return "text differs"
-    worst = 0.0
-    for x, y in zip(parts_a[1::2], parts_b[1::2]):
+    worst, worst_line, worst_rel, line = -1.0, 0, 0.0, 1
+    for i in range(1, len(parts_a), 2):
+        line += parts_a[i - 1].count("\n")
+        x, y = parts_a[i], parts_b[i]
         if x != y:
             x, y = float(x), float(y)
-            worst = max(worst, abs(x - y) if math.isfinite(x - y) else math.inf)
-    return f"largest absolute difference {worst:.3e}"
+            gap = abs(x - y) if math.isfinite(x - y) else math.inf
+            if gap > worst:
+                worst, worst_line = gap, line
+            if gap:
+                worst_rel = max(worst_rel, gap / max(abs(x), abs(y))
+                                if math.isfinite(gap) else math.inf)
+    return (f"largest absolute difference {worst:.3e} at line {worst_line}, "
+            f"largest relative difference {worst_rel:.3e}")
 
 
 def files(root: str) -> set[str]:

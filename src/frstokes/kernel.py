@@ -13,11 +13,14 @@ source).  Their Laplace transforms are explicit,
 
 and A, B and the antiderivative Phi(t) = int_0^t A (transform A^(z) / z)
 come from one hyperbolic Bromwich contour that serves every eigenvalue at
-once (Weideman & Trefethen 2007, Math. Comp. 76:1341-1356).  Both kernels
-are also Laplace integrals of explicit spectral densities on the positive
-half line.  The real-line engine (``quadrature``: the half line mapped onto
-finite intervals and refined by one adaptive Gauss-Kronrod loop)
-integrates those for dB/dt and as the independent reference the
+once (Weideman & Trefethen 2007, Math. Comp. 76:1341-1356).  Its sum is one
+fixed-order dot product per time and mode, the time's exponentials on the
+nodes of its window's contour against the mode's weighted transform, so a
+value does not depend on the other times or modes it is asked with.  Both
+kernels are also Laplace integrals of explicit spectral densities on the
+positive half line.  The real-line engine (``quadrature``: the half line
+mapped onto finite intervals and refined by one adaptive Gauss-Kronrod
+loop) integrates those for dB/dt and as the independent reference the
 verification suites compare against.  The uniform-in-mode lower bounds
 are one fixed rule in log r each, with no tolerance to set.
 """
@@ -120,13 +123,12 @@ def _check_times(ts, minimum=0.0, what="t"):
 
 
 def _transform(kind, z, rho, gamma, lam):
-    """Laplace transform of A, B or Phi (kind), z broadcast against lam."""
+    """Laplace transform of A or B (kind), z broadcast against lam."""
     lgz = lam * gamma * z ** rho
     d = z + lam + lgz
     if kind == "B":
         return 1.0 / d
-    a = (1.0 + lgz / z) / d
-    return a if kind == "A" else a / z
+    return (1.0 + lgz / z) / d
 
 
 # Hyperbolic contour z(u) = mu (1 + sin(iu - alpha)), u = k h for k = -N..N,
@@ -139,11 +141,11 @@ CONTOUR_SCALE = 4.4921      # mu = CONTOUR_SCALE * N / t_hi
 # Worst absolute error of A per contour size N, against the density engine
 # at rel_tol 1e-12, over rho in {0.05, 0.3, 0.5, 0.7, 0.9, 0.99}, gamma in
 # {0.5, 1, 2}, lam in {1, 10, 100, 1e4, 1e6} and 256 uniform times in
-# (0, 1].  Past N = 32 rounding (the contour's growth factor) wins: N = 36
-# gives 1.3e-10.
+# (0, 1], each value summed as _contour_sum's per-window dot product.  Past
+# N = 32 rounding (the contour's growth factor) wins: N = 36 gives 1.4e-10.
 CONTOUR_ERRORS = {8: 3.6e-4, 12: 1.4e-5, 16: 5.9e-7, 20: 2.5e-8,
-                  24: 1.1e-9, 28: 5.1e-11, 32: 7.9e-12}
-BLOCK_ELEMENTS = 1 << 16    # elements of one block's times x modes x nodes
+                  24: 1.1e-9, 28: 5.2e-11, 32: 8.0e-12}
+BLOCK_ELEMENTS = 1 << 16    # a block's times x (2 (N + 1) + modes)
 
 
 def _contour_size(q: QuadratureConfig | None) -> int:
@@ -156,13 +158,20 @@ def _contour_size(q: QuadratureConfig | None) -> int:
 def _contour_sum(transform, t: np.ndarray, n: int) -> np.ndarray:
     """Trapezoid sum of the Bromwich integral at every t > 0, on 2n + 1 nodes.
 
-    transform(z) maps z of shape (windows, n + 1, 1) to (windows, n + 1, M);
-    it, its weights and the sums run with numpy's floating-point warnings
-    silenced, and conjugate symmetry halves the nodes.  The window of t
-    depends on t alone and each value sums the nodes in a fixed order, so a
-    value does not depend on the other times or modes of the call.  A window
-    is kept as the exponent k of t_hi = 2^k and scaled by ldexp, so
-    t_hi = 4^512, past the float range, is never formed.  Returns (t.size, M).
+    transform(z, dz) maps the nodes z and their weights dz, both shaped
+    (windows, n + 1, 1) and scaled to each window, to the weighted
+    transform, shaped (windows, n + 1, M); it, its weights and the sums run
+    with numpy's floating-point warnings silenced, and conjugate symmetry
+    halves the nodes.  The times are taken window by window, in blocks of
+    rows with rows x (2(n + 1) + M) at most BLOCK_ELEMENTS: a row is
+    [Re, Im] of e^(zt) on the nodes, a mode is its window's [Im, Re] of the
+    weighted transform, and each value is their contiguous length-2(n + 1)
+    dot product, by einsum (never BLAS: its summation order depends on the
+    shapes).  The window of t depends on t alone and the dot product's
+    order on nothing else, so a value does not depend on the other times or
+    modes of the call.  A window is kept as the exponent k of t_hi = 2^k and
+    scaled by ldexp, so t_hi = 4^512, past the float range, is never formed.
+    Returns (t.size, M).
     """
     m, e = np.frexp(t)
     e = e - (m == 0.5)                            # ceil(log2 t)
@@ -174,17 +183,18 @@ def _contour_sum(transform, t: np.ndarray, n: int) -> np.ndarray:
     dz[0] *= 0.5                      # weights (h / pi) z'(u); u = 0 once
     scale = np.ldexp(1.0, -windows)[:, None, None]
     with np.errstate(all="ignore"):   # overflow gives NaN; callers check
-        g = transform(z[:, None] * scale) * (dz[:, None] * scale)
-        g = np.swapaxes(g, 1, 2)
-        g_re, g_im = np.ascontiguousarray(g.real), np.ascontiguousarray(g.imag)
+        g = transform(z[:, None] * scale, dz[:, None] * scale)
+        # (windows, M, 2(n + 1)): each mode's [Im, Re] contiguous
+        g = np.concatenate((g.imag, g.real), axis=1).transpose(0, 2, 1).copy()
         out = np.empty((t.size, g.shape[1]))
-        rows = max(1, BLOCK_ELEMENTS // (g.shape[1] * g.shape[2]))
-        for i in range(0, t.size, rows):
-            block = slice(i, i + rows)
-            w = which[block]
-            ez = np.exp(np.multiply.outer(np.ldexp(t[block], -k[block]), z))
-            ez = ez[:, None, :]
-            out[block] = (ez.real * g_im[w] + ez.imag * g_re[w]).sum(axis=2)
+        rows = max(1, BLOCK_ELEMENTS // (2 * (n + 1) + g.shape[1]))
+        for w, exponent in enumerate(windows):
+            at = np.flatnonzero(which == w)
+            for i in range(0, at.size, rows):
+                block = at[i:i + rows]
+                ez = np.exp(np.multiply.outer(np.ldexp(t[block], -exponent), z))
+                ez = np.concatenate((ez.real, ez.imag), axis=1)
+                out[block] = np.einsum("tk,mk->tm", ez, g[w])
     return out
 
 
@@ -200,8 +210,12 @@ def _bromwich(kind: str, rho: float, gamma: float, lam, ts: np.ndarray,
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
-    def transform(z):
-        return _transform(kind, z, rho, gamma, lam)
+    def transform(z, dz):
+        if kind == "Phi":
+            # A^(z) / z dz = A^(z) dz / z0 on z = z0 2^-k: the weight is free
+            # of the window's scale, where A^(z) / z would overflow first
+            return _transform("A", z, rho, gamma, lam) * (dz / z)
+        return _transform(kind, z, rho, gamma, lam) * dz
 
     values = np.full((ts.size, lam.size), 0.0 if kind == "Phi" else 1.0)
     pos = ts > 0.0

@@ -48,7 +48,8 @@ The CSV exports, and the CLI's kernel table, write every number as
 of ten, and the few values it cannot settle exactly (zeros, non-finite
 and subnormal values, near-ties) go through "%.17g" itself.  The JSON
 exports write every float as json.dumps does, float.__repr__, from the
-same scaling a block per call (_format.shortest).  Each export
+same scaling a block per call (_format.shortest), and a list of a few
+floats through json's C encoder, which is faster there.  Each export
 is written into one temporary file and renamed over its target; the CLI
 stages all of a solve's files before renaming any.
 """
@@ -97,6 +98,9 @@ LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
 BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
 EXPORT_BLOCK = 1 << 13  # cells per formatted block of an export
+# flat float lists shorter than this take json's C encoder: below it,
+# shortest's fixed cost per call is the larger
+_SHORT_FLOATS = 256
 
 
 class SolverError(RuntimeError):
@@ -425,8 +429,8 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray,
         if trace.nodes.size - 2 < MIN_INTERIOR_NODES:
             diagnostics.update(residual_max_interior=None, coercivity=None)
         else:
-            t_int, res = residual(trace, spec)
-            rep = coercivity_report(trace, spec)
+            t_int, res, terms = _residual(trace, spec)
+            rep = _coercivity(trace, spec, *terms)
             late = t_int >= spec.horizon / 32.0
             diagnostics.update(
                 residual_max_interior=float(np.max(res[late])),
@@ -571,13 +575,20 @@ def residual(trace: SolutionTrace,
     L1 rule applied to the trace itself, so the check is independent of the
     kernel quadrature that produced the trace.
     """
+    t_int, res, _ = _residual(trace, spec)
+    return t_int, res
+
+
+def _residual(trace: SolutionTrace, spec: ProblemSpec):
+    """residual's nodes and norms, and the interior terms (D_t u, A u, f)
+    it formed, which the coercivity report of the same solve shares."""
     # the fractional term first: its FFT temporaries are the largest, and
     # the shared terms are not yet held beside them
     dru = caputo_l1_trace(trace.nodes, trace.coefficients, spec.rho)[1:-1]
     du, au, f = _interior_terms(trace, spec, "residual")
     lam = trace.operator.eigenvalues[None, :]
     res = du + au + spec.gamma * lam * dru - f
-    return trace.nodes[1:-1], np.sqrt(np.sum(res ** 2, axis=1))
+    return trace.nodes[1:-1], np.sqrt(np.sum(res ** 2, axis=1)), (du, au, f)
 
 
 def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
@@ -588,7 +599,12 @@ def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
     from the equation itself (residual identity), keeping it independent of
     the kernel quadrature.
     """
-    du, au, f = _interior_terms(trace, spec, "coercivity report")
+    return _coercivity(trace, spec,
+                       *_interior_terms(trace, spec, "coercivity report"))
+
+
+def _coercivity(trace: SolutionTrace, spec: ProblemSpec, du, au, f) -> dict:
+    """coercivity_report from the interior terms D_t u, A u and f."""
     t = trace.nodes[1:-1]
     adru = (f - du - au) / spec.gamma
     norm_du = np.sqrt(np.sum(du ** 2, axis=1))
@@ -672,11 +688,11 @@ def dumps_json(obj) -> str:
 
     json runs its C encoder only without indent, so the dicts and the lists
     that hold containers are laid out here.  A float64 vector or matrix, or
-    a flat list of floats, is written by _format.shortest, float.__repr__
-    for a block of numbers per numpy call; any other flat list is one
-    C-encoder call whose item separator carries the line break and the
-    indent.  A float64 array of more axes is the list of its rows, and
-    other numpy arrays are written as their tolist().
+    a flat list of at least _SHORT_FLOATS floats, is written by
+    _format.shortest, float.__repr__ for a block of numbers per numpy call;
+    any other flat list is one C-encoder call whose item separator carries
+    the line break and the indent.  A float64 array of more axes is the
+    list of its rows, and other numpy arrays are written as their tolist().
     """
     return "".join(_json(obj, "\n"))
 
@@ -697,7 +713,8 @@ def _json(obj, newline: str) -> Iterator[str]:
         kinds = set(map(type, obj))
         if not obj:
             yield "[]"
-        elif all(issubclass(kind, float) for kind in kinds):
+        elif len(obj) >= _SHORT_FLOATS and all(issubclass(kind, float)
+                                                for kind in kinds):
             yield from _floats(np.array(obj, dtype=float), newline)
         elif any(issubclass(kind, (dict, list, tuple, np.ndarray))
                  for kind in kinds):

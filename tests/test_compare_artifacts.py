@@ -1,0 +1,34 @@
+import importlib.util
+import pathlib
+
+SCRIPT = (pathlib.Path(__file__).resolve().parent.parent
+          / "scripts" / "compare_artifacts.py")
+spec = importlib.util.spec_from_file_location("compare_artifacts", SCRIPT)
+compare_artifacts = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(compare_artifacts)
+difference = compare_artifacts.difference
+
+
+def test_identical_and_other_text():
+    assert difference("t,k\n0.5,1\n", "t,k\n0.5,1\n") == "identical"
+    assert difference("lam=1", "mu=1") == "text differs"
+    assert difference("1 2", "1 2 3") == "text differs"
+
+
+def test_largest_difference_names_its_line_and_the_largest_relative_one():
+    # a worst-case label moving on line 3 outweighs the margin on line 2;
+    # alone, the margin is 2e-12 absolute and 2e-9 relative
+    parent = "check 1.0\nmargin 0.001\nworst at lam=1\n"
+    change = "check 1.0\nmargin 0.001000000002\nworst at lam=10000\n"
+    assert difference(parent, change) == (
+        "largest absolute difference 9.999e+03 at line 3, "
+        "largest relative difference 9.999e-01")
+    assert difference("x 0.001\ny 3", "x 0.001000000002\ny 3") == (
+        "largest absolute difference 2.000e-12 at line 1, "
+        "largest relative difference 2.000e-09")
+
+
+def test_non_finite_differences_are_infinite():
+    assert difference("a 1\nb inf\n", "a 1\nb nan\n") == (
+        "largest absolute difference inf at line 2, "
+        "largest relative difference inf")

@@ -162,8 +162,7 @@ class TestKernelValues:
             values, errors = _bromwich(kind, 0.5, 1.0, [1.0, 4.0],
                                        np.array([1e160, 1e300, 1.7e308]))
         assert values.shape == errors.shape == (3, 2)
-        if kind != "Phi":
-            assert np.all(np.isfinite(values))
+        assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("rho", [0.05, 0.5, 0.95])
     def test_A_near_the_float_maximum(self, rho):
@@ -178,6 +177,41 @@ class TestKernelValues:
         np.testing.assert_allclose(values[:, 0],
                                    ts ** -rho / math.gamma(1.0 - rho),
                                    rtol=1e-6, atol=0.0)
+
+    @pytest.mark.parametrize("rho", [0.05, 0.5, 0.95])
+    def test_Phi_near_the_float_maximum(self, rho):
+        # Phi's 1 / z rides in its weights, so Phi is finite wherever its
+        # value is: on its asymptote gamma t^(1 - rho) / Gamma(2 - rho)
+        ts = np.array([1e206, 1e300, 1.7e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, _ = _bromwich("Phi", rho, 1.0, [1.0], ts)
+        np.testing.assert_allclose(values[:, 0],
+                                   ts ** (1.0 - rho) / math.gamma(2.0 - rho),
+                                   rtol=1e-6, atol=0.0)
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kind=st.sampled_from(["A", "B", "Phi"]),
+           rho=st.floats(0.01, 0.99), gamma=st.floats(0.1, 10.0),
+           n_lam=st.integers(1, 40), n_t=st.integers(1, 300),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_value_independent_of_other_times_and_modes(self, kind, rho, gamma,
+                                                        n_lam, n_t, seed):
+        # lam from 1e-2 to 1e6 and t from 1e-6 to 1e3, about 15 windows:
+        # every column is its single-mode call and every row its single-time
+        # call, bit for bit, errors included
+        rng = np.random.default_rng(seed)
+        lam = 10.0 ** rng.uniform(-2.0, 6.0, n_lam)
+        ts = 10.0 ** rng.uniform(-6.0, 3.0, n_t)
+        values, errors = _bromwich(kind, rho, gamma, lam, ts)
+        for j in range(lam.size):
+            column = _bromwich(kind, rho, gamma, lam[j:j + 1], ts)
+            assert np.array_equal(column[0][:, 0], values[:, j])
+            assert np.array_equal(column[1][:, 0], errors[:, j])
+        for i in range(ts.size):
+            row = _bromwich(kind, rho, gamma, lam, ts[i:i + 1])
+            assert np.array_equal(row[0][0], values[i])
+            assert np.array_equal(row[1][0], errors[i])
 
     def test_classical_limit(self):
         p = KernelParams(0.999, 1.0, 2.0)

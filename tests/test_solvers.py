@@ -176,8 +176,9 @@ class TestLatticeConvolution:
                                   source, nodes))
         lattice_times = sum(size for size, on_nodes in seen if not on_nodes)
         assert lattice_times <= nodes.size * (solvers.LATTICE_MIN_CELLS + 2)
-        # construction, the convolution, residual and coercivity report
-        assert sum(on_nodes for _, on_nodes in seen) == 4
+        # construction, the convolution, and the interior terms that the
+        # residual and the coercivity report share
+        assert sum(on_nodes for _, on_nodes in seen) == 3
 
     def test_uniform_source_calls_independent_of_mode_count(self):
         calls = []
@@ -194,9 +195,9 @@ class TestLatticeConvolution:
                                       zeros_field(op), source,
                                       uniform_grid(1.0, 96)))
             calls.append(len(seen))
-        # construction, the nodes, the lattice, residual and coercivity
-        # report
-        assert calls == [5, 5]
+        # construction, the nodes, the lattice, and the interior terms
+        # that the residual and the coercivity report share
+        assert calls == [4, 4]
 
     def test_only_moving_modes_take_the_antiderivative(self, monkeypatch):
         # modes 1 and 3 are constant, 2 and 4 move: Phi and the FFT run for
@@ -493,7 +494,7 @@ class TestNonlocal:
                 (solve_forward, forced("forward", small_op), 1),
                 (solve_nonlocal, forced("nonlocal", small_op), 1),
                 (solve_forward, forced("forward", small_op, moving), 2)):
-            calls = {"_bromwich": 0, "residual": 0, "caputo_l1_trace": 0,
+            calls = {"_bromwich": 0, "_residual": 0, "caputo_l1_trace": 0,
                      "exp_weighted_semiinfinite": 0}
 
             def counted(module, name):
@@ -505,7 +506,7 @@ class TestNonlocal:
                 return wrapper
 
             with monkeypatch.context() as patch:
-                for name in ("_bromwich", "residual", "caputo_l1_trace"):
+                for name in ("_bromwich", "_residual", "caputo_l1_trace"):
                     patch.setattr(solvers, name, counted(solvers, name))
                 # the density engine behind dB/dt, the bounds and the
                 # reference checks
@@ -513,7 +514,7 @@ class TestNonlocal:
                     patch.setattr(module, "exp_weighted_semiinfinite",
                                   counted(module, "exp_weighted_semiinfinite"))
                 solve(spec)
-            assert calls == {"_bromwich": contour_calls, "residual": 1,
+            assert calls == {"_bromwich": contour_calls, "_residual": 1,
                              "caputo_l1_trace": 1,
                              "exp_weighted_semiinfinite": 0}
 
@@ -793,6 +794,21 @@ class TestExports:
     def test_dumps_json_matches_on_solve_diagnostics(self, trace):
         assert dumps_json(trace.diagnostics) == json.dumps(
             trace.diagnostics, indent=2, sort_keys=True)
+
+    def test_short_float_lists_take_the_c_encoder(self, monkeypatch):
+        # below _SHORT_FLOATS numbers, shortest's fixed cost per call is
+        # larger than json's C encoder; the text is the same either way
+        sizes = []
+
+        def counted(values):
+            sizes.append(values.size)
+            return _format.shortest(values)
+
+        monkeypatch.setattr(solvers, "shortest", counted)
+        n = solvers._SHORT_FLOATS
+        for obj in ([0.1] * (n - 1), [0.25] * n):
+            assert dumps_json({"a": obj}) == json.dumps({"a": obj}, indent=2)
+        assert sizes == [n]
 
     def test_csv_export_memory_is_bounded_by_the_block(self, tmp_path):
         op = explicit_spectrum(np.arange(1.0, 33.0))
