@@ -7,11 +7,15 @@ For each tree, a fresh interpreter with that tree's ``src`` and
 ``perfbench`` on its path runs every solve-unforced and solve-forced
 operation: ``workloads.generate`` writes its inputs (pass 0) and
 ``workloads.run`` solves it, into a temporary directory, once per seed.
-Three more fresh interpreters run ``frstokes verify``, one pinned
-``frstokes kernel`` table (KERNEL_TABLE) and one pinned ``frstokes
-convergence`` report (CONVERGENCE_CONFIG) once each.  For every file
+Four more fresh interpreters run ``frstokes verify``, one pinned
+``frstokes kernel`` table (KERNEL_TABLE), one pinned ``frstokes
+convergence`` report (CONVERGENCE_CONFIG) and one pinned ``frstokes
+solve`` (SOLVE_CONFIG) once each.  The pinned solve is forced on explicit
+geometric nodes and writes trace.json, whose 2048 x 16 coefficient
+matrix, a JSON float leaf of at least EXPORT_BLOCK cells, sits between
+batched lists; no benchmark operation writes either.  For every file
 (inputs, artifacts and each operation's exit code) and for the verify,
-kernel and convergence stdout, the script prints ``identical`` or the
+kernel, convergence and solve stdout, the script prints ``identical`` or the
 largest absolute difference between the two trees' numbers, the line it
 is on and the largest relative difference.  It exits 1 on any difference,
 0 when all is identical and 2 when a tree cannot be run.  Nothing is
@@ -36,6 +40,19 @@ KERNEL_TABLE = ("kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "100",
 CONVERGENCE_CONFIG = {"target": "manufactured", "rho": "0.35", "gamma": "2.0",
                       "lambda": "10.0", "horizon": "1.0",
                       "dts": ["1e-2", "5e-3", "2.5e-3", "1.25e-3"]}
+SOLVE_NODES = 2048
+SOLVE_CONFIG = {
+    "problem": {"kind": "forward", "rho": 0.4, "gamma": 1.5, "horizon": 1.0,
+                "time_grid": {"nodes": [0.0] + [
+                    10.0 ** (4.0 * (i / (SOLVE_NODES - 2) - 1.0))
+                    for i in range(SOLVE_NODES - 1)]}},
+    "operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                 "n_modes": 16},
+    "data": {"coefficients": [1.0 / k ** 2 for k in range(1, 17)]},
+    "source": {"kind": "constant", "value": 1.0},
+    "output": {"trace_csv": "trace.csv", "trace_json": "trace.json",
+               "diagnostics_json": "diagnostics.json"},
+}
 # a number as "%.17g", repr or json write it, the non-finite ones included
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|nan|inf(?:inity)?))", re.IGNORECASE)
@@ -74,8 +91,15 @@ def run_tree(tree: str, out: str, seeds: list[int]) -> None:
     config = os.path.join(out, "convergence.json")
     with open(config, "w") as fh:
         json.dump(CONVERGENCE_CONFIG, fh)
+    # relative to out, so the solve's stdout names the same directory
+    solve = os.path.join("solve", "config.json")
+    os.makedirs(os.path.join(out, "solve"))
+    with open(os.path.join(out, solve), "w") as fh:
+        json.dump(SOLVE_CONFIG, fh)
     for name, argv in (("verify", ("verify",)), ("kernel", KERNEL_TABLE),
-                       ("convergence", ("convergence", "--config", config))):
+                       ("convergence", ("convergence", "--config", config)),
+                       ("solve", ("solve", "--config", solve,
+                                  "--out-dir", "solve"))):
         run = subprocess.run([sys.executable, "-B", "-m", "frstokes.cli",
                               *argv], env=env, cwd=out, capture_output=True,
                              text=True)

@@ -46,11 +46,15 @@ The CSV exports, and the CLI's kernel table, write every number as
 "%.17g" does, which round-trips, but a block of numbers per numpy call
 (_format.g17): the 17 digits come from an exact double-double scaling by a power
 of ten, and the few values it cannot settle exactly (zeros, non-finite
-and subnormal values, near-ties) go through "%.17g" itself.  The JSON
-exports write every float as json.dumps does, float.__repr__, from the
-same scaling a block per call (_format.shortest), and a list of a few
-floats through json's C encoder, which is faster there.  Each export
-is written into one temporary file and renamed over its target; the CLI
+and subnormal values, near-ties) go through "%.17g" itself.  A long
+CSV's node stamps are one call per run of up to EXPORT_BLOCK nodes.  The
+JSON exports write every float as json.dumps does, float.__repr__, from
+the same scaling (_format.shortest): a document's float arrays and long
+float lists share one call per batch of up to _JSON_BATCH numbers, and
+a list of a few floats goes through json's C encoder, which is faster
+there.  The per-node diagnostics stay float64 arrays, so they reach that
+writer without a round trip through Python floats.  Each export is
+written into one temporary file and renamed over its target; the CLI
 stages all of a solve's files before renaming any.
 """
 
@@ -101,6 +105,10 @@ EXPORT_BLOCK = 1 << 13  # cells per formatted block of an export
 # flat float lists shorter than this take json's C encoder: below it,
 # shortest's fixed cost per call is the larger
 _SHORT_FLOATS = 256
+# JSON float leaves share one shortest call while together they hold at most
+# this many cells: a whole EXPORT_BLOCK's temporaries, on top of a 4096-node
+# solve's arrays, raised the benchmark's peak RSS by about 1.2 MB
+_JSON_BATCH = EXPORT_BLOCK // 2
 
 
 class SolverError(RuntimeError):
@@ -381,7 +389,7 @@ def _assemble_modes(spec: ProblemSpec, q):
             phi, _ = _bromwich("Phi", spec.rho, spec.gamma, lam[lattice.moving],
                                lattice.points, q, slice(0))
         conv, conv_err = lattice.convolution(a, lam, phi)
-    return a, a_err[-1], conv, {"convolution_error_estimate": conv_err.tolist()}
+    return a, a_err[-1], conv, {"convolution_error_estimate": conv_err}
 
 
 def _homogeneous_nonlocal(spec: ProblemSpec, a: np.ndarray,
@@ -408,7 +416,10 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray,
     """Wrap the coefficients in a trace and attach its diagnostics.
 
     Norms, the solver's own entries, then one residual and one coercivity
-    report (None on grids too coarse for them).  A non-finite coefficient
+    report (None on grids too coarse for them).  The per-node entries
+    (norm_H, norm_A, residual_norm, each coercivity entry and a forced
+    solve's convolution_error_estimate per mode) stay float64 arrays, which
+    the JSON writer formats as they are.  A non-finite coefficient
     or diagnostic raises SolverError: no trace is returned to be written.
     The diagnostics are formed with numpy's floating-point warnings
     silenced, since the check names what overflowed or was undefined.
@@ -419,8 +430,8 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray,
         raise SolverError(f"mode {bad[0] + 1}: the solution is not finite")
     with np.errstate(all="ignore"):
         diagnostics = {
-            "norm_H": np.sqrt(np.sum(coefficients ** 2, axis=1)).tolist(),
-            "norm_A": np.sqrt(np.sum((coefficients * lam) ** 2, axis=1)).tolist(),
+            "norm_H": np.sqrt(np.sum(coefficients ** 2, axis=1)),
+            "norm_A": np.sqrt(np.sum((coefficients * lam) ** 2, axis=1)),
             "data_tail_indicator": tail_indicator(spec.data),
             **extra,
         }
@@ -434,8 +445,8 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray,
             late = t_int >= spec.horizon / 32.0
             diagnostics.update(
                 residual_max_interior=float(np.max(res[late])),
-                residual_norm=res.tolist(),   # on the nodes of coercivity["t"]
-                coercivity={key: values.tolist() for key, values in rep.items()},
+                residual_norm=res,   # on the nodes of coercivity["t"]
+                coercivity=rep,
             )
     key = _non_finite_key(diagnostics)
     if key is not None:
@@ -609,7 +620,7 @@ def _coercivity(trace: SolutionTrace, spec: ProblemSpec, du, au, f) -> dict:
     adru = (f - du - au) / spec.gamma
     norm_du = np.sqrt(np.sum(du ** 2, axis=1))
     return {
-        "t": t,
+        "t": t.copy(),  # not a view of the trace's nodes
         "norm_dt_u": norm_du,
         "norm_A_u": np.sqrt(np.sum(au ** 2, axis=1)),
         "norm_A_caputo_u": np.sqrt(np.sum(adru ** 2, axis=1)),
@@ -651,20 +662,24 @@ def _long_csv(header: str, nodes: np.ndarray, columns: list[str],
     """CSV rows `t<column><value>`, node-major, one per node and column.
 
     Yields the file in blocks of about EXPORT_BLOCK cells, each one g17
-    call for its values and one for its nodes' stamps, so every number is
+    call for its values; the node stamps are one g17 call per run of
+    whole blocks of at most EXPORT_BLOCK nodes.  So every number is
     formatted once, by "%.17g", which round-trips, and memory is bounded
-    by the block rather than the file.
+    by the block and one run's stamps rather than the file.
     """
     m = len(columns)
     labels = _cells(columns)
     per = max(1, EXPORT_BLOCK // max(m, 1))
+    chunk = per * (EXPORT_BLOCK // per)  # the nodes of one stamp call
     yield header + "\n"
-    for i0 in range(0, nodes.size, per):
-        stamps = g17(nodes[i0:i0 + per])
-        stamps = stamps[stamps.any(axis=1)]  # the slots these nodes use
-        yield lines(np.repeat(stamps, m, axis=1),
-                    np.tile(labels, stamps.shape[1]),
-                    g17(values[i0:i0 + per]), "\n")
+    for c0 in range(0, nodes.size, chunk):
+        run = g17(nodes[c0:c0 + chunk])
+        run = run[run.any(axis=1)]  # the slots these nodes use
+        for i0 in range(0, run.shape[1], per):
+            stamps = run[:, i0:i0 + per]
+            yield lines(np.repeat(stamps, m, axis=1),
+                        np.tile(labels, stamps.shape[1]),
+                        g17(values[c0 + i0:c0 + i0 + per]), "\n")
 
 
 def _csv_table(header: str, columns) -> Iterator[str]:
@@ -688,40 +703,91 @@ def dumps_json(obj) -> str:
 
     json runs its C encoder only without indent, so the dicts and the lists
     that hold containers are laid out here.  A float64 vector or matrix, or
-    a flat list of at least _SHORT_FLOATS floats, is written by
-    _format.shortest, float.__repr__ for a block of numbers per numpy call;
-    any other flat list is one C-encoder call whose item separator carries
-    the line break and the indent.  A float64 array of more axes is the
-    list of its rows, and other numpy arrays are written as their tolist().
+    a flat list of at least _SHORT_FLOATS floats, is a float leaf, written
+    by _format.shortest, float.__repr__ for a block of numbers per numpy
+    call; consecutive leaves share one call per batch (see _json).  Any
+    other flat list is one C-encoder call whose item separator carries the
+    line break and the indent.  A float64 array of more axes is the list
+    of its rows, and other numpy arrays are written as their tolist().
     """
     return "".join(_json(obj, "\n"))
 
 
 def _json(obj, newline: str) -> Iterator[str]:
-    """The text of dumps_json in pieces, the floats in blocks of about
-    EXPORT_BLOCK cells, so an array is never held whole as Python floats
-    or as text."""
+    """The text of dumps_json in pieces, its float leaves formatted in
+    batches.
+
+    Consecutive leaves of fewer than EXPORT_BLOCK cells are grouped, in
+    the walk's order, into batches of at most _JSON_BATCH cells (a larger
+    leaf alone), and each batch is one shortest call; a leaf of
+    EXPORT_BLOCK cells or more takes one call per block of its own.  So no
+    call formats more than EXPORT_BLOCK cells.  The pieces from a batch's
+    first leaf on are held until the batch is full, so only one batch's
+    columns are alive at a time and an array is never held whole as Python
+    floats or as text.
+    """
+    held, cells = [], 0  # the open batch: its pieces, and its leaves' cells
+    for piece in _pieces(obj, newline):
+        if isinstance(piece, str):
+            if held:
+                held.append(piece)
+            else:
+                yield piece
+            continue
+        size = piece[0].size
+        if held and cells + size > _JSON_BATCH:
+            yield from _batch(held)
+            held, cells = [], 0
+        if size >= EXPORT_BLOCK:
+            yield from _floats(*piece)
+        else:
+            held.append(piece)
+            cells += size
+    yield from _batch(held)
+
+
+def _batch(held: list) -> Iterator[str]:
+    """The held pieces of a batch, its leaves laid out from one shortest
+    call on all of their cells, in order."""
+    if not held:
+        return
+    text = shortest(np.concatenate([piece[0].ravel() for piece in held
+                                    if not isinstance(piece, str)]))
+    i = 0
+    for piece in held:
+        if isinstance(piece, str):
+            yield piece
+        else:
+            values, newline = piece
+            yield from _floats(values, newline, text[:, i:i + values.size])
+            i += values.size
+
+
+def _pieces(obj, newline: str) -> Iterator:
+    """dumps_json's text of obj in pieces, in order, with each float leaf
+    in its place as a (values, newline) pair: values is its float64 vector
+    or matrix, a flat float list as an array."""
     inner = newline + "  "
     if isinstance(obj, np.ndarray):
         if obj.dtype != float or obj.size == 0 or obj.ndim == 0:
-            yield from _json(obj.tolist(), newline)
+            yield from _pieces(obj.tolist(), newline)
         elif obj.ndim > 2:
-            yield from _json(list(obj), newline)
+            yield from _pieces(list(obj), newline)
         else:
-            yield from _floats(obj, newline)
+            yield obj, newline
     elif isinstance(obj, (list, tuple)):
         kinds = set(map(type, obj))
         if not obj:
             yield "[]"
         elif len(obj) >= _SHORT_FLOATS and all(issubclass(kind, float)
                                                 for kind in kinds):
-            yield from _floats(np.array(obj, dtype=float), newline)
+            yield np.array(obj, dtype=float), newline
         elif any(issubclass(kind, (dict, list, tuple, np.ndarray))
                  for kind in kinds):
             yield "["
             for i, v in enumerate(obj):
                 yield ("," + inner) if i else inner
-                yield from _json(v, inner)
+                yield from _pieces(v, inner)
             yield newline + "]"
         else:
             yield ("[" + inner
@@ -734,34 +800,39 @@ def _json(obj, newline: str) -> Iterator[str]:
         yield "{"
         for i, (k, v) in enumerate(sorted(obj.items())):
             yield ("," if i else "") + inner + json.dumps(_json_key(k)) + ": "
-            yield from _json(v, inner)
+            yield from _pieces(v, inner)
         yield newline + "}"
     else:
         yield json.dumps(obj)
 
 
-def _floats(values: np.ndarray, newline: str) -> Iterator[str]:
-    """dumps_json's text of a float64 vector or matrix, one shortest call
-    per block of about EXPORT_BLOCK cells.
+def _floats(values: np.ndarray, newline: str,
+            text: np.ndarray | None = None) -> Iterator[str]:
+    """dumps_json's text of a float64 vector or matrix, laid out from text,
+    the shortest columns of its cells in row-major order that its batch
+    formatted, or, without text, from one shortest call per block of about
+    EXPORT_BLOCK cells.
 
     Each cell's line is laid out as head, indent, number, tail: a matrix
     cell opens its row's list in its head and closes it in its tail.  Every
     head starts with a comma, which the first block's bracket replaces.
     """
     inner = newline + "  "
+    m = values.shape[1] if values.ndim == 2 else 1
     if values.ndim == 1:
         values, head, tail = values[:, None], [","], [""]
     else:
-        m = values.shape[1]
         head = ["," + inner + "["] + [","] * (m - 1)
         tail = [""] * (m - 1) + [inner + "]"]
         inner += "  "
     head, tail = _cells(head), _cells(tail)
-    per = max(1, EXPORT_BLOCK // values.shape[1])
+    per = max(1, EXPORT_BLOCK // m)
 
     def block(i0: int) -> str:
         rows = values[i0:i0 + per]
-        return lines(np.tile(head, len(rows)), inner, shortest(rows),
+        cells = (shortest(rows) if text is None
+                 else text[:, i0 * m:(i0 + len(rows)) * m])
+        return lines(np.tile(head, len(rows)), inner, cells,
                      np.tile(tail, len(rows)))
 
     yield "[" + block(0)[1:]

@@ -1,5 +1,12 @@
+import contextlib
 import importlib.util
+import io
+import json
 import pathlib
+
+import numpy as np
+
+from frstokes import cli, oracle, solvers
 
 SCRIPT = (pathlib.Path(__file__).resolve().parent.parent
           / "scripts" / "compare_artifacts.py")
@@ -32,3 +39,22 @@ def test_non_finite_differences_are_infinite():
     assert difference("a 1\nb inf\n", "a 1\nb nan\n") == (
         "largest absolute difference inf at line 2, "
         "largest relative difference inf")
+
+
+def test_pinned_solve_writes_a_forced_trace_json_on_explicit_nodes(tmp_path):
+    config = compare_artifacts.SOLVE_CONFIG
+    nodes = np.array(config["problem"]["time_grid"]["nodes"])
+    assert nodes.size == compare_artifacts.SOLVE_NODES
+    assert nodes[0] == 0.0 and nodes[-1] == config["problem"]["horizon"]
+    assert not oracle._is_uniform(nodes)
+    assert config["source"]["kind"] == "constant"
+    # an exit code other than 0 would compare identical on both trees
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["solve", "--config", str(path),
+                         "--out-dir", str(tmp_path)])
+    assert code == 0
+    fields = json.loads((tmp_path / "trace.json").read_text())["fields"]
+    # the coefficient matrix is one float leaf of EXPORT_BLOCK cells or more
+    assert len(fields) * len(fields[0]) >= solvers.EXPORT_BLOCK

@@ -678,6 +678,68 @@ def trace():
     return solve_forward(spec)
 
 
+def lists_of(obj):
+    """obj with every numpy array as its tolist(), as json.dumps takes it."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: lists_of(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [lists_of(value) for value in obj]
+    return obj
+
+
+# float leaf sizes on both sides of _SHORT_FLOATS, _JSON_BATCH and
+# EXPORT_BLOCK, whose runs fill batches exactly, straddle them or are one
+# leaf too many for them
+LEAF_SIZES = [1, 2, 7, solvers._SHORT_FLOATS - 1, solvers._SHORT_FLOATS,
+              solvers._SHORT_FLOATS + 1, solvers._JSON_BATCH // 2,
+              solvers._JSON_BATCH - 1, solvers._JSON_BATCH,
+              solvers._JSON_BATCH + 1, solvers.EXPORT_BLOCK - 1,
+              solvers.EXPORT_BLOCK, solvers.EXPORT_BLOCK + 3]
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324]
+
+
+@st.composite
+def float_leaf(draw):
+    """A float64 vector, matrix or 3-axis array, or a flat float list, of
+    about one of LEAF_SIZES cells, with a few non-finite and signed-zero
+    values among random magnitudes."""
+    size = draw(st.sampled_from(LEAF_SIZES))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    values = rng.standard_normal(size) * 10.0 ** rng.integers(-30, 30, size)
+    special = rng.integers(0, size, draw(st.integers(0, 3)))
+    values[special] = rng.choice(SPECIAL_FLOATS, special.size)
+    form = draw(st.sampled_from(["vector", "matrix", "cube", "list"]))
+    if form == "list":
+        return values.tolist()
+    if form == "vector":
+        return values
+    columns = draw(st.sampled_from([1, 2, 5, 32]))
+    if form == "matrix":
+        return values[:size // columns * columns].reshape(-1, columns)
+    return values[:size // (2 * columns) * 2 * columns].reshape(2, -1, columns)
+
+
+def document():
+    """Nested dicts and lists of float leaves, ints, strings, None, single
+    floats and empty containers, with a leaf of EXPORT_BLOCK cells or more
+    between two of them."""
+    scalars = (st.integers() | st.text(max_size=3) | st.none()
+               | st.sampled_from(SPECIAL_FLOATS + [0.1, -2.5])
+               | st.sampled_from([(), {}, np.empty(0)]))
+    items = st.recursive(
+        float_leaf() | scalars,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(st.text(max_size=3), inner,
+                                         max_size=4)),
+        max_leaves=8)
+    big = st.sampled_from(LEAF_SIZES[-2:]).map(
+        lambda n: np.linspace(-1.0, 1.0, n))
+    return st.tuples(items, big, items).map(
+        lambda parts: {"a": parts[0], "b": parts[1], "c": parts[2]})
+
+
 class TestExports:
     def test_csv_round_trip(self, trace, tmp_path):
         path = tmp_path / "trace.csv"
@@ -792,8 +854,43 @@ class TestExports:
         assert dumps_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
 
     def test_dumps_json_matches_on_solve_diagnostics(self, trace):
+        # the per-node entries are float64 arrays, which json.dumps reads
+        # as their lists
         assert dumps_json(trace.diagnostics) == json.dumps(
-            trace.diagnostics, indent=2, sort_keys=True)
+            lists_of(trace.diagnostics), indent=2, sort_keys=True)
+
+    def test_diagnostics_hold_per_node_float64_arrays(self, monkeypatch):
+        op = dirichlet_laplacian_1d(math.pi, 3)
+        spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, basis_field(op, 1),
+                           constant_source(1.0), uniform_grid(1.0, 72))
+        trace = solve_forward(spec)
+        diagnostics = trace.diagnostics
+        coercivity = diagnostics["coercivity"]
+        assert sorted(coercivity) == ["norm_A_caputo_u", "norm_A_u",
+                                      "norm_dt_u", "t", "weighted_norm_dt_u"]
+        assert not np.shares_memory(coercivity["t"], trace.nodes)
+        sizes = {"norm_H": 72, "norm_A": 72, "residual_norm": 70,
+                 "convolution_error_estimate": 3}
+        for key, size in sizes.items():
+            assert diagnostics[key].dtype == np.float64
+            assert diagnostics[key].shape == (size,)
+        for values in coercivity.values():
+            assert values.dtype == np.float64 and values.shape == (70,)
+        assert dumps_json(diagnostics) == json.dumps(
+            lists_of(diagnostics), indent=2, sort_keys=True)
+
+        # a NaN inside a coercivity array is named as coercivity.<key>
+        report = solvers._coercivity
+
+        def with_nan(*args):
+            rep = report(*args)
+            rep["norm_A_u"][5] = math.nan
+            return rep
+
+        monkeypatch.setattr(solvers, "_coercivity", with_nan)
+        with pytest.raises(solvers.SolverError,
+                           match=r"diagnostic coercivity\.norm_A_u is not finite"):
+            solve_forward(spec)
 
     def test_short_float_lists_take_the_c_encoder(self, monkeypatch):
         # below _SHORT_FLOATS numbers, shortest's fixed cost per call is
@@ -809,6 +906,57 @@ class TestExports:
         for obj in ([0.1] * (n - 1), [0.25] * n):
             assert dumps_json({"a": obj}) == json.dumps({"a": obj}, indent=2)
         assert sizes == [n]
+
+    @given(document())
+    @settings(max_examples=40, deadline=None)
+    def test_batched_floats_match_indented_dumps(self, doc):
+        sizes = []
+
+        def counted(values):
+            sizes.append(values.size)
+            return _format.shortest(values)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solvers, "shortest", counted)
+            text = dumps_json(doc)
+        assert text == json.dumps(lists_of(doc), indent=2, sort_keys=True)
+        assert max(sizes, default=0) <= solvers.EXPORT_BLOCK
+
+    def test_forced_diagnostics_take_one_shortest_call(self, monkeypatch):
+        # 512 nodes and 8 modes: the 4092 per-node and per-mode numbers are
+        # one batch
+        op = explicit_spectrum(np.geomspace(1.0, 1e3, 8))
+        spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, basis_field(op, 1),
+                           constant_source(1.0), uniform_grid(1.0, 512))
+        diagnostics = solve_forward(spec).diagnostics
+        sizes = []
+
+        def counted(values):
+            sizes.append(values.size)
+            return _format.shortest(values)
+
+        monkeypatch.setattr(solvers, "shortest", counted)
+        text = dumps_json(diagnostics)
+        assert sizes == [2 * 512 + 6 * 510 + 8]
+        assert text == json.dumps(lists_of(diagnostics), indent=2,
+                                  sort_keys=True)
+
+    def test_trace_csv_takes_one_stamp_call_per_export_block(self, monkeypatch,
+                                                             tmp_path):
+        # 4096 x 32: 16 blocks of 256 nodes, their stamps one call
+        n = 4096
+        trace = SolutionTrace(np.linspace(0.0, 1.0, n),
+                              np.random.default_rng(n).standard_normal((n, 32)),
+                              explicit_spectrum(np.arange(1.0, 33.0)), {})
+        sizes = []
+
+        def counted(values):
+            sizes.append(np.size(values))
+            return _format.g17(values)
+
+        monkeypatch.setattr(solvers, "g17", counted)
+        export_trace_csv(trace, str(tmp_path / "trace.csv"))
+        assert sizes == [n] + [solvers.EXPORT_BLOCK] * 16
 
     def test_csv_export_memory_is_bounded_by_the_block(self, tmp_path):
         op = explicit_spectrum(np.arange(1.0, 33.0))
