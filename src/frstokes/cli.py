@@ -27,10 +27,8 @@ import numpy as np
 from .kernel import (
     KernelParams,
     QuadratureConfig,
-    _contour_values,
+    _bromwich,
     eval_A,
-    eval_dB_dt_grid,
-    MIN_DERIVATIVE_TIME,
 )
 from .oracle import TRACE_BLOCK, L1Grid, richardson_extrapolate, solve_scalar
 from .quadrature import QuadratureNonconvergence
@@ -426,9 +424,6 @@ def cmd_solve(args):
 # kernel table
 
 
-DERIVATIVE_BATCH = 600  # times per dB/dt call: the engine refines a batch whole
-
-
 def cmd_kernel(args):
     if args.t_steps < 1:
         raise ConfigError("--t-steps must be >= 1")
@@ -440,21 +435,14 @@ def cmd_kernel(args):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     ts = np.linspace(args.t_start, args.t_end, args.t_steps)
-    a = _contour_values("A", p, ts)
-    b = _contour_values("B", p, ts)
-    db = np.full(ts.size, math.nan)
-    late = np.flatnonzero(ts >= MIN_DERIVATIVE_TIME)
-    try:
-        for i in range(0, late.size, DERIVATIVE_BATCH):
-            rows = late[i:i + DERIVATIVE_BATCH]
-            db[rows], _ = eval_dB_dt_grid(p, ts[rows])
-    except ValueError as exc:  # the only non-finite density: an overflow
+    values, _ = _bromwich(("A", "B", "dB"), p.rho, p.gamma, p.lam, ts,
+                          error_at=slice(0))
+    a, b, db = values[..., 0]
+    if not np.all(np.isfinite(np.concatenate((a, b, db[ts > 0.0])))):
         raise SolverError(
-            f"dB/dt at --gamma {args.gamma:g} --lambda {args.lam:g}: "
-            f"lam * gamma * r^rho overflows the float range in its density "
-            f"({exc})") from exc
-    if not np.all(np.isfinite(np.concatenate((a, b, db[late])))):
-        raise SolverError("the kernel table is not finite")
+            f"the kernel table at --rho {args.rho:g} --gamma {args.gamma:g} "
+            f"--lambda {args.lam:g} is not finite: the kernels' transforms "
+            f"overflow the float range on the contour")
     sys.stdout.writelines(_csv_table("t,A,B,dA_dt,dB_dt",
                                      (ts, a, b, -p.lam * b, db)))
     return EXIT_OK

@@ -106,12 +106,12 @@ def _envelope_terms(rho: float, gamma: float, lams, ts: np.ndarray,
     The quantities are lam B / min(1/t, t^(rho-1)) and
     t^(1-eps(1-rho)) lam^-eps |dB/dt|: the manifest stores their suprema
     and the b-properties suite checks against them.  Every eigenvalue in
-    lams shares one contour call for B and one engine pass for dB/dt; each
-    array is (ts.size, len(lams)).
+    lams shares one contour call for B and dB/dt; each array is
+    (ts.size, len(lams)).
     """
     lam = np.asarray(lams, dtype=float)
-    b, _ = kernel._bromwich("B", rho, gamma, lam, ts, error_at=slice(0))
-    db, _ = kernel._dB_dt(rho, gamma, lam, ts)
+    (b, db), _ = kernel._bromwich(("B", "dB"), rho, gamma, lam, ts,
+                                  error_at=slice(0))
     t = ts[:, None]
     env = lam * b / np.minimum(1.0 / t, t ** (rho - 1.0))
     weight = t ** (1.0 - epsilon * (1.0 - rho)) * lam ** (-epsilon)

@@ -11,18 +11,18 @@ source).  Their Laplace transforms are explicit,
     A^(z) = (1 + lam gamma z^(rho-1)) / (z + lam + lam gamma z^rho),
     B^(z) = 1 / (z + lam + lam gamma z^rho),
 
-and A, B and the antiderivative Phi(t) = int_0^t A (transform A^(z) / z)
-come from one hyperbolic Bromwich contour that serves every eigenvalue at
-once (Weideman & Trefethen 2007, Math. Comp. 76:1341-1356).  Its sum is one
+and A, B, dB/dt (transform z B^(z) - 1 = -(lam + lam gamma z^rho) B^(z))
+and the antiderivative Phi(t) = int_0^t A (transform A^(z) / z) come from
+one hyperbolic Bromwich contour that serves every eigenvalue at once
+(Weideman & Trefethen 2007, Math. Comp. 76:1341-1356).  Its sum is one
 fixed-order dot product per time and mode, the time's exponentials on the
 nodes of its window's contour against the mode's weighted transform, so a
-value does not depend on the other times or modes it is asked with.  Both
-kernels are also Laplace integrals of explicit spectral densities on the
-positive half line.  The real-line engine (``quadrature``: the half line
-mapped onto finite intervals and refined by one adaptive Gauss-Kronrod
-loop) integrates those for dB/dt and as the independent reference the
-verification suites compare against.  The uniform-in-mode lower bounds
-are one fixed rule in log r each, with no tolerance to set.
+value does not depend on the other times, modes or kinds it is asked with.
+Both kernels are also Laplace integrals of explicit spectral densities on
+the positive half line; the verification suites integrate those on the
+real line (``quadrature``) as the independent reference.  The
+uniform-in-mode lower bounds are one fixed rule in log r each, with no
+tolerance to set.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from .quadrature import (
     _XK,
     QuadratureConfig,
     adaptive_finite,
-    exp_weighted_semiinfinite,
 )
 
 __all__ = [
@@ -115,19 +114,21 @@ def density_B(r, p: KernelParams):
     return out if isinstance(r, np.ndarray) else float(out)
 
 
-def _check_times(ts, minimum=0.0, what="t"):
+def _check_times(ts):
     arr = np.atleast_1d(np.asarray(ts, dtype=float))
-    if np.any(arr < minimum):
-        raise ValueError(f"{what} must be >= {minimum}")
+    if np.any(arr < 0.0):
+        raise ValueError("t must be >= 0")
     return arr
 
 
 def _transform(kind, z, rho, gamma, lam):
-    """Laplace transform of A or B (kind), z broadcast against lam."""
+    """Laplace transform of A, B or dB/dt ("dB"), z broadcast against lam."""
     lgz = lam * gamma * z ** rho
     d = z + lam + lgz
     if kind == "B":
         return 1.0 / d
+    if kind == "dB":
+        return -(lam + lgz) / d
     return (1.0 + lgz / z) / d
 
 
@@ -198,58 +199,75 @@ def _contour_sum(transform, t: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _bromwich(kind: str, rho: float, gamma: float, lam, ts: np.ndarray,
-              q: QuadratureConfig | None = None, error_at=slice(None)):
-    """A, B or Phi = int_0^t A (kind) for every eigenvalue at every t in ts.
+# Each kind's value at t = 0, where the contour is not summed; dB/dt is
+# singular there.
+_PINNED = {"A": 1.0, "B": 1.0, "Phi": 0.0, "dB": math.nan}
 
-    Returns (values, errors): values, shaped (ts.size, lam.size), are the
-    contour sum on the N that q.rel_tol picks; errors, at ts[error_at]
-    alone (slice(0) for none), are its distance from the sum on N - 4, which
-    runs only where error_at selects a time t > 0.  t = 0 is pinned
-    (A = B = 1, Phi = 0) with a zero error bound.
+
+def _bromwich(kinds, rho: float, gamma: float, lam, ts: np.ndarray,
+              q: QuadratureConfig | None = None, error_at=slice(None)):
+    """A, B, dB/dt ("dB") or Phi = int_0^t A for each of kinds (a str names
+    one), every eigenvalue and every t in ts.
+
+    Returns (values, errors): values, shaped (len(kinds), ts.size,
+    lam.size), are the contour sum on the N that q.rel_tol picks; errors,
+    at ts[error_at] alone (slice(0) for none), are its distance from the
+    sum on N - 4, which runs only where error_at selects a time t > 0.  The
+    kinds share each sum as side-by-side columns, so a value is bit for bit
+    that of a single-kind call.  t = 0 takes _PINNED with a zero error bound.
     """
+    kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
 
     def transform(z, dz):
-        if kind == "Phi":
-            # A^(z) / z dz = A^(z) dz / z0 on z = z0 2^-k: the weight is free
-            # of the window's scale, where A^(z) / z would overflow first
-            return _transform("A", z, rho, gamma, lam) * (dz / z)
-        return _transform(kind, z, rho, gamma, lam) * dz
+        # Phi: A^(z) / z dz = A^(z) dz / z0 on z = z0 2^-k; the weight is
+        # free of the window's scale, where A^(z) / z would overflow first
+        return np.concatenate([
+            _transform("A", z, rho, gamma, lam) * (dz / z) if kind == "Phi"
+            else _transform(kind, z, rho, gamma, lam) * dz for kind in kinds],
+            axis=2)
 
-    values = np.full((ts.size, lam.size), 0.0 if kind == "Phi" else 1.0)
+    def contour_sum(t, n):
+        out = _contour_sum(transform, t, n)
+        return out.reshape(t.size, len(kinds), lam.size).transpose(1, 0, 2)
+
+    values = np.empty((len(kinds), ts.size, lam.size))
+    values[:] = np.array([_PINNED[kind] for kind in kinds])[:, None, None]
     pos = ts > 0.0
     n = _contour_size(q)
-    values[pos] = _contour_sum(transform, ts[pos], n)
-    t_err, v_err = ts[error_at], values[error_at]
+    values[:, pos] = contour_sum(ts[pos], n)
+    t_err, v_err = ts[error_at], values[:, error_at]
     errors = np.zeros_like(v_err)
     pos = t_err > 0.0
     if np.any(pos):
-        errors[pos] = np.abs(v_err[pos] - _contour_sum(transform, t_err[pos], n - 4))
+        errors[:, pos] = np.abs(v_err[:, pos] - contour_sum(t_err[pos], n - 4))
     return values, errors
-
-
-def _contour_values(kind: str, p: KernelParams, ts,
-                    q: QuadratureConfig | None = None) -> np.ndarray:
-    """A, B or Phi (kind) of one mode at every t in ts, without error estimate.
-
-    The contour sum alone: callers that discard the errors of eval_A_grid
-    and eval_B_grid take this path and skip the N - 4 sum.
-    """
-    values, _ = _bromwich(kind, p.rho, p.gamma, p.lam, _check_times(ts), q,
-                          error_at=slice(0))
-    return values[:, 0]
 
 
 def eval_A_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
     """A(lam, t) for every t in ts from the contour; returns (values, errors)."""
-    values, errors = _bromwich("A", p.rho, p.gamma, p.lam, _check_times(ts), q)
+    (values,), (errors,) = _bromwich("A", p.rho, p.gamma, p.lam,
+                                     _check_times(ts), q)
     return values[:, 0], errors[:, 0]
 
 
 def eval_B_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
     """B(lam, t) for every t in ts from the contour; returns (values, errors)."""
-    values, errors = _bromwich("B", p.rho, p.gamma, p.lam, _check_times(ts), q)
+    (values,), (errors,) = _bromwich("B", p.rho, p.gamma, p.lam,
+                                     _check_times(ts), q)
+    return values[:, 0], errors[:, 0]
+
+
+def eval_dB_dt_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
+    """d/dt B(lam, t) < 0 at every t > 0 in ts, from the contour.
+
+    Returns (values, errors).  Refuses t = 0, where dB/dt is singular: it
+    grows like -lam gamma t^(-rho) / Gamma(1 - rho) as t -> 0.
+    """
+    arr = _check_times(ts)
+    if np.any(arr == 0.0):
+        raise ValueError("dB/dt is singular at t = 0")
+    (values,), (errors,) = _bromwich("dB", p.rho, p.gamma, p.lam, arr, q)
     return values[:, 0], errors[:, 0]
 
 
@@ -258,45 +276,16 @@ def eval_A(p: KernelParams, t: float, q: QuadratureConfig | None = None) -> floa
 
     Its derivative is dA/dt = -lam * B(lam, t) for t > 0.
     """
-    return float(_contour_values("A", p, [t], q)[0])
+    (values,), _ = _bromwich("A", p.rho, p.gamma, p.lam, _check_times([t]), q,
+                             slice(0))
+    return float(values[0, 0])
 
 
 def eval_B(p: KernelParams, t: float, q: QuadratureConfig | None = None) -> float:
     """Impulse-response kernel B(lam, t): equals 1 at t = 0, in (0, 1) after."""
-    return float(_contour_values("B", p, [t], q)[0])
-
-
-MIN_DERIVATIVE_TIME = 1e-6
-
-
-def eval_dB_dt_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
-    """d/dt B(lam, t), strictly negative, on a grid of t >= MIN_DERIVATIVE_TIME.
-
-    Returns (values, errors).  Refuses smaller times: r density_B(r) decays
-    only like r^(rho - 1), so the integrand -r exp(-r t) density_B(r) is
-    integrable only through exp(-r t), and dB/dt grows without bound as
-    t -> 0.
-    """
-    values, errors = _dB_dt(p.rho, p.gamma, p.lam, ts, q)
-    return values[:, 0], errors[:, 0]
-
-
-def _dB_dt(rho: float, gamma: float, lam, ts,
-           q: QuadratureConfig | None = None):
-    """dB/dt for every eigenvalue in lam at every t in ts: one engine pass.
-
-    One r density_B column per eigenvalue under the plain substitution,
-    each held to the tolerance on its own; returns (values, errors), shaped
-    (ts.size, lam.size).
-    """
-    arr = _check_times(ts, minimum=MIN_DERIVATIVE_TIME, what="derivative time")
-    params = [KernelParams(rho, gamma, float(mode))
-              for mode in np.atleast_1d(lam)]
-    values, errors = exp_weighted_semiinfinite(
-        lambda r: np.stack([r * density_B(r, p) for p in params], axis=1),
-        arr, singular_exponent=0.0, q=q,
-    )
-    return -values, errors
+    (values,), _ = _bromwich("B", p.rho, p.gamma, p.lam, _check_times([t]), q,
+                             slice(0))
+    return float(values[0, 0])
 
 
 # The lower bounds' rule in v = log r: unit cells from BOUND_DEPTH below the
@@ -382,7 +371,9 @@ def laplace_transform_numeric(p: KernelParams, z: float,
     t_max = 50.0 / z
 
     def fvec(ts):
-        return np.exp(-z * ts) * _contour_values(kernel, p, ts, q)
+        (values,), _ = _bromwich(kernel, p.rho, p.gamma, p.lam, ts, q,
+                                 slice(0))
+        return np.exp(-z * ts) * values[:, 0]
 
     # Geometric breakpoints resolve both the weak t -> 0 singularity in the
     # kernel's higher derivatives and the exponential damping scale 1/z.

@@ -24,10 +24,10 @@ kernels' densities) the k families together: every node is evaluated
 once, and the panels refine until each output meets the tolerance.  The
 integrand reaches ``_refine`` as two factors, the Jacobian-weighted
 densities (n, k) and exp(-r t) (n, T), and a round's Kronrod and Gauss
-sums are one stacked (panels, 2k, 15) @ (panels, 15, T) product.  The
-solve path takes its kernels from the Bromwich contour in ``kernel``; this
-engine serves dB/dt and the reference values the verification suites
-compare against, on at most a few hundred times per call.
+sums are one stacked (panels, 2k, 15) @ (panels, 15, T) product.  Every
+runtime kernel value, dB/dt included, comes from the Bromwich contour in
+``kernel``; this engine serves only the reference values the verification
+suites compare against, on at most a few hundred times per call.
 """
 
 from __future__ import annotations

@@ -377,7 +377,8 @@ def _assemble_modes(spec: ProblemSpec, q):
     """
     ts = spec.time_grid
     lam = spec.operator.eigenvalues
-    a, a_err = _bromwich("A", spec.rho, spec.gamma, lam, ts, q, slice(-1, None))
+    (a,), (a_err,) = _bromwich("A", spec.rho, spec.gamma, lam, ts, q,
+                               slice(-1, None))
     if spec.source is None:
         return a, a_err[-1], np.zeros_like(a), {}
     # a source that overflows gives a convolution that is not finite, which
@@ -386,8 +387,9 @@ def _assemble_modes(spec: ProblemSpec, q):
         lattice = _Lattice(ts, lambda t: _sample(spec.source, lam.size, t))
         phi = None
         if np.any(lattice.moving):
-            phi, _ = _bromwich("Phi", spec.rho, spec.gamma, lam[lattice.moving],
-                               lattice.points, q, slice(0))
+            (phi,), _ = _bromwich("Phi", spec.rho, spec.gamma,
+                                  lam[lattice.moving], lattice.points, q,
+                                  slice(0))
         conv, conv_err = lattice.convolution(a, lam, phi)
     return a, a_err[-1], conv, {"convolution_error_estimate": conv_err}
 

@@ -8,18 +8,19 @@ line and the test suite cannot drift apart.
 
 Each suite keeps its worst cases in ``_Worst`` trackers.  Kernel-level
 suites sweep the standard parameter grid rho in {0.3, 0.5, 0.7, 0.9} x
-gamma in {0.5, 1, 2}.  Kernel values come from the Bromwich contour, as on
-the solve path, through its values-only route: no suite reads the
-contour's error estimate, so none pays for it.  The work is batched by
-(rho, gamma) cell: one contour call per kind and quantity serves every
-eigenvalue of the cell (the contour sums each mode on its own, so a
-column equals that mode's single-mode value bit for bit), and one density
-pass holds one column per eigenvalue.  int_0^t B is a fixed 15-point
-Kronrod rule on a graded mesh, the nodes of all its times in one contour
-call.  The checks that need an independent route (the values at t = 0,
-the contour itself, dA/dt against -lam B, the backward round trip)
-integrate the spectral densities on the real line, one adaptive pass for
-all the densities that share a substitution.
+gamma in {0.5, 1, 2}.  Kernel values (A, B, dB/dt) come from the Bromwich
+contour, as on the solve path, through its values-only route: no suite
+reads the contour's error estimate, so none pays for it.  The work is
+batched by (rho, gamma) cell: one contour call per set of times serves
+every kind and eigenvalue of the cell (the contour sums each kind and mode
+on its own, so a column equals its single-kind, single-mode value bit for
+bit), and one density pass holds one column per eigenvalue.  int_0^t B is
+a fixed 15-point Kronrod rule on a graded mesh, the nodes of all its times
+in one contour call.  The checks that need an independent route (the
+values at t = 0, the contour itself, dA/dt against -lam B, dB/dt, the
+backward round trip) integrate the spectral densities on the real line
+with the adaptive engine of ``quadrature``, which no solve runs: one pass
+for all the densities that share a substitution.
 
 Solver-level suites solve the pinned problems of ``_reference_problems``,
 all at rho 0.5, gamma 1, T = 1 on 512 uniform nodes, or problems derived
@@ -128,14 +129,15 @@ def _grid():
             yield rho, gamma
 
 
-def _contour(kind: str, rho: float, gamma: float, lams, ts,
+def _contour(kinds, rho: float, gamma: float, lams, ts,
              q: QuadratureConfig | None = None) -> np.ndarray:
-    """Contour values of kind for every lam in lams at every t in ts.
+    """Contour values of kinds (a str names one) for every lam in lams at
+    every t in ts.
 
     One call through the ``kernel`` module attribute, without the error
-    sum; returns (ts.size, len(lams)).
+    sum; returns (len(kinds), ts.size, len(lams)).
     """
-    values, _ = kernel._bromwich(kind, rho, gamma, lams,
+    values, _ = kernel._bromwich(kinds, rho, gamma, lams,
                                  np.asarray(ts, dtype=float), q,
                                  error_at=slice(0))
     return values
@@ -153,7 +155,7 @@ def _integral_B_time(rho: float, gamma: float, lams, ts) -> np.ndarray:
     lo, hi = breaks[:, :-1], breaks[:, 1:]
     half = 0.5 * (hi - lo)
     nodes = (0.5 * (hi + lo))[..., None] + half[..., None] * _XK
-    values = _contour("B", rho, gamma, lams, nodes.ravel())
+    (values,) = _contour("B", rho, gamma, lams, nodes.ravel())
     # one contiguous (cells, 15) block per (lam, t), as a single-t call had
     cells = np.ascontiguousarray(values.T).reshape((-1,) + nodes.shape) @ _WK
     return np.sum(half * cells, axis=-1).T
@@ -193,7 +195,7 @@ def _fixed_rule_transforms(rho: float, gamma: float) -> np.ndarray:
     [0, 1e-6 * 50 / max z], then doubling cells up to 50 / min z, past
     which e^(-zt) < e^-50.  The doubling cells resolve the weak t -> 0
     singularity of the kernels' derivatives and every damping scale 1/z.
-    One contour call per kind serves all nodes and every lam in
+    One contour call serves both kinds, all nodes and every lam in
     LAPLACE_LAMBDAS; returns (2, len(LAPLACE_Z), len(LAPLACE_LAMBDAS)).
     """
     z = np.array(LAPLACE_Z)
@@ -203,9 +205,7 @@ def _fixed_rule_transforms(rho: float, gamma: float) -> np.ndarray:
     half = 0.5 * np.diff(breaks)
     nodes = ((breaks[:-1] + half)[:, None] + half[:, None] * _XK).ravel()
     weights = np.exp(-np.outer(z, nodes)) * (half[:, None] * _WK).ravel()
-    return np.stack([weights @ kernel._bromwich(
-        kind, rho, gamma, LAPLACE_LAMBDAS, nodes, error_at=slice(0))[0]
-        for kind in "AB"])
+    return weights @ _contour(("A", "B"), rho, gamma, LAPLACE_LAMBDAS, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +237,7 @@ def suite_a_properties():
     mono, in_range, bound = _Worst(-np.inf), _Worst(-np.inf), _Worst(-np.inf)
     for rho, gamma in _grid():
         c_a = lower_bound_A(rho, gamma, 1.0, 1.0)
-        values = _contour("A", rho, gamma, LAMBDA_TRIPLE, ts)
+        (values,) = _contour("A", rho, gamma, LAMBDA_TRIPLE, ts)
         for lam, vals in zip(LAMBDA_TRIPLE, values.T):
             mono.see(float(np.max(np.diff(vals))))
             in_range.see(float(np.max(vals - 1.0)))
@@ -253,37 +253,52 @@ def suite_a_properties():
 
 
 def suite_identities():
-    """A = 1 - lam * int B, dA/dt = -lam B (with FD cross-check), int B < 1/lam.
+    """A = 1 - lam * int B, dA/dt = -lam B (with FD cross-check), int B < 1/lam,
+    and the contour's dB/dt against the densities'.
 
     The derivative identity holds B from the contour against dA/dt from the
-    density engine, -int_0^inf r e^(-rt) density_A(r) dr: every case shares
-    the plain substitution, so one engine pass serves the whole grid.  Each
-    (rho, gamma) makes one contour call per kind and quantity for both lam.
+    density engine, -int_0^inf r e^(-rt) density_A(r) dr, and the contour's
+    dB/dt is held against -int_0^inf r^2 e^(-rt) density_A(r) dr / lam:
+    every case shares the plain substitution, so one engine pass serves
+    both columns of the whole grid.  Each (rho, gamma) makes one contour
+    call per set of times for every kind and both lam.
     """
     tight = QuadratureConfig(rel_tol=1e-11)
     ts = np.array([0.25, 1.0])
     lams = (1.0, 10.0)
     h = 1e-4
-    integral, derivative, fd = _Worst(), _Worst(), _Worst()
+    integral, derivative, derivative_b, fd = (_Worst() for _ in range(4))
     min_b_margin = np.inf
     cases = [KernelParams(rho, gamma, lam) for rho, gamma in _grid()
              for lam in lams]
-    minus_da, _ = exp_weighted_semiinfinite(
-        lambda r: np.stack([r * density_A(r, p) for p in cases], axis=1), ts,
-        singular_exponent=0.0)
-    minus_da = minus_da.reshape(ts.size, -1, len(lams)).transpose(1, 0, 2)
-    for (rho, gamma), cell_minus_da in zip(_grid(), minus_da):
+
+    def dens(r):
+        columns = []
+        for p in cases:
+            ra = r * density_A(r, p)
+            columns += [ra, (r / p.lam) * ra]
+        return np.stack(columns, axis=1)
+
+    minus_derivatives, _ = exp_weighted_semiinfinite(dens, ts,
+                                                     singular_exponent=0.0)
+    # (cells, 2: -dA/dt and -dB/dt, ts, lams)
+    minus_derivatives = minus_derivatives.reshape(
+        ts.size, -1, len(lams), 2).transpose(1, 3, 0, 2)
+    for (rho, gamma), (minus_da, minus_db) in zip(_grid(), minus_derivatives):
         ib = _integral_B_time(rho, gamma, lams, ts)
-        a, b = (_contour(kind, rho, gamma, lams, ts) for kind in "AB")
-        a_fd = _contour("A", rho, gamma, lams, [1.0 + h, 1.0 - h], tight)
-        (b_fd,) = _contour("B", rho, gamma, lams, [1.0], tight)
+        a, b, db = _contour(("A", "B", "dB"), rho, gamma, lams, ts)
+        a_fd, b_fd = _contour(("A", "B"), rho, gamma, lams,
+                              [1.0 + h, 1.0 - h, 1.0], tight)
         for j, lam in enumerate(lams):
             integral.see(float(np.max(np.abs(
                 a[:, j] - (1.0 - lam * ib[:, j])))))
             derivative.see(float(np.max(np.abs(
-                lam * b[:, j] - cell_minus_da[:, j]))))
+                lam * b[:, j] - minus_da[:, j]))))
+            derivative_b.see(float(np.max(np.abs(
+                ts * (db[:, j] + minus_db[:, j])))),
+                f"rho={rho} gamma={gamma} lam={lam}")
             da = (a_fd[0, j] - a_fd[1, j]) / (2 * h)
-            fd.see(abs(da + lam * b_fd[j]))
+            fd.see(abs(da + lam * b_fd[2, j]))
             min_b_margin = min(min_b_margin, 1.0 / lam - ib[-1, j])   # t = 1
     return [
         integral.check("identities", "integral-identity", 1e-6),
@@ -292,6 +307,7 @@ def suite_identities():
         CheckResult("identities", "b-mass-under-1/lam", min_b_margin > 0.0,
                     min_b_margin, 0.0,
                     "smallest margin of 1/lam - int_0^T B"),
+        derivative_b.check("identities", "derivative-B-vs-density", 1e-6),
     ]
 
 
@@ -333,7 +349,7 @@ def suite_bounds():
         cap.see(lower_bound_A(rho, gamma, 1.0, 1.0)
                 - math.gamma(rho) * gamma * math.sin(math.pi * rho)
                 / (3.0 * math.pi))
-        a, b = (_contour(kind, rho, gamma, LAMBDA_TRIPLE, ts) for kind in "AB")
+        a, b = _contour(("A", "B"), rho, gamma, LAMBDA_TRIPLE, ts)
         for lam, a_vals, b_vals in zip(LAMBDA_TRIPLE, a.T, b.T):
             scaled.see(float(np.max(c_b - lam * b_vals)))
             corollary.see(float(np.max(c_b * ts - np.abs(a_vals - 1.0))))
@@ -352,7 +368,7 @@ def suite_laplace():
     The transforms are one fixed Kronrod rule per (rho, gamma) on contour
     values (``_fixed_rule_transforms``); the contour's reference is the
     density engine at rel_tol 1e-12, one pass per (rho, gamma) for its four
-    lam against one contour call per kind.
+    lam against one contour call for both kinds.
     """
     transform = _Worst()
     for rho, gamma in _grid():
@@ -372,8 +388,7 @@ def suite_laplace():
     contour = _Worst()
     for rho, gamma in itertools.product((0.05, 0.3, 0.5, 0.7, 0.9, 0.99),
                                         GAMMA_GRID):
-        values = np.stack([_contour(k, rho, gamma, lams, ts) for k in "AB"],
-                          axis=2)
+        values = np.moveaxis(_contour(("A", "B"), rho, gamma, lams, ts), 0, 2)
         density = _density_kernels(
             [KernelParams(rho, gamma, lam) for lam in lams], ts, reference_q)
         for j, lam in enumerate(lams):

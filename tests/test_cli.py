@@ -60,16 +60,22 @@ class TestKernelCommand:
         assert code == 0
         assert len(out.strip().splitlines()) == 2
 
-    def test_long_table_bounds_derivative_batches(self, capsys, monkeypatch):
-        from frstokes import cli
+    def test_long_table_takes_one_contour_call(self, capsys, monkeypatch):
+        # A, B and dB/dt of every row come from one contour call, and the
+        # adaptive density engine never runs
+        from frstokes import quadrature
 
-        sizes = []
+        calls, contour = [], cli._bromwich
 
-        def counted(p, ts, *args, **kwargs):
-            sizes.append(np.size(ts))
-            return eval_dB_dt_grid(p, ts, *args, **kwargs)
+        def counted(kinds, *args, **kwargs):
+            calls.append(kinds)
+            return contour(kinds, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "eval_dB_dt_grid", counted)
+        def refuse(*args, **kwargs):
+            raise AssertionError("the density engine ran")
+
+        monkeypatch.setattr(cli, "_bromwich", counted)
+        monkeypatch.setattr(quadrature, "_refine", refuse)
         code, out, _ = run_cli(
             capsys, "kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "1",
             "--t-start", "0", "--t-end", "1", "--t-steps", "1201",
@@ -77,14 +83,14 @@ class TestKernelCommand:
         assert code == 0
         db = np.array([float(line.split(",")[4])
                        for line in out.strip().splitlines()[1:]])
-        assert sizes == [600, 600]  # every row but t = 0, in two batches
+        assert calls == [("A", "B", "dB")]
         assert math.isnan(db[0]) and np.all(db[1:] < 0.0)
         p = KernelParams(0.5, 1.0, 1.0)
-        assert db[-1] == pytest.approx(eval_dB_dt_grid(p, [1.0])[0][0], rel=1e-7)
+        assert db[-1] == eval_dB_dt_grid(p, [1.0])[0][0]
 
     def test_table_is_per_row_17g_text(self, capsys):
-        # t from 0 to 1e-5 puts the first rows under MIN_DERIVATIVE_TIME,
-        # whose dB/dt is nan
+        # t from 0 to 1e-5: only the t = 0 row's dB/dt, singular there, is
+        # nan
         code, out, _ = run_cli(
             capsys, "kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "100",
             "--t-start", "0", "--t-end", "1e-5", "--t-steps", "257",
@@ -92,7 +98,8 @@ class TestKernelCommand:
         assert code == 0
         lines = out.splitlines()
         rows = [[float(v) for v in line.split(",")] for line in lines[1:]]
-        assert sum(math.isnan(row[4]) for row in rows) == 26
+        assert sum(math.isnan(row[4]) for row in rows) == 1
+        assert math.isnan(rows[0][4])
         assert out == "\n".join(
             [lines[0]] + [",".join(f"{v:.17g}" for v in row) for row in rows]
         ) + "\n"
@@ -146,7 +153,8 @@ class TestKernelCommand:
         (line,) = out.strip().splitlines()
         message = json.loads(line)["message"]
         assert f"{flag} 1e+308" in message
-        assert "lam * gamma * r^rho overflows" in message
+        assert all(f in message for f in ("--rho", "--gamma", "--lambda"))
+        assert "overflow the float range" in message
 
 
 def forward_config(tmp_path, **overrides):
@@ -627,7 +635,7 @@ class TestMemoryAdmission:
             raise AssertionError("allocated past the admission check")
 
         monkeypatch.setattr(cli, "MEMORY_CEILING", 100)
-        for name in ("_contour_values", "uniform_grid", "explicit_spectrum",
+        for name in ("_bromwich", "uniform_grid", "explicit_spectrum",
                      "dirichlet_laplacian_1d", "L1Grid"):
             monkeypatch.setattr(cli, name, refuse)
         argv = {

@@ -70,6 +70,18 @@ def test_measurement_is_reproducible_on_small_grid():
     assert a["c_derivative_B"] <= cell["c_derivative_B"] * (1.0 + 1e-6)
 
 
+def test_measurement_runs_no_density_engine(monkeypatch):
+    # B and dB/dt come from one contour call; the adaptive engine serves
+    # the verification references alone
+    from frstokes import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the density engine ran")
+
+    monkeypatch.setattr(quadrature, "_refine", refuse)
+    assert measure_constants(0.5, 1.0, n_nodes=31)["c_derivative_B"] > 0.0
+
+
 def test_default_epsilon_matches_manifest_reference():
     manifest = load_manifest()
     assert manifest["reference"]["epsilon"] == DEFAULT_EPSILON

@@ -21,7 +21,6 @@ from frstokes.kernel import (
     lower_bound_A,
     lower_bound_B,
     _bromwich,
-    _dB_dt,
 )
 from frstokes.quadrature import exp_weighted_semiinfinite
 
@@ -150,10 +149,10 @@ class TestKernelValues:
         values, errors = _bromwich("A", 0.5, 1.0, lam, ts)
         at_T, err_T = _bromwich("A", 0.5, 1.0, lam, ts, error_at=slice(-1, None))
         assert np.array_equal(at_T, values)
-        assert np.array_equal(err_T, errors[-1:])
-        assert _bromwich("Phi", 0.5, 1.0, lam, ts, error_at=slice(0))[1].shape == (0, 3)
+        assert np.array_equal(err_T, errors[:, -1:])
+        assert _bromwich("Phi", 0.5, 1.0, lam, ts, error_at=slice(0))[1].shape == (1, 0, 3)
 
-    @pytest.mark.parametrize("kind", ["A", "B", "Phi"])
+    @pytest.mark.parametrize("kind", ["A", "B", "Phi", "dB"])
     def test_no_kind_warns_at_huge_times(self, kind):
         # the transform overflows on the far window's contour: it must do so
         # silently, and only the requested kind is formed
@@ -161,7 +160,7 @@ class TestKernelValues:
             warnings.simplefilter("error")
             values, errors = _bromwich(kind, 0.5, 1.0, [1.0, 4.0],
                                        np.array([1e160, 1e300, 1.7e308]))
-        assert values.shape == errors.shape == (3, 2)
+        assert values.shape == errors.shape == (1, 3, 2)
         assert np.all(np.isfinite(values))
 
     @pytest.mark.parametrize("rho", [0.05, 0.5, 0.95])
@@ -172,7 +171,7 @@ class TestKernelValues:
         ts = np.array([1e307, 1e308, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, _ = _bromwich("A", rho, 1.0, [1.0], ts)
+            (values,), _ = _bromwich("A", rho, 1.0, [1.0], ts)
         assert np.all(np.isfinite(values))
         np.testing.assert_allclose(values[:, 0],
                                    ts ** -rho / math.gamma(1.0 - rho),
@@ -185,33 +184,41 @@ class TestKernelValues:
         ts = np.array([1e206, 1e300, 1.7e308])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            values, _ = _bromwich("Phi", rho, 1.0, [1.0], ts)
+            (values,), _ = _bromwich("Phi", rho, 1.0, [1.0], ts)
         np.testing.assert_allclose(values[:, 0],
                                    ts ** (1.0 - rho) / math.gamma(2.0 - rho),
                                    rtol=1e-6, atol=0.0)
 
     @settings(max_examples=30, deadline=None, derandomize=True)
-    @given(kind=st.sampled_from(["A", "B", "Phi"]),
+    @given(kinds=st.lists(st.sampled_from(["A", "B", "Phi", "dB"]),
+                          min_size=1, max_size=4, unique=True),
            rho=st.floats(0.01, 0.99), gamma=st.floats(0.1, 10.0),
            n_lam=st.integers(1, 40), n_t=st.integers(1, 300),
            seed=st.integers(0, 2 ** 32 - 1))
-    def test_value_independent_of_other_times_and_modes(self, kind, rho, gamma,
-                                                        n_lam, n_t, seed):
+    def test_value_independent_of_other_times_and_modes(self, kinds, rho,
+                                                        gamma, n_lam, n_t,
+                                                        seed):
         # lam from 1e-2 to 1e6 and t from 1e-6 to 1e3, about 15 windows:
-        # every column is its single-mode call and every row its single-time
-        # call, bit for bit, errors included
+        # every kind is its single-kind call, every column its single-mode
+        # call and every row its single-time call, bit for bit, errors
+        # included
         rng = np.random.default_rng(seed)
         lam = 10.0 ** rng.uniform(-2.0, 6.0, n_lam)
         ts = 10.0 ** rng.uniform(-6.0, 3.0, n_t)
-        values, errors = _bromwich(kind, rho, gamma, lam, ts)
+        values, errors = _bromwich(kinds, rho, gamma, lam, ts)
+        assert values.shape == errors.shape == (len(kinds), n_t, n_lam)
+        for k, kind in enumerate(kinds):
+            alone = _bromwich(kind, rho, gamma, lam, ts)
+            assert np.array_equal(alone[0][0], values[k])
+            assert np.array_equal(alone[1][0], errors[k])
         for j in range(lam.size):
-            column = _bromwich(kind, rho, gamma, lam[j:j + 1], ts)
-            assert np.array_equal(column[0][:, 0], values[:, j])
-            assert np.array_equal(column[1][:, 0], errors[:, j])
+            column = _bromwich(kinds, rho, gamma, lam[j:j + 1], ts)
+            assert np.array_equal(column[0][..., 0], values[..., j])
+            assert np.array_equal(column[1][..., 0], errors[..., j])
         for i in range(ts.size):
-            row = _bromwich(kind, rho, gamma, lam, ts[i:i + 1])
-            assert np.array_equal(row[0][0], values[i])
-            assert np.array_equal(row[1][0], errors[i])
+            row = _bromwich(kinds, rho, gamma, lam, ts[i:i + 1])
+            assert np.array_equal(row[0][:, 0], values[:, i])
+            assert np.array_equal(row[1][:, 0], errors[:, i])
 
     def test_classical_limit(self):
         p = KernelParams(0.999, 1.0, 2.0)
@@ -251,23 +258,27 @@ class TestDerivatives:
             assert np.all(values < 0.0)
 
     def test_small_time_refused(self):
+        # dB/dt is singular at t = 0 alone: the contour serves every t > 0
         p = KernelParams(0.5, 1.0, 1.0)
-        with pytest.raises(ValueError):
-            eval_dB_dt_grid(p, [1e-9])
+        for t in (0.0, -1e-9):
+            with pytest.raises(ValueError):
+                eval_dB_dt_grid(p, [t, 1.0])
+        values, errors = eval_dB_dt_grid(p, [1e-9])
+        assert values[0] < 0.0 and np.isfinite(errors[0])
 
     def test_grouped_columns_match_single_mode_calls(self):
-        # one engine pass for several eigenvalues holds every column to the
-        # tolerance on its own, so each agrees with its own call
-        rel_tol = QuadratureConfig().rel_tol
+        # one contour call for several eigenvalues sums each column on its
+        # own: every column is its single-mode value, bit for bit
         lams = (1.0, 10.0, 100.0)
         ts = np.geomspace(1e-4, 1.0, 31)
         for rho, gamma in ((0.3, 0.5), (0.9, 2.0)):
-            grouped, errors = _dB_dt(rho, gamma, lams, ts)
+            (grouped,), (errors,) = _bromwich("dB", rho, gamma, lams, ts)
             assert grouped.shape == errors.shape == (ts.size, len(lams))
             for j, lam in enumerate(lams):
-                single, _ = eval_dB_dt_grid(KernelParams(rho, gamma, lam), ts)
-                np.testing.assert_allclose(grouped[:, j], single,
-                                           rtol=rel_tol, atol=0.0)
+                single, single_errors = eval_dB_dt_grid(
+                    KernelParams(rho, gamma, lam), ts)
+                assert np.array_equal(grouped[:, j], single)
+                assert np.array_equal(errors[:, j], single_errors)
 
 
 class TestLowerBounds:

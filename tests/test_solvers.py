@@ -477,7 +477,7 @@ class TestNonlocal:
                              - (v.coefficients + w.coefficients))) < 1e-10
 
     def test_one_kernel_pass_per_solve(self, small_op, monkeypatch):
-        from frstokes import kernel, quadrature
+        from frstokes import quadrature, verification
 
         def forced(kind, op, source=constant_source(1.0)):
             return ProblemSpec(kind, op, 0.5, 1.0, 1.0, basis_field(op, 1),
@@ -508,9 +508,8 @@ class TestNonlocal:
             with monkeypatch.context() as patch:
                 for name in ("_bromwich", "_residual", "caputo_l1_trace"):
                     patch.setattr(solvers, name, counted(solvers, name))
-                # the density engine behind dB/dt, the bounds and the
-                # reference checks
-                for module in (kernel, quadrature):
+                # the density engine behind the reference checks
+                for module in (quadrature, verification):
                     patch.setattr(module, "exp_weighted_semiinfinite",
                                   counted(module, "exp_weighted_semiinfinite"))
                 solve(spec)
@@ -522,7 +521,7 @@ class TestNonlocal:
     def test_warns_when_A_at_horizon_is_near_one(self, small_op, monkeypatch,
                                                  which):
         def flat_A(kind, rho, gamma, lam, ts, q=None, error_at=slice(None)):
-            values = np.where(ts < ts[-1], 1.0, 1.0 - 1e-14)[:, None]
+            values = np.where(ts < ts[-1], 1.0, 1.0 - 1e-14)[None, :, None]
             values = values * np.ones(np.size(lam))
             return values, np.zeros_like(values)
 

@@ -48,36 +48,45 @@ def test_unknown_suite_rejected():
         run_suites(["no-such-suite"])
 
 
-def test_derivative_identity_sees_a_shifted_contour_B(monkeypatch):
-    # dA/dt comes from the density engine, so moving every contour value
-    # of B by 1e-5 must break -lam B = dA/dt
+def _shift_contour(monkeypatch, kind, shift):
+    """Add shift(ts) to every contour value of kind, whatever it is asked with."""
     from frstokes import kernel
 
     contour = kernel._bromwich
 
-    def shifted(kind, *args, **kwargs):
-        values, errors = contour(kind, *args, **kwargs)
-        return (values + 1e-5 if kind == "B" else values), errors
+    def shifted(kinds, rho, gamma, lam, ts, *args, **kwargs):
+        values, errors = contour(kinds, rho, gamma, lam, ts, *args, **kwargs)
+        named = (kinds,) if isinstance(kinds, str) else tuple(kinds)
+        mask = np.array([k == kind for k in named])[:, None, None]
+        return values + mask * shift(np.asarray(ts))[:, None], errors
 
     monkeypatch.setattr(kernel, "_bromwich", shifted)
+
+
+def test_derivative_identity_sees_a_shifted_contour_B(monkeypatch):
+    # dA/dt comes from the density engine, so moving every contour value
+    # of B by 1e-5 must break -lam B = dA/dt
+    _shift_contour(monkeypatch, "B", lambda ts: np.full(ts.shape, 1e-5))
     (check,) = [c for c in SUITES["identities"]()
                 if c.name == "derivative-identity"]
     assert not check.passed
     assert check.margin < 0.0
 
 
+def test_derivative_B_check_sees_a_shifted_contour_dB(monkeypatch):
+    # the densities' dB/dt is the reference: moving every contour value of
+    # dB/dt by 1e-5 / t, 1e-5 in t dB/dt, must break the 1e-6 agreement
+    _shift_contour(monkeypatch, "dB", lambda ts: 1e-5 / ts)
+    checks = {c.name: c for c in SUITES["identities"]()}
+    assert not checks["derivative-B-vs-density"].passed
+    assert checks["derivative-B-vs-density"].margin < 0.0
+    assert checks["derivative-identity"].passed
+
+
 def test_contour_vs_density_sees_a_shifted_contour_A(monkeypatch):
     # the joint density pass is the reference: moving every contour value
     # of A by 1e-8 must break the 1e-9 agreement
-    from frstokes import kernel
-
-    contour = kernel._bromwich
-
-    def shifted(kind, *args, **kwargs):
-        values, errors = contour(kind, *args, **kwargs)
-        return (values + 1e-8 if kind == "A" else values), errors
-
-    monkeypatch.setattr(kernel, "_bromwich", shifted)
+    _shift_contour(monkeypatch, "A", lambda ts: np.full(ts.shape, 1e-8))
     (check,) = [c for c in SUITES["laplace"]()
                 if c.name == "contour-vs-density"]
     assert not check.passed
@@ -279,34 +288,38 @@ def _record_contour_calls(monkeypatch):
 
 
 def test_kernel_suites_batch_the_contour_by_cell(monkeypatch):
-    # one contour call per (rho, gamma) cell, kind and quantity serves all
-    # of the cell's eigenvalues, and each column is bit for bit the
-    # single-mode value: a mode's sum does not depend on the others
+    # one contour call per (rho, gamma) cell and set of times serves all of
+    # the cell's kinds and eigenvalues, and each column is bit for bit the
+    # single-kind, single-mode value: a sum does not depend on the others
     from frstokes import kernel
-    from frstokes.kernel import KernelParams
 
     calls = _record_contour_calls(monkeypatch)
     report = run_suites(KERNEL_SUITES)
     monkeypatch.undo()
     assert report["passed"]
-    assert len(calls) <= 180
-    assert sum(np.size(c["lam"]) > 1 for c in calls) >= 150
+    # per cell: a-properties, b-properties, bounds and laplace's transforms
+    # one each, identities three (int B's nodes, ts, the FD times); 18 for
+    # contour-vs-density and 2 for limit
+    assert len(calls) == 12 * 7 + 18 + 2
+    assert sum(np.size(c["lam"]) > 1 for c in calls) >= 100
     for c in calls:
         values, _ = kernel._bromwich(**c)
-        for j, lam in enumerate(np.atleast_1d(c["lam"])):
-            single = kernel._contour_values(
-                c["kind"], KernelParams(c["rho"], c["gamma"], float(lam)),
-                c["ts"], c["q"])
-            assert np.array_equal(values[:, j], single), (
-                c["kind"], c["rho"], c["gamma"], lam)
+        kinds = (c["kinds"],) if isinstance(c["kinds"], str) else c["kinds"]
+        for k, kind in enumerate(kinds):
+            for j, lam in enumerate(np.atleast_1d(c["lam"])):
+                (single,), _ = kernel._bromwich(
+                    kind, c["rho"], c["gamma"], [lam], c["ts"], c["q"],
+                    error_at=slice(0))
+                assert np.array_equal(values[k, :, j], single[:, 0]), (
+                    kind, c["rho"], c["gamma"], lam)
 
 
 def _count_engine_passes(monkeypatch):
-    """Count density-engine calls from kernel and verification."""
-    from frstokes import kernel, verification
+    """Count density-engine calls from quadrature and verification."""
+    from frstokes import quadrature, verification
 
     passes = []
-    for module in (kernel, verification):
+    for module in (quadrature, verification):
         def counted(*args, engine=module.exp_weighted_semiinfinite, **kwargs):
             passes.append(args[1])
             return engine(*args, **kwargs)
@@ -314,13 +327,13 @@ def _count_engine_passes(monkeypatch):
     return passes
 
 
-def test_b_properties_makes_one_engine_pass_per_cell(monkeypatch):
+def test_b_properties_makes_no_engine_pass(monkeypatch):
+    # B and dB/dt both come from the contour
     from frstokes import verification
 
     passes = _count_engine_passes(monkeypatch)
     assert all(c.passed for c in verification.suite_b_properties())
-    assert len(passes) == len(verification.RHO_GRID) * len(
-        verification.GAMMA_GRID) == 12
+    assert passes == []
 
 
 def test_contour_vs_density_makes_one_engine_pass_per_cell(monkeypatch):
