@@ -19,10 +19,11 @@ fixed-order dot product per time and mode, the time's exponentials on the
 nodes of its window's contour against the mode's weighted transform, so a
 value does not depend on the other times, modes or kinds it is asked with.
 Both kernels are also Laplace integrals of explicit spectral densities on
-the positive half line; the verification suites integrate those on the
-real line (``quadrature``) as the independent reference.  The
-uniform-in-mode lower bounds are one fixed rule in log r each, with no
-tolerance to set.
+the positive half line; the verification suites integrate those by a fixed
+rule in log r (``verification._density_rule``) as the independent
+reference, and the adaptive engine of ``quadrature`` serves only the tests
+and the benchmark.  The uniform-in-mode lower bounds are one fixed rule in
+log r each, with no tolerance to set.
 """
 
 from __future__ import annotations
@@ -116,6 +117,8 @@ def density_B(r, p: KernelParams):
 
 def _check_times(ts):
     arr = np.atleast_1d(np.asarray(ts, dtype=float))
+    if not np.all(np.isfinite(arr)):
+        raise ValueError("t must be finite")
     if np.any(arr < 0.0):
         raise ValueError("t must be >= 0")
     return arr

@@ -26,8 +26,9 @@ integrand reaches ``_refine`` as two factors, the Jacobian-weighted
 densities (n, k) and exp(-r t) (n, T), and a round's Kronrod and Gauss
 sums are one stacked (panels, 2k, 15) @ (panels, 15, T) product.  Every
 runtime kernel value, dB/dt included, comes from the Bromwich contour in
-``kernel``; this engine serves only the reference values the verification
-suites compare against, on at most a few hundred times per call.
+``kernel``, and the verification suites' density references from the
+fixed rule ``verification._density_rule``: this engine serves only the
+tests, as that rule's independent oracle, and the benchmark.
 """
 
 from __future__ import annotations

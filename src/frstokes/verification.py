@@ -19,8 +19,10 @@ a fixed 15-point Kronrod rule on a graded mesh, the nodes of all its times
 in one contour call.  The checks that need an independent route (the
 values at t = 0, the contour itself, dA/dt against -lam B, dB/dt, the
 backward round trip) integrate the spectral densities on the real line
-with the adaptive engine of ``quadrature``, which no solve runs: one pass
-for all the densities that share a substitution.
+by one fixed 15-point Kronrod rule in v = log r (``_density_rule``), with
+no tolerance to set: one call per (rho, gamma) cell serves its kinds, its
+eigenvalues and its times.  No suite runs the adaptive engine of
+``quadrature``, which is the rule's test oracle.
 
 Solver-level suites solve the pinned problems of ``_reference_problems``,
 all at rho 0.5, gamma 1, T = 1 on 512 uniform nodes, or problems derived
@@ -48,7 +50,6 @@ from . import kernel
 from .kernel import (
     KernelParams,
     QuadratureConfig,
-    density_A,
     eval_A,
     laplace_A_closed_form,
     laplace_B_closed_form,
@@ -56,7 +57,7 @@ from .kernel import (
     lower_bound_B,
 )
 from .oracle import L1Grid, solve_scalar
-from .quadrature import _WK, _XK, exp_weighted_semiinfinite, graded_mesh
+from .quadrature import _WK, _XK, graded_mesh
 from .solvers import (
     ProblemSpec,
     constant_source,
@@ -161,31 +162,164 @@ def _integral_B_time(rho: float, gamma: float, lams, ts) -> np.ndarray:
     return np.sum(half * cells, axis=-1).T
 
 
-def _density_kernels(params, ts, q: QuadratureConfig | None = None,
-                     kinds: str = "AB") -> np.ndarray:
-    """The kernels named in kinds at the times ts from the density engine.
+# The density rule's cells in v = log r (``_density_breaks``).
+_DENSITY_DEPTH = 20.0     # unit cells this far past the outermost features,
+_DENSITY_HALVINGS = 58    # below them cells over each of which r^rho halves,
+_TAIL_HALVINGS = 60       # at t = 0 above them cells over which r^(rho - 1)
+                          # halves, down to lam gamma r^(rho - 1) = 2^-60
 
-    The route independent of the Bromwich contour, for parameter sets that
-    share one rho.  One adaptive pass integrates density_A and
-    density_B = (r / lam) density_A of every set side by side under their
-    shared r^(rho - 1) substitution, each column held to the tolerance on
-    its own; returns (ts.size, len(params), len(kinds)).
+
+def _resonance(rho: float, gamma: float, lam: float) -> float:
+    """v* = log r* at the root of lam - r + lam gamma r^rho cos(pi rho).
+
+    The root is unique and the densities peak near it, in a width that
+    shrinks like sin(pi rho) as rho -> 1.  Bisection on a bracket in which
+    the sign of the expression divided by r is formed without overflow.
     """
-    rho = params[0].rho
-    if any(p.rho != rho for p in params):
-        raise ValueError("the parameter sets of one engine pass share rho")
+    c = math.cos(math.pi * rho)
+    log_lam, log_gamma = math.log(lam), math.log(gamma)
+    # c > 0: positive at r = lam, negative once r >= 2 lam and
+    # r >= 2 lam gamma c r^rho; c < 0: negative at r = lam, positive once
+    # r <= lam / 2 and 2 gamma |c| r^rho <= 1
+    if c > 0.0:
+        lo = log_lam
+        hi = max(log_lam, (log_lam + log_gamma + math.log(2.0 * c))
+                 / (1.0 - rho)) + math.log(2.0)
+    else:
+        hi = log_lam
+        lo = min(log_lam, -(log_gamma + math.log(-2.0 * c)) / rho)
+        lo -= math.log(2.0)
+    while hi - lo > 1e-9:
+        mid = 0.5 * (lo + hi)
+        if (math.exp(log_lam - mid) - 1.0
+                + c * math.exp(log_lam + log_gamma + (rho - 1.0) * mid)) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
 
-    def dens(r):
-        columns = []
-        for p in params:
-            a = density_A(r, p)
-            columns += [a if kind == "A" else (r / p.lam) * a
-                        for kind in kinds]
-        return np.stack(columns, axis=1)
 
-    values, _ = exp_weighted_semiinfinite(dens, ts,
-                                          singular_exponent=rho - 1.0, q=q)
-    return values.reshape(-1, len(params), len(kinds))
+def _density_breaks(rho: float, gamma: float, lams: np.ndarray,
+                    ts: np.ndarray) -> tuple[np.ndarray, float]:
+    """The rule's cell breaks in v = log r, and the top of the cells t > 0 use.
+
+    Unit cells run from _DENSITY_DEPTH below the lowest feature (-log of
+    the largest time, each log lam, each resonance v*) up to
+    log(50 / t_min), t_min the smallest positive time, past which
+    e^(-r t) < e^-50.  Below them _DENSITY_HALVINGS cells, over each of
+    which r^rho halves, carry the r^rho head down to a 2^-58 remainder.
+    Around each v*, breaks at v* and v* +- (sin(pi rho) / 8) 2^k, up to
+    +-1, resolve the peak.  With t = 0 among ts, unit cells continue to
+    _DENSITY_DEPTH above the highest log lam or v*, and above them the
+    r^(rho - 1) tail of B and -dA/dt takes cells over each of which it
+    halves, until lam gamma r^(rho - 1) is below 2^-_TAIL_HALVINGS.  The
+    depth is where r / lam (below) and lam / r (above) have died out to
+    e^-20, so that the halving cells, ln 2 / rho and ln 2 / (1 - rho) wide,
+    need not resolve them however near rho is to 0 or 1.
+    """
+    s, log2 = math.sin(math.pi * rho), math.log(2.0)
+    log_lams = np.log(lams)
+    stars = np.array([_resonance(rho, gamma, lam) for lam in lams])
+    positive = ts[ts > 0.0]
+    low = min(log_lams.min(), stars.min())
+    top = -math.inf
+    if positive.size:
+        low = min(low, -math.log(positive.max()))
+        top = math.log(50.0 / positive.min())
+    first = low - _DENSITY_DEPTH
+    last = top
+    if positive.size < ts.size:
+        last = max(top, max(log_lams.max(), stars.max()) + _DENSITY_DEPTH)
+    widths = s / 8.0 * 2.0 ** np.arange(math.ceil(math.log2(8.0 / s)))
+    widths = np.append(widths, 1.0)
+    cluster = (stars[:, None]
+               + np.concatenate((-widths, [0.0], widths))).ravel()
+    breaks = [first - log2 / rho * np.arange(_DENSITY_HALVINGS, 0, -1),
+              np.linspace(first, last, math.ceil(last - first) + 1),
+              cluster[(cluster > first) & (cluster < last)]]
+    if positive.size:
+        breaks.append([top])
+    if positive.size < ts.size:
+        log_y = math.log(lams.max() * gamma) + (rho - 1.0) * last
+        tail = _TAIL_HALVINGS + max(0, math.ceil(log_y / log2))
+        breaks.append(last + log2 / (1.0 - rho) * np.arange(1, tail + 1))
+    return np.unique(np.concatenate(breaks)), top
+
+
+def _density_rule(rho: float, gamma: float, lams, ts,
+                  kinds=("A", "B")) -> np.ndarray:
+    """int_0^inf e^(-rt) w(r) density_A(r) dr for each weight w of kinds,
+    every lam in lams and every t >= 0 in ts.
+
+    The route independent of the Bromwich contour: one fixed 15-point
+    Kronrod rule in v = log r on the cells of ``_density_breaks``, with no
+    tolerance and no adaptivity.  The kinds are "A" and "B" (weights 1
+    and r / lam), "-dA" (-dA/dt, weight r) and "-dB" (-dB/dt, weight
+    r^2 / lam), the last for t > 0 alone: it diverges at t = 0.  The
+    weighted densities are formed in log space, as
+    ``kernel._lower_bound`` forms its integrand, so they stay finite however
+    far r = e^v under- or overflows; their node columns are shared by every
+    time.  A time t > 0 takes the nodes below log(50 / t_min), its
+    e^(-rt) on them formed in blocks of at most kernel.BLOCK_ELEMENTS
+    nodes x times in one buffer; t = 0 sums every node.  Returns
+    (ts.size, len(lams), len(kinds)).
+    """
+    lams = np.atleast_1d(np.asarray(lams, dtype=float))
+    ts = np.atleast_1d(np.asarray(ts, dtype=float))
+    zero = ts == 0.0
+    breaks, top = _density_breaks(rho, gamma, lams, ts)
+    half = 0.5 * np.diff(breaks)
+    v = ((breaks[:-1] + half)[:, None] + half[:, None] * _XK).ravel()
+    log_lam = np.log(lams)
+    # D = lam - r + lam gamma r^rho e^(i pi rho) = e^P h, P the log of its
+    # largest term's modulus.  Each term's log modulus relative to P (e for
+    # lam, d for r, g for lam gamma r^rho, all <= 0) is formed from v and
+    # the constants directly on the side of log lam where |v| is large, so
+    # it carries no rounding of the size of v where the densities matter.
+    above = v[:, None] > log_lam
+    e = np.where(above, log_lam - v[:, None], 0.0)
+    d = np.where(above, 0.0, v[:, None] - log_lam)
+    log_gamma = math.log(gamma)
+    g = np.where(above, np.add.outer((rho - 1.0) * v, log_lam + log_gamma),
+                 (rho * v + log_gamma)[:, None])
+    shift = np.maximum(g, 0.0)
+    e -= shift
+    d -= shift
+    g -= shift
+    lgr = np.exp(g, out=shift)      # lam gamma r^rho / e^P
+    h = np.exp(e)
+    h -= np.exp(d)
+    h += math.cos(math.pi * rho) * lgr
+    lgr *= math.sin(math.pi * rho)
+    h = np.log(np.hypot(h, lgr, out=h), out=h)
+    del lgr
+    # r density_A(r) (the Jacobian dr = r dv included) is
+    # (sin(pi rho) / pi) e^(e + g) / h^2, and each kind's weight turns e^e
+    # = lam / e^P into r / e^P (B), lam r / e^P (-dA/dt) or r^2 / e^P (-dB/dt)
+    base = g + (math.log(math.sin(math.pi * rho) / math.pi) - 2.0 * h)
+    del g, h
+    leads = {"A": lambda: e, "B": lambda: d, "-dA": lambda: d + log_lam,
+             "-dB": lambda: d + v[:, None]}
+    weights = (half[:, None] * _WK).ravel()[:, None]
+    f = np.empty((v.size, lams.size, len(kinds)))
+    for j, kind in enumerate(kinds):
+        np.exp(base + leads[kind](), out=f[:, :, j])
+        f[:, :, j] *= weights
+    f = f.reshape(v.size, -1)
+    out = np.empty((ts.size, f.shape[1]))
+    out[zero] = f.sum(axis=0)
+    n = np.searchsorted(v, top)
+    minus_r = -np.exp(v[:n])
+    at = np.flatnonzero(~zero)
+    rows = max(1, kernel.BLOCK_ELEMENTS // max(n, 1))
+    buffer = np.empty((min(rows, at.size), n))
+    for i in range(0, at.size, rows):
+        block = at[i:i + rows]
+        decay = buffer[:block.size]
+        np.multiply.outer(ts[block], minus_r, out=decay)
+        np.exp(decay, out=decay)
+        out[block] = decay @ f[:n]
+    return out.reshape(ts.size, lams.size, len(kinds))
 
 
 def _fixed_rule_transforms(rho: float, gamma: float) -> np.ndarray:
@@ -215,14 +349,14 @@ def _fixed_rule_transforms(rho: float, gamma: float) -> np.ndarray:
 def suite_kernel_initial():
     """Both kernels equal 1 at t = 0 across the grid and lam in {1, 10, 100}.
 
-    The contour pins t = 0, so the densities are integrated instead.
+    The contour pins t = 0, so the densities are integrated instead: one
+    density-rule call per (rho, gamma) cell, its t = 0 tail cells included.
     """
     worst_a, worst_b = _Worst(), _Worst()
-    cases = [(gamma, lam) for gamma in GAMMA_GRID for lam in LAMBDA_TRIPLE]
-    for rho in RHO_GRID:
-        initial = _density_kernels(
-            [KernelParams(rho, *case) for case in cases], [0.0])[0]
-        for (gamma, lam), (da, db) in zip(cases, np.abs(initial - 1.0)):
+    for rho, gamma in _grid():
+        (initial,) = np.abs(
+            _density_rule(rho, gamma, LAMBDA_TRIPLE, [0.0]) - 1.0)
+        for lam, (da, db) in zip(LAMBDA_TRIPLE, initial):
             where = f"rho={rho} gamma={gamma} lam={lam}"
             worst_a.see(da, where)
             worst_b.see(db, where)
@@ -257,11 +391,10 @@ def suite_identities():
     and the contour's dB/dt against the densities'.
 
     The derivative identity holds B from the contour against dA/dt from the
-    density engine, -int_0^inf r e^(-rt) density_A(r) dr, and the contour's
-    dB/dt is held against -int_0^inf r^2 e^(-rt) density_A(r) dr / lam:
-    every case shares the plain substitution, so one engine pass serves
-    both columns of the whole grid.  Each (rho, gamma) makes one contour
-    call per set of times for every kind and both lam.
+    density rule, -int_0^inf r e^(-rt) density_A(r) dr, and the contour's
+    dB/dt is held against -int_0^inf r^2 e^(-rt) density_A(r) dr / lam.
+    Each (rho, gamma) makes one density-rule call for both columns and both
+    lam, and one contour call per set of times for every kind and both lam.
     """
     tight = QuadratureConfig(rel_tol=1e-11)
     ts = np.array([0.25, 1.0])
@@ -269,22 +402,9 @@ def suite_identities():
     h = 1e-4
     integral, derivative, derivative_b, fd = (_Worst() for _ in range(4))
     min_b_margin = np.inf
-    cases = [KernelParams(rho, gamma, lam) for rho, gamma in _grid()
-             for lam in lams]
-
-    def dens(r):
-        columns = []
-        for p in cases:
-            ra = r * density_A(r, p)
-            columns += [ra, (r / p.lam) * ra]
-        return np.stack(columns, axis=1)
-
-    minus_derivatives, _ = exp_weighted_semiinfinite(dens, ts,
-                                                     singular_exponent=0.0)
-    # (cells, 2: -dA/dt and -dB/dt, ts, lams)
-    minus_derivatives = minus_derivatives.reshape(
-        ts.size, -1, len(lams), 2).transpose(1, 3, 0, 2)
-    for (rho, gamma), (minus_da, minus_db) in zip(_grid(), minus_derivatives):
+    for rho, gamma in _grid():
+        minus_da, minus_db = np.moveaxis(
+            _density_rule(rho, gamma, lams, ts, ("-dA", "-dB")), 2, 0)
         ib = _integral_B_time(rho, gamma, lams, ts)
         a, b, db = _contour(("A", "B", "dB"), rho, gamma, lams, ts)
         a_fd, b_fd = _contour(("A", "B"), rho, gamma, lams,
@@ -363,12 +483,12 @@ def suite_bounds():
 
 def suite_laplace():
     """Numerically transformed kernels match the closed forms at z in {.5,1,2,5};
-    the contour inverting those closed forms matches the density engine.
+    the contour inverting those closed forms matches the density rule.
 
     The transforms are one fixed Kronrod rule per (rho, gamma) on contour
     values (``_fixed_rule_transforms``); the contour's reference is the
-    density engine at rel_tol 1e-12, one pass per (rho, gamma) for its four
-    lam against one contour call for both kinds.
+    density rule, one call per (rho, gamma) for both kinds and its four lam
+    against one contour call for both kinds.
     """
     transform = _Worst()
     for rho, gamma in _grid():
@@ -380,17 +500,14 @@ def suite_laplace():
                 db = abs(transforms[1, i, j] - laplace_B_closed_form(p, z))
                 transform.see(max(da, db),
                               f"rho={rho} gamma={gamma} lam={lam} z={z}")
-    # t = 0 is pinned on the contour and checked by kernel-initial; there the
-    # density engine cannot integrate B's r^(rho - 2) tail for rho near 1
+    # t = 0 is pinned on the contour and checked by kernel-initial
     ts = np.linspace(0.0, 1.0, 257)[1:]
-    reference_q = QuadratureConfig(rel_tol=1e-12)
     lams = (1.0, 1e2, 1e4, 1e6)
     contour = _Worst()
     for rho, gamma in itertools.product((0.05, 0.3, 0.5, 0.7, 0.9, 0.99),
                                         GAMMA_GRID):
         values = np.moveaxis(_contour(("A", "B"), rho, gamma, lams, ts), 0, 2)
-        density = _density_kernels(
-            [KernelParams(rho, gamma, lam) for lam in lams], ts, reference_q)
+        density = _density_rule(rho, gamma, lams, ts)
         for j, lam in enumerate(lams):
             contour.see(float(np.max(np.abs(values[:, j] - density[:, j]))),
                         f"rho={rho} gamma={gamma} lam={lam:g}")
@@ -511,15 +628,13 @@ def suite_backward():
     """Round-trip recovery of terminal data built by an independent route.
 
     forward-smooth run backward: its terminal data phi_k A(lam_k, T) comes
-    from the density engine, so the recovery through the contour is not a
+    from the density rule, so the recovery through the contour is not a
     cancellation of shared kernel values; the solve runs on a tighter
     contour than the default.
     """
     smooth = _reference_problems()["forward-smooth"]
     op, phi = smooth.operator, smooth.data.coefficients
-    a_T = _density_kernels(
-        [KernelParams(0.5, 1.0, lam) for lam in op.eigenvalues], [1.0],
-        kinds="A")[0, :, 0]
+    a_T = _density_rule(0.5, 1.0, op.eigenvalues, [1.0], ("A",))[0, :, 0]
     back = replace(smooth, kind="backward",
                    data=CoefficientField(phi * a_T, op))
     back_trace = solve_backward(back, QuadratureConfig(rel_tol=1e-9))

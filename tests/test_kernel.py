@@ -14,6 +14,7 @@ from frstokes.kernel import (
     eval_A,
     eval_A_grid,
     eval_B,
+    eval_B_grid,
     eval_dB_dt_grid,
     laplace_A_closed_form,
     laplace_B_closed_form,
@@ -235,6 +236,21 @@ class TestKernelValues:
     def test_negative_time_rejected(self):
         with pytest.raises(ValueError):
             eval_A(KernelParams(0.5, 1.0, 1.0), -0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("evaluate", [
+        lambda p, t: eval_A(p, t),
+        lambda p, t: eval_B(p, t),
+        lambda p, t: eval_A_grid(p, [0.5, t]),
+        lambda p, t: eval_B_grid(p, [0.5, t]),
+        lambda p, t: eval_dB_dt_grid(p, [0.5, t]),
+    ], ids=["eval_A", "eval_B", "eval_A_grid", "eval_B_grid",
+            "eval_dB_dt_grid"])
+    def test_non_finite_time_rejected(self, evaluate, t):
+        # the contour pins every time that is not > 0, so a NaN would read
+        # as A(0) = 1 and an infinite time as NaN with no error
+        with pytest.raises(ValueError, match="finite"):
+            evaluate(KernelParams(0.5, 1.0, 1.0), t)
 
 
 class TestDerivatives:

@@ -477,7 +477,7 @@ class TestNonlocal:
                              - (v.coefficients + w.coefficients))) < 1e-10
 
     def test_one_kernel_pass_per_solve(self, small_op, monkeypatch):
-        from frstokes import quadrature, verification
+        from frstokes import quadrature
 
         def forced(kind, op, source=constant_source(1.0)):
             return ProblemSpec(kind, op, 0.5, 1.0, 1.0, basis_field(op, 1),
@@ -495,7 +495,7 @@ class TestNonlocal:
                 (solve_nonlocal, forced("nonlocal", small_op), 1),
                 (solve_forward, forced("forward", small_op, moving), 2)):
             calls = {"_bromwich": 0, "_residual": 0, "caputo_l1_trace": 0,
-                     "exp_weighted_semiinfinite": 0}
+                     "_refine": 0}
 
             def counted(module, name):
                 fn = getattr(module, name)
@@ -508,14 +508,12 @@ class TestNonlocal:
             with monkeypatch.context() as patch:
                 for name in ("_bromwich", "_residual", "caputo_l1_trace"):
                     patch.setattr(solvers, name, counted(solvers, name))
-                # the density engine behind the reference checks
-                for module in (quadrature, verification):
-                    patch.setattr(module, "exp_weighted_semiinfinite",
-                                  counted(module, "exp_weighted_semiinfinite"))
+                # the adaptive engine's loop, which only tests run
+                patch.setattr(quadrature, "_refine",
+                              counted(quadrature, "_refine"))
                 solve(spec)
             assert calls == {"_bromwich": contour_calls, "_residual": 1,
-                             "caputo_l1_trace": 1,
-                             "exp_weighted_semiinfinite": 0}
+                             "caputo_l1_trace": 1, "_refine": 0}
 
     @pytest.mark.parametrize("which", ["nonlocal", "auxiliary_W"])
     def test_warns_when_A_at_horizon_is_near_one(self, small_op, monkeypatch,
@@ -550,16 +548,14 @@ class TestBackward:
         )
 
     def test_roundtrip_through_independent_quadrature(self):
-        # terminal data psi_k = A(lam_k, T) phi_k from the density engine, so
+        # terminal data psi_k = A(lam_k, T) phi_k from the density rule, so
         # the contour's recovery does not cancel its own kernel values
-        from frstokes.verification import _density_kernels
+        from frstokes.verification import _density_rule
 
         op = dirichlet_laplacian_1d(math.pi, 6)
         phi = CoefficientField(op.eigenvalues ** -2.0, op)
         grid = uniform_grid(1.0, 96)
-        a_T = _density_kernels([KernelParams(0.5, 1.0, lam)
-                                for lam in op.eigenvalues], [1.0],
-                               kinds="A")[0, :, 0]
+        a_T = _density_rule(0.5, 1.0, op.eigenvalues, [1.0], ("A",))[0, :, 0]
         psi = CoefficientField(phi.coefficients * a_T, op)
         back = solve_backward(
             ProblemSpec("backward", op, 0.5, 1.0, 1.0, psi, None, grid),

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -118,16 +120,13 @@ def test_fixed_rule_integral_B_matches_adaptive():
 
 def test_kernel_initial_details_name_each_checks_own_worst_case():
     # each check reports where its own kernel deviates most from 1 at t = 0
-    from frstokes.kernel import KernelParams
-    from frstokes.verification import (
-        GAMMA_GRID, LAMBDA_TRIPLE, RHO_GRID, _density_kernels)
+    from frstokes.verification import LAMBDA_TRIPLE, _density_rule, _grid
 
-    grid = [(rho, gamma, lam) for rho in RHO_GRID for gamma in GAMMA_GRID
+    grid = [(rho, gamma, lam) for rho, gamma in _grid()
             for lam in LAMBDA_TRIPLE]
-    # the suite's reference: one engine pass per rho
-    deviations = np.concatenate([np.abs(_density_kernels(
-        [KernelParams(*point) for point in grid if point[0] == rho],
-        [0.0])[0] - 1.0) for rho in RHO_GRID])
+    # the suite's reference: one density-rule call per (rho, gamma) cell
+    deviations = np.concatenate([np.abs(_density_rule(
+        rho, gamma, LAMBDA_TRIPLE, [0.0])[0] - 1.0) for rho, gamma in _grid()])
     details = {c.name: c.detail for c in SUITES["kernel-initial"]()}
     for column, name in enumerate(("relaxation-at-zero", "impulse-at-zero")):
         rho, gamma, lam = grid[int(np.argmax(deviations[:, column]))]
@@ -156,44 +155,98 @@ def test_fixed_rule_transforms_match_the_adaptive_route():
 
 
 def test_grouped_references_match_per_case_calls():
-    # one engine pass per shared substitution holds every column to the
-    # tolerance on its own, so each agrees with its own call within rel_tol
+    # the rule's cells follow every eigenvalue of a call, so a column of a
+    # grouped call agrees with its single-lam call to the rule's accuracy
+    from frstokes.verification import LAMBDA_TRIPLE, _density_rule, _grid
+
+    ts = np.array([0.0, 0.25, 1.0])
+    for rho, gamma in _grid():
+        grouped = _density_rule(rho, gamma, LAMBDA_TRIPLE, ts)
+        assert grouped.shape == (ts.size, len(LAMBDA_TRIPLE), 2)
+        for j, lam in enumerate(LAMBDA_TRIPLE):
+            np.testing.assert_allclose(
+                grouped[:, j], _density_rule(rho, gamma, [lam], ts)[:, 0],
+                rtol=0.0, atol=1e-13)
+        # identities' -dA/dt and -dB/dt, at its times and lam
+        grouped = _density_rule(rho, gamma, (1.0, 10.0), ts[1:], ("-dA", "-dB"))
+        for j, lam in enumerate((1.0, 10.0)):
+            single = _density_rule(rho, gamma, [lam], ts[1:], ("-dA", "-dB"))
+            np.testing.assert_allclose(grouped[:, j], single[:, 0],
+                                       rtol=1e-13, atol=0.0)
+
+
+CONTOUR_VS_DENSITY_GRID = list(itertools.product(
+    (0.05, 0.3, 0.5, 0.7, 0.9, 0.99), (0.5, 1.0, 2.0)))
+CONTOUR_VS_DENSITY_LAMS = (1.0, 1e2, 1e4, 1e6)
+CONTOUR_VS_DENSITY_TS = np.linspace(0.0, 1.0, 257)[1:]
+
+
+def test_density_rule_matches_the_engine():
+    # the adaptive engine at rel_tol 1e-12 is the rule's independent oracle:
+    # contour-vs-density's A and B, and identities' -dA/dt and -dB/dt
     from frstokes.kernel import KernelParams, QuadratureConfig, density_A
     from frstokes.quadrature import exp_weighted_semiinfinite
-    from frstokes.verification import (
-        GAMMA_GRID, LAMBDA_TRIPLE, RHO_GRID, _density_kernels, _grid)
+    from frstokes.verification import _density_rule, _grid
 
-    rel_tol = QuadratureConfig().rel_tol
-    ts = np.array([0.0, 0.25, 1.0])
-    for rho in RHO_GRID:
-        params = [KernelParams(rho, gamma, lam) for gamma in GAMMA_GRID
-                  for lam in LAMBDA_TRIPLE]
-        grouped = _density_kernels(params, ts)
-        assert grouped.shape == (ts.size, len(params), 2)
-        for j, p in enumerate(params):
-            np.testing.assert_allclose(grouped[:, j],
-                                       _density_kernels([p], ts)[:, 0],
-                                       rtol=rel_tol, atol=0.0)
-    # identities' -dA/dt: every case on the plain substitution
-    cases = [KernelParams(rho, gamma, lam) for rho, gamma in _grid()
-             for lam in (1.0, 10.0)]
-    grouped, _ = exp_weighted_semiinfinite(
-        lambda r: np.stack([r * density_A(r, p) for p in cases], axis=1),
-        ts[1:])
-    for j, p in enumerate(cases):
-        single, _ = exp_weighted_semiinfinite(lambda r: r * density_A(r, p),
-                                              ts[1:])
-        np.testing.assert_allclose(grouped[:, j], single, rtol=rel_tol,
-                                   atol=0.0)
+    def engine(rho, gamma, lams, ts, weights, singular_exponent, q):
+        def dens(r):
+            return np.stack([w(r, lam) * density_A(
+                r, KernelParams(rho, gamma, lam)) for lam in lams
+                for w in weights], axis=1)
+        values, _ = exp_weighted_semiinfinite(
+            dens, ts, singular_exponent=singular_exponent, q=q)
+        return values.reshape(len(ts), len(lams), len(weights))
+
+    worst = 0.0
+    for rho, gamma in CONTOUR_VS_DENSITY_GRID:
+        rule = _density_rule(rho, gamma, CONTOUR_VS_DENSITY_LAMS,
+                             CONTOUR_VS_DENSITY_TS)
+        reference = engine(rho, gamma, CONTOUR_VS_DENSITY_LAMS,
+                           CONTOUR_VS_DENSITY_TS,
+                           (lambda r, lam: 1.0, lambda r, lam: r / lam),
+                           rho - 1.0, QuadratureConfig(rel_tol=1e-12))
+        worst = max(worst, float(np.max(np.abs(rule - reference))))
+    assert worst <= 1e-13
+    # -dA/dt reaches 10 at lam = 10: held relative, against the engine with
+    # its absolute floor lowered
+    ts, lams = [0.25, 1.0], (1.0, 10.0)
+    for rho, gamma in _grid():
+        rule = _density_rule(rho, gamma, lams, ts, ("-dA", "-dB"))
+        reference = engine(rho, gamma, lams, ts,
+                           (lambda r, lam: r, lambda r, lam: r * r / lam), 0.0,
+                           QuadratureConfig(rel_tol=1e-13, abs_tol=1e-16))
+        np.testing.assert_allclose(rule, reference, rtol=1e-13, atol=0.0)
 
 
-def test_density_kernels_refuse_mixed_rho():
-    from frstokes.kernel import KernelParams
-    from frstokes.verification import _density_kernels
+def test_density_rule_is_stable_under_halving(monkeypatch):
+    # every cell split in two moves no value by more than 1e-13: on
+    # contour-vs-density's grid, and at t = 0, where A = B = 1 and
+    # -dA/dt = lam B = lam
+    from frstokes import verification
+    from frstokes.verification import LAMBDA_TRIPLE, _density_rule
 
-    with pytest.raises(ValueError, match="share rho"):
-        _density_kernels([KernelParams(0.3, 1.0, 1.0),
-                          KernelParams(0.5, 1.0, 1.0)], [1.0])
+    def values():
+        for rho, gamma in CONTOUR_VS_DENSITY_GRID:
+            yield _density_rule(rho, gamma, CONTOUR_VS_DENSITY_LAMS,
+                                CONTOUR_VS_DENSITY_TS)
+            for lams in (CONTOUR_VS_DENSITY_LAMS, LAMBDA_TRIPLE):
+                (initial,) = _density_rule(rho, gamma, lams, [0.0],
+                                           ("A", "B", "-dA"))
+                initial[:, 2] /= lams
+                np.testing.assert_allclose(initial, 1.0, rtol=0.0, atol=1e-13)
+                yield initial
+
+    plain = list(values())
+    breaks = verification._density_breaks
+
+    def halved(*args):
+        cells, top = breaks(*args)
+        middles = 0.5 * (cells[1:] + cells[:-1])
+        return np.sort(np.concatenate((cells, middles))), top
+
+    monkeypatch.setattr(verification, "_density_breaks", halved)
+    for value, split in zip(plain, values(), strict=True):
+        assert np.max(np.abs(value - split)) <= 1e-13
 
 
 KERNEL_SUITES = ("kernel-initial", "a-properties", "identities",
@@ -315,50 +368,61 @@ def test_kernel_suites_batch_the_contour_by_cell(monkeypatch):
 
 
 def _count_engine_passes(monkeypatch):
-    """Count density-engine calls from quadrature and verification."""
-    from frstokes import quadrature, verification
+    """Count the adaptive engine's refinement passes, whoever starts them.
+
+    ``quadrature._refine`` is the loop behind exp_weighted_semiinfinite and
+    adaptive_finite alike; returns each pass's initial breaks.
+    """
+    from frstokes import quadrature
 
     passes = []
-    for module in (quadrature, verification):
-        def counted(*args, engine=module.exp_weighted_semiinfinite, **kwargs):
-            passes.append(args[1])
-            return engine(*args, **kwargs)
-        monkeypatch.setattr(module, "exp_weighted_semiinfinite", counted)
+
+    def counted(integrand, breaks, *args, refine=quadrature._refine, **kwargs):
+        passes.append(breaks)
+        return refine(integrand, breaks, *args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_refine", counted)
     return passes
 
 
-def test_b_properties_makes_no_engine_pass(monkeypatch):
-    # B and dB/dt both come from the contour
-    from frstokes import verification
+def test_non_oracle_suites_make_no_engine_pass(monkeypatch):
+    # every density reference is the fixed rule; the engine serves tests
+    from frstokes import quadrature
 
     passes = _count_engine_passes(monkeypatch)
-    assert all(c.passed for c in verification.suite_b_properties())
+    report = run_suites([name for name in SUITES if name != "oracle"])
+    assert report["passed"]
+    assert len(report["suites"]) == 12
     assert passes == []
+    # the counter sees an engine pass when one runs
+    quadrature.exp_weighted_semiinfinite(lambda r: np.exp(-r), [1.0])
+    assert len(passes) == 1
 
 
-def test_contour_vs_density_makes_one_engine_pass_per_cell(monkeypatch):
-    # 6 rho x 3 gamma cells, four eigenvalues each; transform-consistency
-    # is a fixed rule and runs no engine pass
-    from frstokes import verification
-
-    passes = _count_engine_passes(monkeypatch)
-    assert all(c.passed for c in verification.suite_laplace())
-    assert len(passes) == 18
-    assert all(np.size(ts) == 256 for ts in passes)
-
-
-def test_laplace_reference_memory_stays_small():
+def _traced_peak(suite):
     import tracemalloc
-
-    from frstokes import verification
 
     tracemalloc.start()
     try:
-        verification.suite_laplace()
+        suite()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 6e6
+    return peak
+
+
+def test_laplace_reference_memory_stays_small():
+    # the rule's e^(-rt) is formed in blocks of kernel.BLOCK_ELEMENTS
+    from frstokes import verification
+
+    assert _traced_peak(verification.suite_laplace) < 2.5e6
+
+
+def test_kernel_initial_memory_stays_small():
+    # t = 0's tail cells are the rule's largest node set
+    from frstokes import verification
+
+    assert _traced_peak(verification.suite_kernel_initial) < 1e6
 
 
 def _count_solves(monkeypatch):
