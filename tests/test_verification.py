@@ -385,6 +385,38 @@ def _count_engine_passes(monkeypatch):
     return passes
 
 
+def test_b_properties_makes_no_engine_pass(monkeypatch):
+    # B and dB/dt both come from the contour
+    from frstokes import verification
+
+    passes = _count_engine_passes(monkeypatch)
+    assert all(c.passed for c in verification.suite_b_properties())
+    assert passes == []
+
+
+def test_contour_vs_density_makes_one_engine_pass_per_cell(monkeypatch):
+    # 6 rho x 3 gamma cells, four eigenvalues each: one density-rule pass
+    # per cell over all 256 times, and no adaptive-engine pass at all;
+    # transform-consistency is a fixed rule too
+    from frstokes import verification
+
+    rule_passes = []
+
+    def counted(rho, gamma, lams, ts, *args, rule=verification._density_rule,
+                **kwargs):
+        rule_passes.append((rho, gamma, tuple(lams), np.size(ts)))
+        return rule(rho, gamma, lams, ts, *args, **kwargs)
+
+    monkeypatch.setattr(verification, "_density_rule", counted)
+    passes = _count_engine_passes(monkeypatch)
+    assert all(c.passed for c in verification.suite_laplace())
+    assert passes == []
+    assert len(rule_passes) == 18
+    assert len({cell[:2] for cell in rule_passes}) == 18
+    assert all(cell[2:] == (CONTOUR_VS_DENSITY_LAMS, 256)
+               for cell in rule_passes)
+
+
 def test_non_oracle_suites_make_no_engine_pass(monkeypatch):
     # every density reference is the fixed rule; the engine serves tests
     from frstokes import quadrature
