@@ -22,7 +22,6 @@ from .oracle import (
     richardson_extrapolate,
     solve_scalar,
 )
-from .quadrature import QuadratureNonconvergence
 from .solvers import (
     GridTooCoarseError,
     KernelAccuracyError,

@@ -31,7 +31,6 @@ from .kernel import (
     eval_A,
 )
 from .oracle import TRACE_BLOCK, L1Grid, richardson_extrapolate, solve_scalar
-from .quadrature import QuadratureNonconvergence
 from .solvers import (
     LATTICE_MIN_CELLS,
     ProblemSpec,
@@ -406,7 +405,7 @@ def cmd_solve(args):
               "backward": solve_backward}[spec.kind]
     try:
         trace = solver(spec, q)
-    except ValueError as exc:  # e.g. a density argument underflowing to 0
+    except ValueError as exc:  # an input the solve itself refuses
         raise SolverError(str(exc)) from exc
 
     paths = {key: os.path.join(out_dir, name) for key, name in files.items()}
@@ -564,7 +563,7 @@ def main(argv=None) -> int:
         return _emit_error(EXIT_CONFIG, "config", str(exc))
     except IngestError as exc:
         return _emit_error(EXIT_INGEST, "ingest", str(exc))
-    except (SolverError, QuadratureNonconvergence) as exc:
+    except SolverError as exc:
         return _emit_error(EXIT_SOLVER, "solver", str(exc))
 
 

@@ -21,9 +21,13 @@ value does not depend on the other times, modes or kinds it is asked with.
 Both kernels are also Laplace integrals of explicit spectral densities on
 the positive half line; the verification suites integrate those by a fixed
 rule in log r (``verification._density_rule``) as the independent
-reference, and the adaptive engine of ``quadrature`` serves only the tests
-and the benchmark.  The uniform-in-mode lower bounds are one fixed rule in
-log r each, with no tolerance to set.
+reference.  The uniform-in-mode lower bounds are one fixed rule in log r
+each, and the numeric Laplace transform of contour values one fixed rule
+in t (``_laplace_rule``), with no tolerance of their own.  All of these
+fixed rules lay out the one 15-point Gauss-Kronrod rule held here
+(``_kronrod_cells``); the adaptive engine of ``quadrature``, which serves
+only the tests and the benchmark, takes its nodes from here too, and no
+module of the package imports it.
 """
 
 from __future__ import annotations
@@ -32,13 +36,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .quadrature import (
-    _WK,
-    _XK,
-    QuadratureConfig,
-    adaptive_finite,
-)
 
 __all__ = [
     "KernelParams",
@@ -56,6 +53,60 @@ __all__ = [
     "laplace_B_closed_form",
     "laplace_transform_numeric",
 ]
+
+
+@dataclass(frozen=True)
+class QuadratureConfig:
+    """Tolerances; ``rel_tol`` sizes the Bromwich contour.
+
+    The package reads ``rel_tol`` alone.  ``abs_tol`` and ``split_point``
+    are read only by the adaptive engine of ``quadrature``, the tests'
+    oracle, and set by the benchmark's reference configuration; they go
+    with the engine.
+    """
+
+    rel_tol: float = 1e-8
+    abs_tol: float = 1e-12
+    split_point: float = 1.0
+
+    def __post_init__(self):
+        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
+            raise ValueError("tolerances must be strictly positive")
+        if not self.split_point > 0.0:
+            raise ValueError("split_point must be positive")
+
+
+# 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
+# Odd-index nodes are the embedded Gauss points.
+_XK = np.array([
+    -0.991455371120813, -0.949107912342759, -0.864864423359769,
+    -0.741531185599394, -0.586087235467691, -0.405845151377397,
+    -0.207784955007898, 0.0,
+    0.207784955007898, 0.405845151377397, 0.586087235467691,
+    0.741531185599394, 0.864864423359769, 0.949107912342759,
+    0.991455371120813,
+])
+_WK = np.array([
+    0.022935322010529, 0.063092092629979, 0.104790010322250,
+    0.140653259715525, 0.169004726639267, 0.190350578064785,
+    0.204432940075298, 0.209482141084728,
+    0.204432940075298, 0.190350578064785, 0.169004726639267,
+    0.140653259715525, 0.104790010322250, 0.063092092629979,
+    0.022935322010529,
+])
+_WG = np.zeros(15)
+_WG[1::2] = [
+    0.129484966168870, 0.279705391489277, 0.381830050505119,
+    0.417959183673469,
+    0.381830050505119, 0.279705391489277, 0.129484966168870,
+]
+
+
+def _kronrod_cells(breaks):
+    """The 15 Kronrod nodes of each cell between consecutive breaks (last
+    axis), shaped (..., cells, 15), and the cells' half-widths (..., cells)."""
+    half = 0.5 * np.diff(breaks)
+    return (breaks[..., :-1] + half)[..., None] + half[..., None] * _XK, half
 
 
 @dataclass(frozen=True)
@@ -316,8 +367,7 @@ def _lower_bound(rho, gamma, lambda_1, T, power):
     breaks = np.concatenate((
         first - math.log(2.0) / rho * np.arange(halvings, 0, -1),
         np.linspace(first, top, math.ceil(top - first) + 1)))
-    half = 0.5 * np.diff(breaks)
-    v = (breaks[:-1] + half)[:, None] + half[:, None] * _XK
+    v, half = _kronrod_cells(breaks)
     log_denom = np.logaddexp(np.logaddexp(2.0 * (v - math.log(lambda_1)),
                                           2.0 * (math.log(gamma) + rho * v)), 0.0)
     f = np.exp(math.log(gamma * math.sin(math.pi * rho) / (3.0 * math.pi))
@@ -357,37 +407,49 @@ def laplace_B_closed_form(p: KernelParams, z: float) -> float:
     return float(_transform("B", z, p.rho, p.gamma, p.lam))
 
 
+def _laplace_rule(kinds, rho: float, gamma: float, lams, zs,
+                 q: QuadratureConfig | None = None):
+    """int_0^(50 / min z) e^(-zt) K(t) dt for each K of kinds ("A", "B"),
+    every lam in lams and every z in zs, with K from the contour on q.
+
+    One fixed 15-point Kronrod rule on cells shared by every z:
+    [0, 1e-6 * 50 / max z], then doubling cells up to 50 / min z, past
+    which e^(-zt) < e^-50.  The doubling cells resolve the weak t -> 0
+    singularity of the kernels' derivatives and every damping scale 1/z.
+    One contour call serves the kinds, all nodes and every lam.  Returns
+    (values, errors), both (len(kinds), len(zs), len(lams)): the Kronrod
+    sums, and the sums over cells of |Kronrod - embedded Gauss|.
+    """
+    z = np.atleast_1d(np.asarray(zs, dtype=float))
+    inner, t_max = 1e-6 * 50.0 / z.max(), 50.0 / z.min()
+    cells = math.ceil(math.log2(t_max / inner))
+    nodes, half = _kronrod_cells(np.concatenate((
+        [0.0], inner * 2.0 ** np.arange(cells), [t_max])))
+    nodes = nodes.ravel()
+    decay = np.exp(-np.outer(z, nodes))
+    values, _ = _bromwich(kinds, rho, gamma, lams, nodes, q, slice(0))
+    kronrod = decay * (half[:, None] * _WK).ravel() @ values
+    # Kronrod - Gauss cell by cell, (kinds, z, cells, lams)
+    gap = (decay * (half[:, None] * (_WK - _WG)).ravel()).reshape(
+        z.size, half.size, 15)
+    gap = np.einsum("zcn,kcnl->kzcl", gap,
+                    values.reshape(len(values), half.size, 15, -1))
+    return kronrod, np.abs(gap).sum(axis=2)
+
+
 def laplace_transform_numeric(p: KernelParams, z: float,
                               q: QuadratureConfig | None = None,
                               kernel: str = "A") -> tuple[float, float]:
     """Numerically transform an evaluated kernel: int_0^{50/z} e^{-zt} K(t) dt.
 
     Cross-check target for the closed forms; the truncated tail beyond
-    50/z is exponentially negligible (e^-50).  Returns (value, error_estimate).
+    50/z is exponentially negligible (e^-50).  The fixed rule of
+    ``_laplace_rule`` on contour values at q.rel_tol; returns (value,
+    error_estimate), the estimate being its |Kronrod - Gauss| sum.
     """
     if not z > 0.0:
         raise ValueError("transform variable z must be positive")
     if kernel not in ("A", "B"):
         raise ValueError("kernel must be 'A' or 'B'")
-    if q is None:
-        q = QuadratureConfig()
-    t_max = 50.0 / z
-
-    def fvec(ts):
-        (values,), _ = _bromwich(kernel, p.rho, p.gamma, p.lam, ts, q,
-                                 slice(0))
-        return np.exp(-z * ts) * values[:, 0]
-
-    # Geometric breakpoints resolve both the weak t -> 0 singularity in the
-    # kernel's higher derivatives and the exponential damping scale 1/z.
-    inner = t_max * 1e-6
-    n_geo = int(math.ceil(math.log(t_max / inner) / math.log(2.0)))
-    breaks = np.concatenate((
-        [0.0], inner * 2.0 ** np.arange(n_geo), [t_max],
-    ))
-    breaks = np.unique(breaks[breaks <= t_max])
-    return adaptive_finite(
-        fvec, breaks,
-        tol_abs=max(10.0 * q.abs_tol, 1e-11),
-        tol_rel=max(10.0 * q.rel_tol, 1e-7),
-    )
+    values, errors = _laplace_rule(kernel, p.rho, p.gamma, [p.lam], [z], q)
+    return float(values[0, 0, 0]), float(errors[0, 0, 0])

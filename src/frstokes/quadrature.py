@@ -17,7 +17,8 @@ intervals:
   integrable at ``y = 0``.
 
 Both parts then run through one adaptive Gauss-Kronrod refinement loop,
-``_refine``, which also serves ``adaptive_finite``.  One adapted panel set
+``_refine``, on ``kernel``'s 7/15 rule, which also serves
+``adaptive_finite``.  One adapted panel set
 evaluates the whole family ``{I(t) : t in ts}`` at once, and for a density
 with k columns (several densities sharing one substitution, say the two
 kernels' densities) the k families together: every node is evaluated
@@ -26,73 +27,32 @@ integrand reaches ``_refine`` as two factors, the Jacobian-weighted
 densities (n, k) and exp(-r t) (n, T), and a round's Kronrod and Gauss
 sums are one stacked (panels, 2k, 15) @ (panels, 15, T) product.  Every
 runtime kernel value, dB/dt included, comes from the Bromwich contour in
-``kernel``, and the verification suites' density references from the
-fixed rule ``verification._density_rule``: this engine serves only the
-tests, as that rule's independent oracle, and the benchmark.
+``kernel``, the numeric Laplace transform from the fixed rule
+``kernel._laplace_rule``, and the verification suites' density references
+from the fixed rule ``verification._density_rule``: no module of the
+package imports this engine.  It serves only the tests, as those rules'
+independent oracle, and the benchmark.  ``QuadratureConfig`` and the
+Kronrod arrays are ``kernel``'s, imported here; of the config the engine
+alone reads ``abs_tol`` and ``split_point``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+
+from .kernel import _WG, _WK, _XK, QuadratureConfig
 
 __all__ = [
     "QuadratureConfig",
     "QuadratureNonconvergence",
     "exp_weighted_semiinfinite",
     "adaptive_finite",
-    "graded_mesh",
-]
-
-# 15-point Kronrod extension of 7-point Gauss-Legendre on [-1, 1].
-# Odd-index nodes are the embedded Gauss points.
-_XK = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0,
-    0.207784955007898, 0.405845151377397, 0.586087235467691,
-    0.741531185599394, 0.864864423359769, 0.949107912342759,
-    0.991455371120813,
-])
-_WK = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728,
-    0.204432940075298, 0.190350578064785, 0.169004726639267,
-    0.140653259715525, 0.104790010322250, 0.063092092629979,
-    0.022935322010529,
-])
-_WG = np.zeros(15)
-_WG[1::2] = [
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469,
-    0.381830050505119, 0.279705391489277, 0.129484966168870,
 ]
 
 TAIL_POWER = 16.0   # r = split * y**-16: a tail r**-p becomes y**(16 p - 17)
 MAX_SPLITS = 64 * 30  # bisections per integral family before nonconvergence
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances; ``rel_tol`` also sizes the kernel contour.
-
-    The Bromwich contour in ``kernel`` reads only ``rel_tol``.  This engine
-    reads all three and bisects at most ``MAX_SPLITS`` panels per integral
-    family before reporting nonconvergence.
-    """
-
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-12
-    split_point: float = 1.0
-
-    def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise ValueError("tolerances must be strictly positive")
-        if not self.split_point > 0.0:
-            raise ValueError("split_point must be positive")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -262,15 +222,6 @@ def exp_weighted_semiinfinite(
     # density-major inside: one transpose to (ts.size, k)
     return (values.reshape(-1, ts.size).T.reshape(shape),
             errors.reshape(-1, ts.size).T.reshape(shape))
-
-
-def graded_mesh(t_end: float, cells: int, exponent: float) -> np.ndarray:
-    """Breakpoints of a mesh on [0, t_end] clustered toward 0."""
-    if cells < 1:
-        raise ValueError("cells must be >= 1")
-    if not t_end > 0.0:
-        raise ValueError("empty mesh interval")
-    return t_end * (np.arange(cells + 1) / cells) ** exponent
 
 
 def adaptive_finite(

@@ -49,13 +49,12 @@ of ten, and the few values it cannot settle exactly (zeros, non-finite
 and subnormal values, near-ties) go through "%.17g" itself.  A long
 CSV's node stamps are one call per run of up to EXPORT_BLOCK nodes.  The
 JSON exports write every float as json.dumps does, float.__repr__, from
-the same scaling (_format.shortest): a document's float arrays and long
-float lists share one call per batch of up to _JSON_BATCH numbers, and
-a list of a few floats goes through json's C encoder, which is faster
-there.  The per-node diagnostics stay float64 arrays, so they reach that
-writer without a round trip through Python floats.  Each export is
-written into one temporary file and renamed over its target; the CLI
-stages all of a solve's files before renaming any.
+the same scaling (_format.shortest): a document's float arrays share one
+call per batch of up to _JSON_BATCH numbers, and a flat list goes through
+json's C encoder.  The per-node diagnostics stay float64 arrays, so they
+reach that writer without a round trip through Python floats.  Each
+export is written into one temporary file and renamed over its target;
+the CLI stages all of a solve's files before renaming any.
 """
 
 from __future__ import annotations
@@ -102,9 +101,6 @@ LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
 BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
 EXPORT_BLOCK = 1 << 13  # cells per formatted block of an export
-# flat float lists shorter than this take json's C encoder: below it,
-# shortest's fixed cost per call is the larger
-_SHORT_FLOATS = 256
 # JSON float leaves share one shortest call while together they hold at most
 # this many cells: a whole EXPORT_BLOCK's temporaries, on top of a 4096-node
 # solve's arrays, raised the benchmark's peak RSS by about 1.2 MB
@@ -704,13 +700,13 @@ def dumps_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
 
     json runs its C encoder only without indent, so the dicts and the lists
-    that hold containers are laid out here.  A float64 vector or matrix, or
-    a flat list of at least _SHORT_FLOATS floats, is a float leaf, written
-    by _format.shortest, float.__repr__ for a block of numbers per numpy
-    call; consecutive leaves share one call per batch (see _json).  Any
-    other flat list is one C-encoder call whose item separator carries the
-    line break and the indent.  A float64 array of more axes is the list
-    of its rows, and other numpy arrays are written as their tolist().
+    that hold containers are laid out here.  A float64 vector or matrix is a
+    float leaf, written by _format.shortest, float.__repr__ for a block of
+    numbers per numpy call; consecutive leaves share one call per batch
+    (see _json).  A flat list is one C-encoder call whose item separator
+    carries the line break and the indent.  A float64 array of more axes
+    is the list of its rows, and other numpy arrays are written as their
+    tolist().
     """
     return "".join(_json(obj, "\n"))
 
@@ -767,8 +763,8 @@ def _batch(held: list) -> Iterator[str]:
 
 def _pieces(obj, newline: str) -> Iterator:
     """dumps_json's text of obj in pieces, in order, with each float leaf
-    in its place as a (values, newline) pair: values is its float64 vector
-    or matrix, a flat float list as an array."""
+    in its place as a (values, newline) pair, values its float64 vector or
+    matrix."""
     inner = newline + "  "
     if isinstance(obj, np.ndarray):
         if obj.dtype != float or obj.size == 0 or obj.ndim == 0:
@@ -781,9 +777,6 @@ def _pieces(obj, newline: str) -> Iterator:
         kinds = set(map(type, obj))
         if not obj:
             yield "[]"
-        elif len(obj) >= _SHORT_FLOATS and all(issubclass(kind, float)
-                                                for kind in kinds):
-            yield np.array(obj, dtype=float), newline
         elif any(issubclass(kind, (dict, list, tuple, np.ndarray))
                  for kind in kinds):
             yield "["

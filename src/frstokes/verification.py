@@ -16,13 +16,16 @@ every kind and eigenvalue of the cell (the contour sums each kind and mode
 on its own, so a column equals its single-kind, single-mode value bit for
 bit), and one density pass holds one column per eigenvalue.  int_0^t B is
 a fixed 15-point Kronrod rule on a graded mesh, the nodes of all its times
-in one contour call.  The checks that need an independent route (the
-values at t = 0, the contour itself, dA/dt against -lam B, dB/dt, the
-backward round trip) integrate the spectral densities on the real line
-by one fixed 15-point Kronrod rule in v = log r (``_density_rule``), with
-no tolerance to set: one call per (rho, gamma) cell serves its kinds, its
-eigenvalues and its times.  No suite runs the adaptive engine of
-``quadrature``, which is the rule's test oracle.
+in one contour call, and laplace's transforms are ``kernel._laplace_rule``,
+the rule behind ``laplace_transform_numeric``; every fixed rule lays out
+``kernel``'s one Kronrod rule (``kernel._kronrod_cells``).  The checks
+that need an independent route (the values at t = 0, the contour itself,
+dA/dt against -lam B, dB/dt, the backward round trip) integrate the
+spectral densities on the real line by one fixed 15-point Kronrod rule in
+v = log r (``_density_rule``), with no tolerance to set: one call per
+(rho, gamma) cell serves its kinds, its eigenvalues and its times.  This
+module does not import the adaptive engine of ``quadrature``, which is the
+fixed rules' test oracle.
 
 Solver-level suites solve the pinned problems of ``_reference_problems``,
 all at rho 0.5, gamma 1, T = 1 on 512 uniform nodes, or problems derived
@@ -48,8 +51,10 @@ import numpy as np
 from . import constants as constants_mod
 from . import kernel
 from .kernel import (
+    _WK,
     KernelParams,
     QuadratureConfig,
+    _kronrod_cells,
     eval_A,
     laplace_A_closed_form,
     laplace_B_closed_form,
@@ -57,7 +62,6 @@ from .kernel import (
     lower_bound_B,
 )
 from .oracle import L1Grid, solve_scalar
-from .quadrature import _WK, _XK, graded_mesh
 from .solvers import (
     ProblemSpec,
     constant_source,
@@ -152,10 +156,8 @@ def _integral_B_time(rho: float, gamma: float, lams, ts) -> np.ndarray:
     ts take one contour call for all lams.  Returns (ts.size, len(lams)).
     """
     exponent = max(2.0, 2.0 / (1.0 - rho))
-    breaks = np.stack([graded_mesh(t, 64, exponent) for t in ts])
-    lo, hi = breaks[:, :-1], breaks[:, 1:]
-    half = 0.5 * (hi - lo)
-    nodes = (0.5 * (hi + lo))[..., None] + half[..., None] * _XK
+    nodes, half = _kronrod_cells(np.multiply.outer(
+        np.asarray(ts, dtype=float), (np.arange(65) / 64) ** exponent))
     (values,) = _contour("B", rho, gamma, lams, nodes.ravel())
     # one contiguous (cells, 15) block per (lam, t), as a single-t call had
     cells = np.ascontiguousarray(values.T).reshape((-1,) + nodes.shape) @ _WK
@@ -268,8 +270,8 @@ def _density_rule(rho: float, gamma: float, lams, ts,
     ts = np.atleast_1d(np.asarray(ts, dtype=float))
     zero = ts == 0.0
     breaks, top = _density_breaks(rho, gamma, lams, ts)
-    half = 0.5 * np.diff(breaks)
-    v = ((breaks[:-1] + half)[:, None] + half[:, None] * _XK).ravel()
+    v, half = _kronrod_cells(breaks)
+    v = v.ravel()
     log_lam = np.log(lams)
     # D = lam - r + lam gamma r^rho e^(i pi rho) = e^P h, P the log of its
     # largest term's modulus.  Each term's log modulus relative to P (e for
@@ -320,26 +322,6 @@ def _density_rule(rho: float, gamma: float, lams, ts,
         np.exp(decay, out=decay)
         out[block] = decay @ f[:n]
     return out.reshape(ts.size, lams.size, len(kinds))
-
-
-def _fixed_rule_transforms(rho: float, gamma: float) -> np.ndarray:
-    """int_0^(50 / min z) e^(-zt) K(t) dt for K = A, B at every z in LAPLACE_Z.
-
-    One fixed 15-point Kronrod rule on cells shared by the four z:
-    [0, 1e-6 * 50 / max z], then doubling cells up to 50 / min z, past
-    which e^(-zt) < e^-50.  The doubling cells resolve the weak t -> 0
-    singularity of the kernels' derivatives and every damping scale 1/z.
-    One contour call serves both kinds, all nodes and every lam in
-    LAPLACE_LAMBDAS; returns (2, len(LAPLACE_Z), len(LAPLACE_LAMBDAS)).
-    """
-    z = np.array(LAPLACE_Z)
-    inner, t_max = 1e-6 * 50.0 / z.max(), 50.0 / z.min()
-    cells = math.ceil(math.log2(t_max / inner))
-    breaks = np.concatenate(([0.0], inner * 2.0 ** np.arange(cells), [t_max]))
-    half = 0.5 * np.diff(breaks)
-    nodes = ((breaks[:-1] + half)[:, None] + half[:, None] * _XK).ravel()
-    weights = np.exp(-np.outer(z, nodes)) * (half[:, None] * _WK).ravel()
-    return weights @ _contour(("A", "B"), rho, gamma, LAPLACE_LAMBDAS, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -485,14 +467,16 @@ def suite_laplace():
     """Numerically transformed kernels match the closed forms at z in {.5,1,2,5};
     the contour inverting those closed forms matches the density rule.
 
-    The transforms are one fixed Kronrod rule per (rho, gamma) on contour
-    values (``_fixed_rule_transforms``); the contour's reference is the
-    density rule, one call per (rho, gamma) for both kinds and its four lam
-    against one contour call for both kinds.
+    The transforms are ``kernel._laplace_rule``, the fixed rule behind
+    ``laplace_transform_numeric``, one call per (rho, gamma) for both kinds,
+    every z and both lam; the contour's reference is the density rule, one
+    call per (rho, gamma) for both kinds and its four lam against one
+    contour call for both kinds.
     """
     transform = _Worst()
     for rho, gamma in _grid():
-        transforms = _fixed_rule_transforms(rho, gamma)
+        transforms, _ = kernel._laplace_rule(("A", "B"), rho, gamma,
+                                             LAPLACE_LAMBDAS, LAPLACE_Z)
         for j, lam in enumerate(LAPLACE_LAMBDAS):
             p = KernelParams(rho, gamma, lam)
             for i, z in enumerate(LAPLACE_Z):

@@ -2,6 +2,10 @@
 
 import importlib
 import inspect
+import os
+import pathlib
+import subprocess
+import sys
 import types
 
 import pytest
@@ -16,8 +20,9 @@ REMOVED = {
     "kernel": ("eval_dA_dt", "eval_dB_dt",      # -lam * eval_B, eval_dB_dt_grid
                "MIN_DERIVATIVE_TIME"),          # eval_dB_dt_grid takes any t > 0
     "oracle": ("caputo_l1",),                   # caputo_l1_trace(...)[-1]
-    "quadrature": ("integrate_semiinfinite",),  # exp_weighted_semiinfinite
+    "quadrature": ("integrate_semiinfinite",    # exp_weighted_semiinfinite
                                                 # at ts = [0.0]
+                   "graded_mesh"),              # inline in _integral_B_time
     "spectral": ("field_from_coefficients",     # CoefficientField(c, op)
                  "apply_A"),
 }
@@ -63,6 +68,39 @@ def test_removed_names_are_gone():
         for name in names:
             assert not hasattr(mod, name), f"frstokes.{module}.{name}"
             assert not hasattr(frstokes, name), f"frstokes.{name}"
+    # nothing the package runs raises it; the engine keeps it for its tests
+    assert not hasattr(frstokes, "QuadratureNonconvergence")
+
+
+# Imports the package and its CLI, then runs a forced solve, the numeric
+# transform and every suite that reads a spectral density.
+RUNTIME = """
+import math
+import sys
+
+import frstokes
+import frstokes.cli
+from frstokes.verification import run_suites
+
+op = frstokes.dirichlet_laplacian_1d(math.pi, 4)
+frstokes.solve_forward(frstokes.ProblemSpec(
+    "forward", op, 0.5, 1.0, 1.0, frstokes.basis_field(op, 1),
+    frstokes.constant_source(1.0), frstokes.uniform_grid(1.0, 96)))
+frstokes.laplace_transform_numeric(frstokes.KernelParams(0.5, 1.0, 2.0), 1.0)
+assert run_suites(["kernel-initial", "identities", "laplace",
+                   "backward"])["passed"]
+print("frstokes.quadrature" in sys.modules)
+"""
+
+
+def test_runtime_never_loads_the_adaptive_engine():
+    # the adaptive engine of quadrature serves the tests alone
+    src = pathlib.Path(frstokes.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", RUNTIME], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_removed_parameters_are_gone():

@@ -10,7 +10,6 @@ from frstokes.quadrature import (
     QuadratureNonconvergence,
     adaptive_finite,
     exp_weighted_semiinfinite,
-    graded_mesh,
 )
 
 
@@ -148,14 +147,6 @@ def test_invalid_singular_exponent():
     with pytest.raises(ValueError):
         exp_weighted_semiinfinite(lambda r: np.exp(-r), [0.0],
                                   singular_exponent=0.5)
-
-
-def test_graded_mesh_shapes():
-    mesh = graded_mesh(1.0, 8, 2.0)
-    assert mesh[0] == 0.0 and mesh[-1] == 1.0
-    assert np.all(np.diff(mesh) > 0.0)
-    # clustering toward the start: first cell much smaller than last
-    assert mesh[1] < (mesh[-1] - mesh[-2]) / 4.0
 
 
 def test_adaptive_finite_polynomial():

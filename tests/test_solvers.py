@@ -684,11 +684,10 @@ def lists_of(obj):
     return obj
 
 
-# float leaf sizes on both sides of _SHORT_FLOATS, _JSON_BATCH and
-# EXPORT_BLOCK, whose runs fill batches exactly, straddle them or are one
-# leaf too many for them
-LEAF_SIZES = [1, 2, 7, solvers._SHORT_FLOATS - 1, solvers._SHORT_FLOATS,
-              solvers._SHORT_FLOATS + 1, solvers._JSON_BATCH // 2,
+# float leaf sizes on both sides of _JSON_BATCH and EXPORT_BLOCK, whose runs
+# fill batches exactly, straddle them or are one leaf too many for them, and
+# small leaves of 1 to 257 cells
+LEAF_SIZES = [1, 2, 7, 255, 256, 257, solvers._JSON_BATCH // 2,
               solvers._JSON_BATCH - 1, solvers._JSON_BATCH,
               solvers._JSON_BATCH + 1, solvers.EXPORT_BLOCK - 1,
               solvers.EXPORT_BLOCK, solvers.EXPORT_BLOCK + 3]
@@ -888,8 +887,8 @@ class TestExports:
             solve_forward(spec)
 
     def test_short_float_lists_take_the_c_encoder(self, monkeypatch):
-        # below _SHORT_FLOATS numbers, shortest's fixed cost per call is
-        # larger than json's C encoder; the text is the same either way
+        # every flat list, however long, is one json C-encoder call: no
+        # artifact holds a long float list, and the text is the same
         sizes = []
 
         def counted(values):
@@ -897,10 +896,10 @@ class TestExports:
             return _format.shortest(values)
 
         monkeypatch.setattr(solvers, "shortest", counted)
-        n = solvers._SHORT_FLOATS
-        for obj in ([0.1] * (n - 1), [0.25] * n):
+        for n in (1, 256, 10_000):
+            obj = (np.arange(n) / 7.0).tolist()
             assert dumps_json({"a": obj}) == json.dumps({"a": obj}, indent=2)
-        assert sizes == [n]
+        assert sizes == []
 
     @given(document())
     @settings(max_examples=40, deadline=None)
