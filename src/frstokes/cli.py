@@ -217,8 +217,8 @@ def _emit_error(code, kind, message):
 # MEMORY_CEILING.  Measured peaks (tracemalloc) were about 80 bytes per
 # node-mode pair of a solve, 10.8 kB per node of the dense Caputo trace,
 # 16 bytes per node and point of the grid export, 160 per kernel-table row
-# and 82 per L1 step, above about 2 MB that any run holds; the estimates
-# take 1.5 to 2 times these, and 8 MB.
+# and 72 per L1 step, above about 2 MB that any run holds; the estimates
+# take 1.5 to 2.2 times these, and 8 MB.
 
 MEMORY_CEILING = 2 ** 31  # bytes
 FIXED_BYTES = 2 ** 23

@@ -12,6 +12,7 @@ forward substitution.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -57,8 +58,8 @@ class L1Grid:
     weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        if not self.step > 0.0:
-            raise ValueError("step must be positive")
+        if not 0.0 < self.step < math.inf:
+            raise ValueError("step must be positive and finite")
         if self.count < 1:
             raise ValueError("count must be >= 1")
         object.__setattr__(self, "weights", l1_weights(self.rho, self.count))
@@ -134,12 +135,27 @@ def _causal(out: np.ndarray, bad: np.ndarray) -> np.ndarray:
     return out
 
 
+@functools.lru_cache(maxsize=1024)
+def _fft_size(n: int) -> int:
+    """Smallest 2^a 3^b 5^c >= n (n >= 1), a length pocketfft transforms fast."""
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # p35 times the smallest power of two reaching n
+            best = min(best, p35 << (-(-n // p35) - 1).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 def _convolve(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
     """First ``size`` terms of the linear convolution a * b along axis 0.
 
     By real FFT; 2-D operands convolve column by column in one transform.
     """
-    m = 1 << (len(a) + len(b) - 2).bit_length()
+    m = _fft_size(len(a) + len(b) - 1)
     fa = np.fft.rfft(a, m, axis=0)
     fa *= np.fft.rfft(b, m, axis=0)
     return np.fft.irfft(fa, m, axis=0)[:size]
@@ -151,9 +167,15 @@ def _inverse_series(c: np.ndarray) -> np.ndarray:
     while g.size < c.size:
         m = g.size
         k = min(2 * m, c.size)
-        # c g = 1 + O(x^m); only its terms m .. k-1 enter the correction
-        err = _convolve(c[:k], g, k)[m:]
-        g = np.concatenate([g, -_convolve(g, err, k - m)])
+        size = _fft_size(k)
+        fg = np.fft.rfft(g, size)
+        # c g = 1 + O(x^m); only its terms m .. k-1 enter the correction, a
+        # middle product (Hanrot, Quercia & Zimmermann, AAECC 14, 2004): taken
+        # cyclically at size >= k its wrap-around lands below m, and g err is
+        # k - 1 terms long, so both products share one transform of g
+        err = np.fft.irfft(np.fft.rfft(c[:k], size) * fg, size)[m:k]
+        fg *= np.fft.rfft(err, size)
+        g = np.concatenate([g, -np.fft.irfft(fg, size)[:k - m]])
     return g
 
 
@@ -174,8 +196,10 @@ def solve_scalar(lam: float, gamma: float, y0: float,
     (b = grid.weights).  It is solved by inverting the symbol as a power
     series and applying the inverse with one FFT convolution: O(n log n).
     """
-    if lam <= 0.0 or gamma <= 0.0:
-        raise ValueError("lam and gamma must be positive")
+    if not (0.0 < lam < math.inf and 0.0 < gamma < math.inf):
+        raise ValueError("lam and gamma must be positive and finite")
+    if not math.isfinite(y0):
+        raise ValueError("y0 must be finite")
     rho, n = grid.rho, grid.count
     if f is None:
         fvals = np.zeros(n + 1)

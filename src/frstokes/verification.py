@@ -502,12 +502,12 @@ def suite_laplace():
 def suite_oracle():
     """Quadrature kernel vs L1 stepping at t = 1, monotone under halving."""
     worst, mono_ok = _Worst(), True
-    for rho, gamma in _grid():
-        for lam in (1.0, 10.0):
+    for rho in RHO_GRID:
+        grids = [L1Grid(dt, round(1.0 / dt), rho) for dt in (4e-5, 2e-5, 1e-5)]
+        for gamma, lam in itertools.product(GAMMA_GRID, (1.0, 10.0)):
             ref = eval_A(KernelParams(rho, gamma, lam), 1.0)
-            errs = [abs(float(solve_scalar(
-                lam, gamma, 1.0, None, L1Grid(dt, round(1.0 / dt), rho))[-1])
-                - ref) for dt in (4e-5, 2e-5, 1e-5)]
+            errs = [abs(float(solve_scalar(lam, gamma, 1.0, None, grid)[-1])
+                        - ref) for grid in grids]
             mono_ok = mono_ok and errs[0] > errs[1] > errs[2]
             worst.see(errs[-1], f"rho={rho} gamma={gamma} lam={lam}")
     return [

@@ -1,4 +1,5 @@
 import decimal
+import itertools
 import math
 import warnings
 
@@ -10,6 +11,9 @@ from hypothesis import strategies as st
 from frstokes.kernel import KernelParams, eval_A
 from frstokes.oracle import (
     L1Grid,
+    _convolve,
+    _fft_size,
+    _inverse_series,
     _is_uniform,
     caputo_l1_trace,
     l1_weights,
@@ -255,6 +259,76 @@ class TestSolveScalar:
             solve_scalar(-1.0, 1.0, 1.0, None, grid)
         with pytest.raises(ValueError):
             solve_scalar(1.0, 1.0, 1.0, np.zeros(5), grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("arg", ["lam", "gamma", "y0", "step"])
+    def test_non_finite_inputs_rejected(self, arg, bad):
+        args = {"lam": 1.0, "gamma": 1.0, "y0": 1.0, "step": 0.1} | {arg: bad}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                grid = L1Grid(args["step"], 10, 0.5)
+                solve_scalar(args["lam"], args["gamma"], args["y0"], None, grid)
+
+
+def smooth_5(n):
+    for p in (2, 3, 5):
+        while n % p == 0:
+            n //= p
+    return n == 1
+
+
+class TestFFT:
+    def test_fft_size_is_next_5_smooth(self):
+        brute = [next(k for k in itertools.count(n) if smooth_5(k))
+                 for n in range(1, 5001)]
+        assert [_fft_size(n) for n in range(1, 5001)] == brute
+        assert _fft_size(100_000) == 100_000
+        assert _fft_size(199_999) == 200_000
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 1025, 10007])
+    def test_inverse_series_matches_naive(self, n):
+        # the oracle's symbol at rho = 0.5, and a symbol of random sign
+        grid = L1Grid(1.0 / n, n, 0.5)
+        rng = np.random.default_rng(n)
+        for c in (2.0 + 30.0 * grid.weights,
+                  np.concatenate(([4.0], rng.uniform(-1.0, 1.0, n - 1)
+                                  / np.arange(2, n + 1) ** 2))):
+            naive = np.empty(n)
+            naive[0] = 1.0 / c[0]
+            for i in range(1, n):
+                naive[i] = -np.dot(c[1:i + 1], naive[i - 1::-1]) / c[0]
+            g = _inverse_series(c)
+            assert g.shape == (n,)
+            assert np.max(np.abs(g - naive)) <= 1e-14 * np.max(np.abs(naive))
+
+    @pytest.mark.parametrize("la, lb", [(1, 1), (7, 5), (100, 1), (613, 389),
+                                        (1000, 1001)])
+    def test_convolve_matches_numpy(self, la, lb):
+        rng = np.random.default_rng(la * lb)
+        a, b = rng.standard_normal((la, 3)), rng.standard_normal((lb, 3))
+        for cut in (la + lb - 1, la, 1):
+            ref = [np.convolve(a[:, j], b[:, j])[:cut] for j in range(3)]
+            tol = 1e-13 * np.sqrt(la * lb)
+            assert np.max(np.abs(_convolve(a[:, 0], b[:, 0], cut) - ref[0])) <= tol
+            out = _convolve(a, b, cut)
+            assert out.shape == (cut, 3)
+            assert np.max(np.abs(out - np.column_stack(ref))) <= tol
+
+    def test_solve_transforms_at_5_smooth_lengths(self, monkeypatch):
+        # every transform of one solve is 5-smooth and no longer than the
+        # final convolution's; each Newton doubling takes five of them
+        n = 100_000
+        lengths = []
+        for name in ("rfft", "irfft"):
+            def counted(x, size, *args, _fft=getattr(np.fft, name), **kw):
+                lengths.append(size)
+                return _fft(x, size, *args, **kw)
+            monkeypatch.setattr(np.fft, name, counted)
+        y = solve_scalar(1.0, 1.0, 1.0, None, L1Grid(1.0 / n, n, 0.5))
+        assert np.isfinite(y[-1])
+        assert len(lengths) == 5 * math.ceil(math.log2(n)) + 3
+        assert all(smooth_5(m) and m <= _fft_size(2 * n - 1) for m in lengths)
 
 
 class TestRichardson:
