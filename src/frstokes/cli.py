@@ -19,7 +19,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 from collections import namedtuple
 
 import numpy as np
@@ -37,6 +36,7 @@ from .solvers import (
     SolverError,
     _atomic_write,
     _csv_table,
+    _write_all,
     constant_source,
     dumps_json,
     export_trace_csv,
@@ -337,12 +337,7 @@ def _plan_outputs(v, op, out_dir):
 
 
 def _write_artifacts(trace, paths, n_points):
-    """All of the solve's artifacts or none of them.
-
-    Each artifact is written into one temporary file beside its target;
-    they are renamed into place only after every write has succeeded, and
-    on any failure the temporary files are removed.
-    """
+    """All of the solve's artifacts or none of them, by _write_all."""
     writers = {
         "trace_csv": lambda fd: export_trace_csv(trace, fd),
         "trace_json": lambda fd: export_trace_json(trace, fd),
@@ -351,22 +346,7 @@ def _write_artifacts(trace, paths, n_points):
         "diagnostics_json": lambda fd: _atomic_write(
             fd, dumps_json(trace.diagnostics) + "\n"),
     }
-    staged = {}
-    try:
-        for key, path in paths.items():
-            fd, staged[key] = tempfile.mkstemp(
-                dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
-            try:
-                writers[key](fd)
-            finally:
-                os.close(fd)
-        for key, tmp in staged.items():
-            os.replace(tmp, paths[key])
-    except BaseException:
-        for tmp in staged.values():
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        raise
+    _write_all({path: writers[key] for key, path in paths.items()})
 
 
 def cmd_solve(args):
@@ -484,7 +464,7 @@ def cmd_convergence(args):
     if cfg["target"] == "kernel":
         reference, u0, source = eval_A(p, horizon), 1.0, None
     else:
-        reference, u0 = horizon ** 2, 0.0
+        reference, u0 = horizon * horizon, 0.0  # inf, not OverflowError
         source = manufactured_quadratic_source(explicit_spectrum([lam]), rho,
                                                gamma)
     values = []
@@ -492,7 +472,10 @@ def cmd_convergence(args):
         for dt, n in zip(dts, steps):
             grid = L1Grid(dt, n, rho)
             f = None if source is None else source(grid.times)[:, 0]
-            values.append(float(solve_scalar(lam, gamma, u0, f, grid)[-1]))
+            try:
+                values.append(float(solve_scalar(lam, gamma, u0, f, grid)[-1]))
+            except ValueError as exc:  # a source sample that overflowed
+                raise SolverError(str(exc)) from exc
     if not all(map(math.isfinite, [reference, *values])):
         raise SolverError("the reference or a stepped value is not finite")
 

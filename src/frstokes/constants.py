@@ -132,6 +132,4 @@ def _measure_forcing_response(rho, gamma):
     )
     trace = solve_forward(spec)
     f_norm = norm_tau(CoefficientField(f_coeffs, op), DEFAULT_EPSILON)
-    au = trace.coefficients * op.eigenvalues[None, :]
-    sup_au = float(np.max(np.sqrt(np.sum(au ** 2, axis=1))))
-    return sup_au / f_norm
+    return float(np.max(trace.diagnostics["norm_A"])) / f_norm

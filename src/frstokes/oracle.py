@@ -14,8 +14,9 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -60,8 +61,8 @@ class L1Grid:
     def __post_init__(self):
         if not 0.0 < self.step < math.inf:
             raise ValueError("step must be positive and finite")
-        if self.count < 1:
-            raise ValueError("count must be >= 1")
+        if not (isinstance(self.count, numbers.Integral) and self.count >= 1):
+            raise ValueError("count must be an integer >= 1")
         object.__setattr__(self, "weights", l1_weights(self.rho, self.count))
 
     @property
@@ -180,12 +181,12 @@ def _inverse_series(c: np.ndarray) -> np.ndarray:
 
 
 def solve_scalar(lam: float, gamma: float, y0: float,
-                 f: Callable[[np.ndarray], np.ndarray] | Sequence[float] | None,
-                 grid: L1Grid) -> np.ndarray:
+                 f: Sequence[float] | None, grid: L1Grid) -> np.ndarray:
     """Implicit Euler with the L1 Caputo history; returns y_0 .. y_n.
 
     The order rho is the grid's, ``grid.rho``, the one its L1 weights were
-    built for.  Step i solves
+    built for.  The source f is its samples f(t_i) on ``grid.times``, which
+    must be finite, or None for zero forcing.  Step i solves
         (1/dt + lam + lam*gamma*c) y_i = f(t_i) + y_{i-1}/dt
                                          + lam*gamma*c*(y_{i-1} - H_i)
     with c = dt^(-rho)/Gamma(2-rho) and H_i = sum_{k<i} b_{i-k} d_k the
@@ -203,14 +204,12 @@ def solve_scalar(lam: float, gamma: float, y0: float,
     rho, n = grid.rho, grid.count
     if f is None:
         fvals = np.zeros(n + 1)
-    elif callable(f):
-        fvals = np.asarray(f(grid.times), dtype=float)
-        if fvals.shape != (n + 1,):
-            raise ValueError("source callable must be vectorized over the grid")
     else:
         fvals = np.asarray(f, dtype=float)
         if fvals.shape != (n + 1,):
             raise ValueError("sampled source must cover all grid nodes")
+        if not np.all(np.isfinite(fvals)):
+            raise ValueError("source samples must be finite")
     lgc = lam * gamma * grid.step ** (-rho) / math.gamma(2.0 - rho)
     symbol = lam + lgc * grid.weights
     symbol[0] += 1.0 / grid.step

@@ -13,7 +13,7 @@ call, and, for a forced solve, the B-convolution columns of the source.
 The three solvers, and the W part on its own, are array algebra on those
 columns: forward a phi + conv, non-local W(data - conv(T)) + conv,
 backward (psi - conv(T)) / a(T).  One finishing step then attaches the
-residual and the coercivity report, once per solve.
+residual and the coercivity report, from one _diagnose pass per solve.
 
 A source is None (zero forcing) or one callable f(t) giving every mode's
 value at the times t, with the mode axis last (t.shape + (n_modes,), or
@@ -52,9 +52,9 @@ JSON exports write every float as json.dumps does, float.__repr__, from
 the same scaling (_format.shortest): a document's float arrays share one
 call per batch of up to _JSON_BATCH numbers, and a flat list goes through
 json's C encoder.  The per-node diagnostics stay float64 arrays, so they
-reach that writer without a round trip through Python floats.  Each
-export is written into one temporary file and renamed over its target;
-the CLI stages all of a solve's files before renaming any.
+reach that writer without a round trip through Python floats.  Every
+file is staged and renamed by one writer, _write_all; the CLI passes it
+all of a solve's files at once, so it writes all of them or none.
 """
 
 from __future__ import annotations
@@ -435,11 +435,11 @@ def _finish(spec: ProblemSpec, coefficients: np.ndarray,
         }
         trace = SolutionTrace(spec.time_grid.copy(), coefficients,
                               spec.operator, diagnostics)
-        if trace.nodes.size - 2 < MIN_INTERIOR_NODES:
+        try:
+            t_int, res, rep = _diagnose(trace, spec)
+        except GridTooCoarseError:
             diagnostics.update(residual_max_interior=None, coercivity=None)
         else:
-            t_int, res, terms = _residual(trace, spec)
-            rep = _coercivity(trace, spec, *terms)
             late = t_int >= spec.horizon / 32.0
             diagnostics.update(
                 residual_max_interior=float(np.max(res[late])),
@@ -556,23 +556,41 @@ def _central_derivative(nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
             + h1 / (h2 * (h1 + h2)) * f2)
 
 
-def _interior_terms(trace: SolutionTrace, spec: ProblemSpec, what: str):
-    """D_t u by central differences, A u and f at the interior nodes.
+def _diagnose(trace: SolutionTrace, spec: ProblemSpec):
+    """The residual's interior nodes and norms, and the coercivity report.
 
-    The terms the residual and the coercivity report share; ``what`` names
-    the diagnostic in the error raised on a grid too coarse for them.
+    Forms D_t u by central differences, A u, f and the L1 Caputo term
+    once for both.  Raises GridTooCoarseError on a grid with fewer than
+    MIN_INTERIOR_NODES interior nodes.
     """
-    nodes = trace.nodes
+    nodes, u = trace.nodes, trace.coefficients
     if nodes.size - 2 < MIN_INTERIOR_NODES:
         raise GridTooCoarseError(
-            f"{what} needs >= {MIN_INTERIOR_NODES} interior nodes, "
+            f"the diagnostics need >= {MIN_INTERIOR_NODES} interior nodes, "
             f"got {nodes.size - 2}"
         )
-    u = trace.coefficients
+    # the fractional term first: its FFT temporaries are the largest, and
+    # the other terms are not yet held beside them
+    dru = caputo_l1_trace(nodes, u, spec.rho)[1:-1]
+    lam = trace.operator.eigenvalues[None, :]
     du = _central_derivative(nodes, u)
-    au = trace.operator.eigenvalues[None, :] * u[1:-1]
+    au = lam * u[1:-1]
     f = _sample(spec.source, spec.operator.n_modes, nodes)[1:-1]
-    return du, au, f
+    # the residual is held while it is squared, not squared in place: the
+    # in-place form raised a solve-unforced benchmark run's peak RSS 0.8 MB
+    res = du + au + spec.gamma * lam * dru - f
+    norms = np.sqrt(np.sum(res ** 2, axis=1))
+    del dru, res  # not held beside the coercivity terms
+    t = nodes[1:-1]
+    adru = (f - du - au) / spec.gamma
+    norm_du = np.sqrt(np.sum(du ** 2, axis=1))
+    return t, norms, {
+        "t": t.copy(),  # not a view of the trace's nodes
+        "norm_dt_u": norm_du,
+        "norm_A_u": np.sqrt(np.sum(au ** 2, axis=1)),
+        "norm_A_caputo_u": np.sqrt(np.sum(adru ** 2, axis=1)),
+        "weighted_norm_dt_u": t ** (1.0 - spec.rho) * norm_du,
+    }
 
 
 def residual(trace: SolutionTrace,
@@ -584,20 +602,8 @@ def residual(trace: SolutionTrace,
     L1 rule applied to the trace itself, so the check is independent of the
     kernel quadrature that produced the trace.
     """
-    t_int, res, _ = _residual(trace, spec)
+    t_int, res, _ = _diagnose(trace, spec)
     return t_int, res
-
-
-def _residual(trace: SolutionTrace, spec: ProblemSpec):
-    """residual's nodes and norms, and the interior terms (D_t u, A u, f)
-    it formed, which the coercivity report of the same solve shares."""
-    # the fractional term first: its FFT temporaries are the largest, and
-    # the shared terms are not yet held beside them
-    dru = caputo_l1_trace(trace.nodes, trace.coefficients, spec.rho)[1:-1]
-    du, au, f = _interior_terms(trace, spec, "residual")
-    lam = trace.operator.eigenvalues[None, :]
-    res = du + au + spec.gamma * lam * dru - f
-    return trace.nodes[1:-1], np.sqrt(np.sum(res ** 2, axis=1)), (du, au, f)
 
 
 def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
@@ -608,51 +614,48 @@ def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
     from the equation itself (residual identity), keeping it independent of
     the kernel quadrature.
     """
-    return _coercivity(trace, spec,
-                       *_interior_terms(trace, spec, "coercivity report"))
-
-
-def _coercivity(trace: SolutionTrace, spec: ProblemSpec, du, au, f) -> dict:
-    """coercivity_report from the interior terms D_t u, A u and f."""
-    t = trace.nodes[1:-1]
-    adru = (f - du - au) / spec.gamma
-    norm_du = np.sqrt(np.sum(du ** 2, axis=1))
-    return {
-        "t": t.copy(),  # not a view of the trace's nodes
-        "norm_dt_u": norm_du,
-        "norm_A_u": np.sqrt(np.sum(au ** 2, axis=1)),
-        "norm_A_caputo_u": np.sqrt(np.sum(adru ** 2, axis=1)),
-        "weighted_norm_dt_u": t ** (1.0 - spec.rho) * norm_du,
-    }
+    return _diagnose(trace, spec)[2]
 
 
 # ---------------------------------------------------------------------------
 # Exports
 
 
+def _write_all(writers: dict) -> None:
+    """All files of writers, a dict from path to a function writing to a
+    descriptor, or none: each is staged in one temporary file beside its
+    target, all are renamed only after every write has succeeded, and on
+    any failure the temporary files are removed."""
+    staged = {}
+    try:
+        for path, write in writers.items():
+            fd, staged[path] = tempfile.mkstemp(
+                dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            try:
+                write(fd)
+            finally:
+                os.close(fd)
+        for path, tmp in staged.items():
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp in staged.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        raise
+
+
 def _atomic_write(path, text) -> None:
     """Write a string, or strings from an iterable in order, to path.
 
-    A file name is written atomically: into one temporary file beside it,
-    then renamed over it.  An int is the descriptor of a file the caller
-    has staged, written in place and left open, as open() takes one.
+    A file name is written by _write_all, the one writer of staged files.
+    An int is the descriptor of a file the caller has staged, written in
+    place and left open, as open() takes one.
     """
     if isinstance(path, int):
         with open(path, "w", closefd=False) as fh:
             fh.writelines((text,) if isinstance(text, str) else text)
-        return
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                               suffix=".tmp")
-    try:
-        try:
-            _atomic_write(fd, text)
-        finally:
-            os.close(fd)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    else:
+        _write_all({path: lambda fd: _atomic_write(fd, text)})
 
 
 def _long_csv(header: str, nodes: np.ndarray, columns: list[str],

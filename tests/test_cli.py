@@ -827,6 +827,24 @@ class TestConvergenceCommand:
         (line,) = out.strip().splitlines()
         assert json.loads(line)["error"] == "solver"
 
+    @pytest.mark.parametrize("cfg", [
+        {"lambda": "1e300", "horizon": "1e10", "dts": ["1e9", "5e8"]},
+        {"horizon": "1e300", "dts": ["1e299", "5e298"]},
+    ], ids=["source", "reference"])
+    def test_overflowing_manufactured_run_exit_4(self, tmp_path, capsys, cfg):
+        # lam t^2 overflows in the source samples, which the oracle refuses,
+        # or T^2 in the reference: either exits 4 with no traceback and no
+        # numpy warning
+        path = tmp_path / "conv.json"
+        path.write_text(json.dumps({"target": "manufactured", **cfg}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "convergence", "--config",
+                                     str(path))
+        assert code == 4 and err == ""
+        (line,) = out.strip().splitlines()
+        assert json.loads(line)["error"] == "solver"
+
     def test_empty_dts_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "conv.json"
         cfg.write_text(json.dumps({"target": "kernel", "dts": []}))

@@ -100,6 +100,17 @@ class TestWeights:
         with pytest.raises(ValueError):
             l1_weights(1.0, 5)
 
+    @pytest.mark.parametrize("count", [10.5, 11.0, math.nan, "11"])
+    def test_count_must_be_an_integer(self, count):
+        # a float count once built 11 weights and 12 times for 10.5, and
+        # solve_scalar then failed inside numpy with a TypeError
+        with pytest.raises(ValueError, match="count must be an integer"):
+            L1Grid(0.1, count, 0.5)
+
+    def test_count_takes_numpy_integers(self):
+        grid = L1Grid(0.1, np.int64(10), 0.5)
+        assert grid.weights.shape == (10,) and grid.times.shape == (11,)
+
 
 class TestCaputo:
     def test_constant_history_gives_zero(self):
@@ -211,10 +222,10 @@ class TestSolveScalar:
             return 2.0 * t + lam * t ** 2 + lam * coef * t ** (2.0 - rho)
 
         grid = L1Grid(1e-3, 1000, rho)
-        y = solve_scalar(lam, gamma, 0.0, forcing, grid)
+        y = solve_scalar(lam, gamma, 0.0, forcing(grid.times), grid)
         assert y[-1] == pytest.approx(1.0, abs=2e-3)
         finer = L1Grid(1e-4, 10000, rho)
-        y2 = solve_scalar(lam, gamma, 0.0, forcing, finer)
+        y2 = solve_scalar(lam, gamma, 0.0, forcing(finer.times), finer)
         assert abs(y2[-1] - 1.0) < 0.3 * abs(y[-1] - 1.0)
 
     def test_cross_validates_quadrature_kernel(self):
@@ -259,6 +270,22 @@ class TestSolveScalar:
             solve_scalar(-1.0, 1.0, 1.0, None, grid)
         with pytest.raises(ValueError):
             solve_scalar(1.0, 1.0, 1.0, np.zeros(5), grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_source_sample_rejected(self, bad):
+        # one bad sample at node 3 once made the trace NaN from node 1 on
+        grid = L1Grid(0.1, 10, 0.5)
+        fvals = np.ones(11)
+        fvals[3] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="source samples must be finite"):
+                solve_scalar(1.0, 1.0, 1.0, fvals, grid)
+
+    def test_source_is_samples_or_none(self):
+        grid = L1Grid(0.1, 10, 0.5)
+        with pytest.raises(TypeError):
+            solve_scalar(1.0, 1.0, 0.0, lambda t: np.ones_like(t), grid)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("arg", ["lam", "gamma", "y0", "step"])

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import tracemalloc
 
 import numpy as np
@@ -494,7 +495,7 @@ class TestNonlocal:
                 (solve_forward, forced("forward", small_op), 1),
                 (solve_nonlocal, forced("nonlocal", small_op), 1),
                 (solve_forward, forced("forward", small_op, moving), 2)):
-            calls = {"_bromwich": 0, "_residual": 0, "caputo_l1_trace": 0,
+            calls = {"_bromwich": 0, "_diagnose": 0, "caputo_l1_trace": 0,
                      "_refine": 0}
 
             def counted(module, name):
@@ -506,13 +507,13 @@ class TestNonlocal:
                 return wrapper
 
             with monkeypatch.context() as patch:
-                for name in ("_bromwich", "_residual", "caputo_l1_trace"):
+                for name in ("_bromwich", "_diagnose", "caputo_l1_trace"):
                     patch.setattr(solvers, name, counted(solvers, name))
                 # the adaptive engine's loop, which only tests run
                 patch.setattr(quadrature, "_refine",
                               counted(quadrature, "_refine"))
                 solve(spec)
-            assert calls == {"_bromwich": contour_calls, "_residual": 1,
+            assert calls == {"_bromwich": contour_calls, "_diagnose": 1,
                              "caputo_l1_trace": 1, "_refine": 0}
 
     @pytest.mark.parametrize("which", ["nonlocal", "auxiliary_W"])
@@ -627,6 +628,30 @@ class TestResidual:
         trace = solve_forward(spec)
         with pytest.raises(GridTooCoarseError):
             residual(trace, spec)
+
+
+    @pytest.mark.parametrize("n_nodes", [65, 66])
+    def test_diagnostics_start_at_64_interior_nodes(self, small_op, n_nodes):
+        # the solve and both public views switch at the same grid
+        spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
+                           basis_field(small_op, 1), None,
+                           uniform_grid(1.0, n_nodes))
+        trace = solve_forward(spec)
+        coercivity = trace.diagnostics["coercivity"]
+        if n_nodes - 2 < solvers.MIN_INTERIOR_NODES:
+            assert coercivity is None
+            assert trace.diagnostics["residual_max_interior"] is None
+            for view in (residual, coercivity_report):
+                with pytest.raises(GridTooCoarseError, match="got 63"):
+                    view(trace, spec)
+        else:
+            t_int, res = residual(trace, spec)
+            assert t_int.shape == res.shape == (64,)
+            rep = coercivity_report(trace, spec)
+            assert sorted(rep) == sorted(coercivity)
+            for key, values in rep.items():
+                assert np.array_equal(values, coercivity[key])
+            assert np.array_equal(res, trace.diagnostics["residual_norm"])
 
 
 class TestCoercivity:
@@ -812,6 +837,32 @@ class TestExports:
         assert path.read_text() == json.dumps(payload, indent=2,
                                               sort_keys=True) + "\n"
 
+    def test_write_all_is_all_or_none(self, tmp_path):
+        paths = [str(tmp_path / "a.txt"), str(tmp_path / "b.txt")]
+        for path in paths:
+            with open(path, "w") as fh:
+                fh.write("old " + path)
+
+        def failing(fd):
+            raise OSError(28, "No space left on device")
+
+        # the first file is staged in full before the second fails
+        with pytest.raises(OSError):
+            solvers._write_all({
+                paths[0]: lambda fd: solvers._atomic_write(fd, "new"),
+                paths[1]: failing})
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+        for path in paths:
+            with open(path) as fh:
+                assert fh.read() == "old " + path
+
+        solvers._write_all({path: lambda fd, path=path: solvers._atomic_write(
+            fd, "new " + path) for path in paths})
+        assert sorted(os.listdir(tmp_path)) == ["a.txt", "b.txt"]
+        for path in paths:
+            with open(path) as fh:
+                assert fh.read() == "new " + path
+
     @pytest.mark.parametrize("n_nodes, columns", [
         (1, [",1,", ",5%,", ",%s%%,"]),
         (2 * (solvers.EXPORT_BLOCK // 7) + 17, [f",{k}," for k in range(1, 8)]),
@@ -874,14 +925,14 @@ class TestExports:
             lists_of(diagnostics), indent=2, sort_keys=True)
 
         # a NaN inside a coercivity array is named as coercivity.<key>
-        report = solvers._coercivity
+        diagnose = solvers._diagnose
 
         def with_nan(*args):
-            rep = report(*args)
+            t_int, res, rep = diagnose(*args)
             rep["norm_A_u"][5] = math.nan
-            return rep
+            return t_int, res, rep
 
-        monkeypatch.setattr(solvers, "_coercivity", with_nan)
+        monkeypatch.setattr(solvers, "_diagnose", with_nan)
         with pytest.raises(solvers.SolverError,
                            match=r"diagnostic coercivity\.norm_A_u is not finite"):
             solve_forward(spec)
