@@ -7,20 +7,23 @@ For each tree, a fresh interpreter with that tree's ``src`` and
 ``perfbench`` on its path runs every solve-unforced and solve-forced
 operation: ``workloads.generate`` writes its inputs (pass 0) and
 ``workloads.run`` solves it, into a temporary directory, once per seed.
-Four more fresh interpreters run ``frstokes verify``, one pinned
+Five more fresh interpreters run ``frstokes verify``, one pinned
 ``frstokes kernel`` table (KERNEL_TABLE), one pinned ``frstokes
-convergence`` report (CONVERGENCE_CONFIG) and one pinned ``frstokes
-solve`` (SOLVE_CONFIG) once each.  The pinned solve is forced on explicit
-geometric nodes and writes trace.json, whose 2048 x 16 coefficient
-matrix, a JSON float leaf of at least EXPORT_BLOCK cells, sits between
-batched lists; no benchmark operation writes either.  For every file
-(inputs, artifacts and each operation's exit code) and for the verify,
-kernel, convergence and solve stdout, the script prints ``identical`` or the
-largest absolute difference between the two trees' numbers, the line it
-is on and the largest relative difference.  It exits 1 on any difference,
-0 when all is identical and 2 when a tree cannot be run.  Nothing is
-written inside either tree: the interpreters write no bytecode and the
-outputs go to the temporary directory.
+convergence`` report (CONVERGENCE_CONFIG) and two pinned ``frstokes
+solve`` runs (SOLVES) once each.  The first pinned solve is forced on
+explicit geometric nodes and writes trace.json, whose 2048 x 16
+coefficient matrix, a JSON float leaf of at least EXPORT_BLOCK cells,
+sits between batched lists; no benchmark operation writes either.  The
+second reads its data from a ``k,coefficient`` CSV file with a blank line
+and CRLF endings, and its source from a sampled CSV file with a comment
+line, which the benchmark's generator never writes.  For every file
+(inputs, artifacts and each operation's exit code) and for the stdout of
+each of these runs, the script prints ``identical`` or the largest absolute
+difference between the two trees' numbers, the line it is on and the
+largest relative difference.  It exits 1 on any difference, 0 when all is
+identical and 2 when a tree cannot be run.  Nothing is written inside
+either tree: the interpreters write no bytecode and the outputs go to the
+temporary directory.
 """
 
 from __future__ import annotations
@@ -53,6 +56,27 @@ SOLVE_CONFIG = {
     "output": {"trace_csv": "trace.csv", "trace_json": "trace.json",
                "diagnostics_json": "diagnostics.json"},
 }
+# a forward solve whose data and sampled source come from CSV files written
+# in ways the benchmark's generator does not: a blank line and CRLF endings,
+# and a comment line
+SOLVE_CSV_CONFIG = {
+    "problem": {"kind": "forward", "rho": 0.6, "gamma": 0.5, "horizon": 2.0,
+                "time_grid": {"n_nodes": 96}},
+    "operator": {"kind": "dirichlet_laplacian_1d", "length": 2.0,
+                 "n_modes": 3},
+    "data": {"csv": "data.csv"},
+    "source": {"kind": "sampled_csv", "path": "source.csv"},
+    "output": {"trace_csv": "trace.csv", "trace_json": "trace.json",
+               "diagnostics_json": "diagnostics.json"},
+}
+SOLVE_CSV_INPUTS = {
+    "data.csv": "k,coefficient\r\n1,1.0\r\n\r\n3,-0.25\r\n",
+    "source.csv": ("t,f1,f2,f3\n# note\n0,1,0,0.5\n0.75,0.25,1,0\n"
+                   "2,0,0.5,-1\n"),
+}
+# pinned solves: output directory -> (config, input files beside it)
+SOLVES = {"solve": (SOLVE_CONFIG, {}),
+          "solve-csv": (SOLVE_CSV_CONFIG, SOLVE_CSV_INPUTS)}
 # a number as "%.17g", repr or json write it, the non-finite ones included
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|nan|inf(?:inity)?))", re.IGNORECASE)
@@ -91,15 +115,21 @@ def run_tree(tree: str, out: str, seeds: list[int]) -> None:
     config = os.path.join(out, "convergence.json")
     with open(config, "w") as fh:
         json.dump(CONVERGENCE_CONFIG, fh)
-    # relative to out, so the solve's stdout names the same directory
-    solve = os.path.join("solve", "config.json")
-    os.makedirs(os.path.join(out, "solve"))
-    with open(os.path.join(out, solve), "w") as fh:
-        json.dump(SOLVE_CONFIG, fh)
-    for name, argv in (("verify", ("verify",)), ("kernel", KERNEL_TABLE),
-                       ("convergence", ("convergence", "--config", config)),
-                       ("solve", ("solve", "--config", solve,
-                                  "--out-dir", "solve"))):
+    runs = [("verify", ("verify",)), ("kernel", KERNEL_TABLE),
+            ("convergence", ("convergence", "--config", config))]
+    for name, (cfg, inputs) in SOLVES.items():
+        os.makedirs(os.path.join(out, name))
+        with open(os.path.join(out, name, "config.json"), "w") as fh:
+            json.dump(cfg, fh)
+        for file_name, text in inputs.items():
+            with open(os.path.join(out, name, file_name), "w",
+                      newline="") as fh:
+                fh.write(text)
+        # relative to out, so the solve's stdout names the same directory
+        runs.append((name, ("solve", "--config",
+                            os.path.join(name, "config.json"),
+                            "--out-dir", name)))
+    for name, argv in runs:
         run = subprocess.run([sys.executable, "-B", "-m", "frstokes.cli",
                               *argv], env=env, cwd=out, capture_output=True,
                              text=True)

@@ -51,6 +51,7 @@ from .solvers import (
 )
 from .spectral import (
     CoefficientField,
+    _read_csv,
     dirichlet_laplacian_1d,
     explicit_spectrum,
     load_field_csv,
@@ -276,25 +277,11 @@ def _build_source(v, op):
                                              v["problem.gamma"])
     if kind == "sampled_csv":
         try:
-            raw = np.genfromtxt(v["source.path"], delimiter=",", names=True)
-        except (OSError, ValueError) as exc:
-            raise IngestError(f"source.path: {exc}") from exc
-        names = raw.dtype.names
-        if names is None or names[0] != "t":
-            raise IngestError("sampled source CSV needs header t,f1,f2,...")
-        times = np.atleast_1d(raw["t"])
-        cols = [np.atleast_1d(raw[n]) for n in names[1:]]
-        if len(cols) != op.n_modes:
-            raise IngestError(
-                f"sampled source has {len(cols)} mode columns for "
-                f"{op.n_modes} modes"
-            )
-        if not all(np.all(np.isfinite(c)) for c in [times, *cols]):
-            raise IngestError("sampled source CSV holds a non-finite or "
-                              "unparseable value")
-        try:
-            return sampled_source(times, np.column_stack(cols))
-        except ValueError as exc:  # times out of order: a fault of the file
+            names, rows = _read_csv(v["source.path"])
+            if names[0] != "t" or len(names) != op.n_modes + 1:
+                raise ValueError(f"needs header t and {op.n_modes} mode column(s)")
+            return sampled_source(rows[:, 0], rows[:, 1:])
+        except (OSError, ValueError) as exc:  # a fault of the file
             raise IngestError(f"source.path: {exc}") from exc
 
 

@@ -359,8 +359,9 @@ def _lower_bound(rho, gamma, lambda_1, T, power):
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie strictly inside (0, 1)")
-    if not (gamma > 0.0 and lambda_1 > 0.0 and T > 0.0):
-        raise ValueError("gamma, lambda_1 and T must be positive")
+    if not (0.0 < gamma < math.inf and 0.0 < lambda_1 < math.inf
+            and 0.0 < T < math.inf):
+        raise ValueError("gamma, lambda_1 and T must be positive and finite")
     first = min(-math.log(T), math.log(lambda_1)) - BOUND_DEPTH
     top = math.log(50.0) - math.log(T)
     halvings = math.ceil((64.0 + max(0.0, math.log(gamma))) / math.log(2.0))

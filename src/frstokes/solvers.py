@@ -61,6 +61,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import tempfile
 import warnings
@@ -130,11 +131,17 @@ def constant_source(values) -> Callable[[np.ndarray], np.ndarray]:
 
 
 def sampled_source(times, values) -> Callable[[np.ndarray], np.ndarray]:
-    """Per-mode time series values[i, k - 1] at times[i], linear in between."""
+    """Per-mode time series values[i, k - 1] at times[i], linear in between.
+
+    There is at least one sample, and the times are finite and strictly
+    increasing: the `t,f1,...,fN` CSV file of a `sampled_csv` source, read
+    by spectral._read_csv, gives its t column and its mode columns here.
+    """
     times = np.asarray(times, dtype=float)
     values = np.asarray(values, dtype=float)
-    if times.ndim != 1 or not np.all(np.isfinite(times)):
-        raise ValueError("sample times must be a finite 1-D sequence")
+    if times.ndim != 1 or times.size < 1 or not np.all(np.isfinite(times)):
+        raise ValueError("sample times must be a finite, non-empty 1-D "
+                         "sequence")
     if np.any(np.diff(times) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     if values.ndim != 2 or values.shape[0] != times.size:
@@ -195,8 +202,8 @@ def _sample(source, n_modes: int, t: np.ndarray) -> np.ndarray:
 
 def uniform_grid(horizon: float, n_nodes: int = 512) -> np.ndarray:
     """Uniform time grid over [0, horizon] with the given node count."""
-    if n_nodes < 2:
-        raise ValueError("need at least two time nodes")
+    if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 2):
+        raise ValueError("need an integer count of at least two time nodes")
     return np.linspace(0.0, horizon, n_nodes)
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -35,6 +36,12 @@ class AliasingWarning(UserWarning):
     """Spatial grid too coarse for the requested mode count."""
 
 
+def _check_index(k, n_modes) -> None:
+    """Refuse a mode index k that is not an integer in 1..n_modes."""
+    if not (isinstance(k, numbers.Integral) and 1 <= k <= n_modes):
+        raise ValueError(f"mode index {k} is not an integer in 1..{n_modes}")
+
+
 @dataclass(frozen=True)
 class SpectralOperator:
     """Ascending positive spectrum, optionally with evaluable eigenfunctions.
@@ -52,6 +59,8 @@ class SpectralOperator:
         ev = np.asarray(self.eigenvalues, dtype=float)
         if ev.ndim != 1 or ev.size < 1:
             raise ValueError("need a one-dimensional, non-empty spectrum")
+        if not np.all(np.isfinite(ev)):
+            raise ValueError("eigenvalues must be finite")
         if not ev[0] > 0.0:
             raise ValueError("smallest eigenvalue must be positive")
         if np.any(np.diff(ev) < 0.0):
@@ -72,8 +81,7 @@ class SpectralOperator:
             raise ValueError(
                 "operator kind %r has no evaluable eigenfunctions" % self.kind
             )
-        if not 1 <= k <= self.n_modes:
-            raise ValueError(f"mode index {k} outside 1..{self.n_modes}")
+        _check_index(k, self.n_modes)
         xs = np.asarray(x, dtype=float)
         L = self.length
         return math.sqrt(2.0 / L) * np.sin(k * math.pi * xs / L)
@@ -83,8 +91,8 @@ def dirichlet_laplacian_1d(L: float, N: int) -> SpectralOperator:
     """Dirichlet Laplacian on (0, L) truncated to N modes: lam_k = (k pi/L)^2."""
     if not L > 0.0:
         raise ValueError("domain length must be positive")
-    if N < 1:
-        raise ValueError("mode count must be >= 1")
+    if not (isinstance(N, numbers.Integral) and N >= 1):
+        raise ValueError("mode count must be an integer >= 1")
     top = N * math.pi / L
     if not top * top < math.inf:
         raise ValueError("the largest eigenvalue (N pi / L)^2 overflows the "
@@ -119,8 +127,7 @@ class CoefficientField:
 
 def basis_field(op: SpectralOperator, k: int) -> CoefficientField:
     """The k-th basis element e_k (k is 1-based)."""
-    if not 1 <= k <= op.n_modes:
-        raise ValueError(f"mode index {k} outside 1..{op.n_modes}")
+    _check_index(k, op.n_modes)
     coeffs = np.zeros(op.n_modes)
     coeffs[k - 1] = 1.0
     return CoefficientField(coeffs, op)
@@ -140,6 +147,8 @@ def project(x, values, op: SpectralOperator) -> CoefficientField:
     vals = np.asarray(values, dtype=float)
     if xs.ndim != 1 or xs.shape != vals.shape:
         raise ValueError("x and values must be matching one-dimensional arrays")
+    if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(vals))):
+        raise ValueError("x and values must be finite")
     if xs.size < 2 or np.any(np.diff(xs) <= 0.0):
         raise ValueError("x must be strictly increasing")
     points_per_wavelength = 2.0 * (xs.size - 1) / op.n_modes
@@ -181,34 +190,47 @@ def tail_indicator(field: CoefficientField) -> float:
     return float((lam[-1] * field.coefficients[-1]) ** 2)
 
 
+def _read_csv(path):
+    """Header names and float64 rows of a CSV file: '#' starts a comment and
+    blank lines are skipped, the header's names are stripped and lower-cased,
+    and each later line is one finite number per name, else ValueError."""
+    try:
+        with open(path, newline="") as fh:
+            reader = csv.reader((s.partition("#")[0].strip() + "\n"
+                                 for s in fh), strict=True)
+            rows = [(reader.line_num, row) for row in reader if row]
+        if not rows:
+            raise ValueError("no header line")
+        names = [name.strip().lower() for name in rows[0][1]]
+        data = np.empty((len(rows) - 1, len(names)))
+        for i, (line, row) in enumerate(rows[1:]):
+            try:  # zip strict: a line of another length raises too
+                data[i] = [float(f) for _, f in zip(names, row, strict=True)]
+            except ValueError:  # refused below
+                data[i] = math.nan
+            if not all(map(math.isfinite, data[i])):
+                raise ValueError(f"line {line}: need one finite number per name")
+    except (ValueError, csv.Error) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    return names, data
+
+
 def load_field_csv(path, op: SpectralOperator) -> CoefficientField:
-    """Read initial data from CSV: either `x,value` samples or `k,coefficient`."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty CSV")
-        header = [h.strip().lower() for h in header]
-        rows = [row for row in reader if row]
+    """`x,value` samples (projected) or `k,coefficient` rows, by _read_csv."""
+    header, rows = _read_csv(path)
     if header == ["x", "value"]:
-        data = np.array([[float(a), float(b)] for a, b in rows])
-        if not np.all(np.isfinite(data)):
-            raise ValueError(f"{path}: non-finite x or value")
-        return project(data[:, 0], data[:, 1], op)
-    if header == ["k", "coefficient"]:
-        coeffs = np.zeros(op.n_modes)
-        seen = set()
-        for k_str, c_str in rows:
-            k = int(k_str)
-            if not 1 <= k <= op.n_modes:
-                raise ValueError(f"{path}: mode index {k} outside 1..{op.n_modes}")
-            if k in seen:
-                raise ValueError(f"{path}: mode index {k} given twice")
-            seen.add(k)
-            coeffs[k - 1] = float(c_str)
-        if not np.all(np.isfinite(coeffs)):
-            raise ValueError(f"{path}: non-finite coefficient")
-        return CoefficientField(coeffs, op)
-    raise ValueError(
-        f"{path}: expected header 'x,value' or 'k,coefficient', got {header}"
-    )
+        return project(rows[:, 0], rows[:, 1], op)
+    if header != ["k", "coefficient"]:
+        raise ValueError(f"{path}: expected header x,value or k,coefficient, "
+                         f"got {header}")
+    coeffs = np.zeros(op.n_modes)
+    seen = set()
+    for k, c in rows:
+        if not (k.is_integer() and 1 <= k <= op.n_modes):
+            raise ValueError(f"{path}: mode index {k:.17g} outside "
+                             f"1..{op.n_modes}")
+        if k in seen:
+            raise ValueError(f"{path}: mode index {k:.17g} given twice")
+        seen.add(k)
+        coeffs[int(k) - 1] = c
+    return CoefficientField(coeffs, op)

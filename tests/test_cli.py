@@ -17,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 from frstokes import cli
 from frstokes.cli import REQUIRED, SCHEMA, Instead, main
 from frstokes.kernel import KernelParams, eval_A, eval_dB_dt_grid
+from frstokes.spectral import AliasingWarning
 
 
 def run_cli(capsys, *argv):
@@ -496,17 +497,31 @@ class TestSolveCommand:
          {"data": {"csv": "data.csv"}}),
         ("source.csv", "t,f1\n0,1\n0.5,1\n0.5,2\n1,1\n",
          {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
+        ("source.csv", "", {"source": {"kind": "sampled_csv",
+                                       "path": "source.csv"}}),
+        ("source.csv", "\n  \n", {"source": {"kind": "sampled_csv",
+                                             "path": "source.csv"}}),
+        ("data.csv", "x,value\n",
+         {"data": {"csv": "data.csv"},
+          "operator": {"kind": "dirichlet_laplacian_1d",
+                       "length": math.pi, "n_modes": 1}}),
+        ("source.csv", "t,f1\n",
+         {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
     ], ids=["nan-coefficient", "inf-sample", "nan-source", "text-source",
-            "duplicate-mode", "unordered-times"])
+            "duplicate-mode", "unordered-times", "empty-source",
+            "blank-source", "header-only-data", "header-only-source"])
     def test_non_finite_ingest_exit_3_no_outputs(self, tmp_path, capsys,
                                                  name, text, section):
         (tmp_path / name).write_text(text)
         path = forward_config(tmp_path, **section)
         out_dir = tmp_path / "out"
         out_dir.mkdir()
-        code, out, _ = run_cli(capsys, "solve", "--config", str(path),
-                               "--out-dir", str(out_dir))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "solve", "--config", str(path),
+                                     "--out-dir", str(out_dir))
         assert code == 3
+        assert err == "" and not caught
         (line,) = out.strip().splitlines()
         assert json.loads(line)["error"] == "ingest"
         assert os.listdir(out_dir) == []
@@ -695,13 +710,17 @@ def _schema_paths(command):
     return sorted(paths) + sorted(s + ("no_such_key",) for s in sections)
 
 
-def _assert_exit_contract(command, cfg):
+def _assert_exit_contract(command, cfg, inputs=()):
     # a known exit code, one JSON document on stdout (one line, except a
-    # convergence report) and no file left behind by a failure
+    # convergence report) and no file left behind by a failure; inputs maps
+    # the names of input files beside the config to their text
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "config.json")
         with open(config, "w") as fh:
             json.dump(cfg, fh)
+        for name in inputs:
+            with open(os.path.join(tmp, name), "w", newline="") as fh:
+                fh.write(inputs[name])
         out_dir = os.path.join(tmp, "out")
         os.mkdir(out_dir)
         stdout = io.StringIO()
@@ -715,7 +734,8 @@ def _assert_exit_contract(command, cfg):
             (line,) = stdout.getvalue().splitlines()
         if code != 0:
             assert os.listdir(out_dir) == []
-            assert sorted(os.listdir(tmp)) == ["config.json", "out"]
+            assert sorted(os.listdir(tmp)) == sorted(["config.json", "out",
+                                                      *inputs])
         elif command == "solve":  # strict JSON: no NaN or Infinity
             files = json.loads(stdout.getvalue())["files"]
             for key in ("trace_json", "diagnostics_json"):
@@ -754,6 +774,64 @@ def test_mutated_convergence_config_keeps_exit_contract(path, value):
     code = _assert_exit_contract("convergence",
                                  _mutated(FUZZ_CONVERGENCE, path, value))
     assert code == 2 or path[-1] != "no_such_key"
+
+
+# a forward solve on 70 nodes (the diagnostics need 64 interior ones) and one
+# mode, whose data or source is read from input.csv
+CSV_FUZZ_CONFIG = {
+    "problem": {"kind": "forward", "rho": "0.5", "gamma": "1.0",
+                "horizon": "1.0", "time_grid": {"n_nodes": 70}},
+    "operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                 "n_modes": 1},
+    "data": {"coefficients": [1.0]},
+}
+# per target: the config section naming input.csv and the headers it reads
+CSV_TARGETS = {
+    "data": ({"csv": "input.csv"}, ["x,value", "K, Coefficient"]),
+    "source": ({"kind": "sampled_csv", "path": "input.csv"},
+               ["t,f1", "T,F1", "#t,f1"]),
+}
+# numbers, quoted or padded ones among them, and lines of two of them with
+# or without a comment; and lines of any tokens: header names, numbers, what
+# is not a finite number, words, quotes and comments, where an empty token
+# makes an empty field or a blank line
+CSV_NUMBERS = ["0", "1", "1.0", "2", "0.5", "-3", "3.141592653589793",
+               '"0.5"', " 2 "]
+CSV_TOKENS = CSV_NUMBERS + ["x", "value", "k", "coefficient", "t", "f1", "T",
+                            "nan", "inf", "1e400", "abc", '"', "#", "# note",
+                            " ", ""]
+csv_line = st.lists(st.sampled_from(CSV_TOKENS), max_size=3).map(",".join)
+csv_numbers = st.builds(lambda a, b, note: f"{a},{b}{note}",
+                        st.sampled_from(CSV_NUMBERS),
+                        st.sampled_from(CSV_NUMBERS),
+                        st.sampled_from(["", " # note", "#"]))
+
+
+def csv_text(headers):
+    return st.builds(
+        lambda head, rows, end, newline: newline.join([head, *rows]) + end,
+        st.sampled_from(headers) | csv_line,
+        st.lists(csv_numbers | csv_line, max_size=5),
+        st.sampled_from(["", "\n"]), st.sampled_from(["\n", "\r\n"]))
+
+
+@settings(derandomize=True, deadline=None, max_examples=80)
+@given(st.sampled_from(sorted(CSV_TARGETS)).flatmap(
+    lambda target: st.tuples(st.just(target),
+                             csv_text(CSV_TARGETS[target][1]))))
+def test_any_input_csv_solves_or_exits_3(example):
+    # a malformed data or source file is a fault of the file: exit 3, one
+    # JSON line and no file written; only a coarse x,value grid may warn
+    target, text = example
+    cfg = dict(CSV_FUZZ_CONFIG, **{target: CSV_TARGETS[target][0]})
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, \
+            contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = _assert_exit_contract("solve", cfg, {"input.csv": text})
+    assert code in (0, 3)
+    assert stderr.getvalue() == ""
+    assert all(w.category is AliasingWarning for w in caught), caught
 
 
 class TestVerifyCommand:

@@ -58,3 +58,24 @@ def test_pinned_solve_writes_a_forced_trace_json_on_explicit_nodes(tmp_path):
     fields = json.loads((tmp_path / "trace.json").read_text())["fields"]
     # the coefficient matrix is one float leaf of EXPORT_BLOCK cells or more
     assert len(fields) * len(fields[0]) >= solvers.EXPORT_BLOCK
+
+
+def test_pinned_csv_solve_reads_its_files(tmp_path):
+    config = compare_artifacts.SOLVE_CSV_CONFIG
+    inputs = compare_artifacts.SOLVE_CSV_INPUTS
+    assert compare_artifacts.SOLVES["solve-csv"] == (config, inputs)
+    assert "\r\n\r\n" in inputs["data.csv"]
+    assert "\n# note\n" in inputs["source.csv"]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    for name, text in inputs.items():
+        (tmp_path / name).write_bytes(text.encode())
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["solve", "--config", str(path),
+                         "--out-dir", str(tmp_path)])
+    assert code == 0
+    fields = np.array(json.loads((tmp_path / "trace.json").read_text())
+                      ["fields"])
+    # mode 2 is absent from data.csv; the source forces it
+    assert fields[0].tolist() == [1.0, 0.0, -0.25]
+    assert np.all(np.isfinite(fields)) and fields[-1, 1] != 0.0

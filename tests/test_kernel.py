@@ -336,6 +336,13 @@ class TestLowerBounds:
             lower_bound_A(0.5, -1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
             lower_bound_B(1.0, 1.0, 1.0, 1.0)
+        # gamma = inf overflowed, T = inf failed converting NaN to an
+        # integer and lambda_1 = inf returned a number
+        for bound in (lower_bound_A, lower_bound_B):
+            for bad in (math.inf, math.nan):
+                for args in ((bad, 1.0, 1.0), (1.0, bad, 1.0), (1.0, 1.0, bad)):
+                    with pytest.raises(ValueError, match="finite"):
+                        bound(0.5, *args)
 
     @pytest.mark.parametrize("rho", [1e-6, 1e-4, 1e-3, 3e-3, 0.01, 0.05, 0.3,
                                      0.5, 0.9, 0.999])

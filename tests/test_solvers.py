@@ -300,6 +300,20 @@ class TestProblemSpec:
         with pytest.raises(ValueError, match="finite"):
             sampled_source([bad, 0.0, 1.0], np.ones((3, 3)))
 
+    @pytest.mark.parametrize("count", [10.5, 10.0, math.nan, "10", 1])
+    def test_node_count_must_be_an_integer_of_two_or_more(self, count):
+        with pytest.raises(ValueError, match="integer"):
+            uniform_grid(1.0, count)
+
+    def test_node_count_takes_numpy_integers(self):
+        assert np.array_equal(uniform_grid(1.0, np.int64(11)),
+                              uniform_grid(1.0, 11))
+
+    def test_empty_sample_set_rejected(self):
+        # np.interp would refuse it only when the source is first sampled
+        with pytest.raises(ValueError, match="non-empty"):
+            sampled_source(np.empty(0), np.empty((0, 2)))
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_non_finite_gamma_rejected(self, small_op, bad):
         # a NaN gamma passes a plain "gamma <= 0" check, and either value

@@ -40,14 +40,36 @@ class TestOperators:
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
             dirichlet_laplacian_1d(0.0, 3)
-        with pytest.raises(ValueError):
-            dirichlet_laplacian_1d(1.0, 0)
+        for count in (0, 3.5, 3.0, math.nan, "3"):  # 3.5 built 4 modes
+            with pytest.raises(ValueError, match="mode count"):
+                dirichlet_laplacian_1d(1.0, count)
         with pytest.raises(ValueError, match="overflows"):  # (2 pi / 1e-300)^2
             dirichlet_laplacian_1d(1e-300, 2)
         with pytest.raises(ValueError):
             explicit_spectrum([2.0, 1.0])
         with pytest.raises(ValueError):
             explicit_spectrum([0.0, 1.0])
+        # NaN defeats both ordering checks; an infinite eigenvalue would
+        # only surface as a non-finite solution
+        for bad in ([1.0, math.nan, 0.5], [1.0, math.inf], [math.nan]):
+            with pytest.raises(ValueError, match="finite"):
+                explicit_spectrum(bad)
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, math.nan, 0, 6])
+    def test_mode_index_must_be_an_integer_in_range(self, op_pi, k):
+        x = np.linspace(0.0, math.pi, 9)
+        with pytest.raises(ValueError, match="mode index"):
+            basis_field(op_pi, k)
+        with pytest.raises(ValueError, match="mode index"):
+            op_pi.eigenfunction(k, x)
+
+    def test_numpy_integers_accepted(self, op_pi):
+        x = np.linspace(0.0, math.pi, 9)
+        assert np.array_equal(dirichlet_laplacian_1d(math.pi, np.int64(5))
+                              .eigenvalues, op_pi.eigenvalues)
+        assert basis_field(op_pi, np.int32(2)).coefficients[1] == 1.0
+        assert np.array_equal(op_pi.eigenfunction(np.int64(2), x),
+                              op_pi.eigenfunction(2, x))
 
     def test_explicit_spectrum_has_no_eigenfunctions(self):
         op = explicit_spectrum([1.0, 2.0])
@@ -84,6 +106,16 @@ class TestProjection:
             assert field.coefficients[k - 1] == pytest.approx(
                 4.0 * math.sqrt(2.0 / math.pi) / k ** 3, rel=1e-5
             )
+
+    @pytest.mark.parametrize("where", ["x", "values"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_samples_rejected(self, op_pi, where, bad):
+        # NaN defeats the strictly-increasing check on x
+        x = np.array([0.0, 1.0, 2.0, math.pi])
+        values = np.ones(4)
+        (x if where == "x" else values)[1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            project(x, values, op_pi)
 
     def test_aliasing_warning(self):
         op = dirichlet_laplacian_1d(math.pi, 16)
@@ -177,4 +209,48 @@ class TestCsvIngestion:
         path = tmp_path / "dup.csv"
         path.write_text("k,coefficient\n1,0.5\n2,0.1\n1,0.7\n")
         with pytest.raises(ValueError, match=r"dup\.csv.*mode index 1"):
+            load_field_csv(path, op)
+
+    def test_one_dialect(self, tmp_path):
+        # comments, blank lines, \r\n endings, a padded header in either
+        # case, quoted and padded numbers, and 1.0 as a mode index
+        op = explicit_spectrum([1.0, 2.0, 3.0])
+        path = tmp_path / "dialect.csv"
+        path.write_bytes(b'# initial data\r\n K , Coefficient # header\r\n'
+                         b'\r\n  \r\n1.0,"0.5"\r\n# a comment line\r\n'
+                         b' 3 ,-2 # last')
+        field = load_field_csv(path, op)
+        assert field.coefficients.tolist() == [0.5, 0.0, -2.0]
+
+    def test_header_only_coefficients_are_zero(self, tmp_path):
+        op = explicit_spectrum([1.0, 2.0])
+        path = tmp_path / "zero.csv"
+        path.write_text("k,coefficient\n")
+        assert load_field_csv(path, op).coefficients.tolist() == [0.0, 0.0]
+
+    def test_whole_mode_index_required(self, tmp_path):
+        op = explicit_spectrum([1.0, 2.0])
+        path = tmp_path / "half.csv"
+        path.write_text("k,coefficient\n1.5,1.0\n")
+        with pytest.raises(ValueError, match=r"half\.csv: mode index 1\.5 "):
+            load_field_csv(path, op)
+
+    @pytest.mark.parametrize("text, message", [
+        ("", "no header line"),
+        ("\n  \n# only a comment\n", "no header line"),
+        ("k,coefficient\n1\n", "line 2: need one finite"),
+        ("k,coefficient\n1,2,3\n", "line 2: need one finite"),
+        ("k,coefficient\n\n1,abc\n", "line 3: need one finite"),
+        ("k,coefficient\n1,1e400\n", "line 2: need one finite"),
+        ("k,coefficient\n1,nan\n", "line 2: need one finite"),
+        ("k,coefficient\n1,\n", "line 2: need one finite"),
+        ('k,coefficient\n1,"0.5"5\n', "expected after"),
+        ('k,coefficient\n1,"0.5\n', "unexpected end of data"),
+    ], ids=["empty", "blank", "short", "long", "word", "overflow", "nan",
+            "empty-field", "text-after-quote", "open-quote"])
+    def test_malformed_file_names_itself(self, tmp_path, text, message):
+        op = explicit_spectrum([1.0])
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=rf"bad\.csv: .*{message}"):
             load_field_csv(path, op)
