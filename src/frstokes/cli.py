@@ -278,8 +278,8 @@ def _build_source(v, op):
     if kind == "sampled_csv":
         try:
             names, rows = _read_csv(v["source.path"])
-            if names[0] != "t" or len(names) != op.n_modes + 1:
-                raise ValueError(f"needs header t and {op.n_modes} mode column(s)")
+            if names != ["t"] + [f"f{k}" for k in range(1, op.n_modes + 1)]:
+                raise ValueError(f"needs header t,f1,...,f{op.n_modes}")
             return sampled_source(rows[:, 0], rows[:, 1:])
         except (OSError, ValueError) as exc:  # a fault of the file
             raise IngestError(f"source.path: {exc}") from exc

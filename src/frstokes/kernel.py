@@ -128,8 +128,8 @@ class KernelParams:
 
 def _check_positive_r(r):
     arr = np.asarray(r, dtype=float)
-    if np.any(arr <= 0.0):
-        raise ValueError("density argument r must be strictly positive")
+    if not np.all((0.0 < arr) & (arr < math.inf)):
+        raise ValueError("density argument r must be positive and finite")
     return arr
 
 
@@ -396,15 +396,15 @@ def lower_bound_B(rho: float, gamma: float, lambda_1: float, T: float) -> float:
 
 def laplace_A_closed_form(p: KernelParams, z: float) -> float:
     """Laplace transform of A: (1 + lam*gamma*z^(rho-1)) / (z + lam + lam*gamma*z^rho)."""
-    if not z > 0.0:
-        raise ValueError("transform variable z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("transform variable z must be positive and finite")
     return float(_transform("A", z, p.rho, p.gamma, p.lam))
 
 
 def laplace_B_closed_form(p: KernelParams, z: float) -> float:
     """Laplace transform of B: 1 / (z + lam + lam*gamma*z^rho)."""
-    if not z > 0.0:
-        raise ValueError("transform variable z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("transform variable z must be positive and finite")
     return float(_transform("B", z, p.rho, p.gamma, p.lam))
 
 
@@ -448,8 +448,8 @@ def laplace_transform_numeric(p: KernelParams, z: float,
     ``_laplace_rule`` on contour values at q.rel_tol; returns (value,
     error_estimate), the estimate being its |Kronrod - Gauss| sum.
     """
-    if not z > 0.0:
-        raise ValueError("transform variable z must be positive")
+    if not 0.0 < z < math.inf:
+        raise ValueError("transform variable z must be positive and finite")
     if kernel not in ("A", "B"):
         raise ValueError("kernel must be 'A' or 'B'")
     values, errors = _laplace_rule(kernel, p.rho, p.gamma, [p.lam], [z], q)

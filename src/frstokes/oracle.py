@@ -42,8 +42,8 @@ def l1_weights(rho: float, n: int) -> np.ndarray:
     """
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie strictly inside (0, 1)")
-    if n < 1:
-        raise ValueError("need at least one weight")
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError("need an integer count of at least one weight")
     a = 1.0 - rho
     j = np.arange(1, n, dtype=np.float64)
     return np.concatenate(([1.0], j ** a * np.expm1(a * np.log1p(1.0 / j))))
@@ -96,8 +96,10 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
-    if t.ndim != 1 or t.size < 2 or np.any(np.diff(t) <= 0.0):
-        raise ValueError("times must be strictly increasing, length >= 2")
+    if (t.ndim != 1 or t.size < 2 or not np.all(np.isfinite(t))
+            or np.any(np.diff(t) <= 0.0)):
+        raise ValueError("times must be finite and strictly increasing, "
+                         "length >= 2")
     if v.shape[0] != t.size:
         raise ValueError("values and times disagree in length")
     if not (0.0 < rho < 1.0):
@@ -235,6 +237,8 @@ def richardson_extrapolate(values: Sequence[float]) -> RichardsonResult:
     vals = [float(v) for v in values]
     if len(vals) < 2:
         raise ValueError("need results at two or more steps")
+    if not all(map(math.isfinite, vals)):
+        raise ValueError("results must be finite")
     d_last = vals[-1] - vals[-2]
     if d_last == 0.0:
         return RichardsonResult(vals[-1], None, False)

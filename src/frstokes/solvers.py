@@ -49,12 +49,13 @@ of ten, and the few values it cannot settle exactly (zeros, non-finite
 and subnormal values, near-ties) go through "%.17g" itself.  A long
 CSV's node stamps are one call per run of up to EXPORT_BLOCK nodes.  The
 JSON exports write every float as json.dumps does, float.__repr__, from
-the same scaling (_format.shortest): a document's float arrays share one
-call per batch of up to _JSON_BATCH numbers, and a flat list goes through
-json's C encoder.  The per-node diagnostics stay float64 arrays, so they
-reach that writer without a round trip through Python floats.  Every
-file is staged and renamed by one writer, _write_all; the CLI passes it
-all of a solve's files at once, so it writes all of them or none.
+the same scaling (_format.shortest): json.dumps lays out the document with
+a marker in place of each float array, and the arrays' numbers share one
+call per batch of up to _JSON_BATCH numbers.  The per-node diagnostics
+stay float64 arrays, so they reach that writer without a round trip
+through Python floats.  Every file is staged and renamed by one writer,
+_write_all; the CLI passes it all of a solve's files at once, so it
+writes all of them or none.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ EXPORT_BLOCK = 1 << 13  # cells per formatted block of an export
 # this many cells: a whole EXPORT_BLOCK's temporaries, on top of a 4096-node
 # solve's arrays, raised the benchmark's peak RSS by about 1.2 MB
 _JSON_BATCH = EXPORT_BLOCK // 2
+_LEAF = "\0float leaf"  # a float leaf's place in json's text of a document
 
 
 class SolverError(RuntimeError):
@@ -204,6 +206,8 @@ def uniform_grid(horizon: float, n_nodes: int = 512) -> np.ndarray:
     """Uniform time grid over [0, horizon] with the given node count."""
     if not (isinstance(n_nodes, numbers.Integral) and n_nodes >= 2):
         raise ValueError("need an integer count of at least two time nodes")
+    if not 0.0 < horizon < math.inf:
+        raise ValueError("horizon must be positive and finite")
     return np.linspace(0.0, horizon, n_nodes)
 
 
@@ -709,19 +713,16 @@ def _csv_table(header: str, columns) -> Iterator[str]:
 def dumps_json(obj) -> str:
     """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
 
-    json runs its C encoder only without indent, so the dicts and the lists
-    that hold containers are laid out here.  A float64 vector or matrix is a
+    json lays out the document; each float64 vector or matrix in it is a
     float leaf, written by _format.shortest, float.__repr__ for a block of
-    numbers per numpy call; consecutive leaves share one call per batch
-    (see _json).  A flat list is one C-encoder call whose item separator
-    carries the line break and the indent.  A float64 array of more axes
-    is the list of its rows, and other numpy arrays are written as their
-    tolist().
+    numbers per numpy call, and consecutive leaves share one call per batch
+    (see _json).  A float64 array of more axes is the list of its rows, and
+    other numpy arrays are written as their tolist().
     """
-    return "".join(_json(obj, "\n"))
+    return "".join(_json(obj))
 
 
-def _json(obj, newline: str) -> Iterator[str]:
+def _json(obj) -> Iterator[str]:
     """The text of dumps_json in pieces, its float leaves formatted in
     batches.
 
@@ -735,7 +736,7 @@ def _json(obj, newline: str) -> Iterator[str]:
     floats or as text.
     """
     held, cells = [], 0  # the open batch: its pieces, and its leaves' cells
-    for piece in _pieces(obj, newline):
+    for piece in _pieces(obj):
         if isinstance(piece, str):
             if held:
                 held.append(piece)
@@ -771,44 +772,39 @@ def _batch(held: list) -> Iterator[str]:
             i += values.size
 
 
-def _pieces(obj, newline: str) -> Iterator:
+def _pieces(obj) -> Iterator:
     """dumps_json's text of obj in pieces, in order, with each float leaf
-    in its place as a (values, newline) pair, values its float64 vector or
-    matrix."""
-    inner = newline + "  "
-    if isinstance(obj, np.ndarray):
-        if obj.dtype != float or obj.size == 0 or obj.ndim == 0:
-            yield from _pieces(obj.tolist(), newline)
-        elif obj.ndim > 2:
-            yield from _pieces(list(obj), newline)
-        else:
-            yield obj, newline
-    elif isinstance(obj, (list, tuple)):
-        kinds = set(map(type, obj))
-        if not obj:
-            yield "[]"
-        elif any(issubclass(kind, (dict, list, tuple, np.ndarray))
-                 for kind in kinds):
-            yield "["
-            for i, v in enumerate(obj):
-                yield ("," + inner) if i else inner
-                yield from _pieces(v, inner)
-            yield newline + "]"
-        else:
-            yield ("[" + inner
-                   + json.dumps(obj, separators=("," + inner, ": "))[1:-1]
-                   + newline + "]")
-    elif isinstance(obj, dict):
-        if not obj:
-            yield "{}"
-            return
-        yield "{"
-        for i, (k, v) in enumerate(sorted(obj.items())):
-            yield ("," if i else "") + inner + json.dumps(_json_key(k)) + ": "
-            yield from _pieces(v, inner)
-        yield newline + "}"
-    else:
-        yield json.dumps(obj)
+    in its place as a (values, newline) pair: values its float64 vector or
+    matrix, newline the line break and indent of the line it starts on.
+
+    json.dumps writes every leaf as the string _LEAF, by its default hook,
+    and the text is split there.
+    """
+    leaves = []
+
+    def leaf(o):
+        if not isinstance(o, np.ndarray):
+            raise TypeError(f"Object of type {type(o).__name__} "
+                            f"is not JSON serializable")
+        if o.dtype != float or o.size == 0 or o.ndim == 0:
+            return o.tolist()
+        if o.ndim > 2:
+            return list(o)
+        leaves.append(o)
+        return _LEAF
+
+    texts = json.dumps(obj, indent=2, sort_keys=True,
+                       default=leaf).split(json.dumps(_LEAF))
+    # json's encoder keeps leaf in a reference cycle, and with it the list
+    found = leaves.copy()
+    leaves.clear()
+    if len(texts) != len(found) + 1:
+        raise ValueError(f"a document string is the leaf marker {_LEAF!r}")
+    yield texts[0]
+    for values, before, text in zip(found, texts, texts[1:]):
+        line = before.rpartition("\n")[2]
+        yield values, "\n" + " " * (len(line) - len(line.lstrip(" ")))
+        yield text
 
 
 def _floats(values: np.ndarray, newline: str,
@@ -852,16 +848,6 @@ def _cells(texts: list[str]) -> np.ndarray:
     return cells.view(np.uint8).reshape(len(texts), cells.itemsize).T
 
 
-def _json_key(key) -> str:
-    """A dict key as json writes it: str as is, numbers, bools, None encoded."""
-    if isinstance(key, str):
-        return key
-    if isinstance(key, (int, float)) or key is None:
-        return json.dumps(key)
-    raise TypeError(f"keys must be str, int, float, bool or None, "
-                    f"not {type(key).__name__}")
-
-
 def export_trace_csv(trace: SolutionTrace, path: str | int) -> None:
     """Long-format CSV `t,k,coefficient` with round-trip-safe formatting.
 
@@ -885,7 +871,7 @@ def export_trace_json(trace: SolutionTrace, path: str | int) -> None:
         "fields": trace.coefficients,
         "diagnostics": trace.diagnostics,
     }
-    _atomic_write(path, chain(_json(payload, "\n"), ("\n",)))
+    _atomic_write(path, chain(_json(payload), ("\n",)))
 
 
 def export_trace_grid_csv(trace: SolutionTrace, x, path: str | int) -> None:

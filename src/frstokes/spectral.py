@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -190,12 +191,18 @@ def tail_indicator(field: CoefficientField) -> float:
     return float((lam[-1] * field.coefficients[-1]) ** 2)
 
 
+# a CSV field that is a number: ASCII decimal, whitespace around it allowed
+_DECIMAL = re.compile(r"\s*[+-]?(\d+\.?\d*|\.\d+)([eE][+-]?\d+)?\s*",
+                      re.ASCII)
+
+
 def _read_csv(path):
-    """Header names and float64 rows of a CSV file: '#' starts a comment and
-    blank lines are skipped, the header's names are stripped and lower-cased,
-    and each later line is one finite number per name, else ValueError."""
+    """Header names and float64 rows of a UTF-8 CSV file, a byte-order mark
+    allowed: '#' starts a comment and blank lines are skipped, the header's
+    names are stripped and lower-cased, and each later line is one finite
+    ASCII decimal number per name, else ValueError."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader((s.partition("#")[0].strip() + "\n"
                                  for s in fh), strict=True)
             rows = [(reader.line_num, row) for row in reader if row]
@@ -204,10 +211,8 @@ def _read_csv(path):
         names = [name.strip().lower() for name in rows[0][1]]
         data = np.empty((len(rows) - 1, len(names)))
         for i, (line, row) in enumerate(rows[1:]):
-            try:  # zip strict: a line of another length raises too
-                data[i] = [float(f) for _, f in zip(names, row, strict=True)]
-            except ValueError:  # refused below
-                data[i] = math.nan
+            ok = len(row) == len(names) and all(map(_DECIMAL.fullmatch, row))
+            data[i] = [float(f) for f in row] if ok else math.nan
             if not all(map(math.isfinite, data[i])):
                 raise ValueError(f"line {line}: need one finite number per name")
     except (ValueError, csv.Error) as exc:

@@ -507,9 +507,25 @@ class TestSolveCommand:
                        "length": math.pi, "n_modes": 1}}),
         ("source.csv", "t,f1\n",
          {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
+        ("source.csv", "t,f2\n0,1\n1,2\n",
+         {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
+        ("source.csv", "t,f2,f1\n0,1,2\n1,2,3\n",
+         {"source": {"kind": "sampled_csv", "path": "source.csv"},
+          "operator": {"kind": "explicit_spectrum", "eigenvalues": [1.0, 4.0]},
+          "data": {"coefficients": [1.0, 0.0]}}),
+        ("source.csv", "t,banana,x\n0,1,2\n1,2,3\n",
+         {"source": {"kind": "sampled_csv", "path": "source.csv"},
+          "operator": {"kind": "explicit_spectrum", "eigenvalues": [1.0, 4.0]},
+          "data": {"coefficients": [1.0, 0.0]}}),
+        ("data.csv", "k,coefficient\n1,1_0\n",
+         {"data": {"csv": "data.csv"}}),
+        ("source.csv", "t,f1\n0,1\n\u0661,2\n",
+         {"source": {"kind": "sampled_csv", "path": "source.csv"}}),
     ], ids=["nan-coefficient", "inf-sample", "nan-source", "text-source",
             "duplicate-mode", "unordered-times", "empty-source",
-            "blank-source", "header-only-data", "header-only-source"])
+            "blank-source", "header-only-data", "header-only-source",
+            "misnamed-mode-column", "swapped-mode-columns",
+            "unnamed-mode-columns", "underscore-number", "arabic-digit"])
     def test_non_finite_ingest_exit_3_no_outputs(self, tmp_path, capsys,
                                                  name, text, section):
         (tmp_path / name).write_text(text)
@@ -719,7 +735,8 @@ def _assert_exit_contract(command, cfg, inputs=()):
         with open(config, "w") as fh:
             json.dump(cfg, fh)
         for name in inputs:
-            with open(os.path.join(tmp, name), "w", newline="") as fh:
+            with open(os.path.join(tmp, name), "w", newline="",
+                      encoding="utf-8") as fh:
                 fh.write(inputs[name])
         out_dir = os.path.join(tmp, "out")
         os.mkdir(out_dir)
@@ -787,19 +804,20 @@ CSV_FUZZ_CONFIG = {
 }
 # per target: the config section naming input.csv and the headers it reads
 CSV_TARGETS = {
-    "data": ({"csv": "input.csv"}, ["x,value", "K, Coefficient"]),
+    "data": ({"csv": "input.csv"},
+             ["x,value", "K, Coefficient", "\ufeffk,coefficient"]),
     "source": ({"kind": "sampled_csv", "path": "input.csv"},
-               ["t,f1", "T,F1", "#t,f1"]),
+               ["t,f1", "T,F1", "#t,f1", "\ufefft,f1"]),
 }
 # numbers, quoted or padded ones among them, and lines of two of them with
 # or without a comment; and lines of any tokens: header names, numbers, what
-# is not a finite number, words, quotes and comments, where an empty token
-# makes an empty field or a blank line
+# is not a finite ASCII decimal number, words, quotes and comments, where an
+# empty token makes an empty field or a blank line
 CSV_NUMBERS = ["0", "1", "1.0", "2", "0.5", "-3", "3.141592653589793",
                '"0.5"', " 2 "]
 CSV_TOKENS = CSV_NUMBERS + ["x", "value", "k", "coefficient", "t", "f1", "T",
-                            "nan", "inf", "1e400", "abc", '"', "#", "# note",
-                            " ", ""]
+                            "f2", "nan", "inf", "1e400", "1_0", "\u0661",
+                            "abc", '"', "#", "# note", " ", ""]
 csv_line = st.lists(st.sampled_from(CSV_TOKENS), max_size=3).map(",".join)
 csv_numbers = st.builds(lambda a, b, note: f"{a},{b}{note}",
                         st.sampled_from(CSV_NUMBERS),

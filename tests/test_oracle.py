@@ -8,7 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frstokes.kernel import KernelParams, eval_A
+from frstokes.kernel import (
+    KernelParams,
+    density_A,
+    density_B,
+    eval_A,
+    laplace_A_closed_form,
+    laplace_B_closed_form,
+    laplace_transform_numeric,
+)
 from frstokes.oracle import (
     L1Grid,
     _convolve,
@@ -20,6 +28,7 @@ from frstokes.oracle import (
     richardson_extrapolate,
     solve_scalar,
 )
+from frstokes.solvers import uniform_grid
 from frstokes.verification import GAMMA_GRID, RHO_GRID
 
 
@@ -391,3 +400,37 @@ class TestRichardson:
     def test_needs_two_values(self):
         with pytest.raises(ValueError):
             richardson_extrapolate([1.0])
+
+
+P_REFUSED = KernelParams(0.5, 1.0, 1.0)
+VALUES_REFUSED = [0.0, 1.0, 2.0]
+
+
+@pytest.mark.parametrize("call", [
+    lambda: caputo_l1_trace([0.0, math.nan, 1.0], VALUES_REFUSED, 0.5),
+    lambda: caputo_l1_trace([0.0, 1.0, math.inf], VALUES_REFUSED, 0.5),
+    lambda: uniform_grid(math.nan, 8),
+    lambda: uniform_grid(math.inf, 8),
+    lambda: uniform_grid(-1.0, 8),
+    lambda: uniform_grid(0.0, 8),
+    lambda: l1_weights(0.5, 2.5),
+    lambda: l1_weights(0.5, math.nan),
+    lambda: laplace_A_closed_form(P_REFUSED, math.inf),
+    lambda: laplace_B_closed_form(P_REFUSED, math.nan),
+    lambda: laplace_transform_numeric(P_REFUSED, math.inf),
+    lambda: density_A(math.nan, P_REFUSED),
+    lambda: density_B(math.inf, P_REFUSED),
+    lambda: density_A(np.array([1.0, math.nan]), P_REFUSED),
+    lambda: richardson_extrapolate([math.nan, 1.0, 2.0]),
+    lambda: richardson_extrapolate([1.0, 2.0, math.inf]),
+], ids=["trace-nan-time", "trace-inf-time", "grid-nan-horizon",
+        "grid-inf-horizon", "grid-negative-horizon", "grid-zero-horizon",
+        "weights-fractional-count", "weights-nan-count", "laplace-A-inf-z",
+        "laplace-B-nan-z", "laplace-numeric-inf-z", "density-A-nan-r",
+        "density-B-inf-r", "density-A-nan-in-array", "richardson-nan",
+        "richardson-inf"])
+def test_non_finite_times_grids_and_arguments_refused(call):
+    # each returned NaN, a wrong grid or count, or a numpy warning (an error
+    # under the suite's RuntimeWarning filter) before it was refused
+    with pytest.raises(ValueError):
+        call()

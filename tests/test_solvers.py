@@ -1,7 +1,9 @@
+import gc
 import json
 import math
 import os
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -951,9 +953,9 @@ class TestExports:
                            match=r"diagnostic coercivity\.norm_A_u is not finite"):
             solve_forward(spec)
 
-    def test_short_float_lists_take_the_c_encoder(self, monkeypatch):
-        # every flat list, however long, is one json C-encoder call: no
-        # artifact holds a long float list, and the text is the same
+    def test_float_lists_are_written_by_json(self, monkeypatch):
+        # a list of Python floats, however long, is no float leaf: json
+        # writes it, and the text is the same
         sizes = []
 
         def counted(values):
@@ -965,6 +967,37 @@ class TestExports:
             obj = (np.arange(n) / 7.0).tolist()
             assert dumps_json({"a": obj}) == json.dumps({"a": obj}, indent=2)
         assert sizes == []
+
+    def test_leaf_arrays_are_freed_when_dumps_json_returns(self):
+        # json's encoder keeps its default hook in a reference cycle, which
+        # must not keep the leaves alive until the cycle collector runs
+        values = np.linspace(0.0, 1.0, 5)
+        ref = weakref.ref(values)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            dumps_json({"a": values, "b": [values[1:], np.ones((2, 2, 2))]})
+            del values
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
+
+    @pytest.mark.parametrize("doc", [
+        solvers._LEAF, [1.0, solvers._LEAF], {solvers._LEAF: 1},
+        {"a": np.ones(3), "b": ["x", solvers._LEAF]},
+    ], ids=["document", "list-item", "key", "beside-a-leaf"])
+    def test_leaf_marker_in_a_document_raises(self, doc):
+        with pytest.raises(ValueError, match="leaf marker"):
+            dumps_json(doc)
+
+    @pytest.mark.parametrize("doc", [{"a": {1, 2}}, {np.int64(1): 0.5}],
+                             ids=["set-value", "numpy-integer-key"])
+    def test_dumps_json_refuses_what_json_refuses(self, doc):
+        with pytest.raises(TypeError):
+            json.dumps(doc, indent=2, sort_keys=True)
+        with pytest.raises(TypeError):
+            dumps_json(doc)
 
     @given(document())
     @settings(max_examples=40, deadline=None)

@@ -222,6 +222,12 @@ class TestCsvIngestion:
         field = load_field_csv(path, op)
         assert field.coefficients.tolist() == [0.5, 0.0, -2.0]
 
+    def test_byte_order_mark_is_read(self, tmp_path):
+        op = explicit_spectrum([1.0, 2.0])
+        path = tmp_path / "bom.csv"
+        path.write_bytes(b"\xef\xbb\xbfk,coefficient\n2,0.5\n")
+        assert load_field_csv(path, op).coefficients.tolist() == [0.0, 0.5]
+
     def test_header_only_coefficients_are_zero(self, tmp_path):
         op = explicit_spectrum([1.0, 2.0])
         path = tmp_path / "zero.csv"
@@ -244,10 +250,14 @@ class TestCsvIngestion:
         ("k,coefficient\n1,1e400\n", "line 2: need one finite"),
         ("k,coefficient\n1,nan\n", "line 2: need one finite"),
         ("k,coefficient\n1,\n", "line 2: need one finite"),
+        ("k,coefficient\n1,1_0\n", "line 2: need one finite"),
+        ("k,coefficient\n\u0661,0.5\n", "line 2: need one finite"),
+        ("k,coefficient\n1,0x1\n", "line 2: need one finite"),
         ('k,coefficient\n1,"0.5"5\n', "expected after"),
         ('k,coefficient\n1,"0.5\n', "unexpected end of data"),
     ], ids=["empty", "blank", "short", "long", "word", "overflow", "nan",
-            "empty-field", "text-after-quote", "open-quote"])
+            "empty-field", "underscore", "arabic-digit", "hex",
+            "text-after-quote", "open-quote"])
     def test_malformed_file_names_itself(self, tmp_path, text, message):
         op = explicit_spectrum([1.0])
         path = tmp_path / "bad.csv"
