@@ -87,8 +87,8 @@ def measure_constants(rho: float, gamma: float,
     The cell of the manifest key: lambda_1 = T = 1, eps = DEFAULT_EPSILON.
     """
     ts = reference_time_grid(1.0, n_nodes)
-    _, _, env, der = _envelope_terms(rho, gamma, _LAMBDA_FACTORS, ts,
-                                     DEFAULT_EPSILON)
+    ((_, _, env, der),) = _envelope_terms([(rho, gamma)], _LAMBDA_FACTORS, ts,
+                                          DEFAULT_EPSILON)
     forcing = _measure_forcing_response(rho, gamma)
     return {
         "c_envelope_B": float(np.max(env)),
@@ -99,23 +99,26 @@ def measure_constants(rho: float, gamma: float,
     }
 
 
-def _envelope_terms(rho: float, gamma: float, lams, ts: np.ndarray,
-                    epsilon: float):
-    """B, dB/dt and the two normalized envelope quantities at the times ts.
+def _envelope_terms(cells, lams, ts: np.ndarray, epsilon: float) -> list:
+    """B, dB/dt and the two normalized envelope quantities at the times ts,
+    for each (rho, gamma) of cells.
 
     The quantities are lam B / min(1/t, t^(rho-1)) and
     t^(1-eps(1-rho)) lam^-eps |dB/dt|: the manifest stores their suprema
-    and the b-properties suite checks against them.  Every eigenvalue in
-    lams shares one contour call for B and dB/dt; each array is
-    (ts.size, len(lams)).
+    and the b-properties suite checks against them.  Every cell and every
+    eigenvalue in lams share one contour call for B and dB/dt, and each
+    cell's quantities are then formed on its own columns alone.  Returns,
+    per cell, four arrays of shape (ts.size, len(lams)).
     """
     lam = np.asarray(lams, dtype=float)
-    (b, db), _ = kernel._bromwich(("B", "dB"), rho, gamma, lam, ts,
-                                  error_at=slice(0))
     t = ts[:, None]
-    env = lam * b / np.minimum(1.0 / t, t ** (rho - 1.0))
-    weight = t ** (1.0 - epsilon * (1.0 - rho)) * lam ** (-epsilon)
-    return b, db, env, weight * np.abs(db)
+    terms = []
+    for (rho, _), (b, db) in zip(
+            cells, kernel._cell_contour(("B", "dB"), cells, lam, ts)):
+        env = lam * b / np.minimum(1.0 / t, t ** (rho - 1.0))
+        weight = t ** (1.0 - epsilon * (1.0 - rho)) * lam ** (-epsilon)
+        terms.append((b, db, env, weight * np.abs(db)))
+    return terms
 
 
 def _measure_forcing_response(rho, gamma):

@@ -15,9 +15,12 @@ and A, B, dB/dt (transform z B^(z) - 1 = -(lam + lam gamma z^rho) B^(z))
 and the antiderivative Phi(t) = int_0^t A (transform A^(z) / z) come from
 one hyperbolic Bromwich contour that serves every eigenvalue at once
 (Weideman & Trefethen 2007, Math. Comp. 76:1341-1356).  Its sum is one
-fixed-order dot product per time and mode, the time's exponentials on the
-nodes of its window's contour against the mode's weighted transform, so a
-value does not depend on the other times, modes or kinds it is asked with.
+fixed-order dot product per time and column, the time's exponentials on
+the nodes of its window's contour against the column's weighted
+transform, so a value does not depend on the other times, columns or
+kinds it is asked with.  A column carries its own (rho, gamma, lam): the
+exponentials depend on the times and nodes alone, so one call serves many
+(rho, gamma) cells on the same times.
 Both kernels are also Laplace integrals of explicit spectral densities on
 the positive half line; the verification suites integrate those by a fixed
 rule in log r (``verification._density_rule``) as the independent
@@ -175,9 +178,26 @@ def _check_times(ts):
     return arr
 
 
+def _power(z, rho):
+    """z ** rho; rho a scalar, or one exponent per column of z (..., 1).
+
+    Each distinct exponent is raised once, as a Python float, so a column
+    is bit for bit its scalar power: numpy's power takes fast paths for a
+    scalar exponent (z ** 0.5 is a square root) that an array one misses.
+    """
+    if np.ndim(rho) == 0:
+        return z ** rho
+    exponents, which = np.unique(rho, return_inverse=True)
+    powers = [z ** float(r) for r in exponents]
+    return np.concatenate(powers, axis=-1)[..., which]
+
+
 def _transform(kind, z, rho, gamma, lam):
-    """Laplace transform of A, B or dB/dt ("dB"), z broadcast against lam."""
-    lgz = lam * gamma * z ** rho
+    """Laplace transform of A, B or dB/dt ("dB"), z broadcast against lam.
+
+    rho and gamma are scalars or, like lam, one value per column.
+    """
+    lgz = lam * gamma * _power(z, rho)
     d = z + lam + lgz
     if kind == "B":
         return 1.0 / d
@@ -258,20 +278,38 @@ def _contour_sum(transform, t: np.ndarray, n: int) -> np.ndarray:
 _PINNED = {"A": 1.0, "B": 1.0, "Phi": 0.0, "dB": math.nan}
 
 
-def _bromwich(kinds, rho: float, gamma: float, lam, ts: np.ndarray,
+def _per_column(value, lam: np.ndarray, name: str):
+    """value if a scalar, else as an array of lam's shape: one per column."""
+    if np.ndim(value) == 0:
+        return value
+    arr = np.asarray(value, dtype=float)
+    if arr.shape != lam.shape:
+        raise ValueError(f"{name} has shape {arr.shape}; a scalar or lam's "
+                         f"shape {lam.shape} was expected")
+    return arr
+
+
+def _bromwich(kinds, rho, gamma, lam, ts: np.ndarray,
               q: QuadratureConfig | None = None, error_at=slice(None)):
     """A, B, dB/dt ("dB") or Phi = int_0^t A for each of kinds (a str names
-    one), every eigenvalue and every t in ts.
+    one), every column and every t in ts.
 
-    Returns (values, errors): values, shaped (len(kinds), ts.size,
-    lam.size), are the contour sum on the N that q.rel_tol picks; errors,
-    at ts[error_at] alone (slice(0) for none), are its distance from the
-    sum on N - 4, which runs only where error_at selects a time t > 0.  The
-    kinds share each sum as side-by-side columns, so a value is bit for bit
-    that of a single-kind call.  t = 0 takes _PINNED with a zero error bound.
+    A column is one eigenvalue of lam with its (rho, gamma): rho and gamma
+    are scalars shared by every column, or arrays of lam's shape, one per
+    column, so that one call serves many (rho, gamma) cells on the same
+    times and forms their exponentials e^(zt) once.  Returns (values,
+    errors): values, shaped (len(kinds), ts.size, lam.size), are the
+    contour sum on the N that q.rel_tol picks; errors, at ts[error_at]
+    alone (slice(0) for none), are its distance from the sum on N - 4,
+    which runs only where error_at selects a time t > 0.  The kinds and
+    columns share each sum side by side, so a value is bit for bit that of
+    a single-kind call for its column alone.  t = 0 takes _PINNED with a
+    zero error bound.
     """
     kinds = (kinds,) if isinstance(kinds, str) else tuple(kinds)
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    rho = _per_column(rho, lam, "rho")
+    gamma = _per_column(gamma, lam, "gamma")
 
     def transform(z, dz):
         # Phi: A^(z) / z dz = A^(z) dz / z0 on z = z0 2^-k; the weight is
@@ -296,6 +334,20 @@ def _bromwich(kinds, rho: float, gamma: float, lam, ts: np.ndarray,
     if np.any(pos):
         errors[:, pos] = np.abs(v_err[:, pos] - contour_sum(t_err[pos], n - 4))
     return values, errors
+
+
+def _cell_contour(kinds, cells, lams, ts, q: QuadratureConfig | None = None):
+    """Contour values of kinds for each (rho, gamma) of cells, every lam in
+    lams and every t in ts, from one values-only _bromwich call.
+
+    The columns are every lam of each cell, cell by cell; returns one
+    (len(kinds), ts.size, len(lams)) view per cell.
+    """
+    lams = np.asarray(lams, dtype=float)
+    rho, gamma = np.repeat(np.asarray(cells, dtype=float), lams.size, axis=0).T
+    values, _ = _bromwich(kinds, rho, gamma, np.tile(lams, len(cells)),
+                          np.asarray(ts, dtype=float), q, error_at=slice(0))
+    return np.split(values, len(cells), axis=-1)
 
 
 def eval_A_grid(p: KernelParams, ts, q: QuadratureConfig | None = None):
@@ -408,34 +460,41 @@ def laplace_B_closed_form(p: KernelParams, z: float) -> float:
     return float(_transform("B", z, p.rho, p.gamma, p.lam))
 
 
-def _laplace_rule(kinds, rho: float, gamma: float, lams, zs,
-                 q: QuadratureConfig | None = None):
+def _laplace_rule(kinds, cells, lams, zs,
+                  q: QuadratureConfig | None = None) -> list:
     """int_0^(50 / min z) e^(-zt) K(t) dt for each K of kinds ("A", "B"),
-    every lam in lams and every z in zs, with K from the contour on q.
+    each (rho, gamma) of cells, every lam in lams and every z in zs, with K
+    from the contour on q.
 
     One fixed 15-point Kronrod rule on cells shared by every z:
     [0, 1e-6 * 50 / max z], then doubling cells up to 50 / min z, past
     which e^(-zt) < e^-50.  The doubling cells resolve the weak t -> 0
     singularity of the kernels' derivatives and every damping scale 1/z.
-    One contour call serves the kinds, all nodes and every lam.  Returns
+    One contour call serves the kinds, all nodes, every (rho, gamma) and
+    every lam.  The sums over the nodes are BLAS products, whose order
+    depends on the shapes, so each (rho, gamma) is summed on its own
+    columns, as a call for it alone sums them.  Returns, per (rho, gamma),
     (values, errors), both (len(kinds), len(zs), len(lams)): the Kronrod
-    sums, and the sums over cells of |Kronrod - embedded Gauss|.
+    sums, and the sums over the rule's cells of |Kronrod - embedded Gauss|.
     """
     z = np.atleast_1d(np.asarray(zs, dtype=float))
     inner, t_max = 1e-6 * 50.0 / z.max(), 50.0 / z.min()
-    cells = math.ceil(math.log2(t_max / inner))
+    doublings = math.ceil(math.log2(t_max / inner))
     nodes, half = _kronrod_cells(np.concatenate((
-        [0.0], inner * 2.0 ** np.arange(cells), [t_max])))
+        [0.0], inner * 2.0 ** np.arange(doublings), [t_max])))
     nodes = nodes.ravel()
     decay = np.exp(-np.outer(z, nodes))
-    values, _ = _bromwich(kinds, rho, gamma, lams, nodes, q, slice(0))
-    kronrod = decay * (half[:, None] * _WK).ravel() @ values
-    # Kronrod - Gauss cell by cell, (kinds, z, cells, lams)
-    gap = (decay * (half[:, None] * (_WK - _WG)).ravel()).reshape(
+    kronrod = decay * (half[:, None] * _WK).ravel()
+    # Kronrod - Gauss weights rule cell by rule cell, (z, rule cells, 15)
+    gauss_gap = (decay * (half[:, None] * (_WK - _WG)).ravel()).reshape(
         z.size, half.size, 15)
-    gap = np.einsum("zcn,kcnl->kzcl", gap,
-                    values.reshape(len(values), half.size, 15, -1))
-    return kronrod, np.abs(gap).sum(axis=2)
+    sums = []
+    for own in _cell_contour(kinds, cells, lams, nodes, q):
+        own = np.ascontiguousarray(own)
+        gap = np.einsum("zcn,kcnl->kzcl", gauss_gap,
+                        own.reshape(len(own), half.size, 15, -1))
+        sums.append((kronrod @ own, np.abs(gap).sum(axis=2)))
+    return sums
 
 
 def laplace_transform_numeric(p: KernelParams, z: float,
@@ -452,5 +511,6 @@ def laplace_transform_numeric(p: KernelParams, z: float,
         raise ValueError("transform variable z must be positive and finite")
     if kernel not in ("A", "B"):
         raise ValueError("kernel must be 'A' or 'B'")
-    values, errors = _laplace_rule(kernel, p.rho, p.gamma, [p.lam], [z], q)
+    ((values, errors),) = _laplace_rule(kernel, [(p.rho, p.gamma)], [p.lam],
+                                        [z], q)
     return float(values[0, 0, 0]), float(errors[0, 0, 0])

@@ -198,6 +198,9 @@ def solve_scalar(lam: float, gamma: float, y0: float,
     with symbol s_0 = 1/dt + lam + lam*gamma*c and s_j = lam + lam*gamma*c*b_j
     (b = grid.weights).  It is solved by inverting the symbol as a power
     series and applying the inverse with one FFT convolution: O(n log n).
+    A constant right-hand side r (a constant source, zero forcing among
+    them) skips that convolution: its differences are r times the running
+    sums of the inverse.
     """
     if not (0.0 < lam < math.inf and 0.0 < gamma < math.inf):
         raise ValueError("lam and gamma must be positive and finite")
@@ -215,7 +218,8 @@ def solve_scalar(lam: float, gamma: float, y0: float,
     lgc = lam * gamma * grid.step ** (-rho) / math.gamma(2.0 - rho)
     symbol = lam + lgc * grid.weights
     symbol[0] += 1.0 / grid.step
-    d = _convolve(_inverse_series(symbol), fvals[1:] - lam * y0, n)
+    g, r = _inverse_series(symbol), fvals[1:] - lam * y0
+    d = r[0] * np.cumsum(g) if np.all(r == r[0]) else _convolve(g, r, n)
     return np.concatenate(([y0], y0 + np.cumsum(d)))
 
 

@@ -10,22 +10,25 @@ Each suite keeps its worst cases in ``_Worst`` trackers.  Kernel-level
 suites sweep the standard parameter grid rho in {0.3, 0.5, 0.7, 0.9} x
 gamma in {0.5, 1, 2}.  Kernel values (A, B, dB/dt) come from the Bromwich
 contour, as on the solve path, through its values-only route: no suite
-reads the contour's error estimate, so none pays for it.  The work is
-batched by (rho, gamma) cell: one contour call per set of times serves
-every kind and eigenvalue of the cell (the contour sums each kind and mode
-on its own, so a column equals its single-kind, single-mode value bit for
-bit), and one density pass holds one column per eigenvalue.  int_0^t B is
-a fixed 15-point Kronrod rule on a graded mesh, the nodes of all its times
-in one contour call, and laplace's transforms are ``kernel._laplace_rule``,
-the rule behind ``laplace_transform_numeric``; every fixed rule lays out
-``kernel``'s one Kronrod rule (``kernel._kronrod_cells``).  The checks
-that need an independent route (the values at t = 0, the contour itself,
-dA/dt against -lam B, dB/dt, the backward round trip) integrate the
-spectral densities on the real line by one fixed 15-point Kronrod rule in
-v = log r (``_density_rule``), with no tolerance to set: one call per
-(rho, gamma) cell serves its kinds, its eigenvalues and its times.  This
-module does not import the adaptive engine of ``quadrature``, which is the
-fixed rules' test oracle.
+reads the contour's error estimate, so none pays for it.  A suite makes one
+contour call per set of times for all its (rho, gamma) cells: each column
+carries its own (rho, gamma, lam) (``kernel._cell_contour``), the
+exponentials e^(zt) are formed once for all of them, and the contour sums
+each kind and column on its own, so a column equals its single-cell,
+single-kind, single-mode value bit for bit.  Each check reads its own
+cell's columns; a density pass holds one cell, one column per eigenvalue.
+int_0^t B is a fixed 15-point Kronrod rule on a graded mesh, the nodes of
+all its times in one contour call per rho (the mesh depends on rho), and
+laplace's transforms are ``kernel._laplace_rule``, the rule behind
+``laplace_transform_numeric``; every fixed rule lays out ``kernel``'s one
+Kronrod rule (``kernel._kronrod_cells``).  The checks that need an
+independent route (the values at t = 0, the contour itself, dA/dt against
+-lam B, dB/dt, the backward round trip) integrate the spectral densities on
+the real line by one fixed 15-point Kronrod rule in v = log r
+(``_density_rule``), with no tolerance to set: one call per (rho, gamma)
+cell serves its kinds, its eigenvalues and its times.  This module does not
+import the adaptive engine of ``quadrature``, which is the fixed rules'
+test oracle.
 
 Solver-level suites solve the pinned problems of ``_reference_problems``,
 all at rho 0.5, gamma 1, T = 1 on 512 uniform nodes, or problems derived
@@ -54,6 +57,7 @@ from .kernel import (
     _WK,
     KernelParams,
     QuadratureConfig,
+    _cell_contour,
     _kronrod_cells,
     eval_A,
     laplace_A_closed_form,
@@ -128,40 +132,30 @@ class _Worst:
                                       self.where if detail is None else detail)
 
 
-def _grid():
-    for rho in RHO_GRID:
-        for gamma in GAMMA_GRID:
-            yield rho, gamma
+def _grid() -> list:
+    """The kernel suites' (rho, gamma) cells, rho by rho."""
+    return list(itertools.product(RHO_GRID, GAMMA_GRID))
 
 
-def _contour(kinds, rho: float, gamma: float, lams, ts,
-             q: QuadratureConfig | None = None) -> np.ndarray:
-    """Contour values of kinds (a str names one) for every lam in lams at
-    every t in ts.
-
-    One call through the ``kernel`` module attribute, without the error
-    sum; returns (len(kinds), ts.size, len(lams)).
-    """
-    values, _ = kernel._bromwich(kinds, rho, gamma, lams,
-                                 np.asarray(ts, dtype=float), q,
-                                 error_at=slice(0))
-    return values
-
-
-def _integral_B_time(rho: float, gamma: float, lams, ts) -> np.ndarray:
+def _integral_B_time(rho: float, gammas, lams, ts) -> list:
     """int_0^t B(lam, s) ds by the 15-point Kronrod rule on 64 graded cells.
 
     The grading exponent compensates the s^(-rho) growth of B', which is
     the kernel's only nonsmoothness on [0, t]; the 960 nodes of every t in
-    ts take one contour call for all lams.  Returns (ts.size, len(lams)).
+    ts take one contour call for every gamma in gammas and all lams.
+    Returns one (ts.size, len(lams)) array per gamma.
     """
     exponent = max(2.0, 2.0 / (1.0 - rho))
     nodes, half = _kronrod_cells(np.multiply.outer(
         np.asarray(ts, dtype=float), (np.arange(65) / 64) ** exponent))
-    (values,) = _contour("B", rho, gamma, lams, nodes.ravel())
-    # one contiguous (cells, 15) block per (lam, t), as a single-t call had
-    cells = np.ascontiguousarray(values.T).reshape((-1,) + nodes.shape) @ _WK
-    return np.sum(half * cells, axis=-1).T
+    integrals = []
+    for (values,) in _cell_contour(
+            "B", [(rho, gamma) for gamma in gammas], lams, nodes.ravel()):
+        # one contiguous (cells, 15) block per (lam, t), as a single-t call had
+        cells = np.ascontiguousarray(values.T).reshape(
+            (-1,) + nodes.shape) @ _WK
+        integrals.append(np.sum(half * cells, axis=-1).T)
+    return integrals
 
 
 # The density rule's cells in v = log r (``_density_breaks``).
@@ -351,9 +345,10 @@ def suite_a_properties():
     ts = np.geomspace(1e-3, 1.0, 50)
     # most positive consecutive increment, range and bound violations
     mono, in_range, bound = _Worst(-np.inf), _Worst(-np.inf), _Worst(-np.inf)
-    for rho, gamma in _grid():
+    cells = _grid()
+    for (rho, gamma), (values,) in zip(
+            cells, _cell_contour("A", cells, LAMBDA_TRIPLE, ts)):
         c_a = lower_bound_A(rho, gamma, 1.0, 1.0)
-        (values,) = _contour("A", rho, gamma, LAMBDA_TRIPLE, ts)
         for lam, vals in zip(LAMBDA_TRIPLE, values.T):
             mono.see(float(np.max(np.diff(vals))))
             in_range.see(float(np.max(vals - 1.0)))
@@ -376,7 +371,8 @@ def suite_identities():
     density rule, -int_0^inf r e^(-rt) density_A(r) dr, and the contour's
     dB/dt is held against -int_0^inf r^2 e^(-rt) density_A(r) dr / lam.
     Each (rho, gamma) makes one density-rule call for both columns and both
-    lam, and one contour call per set of times for every kind and both lam.
+    lam.  One contour call per set of times serves every cell, kind and
+    lam, and int_0^t B takes one per rho, its nodes depending on rho alone.
     """
     tight = QuadratureConfig(rel_tol=1e-11)
     ts = np.array([0.25, 1.0])
@@ -384,13 +380,16 @@ def suite_identities():
     h = 1e-4
     integral, derivative, derivative_b, fd = (_Worst() for _ in range(4))
     min_b_margin = np.inf
-    for rho, gamma in _grid():
+    cells = _grid()
+    integrals = [ib for rho in RHO_GRID
+                 for ib in _integral_B_time(rho, GAMMA_GRID, lams, ts)]
+    values = _cell_contour(("A", "B", "dB"), cells, lams, ts)
+    fd_values = _cell_contour(("A", "B"), cells, lams,
+                              [1.0 + h, 1.0 - h, 1.0], tight)
+    for (rho, gamma), ib, (a, b, db), (a_fd, b_fd) in zip(
+            cells, integrals, values, fd_values):
         minus_da, minus_db = np.moveaxis(
             _density_rule(rho, gamma, lams, ts, ("-dA", "-dB")), 2, 0)
-        ib = _integral_B_time(rho, gamma, lams, ts)
-        a, b, db = _contour(("A", "B", "dB"), rho, gamma, lams, ts)
-        a_fd, b_fd = _contour(("A", "B"), rho, gamma, lams,
-                              [1.0 + h, 1.0 - h, 1.0], tight)
         for j, lam in enumerate(lams):
             integral.see(float(np.max(np.abs(
                 a[:, j] - (1.0 - lam * ib[:, j])))))
@@ -423,10 +422,10 @@ def suite_b_properties():
     excess = "relative excess over manifest"
     ts = constants_mod.reference_time_grid(1.0)[::2]
     in_range, sign, env, der = (_Worst(-np.inf) for _ in range(4))
-    for rho, gamma in _grid():
+    cells = _grid()
+    for (rho, gamma), terms in zip(cells, constants_mod._envelope_terms(
+            cells, LAMBDA_TRIPLE, ts, constants_mod.DEFAULT_EPSILON)):
         cell = constants_mod.get_constants(rho, gamma)
-        terms = constants_mod._envelope_terms(
-            rho, gamma, LAMBDA_TRIPLE, ts, constants_mod.DEFAULT_EPSILON)
         for b_vals, db_vals, env_vals, der_vals in zip(*(x.T for x in terms)):
             in_range.see(float(np.max(b_vals - 1.0)))
             in_range.see(float(np.max(-b_vals)))
@@ -446,12 +445,13 @@ def suite_bounds():
     """Scaled lower bound for B, the deviation corollary, and the Gamma cap."""
     ts = np.geomspace(1e-3, 1.0, 25)
     scaled, corollary, cap = _Worst(-np.inf), _Worst(-np.inf), _Worst(-np.inf)
-    for rho, gamma in _grid():
+    cells = _grid()
+    for (rho, gamma), (a, b) in zip(
+            cells, _cell_contour(("A", "B"), cells, LAMBDA_TRIPLE, ts)):
         c_b = lower_bound_B(rho, gamma, 1.0, 1.0)
         cap.see(lower_bound_A(rho, gamma, 1.0, 1.0)
                 - math.gamma(rho) * gamma * math.sin(math.pi * rho)
                 / (3.0 * math.pi))
-        a, b = _contour(("A", "B"), rho, gamma, LAMBDA_TRIPLE, ts)
         for lam, a_vals, b_vals in zip(LAMBDA_TRIPLE, a.T, b.T):
             scaled.see(float(np.max(c_b - lam * b_vals)))
             corollary.see(float(np.max(c_b * ts - np.abs(a_vals - 1.0))))
@@ -468,15 +468,15 @@ def suite_laplace():
     the contour inverting those closed forms matches the density rule.
 
     The transforms are ``kernel._laplace_rule``, the fixed rule behind
-    ``laplace_transform_numeric``, one call per (rho, gamma) for both kinds,
-    every z and both lam; the contour's reference is the density rule, one
-    call per (rho, gamma) for both kinds and its four lam against one
-    contour call for both kinds.
+    ``laplace_transform_numeric``, one call for both kinds, every (rho,
+    gamma), every z and both lam; the contour's reference is the density
+    rule, one call per (rho, gamma) for both kinds and its four lam, against
+    one contour call for both kinds and every cell.
     """
     transform = _Worst()
-    for rho, gamma in _grid():
-        transforms, _ = kernel._laplace_rule(("A", "B"), rho, gamma,
-                                             LAPLACE_LAMBDAS, LAPLACE_Z)
+    cells = _grid()
+    for (rho, gamma), (transforms, _) in zip(cells, kernel._laplace_rule(
+            ("A", "B"), cells, LAPLACE_LAMBDAS, LAPLACE_Z)):
         for j, lam in enumerate(LAPLACE_LAMBDAS):
             p = KernelParams(rho, gamma, lam)
             for i, z in enumerate(LAPLACE_Z):
@@ -488,9 +488,11 @@ def suite_laplace():
     ts = np.linspace(0.0, 1.0, 257)[1:]
     lams = (1.0, 1e2, 1e4, 1e6)
     contour = _Worst()
-    for rho, gamma in itertools.product((0.05, 0.3, 0.5, 0.7, 0.9, 0.99),
-                                        GAMMA_GRID):
-        values = np.moveaxis(_contour(("A", "B"), rho, gamma, lams, ts), 0, 2)
+    cells = list(itertools.product((0.05, 0.3, 0.5, 0.7, 0.9, 0.99),
+                                   GAMMA_GRID))
+    for (rho, gamma), values in zip(
+            cells, _cell_contour(("A", "B"), cells, lams, ts)):
+        values = np.moveaxis(values, 0, 2)
         density = _density_rule(rho, gamma, lams, ts)
         for j, lam in enumerate(lams):
             contour.see(float(np.max(np.abs(values[:, j] - density[:, j]))),

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -221,6 +222,45 @@ class TestKernelValues:
             assert np.array_equal(row[0][:, 0], values[:, i])
             assert np.array_equal(row[1][:, 0], errors[:, i])
 
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(kinds=st.lists(st.sampled_from(["A", "B", "Phi", "dB"]),
+                          min_size=1, max_size=4, unique=True),
+           columns=st.lists(st.tuples(
+               st.one_of(st.sampled_from([0.3, 0.5, 0.7, 0.9]),
+                         st.floats(0.01, 0.99)),
+               st.floats(0.1, 10.0), st.floats(1e-2, 1e6)),
+               min_size=1, max_size=24),
+           n_t=st.integers(1, 200), seed=st.integers(0, 2 ** 32 - 1),
+           error_at=st.sampled_from([slice(None), slice(0),
+                                     slice(-1, None)]))
+    def test_per_column_parameters_match_single_cell_calls(
+            self, kinds, columns, n_t, seed, error_at):
+        # each column carries its own (rho, gamma, lam), rho partly from
+        # the suites' grid, whose 0.5 numpy raises by its square-root fast
+        # path: every column is its single-cell, single-kind, single-mode
+        # call bit for bit, errors included
+        rho, gamma, lam = (np.array(x) for x in zip(*columns))
+        ts = 10.0 ** np.random.default_rng(seed).uniform(-6.0, 3.0, n_t)
+        ts[0] = 0.0
+        values, errors = _bromwich(kinds, rho, gamma, lam, ts,
+                                   error_at=error_at)
+        assert values.shape == (len(kinds), n_t, lam.size)
+        for (k, kind), (j, (r, g, m)) in itertools.product(
+                enumerate(kinds), enumerate(columns)):
+            (alone,), (alone_err,) = _bromwich(kind, r, g, [m], ts,
+                                               error_at=error_at)
+            assert np.array_equal(alone[:, 0], values[k, :, j],
+                                  equal_nan=True)
+            assert np.array_equal(alone_err[:, 0], errors[k, :, j],
+                                  equal_nan=True)
+
+    @pytest.mark.parametrize("rho, gamma", [
+        ([0.3, 0.5], 1.0), (0.5, [1.0, 2.0, 0.5, 1.0]),
+        ([[0.3], [0.5], [0.7]], 1.0), (0.5, np.ones((1, 3)))])
+    def test_per_column_parameters_must_match_lam(self, rho, gamma):
+        with pytest.raises(ValueError, match="shape"):
+            _bromwich("A", rho, gamma, [1.0, 10.0, 100.0], np.array([0.5]))
+
     def test_classical_limit(self):
         p = KernelParams(0.999, 1.0, 2.0)
         assert eval_A(p, 1.0) == pytest.approx(math.exp(-2.0 / 3.0), abs=1e-2)
@@ -421,12 +461,13 @@ class TestIntegralIdentity:
 
         p = KernelParams(0.5, 1.0, 1.0)
         for t in (0.5, 1.0):
-            (mass,), = _integral_B_time(p.rho, p.gamma, [p.lam], [t])
-            assert eval_A(p, t) == pytest.approx(1.0 - p.lam * mass, abs=1e-7)
+            (mass,) = _integral_B_time(p.rho, [p.gamma], [p.lam], [t])
+            assert eval_A(p, t) == pytest.approx(1.0 - p.lam * mass[0, 0],
+                                                 abs=1e-7)
 
     def test_b_mass_below_reciprocal_eigenvalue(self):
         from frstokes.verification import _integral_B_time
 
         for lam in (1.0, 10.0):
-            (mass,), = _integral_B_time(0.7, 0.5, [lam], [1.0])
-            assert mass < 1.0 / lam
+            (mass,) = _integral_B_time(0.7, [0.5], [lam], [1.0])
+            assert mass[0, 0] < 1.0 / lam

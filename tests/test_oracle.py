@@ -261,14 +261,17 @@ class TestSolveScalar:
 
     def test_matches_dense_reference_on_oracle_grid(self):
         # the Toeplitz solve against forward substitution at the oracle
-        # suite's (rho, gamma, lam) sets, unforced and forced
+        # suite's (rho, gamma, lam) sets: unforced, under a constant source
+        # (both take the running sums) and forced by a varying one
         n = 10_000
         for rho in RHO_GRID:
             grid = L1Grid(1.0 / n, n, rho)
             forced = 5.0 * np.sin(grid.times)
+            constant = np.full(n + 1, 0.5)
             for gamma in GAMMA_GRID:
                 for lam in (1.0, 10.0):
-                    for y0, fvals in ((1.0, np.zeros(n + 1)), (0.0, forced)):
+                    for y0, fvals in ((1.0, np.zeros(n + 1)), (0.0, forced),
+                                      (0.25, constant)):
                         y = solve_scalar(lam, gamma, y0, fvals, grid)
                         ref = dense_l1_march(lam, gamma, y0, fvals, grid)
                         assert np.max(np.abs(y - ref)) <= 1e-12
@@ -353,18 +356,26 @@ class TestFFT:
 
     def test_solve_transforms_at_5_smooth_lengths(self, monkeypatch):
         # every transform of one solve is 5-smooth and no longer than the
-        # final convolution's; each Newton doubling takes five of them
+        # final convolution's; each Newton doubling takes five of them, and
+        # only a varying source takes the final convolution's three
         n = 100_000
+        grid = L1Grid(1.0 / n, n, 0.5)
         lengths = []
         for name in ("rfft", "irfft"):
             def counted(x, size, *args, _fft=getattr(np.fft, name), **kw):
                 lengths.append(size)
                 return _fft(x, size, *args, **kw)
             monkeypatch.setattr(np.fft, name, counted)
-        y = solve_scalar(1.0, 1.0, 1.0, None, L1Grid(1.0 / n, n, 0.5))
-        assert np.isfinite(y[-1])
-        assert len(lengths) == 5 * math.ceil(math.log2(n)) + 3
-        assert all(smooth_5(m) and m <= _fft_size(2 * n - 1) for m in lengths)
+        doublings = 5 * math.ceil(math.log2(n))
+        for source, count in ((None, doublings),
+                              (np.full(n + 1, 0.5), doublings),
+                              (np.sin(grid.times), doublings + 3)):
+            lengths.clear()
+            y = solve_scalar(1.0, 1.0, 1.0, source, grid)
+            assert np.isfinite(y[-1])
+            assert len(lengths) == count
+            assert all(smooth_5(m) and m <= _fft_size(2 * n - 1)
+                       for m in lengths)
 
 
 class TestRichardson:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from frstokes.verification import SUITES, CheckResult, run_suites
+from frstokes.verification import RHO_GRID, SUITES, CheckResult, run_suites
 
 
 def test_registry_covers_all_guarantee_families():
@@ -106,8 +106,8 @@ def test_fixed_rule_integral_B_matches_adaptive():
     worst = 0.0
     lams, times = (1.0, 10.0), (0.25, 1.0)
     for rho in RHO_GRID:
-        for gamma in GAMMA_GRID:
-            fixed = _integral_B_time(rho, gamma, lams, times)
+        integrals = _integral_B_time(rho, GAMMA_GRID, lams, times)
+        for gamma, fixed in zip(GAMMA_GRID, integrals):
             for j, lam in enumerate(lams):
                 p = KernelParams(rho, gamma, lam)
                 for i, t in enumerate(times):
@@ -162,8 +162,8 @@ def test_fixed_rule_transforms_match_the_adaptive_route():
         math.ceil(math.log2(t_max / inner))), [t_max]))
     worst = 0.0
     for rho, gamma in _grid():
-        transforms, _ = _laplace_rule(("A", "B"), rho, gamma,
-                                      LAPLACE_LAMBDAS, LAPLACE_Z)
+        ((transforms, _),) = _laplace_rule(("A", "B"), [(rho, gamma)],
+                                           LAPLACE_LAMBDAS, LAPLACE_Z)
         for (k, kind), (i, z), (j, lam) in itertools.product(
                 enumerate("AB"), enumerate(LAPLACE_Z),
                 enumerate(LAPLACE_LAMBDAS)):
@@ -275,6 +275,11 @@ def test_density_rule_is_stable_under_halving(monkeypatch):
 
 KERNEL_SUITES = ("kernel-initial", "a-properties", "identities",
                  "b-properties", "bounds", "laplace", "limit")
+# One contour call per suite and set of times serves every (rho, gamma)
+# cell: a-properties, b-properties, bounds and laplace's transforms and
+# contour-vs-density one each, identities one per rho for int B's nodes
+# (they depend on rho) and one each for ts and the FD times, limit two
+KERNEL_SUITE_CONTOUR_CALLS = 5 + (len(RHO_GRID) + 2) + 2
 
 
 def test_kernel_suites_skip_the_contour_error_sum(monkeypatch):
@@ -302,7 +307,7 @@ def test_kernel_suites_skip_the_contour_error_sum(monkeypatch):
     monkeypatch.setattr(kernel, "_contour_sum", counted_sum)
     report = run_suites(KERNEL_SUITES)
     assert report["passed"]
-    assert len(calls) > 100
+    assert len(calls) == KERNEL_SUITE_CONTOUR_CALLS
     assert [c for c in calls if c[1:] != c[:1]] == []
 
 
@@ -365,30 +370,33 @@ def _record_contour_calls(monkeypatch):
 
 
 def test_kernel_suites_batch_the_contour_by_cell(monkeypatch):
-    # one contour call per (rho, gamma) cell and set of times serves all of
-    # the cell's kinds and eigenvalues, and each column is bit for bit the
-    # single-kind, single-mode value: a sum does not depend on the others
+    # one contour call per set of times serves every (rho, gamma) cell,
+    # kind and eigenvalue of a suite, and each column is bit for bit the
+    # single-cell, single-kind, single-mode value: a sum does not depend on
+    # the others
     from frstokes import kernel
 
     calls = _record_contour_calls(monkeypatch)
     report = run_suites(KERNEL_SUITES)
     monkeypatch.undo()
     assert report["passed"]
-    # per cell: a-properties, b-properties, bounds and laplace's transforms
-    # one each, identities three (int B's nodes, ts, the FD times); 18 for
-    # contour-vs-density and 2 for limit
-    assert len(calls) == 12 * 7 + 18 + 2
-    assert sum(np.size(c["lam"]) > 1 for c in calls) >= 100
+    assert len(calls) == KERNEL_SUITE_CONTOUR_CALLS
+    # all but limit's two carry several cells, as per-column arrays
+    assert sum(np.size(np.unique(c["gamma"])) > 1 for c in calls) == len(
+        calls) - 2
     for c in calls:
         values, _ = kernel._bromwich(**c)
         kinds = (c["kinds"],) if isinstance(c["kinds"], str) else c["kinds"]
+        lams = np.atleast_1d(c["lam"])
+        rhos, gammas = (np.broadcast_to(c[x], lams.shape)
+                        for x in ("rho", "gamma"))
         for k, kind in enumerate(kinds):
-            for j, lam in enumerate(np.atleast_1d(c["lam"])):
+            for j, (rho, gamma, lam) in enumerate(zip(rhos, gammas, lams)):
                 (single,), _ = kernel._bromwich(
-                    kind, c["rho"], c["gamma"], [lam], c["ts"], c["q"],
+                    kind, float(rho), float(gamma), [lam], c["ts"], c["q"],
                     error_at=slice(0))
                 assert np.array_equal(values[k, :, j], single[:, 0]), (
-                    kind, c["rho"], c["gamma"], lam)
+                    kind, rho, gamma, lam)
 
 
 def _count_engine_passes(monkeypatch):
