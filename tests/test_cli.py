@@ -873,6 +873,29 @@ class TestVerifyCommand:
         assert not report["passed"]
         assert "kernel-initial" in err
 
+    def test_a_nan_kernel_value_exits_1(self, capsys, monkeypatch):
+        # every contour value at t > 0 NaN: limit reads two of them through
+        # eval_A, and its margin prints as NaN in one JSON document
+        from frstokes import kernel
+
+        contour = kernel._bromwich
+
+        def poisoned(kinds, rho, gamma, lam, ts, *args, **kwargs):
+            values, errors = contour(kinds, rho, gamma, lam, ts, *args,
+                                     **kwargs)
+            return np.where(np.asarray(ts)[:, None] > 0.0, np.nan,
+                            values), errors
+
+        monkeypatch.setattr(kernel, "_bromwich", poisoned)
+        code, out, err = run_cli(capsys, "verify", "--suite", "limit")
+        assert code == 1
+        report = json.loads(out)
+        (check,) = report["checks"]
+        assert math.isnan(check["margin"]) and check["passed"] is False
+        assert '"margin": NaN' in out and '"passed": false' in out
+        assert not report["passed"]
+        assert "limit:classical-relaxation" in err
+
     @pytest.mark.parametrize("suite", ("manufactured", "nonlocal", "backward",
                                        "coercivity", "residual"))
     def test_solver_suite_rerun_prints_the_same_bytes(self, capsys, suite):

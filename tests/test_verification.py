@@ -536,3 +536,84 @@ def test_reference_traces_live_for_one_run_suites_call(monkeypatch):
     with pytest.raises(RuntimeError, match="suite failed"):
         run_suites(["limit"])
     assert verification._traces is None
+
+
+def _nan_contour(monkeypatch):
+    """Make every contour value at t > 0 NaN, whatever it is asked with."""
+    from frstokes import kernel
+
+    contour = kernel._bromwich
+
+    def poisoned(kinds, rho, gamma, lam, ts, *args, **kwargs):
+        values, errors = contour(kinds, rho, gamma, lam, ts, *args, **kwargs)
+        return np.where(np.asarray(ts)[:, None] > 0.0, np.nan, values), errors
+
+    monkeypatch.setattr(kernel, "_bromwich", poisoned)
+
+
+def test_a_nan_kernel_value_fails_every_check_that_reads_one(monkeypatch):
+    # kernel-initial reads the densities at t = 0 and the Gamma cap reads
+    # the lower bounds: every other kernel-suite check reads the contour
+    from frstokes import verification
+
+    _nan_contour(monkeypatch)
+    report = run_suites(KERNEL_SUITES)
+    names = [f"{c['suite']}:{c['name']}" for c in report["checks"]]
+    independent = ["kernel-initial:relaxation-at-zero",
+                   "kernel-initial:impulse-at-zero",
+                   "bounds:gamma-function-cap"]
+    assert len(names) == 20
+    assert report["failed"] == [n for n in names if n not in independent]
+    assert len(report["failed"]) == 17
+    for name, check in zip(names, report["checks"]):
+        assert math.isnan(check["margin"]) == (name not in independent)
+    # a NaN stepped value fails the oracle's comparison and its monotony
+    monkeypatch.undo()
+    solve = verification.solve_scalar
+
+    def last_nan(*args):
+        values = solve(*args).copy()
+        values[-1] = np.nan
+        return values
+
+    monkeypatch.setattr(verification, "solve_scalar", last_nan)
+    checks = {c.name: c for c in SUITES["oracle"]()}
+    assert set(checks) == {"kernel-vs-l1", "error-monotone-under-halving"}
+    assert not any(c.passed for c in checks.values())
+    assert math.isnan(checks["kernel-vs-l1"].margin)
+
+
+CASES = ["a", "b", "c", "d"]
+
+
+@pytest.mark.parametrize("dev, kwargs, margin, detail", [
+    # a NaN ranks above inf and every other number, the first NaN named
+    ([1.0, np.inf, np.nan, np.nan], {"cases": CASES}, math.nan, "c"),
+    ([[-np.inf, np.nan], [np.nan, 0.0]], {"cases": CASES[:2],
+                                          "signed": True}, math.nan, "a"),
+    ([1.0, np.inf, 2.0, 3.0], {"cases": CASES}, -np.inf, "b"),
+    # a tie keeps the first case in C order, a case a block of the last axis
+    ([[0.5, 2.0], [2.0, 1.0]], {"cases": CASES[:2]}, 1.0, "a"),
+    ([0.5, 2.0, 2.0, 1.0], {"cases": CASES}, 1.0, "b"),
+    # unsigned deviations <= 0 are no deviation: margin tol, no case named
+    ([-1.0, 0.0, -0.0, -np.inf], {"cases": CASES}, 3.0, ""),
+    # signed deviations keep their sign
+    ([-3.0, -1.0, -2.0, -np.inf], {"cases": CASES, "signed": True}, 4.0,
+     "b"),
+    # a given detail replaces the case name
+    ([1.0, 2.0, 0.0, 0.0], {"cases": CASES, "detail": "given"}, 1.0,
+     "given"),
+    ([-1.0], {"detail": "given"}, 3.0, "given"),
+])
+def test_check_reduces_deviations(dev, kwargs, margin, detail):
+    from frstokes.verification import _check
+
+    check = _check("suite", "name", 3.0, np.array(dev), **kwargs)
+    assert (check.suite, check.name, check.tolerance) == ("suite", "name", 3.0)
+    assert check.detail == detail
+    if math.isnan(margin):
+        assert math.isnan(check.margin)
+    else:
+        assert check.margin == margin
+    assert check.passed == (check.margin >= 0.0)
+    assert isinstance(check.margin, float) and isinstance(check.passed, bool)
