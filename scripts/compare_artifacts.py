@@ -7,16 +7,19 @@ For each tree, a fresh interpreter with that tree's ``src`` and
 ``perfbench`` on its path runs every solve-unforced and solve-forced
 operation: ``workloads.generate`` writes its inputs (pass 0) and
 ``workloads.run`` solves it, into a temporary directory, once per seed.
-Five more fresh interpreters run ``frstokes verify``, one pinned
+Six more fresh interpreters run ``frstokes verify``, one pinned
 ``frstokes kernel`` table (KERNEL_TABLE), one pinned ``frstokes
-convergence`` report (CONVERGENCE_CONFIG) and two pinned ``frstokes
+convergence`` report (CONVERGENCE_CONFIG) and three pinned ``frstokes
 solve`` runs (SOLVES) once each.  The first pinned solve is forced on
 explicit geometric nodes and writes trace.json, whose 2048 x 16
 coefficient matrix, a JSON float leaf of at least EXPORT_BLOCK cells,
 sits between batched lists; no benchmark operation writes either.  The
 second reads its data from a ``k,coefficient`` CSV file with a blank line
 and CRLF endings, and its source from a sampled CSV file with a comment
-line, which the benchmark's generator never writes.  For every file
+line, which the benchmark's generator never writes.  The third is a
+512-node, 2000-mode ``manufactured_t2`` solve, whose lattice convolution
+takes its moving modes in many blocks; no benchmark operation has more
+than 64 modes.  For every file
 (inputs, artifacts and each operation's exit code) and for the stdout of
 each of these runs, the script prints ``identical`` or the largest absolute
 difference between the two trees' numbers, the line it is on and the
@@ -74,9 +77,23 @@ SOLVE_CSV_INPUTS = {
     "source.csv": ("t,f1,f2,f3\n# note\n0,1,0,0.5\n0.75,0.25,1,0\n"
                    "2,0,0.5,-1\n"),
 }
+# a forced solve of many modes on a uniform grid, whose lattice convolution
+# runs its moving modes in many blocks of solvers.LATTICE_BLOCK
+MANY_MODES = 2000
+SOLVE_MODES_CONFIG = {
+    "problem": {"kind": "forward", "rho": 0.5, "gamma": 1.0, "horizon": 1.0,
+                "time_grid": {"n_nodes": 512}},
+    "operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                 "n_modes": MANY_MODES},
+    "data": {"coefficients": [1.0 / k for k in range(1, MANY_MODES + 1)]},
+    "source": {"kind": "manufactured_t2"},
+    "output": {"trace_csv": "trace.csv",
+               "diagnostics_json": "diagnostics.json"},
+}
 # pinned solves: output directory -> (config, input files beside it)
 SOLVES = {"solve": (SOLVE_CONFIG, {}),
-          "solve-csv": (SOLVE_CSV_CONFIG, SOLVE_CSV_INPUTS)}
+          "solve-csv": (SOLVE_CSV_CONFIG, SOLVE_CSV_INPUTS),
+          "solve-modes": (SOLVE_MODES_CONFIG, {})}
 # a number as "%.17g", repr or json write it, the non-finite ones included
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|nan|inf(?:inity)?))", re.IGNORECASE)

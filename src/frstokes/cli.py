@@ -31,6 +31,7 @@ from .kernel import (
 )
 from .oracle import TRACE_BLOCK, L1Grid, richardson_extrapolate, solve_scalar
 from .solvers import (
+    LATTICE_BLOCK,
     LATTICE_MIN_CELLS,
     ProblemSpec,
     SolverError,
@@ -215,21 +216,38 @@ def _emit_error(code, kind, message):
 #
 # Each command estimates its peak memory from its counts before it allocates
 # anything that grows with them, and exits 2 when the estimate passes
-# MEMORY_CEILING.  Measured peaks (tracemalloc) were about 80 bytes per
-# node-mode pair of a solve, 10.8 kB per node of the dense Caputo trace,
-# 16 bytes per node and point of the grid export, 160 per kernel-table row
-# and 72 per L1 step, above about 2 MB that any run holds; the estimates
-# take 1.5 to 2.2 times these, and 8 MB.
+# MEMORY_CEILING.  Measured peaks (tracemalloc) were about 35 bytes per
+# node-mode pair of an unforced solve and 70 of a forced one; per lattice
+# point and mode, 16 bytes for a forced solve's samples of its source (the
+# source's own temporary included), 48 for the modes of one LATTICE_BLOCK
+# and 40 for the direct node sums off a uniform grid; 10.8 kB per node of
+# the dense Caputo trace, 16 bytes per node and point of the grid export,
+# 160 per kernel-table row and 72 per L1 step, above about 2 MB that any
+# run holds.  The estimates take 1.5 to 2.2 times these (a zero source's
+# node-mode pairs are charged as a forced solve's), and 8 MB.
 
 MEMORY_CEILING = 2 ** 31  # bytes
 FIXED_BYTES = 2 ** 23
 
 
-def solve_bytes(n_nodes, n_modes, n_points, dense) -> float:
-    """Estimated peak of a solve: its node-mode arrays and the convolution
-    lattice, the grid export's (n_nodes, n_points) field and, on an
-    explicit node list, the dense Caputo trace's TRACE_BLOCK rows."""
-    return (FIXED_BYTES + 128.0 * (n_nodes + LATTICE_MIN_CELLS) * n_modes
+def solve_bytes(n_nodes, n_modes, n_points, dense, source) -> float:
+    """Estimated peak of a solve whose source is of the kind source: its
+    node-mode arrays, the convolution lattice's arrays, the grid export's
+    (n_nodes, n_points) field and, on an explicit node list, the dense
+    Caputo trace's TRACE_BLOCK rows.
+
+    The lattice has at most LATTICE_MIN_CELLS + 2 n_nodes points.  A zero
+    source builds none.  On a uniform grid any other source is sampled on
+    it for all modes, and a source that can move (not a constant) takes
+    Phi, slopes and spectra for one LATTICE_BLOCK of modes at a time.  Off
+    a uniform grid every mode moves, and the direct node sums hold the
+    lattice cells of every mode and one node's samples below it.
+    """
+    lattice = (LATTICE_MIN_CELLS + 2.0 * n_nodes) * (source != "zero")
+    block = 96.0 * lattice * min(n_modes, LATTICE_BLOCK)
+    return (FIXED_BYTES + 128.0 * n_nodes * n_modes
+            + (64.0 if dense else 24.0) * lattice * n_modes
+            + (block if dense or source != "constant" else 0.0)
             + 24.0 * n_nodes * n_points
             + (64.0 * TRACE_BLOCK * n_nodes if dense else 0.0))
 
@@ -350,7 +368,8 @@ def cmd_solve(args):
         v["problem.time_grid.n_nodes"] if nodes is None else len(nodes),
         len(v["operator.eigenvalues"])
         if v["operator.kind"] == "explicit_spectrum" else v["operator.n_modes"],
-        v.get("output.grid_csv.n_points") or 0, nodes is not None))
+        v.get("output.grid_csv.n_points") or 0, nodes is not None,
+        v["source.kind"]))
     try:
         if v["operator.kind"] == "explicit_spectrum":
             op = explicit_spectrum(v["operator.eigenvalues"])

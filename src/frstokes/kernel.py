@@ -192,18 +192,24 @@ def _power(z, rho):
     return np.concatenate(powers, axis=-1)[..., which]
 
 
-def _transform(kind, z, rho, gamma, lam):
-    """Laplace transform of A, B or dB/dt ("dB"), z broadcast against lam.
+def _transform(kinds, z, rho, gamma, lam):
+    """Laplace transforms of each of kinds ("A", "B" or dB/dt as "dB"), z
+    broadcast against lam, yielded in the order of kinds.
 
-    rho and gamma are scalars or, like lam, one value per column.
+    rho and gamma are scalars or, like lam, one value per column.  The kinds
+    share one power z ** rho and one denominator z + lam + lam gamma z^rho;
+    each transform is formed when it is asked for, so a caller that weights
+    and drops one before the next holds one at a time.
     """
     lgz = lam * gamma * _power(z, rho)
     d = z + lam + lgz
-    if kind == "B":
-        return 1.0 / d
-    if kind == "dB":
-        return -(lam + lgz) / d
-    return (1.0 + lgz / z) / d
+    for kind in kinds:
+        if kind == "B":
+            yield 1.0 / d
+        elif kind == "dB":
+            yield -(lam + lgz) / d
+        else:
+            yield (1.0 + lgz / z) / d
 
 
 # Hyperbolic contour z(u) = mu (1 + sin(iu - alpha)), u = k h for k = -N..N,
@@ -314,9 +320,10 @@ def _bromwich(kinds, rho, gamma, lam, ts: np.ndarray,
     def transform(z, dz):
         # Phi: A^(z) / z dz = A^(z) dz / z0 on z = z0 2^-k; the weight is
         # free of the window's scale, where A^(z) / z would overflow first
+        bare = ["A" if kind == "Phi" else kind for kind in kinds]
         return np.concatenate([
-            _transform("A", z, rho, gamma, lam) * (dz / z) if kind == "Phi"
-            else _transform(kind, z, rho, gamma, lam) * dz for kind in kinds],
+            g * (dz / z) if kind == "Phi" else g * dz
+            for kind, g in zip(kinds, _transform(bare, z, rho, gamma, lam))],
             axis=2)
 
     def contour_sum(t, n):
@@ -450,14 +457,16 @@ def laplace_A_closed_form(p: KernelParams, z: float) -> float:
     """Laplace transform of A: (1 + lam*gamma*z^(rho-1)) / (z + lam + lam*gamma*z^rho)."""
     if not 0.0 < z < math.inf:
         raise ValueError("transform variable z must be positive and finite")
-    return float(_transform("A", z, p.rho, p.gamma, p.lam))
+    (value,) = _transform(("A",), z, p.rho, p.gamma, p.lam)
+    return float(value)
 
 
 def laplace_B_closed_form(p: KernelParams, z: float) -> float:
     """Laplace transform of B: 1 / (z + lam + lam*gamma*z^rho)."""
     if not 0.0 < z < math.inf:
         raise ValueError("transform variable z must be positive and finite")
-    return float(_transform("B", z, p.rho, p.gamma, p.lam))
+    (value,) = _transform(("B",), z, p.rho, p.gamma, p.lam)
+    return float(value)
 
 
 def _laplace_rule(kinds, cells, lams, zs,

@@ -20,6 +20,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from .kernel import BLOCK_ELEMENTS
+
 __all__ = [
     "L1Grid",
     "l1_weights",
@@ -89,10 +91,13 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
     which reduces to the classical L1 weights on uniform grids.  ``values``
     may be (n,) or (n, m) for m simultaneous modes; node 0 gets zero.  On a
     uniform grid the sum is one FFT convolution of the L1 weights with the
-    slopes, for all modes at once: O(n log n).  Other grids take the dense
-    O(n^2) sum.  The trace is causal: from a column's first non-finite
-    slope onward its derivative is NaN, and the nodes before keep their
-    values.
+    slopes: O(n log n).  There the slopes are formed in the output's rows
+    1 .. n-1, convolved in place by _convolve, mode-major block by block of
+    modes, and scaled in place, so the output array, a mask of the
+    non-finite slopes and one block of spectra are all it holds.  Other
+    grids take the dense O(n^2) sum.  The trace is causal: from a column's
+    first non-finite slope onward its derivative is NaN, and the nodes
+    before keep their values.
     """
     t = np.asarray(times, dtype=float)
     v = np.asarray(values, dtype=float)
@@ -105,20 +110,24 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
     if not (0.0 < rho < 1.0):
         raise ValueError("rho must lie strictly inside (0, 1)")
     h = np.diff(t)
+    uniform = _is_uniform(t)
+    out = np.empty(v.shape)
+    slopes = out[1:] if uniform else np.empty_like(out[1:])
     with np.errstate(invalid="ignore", over="ignore"):
-        slopes = (v[1:] - v[:-1]) / (h[:, None] if v.ndim == 2 else h)
+        np.subtract(v[1:], v[:-1], out=slopes)
+        slopes /= h[:, None] if v.ndim == 2 else h
     # the sums mix every slope (the FFT) or multiply 0 * inf (the dense
     # block), so non-finite slopes enter as zero and their nodes are reset
     bad = ~np.isfinite(slopes)
     slopes[bad] = 0.0
-    out = np.empty(v.shape)
-    if _is_uniform(t):
+    if uniform:
         # w[i, j] = step^(1-rho) b_(i-1-j): a Toeplitz product
         step = (t[-1] - t[0]) / (t.size - 1)
-        b = l1_weights(rho, t.size - 1).reshape((-1,) + (1,) * (v.ndim - 1))
         out[0] = 0.0
-        out[1:] = step ** (1.0 - rho) * _convolve(slopes, b, t.size - 1)
-        return _causal(out / math.gamma(2.0 - rho), bad)
+        _convolve(slopes, l1_weights(rho, t.size - 1), t.size - 1, slopes)
+        out[1:] *= step ** (1.0 - rho)
+        out /= math.gamma(2.0 - rho)
+        return _causal(out, bad)
     # w[i, j] = (t_i - t_j)^(1-rho) - (t_i - t_{j+1})^(1-rho) for j < i, built
     # TRACE_BLOCK rows at a time so memory stays O(n) rather than O(n^2)
     for i0 in range(0, t.size, TRACE_BLOCK):
@@ -153,15 +162,31 @@ def _fft_size(n: int) -> int:
     return best
 
 
-def _convolve(a: np.ndarray, b: np.ndarray, size: int) -> np.ndarray:
+def _convolve(a: np.ndarray, b: np.ndarray, size: int,
+              out: np.ndarray | None = None) -> np.ndarray:
     """First ``size`` terms of the linear convolution a * b along axis 0.
 
-    By real FFT; 2-D operands convolve column by column in one transform.
+    a is (len_a,) or (len_a, k); b is (len_b,), one sequence for every
+    column of a, and then transformed once, or (len_b, k), one per column.
+    By real FFT of length m on mode-major rows: the columns are transformed
+    as the rows of their transpose (a 1-D operand is one row), in blocks of
+    at most BLOCK_ELEMENTS // m columns, and each block's result is written
+    into out, of a's shape with ``size`` rows (a new array if None).  out
+    may share a's memory column for column: a block is read whole before
+    it is written.  A column's terms do not depend on the block it is in.
     """
     m = _fft_size(len(a) + len(b) - 1)
-    fa = np.fft.rfft(a, m, axis=0)
-    fa *= np.fft.rfft(b, m, axis=0)
-    return np.fft.irfft(fa, m, axis=0)[:size]
+    if out is None:
+        out = np.empty((size,) + a.shape[1:])
+    rows_a, rows_out = a.reshape(len(a), -1).T, out.reshape(size, -1).T
+    fb = np.fft.rfft(b, m) if b.ndim == 1 else None
+    per = max(1, BLOCK_ELEMENTS // m)
+    for j in range(0, len(rows_a), per):
+        block = slice(j, j + per)
+        fa = np.fft.rfft(rows_a[block], m)
+        fa *= fb if fb is not None else np.fft.rfft(b[:, block].T, m)
+        rows_out[block] = np.fft.irfft(fa, m)[:, :size]
+    return out
 
 
 def _inverse_series(c: np.ndarray) -> np.ndarray:

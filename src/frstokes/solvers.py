@@ -26,13 +26,14 @@ Forced modes integrate by parts with dA/dt = -lam B:
     (B * f)(t) = (f(t) - A(t) f(0) - int_0^t A(s) f'(t - s) ds) / lam,
 with f' the slope of f over each cell of a uniform lattice on [0, T], so
 only the A integrals of the cells enter.  They are differences of the
-antiderivative Phi(t) = int_0^t A, which one more contour call gives on the
-lattice and the nodes; the weak singularity of A' at t = 0 needs no special
-cells.  The lattice is built once per solve.  A uniform grid's nodes lie on
-the lattice and on its every-other-point sublattice, and the sum on each is
-one FFT convolution along the time axis; other grids sum directly up to
-each node.  The two levels are Richardson-combined.  Sums over modes are
-fixed-order so reruns are bit-identical.
+antiderivative Phi(t) = int_0^t A, which one more contour call per block of
+LATTICE_BLOCK modes gives on the lattice and the nodes; the weak singularity
+of A' at t = 0 needs no special cells.  The lattice is built once per solve.
+A uniform grid's nodes lie on the lattice and on its every-other-point
+sublattice, and the sum on each is one FFT convolution along the time axis
+per mode; other grids sum directly up to each node.  The two levels are
+Richardson-combined.  Sums over modes are fixed-order so reruns are
+bit-identical.
 
 On a uniform grid, Phi and the FFT run only for the modes whose source
 moves, that is whose lattice samples are not all equal.  A mode with no
@@ -64,7 +65,6 @@ import json
 import math
 import numbers
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass
 from itertools import chain
@@ -73,7 +73,13 @@ from typing import Callable, Iterator
 import numpy as np
 
 from ._format import g17, lines, shortest
-from .kernel import QuadratureConfig, _bromwich, lower_bound_A, lower_bound_B
+from .kernel import (
+    BLOCK_ELEMENTS,
+    QuadratureConfig,
+    _bromwich,
+    lower_bound_A,
+    lower_bound_B,
+)
 from .oracle import _convolve, _is_uniform, caputo_l1_trace
 from .spectral import CoefficientField, SpectralOperator, tail_indicator
 
@@ -100,6 +106,7 @@ __all__ = [
 
 PROBLEM_KINDS = ("forward", "nonlocal", "backward")
 LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
+LATTICE_BLOCK = 128  # moving modes per Phi contour call and lattice block
 BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
 EXPORT_BLOCK = 1 << 13  # cells per formatted block of an export
@@ -186,7 +193,7 @@ def _sample(source, n_modes: int, t: np.ndarray) -> np.ndarray:
     """
     shape = np.shape(t) + (n_modes,)
     if source is None:
-        return np.zeros(shape)
+        return np.broadcast_to(0.0, shape)
     with np.errstate(all="ignore"):
         values = np.asarray(source(t), dtype=float)
     if values.ndim == len(shape):
@@ -276,6 +283,12 @@ class SolutionTrace:
 # Lattice convolution
 
 
+def _blocks(n_modes: int) -> list[slice]:
+    """The modes 0 .. n_modes - 1 in slices of at most LATTICE_BLOCK."""
+    return [slice(j, j + LATTICE_BLOCK)
+            for j in range(0, n_modes, LATTICE_BLOCK)]
+
+
 class _Lattice:
     """The convolution lattice of the nodes ts (ts[0] = 0), built once per
     solve, the times at which the solve needs Phi = int_0^t A, and the modes
@@ -288,7 +301,8 @@ class _Lattice:
     they need Phi and the FFT; the lattice sums of the others are exactly
     zero, which is what the FFT of their zero slopes gave.  Off a uniform
     grid the node sums read the source between lattice points, so every
-    mode moves.
+    mode moves.  The modes are taken LATTICE_BLOCK at a time, so that the
+    arrays of the lattice held at once are a block's.
     """
 
     def __init__(self, ts: np.ndarray, sample):
@@ -303,43 +317,64 @@ class _Lattice:
             self.lattice[::cells // (n - 1)] = ts
         self.points = np.unique(np.concatenate((self.lattice, ts)))
         self.f_ts = sample(ts)
+        n_modes = self.f_ts.shape[-1]
         if self.uniform:
             self.f_lat = sample(self.lattice)
-            self.moving = np.any(np.diff(self.f_lat, axis=0) != 0.0, axis=0)
+            self.moving = np.concatenate([
+                np.any(np.diff(self.f_lat[:, block], axis=0) != 0.0, axis=0)
+                for block in _blocks(n_modes)])
         else:
             # each node's last lattice point below it, on both levels
             below = np.searchsorted(self.lattice, ts, side="left") - 1
             self.last = (below, below // 2 * 2)
-            self.moving = np.ones(self.f_ts.shape[-1], dtype=bool)
+            self.moving = np.ones(n_modes, dtype=bool)
 
     def convolution(self, a: np.ndarray, lam: np.ndarray, phi):
         """(B * f_k)(t_i) of every mode.
 
-        a holds A(lam_k, t_i) of every mode and phi holds Phi(lam_k, .) of
-        the moving modes on points (None when no mode moves).  Also returns
-        each mode's largest Richardson correction as its error estimate.
+        a holds A(lam_k, t_i) of every mode, and phi(lams) gives Phi(lam, .)
+        on points for each lam of lams, a block of the moving modes at a
+        time.  Each block forms its own cell differences of Phi and, on a
+        uniform grid, its own slopes and FFT convolutions; off it, the
+        blocks fill the cells and each node's partial last cell for the
+        direct sum.  Also returns each mode's largest Richardson correction
+        as its error estimate.
         """
         ts, lattice, h = self.ts, self.lattice, self.lattice[1]
         f_ts = self.f_ts
         sums = np.zeros((2,) + a.shape)
-        if phi is not None:
-            def at(x):
-                return phi[np.searchsorted(self.points, x)]
-
-            phi_lat = at(lattice)
-            cells = (np.diff(phi_lat, axis=0), phi_lat[2::2] - phi_lat[:-2:2])
+        moving = np.flatnonzero(self.moving)
+        on_lattice = np.searchsorted(self.points, lattice)
+        if not self.uniform:
+            cells = (np.empty((lattice.size - 1, moving.size)),
+                     np.empty(((lattice.size - 1) // 2, moving.size)))
+            tails = (np.empty(a.shape), np.empty(a.shape))
+            on_nodes = np.searchsorted(self.points, ts)
+        stride = (lattice.size - 1) // (ts.size - 1)
+        for block in _blocks(moving.size):
+            cols = moving[block]
+            phi_block = phi(lam[cols])
+            # mode-major: each mode's lattice values are one contiguous row
+            phi_lat = np.ascontiguousarray(phi_block.T)[:, on_lattice]
+            diffs = (np.diff(phi_lat, axis=1),
+                     phi_lat[:, 2::2] - phi_lat[:, :-2:2])
             if self.uniform:
-                f_lat = self.f_lat[:, self.moving]
-                stride = (lattice.size - 1) // (ts.size - 1)
+                f_lat = np.ascontiguousarray(self.f_lat[:, cols].T)
                 for level, step in enumerate((1, 2)):
-                    slopes = np.diff(f_lat[::step], axis=0) / (step * h)
-                    sums[level, 1:][:, self.moving] = _convolve(
-                        cells[level], slopes, len(slopes))[
+                    slopes = np.diff(f_lat[:, ::step], axis=1)
+                    slopes /= step * h
+                    conv = _convolve(diffs[level].T, slopes.T, slopes.shape[1],
+                                     np.empty_like(slopes).T)
+                    sums[level, 1:][:, cols] = conv[
                         stride // step - 1::stride // step]
             else:
-                # int A over each node's partial last cell, on both levels
-                tails = [at(ts) - at(lattice[j]) for j in self.last]
-                self._node_sums(f_ts[0], cells, tails, sums)
+                for level in (0, 1):
+                    cells[level][:, block] = diffs[level].T
+                    # int A over each node's partial last cell
+                    tails[level][:, block] = (phi_block[on_nodes]
+                                              - phi_lat.T[self.last[level]])
+        if not self.uniform:
+            self._node_sums(f_ts[0], cells, tails, sums)
         fine, coarse = ((f_ts - a * f_ts[0] - s) / lam for s in sums)
         return (4.0 * fine - coarse) / 3.0, np.max(np.abs(fine - coarse), axis=0) / 3.0
 
@@ -392,11 +427,12 @@ def _assemble_modes(spec: ProblemSpec, q):
     # _finish names: numpy's floating-point warnings are silenced here
     with np.errstate(all="ignore"):
         lattice = _Lattice(ts, lambda t: _sample(spec.source, lam.size, t))
-        phi = None
-        if np.any(lattice.moving):
-            (phi,), _ = _bromwich("Phi", spec.rho, spec.gamma,
-                                  lam[lattice.moving], lattice.points, q,
-                                  slice(0))
+
+        def phi(lams):
+            (values,), _ = _bromwich("Phi", spec.rho, spec.gamma, lams,
+                                     lattice.points, q, slice(0))
+            return values
+
         conv, conv_err = lattice.convolution(a, lam, phi)
     return a, a_err[-1], conv, {"convolution_error_estimate": conv_err}
 
@@ -571,8 +607,14 @@ def _diagnose(trace: SolutionTrace, spec: ProblemSpec):
     """The residual's interior nodes and norms, and the coercivity report.
 
     Forms D_t u by central differences, A u, f and the L1 Caputo term
-    once for both.  Raises GridTooCoarseError on a grid with fewer than
-    MIN_INTERIOR_NODES interior nodes.
+    once for both.  The Caputo term is one (nodes, modes) array, and the
+    source is sampled once on the nodes.  D_t u, A u, the residual and the
+    four norms are formed block by block of BLOCK_ELEMENTS // 8 node-mode
+    pairs, so that the block's eight or so (nodes, modes) temporaries hold
+    about BLOCK_ELEMENTS numbers; a block holds whole nodes, so a node's
+    sums over the modes are those of a whole-grid pass.  Raises
+    GridTooCoarseError on a grid with fewer than MIN_INTERIOR_NODES
+    interior nodes.
     """
     nodes, u = trace.nodes, trace.coefficients
     if nodes.size - 2 < MIN_INTERIOR_NODES:
@@ -580,27 +622,29 @@ def _diagnose(trace: SolutionTrace, spec: ProblemSpec):
             f"the diagnostics need >= {MIN_INTERIOR_NODES} interior nodes, "
             f"got {nodes.size - 2}"
         )
-    # the fractional term first: its FFT temporaries are the largest, and
-    # the other terms are not yet held beside them
     dru = caputo_l1_trace(nodes, u, spec.rho)[1:-1]
-    lam = trace.operator.eigenvalues[None, :]
-    du = _central_derivative(nodes, u)
-    au = lam * u[1:-1]
     f = _sample(spec.source, spec.operator.n_modes, nodes)[1:-1]
-    # the residual is held while it is squared, not squared in place: the
-    # in-place form raised a solve-unforced benchmark run's peak RSS 0.8 MB
-    res = du + au + spec.gamma * lam * dru - f
-    norms = np.sqrt(np.sum(res ** 2, axis=1))
-    del dru, res  # not held beside the coercivity terms
+    lam = trace.operator.eigenvalues[None, :]
+    glam = spec.gamma * lam
     t = nodes[1:-1]
-    adru = (f - du - au) / spec.gamma
-    norm_du = np.sqrt(np.sum(du ** 2, axis=1))
-    return t, norms, {
+    norms = np.empty((5, t.size))
+    rows = max(1, BLOCK_ELEMENTS // 8 // lam.size)
+    for i0 in range(0, t.size, rows):
+        i = slice(i0, i0 + rows)
+        du = _central_derivative(nodes[i0:i0 + rows + 2], u[i0:i0 + rows + 2])
+        au = lam * u[1:-1][i]
+        res = du + au + glam * dru[i] - f[i]
+        adru = (f[i] - du - au) / spec.gamma
+        for k, x in enumerate((res, du, au, adru)):
+            norms[k, i] = np.sqrt(np.sum(x ** 2, axis=1))
+    norms[4] = t ** (1.0 - spec.rho) * norms[1]
+    res_norm, norm_du, norm_au, norm_adru, weighted = norms
+    return t, res_norm, {
         "t": t.copy(),  # not a view of the trace's nodes
         "norm_dt_u": norm_du,
-        "norm_A_u": np.sqrt(np.sum(au ** 2, axis=1)),
-        "norm_A_caputo_u": np.sqrt(np.sum(adru ** 2, axis=1)),
-        "weighted_norm_dt_u": t ** (1.0 - spec.rho) * norm_du,
+        "norm_A_u": norm_au,
+        "norm_A_caputo_u": norm_adru,
+        "weighted_norm_dt_u": weighted,
     }
 
 
@@ -632,16 +676,32 @@ def coercivity_report(trace: SolutionTrace, spec: ProblemSpec) -> dict:
 # Exports
 
 
+def _stage(path) -> tuple[int, str]:
+    """A new file beside path under a unique name, opened for writing, and
+    that name.
+
+    It is created with mode 0o666 less the umask, as open() creates one,
+    and keeps that mode when it is renamed to path.
+    """
+    head, tail = os.path.split(os.path.abspath(path))
+    while True:
+        name = os.path.join(head, f".{tail}.{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(name, os.O_CREAT | os.O_EXCL | os.O_WRONLY,
+                           0o666), name
+        except FileExistsError:
+            continue
+
+
 def _write_all(writers: dict) -> None:
     """All files of writers, a dict from path to a function writing to a
-    descriptor, or none: each is staged in one temporary file beside its
-    target, all are renamed only after every write has succeeded, and on
-    any failure the temporary files are removed."""
+    descriptor, or none: each is staged in one new file beside its target
+    (_stage), all are renamed only after every write has succeeded, and on
+    any failure the staged files are removed."""
     staged = {}
     try:
         for path, write in writers.items():
-            fd, staged[path] = tempfile.mkstemp(
-                dir=os.path.dirname(os.path.abspath(path)), suffix=".tmp")
+            fd, staged[path] = _stage(path)
             try:
                 write(fd)
             finally:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import stat
 import subprocess
 import sys
 import tempfile
@@ -388,18 +389,19 @@ class TestSolveCommand:
     def test_one_temporary_file_and_one_rename_per_artifact(self, tmp_path,
                                                             capsys, monkeypatch):
         replaced, made = [], []
-        replace, mkstemp = os.replace, tempfile.mkstemp
+        replace, os_open = os.replace, os.open
 
         def counted_replace(src, dst):
             replaced.append(os.path.basename(dst))
             replace(src, dst)
 
-        def counted_mkstemp(*args, **kwargs):
-            made.append(1)
-            return mkstemp(*args, **kwargs)
+        def counted_open(path, flags, *args, **kwargs):
+            if flags & os.O_CREAT:
+                made.append(1)
+            return os_open(path, flags, *args, **kwargs)
 
         monkeypatch.setattr(os, "replace", counted_replace)
-        monkeypatch.setattr(tempfile, "mkstemp", counted_mkstemp)
+        monkeypatch.setattr(os, "open", counted_open)
         path = forward_config(
             tmp_path, operator={"kind": "dirichlet_laplacian_1d",
                                 "length": "3.141592653589793", "n_modes": 3},
@@ -414,6 +416,33 @@ class TestSolveCommand:
         names = ["trace.csv", "trace.json", "grid.csv", "diag.json"]
         assert replaced == names and len(made) == 4
         assert sorted(os.listdir(out_dir)) == sorted(names)
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002],
+                             ids=["022", "077", "002"])
+    def test_artifacts_take_the_mode_open_gives(self, tmp_path, capsys,
+                                                umask):
+        # every artifact is created 0o666 less the umask, as open() creates
+        # a file, whether it is new or replaces an older one
+        path = forward_config(
+            tmp_path, output={"trace_csv": "trace.csv",
+                              "trace_json": "trace.json",
+                              "diagnostics_json": "diag.json"})
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        (out_dir / "trace.csv").write_text("old\n")
+        os.chmod(out_dir / "trace.csv", 0o640)
+        old = os.umask(umask)
+        try:
+            code, _, _ = run_cli(capsys, "solve", "--config", str(path),
+                                 "--out-dir", str(out_dir))
+        finally:
+            os.umask(old)
+        assert code == 0
+        names = sorted(os.listdir(out_dir))
+        assert names == ["diag.json", "trace.csv", "trace.json"]
+        for name in names:
+            mode = stat.S_IMODE(os.stat(out_dir / name).st_mode)
+            assert mode == 0o666 & ~umask, name
 
     @pytest.mark.parametrize("horizon,code", [
         ("1e-300", 4), ("1e-200", 4), ("1e300", 0)])
@@ -613,17 +642,40 @@ class TestMemoryAdmission:
         ceiling = cli.MEMORY_CEILING
         # a 1e8-row kernel table passed 5.4 GB before printing anything
         assert cli.kernel_table_bytes(10 ** 8) > ceiling
-        assert cli.solve_bytes(10 ** 9, 2, 0, False) > ceiling
-        assert cli.solve_bytes(16, 10 ** 9, 0, False) > ceiling
-        assert cli.solve_bytes(16, 2, 10 ** 9, False) > ceiling
-        assert cli.solve_bytes(10 ** 6, 1, 0, True) > ceiling
-        assert cli.solve_bytes(int(1e300), int(1e300), 0, True) == math.inf
+        # a zero source is the cheapest kind
+        assert cli.solve_bytes(10 ** 9, 2, 0, False, "zero") > ceiling
+        assert cli.solve_bytes(16, 10 ** 9, 0, False, "zero") > ceiling
+        assert cli.solve_bytes(16, 2, 10 ** 9, False, "zero") > ceiling
+        assert cli.solve_bytes(10 ** 6, 1, 0, True, "zero") > ceiling
+        assert cli.solve_bytes(int(1e300), int(1e300), 0, True,
+                               "zero") == math.inf
         assert cli.convergence_bytes([10, 10 ** 10]) > ceiling
         # the benchmark's largest solves and tables stay well inside
-        assert cli.solve_bytes(4096, 32, 0, False) < ceiling / 50
-        assert cli.solve_bytes(2048, 16, 101, False) < ceiling / 50
-        assert cli.solve_bytes(2048, 16, 101, True) < ceiling / 20
+        assert cli.solve_bytes(4096, 32, 0, False, "zero") < ceiling / 50
+        assert cli.solve_bytes(2048, 16, 101, False, "zero") < ceiling / 50
+        assert cli.solve_bytes(2048, 16, 101, True, "zero") < ceiling / 20
+        assert cli.solve_bytes(1024, 8, 0, False, "constant") < ceiling / 50
+        assert cli.solve_bytes(512, 4, 0, False,
+                               "manufactured_t2") < ceiling / 50
         assert cli.kernel_table_bytes(10 ** 5) < ceiling / 50
+
+    def test_estimates_charge_the_lattice_by_source_kind(self):
+        # a zero source builds no lattice, a constant one samples it, and a
+        # source that can move also takes Phi a block of modes at a time
+        n, k = 512, 4000
+        kinds = ("zero", "constant", "sampled_csv", "manufactured_t2")
+        uniform = [cli.solve_bytes(n, k, 0, False, kind) for kind in kinds]
+        assert uniform[0] < uniform[1] < uniform[2] == uniform[3]
+        # a zero-source 512 x 4000 solve peaked at 70 MB (tracemalloc)
+        assert uniform[0] < cli.MEMORY_CEILING
+        # off a uniform grid every mode of a forced solve moves
+        dense = [cli.solve_bytes(n, k, 0, True, kind) for kind in kinds]
+        assert dense[1] == dense[2] == dense[3] > uniform[3]
+        # the Phi block stops growing at LATTICE_BLOCK modes
+        block = [cli.solve_bytes(n, m, 0, False, "sampled_csv")
+                 - cli.solve_bytes(n, m, 0, False, "constant")
+                 for m in (cli.LATTICE_BLOCK, 2 * cli.LATTICE_BLOCK)]
+        assert block[0] == block[1] > 0
 
     def test_estimates_cover_measured_peaks(self, tmp_path):
         nodes = [0.0] + np.geomspace(1e-3, 1.0, 767).tolist()
@@ -635,20 +687,28 @@ class TestMemoryAdmission:
                 "target": "manufactured", "dts": ["5e-5"]})],
              cli.convergence_bytes([20000])),
         ]
-        for name, grid, points, dense in (
-                ("uniform", {"n_nodes": 1024}, 50, False),
-                ("dense", {"nodes": nodes}, 0, True)):
+        # the lattice of a moving source holds more than one LATTICE_BLOCK
+        many = 4 * cli.LATTICE_BLOCK
+        for name, grid, points, dense, n_modes, source in (
+                ("uniform", {"n_nodes": 1024}, 50, False, 16, "constant"),
+                ("dense", {"nodes": nodes}, 0, True, 16, "constant"),
+                ("zero", {"n_nodes": 1024}, 0, False, 16, "zero"),
+                ("many-zero", {"n_nodes": 256}, 0, False, many, "zero"),
+                ("many-moving", {"n_nodes": 256}, 0, False, many,
+                 "manufactured_t2")):
             cfg = copy.deepcopy(FUZZ_CONFIG)
             cfg["problem"]["time_grid"] = grid
-            cfg["operator"]["n_modes"] = 16
-            cfg["data"]["coefficients"] = [1.0] * 16
+            cfg["operator"]["n_modes"] = n_modes
+            cfg["data"]["coefficients"] = [1.0] * n_modes
+            cfg["source"] = {"kind": source}
             cfg["output"]["grid_csv"]["n_points"] = points or 5
             out = tmp_path / name
             out.mkdir()
             runs.append((["solve", "--config", _written(out / "c.json", cfg),
                           "--out-dir", str(out)],
-                         cli.solve_bytes(len(nodes) if dense else 1024, 16,
-                                         points or 5, dense)))
+                         cli.solve_bytes(len(nodes) if dense
+                                         else grid["n_nodes"], n_modes,
+                                         points or 5, dense, source)))
         for argv, estimate in runs:
             tracemalloc.start()
             try:

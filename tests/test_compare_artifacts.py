@@ -79,3 +79,19 @@ def test_pinned_csv_solve_reads_its_files(tmp_path):
     # mode 2 is absent from data.csv; the source forces it
     assert fields[0].tolist() == [1.0, 0.0, -0.25]
     assert np.all(np.isfinite(fields)) and fields[-1, 1] != 0.0
+
+
+def test_pinned_many_mode_solve_takes_lattice_blocks_and_is_admitted():
+    # the many-mode solve is forced on a uniform grid, and its moving modes
+    # fill several blocks of the lattice convolution; it is admitted, so
+    # both trees run it rather than both exiting 2
+    config, inputs = compare_artifacts.SOLVES["solve-modes"]
+    assert inputs == {}
+    problem, operator = config["problem"], config["operator"]
+    n_modes = operator["n_modes"]
+    assert config["source"]["kind"] == "manufactured_t2"
+    assert "n_nodes" in problem["time_grid"]
+    assert n_modes == compare_artifacts.MANY_MODES > 8 * solvers.LATTICE_BLOCK
+    assert len(config["data"]["coefficients"]) == n_modes
+    assert cli.solve_bytes(problem["time_grid"]["n_nodes"], n_modes, 0, False,
+                           "manufactured_t2") < cli.MEMORY_CEILING

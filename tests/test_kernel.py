@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from frstokes import kernel
 from frstokes.kernel import (
     KernelParams,
     QuadratureConfig,
@@ -253,6 +254,26 @@ class TestKernelValues:
                                   equal_nan=True)
             assert np.array_equal(alone_err[:, 0], errors[k, :, j],
                                   equal_nan=True)
+
+    @pytest.mark.parametrize("rho", [0.5, [0.3, 0.5, 0.3]],
+                             ids=["shared", "per-column"])
+    def test_kinds_share_one_power_per_contour_sum(self, monkeypatch, rho):
+        # z ** rho is raised once per sum for all four kinds: the values-only
+        # call sums once, and the error estimate sums once more on N - 4
+        powers = []
+        power = kernel._power
+
+        def counted(z, r):
+            powers.append(1)
+            return power(z, r)
+
+        monkeypatch.setattr(kernel, "_power", counted)
+        ts = np.array([0.0, 1e-3, 0.5, 2.0])
+        kinds = ("A", "B", "dB", "Phi")
+        _bromwich(kinds, rho, 1.0, [1.0, 10.0, 100.0], ts, error_at=slice(0))
+        assert len(powers) == 1
+        _bromwich(kinds, rho, 1.0, [1.0, 10.0, 100.0], ts)
+        assert len(powers) == 3
 
     @pytest.mark.parametrize("rho, gamma", [
         ([0.3, 0.5], 1.0), (0.5, [1.0, 2.0, 0.5, 1.0]),

@@ -1,6 +1,7 @@
 import decimal
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frstokes.kernel import (
+    BLOCK_ELEMENTS,
     KernelParams,
     density_A,
     density_B,
@@ -198,6 +200,22 @@ class TestCaputo:
             assert np.allclose(col[:40], ref[:40, 0], rtol=0.0, atol=1e-12)
         assert np.allclose(out[:, 1], ref[:, 1], rtol=0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("n_modes", [32, 256])
+    def test_uniform_trace_holds_one_array_and_a_block(self, n_modes):
+        # the slopes, their spectra and the scalings live in the output: the
+        # peak is the output, the non-finite mask and one block of spectra
+        t = np.linspace(0.0, 1.0, 4096)
+        values = np.random.default_rng(n_modes).standard_normal(
+            (t.size, n_modes)).cumsum(axis=0)
+        caputo_l1_trace(t, values, 0.5)  # caches the transform length
+        tracemalloc.start()
+        try:
+            caputo_l1_trace(t, values, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * values.nbytes + 32 * BLOCK_ELEMENTS
+
     def test_trace_variant_multicolumn(self):
         t = np.array([0.0, 0.1, 0.35, 0.6, 1.0])  # nonuniform
         cols = np.column_stack([t, t ** 2])
@@ -353,6 +371,31 @@ class TestFFT:
             out = _convolve(a, b, cut)
             assert out.shape == (cut, 3)
             assert np.max(np.abs(out - np.column_stack(ref))) <= tol
+
+    @pytest.mark.parametrize("shared", [True, False],
+                             ids=["one-b", "two-2d-operands"])
+    @pytest.mark.parametrize("offset", [None, -1, 0, 1],
+                             ids=["one", "block-1", "block", "block+1"])
+    def test_blocked_convolve_is_one_whole_transform(self, shared, offset):
+        # columns 1, block - 1, block and block + 1 against one axis-0
+        # transform of the whole arrays, bit for bit, also written in place
+        la, lb = 300, 250
+        m = _fft_size(la + lb - 1)
+        block = BLOCK_ELEMENTS // m
+        k = 1 if offset is None else block + offset
+        rng = np.random.default_rng(k)
+        a = rng.standard_normal((la, k))
+        b = rng.standard_normal(lb if shared else (lb, k))
+        fa = np.fft.rfft(a, m, axis=0)
+        fa *= np.fft.rfft(b.reshape(lb, -1), m, axis=0)
+        whole = np.fft.irfft(fa, m, axis=0)
+        for size in (la, 7):
+            assert np.array_equal(_convolve(a, b, size), whole[:size])
+        in_place = a.copy()
+        assert _convolve(in_place, b, la, in_place) is in_place
+        assert np.array_equal(in_place, whole[:la])
+        if k == 1 and shared:
+            assert np.array_equal(_convolve(a[:, 0], b, la), whole[:la, 0])
 
     def test_solve_transforms_at_5_smooth_lengths(self, monkeypatch):
         # every transform of one solve is 5-smooth and no longer than the

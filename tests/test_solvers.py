@@ -10,7 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from frstokes import _format, solvers
-from frstokes.kernel import KernelParams, QuadratureConfig, eval_A, eval_A_grid
+from frstokes.kernel import (
+    BLOCK_ELEMENTS,
+    KernelParams,
+    QuadratureConfig,
+    eval_A,
+    eval_A_grid,
+)
 from frstokes.solvers import (
     GridTooCoarseError,
     KernelAccuracyError,
@@ -242,6 +248,31 @@ class TestLatticeConvolution:
         ref = closed_form_constant(op, 1.0, traces[0].nodes)[:, [0, 2]] * c
         assert np.max(np.abs(u[:, [0, 2]] - ref)) < 1e-12
         assert [mixed_diag[k] for k in (0, 2)] == [0.0, 0.0]
+
+    @pytest.mark.parametrize("grid", [uniform_grid(1.0, 96), GRADED_NODES],
+                             ids=["uniform", "graded"])
+    def test_mode_blocks_leave_every_column_unchanged(self, monkeypatch,
+                                                      grid):
+        # five moving modes in blocks of two: one Phi call per block, and
+        # every coefficient and diagnostic bit for bit that of one block
+        op = explicit_spectrum([1.0, 4.0, 9.0, 16.0, 25.0])
+        spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, zeros_field(op),
+                           manufactured_quadratic_source(op, 0.5, 1.0), grid)
+        whole = solve_forward(spec)
+        phi_lams = []
+        contour = solvers._bromwich
+
+        def recorded(kind, rho, gamma, lam, ts, *args):
+            if kind == "Phi":
+                phi_lams.append(np.array(lam).tolist())
+            return contour(kind, rho, gamma, lam, ts, *args)
+
+        monkeypatch.setattr(solvers, "_bromwich", recorded)
+        monkeypatch.setattr(solvers, "LATTICE_BLOCK", 2)
+        blocked = solve_forward(spec)
+        assert phi_lams == [[1.0, 4.0], [9.0, 16.0], [25.0]]
+        assert np.array_equal(blocked.coefficients, whole.coefficients)
+        assert dumps_json(blocked.diagnostics) == dumps_json(whole.diagnostics)
 
     def test_manufactured_suite_configuration_under_1e_8(self):
         # the manufactured suite's problem: 8 modes, 512 nodes
@@ -636,6 +667,46 @@ class TestResidual:
         bumped.coefficients[trace.nodes >= 0.5, 0] += 0.01
         _, res_bumped = residual(bumped, spec)
         assert np.max(res_bumped[gate]) > 10.0 * np.max(res[gate])
+
+    @pytest.mark.parametrize("elements", [8, 8 * (5 * 7 + 3)],
+                             ids=["one-node", "five-nodes"])
+    def test_node_blocks_leave_every_norm_unchanged(self, monkeypatch,
+                                                    elements):
+        # a node's sums over the modes do not depend on its block
+        op = explicit_spectrum(np.arange(1.0, 8.0))
+        nodes = uniform_grid(1.0, 200)
+        spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, zeros_field(op),
+                           manufactured_quadratic_source(op, 0.5, 1.0), nodes)
+        u = np.random.default_rng(elements).standard_normal(
+            (nodes.size, op.n_modes)).cumsum(axis=0)
+        trace = SolutionTrace(nodes, u, op, {})
+        monkeypatch.setattr(solvers, "BLOCK_ELEMENTS", 8 * nodes.size * 7)
+        whole = solvers._diagnose(trace, spec)
+        monkeypatch.setattr(solvers, "BLOCK_ELEMENTS", elements)
+        blocked = solvers._diagnose(trace, spec)
+        assert np.array_equal(blocked[1], whole[1])
+        assert dumps_json(blocked[2]) == dumps_json(whole[2])
+
+    @pytest.mark.parametrize("n_modes", [32, 256])
+    def test_diagnostics_hold_one_array_and_a_block(self, n_modes):
+        # beside the Caputo term, D_t u, A u, the residual and the norms are
+        # formed a block of nodes at a time: the peak is that one array, its
+        # mask of non-finite slopes and a block
+        nodes = uniform_grid(1.0, 4096)
+        op = explicit_spectrum(np.arange(1.0, n_modes + 1.0))
+        spec = ProblemSpec("forward", op, 0.5, 1.0, 1.0, zeros_field(op),
+                           None, nodes)
+        u = np.random.default_rng(n_modes).standard_normal(
+            (nodes.size, n_modes)).cumsum(axis=0)
+        trace = SolutionTrace(nodes, u, op, {})
+        solvers._diagnose(trace, spec)  # caches the transform length
+        tracemalloc.start()
+        try:
+            solvers._diagnose(trace, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * u.nbytes + 32 * BLOCK_ELEMENTS
 
     def test_grid_too_coarse(self, small_op):
         spec = ProblemSpec("forward", small_op, 0.5, 1.0, 1.0,
