@@ -7,23 +7,25 @@ For each tree, a fresh interpreter with that tree's ``src`` and
 ``perfbench`` on its path runs every solve-unforced and solve-forced
 operation: ``workloads.generate`` writes its inputs (pass 0) and
 ``workloads.run`` solves it, into a temporary directory, once per seed.
-Six more fresh interpreters run ``frstokes verify``, one pinned
-``frstokes kernel`` table (KERNEL_TABLE), one pinned ``frstokes
-convergence`` report (CONVERGENCE_CONFIG) and three pinned ``frstokes
-solve`` runs (SOLVES) once each.  The first pinned solve is forced on
-explicit geometric nodes and writes trace.json, whose 2048 x 16
-coefficient matrix, a JSON float leaf of at least EXPORT_BLOCK cells,
-sits between batched lists; no benchmark operation writes either.  The
-second reads its data from a ``k,coefficient`` CSV file with a blank line
-and CRLF endings, and its source from a sampled CSV file with a comment
-line, which the benchmark's generator never writes.  The third is a
-512-node, 2000-mode ``manufactured_t2`` solve, whose lattice convolution
-takes its moving modes in many blocks; no benchmark operation has more
-than 64 modes.  For every file
-(inputs, artifacts and each operation's exit code) and for the stdout of
-each of these runs, the script prints ``identical`` or the largest absolute
-difference between the two trees' numbers, the line it is on and the
-largest relative difference.  It exits 1 on any difference, 0 when all is
+Seven more fresh interpreters run ``frstokes verify``, one pinned
+``frstokes kernel`` table (KERNEL_TABLE), two pinned ``frstokes
+convergence`` reports (CONVERGENCES) and three pinned ``frstokes solve``
+runs (SOLVES) once each.  The first convergence report is manufactured
+and takes at most 800 steps; the second is the benchmark's kernel target,
+whose 100 000-step zero-source march is compared byte for byte.  The
+first pinned solve is forced on explicit geometric nodes and writes
+trace.json, whose 2048 x 16 coefficient matrix, a JSON float leaf of at
+least EXPORT_BLOCK cells, sits between batched lists; no benchmark
+operation writes either.  The second reads its data from a
+``k,coefficient`` CSV file with a blank line and CRLF endings, and its
+source from a sampled CSV file with a comment line, which the benchmark's
+generator never writes.  The third is a 512-node, 2000-mode
+``manufactured_t2`` solve, whose lattice convolution takes its moving
+modes in many blocks; no benchmark operation has more than 64 modes.  For
+every file (inputs, artifacts and each operation's exit code) and for the
+stdout of each of these runs, the script prints ``identical`` or the
+largest absolute difference between the two trees' numbers, the line it
+is on and the largest relative difference.  It exits 1 on any difference, 0 when all is
 identical and 2 when a tree cannot be run.  Nothing is written inside
 either tree: the interpreters write no bytecode and the outputs go to the
 temporary directory.
@@ -43,9 +45,15 @@ import tempfile
 WORKLOADS = ("solve-unforced", "solve-forced")
 KERNEL_TABLE = ("kernel", "--rho", "0.5", "--gamma", "1", "--lambda", "100",
                 "--t-start", "0", "--t-end", "1", "--t-steps", "257")
-CONVERGENCE_CONFIG = {"target": "manufactured", "rho": "0.35", "gamma": "2.0",
-                      "lambda": "10.0", "horizon": "1.0",
-                      "dts": ["1e-2", "5e-3", "2.5e-3", "1.25e-3"]}
+# pinned convergence reports: name -> config
+CONVERGENCES = {
+    "convergence": {"target": "manufactured", "rho": "0.35", "gamma": "2.0",
+                    "lambda": "10.0", "horizon": "1.0",
+                    "dts": ["1e-2", "5e-3", "2.5e-3", "1.25e-3"]},
+    "convergence-kernel": {"target": "kernel", "rho": "0.3", "gamma": "0.5",
+                           "lambda": "1", "horizon": "1.0",
+                           "dts": ["4e-5", "2e-5", "1e-5"]},
+}
 SOLVE_NODES = 2048
 SOLVE_CONFIG = {
     "problem": {"kind": "forward", "rho": 0.4, "gamma": 1.5, "horizon": 1.0,
@@ -129,11 +137,12 @@ def run_tree(tree: str, out: str, seeds: list[int]) -> None:
     subprocess.run([sys.executable, "-B", os.path.abspath(__file__),
                     "--produce", out, "--seeds", *map(str, seeds)],
                    env=env, cwd=out, check=True)
-    config = os.path.join(out, "convergence.json")
-    with open(config, "w") as fh:
-        json.dump(CONVERGENCE_CONFIG, fh)
-    runs = [("verify", ("verify",)), ("kernel", KERNEL_TABLE),
-            ("convergence", ("convergence", "--config", config))]
+    runs = [("verify", ("verify",)), ("kernel", KERNEL_TABLE)]
+    for name, cfg in CONVERGENCES.items():
+        config = os.path.join(out, name + ".json")
+        with open(config, "w") as fh:
+            json.dump(cfg, fh)
+        runs.append((name, ("convergence", "--config", config)))
     for name, (cfg, inputs) in SOLVES.items():
         os.makedirs(os.path.join(out, name))
         with open(os.path.join(out, name, "config.json"), "w") as fh:

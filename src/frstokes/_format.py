@@ -19,8 +19,9 @@ wide, goes through repr, as does a value whose gap ends within 2^-30 of
 an integer or whose chosen decimal is within 2^-30 of a tie (repr breaks
 ties to even: 612857683458612.75 is 612857683458612.8).  Zeros,
 subnormal, non-finite and out-of-table values go value by value through
-"%.17g" or repr (json's NaN, Infinity and -Infinity), as does, for g17, a
-product within 2^-30 of a tie where the scaling is inexact.
+"%.17g" or repr (null for a non-finite value, which JSON cannot spell), as
+does, for g17, a product within 2^-30 of a tie where the scaling is
+inexact.
 
 The digits are laid out in fixed NUL-padded slots, one column per value:
     sign | "0." and up to 3 zeros | 17 digits, the point among them | e+XXX
@@ -129,9 +130,9 @@ def g17(x) -> np.ndarray:
 
 
 def shortest(x) -> np.ndarray:
-    """repr(v) of every float64 v in x, json's names for the non-finite
-    ones, in g17's slots: column i, without its NULs, is the text of
-    x.flat[i] as json.dumps writes it."""
+    """repr(v) of every float64 v in x, null for the non-finite ones, in
+    g17's slots: column i, without its NULs, is the JSON text of
+    x.flat[i]."""
     tables = _tables("r")
     x, a, ok, t, n, frac = _decimal(x, tables)
     flagged = _fewest(a, ok, t, n, frac, tables)
@@ -219,10 +220,10 @@ def printf(values: np.ndarray) -> np.ndarray:
 
 
 def jsonrepr(values: np.ndarray) -> np.ndarray:
-    """json's text of each value, repr or NaN, Infinity and -Infinity, in
+    """JSON's text of each value, repr or null for a non-finite one, in
     shortest's layout: the values it flags, in one call to json's encoder."""
     text = json.dumps(values.tolist())[1:-1].split(", ")
-    text = np.array(text, f"S{SLOTS}")
+    text = np.where(np.isfinite(values), text, "null").astype(f"S{SLOTS}")
     return text.view(np.uint8).reshape(-1, SLOTS).T
 
 

@@ -7,9 +7,9 @@ and ``convergence`` (oracle-vs-quadrature error table over step sizes).
 
 The CLI performs no arithmetic of its own beyond formatting: every number
 printed is produced by a library call.  Numeric config fields accept
-decimal strings so configs can round-trip exactly.  A solve writes all of
-its output files or none of them, and repeated runs with the same config
-are byte-identical.
+decimal strings so configs can round-trip exactly.  A solve whose writes
+fail leaves none of its output files, and repeated runs with the same
+config are byte-identical.
 """
 
 from __future__ import annotations
@@ -222,9 +222,11 @@ def _emit_error(code, kind, message):
 # source's own temporary included), 48 for the modes of one LATTICE_BLOCK
 # and 40 for the direct node sums off a uniform grid; 10.8 kB per node of
 # the dense Caputo trace, 16 bytes per node and point of the grid export,
-# 160 per kernel-table row and 72 per L1 step, above about 2 MB that any
-# run holds.  The estimates take 1.5 to 2.2 times these (a zero source's
-# node-mode pairs are charged as a forced solve's), and 8 MB.
+# 160 per kernel-table row, and per L1 step 40 for the kernel target and 80
+# for the manufactured one, whose sampled source takes a convolution (both
+# at 2e4, 1e5 and 4e5 steps), above about 2 MB that any run holds.  The
+# estimates take 1.5 to 2.2 times these (a zero source's node-mode pairs are
+# charged as a forced solve's), and 8 MB.
 
 MEMORY_CEILING = 2 ** 31  # bytes
 FIXED_BYTES = 2 ** 23
@@ -259,7 +261,7 @@ def kernel_table_bytes(t_steps) -> float:
 
 def convergence_bytes(steps) -> float:
     """Estimated peak of the L1 runs of a convergence table."""
-    return FIXED_BYTES + 160.0 * max(steps)
+    return FIXED_BYTES + 128.0 * max(steps)
 
 
 def _admit(what, estimate) -> None:
@@ -342,7 +344,8 @@ def _plan_outputs(v, op, out_dir):
 
 
 def _write_artifacts(trace, paths, n_points):
-    """All of the solve's artifacts or none of them, by _write_all."""
+    """The solve's artifacts, all staged before any is renamed, by
+    _write_all."""
     writers = {
         "trace_csv": lambda fd: export_trace_csv(trace, fd),
         "trace_json": lambda fd: export_trace_json(trace, fd),

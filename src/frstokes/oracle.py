@@ -47,8 +47,13 @@ def l1_weights(rho: float, n: int) -> np.ndarray:
     if not (isinstance(n, numbers.Integral) and n >= 1):
         raise ValueError("need an integer count of at least one weight")
     a = 1.0 - rho
-    j = np.arange(1, n, dtype=np.float64)
-    return np.concatenate(([1.0], j ** a * np.expm1(a * np.log1p(1.0 / j))))
+    w = np.empty(n)
+    w[0] = 1.0
+    # a block of BLOCK_ELEMENTS weights at a time bounds the temporaries
+    for j0 in range(1, n, BLOCK_ELEMENTS):
+        j = np.arange(j0, min(j0 + BLOCK_ELEMENTS, n), dtype=np.float64)
+        w[j0:j0 + j.size] = j ** a * np.expm1(a * np.log1p(1.0 / j))
+    return w
 
 
 @dataclass(frozen=True)
@@ -189,21 +194,44 @@ def _convolve(a: np.ndarray, b: np.ndarray, size: int,
     return out
 
 
-def _inverse_series(c: np.ndarray) -> np.ndarray:
-    """Coefficients g of 1/c(x) mod x^n, by Newton doubling g <- g(2 - c g)."""
-    g = np.array([1.0 / c[0]])
-    while g.size < c.size:
-        m = g.size
-        k = min(2 * m, c.size)
+def _inverse_series(w: np.ndarray, lam: float, lgc: float,
+                    inv_dt: float) -> np.ndarray:
+    """Coefficients g of 1/c(x) mod x^n, by Newton doubling g <- g(2 - c g),
+    for the symbol c = lgc w + lam with c_0 raised by inv_dt, n = len(w).
+
+    g is allocated once at length n; every doubling forms its prefix of c
+    and its transforms in views of one real buffer and one pair of
+    half-spectra of the longest transform's length, so no symbol array
+    exists and the arithmetic is that of fresh arrays.
+    """
+    n = len(w)
+    top = _fft_size(n)
+    g = np.empty(n)
+    g[0] = 1.0 / (lgc * w[0] + lam + inv_dt)
+    spectra = np.empty((2, top // 2 + 1), dtype=complex)
+    real = np.empty(top)
+    m = 1
+    while m < n:
+        k = min(2 * m, n)
         size = _fft_size(k)
-        fg = np.fft.rfft(g, size)
+        fg, fc = spectra[:, :size // 2 + 1]
+        buf = real[:size]
+        np.fft.rfft(g[:m], size, out=fg)
+        np.multiply(w[:k], lgc, out=buf[:k])
+        buf[:k] += lam
+        buf[0] += inv_dt
+        np.fft.rfft(buf[:k], size, out=fc)
+        fc *= fg
         # c g = 1 + O(x^m); only its terms m .. k-1 enter the correction, a
         # middle product (Hanrot, Quercia & Zimmermann, AAECC 14, 2004): taken
         # cyclically at size >= k its wrap-around lands below m, and g err is
         # k - 1 terms long, so both products share one transform of g
-        err = np.fft.irfft(np.fft.rfft(c[:k], size) * fg, size)[m:k]
-        fg *= np.fft.rfft(err, size)
-        g = np.concatenate([g, -np.fft.irfft(fg, size)[:k - m]])
+        np.fft.irfft(fc, size, out=buf)
+        np.fft.rfft(buf[m:k], size, out=fc)
+        fg *= fc
+        np.fft.irfft(fg, size, out=buf)
+        np.negative(buf[:k - m], out=g[m:k])
+        m = k
     return g
 
 
@@ -232,20 +260,32 @@ def solve_scalar(lam: float, gamma: float, y0: float,
     if not math.isfinite(y0):
         raise ValueError("y0 must be finite")
     rho, n = grid.rho, grid.count
-    if f is None:
-        fvals = np.zeros(n + 1)
-    else:
+    if f is not None:
         fvals = np.asarray(f, dtype=float)
         if fvals.shape != (n + 1,):
             raise ValueError("sampled source must cover all grid nodes")
         if not np.all(np.isfinite(fvals)):
             raise ValueError("source samples must be finite")
     lgc = lam * gamma * grid.step ** (-rho) / math.gamma(2.0 - rho)
-    symbol = lam + lgc * grid.weights
-    symbol[0] += 1.0 / grid.step
-    g, r = _inverse_series(symbol), fvals[1:] - lam * y0
-    d = r[0] * np.cumsum(g) if np.all(r == r[0]) else _convolve(g, r, n)
-    return np.concatenate(([y0], y0 + np.cumsum(d)))
+    g = _inverse_series(grid.weights, lam, lgc, 1.0 / grid.step)
+    # the output, allocated once the doubling's buffers are freed, holds the
+    # right-hand side, then the differences, then the trajectory
+    y = np.empty(n + 1)
+    y[0] = y0
+    r = y[1:]
+    if f is None:
+        r0 = -lam * y0
+    else:
+        np.subtract(fvals[1:], lam * y0, out=r)
+        r0 = r[0] if np.all(r == r[0]) else None
+    if r0 is None:
+        _convolve(g, r, n, out=r)
+    else:
+        np.cumsum(g, out=r)
+        r *= r0
+    np.cumsum(r, out=r)
+    r += y0
+    return y
 
 
 class RichardsonResult(NamedTuple):

@@ -49,14 +49,14 @@ The CSV exports, and the CLI's kernel table, write every number as
 of ten, and the few values it cannot settle exactly (zeros, non-finite
 and subnormal values, near-ties) go through "%.17g" itself.  A long
 CSV's node stamps are one call per run of up to EXPORT_BLOCK nodes.  The
-JSON exports write every float as json.dumps does, float.__repr__, from
-the same scaling (_format.shortest): json.dumps lays out the document with
-a marker in place of each float array, and the arrays' numbers share one
-call per batch of up to _JSON_BATCH numbers.  The per-node diagnostics
-stay float64 arrays, so they reach that writer without a round trip
-through Python floats.  Every file is staged and renamed by one writer,
-_write_all; the CLI passes it all of a solve's files at once, so it
-writes all of them or none.
+JSON exports write every finite float as json.dumps does, float.__repr__,
+and every other as null, from the same scaling (_format.shortest):
+json.dumps lays out the document with a marker in place of each float
+array, and the arrays' numbers share one call per batch of up to
+_JSON_BATCH numbers.  The per-node diagnostics stay float64 arrays, so
+they reach that writer without a round trip through Python floats.  Every
+file is staged and renamed by one writer, _write_all; the CLI passes it
+all of a solve's files at once, so a failed write leaves none of them.
 """
 
 from __future__ import annotations
@@ -172,13 +172,24 @@ def manufactured_quadratic_source(op: SpectralOperator, rho: float,
 
     Substituting y = t^2 into the scalar equation gives
     f(t) = 2 t + lam t^2 + 2 lam gamma t^(2-rho) / Gamma(3-rho).
+    The values are formed in their one output array, the last term added
+    a block of about BLOCK_ELEMENTS of them at a time.
     """
     coef = 2.0 * gamma / math.gamma(3.0 - rho)
     lam = op.eigenvalues
+    lam_coef = lam * coef
+    per = max(1, BLOCK_ELEMENTS // max(lam.size, 1))
 
     def f(t):
         t = np.asarray(t, dtype=float)[..., None]
-        return 2.0 * t + lam * t ** 2 + lam * coef * t ** (2.0 - rho)
+        out = np.multiply(lam, t ** 2,
+                          out=np.empty(np.broadcast_shapes(t.shape, lam.shape)))
+        out += 2.0 * t
+        power = (t ** (2.0 - rho)).reshape(-1, 1)
+        rows = out.reshape(-1, lam.size)
+        for i in range(0, len(rows), per):
+            rows[i:i + per] += lam_coef * power[i:i + per]
+        return out
 
     return f
 
@@ -697,7 +708,11 @@ def _write_all(writers: dict) -> None:
     """All files of writers, a dict from path to a function writing to a
     descriptor, or none: each is staged in one new file beside its target
     (_stage), all are renamed only after every write has succeeded, and on
-    any failure the staged files are removed."""
+    any failure the staged files are removed.
+
+    The renames are not all-or-none: each os.replace is atomic, but if a
+    later one fails, the targets renamed before it already hold their new
+    files, and only the files still staged are removed."""
     staged = {}
     try:
         for path, write in writers.items():
@@ -771,7 +786,8 @@ def _csv_table(header: str, columns) -> Iterator[str]:
 
 
 def dumps_json(obj) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True), byte for byte.
+    """json.dumps(obj, indent=2, sort_keys=True), byte for byte, but with
+    null for every non-finite number, which RFC 8259 has no token for.
 
     json lays out the document; each float64 vector or matrix in it is a
     float leaf, written by _format.shortest, float.__repr__ for a block of
@@ -847,13 +863,13 @@ def _pieces(obj) -> Iterator:
             raise TypeError(f"Object of type {type(o).__name__} "
                             f"is not JSON serializable")
         if o.dtype != float or o.size == 0 or o.ndim == 0:
-            return o.tolist()
+            return _nulls(o.tolist())
         if o.ndim > 2:
             return list(o)
         leaves.append(o)
         return _LEAF
 
-    texts = json.dumps(obj, indent=2, sort_keys=True,
+    texts = json.dumps(_nulls(obj), indent=2, sort_keys=True,
                        default=leaf).split(json.dumps(_LEAF))
     # json's encoder keeps leaf in a reference cycle, and with it the list
     found = leaves.copy()
@@ -865,6 +881,18 @@ def _pieces(obj) -> Iterator:
         line = before.rpartition("\n")[2]
         yield values, "\n" + " " * (len(line) - len(line.lstrip(" ")))
         yield text
+
+
+def _nulls(obj):
+    """obj with None for each non-finite float in its dicts, lists and
+    tuples (json writes a tuple as a list); arrays are left to the leaves."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _nulls(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulls(value) for value in obj]
+    return obj
 
 
 def _floats(values: np.ndarray, newline: str,

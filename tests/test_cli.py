@@ -686,6 +686,11 @@ class TestMemoryAdmission:
             (["convergence", "--config", _written(tmp_path / "conv.json", {
                 "target": "manufactured", "dts": ["5e-5"]})],
              cli.convergence_bytes([20000])),
+            # 100 000 steps: the last Newton step's transform length, 100 000,
+            # is not a power of two
+            (["convergence", "--config", _written(tmp_path / "kernel.json", {
+                "target": "kernel", "dts": ["1e-5"]})],
+             cli.convergence_bytes([100000])),
         ]
         # the lattice of a moving source holds more than one LATTICE_BLOCK
         many = 4 * cli.LATTICE_BLOCK
@@ -935,7 +940,8 @@ class TestVerifyCommand:
 
     def test_a_nan_kernel_value_exits_1(self, capsys, monkeypatch):
         # every contour value at t > 0 NaN: limit reads two of them through
-        # eval_A, and its margin prints as NaN in one JSON document
+        # eval_A, and its NaN margin prints as null in one strict JSON
+        # document
         from frstokes import kernel
 
         contour = kernel._bromwich
@@ -949,10 +955,10 @@ class TestVerifyCommand:
         monkeypatch.setattr(kernel, "_bromwich", poisoned)
         code, out, err = run_cli(capsys, "verify", "--suite", "limit")
         assert code == 1
-        report = json.loads(out)
+        report = json.loads(out, parse_constant=_refuse_constant)
         (check,) = report["checks"]
-        assert math.isnan(check["margin"]) and check["passed"] is False
-        assert '"margin": NaN' in out and '"passed": false' in out
+        assert check["margin"] is None and check["passed"] is False
+        assert '"margin": null' in out and '"passed": false' in out
         assert not report["passed"]
         assert "limit:classical-relaxation" in err
 

@@ -95,3 +95,19 @@ def test_pinned_many_mode_solve_takes_lattice_blocks_and_is_admitted():
     assert len(config["data"]["coefficients"]) == n_modes
     assert cli.solve_bytes(problem["time_grid"]["n_nodes"], n_modes, 0, False,
                            "manufactured_t2") < cli.MEMORY_CEILING
+
+
+def test_pinned_kernel_convergence_marches_100000_steps(tmp_path, capsys):
+    # the benchmark's kernel target: its finest step is a 100 000-step
+    # zero-source march, and its report is finite, so both trees print one
+    config = compare_artifacts.CONVERGENCES["convergence-kernel"]
+    assert config["target"] == "kernel"
+    assert (config["rho"], config["gamma"], config["lambda"]) == (
+        "0.3", "0.5", "1")
+    assert [float(dt) for dt in config["dts"]] == [4e-5, 2e-5, 1e-5]
+    assert round(float(config["horizon"]) / float(config["dts"][-1])) == 100_000
+    path = tmp_path / "convergence.json"
+    path.write_text(json.dumps(config))
+    assert cli.main(["convergence", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert all(np.isfinite(report["values"] + report["observed_orders"]))

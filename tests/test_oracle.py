@@ -98,6 +98,17 @@ class TestWeights:
                               - decimal.Decimal(j) ** a)
                 assert abs(b[j] - exact) <= 2e-15 * exact
 
+    @pytest.mark.parametrize("n", [BLOCK_ELEMENTS - 1, BLOCK_ELEMENTS,
+                                   BLOCK_ELEMENTS + 1, 2 * BLOCK_ELEMENTS + 1])
+    def test_blocks_match_one_shot_weights(self, n):
+        # filled a block of BLOCK_ELEMENTS at a time, bit for bit the weights
+        # of one expression over all of j
+        a = 1.0 - 0.35
+        j = np.arange(1, n, dtype=np.float64)
+        one_shot = np.concatenate(([1.0], j ** a
+                                   * np.expm1(a * np.log1p(1 / j))))
+        assert l1_weights(0.35, n).tobytes() == one_shot.tobytes()
+
     def test_grid_carries_weights(self):
         grid = L1Grid(0.1, 10, 0.5)
         assert grid.weights.shape == (10,)
@@ -294,6 +305,21 @@ class TestSolveScalar:
                         ref = dense_l1_march(lam, gamma, y0, fvals, grid)
                         assert np.max(np.abs(y - ref)) <= 1e-12
 
+    def test_zero_source_march_holds_five_arrays(self):
+        # the inverse series, its two half-spectra and its real buffer, then
+        # the one output: under five n-double arrays at its peak
+        n = 100_000
+        grid = L1Grid(1.0 / n, n, 0.5)
+        solve_scalar(1.0, 1.0, 1.0, None, grid)  # caches the transform lengths
+        tracemalloc.start()
+        try:
+            y = solve_scalar(1.0, 1.0, 1.0, None, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert y.shape == (n + 1,)
+        assert peak < 5 * 8 * n
+
     def test_invalid_arguments(self):
         grid = L1Grid(0.1, 10, 0.5)
         with pytest.raises(ValueError):
@@ -345,17 +371,19 @@ class TestFFT:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 8, 9, 1025, 10007])
     def test_inverse_series_matches_naive(self, n):
-        # the oracle's symbol at rho = 0.5, and a symbol of random sign
+        # the oracle's symbol at rho = 0.5, and a symbol of random sign given
+        # as its own weights: 1 * w + 0 is w exactly
         grid = L1Grid(1.0 / n, n, 0.5)
         rng = np.random.default_rng(n)
-        for c in (2.0 + 30.0 * grid.weights,
-                  np.concatenate(([4.0], rng.uniform(-1.0, 1.0, n - 1)
-                                  / np.arange(2, n + 1) ** 2))):
+        signed = np.concatenate(([4.0], rng.uniform(-1.0, 1.0, n - 1)
+                                 / np.arange(2, n + 1) ** 2))
+        for c, args in ((2.0 + 30.0 * grid.weights, (grid.weights, 2.0, 30.0)),
+                        (signed, (signed, 0.0, 1.0))):
             naive = np.empty(n)
             naive[0] = 1.0 / c[0]
             for i in range(1, n):
                 naive[i] = -np.dot(c[1:i + 1], naive[i - 1::-1]) / c[0]
-            g = _inverse_series(c)
+            g = _inverse_series(*args, 0.0)
             assert g.shape == (n,)
             assert np.max(np.abs(g - naive)) <= 1e-14 * np.max(np.abs(naive))
 

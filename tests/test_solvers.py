@@ -786,9 +786,12 @@ def trace():
 
 
 def lists_of(obj):
-    """obj with every numpy array as its tolist(), as json.dumps takes it."""
+    """obj with every numpy array as its tolist() and every non-finite
+    float None: json.dumps writes it as dumps_json writes obj."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return lists_of(obj.tolist())
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
     if isinstance(obj, dict):
         return {key: lists_of(value) for key, value in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -983,7 +986,8 @@ class TestExports:
         [], {}, 1.5, "s", None, True, [[[]]], [1, [2, [3, [4.5]]]],
     ])
     def test_dumps_json_matches_indented_dumps(self, obj):
-        assert dumps_json(obj) == json.dumps(obj, indent=2, sort_keys=True)
+        assert dumps_json(obj) == json.dumps(lists_of(obj), indent=2,
+                                             sort_keys=True)
 
     def test_dumps_json_matches_on_solve_diagnostics(self, trace):
         # the per-node entries are float64 arrays, which json.dumps reads
@@ -1070,6 +1074,21 @@ class TestExports:
         with pytest.raises(TypeError):
             dumps_json(doc)
 
+    def test_non_finite_numbers_are_null_in_strict_json(self):
+        # RFC 8259 has no NaN or Infinity: json's own floats, the per-value
+        # route of a float leaf and a 0-d array all write null
+        def refuse(name):
+            raise AssertionError(f"{name} in a JSON document")
+
+        values = np.array([math.nan, 1.0, math.inf, -math.inf])
+        doc = {"a": math.nan, "b": values, "c": (np.float64(-math.inf), 2.5),
+               "d": [values[:2], np.array(math.inf)],
+               "e": np.array([math.nan], dtype=np.float32)}
+        parsed = json.loads(dumps_json(doc), parse_constant=refuse)
+        assert parsed == {"a": None, "b": [None, 1.0, None, None],
+                          "c": [None, 2.5], "d": [[None, 1.0], None],
+                          "e": [None]}
+
     @given(document())
     @settings(max_examples=40, deadline=None)
     def test_batched_floats_match_indented_dumps(self, doc):
@@ -1148,7 +1167,7 @@ class TestExports:
         values = np.array(np.random.default_rng(7).standard_normal(shape))
         values.flat[:4] = [-0.0, 5e-324, math.inf, math.nan][:values.size]
         assert dumps_json({"a": values, "b": 1}) == json.dumps(
-            {"a": values.tolist(), "b": 1}, indent=2, sort_keys=True)
+            lists_of({"a": values, "b": 1}), indent=2, sort_keys=True)
 
     def test_json_export_memory_is_bounded_by_the_block(self, tmp_path):
         # a 4096 x 32 trace: written whole, the payload as Python floats and
@@ -1242,13 +1261,14 @@ def json_texts(values):
 
 
 def reprs(values):
-    """float.__repr__ of each value, with json's names for the non-finite."""
-    names = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+    """float.__repr__ of each value, null for the non-finite ones."""
+    names = {"nan": "null", "inf": "null", "-inf": "null"}
     return [names.get(text, text) for text in map(repr, values)]
 
 
 class TestShortestWriter:
-    """The vectorised JSON writer against float.__repr__, as json spells it."""
+    """The vectorised JSON writer against float.__repr__, null for the
+    non-finite values."""
 
     def test_matches_repr_on_bit_patterns_and_edge_cases(self):
         rng = np.random.default_rng(19)
