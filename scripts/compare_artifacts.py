@@ -7,9 +7,9 @@ For each tree, a fresh interpreter with that tree's ``src`` and
 ``perfbench`` on its path runs every solve-unforced and solve-forced
 operation: ``workloads.generate`` writes its inputs (pass 0) and
 ``workloads.run`` solves it, into a temporary directory, once per seed.
-Seven more fresh interpreters run ``frstokes verify``, one pinned
+Eight more fresh interpreters run ``frstokes verify``, one pinned
 ``frstokes kernel`` table (KERNEL_TABLE), two pinned ``frstokes
-convergence`` reports (CONVERGENCES) and three pinned ``frstokes solve``
+convergence`` reports (CONVERGENCES) and four pinned ``frstokes solve``
 runs (SOLVES) once each.  The first convergence report is manufactured
 and takes at most 800 steps; the second is the benchmark's kernel target,
 whose 100 000-step zero-source march is compared byte for byte.  The
@@ -21,7 +21,10 @@ operation writes either.  The second reads its data from a
 source from a sampled CSV file with a comment line, which the benchmark's
 generator never writes.  The third is a 512-node, 2000-mode
 ``manufactured_t2`` solve, whose lattice convolution takes its moving
-modes in many blocks; no benchmark operation has more than 64 modes.  For
+modes in many blocks; no benchmark operation has more than 64 modes.  The
+fourth is a 201-node, 32-mode ``manufactured_t2`` solve on explicit
+geometric nodes: the first pinned solve's source is constant, so its
+direct node sums add exact zeros, while this one's add moving values.  For
 every file (inputs, artifacts and each operation's exit code) and for the
 stdout of each of these runs, the script prints ``identical`` or the
 largest absolute difference between the two trees' numbers, the line it
@@ -98,10 +101,27 @@ SOLVE_MODES_CONFIG = {
     "output": {"trace_csv": "trace.csv",
                "diagnostics_json": "diagnostics.json"},
 }
+# a forced solve on explicit geometric nodes whose source moves, so the
+# direct node sums of the lattice convolution do arithmetic that shows
+GRADED_NODES = 201
+GRADED_MODES = 32
+SOLVE_GRADED_CONFIG = {
+    "problem": {"kind": "forward", "rho": 0.5, "gamma": 1.0, "horizon": 1.0,
+                "time_grid": {"nodes": [0.0] + [
+                    10.0 ** (4.0 * (i / (GRADED_NODES - 2) - 1.0))
+                    for i in range(GRADED_NODES - 1)]}},
+    "operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                 "n_modes": GRADED_MODES},
+    "data": {"coefficients": [1.0 / k for k in range(1, GRADED_MODES + 1)]},
+    "source": {"kind": "manufactured_t2"},
+    "output": {"trace_csv": "trace.csv",
+               "diagnostics_json": "diagnostics.json"},
+}
 # pinned solves: output directory -> (config, input files beside it)
 SOLVES = {"solve": (SOLVE_CONFIG, {}),
           "solve-csv": (SOLVE_CSV_CONFIG, SOLVE_CSV_INPUTS),
-          "solve-modes": (SOLVE_MODES_CONFIG, {})}
+          "solve-modes": (SOLVE_MODES_CONFIG, {}),
+          "solve-graded": (SOLVE_GRADED_CONFIG, {})}
 # a number as "%.17g", repr or json write it, the non-finite ones included
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|nan|inf(?:inity)?))", re.IGNORECASE)

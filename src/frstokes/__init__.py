@@ -7,7 +7,6 @@ from .kernel import (
     density_B,
     eval_A,
     eval_A_grid,
-    eval_B,
     eval_B_grid,
     laplace_A_closed_form,
     laplace_B_closed_form,

@@ -220,7 +220,9 @@ def _emit_error(code, kind, message):
 # node-mode pair of an unforced solve and 70 of a forced one; per lattice
 # point and mode, 16 bytes for a forced solve's samples of its source (the
 # source's own temporary included), 48 for the modes of one LATTICE_BLOCK
-# and 40 for the direct node sums off a uniform grid; 10.8 kB per node of
+# and 32 for the direct node sums off a uniform grid (at 128 and 512 modes
+# on 201 geometric nodes: every mode's cells and one node's samples and
+# differences; 43 at 16 modes, its source's temporaries); 10.8 kB per node of
 # the dense Caputo trace, 16 bytes per node and point of the grid export,
 # 160 per kernel-table row, and per L1 step 40 for the kernel target and 80
 # for the manufactured one, whose sampled source takes a convolution (both

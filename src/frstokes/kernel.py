@@ -46,7 +46,6 @@ __all__ = [
     "density_A",
     "density_B",
     "eval_A",
-    "eval_B",
     "eval_A_grid",
     "eval_B_grid",
     "eval_dB_dt_grid",
@@ -390,13 +389,6 @@ def eval_A(p: KernelParams, t: float, q: QuadratureConfig | None = None) -> floa
     Its derivative is dA/dt = -lam * B(lam, t) for t > 0.
     """
     (values,), _ = _bromwich("A", p.rho, p.gamma, p.lam, _check_times([t]), q,
-                             slice(0))
-    return float(values[0, 0])
-
-
-def eval_B(p: KernelParams, t: float, q: QuadratureConfig | None = None) -> float:
-    """Impulse-response kernel B(lam, t): equals 1 at t = 0, in (0, 1) after."""
-    (values,), _ = _bromwich("B", p.rho, p.gamma, p.lam, _check_times([t]), q,
                              slice(0))
     return float(values[0, 0])
 

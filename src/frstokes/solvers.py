@@ -31,9 +31,12 @@ LATTICE_BLOCK modes gives on the lattice and the nodes; the weak singularity
 of A' at t = 0 needs no special cells.  The lattice is built once per solve.
 A uniform grid's nodes lie on the lattice and on its every-other-point
 sublattice, and the sum on each is one FFT convolution along the time axis
-per mode; other grids sum directly up to each node.  The two levels are
-Richardson-combined.  Sums over modes are fixed-order so reruns are
-bit-identical.
+per mode; other grids sum directly up to each node, one node at a time,
+each mode's row of source differences against its row of cells.  The two
+levels are Richardson-combined.  Every sum runs in an order that depends
+only on its own mode's row, so reruns are bit-identical and, on every grid,
+a mode's coefficients depend only on its own (lam, f_k): solving a subset
+of the modes gives the same columns bit for bit.
 
 On a uniform grid, Phi and the FFT run only for the modes whose source
 moves, that is whose lattice samples are not all equal.  A mode with no
@@ -107,7 +110,6 @@ __all__ = [
 PROBLEM_KINDS = ("forward", "nonlocal", "backward")
 LATTICE_MIN_CELLS = 4096  # fewest cells of the convolution lattice
 LATTICE_BLOCK = 128  # moving modes per Phi contour call and lattice block
-BLOCK_PAIRS = 64  # node-mode pairs per block of the direct lattice sum
 MIN_INTERIOR_NODES = 64
 EXPORT_BLOCK = 1 << 13  # cells per formatted block of an export
 # JSON float leaves share one shortest call while together they hold at most
@@ -313,7 +315,9 @@ class _Lattice:
     zero, which is what the FFT of their zero slopes gave.  Off a uniform
     grid the node sums read the source between lattice points, so every
     mode moves.  The modes are taken LATTICE_BLOCK at a time, so that the
-    arrays of the lattice held at once are a block's.
+    arrays of the lattice held at once are a block's; off a uniform grid
+    the blocks fill every mode's cells, mode-major, and the node sums then
+    take one node at a time, each mode's row on its own.
     """
 
     def __init__(self, ts: np.ndarray, sample):
@@ -357,8 +361,8 @@ class _Lattice:
         moving = np.flatnonzero(self.moving)
         on_lattice = np.searchsorted(self.points, lattice)
         if not self.uniform:
-            cells = (np.empty((lattice.size - 1, moving.size)),
-                     np.empty(((lattice.size - 1) // 2, moving.size)))
+            cells = (np.empty((moving.size, lattice.size - 1)),
+                     np.empty((moving.size, (lattice.size - 1) // 2)))
             tails = (np.empty(a.shape), np.empty(a.shape))
             on_nodes = np.searchsorted(self.points, ts)
         stride = (lattice.size - 1) // (ts.size - 1)
@@ -380,7 +384,7 @@ class _Lattice:
                         stride // step - 1::stride // step]
             else:
                 for level in (0, 1):
-                    cells[level][:, block] = diffs[level].T
+                    cells[level][block] = diffs[level]
                     # int A over each node's partial last cell
                     tails[level][:, block] = (phi_block[on_nodes]
                                               - phi_lat.T[self.last[level]])
@@ -392,29 +396,26 @@ class _Lattice:
     def _node_sums(self, f0, cells, tails, sums):
         """sum_m I_m d_m of the lattice rule, direct, for nodes off the lattice.
 
-        The source is sampled once per block of nodes, on the lattice points
-        below each node, for all modes; a block holds BLOCK_PAIRS node-mode
-        pairs.  Each node's last cell ends at the node itself.
+        One node at a time: the source is sampled on the lattice points
+        below the node, for all modes, and each mode's row of differences
+        is contracted with its row of cells in one fixed order, so no mode's
+        sum depends on the other modes.  Each node's last cell ends at the
+        node itself.
         """
         ts, lattice = self.ts, self.lattice
-        n_modes = f0.size
-        size = max(1, BLOCK_PAIRS // n_modes)
-        for i0 in range(1, ts.size, size):
-            rows = slice(i0, i0 + size)
-            t = ts[rows]
-            cols = np.arange(self.last[0][rows][-1] + 1)
-            below = cols <= self.last[0][rows, None]
-            F = np.zeros((n_modes,) + below.shape)
-            F[:, below] = self.sample((t[:, None] - lattice[cols])[below]).T
+        for i in range(1, ts.size):
+            t = ts[i]
+            F = self.sample(t - lattice[:self.last[0][i] + 1]).T  # mode-major
             for level, step in enumerate((1, 2)):
-                j = self.last[level][rows]
-                diff = F[:, :, :-step:step] - F[:, :, step::step]
-                diff[:, step * np.arange(diff.shape[2]) >= j[:, None]] = 0.0
-                last = tails[level][rows] * (
-                    F[:, np.arange(j.size), j].T - f0) / (t - lattice[j])[:, None]
-                w = cells[level][:diff.shape[2]].T[:, :, None]
-                dot = np.matmul(diff, w)[..., 0]
-                sums[level, rows] = dot.T / (step * lattice[1]) + last
+                j = self.last[level][i]
+                # C order: each mode's row contiguous for any mode count, so
+                # einsum sums it in one order
+                diff = np.subtract(F[:, :j:step], F[:, step:j + 1:step],
+                                   order="C")
+                dot = np.einsum("mc,mc->m", diff,
+                                cells[level][:, :diff.shape[1]])
+                last = tails[level][i] * (F[:, j] - f0) / (t - lattice[j])
+                sums[level, i] = dot / (step * lattice[1]) + last
 
 
 # ---------------------------------------------------------------------------

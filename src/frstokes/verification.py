@@ -62,7 +62,6 @@ from .kernel import (
     QuadratureConfig,
     _cell_contour,
     _kronrod_cells,
-    eval_A,
     laplace_A_closed_form,
     laplace_B_closed_form,
     lower_bound_A,
@@ -499,11 +498,13 @@ def suite_laplace():
 def suite_oracle():
     """Quadrature kernel vs L1 stepping at t = 1, monotone under halving."""
     lams = (1.0, 10.0)
+    # A(lam, 1) of every case, in _cases order
+    refs = iter(_by_case(_cell_contour("A", _grid(), lams, [1.0])).ravel())
     errs = []   # per (rho, gamma, lam), at dt = 4e-5, 2e-5, 1e-5
     for rho in RHO_GRID:
         grids = [L1Grid(dt, round(1.0 / dt), rho) for dt in (4e-5, 2e-5, 1e-5)]
         for gamma, lam in itertools.product(GAMMA_GRID, lams):
-            ref = eval_A(KernelParams(rho, gamma, lam), 1.0)
+            ref = next(refs)
             errs.append([abs(float(solve_scalar(lam, gamma, 1.0, None,
                                                 grid)[-1]) - ref)
                          for grid in grids])
@@ -520,9 +521,10 @@ def suite_oracle():
 
 def suite_limit():
     """Near rho = 1 the kernel approaches exp(-lam t / (1 + lam gamma))."""
-    p = KernelParams(0.999, 1.0, 2.0)
-    dev = [abs(eval_A(p, t) - math.exp(-p.lam * t / (1.0 + p.lam * p.gamma)))
-           for t in (0.5, 1.0)]
+    lam, gamma, ts = 2.0, 1.0, (0.5, 1.0)
+    ((a,),) = _cell_contour("A", [(0.999, gamma)], [lam], ts)
+    dev = [abs(float(value) - math.exp(-lam * t / (1.0 + lam * gamma)))
+           for value, t in zip(a[:, 0], ts)]
     return [_check("limit", "classical-relaxation", 1e-2, dev,
                    detail="rho=0.999 lam=2 gamma=1")]
 

@@ -181,6 +181,8 @@ class TestSolveCommand:
         code, out, _ = run_cli(capsys, "solve", "--config", str(path),
                                "--out-dir", str(tmp_path))
         assert code == 0
+        status = json.loads(out, parse_constant=_refuse_constant)
+        assert status["status"] == "ok"
         rows = (tmp_path / "trace.csv").read_text().strip().splitlines()[1:]
         p = KernelParams(0.5, 1.0, 1.0)
         t, k, c = rows[-1].split(",")
@@ -919,11 +921,12 @@ def test_any_input_csv_solves_or_exits_3(example):
 
 class TestVerifyCommand:
     def test_fast_suite_passes(self, capsys):
-        # identities reports numpy booleans internally; the JSON must not care
-        for suite in ("kernel-initial", "identities"):
+        # identities reports numpy booleans internally; the JSON must not
+        # care, and a passing report is strict JSON
+        for suite in ("kernel-initial", "identities", "limit"):
             code, out, _ = run_cli(capsys, "verify", "--suite", suite)
             assert code == 0
-            report = json.loads(out)
+            report = json.loads(out, parse_constant=_refuse_constant)
             assert report["passed"]
 
     def test_fault_injection_exits_1(self, capsys, monkeypatch):
@@ -939,9 +942,9 @@ class TestVerifyCommand:
         assert "kernel-initial" in err
 
     def test_a_nan_kernel_value_exits_1(self, capsys, monkeypatch):
-        # every contour value at t > 0 NaN: limit reads two of them through
-        # eval_A, and its NaN margin prints as null in one strict JSON
-        # document
+        # every contour value at t > 0 NaN: limit reads two of them from
+        # one contour call, and its NaN margin prints as null in one strict
+        # JSON document
         from frstokes import kernel
 
         contour = kernel._bromwich
@@ -985,7 +988,7 @@ class TestConvergenceCommand:
         }))
         code, out, _ = run_cli(capsys, "convergence", "--config", str(cfg))
         assert code == 0
-        report = json.loads(out)
+        report = json.loads(out, parse_constant=_refuse_constant)
         errors = report["errors"]
         assert errors[0] > errors[1] > errors[2]
         assert report["richardson"]["order_reliable"]
@@ -998,7 +1001,7 @@ class TestConvergenceCommand:
         }))
         code, out, _ = run_cli(capsys, "convergence", "--config", str(cfg))
         assert code == 0
-        report = json.loads(out)
+        report = json.loads(out, parse_constant=_refuse_constant)
         assert report["errors"][1] < report["errors"][0]
 
     @pytest.mark.parametrize("key", ["gamma", "lambda"])

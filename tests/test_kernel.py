@@ -15,7 +15,6 @@ from frstokes.kernel import (
     density_B,
     eval_A,
     eval_A_grid,
-    eval_B,
     eval_B_grid,
     eval_dB_dt_grid,
     laplace_A_closed_form,
@@ -129,15 +128,15 @@ class TestKernelValues:
     def test_initial_values(self):
         p = KernelParams(0.5, 1.0, 1.0)
         assert eval_A(p, 0.0) == pytest.approx(1.0, abs=1e-7)
-        assert eval_B(p, 0.0) == pytest.approx(1.0, abs=1e-7)
+        assert eval_B_grid(p, [0.0])[0][0] == pytest.approx(1.0, abs=1e-7)
 
     def test_frozen_extended_precision_values(self):
         p = KernelParams(0.5, 1.0, 1.0)
         assert eval_A(p, 1.0, TIGHT) == pytest.approx(0.59323879913782398, abs=1e-11)
-        assert eval_B(p, 1.0, TIGHT) == pytest.approx(0.21624290440113945, abs=1e-11)
+        assert eval_B_grid(p, [1.0], TIGHT)[0][0] == pytest.approx(0.21624290440113945, abs=1e-11)
         assert eval_A(p, 0.5, TIGHT) == pytest.approx(0.73178647552380408, abs=1e-11)
         p2 = KernelParams(0.7, 2.0, 10.0)
-        assert eval_B(p2, 0.3, TIGHT) == pytest.approx(0.039966134980055888, abs=1e-11)
+        assert eval_B_grid(p2, [0.3], TIGHT)[0][0] == pytest.approx(0.039966134980055888, abs=1e-11)
 
     def test_error_estimate_is_honest(self):
         p = KernelParams(0.5, 1.0, 1.0)
@@ -285,7 +284,7 @@ class TestKernelValues:
     def test_classical_limit(self):
         p = KernelParams(0.999, 1.0, 2.0)
         assert eval_A(p, 1.0) == pytest.approx(math.exp(-2.0 / 3.0), abs=1e-2)
-        assert eval_B(p, 1.0) == pytest.approx(math.exp(-2.0 / 3.0) / 3.0, abs=1e-2)
+        assert eval_B_grid(p, [1.0])[0][0] == pytest.approx(math.exp(-2.0 / 3.0) / 3.0, abs=1e-2)
 
     def test_monotone_decreasing_grid(self):
         p = KernelParams(0.7, 2.0, 10.0)
@@ -301,7 +300,7 @@ class TestKernelValues:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize("evaluate", [
         lambda p, t: eval_A(p, t),
-        lambda p, t: eval_B(p, t),
+        lambda p, t: eval_B_grid(p, [t]),
         lambda p, t: eval_A_grid(p, [0.5, t]),
         lambda p, t: eval_B_grid(p, [0.5, t]),
         lambda p, t: eval_dB_dt_grid(p, [0.5, t]),
@@ -319,14 +318,16 @@ class TestDerivatives:
         p = KernelParams(0.5, 1.0, 1.0)
         h = 1e-4
         fd_a = (eval_A(p, 1 + h, TIGHT) - eval_A(p, 1 - h, TIGHT)) / (2 * h)
-        assert fd_a == pytest.approx(-p.lam * eval_B(p, 1.0, TIGHT), abs=1e-5)
-        fd_b = (eval_B(p, 1 + h, TIGHT) - eval_B(p, 1 - h, TIGHT)) / (2 * h)
+        assert fd_a == pytest.approx(
+            -p.lam * eval_B_grid(p, [1.0], TIGHT)[0][0], abs=1e-5)
+        fd_b = (eval_B_grid(p, [1 + h], TIGHT)[0][0]
+                - eval_B_grid(p, [1 - h], TIGHT)[0][0]) / (2 * h)
         assert fd_b == pytest.approx(eval_dB_dt_grid(p, [1.0], TIGHT)[0][0],
                                      abs=1e-5)
 
     def test_classical_limit_of_derivative(self):
         p = KernelParams(0.999, 1.0, 2.0)
-        assert -p.lam * eval_B(p, 1.0) == pytest.approx(
+        assert -p.lam * eval_B_grid(p, [1.0])[0][0] == pytest.approx(
             -2.0 * math.exp(-2 / 3) / 3, abs=2e-2)
 
     def test_db_dt_strictly_negative(self):
@@ -374,7 +375,7 @@ class TestLowerBounds:
             p = KernelParams(0.5, 1.0, lam)
             for t in (0.2, 1.0):
                 assert eval_A(p, t) >= c_a
-                assert lam * eval_B(p, t) >= c_b
+                assert lam * eval_B_grid(p, [t])[0][0] >= c_b
                 assert abs(eval_A(p, t) - 1.0) >= c_b * t
 
     def test_gamma_function_cap(self):

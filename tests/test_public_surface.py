@@ -17,8 +17,9 @@ MODULES = ("constants", "kernel", "oracle", "quadrature", "solvers",
            "spectral", "verification")
 # names retired for a survivor that does the same job
 REMOVED = {
-    "kernel": ("eval_dA_dt", "eval_dB_dt",      # -lam * eval_B, eval_dB_dt_grid
-               "MIN_DERIVATIVE_TIME"),          # eval_dB_dt_grid takes any t > 0
+    "kernel": ("eval_dA_dt", "eval_dB_dt",      # -lam * B, eval_dB_dt_grid
+               "MIN_DERIVATIVE_TIME",           # eval_dB_dt_grid takes any t > 0
+               "eval_B"),                       # eval_B_grid(p, [t])
     "oracle": ("caputo_l1",),                   # caputo_l1_trace(...)[-1]
     "quadrature": ("integrate_semiinfinite",    # exp_weighted_semiinfinite
                                                 # at ts = [0.0]

@@ -274,6 +274,34 @@ class TestLatticeConvolution:
         assert np.array_equal(blocked.coefficients, whole.coefficients)
         assert dumps_json(blocked.diagnostics) == dumps_json(whole.diagnostics)
 
+    @pytest.mark.parametrize("grid", [
+        GRADED_NODES, np.linspace(0.0, 1.0, 257) ** 1.5, uniform_grid(1.0, 257)],
+        ids=["geometric", "power", "uniform"])
+    @pytest.mark.parametrize("moving", [False, True],
+                             ids=["manufactured", "per-mode"])
+    def test_mode_subsets_leave_every_column_unchanged(self, grid, moving):
+        # a mode's coefficients and error estimate depend only on its own
+        # (lam, f_k): solves of a few of the modes give the full solve's
+        # columns bit for bit, on and off the lattice
+        lams = np.arange(1.0, 10.0) ** 2
+
+        def solve(modes):
+            op = explicit_spectrum(lams[modes])
+            lam = op.eigenvalues
+            source = ((lambda t: np.cos(3.0 * np.asarray(t))[..., None] * lam
+                       + np.asarray(t)[..., None]) if moving
+                      else manufactured_quadratic_source(op, 0.5, 1.0))
+            trace = solve_forward(ProblemSpec("forward", op, 0.5, 1.0, 1.0,
+                                              zeros_field(op), source, grid))
+            return (trace.coefficients,
+                    trace.diagnostics["convolution_error_estimate"])
+
+        whole, whole_err = solve(np.arange(lams.size))
+        for modes in ([0], [8], [0, 8], [3, 4, 5]):
+            u, err = solve(np.array(modes))
+            assert np.array_equal(u, whole[:, modes])
+            assert np.array_equal(err, whole_err[modes])
+
     def test_manufactured_suite_configuration_under_1e_8(self):
         # the manufactured suite's problem: 8 modes, 512 nodes
         op = explicit_spectrum(np.arange(1.0, 9.0))

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from frstokes.verification import RHO_GRID, SUITES, CheckResult, run_suites
+from frstokes.verification import (GAMMA_GRID, RHO_GRID, SUITES, CheckResult,
+                                   run_suites)
 
 
 def test_registry_covers_all_guarantee_families():
@@ -278,8 +279,8 @@ KERNEL_SUITES = ("kernel-initial", "a-properties", "identities",
 # One contour call per suite and set of times serves every (rho, gamma)
 # cell: a-properties, b-properties, bounds and laplace's transforms and
 # contour-vs-density one each, identities one per rho for int B's nodes
-# (they depend on rho) and one each for ts and the FD times, limit two
-KERNEL_SUITE_CONTOUR_CALLS = 5 + (len(RHO_GRID) + 2) + 2
+# (they depend on rho) and one each for ts and the FD times, limit one
+KERNEL_SUITE_CONTOUR_CALLS = 5 + (len(RHO_GRID) + 2) + 1
 
 
 def test_kernel_suites_skip_the_contour_error_sum(monkeypatch):
@@ -381,9 +382,9 @@ def test_kernel_suites_batch_the_contour_by_cell(monkeypatch):
     monkeypatch.undo()
     assert report["passed"]
     assert len(calls) == KERNEL_SUITE_CONTOUR_CALLS
-    # all but limit's two carry several cells, as per-column arrays
+    # all but limit's one carry several cells, as per-column arrays
     assert sum(np.size(np.unique(c["gamma"])) > 1 for c in calls) == len(
-        calls) - 2
+        calls) - 1
     for c in calls:
         values, _ = kernel._bromwich(**c)
         kinds = (c["kinds"],) if isinstance(c["kinds"], str) else c["kinds"]
@@ -397,6 +398,21 @@ def test_kernel_suites_batch_the_contour_by_cell(monkeypatch):
                     error_at=slice(0))
                 assert np.array_equal(values[k, :, j], single[:, 0]), (
                     kind, rho, gamma, lam)
+
+
+def test_oracle_suite_takes_one_contour_call(monkeypatch):
+    # A(lam, 1) of every (rho, gamma, lam) case from one call; the L1 march,
+    # which reads no contour, is stubbed out
+    from frstokes import verification
+
+    calls = _record_contour_calls(monkeypatch)
+    monkeypatch.setattr(verification, "L1Grid", lambda *args: None)
+    monkeypatch.setattr(verification, "solve_scalar",
+                        lambda *args: np.zeros(1))
+    verification.suite_oracle()
+    (call,) = calls
+    assert np.size(call["lam"]) == 2 * len(RHO_GRID) * len(GAMMA_GRID)
+    assert np.array_equal(call["ts"], [1.0])
 
 
 def _count_engine_passes(monkeypatch):
