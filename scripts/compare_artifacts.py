@@ -7,9 +7,9 @@ For each tree, a fresh interpreter with that tree's ``src`` and
 ``perfbench`` on its path runs every solve-unforced and solve-forced
 operation: ``workloads.generate`` writes its inputs (pass 0) and
 ``workloads.run`` solves it, into a temporary directory, once per seed.
-Eight more fresh interpreters run ``frstokes verify``, one pinned
+Nine more fresh interpreters run ``frstokes verify``, one pinned
 ``frstokes kernel`` table (KERNEL_TABLE), two pinned ``frstokes
-convergence`` reports (CONVERGENCES) and four pinned ``frstokes solve``
+convergence`` reports (CONVERGENCES) and five pinned ``frstokes solve``
 runs (SOLVES) once each.  The first convergence report is manufactured
 and takes at most 800 steps; the second is the benchmark's kernel target,
 whose 100 000-step zero-source march is compared byte for byte.  The
@@ -24,9 +24,13 @@ generator never writes.  The third is a 512-node, 2000-mode
 modes in many blocks; no benchmark operation has more than 64 modes.  The
 fourth is a 201-node, 32-mode ``manufactured_t2`` solve on explicit
 geometric nodes: the first pinned solve's source is constant, so its
-direct node sums add exact zeros, while this one's add moving values.  For
-every file (inputs, artifacts and each operation's exit code) and for the
-stdout of each of these runs, the script prints ``identical`` or the
+direct node sums add exact zeros, while this one's add moving values.  The
+fifth is a 16-mode ``manufactured_t2`` solve on the 85 nodes of
+linspace(0, 1, 65) and geomspace(1e-4, 1e-2, 20): 63 of its interior
+nodes lie on points of the convolution lattice, where a node's partial
+last cell is a whole cell.  For every file (inputs, artifacts and each
+operation's exit code) and for the stdout of each of these runs, the
+script prints ``identical`` or the
 largest absolute difference between the two trees' numbers, the line it
 is on and the largest relative difference.  It exits 1 on any difference, 0 when all is
 identical and 2 when a tree cannot be run.  Nothing is written inside
@@ -117,11 +121,26 @@ SOLVE_GRADED_CONFIG = {
     "output": {"trace_csv": "trace.csv",
                "diagnostics_json": "diagnostics.json"},
 }
+# a forced solve on explicit nodes, graded near 0 and with 63 interior
+# nodes on lattice points, so node and lattice times repeat values
+SOLVE_LATTICE_POINTS_CONFIG = {
+    "problem": {"kind": "forward", "rho": 0.5, "gamma": 1.0, "horizon": 1.0,
+                "time_grid": {"nodes": sorted(
+                    [i / 64 for i in range(65)]
+                    + [10.0 ** (2.0 * i / 19 - 4.0) for i in range(20)])}},
+    "operator": {"kind": "dirichlet_laplacian_1d", "length": math.pi,
+                 "n_modes": 16},
+    "data": {"coefficients": [1.0 / k for k in range(1, 17)]},
+    "source": {"kind": "manufactured_t2"},
+    "output": {"trace_csv": "trace.csv",
+               "diagnostics_json": "diagnostics.json"},
+}
 # pinned solves: output directory -> (config, input files beside it)
 SOLVES = {"solve": (SOLVE_CONFIG, {}),
           "solve-csv": (SOLVE_CSV_CONFIG, SOLVE_CSV_INPUTS),
           "solve-modes": (SOLVE_MODES_CONFIG, {}),
-          "solve-graded": (SOLVE_GRADED_CONFIG, {})}
+          "solve-graded": (SOLVE_GRADED_CONFIG, {}),
+          "solve-lattice-points": (SOLVE_LATTICE_POINTS_CONFIG, {})}
 # a number as "%.17g", repr or json write it, the non-finite ones included
 NUMBER = re.compile(r"([-+]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
                     r"|nan|inf(?:inity)?))", re.IGNORECASE)

@@ -216,18 +216,20 @@ def _emit_error(code, kind, message):
 #
 # Each command estimates its peak memory from its counts before it allocates
 # anything that grows with them, and exits 2 when the estimate passes
-# MEMORY_CEILING.  Measured peaks (tracemalloc) were about 35 bytes per
-# node-mode pair of an unforced solve and 70 of a forced one; per lattice
+# MEMORY_CEILING.  Measured peaks (tracemalloc) were about 38 bytes per
+# node-mode pair of an unforced solve and 40 of a forced one (uniform
+# grids, 4096 x 64 to 512 x 2000, a constant source); per lattice
 # point and mode, 16 bytes for a forced solve's samples of its source (the
 # source's own temporary included), 48 for the modes of one LATTICE_BLOCK
 # and 32 for the direct node sums off a uniform grid (at 128 and 512 modes
 # on 201 geometric nodes: every mode's cells and one node's samples and
-# differences; 43 at 16 modes, its source's temporaries); 10.8 kB per node of
-# the dense Caputo trace, 16 bytes per node and point of the grid export,
+# differences; 43 at 16 modes, its source's temporaries); 6.2 kB per node of
+# the dense Caputo trace beyond its two node-mode arrays (4096 x 1, 8192 x 4
+# and 2048 x 16), 16 bytes per node and point of the grid export,
 # 160 per kernel-table row, and per L1 step 40 for the kernel target and 80
 # for the manufactured one, whose sampled source takes a convolution (both
 # at 2e4, 1e5 and 4e5 steps), above about 2 MB that any run holds.  The
-# estimates take 1.5 to 2.2 times these (a zero source's node-mode pairs are
+# estimates take 1.5 to 3.4 times these (a zero source's node-mode pairs are
 # charged as a forced solve's), and 8 MB.
 
 MEMORY_CEILING = 2 ** 31  # bytes

@@ -133,16 +133,12 @@ def caputo_l1_trace(times: np.ndarray, values: np.ndarray,
         out[1:] *= step ** (1.0 - rho)
         out /= math.gamma(2.0 - rho)
         return _causal(out, bad)
-    # w[i, j] = (t_i - t_j)^(1-rho) - (t_i - t_{j+1})^(1-rho) for j < i, built
-    # TRACE_BLOCK rows at a time so memory stays O(n) rather than O(n^2)
+    # w[i, j] = p[i, j] - p[i, j + 1] with p[i, j] = max(t_i - t_j, 0)^(1-rho):
+    # (t_i - t_j)^(1-rho) - (t_i - t_{j+1})^(1-rho) for j < i and 0 beyond,
+    # built TRACE_BLOCK rows at a time so memory stays O(n) rather than O(n^2)
     for i0 in range(0, t.size, TRACE_BLOCK):
-        ti = t[i0:i0 + TRACE_BLOCK, None]
-        dt_lo = ti - t[None, :-1]
-        dt_hi = ti - t[None, 1:]
-        mask = dt_hi >= 0.0  # cell j contributes at node i only when j + 1 <= i
-        w = np.where(mask, np.abs(dt_lo) ** (1.0 - rho)
-                     - np.abs(dt_hi) ** (1.0 - rho), 0.0)
-        out[i0:i0 + TRACE_BLOCK] = w @ slopes
+        p = np.maximum(t[i0:i0 + TRACE_BLOCK, None] - t, 0.0) ** (1.0 - rho)
+        out[i0:i0 + TRACE_BLOCK] = (p[:, :-1] - p[:, 1:]) @ slopes
     return _causal(out / math.gamma(2.0 - rho), bad)
 
 

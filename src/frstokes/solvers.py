@@ -27,16 +27,19 @@ Forced modes integrate by parts with dA/dt = -lam B:
 with f' the slope of f over each cell of a uniform lattice on [0, T], so
 only the A integrals of the cells enter.  They are differences of the
 antiderivative Phi(t) = int_0^t A, which one more contour call per block of
-LATTICE_BLOCK modes gives on the lattice and the nodes; the weak singularity
-of A' at t = 0 needs no special cells.  The lattice is built once per solve.
-A uniform grid's nodes lie on the lattice and on its every-other-point
-sublattice, and the sum on each is one FFT convolution along the time axis
-per mode; other grids sum directly up to each node, one node at a time,
-each mode's row of source differences against its row of cells.  The two
-levels are Richardson-combined.  Every sum runs in an order that depends
-only on its own mode's row, so reruns are bit-identical and, on every grid,
-a mode's coefficients depend only on its own (lam, f_k): solving a subset
-of the modes gives the same columns bit for bit.
+LATTICE_BLOCK modes gives on the lattice and then, off a uniform grid, on
+the nodes; each block reads it by slices: the lattice rows for the cells,
+the node rows, and each node's last lattice point below it.  The weak
+singularity of A' at t = 0 needs no special cells.  The lattice is built
+once per solve, by _convolution.  A uniform grid's nodes lie on the lattice
+and on its every-other-point sublattice, and the sum on each is one FFT
+convolution along the time axis per mode; other grids sum directly up to
+each node, one node at a time, each mode's row of source differences
+against its row of cells.  The two levels are Richardson-combined in their
+own arrays.  Every sum runs in an order that depends only on its own mode's
+row, so reruns are bit-identical and, on every grid, a mode's coefficients
+depend only on its own (lam, f_k): solving a subset of the modes gives the
+same columns bit for bit.
 
 On a uniform grid, Phi and the FFT run only for the modes whose source
 moves, that is whose lattice samples are not all equal.  A mode with no
@@ -302,120 +305,106 @@ def _blocks(n_modes: int) -> list[slice]:
             for j in range(0, n_modes, LATTICE_BLOCK)]
 
 
-class _Lattice:
-    """The convolution lattice of the nodes ts (ts[0] = 0), built once per
-    solve, the times at which the solve needs Phi = int_0^t A, and the modes
-    that need it.
+def _convolution(ts: np.ndarray, sample, a: np.ndarray, lam: np.ndarray,
+                 phi):
+    """(B * f_k)(t_i) of every mode on the nodes ts (ts[0] = 0), and each
+    mode's largest Richardson correction as its error estimate.
 
-    points holds the lattice and the nodes.  The source is sampled here,
-    once per point set for all modes: on the nodes and, on a uniform grid,
-    on the lattice.  moving marks the modes whose lattice samples are not
-    all equal (a NaN counts as moving).  Only they have slopes, so only
-    they need Phi and the FFT; the lattice sums of the others are exactly
-    zero, which is what the FFT of their zero slopes gave.  Off a uniform
-    grid the node sums read the source between lattice points, so every
-    mode moves.  The modes are taken LATTICE_BLOCK at a time, so that the
-    arrays of the lattice held at once are a block's; off a uniform grid
-    the blocks fill every mode's cells, mode-major, and the node sums then
-    take one node at a time, each mode's row on its own.
+    sample(t) gives the source at the times t for all modes, a holds
+    A(lam_k, t_i) of every mode, and phi(lams, points) gives Phi(lam, .)
+    at the points for each lam of lams.  The lattice is built here, once
+    per solve, and the source is sampled once per point set for all modes:
+    on the nodes and, on a uniform grid, on the lattice.
+
+    On a uniform grid the points are the lattice, and only the moving
+    modes, whose lattice samples are not all equal (a NaN counts as
+    moving), take Phi, their slopes and the FFT; the lattice sums of the
+    others stay exactly zero, which is what the FFT of their zero slopes
+    gave.  Off it, the points are the lattice followed by the nodes, every
+    mode moves, and each block reads Phi by slices: [:L] on the L lattice
+    points for the cells, [L:] at the nodes, and each node's last lattice
+    point below it for its partial last cell.  The modes are taken
+    LATTICE_BLOCK at a time, so that the lattice arrays held at once are a
+    block's; off a uniform grid the blocks fill every mode's cells,
+    mode-major, for the direct node sums.
     """
-
-    def __init__(self, ts: np.ndarray, sample):
-        T, n = ts[-1], ts.size
-        self.ts = ts
-        self.sample = sample
-        self.uniform = _is_uniform(ts)
-        unit = 2 * (n - 1) if self.uniform else 2
-        cells = unit * -(-LATTICE_MIN_CELLS // unit)
-        self.lattice = np.linspace(0.0, T, cells + 1)
-        if self.uniform:
-            self.lattice[::cells // (n - 1)] = ts
-        self.points = np.unique(np.concatenate((self.lattice, ts)))
-        self.f_ts = sample(ts)
-        n_modes = self.f_ts.shape[-1]
-        if self.uniform:
-            self.f_lat = sample(self.lattice)
-            self.moving = np.concatenate([
-                np.any(np.diff(self.f_lat[:, block], axis=0) != 0.0, axis=0)
-                for block in _blocks(n_modes)])
-        else:
-            # each node's last lattice point below it, on both levels
-            below = np.searchsorted(self.lattice, ts, side="left") - 1
-            self.last = (below, below // 2 * 2)
-            self.moving = np.ones(n_modes, dtype=bool)
-
-    def convolution(self, a: np.ndarray, lam: np.ndarray, phi):
-        """(B * f_k)(t_i) of every mode.
-
-        a holds A(lam_k, t_i) of every mode, and phi(lams) gives Phi(lam, .)
-        on points for each lam of lams, a block of the moving modes at a
-        time.  Each block forms its own cell differences of Phi and, on a
-        uniform grid, its own slopes and FFT convolutions; off it, the
-        blocks fill the cells and each node's partial last cell for the
-        direct sum.  Also returns each mode's largest Richardson correction
-        as its error estimate.
-        """
-        ts, lattice, h = self.ts, self.lattice, self.lattice[1]
-        f_ts = self.f_ts
-        sums = np.zeros((2,) + a.shape)
-        moving = np.flatnonzero(self.moving)
-        on_lattice = np.searchsorted(self.points, lattice)
-        if not self.uniform:
-            cells = (np.empty((moving.size, lattice.size - 1)),
-                     np.empty((moving.size, (lattice.size - 1) // 2)))
-            tails = (np.empty(a.shape), np.empty(a.shape))
-            on_nodes = np.searchsorted(self.points, ts)
-        stride = (lattice.size - 1) // (ts.size - 1)
-        for block in _blocks(moving.size):
-            cols = moving[block]
-            phi_block = phi(lam[cols])
-            # mode-major: each mode's lattice values are one contiguous row
-            phi_lat = np.ascontiguousarray(phi_block.T)[:, on_lattice]
-            diffs = (np.diff(phi_lat, axis=1),
-                     phi_lat[:, 2::2] - phi_lat[:, :-2:2])
-            if self.uniform:
-                f_lat = np.ascontiguousarray(self.f_lat[:, cols].T)
-                for level, step in enumerate((1, 2)):
-                    slopes = np.diff(f_lat[:, ::step], axis=1)
-                    slopes /= step * h
-                    conv = _convolve(diffs[level].T, slopes.T, slopes.shape[1],
-                                     np.empty_like(slopes).T)
-                    sums[level, 1:][:, cols] = conv[
-                        stride // step - 1::stride // step]
-            else:
-                for level in (0, 1):
-                    cells[level][block] = diffs[level]
-                    # int A over each node's partial last cell
-                    tails[level][:, block] = (phi_block[on_nodes]
-                                              - phi_lat.T[self.last[level]])
-        if not self.uniform:
-            self._node_sums(f_ts[0], cells, tails, sums)
-        fine, coarse = ((f_ts - a * f_ts[0] - s) / lam for s in sums)
-        return (4.0 * fine - coarse) / 3.0, np.max(np.abs(fine - coarse), axis=0) / 3.0
-
-    def _node_sums(self, f0, cells, tails, sums):
-        """sum_m I_m d_m of the lattice rule, direct, for nodes off the lattice.
-
-        One node at a time: the source is sampled on the lattice points
-        below the node, for all modes, and each mode's row of differences
-        is contracted with its row of cells in one fixed order, so no mode's
-        sum depends on the other modes.  Each node's last cell ends at the
-        node itself.
-        """
-        ts, lattice = self.ts, self.lattice
-        for i in range(1, ts.size):
-            t = ts[i]
-            F = self.sample(t - lattice[:self.last[0][i] + 1]).T  # mode-major
+    T, n = ts[-1], ts.size
+    uniform = _is_uniform(ts)
+    unit = 2 * (n - 1) if uniform else 2
+    n_cells = unit * -(-LATTICE_MIN_CELLS // unit)
+    lattice = np.linspace(0.0, T, n_cells + 1)
+    L = lattice.size
+    f_ts = sample(ts)
+    n_modes = f_ts.shape[-1]
+    if uniform:
+        stride = n_cells // (n - 1)
+        lattice[::stride] = ts
+        points = lattice
+        f_lat = sample(lattice)
+        moving = np.flatnonzero(np.concatenate([
+            np.any(np.diff(f_lat[:, block], axis=0) != 0.0, axis=0)
+            for block in _blocks(n_modes)]))
+    else:
+        points = np.concatenate((lattice, ts))
+        # each node's last lattice point below it, on both levels
+        below = np.searchsorted(lattice, ts, side="left") - 1
+        last = (below, below // 2 * 2)
+        moving = np.arange(n_modes)
+        cells = (np.empty((n_modes, n_cells)),
+                 np.empty((n_modes, n_cells // 2)))
+        tails = (np.empty(a.shape), np.empty(a.shape))
+    h = lattice[1]
+    sums = (np.zeros(a.shape), np.zeros(a.shape))
+    for block in _blocks(moving.size):
+        cols = moving[block]
+        phi_block = phi(lam[cols], points)
+        # mode-major: each mode's lattice values are one contiguous row
+        phi_lat = np.ascontiguousarray(phi_block[:L].T)
+        diffs = (np.diff(phi_lat, axis=1),
+                 phi_lat[:, 2::2] - phi_lat[:, :-2:2])
+        if uniform:
+            f_block = np.ascontiguousarray(f_lat[:, cols].T)
             for level, step in enumerate((1, 2)):
-                j = self.last[level][i]
+                slopes = np.diff(f_block[:, ::step], axis=1)
+                slopes /= step * h
+                conv = _convolve(diffs[level].T, slopes.T, slopes.shape[1],
+                                 np.empty_like(slopes).T)
+                sums[level][1:, cols] = conv[stride // step - 1::stride // step]
+        else:
+            for level in (0, 1):
+                cells[level][block] = diffs[level]
+                # int A over each node's partial last cell
+                tails[level][:, block] = phi_block[L:] - phi_block[last[level]]
+    if not uniform:
+        # sum_m I_m d_m of the lattice rule, one node at a time: the source
+        # is sampled on the lattice points below the node, for all modes,
+        # and each mode's row of differences is contracted with its row of
+        # cells in one fixed order, so no mode's sum depends on the other
+        # modes; each node's last cell ends at the node itself
+        for i in range(1, n):
+            t = ts[i]
+            F = sample(t - lattice[:last[0][i] + 1]).T  # mode-major
+            for level, step in enumerate((1, 2)):
+                j = last[level][i]
                 # C order: each mode's row contiguous for any mode count, so
                 # einsum sums it in one order
                 diff = np.subtract(F[:, :j:step], F[:, step:j + 1:step],
                                    order="C")
                 dot = np.einsum("mc,mc->m", diff,
                                 cells[level][:, :diff.shape[1]])
-                last = tails[level][i] * (F[:, j] - f0) / (t - lattice[j])
-                sums[level, i] = dot / (step * lattice[1]) + last
+                tail = tails[level][i] * (F[:, j] - f_ts[0]) / (t - lattice[j])
+                sums[level][i] = dot / (step * h) + tail
+    # the Richardson tail, in place: (f - A f(0) - s) / lam on each level
+    base = f_ts - a * f_ts[0]
+    for s in sums:
+        np.subtract(base, s, out=s)
+        s /= lam
+    fine, coarse = sums
+    err = np.abs(np.subtract(fine, coarse, out=base), out=base)
+    fine *= 4.0
+    fine -= coarse
+    fine /= 3.0
+    return fine, np.max(err, axis=0) / 3.0
 
 
 # ---------------------------------------------------------------------------
@@ -438,14 +427,13 @@ def _assemble_modes(spec: ProblemSpec, q):
     # a source that overflows gives a convolution that is not finite, which
     # _finish names: numpy's floating-point warnings are silenced here
     with np.errstate(all="ignore"):
-        lattice = _Lattice(ts, lambda t: _sample(spec.source, lam.size, t))
-
-        def phi(lams):
+        def phi(lams, points):
             (values,), _ = _bromwich("Phi", spec.rho, spec.gamma, lams,
-                                     lattice.points, q, slice(0))
+                                     points, q, slice(0))
             return values
 
-        conv, conv_err = lattice.convolution(a, lam, phi)
+        conv, conv_err = _convolution(
+            ts, lambda t: _sample(spec.source, lam.size, t), a, lam, phi)
     return a, a_err[-1], conv, {"convolution_error_estimate": conv_err}
 
 

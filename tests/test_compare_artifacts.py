@@ -5,6 +5,7 @@ import json
 import pathlib
 
 import numpy as np
+import pytest
 
 from frstokes import cli, oracle, solvers
 
@@ -111,3 +112,35 @@ def test_pinned_kernel_convergence_marches_100000_steps(tmp_path, capsys):
     assert cli.main(["convergence", "--config", str(path)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert all(np.isfinite(report["values"] + report["observed_orders"]))
+
+
+@pytest.mark.parametrize("name", ["solve-graded", "solve-lattice-points"])
+def test_pinned_graded_solves_move_on_explicit_nodes(name, tmp_path):
+    # forced by a moving source on explicit nodes, so the direct node sums
+    # do arithmetic; the second pin has 63 interior nodes on lattice points
+    config, inputs = compare_artifacts.SOLVES[name]
+    assert inputs == {}
+    assert config["source"]["kind"] == "manufactured_t2"
+    problem = config["problem"]
+    nodes = np.array(problem["time_grid"]["nodes"])
+    assert nodes[0] == 0.0 and nodes[-1] == problem["horizon"]
+    assert np.all(np.diff(nodes) > 0.0) and not oracle._is_uniform(nodes)
+    lattice = np.linspace(0.0, problem["horizon"],
+                          solvers.LATTICE_MIN_CELLS + 1)
+    on_lattice = np.isin(nodes[1:-1], lattice).sum()
+    if name == "solve-lattice-points":
+        reference = np.unique(np.concatenate((np.linspace(0.0, 1.0, 65),
+                                              np.geomspace(1e-4, 1e-2, 20))))
+        assert nodes.size == reference.size
+        assert np.allclose(nodes, reference, rtol=1e-14, atol=0.0)
+        assert config["operator"]["n_modes"] == 16
+        assert on_lattice == 63
+    else:
+        assert on_lattice == 0
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(["solve", "--config", str(path),
+                         "--out-dir", str(tmp_path)])
+    # an exit code other than 0 would compare identical on both trees
+    assert code == 0

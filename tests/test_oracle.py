@@ -181,6 +181,27 @@ class TestCaputo:
         assert single.shape == (n,) and single[0] == 0.0
         assert np.max(np.abs(single - ref[:, 2])) <= 1e-12 * scale[2]
 
+    @pytest.mark.parametrize("grid", ["geometric", "power", "random"])
+    @pytest.mark.parametrize("n", [255, 256, 257, 600])  # about TRACE_BLOCK
+    def test_dense_trace_matches_reference_bit_for_bit(self, grid, n):
+        rng = np.random.default_rng(n)
+        t = {"geometric": np.geomspace(1e-4, 1.0, n - 1),
+             "power": np.linspace(0.0, 1.0, n)[1:] ** 1.5,
+             "random": np.append(np.sort(rng.uniform(0.0, 1.0, n - 2)),
+                                 1.0)}[grid]
+        t = np.concatenate(([0.0], t))
+        cols = np.column_stack([
+            np.sin(3.0 * t),
+            np.exp(-1e4 * t),  # stiff: decays within the first cells
+            rng.standard_normal(n).cumsum(),
+        ])
+        assert not _is_uniform(t)  # the dense path
+        for rho in (0.01, 0.5, 0.999):
+            for values in (cols, cols[:, 2]):
+                out = caputo_l1_trace(t, values, rho)
+                ref = dense_l1_trace(t, values, rho)
+                assert out.tobytes() == ref.tobytes()
+
     def test_uniformity_tolerance(self):
         t = np.linspace(1.0, 3.0, 101)
         assert _is_uniform(t)

@@ -104,6 +104,9 @@ class TestConvolution:
 
 
 GRADED_NODES = np.concatenate(([0.0], np.geomspace(1e-4, 1.0, 200)))
+# graded near 0, and 63 interior nodes on points of the convolution lattice
+LATTICE_POINT_NODES = np.unique(np.concatenate((np.linspace(0.0, 1.0, 65),
+                                                np.geomspace(1e-4, 1e-2, 20))))
 
 
 def closed_form_constant(op, c, nodes):
@@ -164,9 +167,13 @@ class TestLatticeConvolution:
         # from the contour antiderivative keep the error flat in lam
         assert manufactured_error(lam, rho, uniform_grid(1.0, 201)) < bound
 
-    @pytest.mark.parametrize("lam", [100.0, 1e4])
-    def test_graded_nodes_large_eigenvalue(self, lam):
-        assert manufactured_error(lam, 0.5, GRADED_NODES) < 2e-8
+    @pytest.mark.parametrize("lam,nodes", [
+        pytest.param(lam, nodes, id=name + str(lam))
+        for name, nodes in (("", GRADED_NODES),
+                            ("lattice-points-", LATTICE_POINT_NODES))
+        for lam in (100.0, 1e4)])
+    def test_graded_nodes_large_eigenvalue(self, lam, nodes):
+        assert manufactured_error(lam, 0.5, nodes) < 2e-8
 
     def test_graded_nodes_source_work_is_bounded(self):
         # off-lattice nodes: the source once per lattice point below each
@@ -275,8 +282,9 @@ class TestLatticeConvolution:
         assert dumps_json(blocked.diagnostics) == dumps_json(whole.diagnostics)
 
     @pytest.mark.parametrize("grid", [
-        GRADED_NODES, np.linspace(0.0, 1.0, 257) ** 1.5, uniform_grid(1.0, 257)],
-        ids=["geometric", "power", "uniform"])
+        GRADED_NODES, np.linspace(0.0, 1.0, 257) ** 1.5,
+        uniform_grid(1.0, 257), LATTICE_POINT_NODES],
+        ids=["geometric", "power", "uniform", "lattice-points"])
     @pytest.mark.parametrize("moving", [False, True],
                              ids=["manufactured", "per-mode"])
     def test_mode_subsets_leave_every_column_unchanged(self, grid, moving):
