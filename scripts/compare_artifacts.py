@@ -19,7 +19,9 @@ least EXPORT_BLOCK cells, sits between batched lists; no benchmark
 operation writes either.  The second reads its data from a
 ``k,coefficient`` CSV file with a blank line and CRLF endings, and its
 source from a sampled CSV file with a comment line, which the benchmark's
-generator never writes.  The third is a 512-node, 2000-mode
+generator never writes; it also writes grid.csv, whose synthesis starts
+from a zero coefficient (mode 2) and a negative one (mode 3), which no
+benchmark input has.  The third is a 512-node, 2000-mode
 ``manufactured_t2`` solve, whose lattice convolution takes its moving
 modes in many blocks; no benchmark operation has more than 64 modes.  The
 fourth is a 201-node, 32-mode ``manufactured_t2`` solve on explicit
@@ -76,7 +78,8 @@ SOLVE_CONFIG = {
 }
 # a forward solve whose data and sampled source come from CSV files written
 # in ways the benchmark's generator does not: a blank line and CRLF endings,
-# and a comment line
+# and a comment line; its grid export synthesizes a zero and a negative
+# coefficient at t = 0
 SOLVE_CSV_CONFIG = {
     "problem": {"kind": "forward", "rho": 0.6, "gamma": 0.5, "horizon": 2.0,
                 "time_grid": {"n_nodes": 96}},
@@ -85,7 +88,8 @@ SOLVE_CSV_CONFIG = {
     "data": {"csv": "data.csv"},
     "source": {"kind": "sampled_csv", "path": "source.csv"},
     "output": {"trace_csv": "trace.csv", "trace_json": "trace.json",
-               "diagnostics_json": "diagnostics.json"},
+               "diagnostics_json": "diagnostics.json",
+               "grid_csv": {"path": "grid.csv", "n_points": 33}},
 }
 SOLVE_CSV_INPUTS = {
     "data.csv": "k,coefficient\r\n1,1.0\r\n\r\n3,-0.25\r\n",

@@ -216,7 +216,7 @@ def _emit_error(code, kind, message):
 #
 # Each command estimates its peak memory from its counts before it allocates
 # anything that grows with them, and exits 2 when the estimate passes
-# MEMORY_CEILING.  Measured peaks (tracemalloc) were about 38 bytes per
+# MEMORY_CEILING.  Measured peaks (tracemalloc) were 26 to 31 bytes per
 # node-mode pair of an unforced solve and 40 of a forced one (uniform
 # grids, 4096 x 64 to 512 x 2000, a constant source); per lattice
 # point and mode, 16 bytes for a forced solve's samples of its source (the
@@ -226,7 +226,7 @@ def _emit_error(code, kind, message):
 # differences; 43 at 16 modes, its source's temporaries); 6.2 kB per node of
 # the dense Caputo trace beyond its two node-mode arrays (4096 x 1, 8192 x 4
 # and 2048 x 16), 16 bytes per node and point of the grid export,
-# 160 per kernel-table row, and per L1 step 40 for the kernel target and 80
+# 160 per kernel-table row, and per L1 step 40 for the kernel target and 64
 # for the manufactured one, whose sampled source takes a convolution (both
 # at 2e4, 1e5 and 4e5 steps), above about 2 MB that any run holds.  The
 # estimates take 1.5 to 3.4 times these (a zero source's node-mode pairs are

@@ -186,6 +186,8 @@ def _convolve(a: np.ndarray, b: np.ndarray, size: int,
         block = slice(j, j + per)
         fa = np.fft.rfft(rows_a[block], m)
         fa *= fb if fb is not None else np.fft.rfft(b[:, block].T, m)
+        if j + per >= len(rows_a):
+            fb = None   # freed before the last inverse transform is allocated
         rows_out[block] = np.fft.irfft(fa, m)[:, :size]
     return out
 

@@ -87,7 +87,8 @@ from .kernel import (
     lower_bound_B,
 )
 from .oracle import _convolve, _is_uniform, caputo_l1_trace
-from .spectral import CoefficientField, SpectralOperator, tail_indicator
+from .spectral import (CoefficientField, SpectralOperator, synthesize,
+                       tail_indicator)
 
 __all__ = [
     "ProblemSpec",
@@ -415,15 +416,15 @@ def _assemble_modes(spec: ProblemSpec, q):
     """One kernel pass for all modes: the columns every solver combines.
 
     Returns A(lam_k, t_i) with the t = 0 identity pinned, the contour error
-    estimate of A(lam_k, T), the convolution (B *_t f_k)(t_i), which stays
-    zero for a zero source, and the diagnostics of a forced solve.
+    estimate of A(lam_k, T), the convolution (B *_t f_k)(t_i), a read-only
+    broadcast zero for a zero source, and the diagnostics of a forced solve.
     """
     ts = spec.time_grid
     lam = spec.operator.eigenvalues
     (a,), (a_err,) = _bromwich("A", spec.rho, spec.gamma, lam, ts, q,
                                slice(-1, None))
     if spec.source is None:
-        return a, a_err[-1], np.zeros_like(a), {}
+        return a, a_err[-1], np.broadcast_to(0.0, a.shape), {}
     # a source that overflows gives a convolution that is not finite, which
     # _finish names: numpy's floating-point warnings are silenced here
     with np.errstate(all="ignore"):
@@ -954,13 +955,9 @@ def export_trace_json(trace: SolutionTrace, path: str | int) -> None:
 def export_trace_grid_csv(trace: SolutionTrace, x, path: str | int) -> None:
     """Grid-sampled CSV `t,x,u`; requires an operator with eigenfunctions.
 
-    u = sum_k c_k v_k(x) at every node at once, the modes added in order
-    as spectral.synthesize adds them for one node.
+    u = sum_k c_k v_k(x) at every node at once, by spectral.synthesize.
     """
-    op = trace.operator
     xs = np.asarray(x, dtype=float)
-    u = np.zeros((trace.nodes.size, xs.size))
-    for k in range(1, op.n_modes + 1):
-        u += trace.coefficients[:, k - 1, None] * op.eigenfunction(k, xs)
     columns = lines(",", g17(xs), ",\n").splitlines()
-    _atomic_write(path, _long_csv("t,x,u", trace.nodes, columns, u))
+    _atomic_write(path, _long_csv("t,x,u", trace.nodes, columns,
+                                  synthesize(trace, xs)))

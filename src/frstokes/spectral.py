@@ -165,17 +165,23 @@ def project(x, values, op: SpectralOperator) -> CoefficientField:
     return CoefficientField(coeffs, op)
 
 
-def synthesize(field: CoefficientField, x) -> np.ndarray:
-    """Sample sum_k h_k v_k(x) on the given spatial points."""
+def synthesize(field, x) -> np.ndarray:
+    """Sample sum_k h_k v_k(x) on the given spatial points.
+
+    field is anything with an operator and coefficients whose last axis is
+    the mode: a CoefficientField, or a solvers.SolutionTrace, one row per
+    node.  The result has the coefficients' leading shape followed by x's,
+    and adds the modes in order, so each row's sum is the one a
+    CoefficientField of that row gives, bit for bit.
+    """
     op = field.operator
     if not op.has_eigenfunctions:
         raise ValueError("synthesis needs an operator with eigenfunctions")
     xs = np.asarray(x, dtype=float)
-    out = np.zeros_like(xs)
+    c = field.coefficients
+    out = np.zeros(c.shape[:-1] + xs.shape)
     for k in range(1, op.n_modes + 1):
-        c = field.coefficients[k - 1]
-        if c != 0.0:
-            out += c * op.eigenfunction(k, xs)
+        out += np.multiply.outer(c[..., k - 1], op.eigenfunction(k, xs))
     return out
 
 

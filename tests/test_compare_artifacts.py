@@ -80,6 +80,11 @@ def test_pinned_csv_solve_reads_its_files(tmp_path):
     # mode 2 is absent from data.csv; the source forces it
     assert fields[0].tolist() == [1.0, 0.0, -0.25]
     assert np.all(np.isfinite(fields)) and fields[-1, 1] != 0.0
+    # the grid export synthesizes those coefficients, so both trees'
+    # grid.csv compare the sum over a zero and a negative term
+    grid_csv = config["output"]["grid_csv"]
+    grid = (tmp_path / grid_csv["path"]).read_text()
+    assert grid.count("\n") == 1 + len(fields) * grid_csv["n_points"]
 
 
 def test_pinned_many_mode_solve_takes_lattice_blocks_and_is_admitted():

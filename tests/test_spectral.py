@@ -15,6 +15,7 @@ from frstokes.spectral import (
     synthesize,
     tail_indicator,
 )
+from frstokes.solvers import SolutionTrace
 
 
 @pytest.fixture
@@ -136,6 +137,31 @@ class TestProjection:
         assert synthesize(e1, x) == pytest.approx(op_pi.eigenfunction(1, x))
         zero = CoefficientField(np.zeros(5), op_pi)
         assert np.all(synthesize(zero, x) == 0.0)
+
+    @pytest.mark.parametrize("x", [np.linspace(0.0, math.pi, 37), 1.0, 0.0],
+                             ids=["array", "scalar", "scalar-zero"])
+    def test_synthesize_block_matches_each_row_bit_for_bit(self, op_pi, x):
+        # rows of zeros of both signs, negative and mixed coefficients: the
+        # block's row i is the sum of row i alone, bit for bit, and the
+        # same bits as a sum that skips the zero coefficients
+        coefficients = np.array([
+            [1.0, 0.0, -0.25, 0.0, 3e-17],
+            [-0.0, -0.0, -0.0, -0.0, -0.0],
+            [0.0, 0.0, 0.0, 0.0, 0.0],
+            [-1.5, -0.0, 2.0, -1e-300, 0.0],
+            [-0.0, 0.5, 0.0, -0.5, -0.0],
+        ])
+        block = synthesize(SolutionTrace(np.arange(5.0), coefficients,
+                                         op_pi, {}), x)
+        xs = np.asarray(x, dtype=float)
+        assert block.shape == (len(coefficients),) + xs.shape
+        for row, got in zip(coefficients, block):
+            alone = synthesize(CoefficientField(row, op_pi), x)
+            skipped = np.zeros_like(xs)
+            for k, c in enumerate(row, start=1):
+                if c != 0.0:
+                    skipped += c * op_pi.eigenfunction(k, xs)
+            assert got.tobytes() == alone.tobytes() == skipped.tobytes()
 
     def test_parseval_for_band_limited_samples(self, op_pi):
         rng = np.random.default_rng(11)
